@@ -1,4 +1,4 @@
-"""Index structures for fast subset / superset candidate queries (Section 3.6).
+"""Candidate index for subset / superset queries over edge sets (Section 3.6).
 
 Every time the search visits a new product state it must answer two queries
 against the set of *active* states:
@@ -9,195 +9,63 @@ against the set of *active* states:
 Both reduce, as a necessary condition, to subset / superset tests between the
 states' edge sets ``E(I)`` (the edges of the isomorphism type plus the edges of
 every stored-tuple type with a positive counter, plus the Büchi state and the
-child stages encoded as mandatory pseudo-edges).  The paper uses a Trie for
-superset queries and inverted lists for subset queries; both are implemented
-here over integer-encoded edge sets.  The precise ⪯ test is then run only on
-the returned candidates.
+child stages encoded as mandatory pseudo-edges).  The paper answers them with
+a Trie (superset queries) and inverted lists (subset queries); here every edge
+gets one bit of a Python int, each active item is stored as its edge mask, and
+a query is a scan of word-parallel mask tests.  The candidate sets are the
+same; the precise ⪯ test is then run only on the returned candidates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Generic, Hashable, Iterable, List, Optional, Set, Tuple, TypeVar
+from typing import Dict, Generic, Hashable, Iterable, Set, Tuple, TypeVar
 
 ItemId = TypeVar("ItemId", bound=Hashable)
 
 
-class EdgeInterner:
-    """Assigns stable small integers to (hashable) edge descriptors."""
-
-    def __init__(self) -> None:
-        self._ids: Dict[Hashable, int] = {}
-
-    def intern(self, edge: Hashable) -> int:
-        if edge not in self._ids:
-            self._ids[edge] = len(self._ids)
-        return self._ids[edge]
-
-    def intern_set(self, edges: Iterable[Hashable]) -> FrozenSet[int]:
-        return frozenset(self.intern(edge) for edge in edges)
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-
-class InvertedListIndex(Generic[ItemId]):
-    """Find stored sets that are *subsets* of a query set.
-
-    For every element we keep the list of stored sets containing it; a stored
-    set is a subset of the query iff the number of its elements hit by the
-    query equals its size.  The empty stored set is a subset of everything.
-    """
-
-    def __init__(self) -> None:
-        self._sizes: Dict[ItemId, int] = {}
-        self._postings: Dict[int, Set[ItemId]] = {}
-        self._empty: Set[ItemId] = set()
-
-    def add(self, item: ItemId, elements: FrozenSet[int]) -> None:
-        self._sizes[item] = len(elements)
-        if not elements:
-            self._empty.add(item)
-        for element in elements:
-            self._postings.setdefault(element, set()).add(item)
-
-    def remove(self, item: ItemId, elements: FrozenSet[int]) -> None:
-        self._sizes.pop(item, None)
-        self._empty.discard(item)
-        for element in elements:
-            self._postings.get(element, set()).discard(item)
-
-    def subsets_of(self, query: FrozenSet[int]) -> Set[ItemId]:
-        """All stored items whose element set is a subset of *query*."""
-        hits: Dict[ItemId, int] = {}
-        for element in query:
-            for item in self._postings.get(element, ()):
-                hits[item] = hits.get(item, 0) + 1
-        result = {item for item, count in hits.items() if count == self._sizes.get(item, -1)}
-        result |= self._empty
-        return result
-
-
-class _TrieNode:
-    __slots__ = ("children", "items")
-
-    def __init__(self) -> None:
-        self.children: Dict[int, "_TrieNode"] = {}
-        self.items: Set = set()
-
-
-class TrieIndex(Generic[ItemId]):
-    """Find stored sets that are *supersets* of a query set.
-
-    Sets are stored as sorted sequences of element ids in a trie.  A stored
-    set is a superset of the query iff a root-to-leaf path contains every
-    query element; the search walks the trie, skipping non-query elements and
-    matching query elements in increasing order.
-    """
-
-    def __init__(self) -> None:
-        self._root = _TrieNode()
-        self._elements: Dict[ItemId, Tuple[int, ...]] = {}
-
-    def add(self, item: ItemId, elements: FrozenSet[int]) -> None:
-        ordered = tuple(sorted(elements))
-        self._elements[item] = ordered
-        node = self._root
-        for element in ordered:
-            node = node.children.setdefault(element, _TrieNode())
-        node.items.add(item)
-
-    def remove(self, item: ItemId, elements: FrozenSet[int]) -> None:
-        ordered = self._elements.pop(item, None)
-        if ordered is None:
-            return
-        node = self._root
-        path: List[Tuple[_TrieNode, int]] = []
-        for element in ordered:
-            child = node.children.get(element)
-            if child is None:
-                return
-            path.append((node, element))
-            node = child
-        node.items.discard(item)
-        # Prune empty branches.
-        for parent, element in reversed(path):
-            child = parent.children[element]
-            if not child.items and not child.children:
-                del parent.children[element]
-            else:
-                break
-
-    def supersets_of(self, query: FrozenSet[int]) -> Set[ItemId]:
-        """All stored items whose element set is a superset of *query*."""
-        ordered_query = tuple(sorted(query))
-        result: Set[ItemId] = set()
-
-        def search(node: _TrieNode, query_position: int) -> None:
-            if query_position == len(ordered_query):
-                self._collect(node, result)
-                return
-            needed = ordered_query[query_position]
-            for element, child in node.children.items():
-                if element == needed:
-                    search(child, query_position + 1)
-                elif element < needed:
-                    # Skip elements smaller than the next needed one; larger
-                    # elements can never lead to a match because sets are sorted.
-                    search(child, query_position)
-            return
-
-        search(self._root, 0)
-        return result
-
-    def _collect(self, node: _TrieNode, result: Set[ItemId]) -> None:
-        result.update(node.items)
-        for child in node.children.values():
-            self._collect(child, result)
-
-
-@dataclass
 class ActiveStateIndex(Generic[ItemId]):
-    """Combined index over the active states of the search (Section 3.6).
+    """Edge-set masks of the active states of the search (Section 3.6).
 
     ``candidates_covering(query)`` returns items whose edge set is a subset of
-    the query's (necessary for ``query ⪯ item``); ``candidates_covered(query)``
+    the query's (necessary for ``query ⪯ item``); ``candidates_covered_by(query)``
     returns items whose edge set is a superset (necessary for ``item ⪯ query``).
     """
 
-    interner: EdgeInterner = field(default_factory=EdgeInterner)
-    subset_index: InvertedListIndex = field(default_factory=InvertedListIndex)
-    superset_index: TrieIndex = field(default_factory=TrieIndex)
-    _edge_sets: Dict[Hashable, FrozenSet[int]] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self._bits: Dict[Hashable, int] = {}  # edge -> its single-bit mask
+        self._masks: Dict[ItemId, int] = {}
+
+    def _mask(self, edges: Iterable[Hashable]) -> int:
+        bits = self._bits
+        mask = 0
+        for edge in edges:
+            bit = bits.get(edge)
+            if bit is None:
+                bit = bits[edge] = 1 << len(bits)
+            mask |= bit
+        return mask
 
     def add(self, item: ItemId, edges: Iterable[Hashable]) -> None:
-        encoded = self.interner.intern_set(edges)
-        self._edge_sets[item] = encoded
-        self.subset_index.add(item, encoded)
-        self.superset_index.add(item, encoded)
+        self._masks[item] = self._mask(edges)
 
     def remove(self, item: ItemId) -> None:
-        encoded = self._edge_sets.pop(item, None)
-        if encoded is None:
-            return
-        self.subset_index.remove(item, encoded)
-        self.superset_index.remove(item, encoded)
+        self._masks.pop(item, None)
 
     def __contains__(self, item: object) -> bool:
-        return item in self._edge_sets
+        return item in self._masks
 
     def __len__(self) -> int:
-        return len(self._edge_sets)
+        return len(self._masks)
 
     def items(self) -> Tuple[ItemId, ...]:
-        return tuple(self._edge_sets)
+        return tuple(self._masks)
 
     def candidates_covering(self, edges: Iterable[Hashable]) -> Set[ItemId]:
         """Items I' with E(I') ⊆ E(query): necessary condition for query ⪯ I'."""
-        encoded = self.interner.intern_set(edges)
-        return self.subset_index.subsets_of(encoded)
+        outside = ~self._mask(edges)
+        return {item for item, mask in self._masks.items() if not mask & outside}
 
     def candidates_covered_by(self, edges: Iterable[Hashable]) -> Set[ItemId]:
         """Items I' with E(I') ⊇ E(query): necessary condition for I' ⪯ query."""
-        encoded = self.interner.intern_set(edges)
-        return self.superset_index.supersets_of(encoded)
+        query = self._mask(edges)
+        return {item for item, mask in self._masks.items() if mask & query == query}

@@ -13,8 +13,9 @@ the paper's configurations:
 * the ⪯-based pruning of Section 3.5 (the default), which replaces the
   coverage relation ``≤`` by the weaker ``⪯`` tested via bipartite max-flow.
 
-Candidate look-ups over the active set use the Trie / inverted-list indexes of
-Section 3.6 when data-structure support is enabled, otherwise linear scans.
+Candidate look-ups over the active set use the bitset index of Section 3.6
+(:mod:`repro.core.indexes`) when data-structure support is enabled, otherwise
+linear scans.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ the benchmark harness can toggle each one independently:
 * ``state_pruning``          -- the novel ⪯-based pruning of Section 3.5 (SP);
   when disabled the search falls back to the classic ``≤`` coverage of the
   monotone-pruning Karp–Miller algorithm (Section 3.4).
-* ``data_structure_support`` -- the Trie / inverted-list candidate indexes of
-  Section 3.6 (DSS); when disabled candidate sets are computed by linear scan.
+* ``data_structure_support`` -- the candidate index of Section 3.6 (DSS), a
+  bitset index returning the same candidates as the paper's Trie and inverted
+  lists; when disabled every active state is a candidate (linear scan).
 * ``static_analysis``        -- the constraint-graph analysis of Section 3.7 (SA).
 * ``monotone_pruning``       -- the Reynier–Servais active-set pruning of
   Section 3.4; disabling it yields the plain Karp–Miller tree (Algorithm 1),

@@ -37,8 +37,11 @@ class ProductState:
         Besides the edges of the isomorphism type and of every stored-tuple
         type, the Büchi state and the child stages are included as mandatory
         pseudo-edges so that only states with identical control components are
-        returned as coverage candidates.
+        returned as coverage candidates.  Computed once per state object.
         """
+        cached = self.__dict__.get("_edge_elements")
+        if cached is not None:
+            return cached
         elements: Set[Hashable] = set(self.psi.tau.edge_set())
         for (relation, stored_type), _count in self.psi.counters:
             for edge in stored_type.edge_set():
@@ -47,7 +50,10 @@ class ProductState:
         elements.add(("buchi", self.buchi_state))
         for child, active in self.psi.children:
             elements.add(("child", child, active))
-        return frozenset(elements)
+        cached = frozenset(elements)
+        # Frozen dataclass: cached outside the compared and hashed fields.
+        object.__setattr__(self, "_edge_elements", cached)
+        return cached
 
 
 @dataclass(frozen=True)
@@ -72,6 +78,9 @@ class ProductSystem:
         self.ltl_property = ltl_property
         self._condition_props = set(ltl_property.conditions)
         self._label_conditions: Dict[TransitionLabel, Optional[Condition]] = {}
+        # Per-verify memo of ``successors`` (a pure function of the state):
+        # the repeated-reachability phase re-expands main-search states.
+        self._successors: Dict[ProductState, List[ProductMove]] = {}
 
     # ------------------------------------------------------------------ label handling
 
@@ -137,10 +146,15 @@ class ProductSystem:
         return results
 
     def successors(self, state: ProductState) -> List[ProductMove]:
-        """All product successors of a product state."""
+        """All product successors of a product state (memoised; callers must
+        not mutate the returned list)."""
+        cached = self._successors.get(state)
+        if cached is not None:
+            return cached
         results: List[ProductMove] = []
         for move in self.transition_system.successors(state.psi):
             results.extend(self._synchronise(move, state.buchi_state))
+        self._successors[state] = results
         return results
 
     def is_accepting(self, state: ProductState) -> bool:

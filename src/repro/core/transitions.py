@@ -153,6 +153,15 @@ class SymbolicTransitionSystem:
 
         # Pre-flatten every condition the search will evaluate.
         self._flattened: Dict[int, List[List[Constraint]]] = {}
+        # Memos for the lifetime of this system (one verify): ``evaluate`` and
+        # ``successors`` are pure functions of their arguments, so a hit
+        # returns the very list the first call built, in the same order.
+        # Callers must not mutate the returned lists.  ``evaluate`` is keyed
+        # like ``flatten`` (by condition identity), so every condition it sees
+        # must stay alive as long as the system -- hence the held ``true``.
+        self._evaluated: Dict[Tuple[int, PartialIsoType], List[PartialIsoType]] = {}
+        self._successors: Dict[PSI, List[SymbolicMove]] = {}
+        self._true = TrueCond()
 
         # Static analysis: collect every constraint any transition could add.
         all_conjunctions: List[Sequence[Constraint]] = []
@@ -215,7 +224,11 @@ class SymbolicTransitionSystem:
         return tau.extend(filtered)
 
     def evaluate(self, tau: PartialIsoType, condition: Condition) -> List[PartialIsoType]:
-        """``eval(τ, φ)`` with static-analysis filtering and de-duplication."""
+        """``eval(τ, φ)`` with static-analysis filtering and de-duplication (memoised)."""
+        memo_key = (id(condition), tau)
+        cached = self._evaluated.get(memo_key)
+        if cached is not None:
+            return cached
         results: List[PartialIsoType] = []
         seen = set()
         for conjunction in self.flatten(condition):
@@ -226,6 +239,7 @@ class SymbolicTransitionSystem:
             if key not in seen:
                 seen.add(key)
                 results.append(extended)
+        self._evaluated[memo_key] = results
         return results
 
     @property
@@ -272,7 +286,7 @@ class SymbolicTransitionSystem:
         guard = (
             self.system.global_precondition
             if self.task_name == self.system.root
-            else TrueCond()
+            else self._true
         )
         for tau in self.evaluate(start, guard):
             psi = PSI.make(tau, {}, self._initial_children())
@@ -282,19 +296,25 @@ class SymbolicTransitionSystem:
     # ------------------------------------------------------------------ successors
 
     def successors(self, psi: PSI) -> List[SymbolicMove]:
-        """All symbolic successors of a PSI, labelled by the applied service."""
+        """All symbolic successors of a PSI, labelled by the applied service.
+
+        Memoised per PSI; the dataflow skip counters therefore count each
+        distinct expanded PSI once.
+        """
+        cached = self._successors.get(psi)
+        if cached is not None:
+            return cached
         if psi.child_active(CLOSED_MARKER):
             # The task has returned: only the terminal stutter step applies.
-            return [SymbolicMove(TERMINATED_SERVICE, psi)]
-        moves: List[SymbolicMove] = []
-        moves.extend(self._internal_moves(psi))
-        moves.extend(self._child_opening_moves(psi))
-        moves.extend(self._child_closing_moves(psi))
-        moves.extend(self._own_closing_moves(psi))
+            moves = [SymbolicMove(TERMINATED_SERVICE, psi)]
+        else:
+            moves = []
+            moves.extend(self._internal_moves(psi))
+            moves.extend(self._child_opening_moves(psi))
+            moves.extend(self._child_closing_moves(psi))
+            moves.extend(self._own_closing_moves(psi))
+        self._successors[psi] = moves
         return moves
-
-    def _real_children(self, psi: PSI) -> Dict[str, bool]:
-        return {child: active for child, active in psi.children if child != CLOSED_MARKER}
 
     def _any_real_child_active(self, psi: PSI) -> bool:
         return any(active for child, active in psi.children if child != CLOSED_MARKER)

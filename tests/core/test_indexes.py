@@ -1,75 +1,10 @@
-"""Unit and property-based tests for the Trie / inverted-list candidate indexes."""
+"""Unit and property-based tests for the bitset candidate index."""
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.indexes import ActiveStateIndex, EdgeInterner, InvertedListIndex, TrieIndex
-
-
-class TestEdgeInterner:
-    def test_stable_ids(self):
-        interner = EdgeInterner()
-        first = interner.intern(("a", "b", "="))
-        second = interner.intern(("a", "b", "="))
-        assert first == second
-        assert len(interner) == 1
-
-    def test_intern_set(self):
-        interner = EdgeInterner()
-        encoded = interner.intern_set([("a",), ("b",), ("a",)])
-        assert len(encoded) == 2
-
-
-class TestInvertedListIndex:
-    def test_subsets_of(self):
-        index = InvertedListIndex()
-        index.add("small", frozenset({1}))
-        index.add("medium", frozenset({1, 2}))
-        index.add("large", frozenset({1, 2, 3}))
-        assert index.subsets_of(frozenset({1, 2})) == {"small", "medium"}
-
-    def test_empty_set_is_subset_of_everything(self):
-        index = InvertedListIndex()
-        index.add("empty", frozenset())
-        assert index.subsets_of(frozenset({5})) == {"empty"}
-        assert index.subsets_of(frozenset()) == {"empty"}
-
-    def test_remove(self):
-        index = InvertedListIndex()
-        index.add("a", frozenset({1, 2}))
-        index.remove("a", frozenset({1, 2}))
-        assert index.subsets_of(frozenset({1, 2, 3})) == set()
-
-
-class TestTrieIndex:
-    def test_supersets_of(self):
-        index = TrieIndex()
-        index.add("small", frozenset({1}))
-        index.add("medium", frozenset({1, 2}))
-        index.add("large", frozenset({1, 2, 3}))
-        assert index.supersets_of(frozenset({1, 2})) == {"medium", "large"}
-
-    def test_empty_query_returns_everything(self):
-        index = TrieIndex()
-        index.add("a", frozenset({1}))
-        index.add("b", frozenset())
-        assert index.supersets_of(frozenset()) == {"a", "b"}
-
-    def test_remove_prunes_branches(self):
-        index = TrieIndex()
-        index.add("a", frozenset({1, 2}))
-        index.add("b", frozenset({1, 3}))
-        index.remove("a", frozenset({1, 2}))
-        assert index.supersets_of(frozenset({1})) == {"b"}
-        index.remove("missing", frozenset({9}))  # removing unknown items is a no-op
-
-    def test_duplicate_edge_sets(self):
-        index = TrieIndex()
-        index.add("a", frozenset({1, 2}))
-        index.add("b", frozenset({1, 2}))
-        assert index.supersets_of(frozenset({1, 2})) == {"a", "b"}
+from repro.core.indexes import ActiveStateIndex
 
 
 class TestActiveStateIndex:
@@ -82,6 +17,37 @@ class TestActiveStateIndex:
         # Items whose edges are a superset of the query: candidates the query may cover.
         assert index.candidates_covered_by(["e1", "e2"]) == {"tight"}
 
+    def test_empty_edge_set(self):
+        index = ActiveStateIndex()
+        index.add("empty", [])
+        index.add("a", ["a"])
+        # The empty set is a subset of every query ...
+        assert index.candidates_covering(["z"]) == {"empty"}
+        assert index.candidates_covering([]) == {"empty"}
+        # ... and every stored set is a superset of the empty query.
+        assert index.candidates_covered_by([]) == {"empty", "a"}
+
+    def test_duplicate_edge_sets(self):
+        index = ActiveStateIndex()
+        index.add("a", ["e1", "e2"])
+        index.add("b", ["e2", "e1"])
+        assert index.candidates_covered_by(["e1", "e2"]) == {"a", "b"}
+        assert index.candidates_covering(["e1", "e2", "e3"]) == {"a", "b"}
+
+    def test_unseen_query_edges(self):
+        index = ActiveStateIndex()
+        index.add("a", ["e1"])
+        assert index.candidates_covering(["e1", "new"]) == {"a"}
+        assert index.candidates_covered_by(["e1", "new"]) == set()
+
+    def test_readding_an_item_replaces_its_edge_set(self):
+        index = ActiveStateIndex()
+        index.add("a", ["e1", "e2"])
+        index.add("a", ["e3"])
+        assert len(index) == 1
+        assert index.candidates_covering(["e3"]) == {"a"}
+        assert index.candidates_covered_by(["e1"]) == set()
+
     def test_remove_and_contains(self):
         index = ActiveStateIndex()
         index.add(1, ["a"])
@@ -89,7 +55,9 @@ class TestActiveStateIndex:
         index.remove(1)
         assert 1 not in index
         assert index.candidates_covering(["a"]) == set()
+        assert index.candidates_covered_by(["a"]) == set()
         index.remove(1)  # idempotent
+        index.remove("missing")  # removing unknown items is a no-op
 
     def test_items_and_len(self):
         index = ActiveStateIndex()
@@ -114,31 +82,24 @@ class TestDifferentialAgainstBruteForce:
     @settings(max_examples=120, deadline=None)
     def test_subset_and_superset_queries_match_brute_force(self, data):
         items, query = data
-        inverted = InvertedListIndex()
-        trie = TrieIndex()
+        index = ActiveStateIndex()
         for item, elements in items:
-            inverted.add(item, elements)
-            trie.add(item, elements)
-        expected_subsets = {item for item, elements in items if elements <= query}
-        expected_supersets = {item for item, elements in items if elements >= query}
-        assert inverted.subsets_of(query) == expected_subsets
-        assert trie.supersets_of(query) == expected_supersets
+            index.add(item, elements)
+        assert index.candidates_covering(query) == {i for i, e in items if e <= query}
+        assert index.candidates_covered_by(query) == {i for i, e in items if e >= query}
 
     @given(_collections())
     @settings(max_examples=60, deadline=None)
     def test_queries_after_random_removals(self, data):
         items, query = data
         rng = random.Random(0)
-        inverted = InvertedListIndex()
-        trie = TrieIndex()
+        index = ActiveStateIndex()
         for item, elements in items:
-            inverted.add(item, elements)
-            trie.add(item, elements)
+            index.add(item, elements)
         removed = {item for item, _ in items if rng.random() < 0.5}
-        for item, elements in items:
-            if item in removed:
-                inverted.remove(item, elements)
-                trie.remove(item, elements)
+        for item in removed:
+            index.remove(item)
         remaining = [(item, elements) for item, elements in items if item not in removed]
-        assert inverted.subsets_of(query) == {i for i, e in remaining if e <= query}
-        assert trie.supersets_of(query) == {i for i, e in remaining if e >= query}
+        assert index.candidates_covering(query) == {i for i, e in remaining if e <= query}
+        assert index.candidates_covered_by(query) == {i for i, e in remaining if e >= query}
+        assert len(index) == len(remaining)
