@@ -1,4 +1,4 @@
-"""Static-analysis benchmark: analyzer latency, pruning speedup, submit cost.
+"""Static-analysis benchmark: analyzer latency and submit cost.
 
 Not a pytest file (no ``test_`` prefix): run it directly to (re)generate
 ``BENCH_analysis.json`` at the repo root::
@@ -11,9 +11,6 @@ Measures, on the current machine:
   over the real-workflow benchmark corpus (p50/p95 per spec) and over
   synthetic systems of growing size: the cost a ``lint`` run or a submit
   pays per spec;
-* ``pruning_speedup``  -- verification wall time with the pre-search
-  pruning pass on vs off, on a system carrying statically-dead subtrees,
-  and the trivial-property short-circuit vs the full search it replaces;
 * ``submit_overhead``  -- p50/p95 ``POST /v1/jobs`` latency against a live
   in-process server (the analysis gate is on that path) next to the
   analysis-only time for the same payload: how much of a submit the
@@ -38,12 +35,6 @@ from repro.benchmark.properties import LTL_TEMPLATES, generate_properties  # noq
 from repro.benchmark.realworld import REAL_WORKFLOW_FACTORIES  # noqa: E402
 from repro.benchmark.synthetic import SyntheticConfig, generate_synthetic_workflow  # noqa: E402
 from repro.client import VerifasClient  # noqa: E402
-from repro.core.options import VerifierOptions  # noqa: E402
-from repro.core.verifier import Verifier  # noqa: E402
-from repro.has.builder import ArtifactSystemBuilder  # noqa: E402
-from repro.has.conditions import NULL, And, Const, Eq, Neq, Var  # noqa: E402
-from repro.has.schema import DatabaseSchema  # noqa: E402
-from repro.ltl import LTLFOProperty, parse_ltl  # noqa: E402
 from repro.server import VerificationServer  # noqa: E402
 from repro.spec import dump_property, dump_system  # noqa: E402
 
@@ -64,37 +55,6 @@ def _corpus():
         system = factory()
         properties = list(generate_properties(system, templates=LTL_TEMPLATES))
         yield name, system, properties
-
-
-def _system_with_dead_children(children: int, chain: int = 2):
-    """A *chain*-state live root loop plus *children* statically-dead
-    subtrees.  Every live state pays one symbolic opening attempt per dead
-    child when the pruning pass is off."""
-    schema = DatabaseSchema.from_dict({"ITEMS": {"price": None}})
-    builder = ArtifactSystemBuilder(f"dead{children}", schema)
-    root = builder.task("Main")
-    root.id_variable("item", "ITEMS")
-    root.variable("status")
-    previous = NULL
-    for index in range(chain):
-        root.internal_service(
-            f"step{index}",
-            pre=Eq(Var("status"), previous),
-            post=Eq(Var("status"), Const(f"stage{index}")),
-        )
-        previous = Const(f"stage{index}")
-    for index in range(children):
-        child = builder.task(f"Dead{index}", parent="Main")
-        child.variable("cstatus")
-        child.internal_service(
-            f"cgo{index}",
-            pre=Eq(Var("cstatus"), NULL),
-            post=Eq(Var("cstatus"), Const("x")),
-        )
-        child.opening(
-            pre=And(Eq(Var("status"), Const("a")), Eq(Var("status"), Const("b")))
-        )
-    return builder.build()
 
 
 # ---------------------------------------------------------------- sections
@@ -138,55 +98,6 @@ def bench_analyzer_latency():
     }
 
 
-def bench_pruning_speedup():
-    def _verify_seconds(system, ltl_property, pruning: bool, repeats: int = 5):
-        samples = []
-        for _ in range(repeats):
-            verifier = Verifier(system, VerifierOptions(static_pruning=pruning))
-            start = time.perf_counter()
-            result = verifier.verify(ltl_property)
-            samples.append(time.perf_counter() - start)
-        return statistics.median(samples), result
-
-    # A statically-dead child contributes no *states* either way (its
-    # opening guard can never fire); what pruning removes is the per-state
-    # symbolic opening attempt against that guard.  The sweep shows that
-    # cost -- and hence the speedup -- growing with the dead width.
-    report = {"dead_subtrees": {}}
-    for children in (2, 6, 12):
-        system = _system_with_dead_children(children, chain=8)
-        # A globally-true safety property forces a full sweep of the live
-        # space, so every live state pays the dead-opening attempts.
-        ltl_property = LTLFOProperty(
-            "Main",
-            parse_ltl("G p"),
-            {"p": Neq(Var("status"), Const("zzz"))},
-            name="full-sweep",
-        )
-        on_s, on_result = _verify_seconds(system, ltl_property, True)
-        off_s, off_result = _verify_seconds(system, ltl_property, False)
-        assert on_result.outcome == off_result.outcome
-        assert on_result.stats.states_explored == off_result.stats.states_explored
-        report["dead_subtrees"][str(children)] = {
-            "outcome": on_result.outcome.value,
-            "states": on_result.stats.states_explored,
-            "pruned_ms": round(on_s * 1000, 3),
-            "unpruned_ms": round(off_s * 1000, 3),
-            "speedup": round(off_s / on_s, 2) if on_s else None,
-        }
-
-    system = _system_with_dead_children(6)
-    trivial = LTLFOProperty("Main", parse_ltl("true"), {}, name="trivial")
-    on_s, on_result = _verify_seconds(system, trivial, True)
-    off_s, off_result = _verify_seconds(system, trivial, False)
-    report["trivial_short_circuit"] = {
-        "short_circuit_ms": round(on_s * 1000, 3),
-        "full_pipeline_ms": round(off_s * 1000, 3),
-        "note": "both explore 0 states; the saving is the automaton/search setup",
-    }
-    return report
-
-
 def bench_submit_overhead(requests: int = 150):
     factory = REAL_WORKFLOW_FACTORIES[sorted(REAL_WORKFLOW_FACTORIES)[0]]
     system = factory()
@@ -227,7 +138,6 @@ def main() -> None:
         "generated": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "python": sys.version.split()[0],
         "analyzer_latency": bench_analyzer_latency(),
-        "pruning_speedup": bench_pruning_speedup(),
         "submit_overhead": bench_submit_overhead(),
     }
     output = REPO_ROOT / "BENCH_analysis.json"

@@ -10,14 +10,16 @@ pre-search counterpart of the Section 3.7 constraint-graph analysis in
   ``POST /v1/jobs`` submit time (HTTP 422) when error-ranked, and persisted
   on the job row when warning-ranked -- and
 * a :class:`StaticFacts` summary (statically reachable tasks, constant
-  bindings, trivially-decided property verdicts) that the verifier consumes
-  as a pre-search pruning pass under the ``VerifierOptions.static_pruning``
-  kill-switch.
+  bindings, trivially-decided property verdicts) and the
+  :mod:`~repro.analysis.dataflow` facts, from which those diagnostics are
+  derived.
 
-Every pruning fact is *sound*: a task is only reported statically closed
-when its opening guard is unsatisfiable under plain equality reasoning
-(see :func:`statically_unsatisfiable`), so skipping it cannot change any
-verdict -- audited by a differential test against the unpruned search.
+The search does not consume any of these facts: they drive lint, the
+diagnostics and the submit gate only.  Every fact is nonetheless *sound*:
+a task is only reported statically closed when its opening guard is
+unsatisfiable under plain equality reasoning (see
+:func:`statically_unsatisfiable`), so a diagnostic built on it never
+contradicts what the search would find.
 """
 
 from repro.analysis.diagnostics import (

@@ -6,22 +6,21 @@ Two entry points:
   submit path).  Returns an :class:`AnalysisReport`: severity-ranked
   :class:`Diagnostic` records plus the :class:`StaticFacts` summary.
 * :func:`compute_static_facts` -- the facts alone, skipping the (slightly
-  more expensive) hygiene checks.  Used by the verifier's pre-search
-  pruning pass on every ``verify()`` call, so it stays cheap: a handful of
-  DNF conversions over the spec's guards.
+  more expensive) hygiene checks: a handful of DNF conversions over the
+  spec's guards.
 
-Soundness contract of the facts (what makes pruning verdict-preserving):
+The search does not consume the facts; they back the diagnostics.  Their
+soundness contract (what keeps a diagnostic consistent with the search):
 
 * a task appears in ``unsat_opening_tasks`` only when its opening guard is
   :func:`~repro.analysis.satisfiability.statically_unsatisfiable` -- the
-  symbolic evaluator produces no moves for such a guard, so skipping the
-  child entirely leaves the explored state space unchanged;
+  symbolic evaluator produces no moves for such a guard;
 * a property gets a ``"satisfied"`` verdict only when every run trivially
   satisfies it: its formula is structurally ``true``, or it targets the
   root task and the global pre-condition is statically unsatisfiable
   (no initial instance, hence no runs, hence the ∀-property holds
-  vacuously) -- both cases where the unpruned search also reports
-  SATISFIED after exploring nothing.
+  vacuously) -- both cases where the search also reports SATISFIED after
+  exploring nothing.
 """
 
 from __future__ import annotations
@@ -54,8 +53,8 @@ class StaticFacts:
     #: Tasks reachable from the root through statically satisfiable opening
     #: guards (the root is always reachable).
     reachable_tasks: Tuple[str, ...] = ()
-    #: Tasks whose *own* opening guard is statically unsatisfiable; the
-    #: verifier skips their opening moves during successor generation.
+    #: Tasks whose *own* opening guard is statically unsatisfiable (such a
+    #: task can never open; lint reports it).
     unsat_opening_tasks: Tuple[str, ...] = ()
     #: Whether the global pre-condition is statically unsatisfiable (the
     #: root task then has no initial instance).
@@ -154,7 +153,7 @@ def compute_static_facts(
     system: ArtifactSystem,
     properties: Sequence[LTLFOProperty] = (),
 ) -> StaticFacts:
-    """The pruning facts alone (cheap; called per ``verify()``)."""
+    """The static facts alone, without the hygiene diagnostics."""
     unsat_openings = {
         task_name
         for task_name in system.task_names

@@ -15,8 +15,8 @@ over-approximate *enablement summary* for the task's local symbolic runs:
   pairs (never enabled in the same state);
 * a **may-write / must-read variable footprint** per internal service.
 
-Soundness contract (what makes the in-search pruning verdict- and
-state-count-preserving):
+Soundness contract (what keeps the diagnostics built on these facts
+consistent with the search, which does not consume them):
 
 * every binding ``v = c`` of a task's ``constant_env`` is a constraint
   literally present in every reachable partial isomorphism type of that
@@ -30,11 +30,9 @@ state-count-preserving):
 * a service is reported **dead** only when, for every reachable state, the
   symbolic ``extend`` of its pre-condition (or, under the propagated-subset
   of the environment, its post-condition) fails on *every* DNF disjunct by
-  plain equality reasoning -- it produces zero symbolic moves, so skipping
-  it changes neither verdicts nor explored-state counts;
-* the at-most-once and mutual-exclusion facts are informational (they are
-  *not* used for pruning: suppressing a still-legal second firing would
-  change explored-state counts).
+  plain equality reasoning -- it produces zero symbolic moves in the
+  search;
+* the at-most-once and mutual-exclusion facts are informational.
 
 Determinism: every fact is computed with sorted / declaration-order
 iteration only -- the summaries feed diagnostics and (indirectly) result

@@ -4,10 +4,10 @@
 unsatisfiability: it returns ``True`` only when the condition is genuinely
 unsatisfiable under the equality theory the symbolic search itself
 implements (distinct constants are distinct; equality is a congruence).
-That soundness is what makes the verifier's ``static_pruning`` pass
-verdict-preserving: a child task whose opening guard is statically
-unsatisfiable produces no symbolic moves anyway, so skipping it cannot
-change the explored state space.
+That soundness is what keeps the analyzer's diagnostics consistent with
+the search: a child task whose opening guard is statically unsatisfiable
+produces no symbolic moves, so reporting it unreachable never contradicts
+the explored state space.
 
 The check works per DNF disjunct with a small union-find:
 
@@ -127,7 +127,7 @@ def statically_unsatisfiable_under(
     literally present in every reachable partial isomorphism type), a ``True``
     here means the symbolic evaluator's ``extend`` fails on every reachable
     state, so the condition can never fire -- the soundness argument of the
-    in-search dataflow pruning.
+    dataflow pass's dead-service facts.
     """
     disjuncts = condition.dnf()
     if not disjuncts:

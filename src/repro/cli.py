@@ -61,16 +61,6 @@ def _add_option_flags(parser: argparse.ArgumentParser) -> None:
         "--no-repeated-reachability", action="store_true",
         help="reachability-only mode (skip the repeated-reachability phase)",
     )
-    parser.add_argument(
-        "--no-static-pruning", action="store_true", dest="no_static_pruning",
-        help="disable the repro.analysis pre-search pruning pass (kill switch;"
-             " equivalent to REPRO_STATIC_PRUNING=0 on the server)",
-    )
-    parser.add_argument(
-        "--no-dataflow-pruning", action="store_true", dest="no_dataflow_pruning",
-        help="disable the in-search dataflow pruning pass (kill switch;"
-             " equivalent to REPRO_DATAFLOW_PRUNING=0 on the server)",
-    )
 
 
 def _options_from(args: argparse.Namespace) -> VerifierOptions:
@@ -81,10 +71,6 @@ def _options_from(args: argparse.Namespace) -> VerifierOptions:
         options = options.with_(max_states=args.max_states)
     if args.no_repeated_reachability:
         options = options.with_(check_repeated_reachability=False)
-    if args.no_static_pruning:
-        options = options.with_(static_pruning=False)
-    if args.no_dataflow_pruning:
-        options = options.with_(dataflow_pruning=False)
     return options
 
 

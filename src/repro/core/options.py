@@ -54,26 +54,6 @@ class VerifierOptions:
     #: exists so the audit can force the classic path and so the fast path can
     #: be disabled in the field without a code change.
     repeated_violation_fast_path: bool = True
-    #: The pre-search pruning pass fed by :mod:`repro.analysis` static facts:
-    #: children whose opening guard is statically unsatisfiable are skipped
-    #: during successor generation, and trivially-decided properties
-    #: short-circuit before the Karp-Miller search.  Every consumed fact is a
-    #: sound under-approximation (see ``repro.analysis.satisfiability``), so
-    #: verdicts are identical with the pass on or off -- audited by a
-    #: differential test; the switch lets the audit (and the field, via
-    #: ``REPRO_STATIC_PRUNING=0``) force the unpruned search.
-    static_pruning: bool = True
-    #: The in-search dataflow pruning pass fed by
-    #: :mod:`repro.analysis.dataflow` facts: services dead under constant
-    #: propagation are skipped during successor generation, flattened
-    #: conjunctions contradicting the task's constant environment are dropped
-    #: before symbolic evaluation, and child openings whose guard is dead
-    #: under the environment are skipped.  Every consumed fact only removes
-    #: work that provably yields zero symbolic moves, so verdicts *and*
-    #: explored-state counts are identical with the pass on or off -- audited
-    #: by the 4-way differential sweep; kill-switches are
-    #: ``--no-dataflow-pruning`` and ``REPRO_DATAFLOW_PRUNING=0``.
-    dataflow_pruning: bool = True
 
     #: Hard limit on the number of product states the search may materialise.
     max_states: int = 200_000
@@ -103,10 +83,6 @@ class VerifierOptions:
         data = {f.name: getattr(self, f.name) for f in fields(self)}
         if data["repeated_violation_fast_path"] is True:
             del data["repeated_violation_fast_path"]
-        if data["static_pruning"] is True:
-            del data["static_pruning"]
-        if data["dataflow_pruning"] is True:
-            del data["dataflow_pruning"]
         return data
 
     @classmethod
@@ -120,6 +96,31 @@ class VerifierOptions:
         """Rebuild options from :meth:`as_dict` output; unknown keys are ignored."""
         known = {f.name for f in fields(cls)}
         return cls(**{key: value for key, value in data.items() if key in known})
+
+    @classmethod
+    def from_request(cls, data: Mapping[str, Any]) -> "VerifierOptions":
+        """Strict :meth:`from_dict` for API submissions: an unknown key or an
+        ill-typed value raises :class:`ValueError` instead of being dropped
+        (or failing later, mid-search)."""
+        unknown = set(data) - cls.known_keys()
+        if unknown:
+            raise ValueError(f"unknown verifier option(s): {', '.join(sorted(unknown))}")
+        for f in fields(cls):
+            if f.name not in data:
+                continue
+            value = data[f.name]
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if f.type == "bool":
+                valid, expected = isinstance(value, bool), "a boolean"
+            elif f.type == "int":
+                valid = number and isinstance(value, int) and value >= 1
+                expected = "an integer >= 1"
+            else:  # timeout_seconds
+                valid = value is None or (number and value > 0)
+                expected = "null or a number > 0"
+            if not valid:
+                raise ValueError(f"verifier option {f.name!r} must be {expected}, got {value!r}")
+        return cls.from_dict(data)
 
     @classmethod
     def all_optimizations(cls) -> "VerifierOptions":

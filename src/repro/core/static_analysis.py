@@ -310,58 +310,6 @@ class ConstraintFilter:
         return len(self._droppable_eq) + len(self._droppable_neq)
 
 
-def conjunction_contradicts_bindings(
-    constraints: Sequence[Constraint],
-    bindings: "Dict[str, object]",
-    universe: ExpressionUniverse,
-) -> bool:
-    """Whether a flattened conjunction contradicts ``var = const`` bindings
-    under plain equality reasoning.
-
-    Sound under-approximation of ``extend`` failure: the check unions the
-    binding pairs and the conjunction's =-constraints and looks for a class
-    holding two distinct constants or a ≠-constraint inside one class.  A
-    partial isomorphism type entailing the bindings computes at least this
-    much closure when extended with the conjunction, so ``True`` here means
-    ``tau.extend(conjunction)`` returns ``None`` on *every* type entailing
-    the bindings -- the dataflow pass may drop the conjunction without
-    changing the set of symbolic moves.
-    """
-    parent: Dict[Expression, Expression] = {}
-
-    def find(expr: Expression) -> Expression:
-        root = parent.setdefault(expr, expr)
-        if root is expr:
-            return expr
-        root = find(root)
-        parent[expr] = root
-        return root
-
-    def union(a: Expression, b: Expression) -> None:
-        parent[find(a)] = find(b)
-
-    for name in sorted(bindings):
-        union(universe.variable(name), universe.add_constant(bindings[name]))
-    disequalities: List[Tuple[Expression, Expression]] = []
-    for left, right, op in constraints:
-        if op == EQ:
-            union(left, right)
-        else:
-            disequalities.append((left, right))
-    constant_of: Dict[Expression, ConstExpr] = {}
-    for expr in list(parent):
-        if isinstance(expr, ConstExpr):
-            root = find(expr)
-            seen = constant_of.get(root)
-            if seen is not None and seen.value != expr.value:
-                return True
-            constant_of[root] = expr
-    for left, right in disequalities:
-        if find(left) == find(right):
-            return True
-    return False
-
-
 def _derived_pairs(
     universe: ExpressionUniverse, left: Expression, right: Expression
 ) -> List[Tuple[Expression, Expression]]:

@@ -1,7 +1,8 @@
 """Search statistics reported by the verifier.
 
 The benchmark harness relies on these counters to reproduce the paper's
-experiments (state-space sizes, pruning effectiveness, optimisation speedups).
+experiments (state-space sizes, ⪯-pruning effectiveness, optimisation
+speedups).
 """
 
 from __future__ import annotations
@@ -43,13 +44,6 @@ class SearchStatistics:
     #: Whether the search was cooperatively cancelled (see
     #: :class:`repro.core.control.CancellationToken`).
     cancelled: bool = False
-    #: Internal-service successor evaluations skipped because the dataflow
-    #: pass proved the service dead (zero symbolic moves in every reachable
-    #: state); child-opening skips count here too.
-    dataflow_services_skipped: int = 0
-    #: Flattened conjunctions dropped before symbolic evaluation because they
-    #: contradict the task's constant environment.
-    dataflow_conjunctions_dropped: int = 0
     #: Per-phase wall-time attribution from the hot-loop ``phase(name)``
     #: hooks (see :class:`repro.core.control.PhaseTimer`): maps a phase name
     #: to ``{"seconds": float, "count": int}``.  Empty unless the run was
@@ -60,22 +54,9 @@ class SearchStatistics:
         """A plain-dict view (used by the benchmark harness and EXPERIMENTS.md).
 
         ``phase_seconds`` is included only when non-empty, so untraced runs
-        keep the historical shape byte-for-byte; the dataflow counters are
-        included only when non-zero for the same reason.
+        keep the historical shape byte-for-byte.
         """
-        base = self._base_dict()
-        if self.dataflow_services_skipped:
-            base["dataflow_services_skipped"] = self.dataflow_services_skipped
-        if self.dataflow_conjunctions_dropped:
-            base["dataflow_conjunctions_dropped"] = self.dataflow_conjunctions_dropped
-        if self.phase_seconds:
-            base["phase_seconds"] = {
-                name: dict(entry) for name, entry in self.phase_seconds.items()
-            }
-        return base
-
-    def _base_dict(self) -> Dict[str, float]:
-        return {
+        base = {
             "states_explored": self.states_explored,
             "states_pruned": self.states_pruned,
             "states_deactivated": self.states_deactivated,
@@ -91,6 +72,11 @@ class SearchStatistics:
             "state_limit_reached": self.state_limit_reached,
             "cancelled": self.cancelled,
         }
+        if self.phase_seconds:
+            base["phase_seconds"] = {
+                name: dict(entry) for name, entry in self.phase_seconds.items()
+            }
+        return base
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "SearchStatistics":

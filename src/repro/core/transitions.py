@@ -22,24 +22,20 @@ verification, the successors of a partial symbolic instance under
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.expressions import ExpressionUniverse
 from repro.core.flatten import flatten_condition
 from repro.core.isotypes import Constraint, PartialIsoType, empty_type
 from repro.core.options import VerifierOptions
 from repro.core.psi import PSI, counter_add
-from repro.core.static_analysis import ConstraintFilter, conjunction_contradicts_bindings
+from repro.core.static_analysis import ConstraintFilter
 from repro.has.artifact_system import ArtifactSystem
 from repro.has.conditions import Condition, TrueCond
 from repro.has.services import Insert, InternalService, Retrieve
 from repro.has.runs import TERMINATED_SERVICE
 from repro.ltl.ltlfo import LTLFOProperty
 from repro.vass.vass import OMEGA
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (analysis is a sibling layer)
-    from repro.analysis.analyzer import StaticFacts
-    from repro.analysis.dataflow import DataflowFacts
 
 #: Pseudo-child key marking that the verified task has executed its closing service.
 CLOSED_MARKER = "__closed__"
@@ -62,66 +58,12 @@ class SymbolicTransitionSystem:
         task_name: str,
         ltl_property: Optional[LTLFOProperty] = None,
         options: Optional[VerifierOptions] = None,
-        static_facts: Optional["StaticFacts"] = None,
-        dataflow_facts: Optional["DataflowFacts"] = None,
     ):
         self.system = system
         self.task_name = task_name
         self.task = system.task(task_name)
         self.options = options or VerifierOptions()
         self.ltl_property = ltl_property
-
-        # Pre-search pruning (repro.analysis): children whose opening guard is
-        # statically unsatisfiable produce no symbolic moves anyway, so their
-        # opening loop is skipped entirely.  Sound by construction -- the
-        # unsat check under-approximates exactly the equality reasoning of
-        # the iso-type machinery -- hence verdict-preserving.
-        self._statically_closed_children: FrozenSet[str] = frozenset()
-        if self.options.static_pruning:
-            if static_facts is not None:
-                unsat = set(static_facts.unsat_opening_tasks)
-            else:
-                from repro.analysis.satisfiability import statically_unsatisfiable
-
-                unsat = {
-                    child
-                    for child in system.children_of(task_name)
-                    if statically_unsatisfiable(system.opening_service(child).pre)
-                }
-            self._statically_closed_children = frozenset(
-                child for child in system.children_of(task_name) if child in unsat
-            )
-
-        # In-search dataflow pruning (repro.analysis.dataflow): the task's
-        # constant environment holds in every reachable iso-type of this
-        # search, so (a) services whose guard or effect is unsatisfiable
-        # under it produce zero symbolic moves and are skipped outright, and
-        # (b) flattened conjunctions contradicting it fail every ``extend``
-        # and are dropped at flatten time.  Post-conditions are exempt from
-        # (b): they are evaluated mid-transition on *projected* types, where
-        # only the propagated subset of the environment survives.
-        self._dataflow_env: Optional[Dict[str, object]] = None
-        self._dataflow_dead_services: FrozenSet[str] = frozenset()
-        self._dataflow_closed_children: FrozenSet[str] = frozenset()
-        self._dataflow_post_ids: FrozenSet[int] = frozenset()
-        self.dataflow_services_skipped = 0
-        self.dataflow_conjunctions_dropped = 0
-        if self.options.dataflow_pruning:
-            if dataflow_facts is None:
-                from repro.analysis.dataflow import compute_dataflow_facts
-
-                dataflow_facts = compute_dataflow_facts(system)
-            task_facts = dataflow_facts.for_task(task_name)
-            if task_facts is not None:
-                self._dataflow_env = dict(task_facts.constant_env) or None
-                self._dataflow_dead_services = frozenset(task_facts.dead_services)
-                self._dataflow_closed_children = frozenset(
-                    task_facts.dead_child_openings
-                )
-                self._dataflow_post_ids = frozenset(
-                    id(service.post)
-                    for service in system.internal_services(task_name)
-                )
 
         # The expression universe of the task: its variables plus the global
         # variables of the property (rigid, propagated by every transition).
@@ -193,29 +135,10 @@ class SymbolicTransitionSystem:
         return conditions
 
     def flatten(self, condition: Condition) -> List[List[Constraint]]:
-        """Cached ``conj(φ)`` of a condition over the task universe.
-
-        With dataflow pruning on, conjunctions contradicting the task's
-        constant environment are dropped (order of the survivors is
-        preserved): the environment holds in every reachable iso-type, so
-        such a conjunction fails every ``extend`` anyway.  Post-conditions
-        are exempt -- they are evaluated on projected types where only the
-        propagated bindings survive.
-        """
+        """Cached ``conj(φ)`` of a condition over the task universe."""
         key = id(condition)
         if key not in self._flattened:
-            conjunctions = flatten_condition(condition, self.universe, self.system.schema)
-            if self._dataflow_env is not None and key not in self._dataflow_post_ids:
-                kept = [
-                    conjunction
-                    for conjunction in conjunctions
-                    if not conjunction_contradicts_bindings(
-                        conjunction, self._dataflow_env, self.universe
-                    )
-                ]
-                self.dataflow_conjunctions_dropped += len(conjunctions) - len(kept)
-                conjunctions = kept
-            self._flattened[key] = conjunctions
+            self._flattened[key] = flatten_condition(condition, self.universe, self.system.schema)
         return self._flattened[key]
 
     def extend(self, tau: PartialIsoType, constraints: Sequence[Constraint]) -> Optional[PartialIsoType]:
@@ -296,11 +219,7 @@ class SymbolicTransitionSystem:
     # ------------------------------------------------------------------ successors
 
     def successors(self, psi: PSI) -> List[SymbolicMove]:
-        """All symbolic successors of a PSI, labelled by the applied service.
-
-        Memoised per PSI; the dataflow skip counters therefore count each
-        distinct expanded PSI once.
-        """
+        """All symbolic successors of a PSI, labelled by the applied service (memoised)."""
         cached = self._successors.get(psi)
         if cached is not None:
             return cached
@@ -326,12 +245,6 @@ class SymbolicTransitionSystem:
             return []
         moves: List[SymbolicMove] = []
         for service in self.system.internal_services(self.task_name):
-            if service.name in self._dataflow_dead_services:
-                # Dead under constant propagation: the pre (or, after
-                # projection, the post) fails on every reachable iso-type,
-                # so the evaluation below would produce zero moves.
-                self.dataflow_services_skipped += 1
-                continue
             moves.extend(self._apply_internal(psi, service))
         return moves
 
@@ -411,13 +324,6 @@ class SymbolicTransitionSystem:
     def _child_opening_moves(self, psi: PSI) -> List[SymbolicMove]:
         moves: List[SymbolicMove] = []
         for child in self.system.children_of(self.task_name):
-            if child in self._statically_closed_children:
-                continue
-            if child in self._dataflow_closed_children:
-                # The opening guard is unsatisfiable under the constant
-                # environment: zero symbolic moves on every reachable type.
-                self.dataflow_services_skipped += 1
-                continue
             if psi.child_active(child):
                 continue
             opening = self.system.opening_service(child)

@@ -135,39 +135,14 @@ class Verifier:
         if not self.system.has_task(task_name):
             raise ValueError(f"property refers to unknown task {task_name!r}")
 
-        static_facts = None
-        if self.options.static_pruning:
-            from repro.analysis import compute_static_facts
-
-            static_facts = compute_static_facts(self.system, (ltl_property,))
-
-        dataflow_facts = None
-        if self.options.dataflow_pruning:
-            from repro.analysis import compute_dataflow_facts
-
-            with control.span("verify.dataflow", property=ltl_property.name, task=task_name):
-                dataflow_facts = compute_dataflow_facts(self.system)
-
         with control.span("verify.setup", property=ltl_property.name, task=task_name):
             transition_system = SymbolicTransitionSystem(
-                self.system, task_name, ltl_property, self.options,
-                static_facts=static_facts, dataflow_facts=dataflow_facts,
+                self.system, task_name, ltl_property, self.options
             )
             ltl_property.validate_against(
                 self.system.task(task_name).variable_names,
                 transition_system.observable_services,
             )
-
-            # Trivially-decided properties (repro.analysis): the verdict is
-            # already known to coincide with what the search would report
-            # after exploring nothing, so skip the Büchi construction and the
-            # search entirely.  Checked only after the same setup validation
-            # the unpruned path performs, so error behaviour is identical.
-            if (
-                static_facts is not None
-                and static_facts.property_verdicts.get(ltl_property.name) == "satisfied"
-            ):
-                return self._trivial_result(ltl_property, task_name, started, control)
 
             # The verifier searches for runs of the *negated* property.
             negated = ltl_property.formula.negated()
@@ -187,10 +162,6 @@ class Verifier:
 
         with control.span("verify.verdict"):
             outcome, counterexample = self._verdict(product, result, stats, control)
-        # After the verdict: the repeated-reachability phase also drives the
-        # transition system, so the dataflow counters are only final here.
-        stats.dataflow_services_skipped = transition_system.dataflow_services_skipped
-        stats.dataflow_conjunctions_dropped = transition_system.dataflow_conjunctions_dropped
         stats.total_seconds = time.monotonic() - started
         if control.phase_timer.enabled:
             stats.phase_seconds = control.phase_timer.snapshot()
@@ -202,28 +173,6 @@ class Verifier:
             task=task_name,
             stats=stats,
             counterexample=counterexample,
-        )
-
-    def _trivial_result(
-        self,
-        ltl_property: LTLFOProperty,
-        task_name: str,
-        started: float,
-        control: SearchControl,
-    ) -> VerificationResult:
-        """A SATISFIED result decided by static analysis alone (zero states
-        explored), emitting the same terminal events as a searched run."""
-        stats = SearchStatistics()
-        stats.total_seconds = time.monotonic() - started
-        if control.phase_timer.enabled:
-            stats.phase_seconds = control.phase_timer.snapshot()
-        control.emit("stats", **stats.as_dict())
-        control.emit("done", outcome=VerificationOutcome.SATISFIED.value)
-        return VerificationResult(
-            outcome=VerificationOutcome.SATISFIED,
-            property_name=ltl_property.name,
-            task=task_name,
-            stats=stats,
         )
 
     def verify_all(self, properties: Sequence[LTLFOProperty]) -> List[VerificationResult]:

@@ -326,22 +326,6 @@ class VerificationServer:
             events=self.events,
         )
         self.cache = StoreBackedCache(self.store, ResultCache(max_entries=cache_entries))
-        static_env = os.environ.get("REPRO_STATIC_PRUNING", "").strip().lower()
-        if static_env:
-            # Deployment kill-switch for the repro.analysis pre-search
-            # pruning pass: REPRO_STATIC_PRUNING=0 forces the unpruned
-            # search, =1 forces it on, overriding the constructed defaults
-            # (mirrors REPRO_TRACE; per-job `options` still win).
-            default_options = (default_options or VerifierOptions()).with_(
-                static_pruning=static_env not in ("0", "false", "no")
-            )
-        dataflow_env = os.environ.get("REPRO_DATAFLOW_PRUNING", "").strip().lower()
-        if dataflow_env:
-            # Same kill-switch contract for the in-search dataflow pruning
-            # pass: REPRO_DATAFLOW_PRUNING=0 forces it off, =1 forces it on.
-            default_options = (default_options or VerifierOptions()).with_(
-                dataflow_pruning=dataflow_env not in ("0", "false", "no")
-            )
         self.service = VerificationService(
             cache=self.cache, default_options=default_options
         )
@@ -929,13 +913,12 @@ class VerificationServer:
         elif isinstance(options_data, Mapping):
             # Spec files tolerate unknown keys for forward compatibility; an
             # API submission with one is far more likely a typo (silently
-            # dropping `timeout` for `timeout_seconds` would run unbounded).
-            unknown = set(options_data) - VerifierOptions.known_keys()
-            if unknown:
-                raise SpecError(
-                    f"unknown verifier option(s): {', '.join(sorted(unknown))}"
-                )
-            options = VerifierOptions.from_dict(options_data)
+            # dropping `timeout` for `timeout_seconds` would run unbounded),
+            # and an ill-typed value would only fail later, in a worker.
+            try:
+                options = VerifierOptions.from_request(options_data)
+            except ValueError as exc:
+                raise SpecError(str(exc)) from None
         else:
             raise SpecError("'options' must be a JSON object")
         options_dict = options.as_dict()

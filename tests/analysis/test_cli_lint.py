@@ -98,14 +98,3 @@ def test_lint_unparseable_spec_exits_two(tmp_path, capsys):
     path.write_text("{not json", encoding="utf-8")
     assert cli.main(["lint", str(path)]) == 2
     assert "error" in capsys.readouterr().err
-
-
-def test_verify_accepts_no_static_pruning_flag(tmp_path, capsys):
-    """The kill-switch flag parses, runs, and changes no verdict."""
-    path = _write_spec(tmp_path)
-    code_off = cli.main(["verify", path, "--no-static-pruning", "--json"])
-    out_off = json.loads(capsys.readouterr().out)
-    code_on = cli.main(["verify", path, "--json"])
-    out_on = json.loads(capsys.readouterr().out)
-    assert code_off == code_on
-    assert out_off["outcomes"] == out_on["outcomes"]

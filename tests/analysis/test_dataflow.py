@@ -1,10 +1,10 @@
 """Unit tests for :mod:`repro.analysis.dataflow`.
 
-The facts under test are the soundness-critical inputs of the in-search
-pruning pass: the constant environment (must hold in every reachable
-symbolic state), the dead-service / dead-opening sets (must imply zero
-symbolic moves) and the informational summaries (footprints, at-most-once,
-mutual exclusion, write-only variables) surfaced as VA302/VA504.
+The facts under test back the lint diagnostics: the constant environment
+(must hold in every reachable symbolic state), the dead-service /
+dead-opening sets (must imply zero symbolic moves) and the informational
+summaries (footprints, at-most-once, mutual exclusion, write-only
+variables) surfaced as VA302/VA504.
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ from repro.analysis.satisfiability import (
     binding_literals,
     statically_unsatisfiable_under,
 )
-from repro.core.expressions import ExpressionUniverse
-from repro.core.isotypes import EQ, NEQ
-from repro.core.static_analysis import conjunction_contradicts_bindings
 from repro.has.builder import ArtifactSystemBuilder
 from repro.has.conditions import And, Const, Eq, NULL, Neq, Or, RelationAtom, Var
 from repro.has.schema import DatabaseSchema
@@ -327,52 +324,3 @@ class TestDeterminism:
         main = first["Main"]
         assert main["dead_services"] == sorted(main["dead_services"])
         assert list(main["constant_env"]) == sorted(main["constant_env"])
-
-
-# ----------------------------------- expression-level contradiction checker
-
-
-class TestConjunctionContradictsBindings:
-    def _universe(self):
-        schema = _schema()
-        return ExpressionUniverse(schema, {"mode": None, "status": None})
-
-    def test_direct_constant_clash(self):
-        universe = self._universe()
-        conjunction = [
-            (universe.variable("mode"), universe.add_constant("premium"), EQ)
-        ]
-        assert conjunction_contradicts_bindings(
-            conjunction, {"mode": "basic"}, universe
-        )
-        assert not conjunction_contradicts_bindings(
-            conjunction, {"mode": "premium"}, universe
-        )
-
-    def test_neq_against_binding(self):
-        universe = self._universe()
-        conjunction = [
-            (universe.variable("mode"), universe.add_constant("basic"), NEQ)
-        ]
-        assert conjunction_contradicts_bindings(
-            conjunction, {"mode": "basic"}, universe
-        )
-
-    def test_transitive_clash_through_variables(self):
-        universe = self._universe()
-        conjunction = [
-            (universe.variable("status"), universe.variable("mode"), EQ),
-            (universe.variable("status"), universe.add_constant("premium"), EQ),
-        ]
-        assert conjunction_contradicts_bindings(
-            conjunction, {"mode": "basic"}, universe
-        )
-
-    def test_satisfiable_conjunction_is_kept(self):
-        universe = self._universe()
-        conjunction = [
-            (universe.variable("status"), universe.add_constant("done"), EQ)
-        ]
-        assert not conjunction_contradicts_bindings(
-            conjunction, {"mode": "basic"}, universe
-        )

@@ -1,7 +1,7 @@
 """Property-based soundness audit of the dataflow enablement summary.
 
 Seeded ``random`` (no wall clock, no hypothesis dependency): generate small
-random specifications, run a *bounded, unpruned* symbolic search collecting
+random specifications, run a *bounded* symbolic search collecting
 which services actually fire, and assert the dataflow summary is a sound
 over-approximation:
 
@@ -24,7 +24,6 @@ import pytest
 
 from repro.analysis.dataflow import compute_dataflow_facts
 from repro.core.isotypes import NEQ
-from repro.core.options import VerifierOptions
 from repro.core.transitions import SymbolicTransitionSystem
 from repro.has.builder import ArtifactSystemBuilder
 from repro.has.conditions import And, Condition, Const, Eq, Neq, Or, Var
@@ -79,7 +78,7 @@ def _random_system(rng: random.Random):
 
 
 def _bounded_search(system, task_name: str):
-    """Breadth-first unpruned bounded search of one task's local runs.
+    """Breadth-first bounded search of one task's local runs.
 
     Returns ``(fired service names, visited taus, per-path service counts)``.
     The per-path counts record, for each explored path, how often each
@@ -87,8 +86,7 @@ def _bounded_search(system, task_name: str):
     cut at the state bound, which can only *under*-count firings -- the
     sound direction for auditing an over-approximation.
     """
-    options = VerifierOptions(static_pruning=False, dataflow_pruning=False)
-    transitions = SymbolicTransitionSystem(system, task_name, options=options)
+    transitions = SymbolicTransitionSystem(system, task_name)
     fired: Set[str] = set()
     taus = []
     seen: Set[object] = set()
@@ -136,11 +134,7 @@ def test_dataflow_summary_over_approximates_bounded_search(seed):
 
         # 3. The constant environment is entailed by every reachable type:
         #    adding var != const must contradict it.
-        transitions = SymbolicTransitionSystem(
-            system,
-            task_name,
-            options=VerifierOptions(static_pruning=False, dataflow_pruning=False),
-        )
+        transitions = SymbolicTransitionSystem(system, task_name)
         universe = transitions.universe
         for name in sorted(task_facts.constant_env):
             value = task_facts.constant_env[name]
@@ -157,31 +151,3 @@ def test_dataflow_summary_over_approximates_bounded_search(seed):
                 f"seed={seed} task={task_name}: at-most-once service "
                 f"{service!r} fired {max_fires[service]} times on one path"
             )
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_dataflow_pruning_preserves_bounded_search_moves(seed):
-    """With pruning ON, the *same* bounded search produces the same moves:
-    the pass only skips work that yields zero moves."""
-    rng = random.Random(1000 + seed)
-    system = _random_system(rng)
-    for task_name in system.task_names:
-        frontiers = []
-        for pruning in (False, True):
-            options = VerifierOptions(static_pruning=False, dataflow_pruning=pruning)
-            transitions = SymbolicTransitionSystem(system, task_name, options=options)
-            moves: List[Tuple[str, object]] = []
-            seen: Set[object] = set()
-            queue = [m.psi for m in transitions.initial_moves()]
-            while queue and len(seen) < _STATE_BOUND:
-                psi = queue.pop(0)
-                if psi in seen:
-                    continue
-                seen.add(psi)
-                for move in transitions.successors(psi):
-                    if move.psi is psi:
-                        continue
-                    moves.append((move.service, move.psi))
-                    queue.append(move.psi)
-            frontiers.append(moves)
-        assert frontiers[0] == frontiers[1], f"seed={1000 + seed} task={task_name}"

@@ -84,6 +84,17 @@ class TestTinySystem:
         with pytest.raises(ValueError):
             verifier.verify(LTLFOProperty("Main", parse_ltl("F not_a_service"), name="bad"))
 
+    def test_true_is_satisfied_without_exploring_states(self, verifier):
+        # The Büchi automaton of the negated property has no transitions,
+        # so the product has no state to explore.
+        result = verifier.verify(prop("Main", "true"))
+        assert result.satisfied
+        assert result.stats.states_explored == 0
+
+    def test_trivially_true_property_still_validates_services(self, verifier):
+        with pytest.raises(ValueError, match="zap"):
+            verifier.verify(LTLFOProperty("Main", parse_ltl("true & zap"), name="bad"))
+
     def test_summary_mentions_outcome(self, verifier):
         result = verifier.verify(prop("Main", "true"))
         assert "satisfied" in result.summary()

@@ -17,6 +17,8 @@ import urllib.request
 import pytest
 
 from repro.client import auth_headers
+from repro.core.options import VerifierOptions
+from repro.core.stats import SearchStatistics
 from repro.has.conditions import Const, Eq, Neq, NULL, Var
 from repro.ltl import LTLFOProperty, parse_ltl
 from repro.server import VerificationServer
@@ -275,6 +277,41 @@ class TestApiErrors:
         assert status == 400 and "unknown verifier option" in body["error"]
         assert "timeout" in body["error"]
 
+    def test_ill_typed_option_values_are_rejected(self, server, tiny_system):
+        """Values are checked at submit time, not left to fail in a worker
+        (a string budget) or to be read as truthy (a string boolean)."""
+        for options in (
+            {"max_states": "abc"},
+            {"max_states": True},
+            {"max_states": 0},
+            {"max_repeated_states": 2.5},
+            {"state_pruning": "no"},
+            {"check_repeated_reachability": 1},
+            {"timeout_seconds": 0},
+            {"timeout_seconds": "30"},
+            {"timeout_seconds": False},
+        ):
+            payload = _payload(tiny_system, _properties()[:1])
+            payload["options"] = options
+            status, body = _request(f"{server.url}/v1/jobs", "POST", payload)
+            assert status == 400, options
+            (key,) = options
+            assert key in body["error"], body
+
+    def test_well_typed_option_values_are_accepted(self, server, tiny_system):
+        payload = _payload(tiny_system, _properties()[:1])
+        payload["options"] = {
+            "timeout_seconds": None,
+            "max_states": 5_000,
+            "max_repeated_states": 5_000,
+            "state_pruning": False,
+        }
+        status, body = _request(f"{server.url}/v1/jobs", "POST", payload)
+        assert status == 202, body
+        payload["options"] = {"timeout_seconds": 12.5}
+        status, body = _request(f"{server.url}/v1/jobs", "POST", payload)
+        assert status == 202, body
+
     def test_unknown_job_is_404(self, server):
         status, body = _request(f"{server.url}/jobs/ffffffffffff")
         assert status == 404 and "error" in body
@@ -286,6 +323,41 @@ class TestApiErrors:
     def test_bad_query_parameters_are_400(self, server):
         assert _request(f"{server.url}/jobs?limit=many")[0] == 400
         assert _request(f"{server.url}/jobs?status=finished")[0] == 400
+
+
+class TestOptionsWireFormat:
+    """The canonical options dict feeds every result fingerprint, so the
+    default must serialize with exactly the v1 keys; retired keys are
+    unknown to the API but ignored when read back from files and rows."""
+
+    V1_KEYS = {
+        "state_pruning",
+        "data_structure_support",
+        "static_analysis",
+        "monotone_pruning",
+        "check_repeated_reachability",
+        "use_artifact_relations",
+        "max_states",
+        "timeout_seconds",
+        "max_repeated_states",
+    }
+
+    def test_default_options_serialize_with_exactly_the_v1_keys(self):
+        assert set(VerifierOptions().as_dict()) == self.V1_KEYS
+
+    def test_retired_pruning_key_is_rejected_on_submit(self, server, tiny_system):
+        payload = _payload(tiny_system, _properties()[:1])
+        payload["options"] = {"static_pruning": False}
+        status, body = _request(f"{server.url}/v1/jobs", "POST", payload)
+        assert status == 400 and "static_pruning" in body["error"]
+
+    def test_retired_pruning_keys_are_ignored_when_loading(self):
+        data = dict(VerifierOptions().as_dict(), static_pruning=False, dataflow_pruning=False)
+        assert VerifierOptions.from_dict(data) == VerifierOptions()
+
+    def test_retired_dataflow_counter_is_ignored_when_loading(self):
+        data = dict(SearchStatistics(states_explored=7).as_dict(), dataflow_services_skipped=3)
+        assert SearchStatistics.from_dict(data) == SearchStatistics(states_explored=7)
 
 
 # ----------------------------------------------------------------- end-to-end

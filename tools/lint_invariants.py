@@ -27,9 +27,9 @@ hot path make runs irreproducible and deadline math NTP-sensitive.
 Display-only stamps (the progress-event ``emit`` hook) are grandfathered.
 
 **DF001 -- no iteration-order-dependent loops in the dataflow pass**
-(``src/repro/analysis/dataflow.py``).  The dataflow facts feed pruning
-decisions whose determinism is asserted by tests and relied on by the
-result cache; iterating a dict/set (``for x in {...}``, ``.items()``,
+(``src/repro/analysis/dataflow.py``).  The dataflow facts order the
+VA302/VA504 lint diagnostics, whose determinism is asserted by the lint
+goldens and relied on by the submit-path gate; iterating a dict/set (``for x in {...}``, ``.items()``,
 ``set(...)``) without ``sorted(...)`` makes the emitted tuples depend on
 hash order.  Wrap the iterable in ``sorted(...)`` instead.
 
