@@ -8,177 +8,173 @@ edges are labelled ``=`` or ``≠``, closed under
 2. consistency of ≠: no ≠-edge inside an equivalence class, and ≠ is lifted
    to whole classes.
 
-We represent a type as a union–find partition over the expressions mentioned
-so far plus a set of ≠-edges between class representatives.  Types are
-immutable: :meth:`PartialIsoType.extend` returns a new type (or ``None`` when
-the added constraints contradict the existing ones).  Consistency also
-enforces that two distinct non-null constants are never identified and that
-navigation expressions of incompatible types (ids of different relations, or
-an id vs a data value) are never identified.
+A type works on the int ids of its :class:`ExpressionUniverse`.  It stores
+``rep``, which maps every mentioned id straight to the root of its class (a
+class holding a constant has that constant as its root), the sorted member
+tuple of each class, and ``neq``, the ≠-edges as sorted pairs of roots.
+Types are immutable: :meth:`PartialIsoType.extend` returns a new type (or
+``None`` when the added constraints contradict the existing ones).
+Consistency also enforces that two distinct constants are never identified
+and that navigation expressions of incompatible kinds (ids of different
+relations, or an id vs a data value) are only identified as ``null``.
+
+The canonical key is a frozenset of ints: the =-edge between ids ``i < j`` is
+``(i << 16) | j`` (ids are at most ``MAX_ID``, 16 bits), and a ≠-edge is
+encoded the same way with ``NEQ_BIT`` set.
+Keys list every entailed edge, so for closed types entailment is mostly set
+inclusion of keys.
 
 The operations used by the verifier are:
 
-* ``extend``        -- add constraints (used by condition evaluation),
+* ``extend`` / ``extend_ids`` -- add constraints (condition evaluation),
 * ``project``       -- keep only expressions rooted at a set of variables
-  (used for variable propagation and child-task returns),
+  (variable propagation and child-task returns),
 * ``entails``       -- ``τ |= τ'`` iff every constraint of τ' holds in τ
   (with closed representations this is exactly τ' ⊆ τ of the paper),
 * ``rename_roots``  -- translate between a task's variables and an artifact
-  relation's attributes (used by insertions and retrievals),
+  relation's attributes (insertions and retrievals),
 * ``canonical_key`` -- hashing / equality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.core.expressions import ConstExpr, Expression, ExpressionUniverse, NavExpr
-from repro.has.types import IdType, ValueType
+from repro.core.expressions import MAX_ID, Expression, ExpressionUniverse, NULL_KIND
 
 #: A single constraint between two expressions: ``(left, right, op)`` with op "=" or "!=".
 Constraint = Tuple[Expression, Expression, str]
+#: The same over expression ids.
+IdConstraint = Tuple[int, int, str]
 
 EQ = "="
 NEQ = "!="
+
+_ID_BITS = MAX_ID.bit_length()
+_ID_MASK = MAX_ID
+#: Flag bit of ≠-edges in canonical keys.
+NEQ_BIT = 1 << (2 * _ID_BITS)
 
 
 class PartialIsoType:
     """An immutable partial isomorphism type over an expression universe."""
 
-    __slots__ = (
-        "universe",
-        "_parent",
-        "_neq",
-        "_key",
-        "_hash",
-        "_classes_cache",
-        "_eq_key",
-        "_neq_key",
-    )
+    __slots__ = ("universe", "_rep", "_classes", "_neq", "_eq_key", "_neq_key", "_key",
+                 "_hash", "_sorted_key")
 
     def __init__(
         self,
         universe: ExpressionUniverse,
-        parent: Optional[Dict[Expression, Expression]] = None,
-        neq: Optional[Set[FrozenSet[Expression]]] = None,
+        rep: Optional[Dict[int, int]] = None,
+        classes: Optional[Dict[int, Tuple[int, ...]]] = None,
+        neq: Optional[Set[Tuple[int, int]]] = None,
     ):
         self.universe = universe
-        self._parent: Dict[Expression, Expression] = dict(parent) if parent else {}
-        self._neq: Set[FrozenSet[Expression]] = set(neq) if neq else set()
-        self._key: Optional[FrozenSet] = None
+        self._rep: Dict[int, int] = rep if rep is not None else {}
+        self._classes: Dict[int, Tuple[int, ...]] = classes if classes is not None else {}
+        self._neq: Set[Tuple[int, int]] = neq if neq is not None else set()
+        self._eq_key: Optional[FrozenSet[int]] = None
+        self._neq_key: Optional[FrozenSet[int]] = None
+        self._key: Optional[FrozenSet[int]] = None
         self._hash: Optional[int] = None
-        self._classes_cache: Optional[Dict[Expression, Set[Expression]]] = None
-        self._eq_key: Optional[FrozenSet] = None
-        self._neq_key: Optional[FrozenSet] = None
+        self._sorted_key: Optional[Tuple[int, ...]] = None
 
-    # ------------------------------------------------------------- union-find
+    # -------------------------------------------------------------- expression-level queries
 
-    def _find(self, expression: Expression) -> Expression:
-        parent = self._parent
-        root = expression
-        while parent.get(root, root) != root:
-            root = parent[root]
-        return root
+    def _root(self, expression: Expression) -> int:
+        index = self.universe.intern(expression)
+        if index is None:
+            raise KeyError(f"{expression} is not in the expression universe")
+        return self._rep.get(index, index)
+
+    def _distinct_roots(self, left: int, right: int) -> bool:
+        """Whether two different class roots are known distinct (edge or two constants)."""
+        pair = (left, right) if left < right else (right, left)
+        is_constant = self.universe.is_constant
+        return pair in self._neq or (is_constant[left] and is_constant[right])
 
     def representative(self, expression: Expression) -> Expression:
         """The canonical representative of the expression's equivalence class."""
-        return self._find(expression)
+        return self.universe.expression(self._root(expression))
 
     def same_class(self, left: Expression, right: Expression) -> bool:
         """Whether the two expressions are known to be equal."""
-        return self._find(left) == self._find(right)
+        return self._root(left) == self._root(right)
 
     def known_distinct(self, left: Expression, right: Expression) -> bool:
         """Whether the two expressions are known to be distinct."""
-        left_root, right_root = self._find(left), self._find(right)
-        if left_root == right_root:
-            return False
-        if frozenset((left_root, right_root)) in self._neq:
-            return True
-        return self._implicitly_distinct(left_root, right_root)
-
-    def _implicitly_distinct(self, left_root: Expression, right_root: Expression) -> bool:
-        """Distinctions that hold without an explicit ≠-edge (constants, types)."""
-        left_const = self._class_constant(left_root)
-        right_const = self._class_constant(right_root)
-        if left_const is not None and right_const is not None and left_const != right_const:
-            return True
-        return False
-
-    def _class_constant(self, root: Expression) -> Optional[ConstExpr]:
-        """The constant belonging to this class, if any (classes hold at most one)."""
-        if isinstance(root, ConstExpr):
-            return root
-        for member, parent in self._parent.items():
-            if isinstance(member, ConstExpr) and self._find(member) == root:
-                return member
-        return None
-
-    # -------------------------------------------------------------- membership
+        left_root, right_root = self._root(left), self._root(right)
+        return left_root != right_root and self._distinct_roots(left_root, right_root)
 
     def members(self) -> Set[Expression]:
         """All expressions mentioned by at least one constraint."""
-        mentioned: Set[Expression] = set(self._parent)
-        for pair in self._neq:
-            mentioned |= set(pair)
-        return mentioned
+        expression = self.universe.expression
+        return {expression(index) for index in self._rep}
 
     def equivalence_classes(self) -> Dict[Expression, Set[Expression]]:
-        """Representative -> members, for all mentioned expressions.
+        """Representative -> members, for all mentioned expressions."""
+        expression = self.universe.expression
+        return {
+            expression(root): {expression(member) for member in members}
+            for root, members in self._classes.items()
+        }
 
-        The result is cached: types are immutable once handed out by
-        :meth:`extend` / :meth:`project` (all mutation happens while the new
-        copy is still private to those methods).
-        """
-        if self._classes_cache is None:
-            classes: Dict[Expression, Set[Expression]] = {}
-            for expression in self.members():
-                classes.setdefault(self._find(expression), set()).add(expression)
-            self._classes_cache = classes
-        return self._classes_cache
+    def id_constraints(self) -> List[IdConstraint]:
+        """All (closed) constraints over ids, in key order: = pairs within classes, ≠ pairs."""
+        return [
+            ((edge >> _ID_BITS) & _ID_MASK, edge & _ID_MASK, NEQ if edge & NEQ_BIT else EQ)
+            for edge in self.sorted_key()
+        ]
 
     def constraints(self) -> List[Constraint]:
-        """An explicit list of (closed) constraints: all = pairs within classes, all ≠ pairs."""
-        result: List[Constraint] = []
-        classes = self.equivalence_classes()
-        for root, members in classes.items():
-            ordered = sorted(members, key=str)
-            for i in range(len(ordered)):
-                for j in range(i + 1, len(ordered)):
-                    result.append((ordered[i], ordered[j], EQ))
-        for pair in self._neq:
-            left_root, right_root = tuple(pair)
-            left_members = classes.get(left_root, {left_root})
-            right_members = classes.get(right_root, {right_root})
-            for left in left_members:
-                for right in right_members:
-                    first, second = sorted((left, right), key=str)
-                    result.append((first, second, NEQ))
-        return result
+        """:meth:`id_constraints` as expressions."""
+        expression = self.universe.expression
+        return [(expression(i), expression(j), op) for i, j, op in self.id_constraints()]
 
     # -------------------------------------------------------------- hashing
 
-    def canonical_key(self) -> FrozenSet:
-        """A canonical, order-independent encoding of all entailed constraints."""
-        if self._key is None:
-            encoded = set()
-            for left, right, op in self.constraints():
-                encoded.add((str(left), str(right), op))
-            self._key = frozenset(encoded)
-        return self._key
+    def _build_keys(self) -> None:
+        eq: List[int] = []
+        for members in self._classes.values():
+            for k in range(len(members) - 1):
+                high = members[k] << _ID_BITS
+                eq.extend(high | j for j in members[k + 1:])
+        neq: List[int] = []
+        classes = self._classes
+        for left, right in self._neq:
+            for i in classes[left]:
+                for j in classes[right]:
+                    neq.append(NEQ_BIT | ((i << _ID_BITS) | j if i < j else (j << _ID_BITS) | i))
+        self._eq_key = frozenset(eq)
+        self._neq_key = frozenset(neq)
 
-    def eq_key(self) -> FrozenSet:
+    def eq_key(self) -> FrozenSet[int]:
         """The equality edges of :meth:`canonical_key` (cached)."""
         if self._eq_key is None:
-            self._eq_key = frozenset(e for e in self.canonical_key() if e[2] == EQ)
+            self._build_keys()
         return self._eq_key
 
-    def neq_key(self) -> FrozenSet:
+    def neq_key(self) -> FrozenSet[int]:
         """The disequality edges of :meth:`canonical_key` (cached)."""
         if self._neq_key is None:
-            self._neq_key = frozenset(e for e in self.canonical_key() if e[2] == NEQ)
+            self._build_keys()
         return self._neq_key
+
+    def canonical_key(self) -> FrozenSet[int]:
+        """Every entailed edge as an int: an order-independent encoding of the type."""
+        if self._key is None:
+            self._key = self.eq_key() | self.neq_key()
+        return self._key
+
+    def sorted_key(self) -> Tuple[int, ...]:
+        """The canonical key as a sorted tuple: a total order on types (cached)."""
+        if self._sorted_key is None:
+            self._sorted_key = tuple(sorted(self.canonical_key()))
+        return self._sorted_key
+
+    def edge_set(self) -> FrozenSet[int]:
+        """The edges used by the index structures (the canonical key)."""
+        return self.canonical_key()
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -197,155 +193,135 @@ class PartialIsoType:
     # -------------------------------------------------------------- extension
 
     def extend(self, constraints: Iterable[Constraint]) -> Optional["PartialIsoType"]:
-        """A new type with the added constraints, or ``None`` if inconsistent."""
-        extended = PartialIsoType(self.universe, self._parent, self._neq)
-        pending: List[Constraint] = list(constraints)
+        """A new type with the added constraints, or ``None`` if inconsistent.
+
+        Constants are registered in the universe on first sight; a navigation
+        outside the universe makes the extension inconsistent.
+        """
+        intern = self.universe.intern
+        interned: List[IdConstraint] = []
+        for left, right, op in constraints:
+            if op not in (EQ, NEQ):
+                raise ValueError(f"unknown constraint operator {op!r}")
+            left_id, right_id = intern(left), intern(right)
+            if left_id is None or right_id is None:
+                return None
+            interned.append((left_id, right_id, op))
+        return self.extend_ids(interned)
+
+    def extend_ids(self, constraints: Iterable[IdConstraint]) -> Optional["PartialIsoType"]:
+        """:meth:`extend` over expression ids."""
+        pending = list(constraints)
+        if not pending:
+            return self
+        extended = PartialIsoType(
+            self.universe, dict(self._rep), dict(self._classes), set(self._neq)
+        )
         while pending:
             left, right, op = pending.pop()
-            if not extended._check_in_universe(left) or not extended._check_in_universe(right):
-                return None
             if op == EQ:
                 if not extended._union(left, right, pending):
                     return None
-            elif op == NEQ:
-                if not extended._add_neq(left, right):
-                    return None
-            else:  # pragma: no cover - defensive
-                raise ValueError(f"unknown constraint operator {op!r}")
+            elif not extended._add_neq(left, right):
+                return None
         return extended
 
-    def _check_in_universe(self, expression: Expression) -> bool:
-        if isinstance(expression, ConstExpr):
-            self.universe.add_constant(expression.value)
-            return True
-        return self.universe.contains(expression)
+    def _mention(self, index: int) -> int:
+        root = self._rep.get(index)
+        if root is None:
+            self._rep[index] = root = index
+            self._classes[index] = (index,)
+        return root
 
-    def _expression_kind(self, expression: Expression) -> Tuple[str, Optional[str]]:
-        """A coarse type tag: ("null", None), ("value", None) or ("id", relation)."""
-        if isinstance(expression, ConstExpr):
-            return ("null", None) if expression.is_null else ("value", None)
-        expr_type = self.universe.type_of(expression)
-        if isinstance(expr_type, IdType):
-            return ("id", expr_type.relation)
-        return ("value", None)
-
-    def _types_compatible(self, left: Expression, right: Expression) -> bool:
-        """Whether the two expressions can be equal with a *non-null* value.
-
-        Identifiers of different relations, and identifiers vs data values,
-        draw their non-null values from disjoint domains: they can only be
-        equal when both are ``null``.  Non-null constants are data values, so
-        they are incompatible with id-typed expressions; ``null`` itself is
-        compatible with everything.
-        """
-        left_kind = self._expression_kind(left)
-        right_kind = self._expression_kind(right)
-        if left_kind[0] == "null" or right_kind[0] == "null":
-            return True
-        return left_kind == right_kind or (left_kind[0] == "value" and right_kind[0] == "value")
-
-    def _can_both_be_null(self, left: Expression, right: Expression) -> bool:
-        """Whether the (type-incompatible) pair may still be identified as null = null."""
-        left_null = not isinstance(left, ConstExpr) or left.is_null
-        right_null = not isinstance(right, ConstExpr) or right.is_null
-        return left_null and right_null
-
-    def _union(self, left: Expression, right: Expression, pending: List[Constraint]) -> bool:
-        left_root, right_root = self._find(left), self._find(right)
-        self._parent.setdefault(left, left)
-        self._parent.setdefault(right, right)
+    def _union(self, left: int, right: int, pending: List[IdConstraint]) -> bool:
+        left_root, right_root = self._mention(left), self._mention(right)
         if left_root == right_root:
             return True
-        if frozenset((left_root, right_root)) in self._neq:
+        if self._distinct_roots(left_root, right_root):
             return False
-        if self._implicitly_distinct(left_root, right_root):
-            return False
-        if not self._types_compatible(left, right):
-            if not self._can_both_be_null(left, right):
+        universe = self.universe
+        kinds = universe.kinds
+        left_kind, right_kind = kinds[left], kinds[right]
+        if left_kind != right_kind and left_kind != NULL_KIND and right_kind != NULL_KIND:
+            # Ids of different relations, or an id and a data value, draw
+            # their non-null values from disjoint domains: they can only be
+            # equal as null.  A non-null constant never can.
+            if universe.is_constant[left] or universe.is_constant[right]:
                 return False
-            # Expressions of incompatible types (ids of different relations,
-            # or an id and a data value) can only be equal when both are null:
-            # enforce the union and additionally force the class to null.
-            null = self.universe.add_constant(None)
-            pending.append((left, null, EQ))
-        # Prefer constants as representatives so each class keeps its constant visible.
-        if isinstance(right_root, ConstExpr) and not isinstance(left_root, ConstExpr):
+            pending.append((left, universe.null_id, EQ))
+        if universe.is_constant[right_root]:
+            # Keep a class's constant as its root.
             left_root, right_root = right_root, left_root
-        if isinstance(left_root, ConstExpr) and isinstance(right_root, ConstExpr):
-            if left_root != right_root:
-                return False
-        # Merge right_root into left_root.
-        self._parent[right_root] = left_root
-        # Re-target ≠ edges of the absorbed representative.
-        updated_neq: Set[FrozenSet[Expression]] = set()
-        for pair in self._neq:
-            replaced = frozenset(left_root if member == right_root else member for member in pair)
-            if len(replaced) == 1:
-                return False  # ≠ collapsed onto a single class
-            updated_neq.add(replaced)
-        self._neq = updated_neq
-        # Congruence closure: children of merged members must be merged too.
-        pending.extend(self._congruence_constraints(left, right))
+        rep, classes = self._rep, self._classes
+        absorbed = classes.pop(right_root)
+        kept = classes[left_root]
+        for member in absorbed:
+            rep[member] = left_root
+        classes[left_root] = tuple(sorted(kept + absorbed))
+        # Re-target the ≠-edges of the absorbed root (none joins the two
+        # merged roots: that was ruled out above).
+        neq = self._neq
+        for pair in [pair for pair in neq if right_root in pair]:
+            neq.discard(pair)
+            other = pair[0] if pair[1] == right_root else pair[1]
+            neq.add((other, left_root) if other < left_root else (left_root, other))
+        # Congruence closure: each class is already congruent (or has the
+        # equalities pending), so one edge per attribute joins the two.
+        children = universe.children
+        kept_children: Dict[str, int] = {}
+        for member in kept:
+            for attribute, child in children[member]:
+                kept_children.setdefault(attribute, child)
+        if kept_children:
+            for member in absorbed:
+                for attribute, child in children[member]:
+                    other = kept_children.get(attribute)
+                    if other is not None and rep.get(other, other) != rep.get(child, child):
+                        pending.append((other, child, EQ))
         return True
 
-    def _congruence_constraints(self, left: Expression, right: Expression) -> List[Constraint]:
-        """Equalities between matching navigations of two newly identified expressions."""
-        result: List[Constraint] = []
-        # All members of both classes must agree on their navigations; it is
-        # enough to propagate pairwise between members of the merged class.
-        merged_root = self._find(left)
-        members = [m for m in self.members() if self._find(m) == merged_root]
-        members.extend(e for e in (left, right) if e not in members)
-        navigations = [
-            (member, self.universe.navigations_of(member)) for member in members
-        ]
-        for i in range(len(navigations)):
-            member_i, navs_i = navigations[i]
-            if not navs_i:
-                continue
-            for j in range(i + 1, len(navigations)):
-                member_j, navs_j = navigations[j]
-                for attribute, child_i in navs_i.items():
-                    child_j = navs_j.get(attribute)
-                    if child_j is not None and not self.same_class(child_i, child_j):
-                        result.append((child_i, child_j, EQ))
-        return result
-
-    def _add_neq(self, left: Expression, right: Expression) -> bool:
-        left_root, right_root = self._find(left), self._find(right)
-        self._parent.setdefault(left, left)
-        self._parent.setdefault(right, right)
+    def _add_neq(self, left: int, right: int) -> bool:
+        left_root, right_root = self._mention(left), self._mention(right)
         if left_root == right_root:
             return False
-        self._neq.add(frozenset((left_root, right_root)))
+        if left_root > right_root:
+            left_root, right_root = right_root, left_root
+        self._neq.add((left_root, right_root))
         return True
 
     # -------------------------------------------------------------- projection
 
     def project(self, roots: Iterable[str]) -> "PartialIsoType":
-        """The restriction of the type to expressions rooted at *roots* (and constants)."""
-        kept = self.universe.expressions_rooted_at(roots)
-        result = PartialIsoType(self.universe)
-        classes = self.equivalence_classes()
-        pending: List[Constraint] = []
-        for members in classes.values():
-            kept_members = sorted((m for m in members if m in kept or isinstance(m, ConstExpr)), key=str)
-            for i in range(len(kept_members) - 1):
-                pending.append((kept_members[i], kept_members[i + 1], EQ))
-        for pair in self._neq:
-            left_root, right_root = tuple(pair)
-            left_kept = [m for m in classes.get(left_root, {left_root}) if m in kept or isinstance(m, ConstExpr)]
-            right_kept = [m for m in classes.get(right_root, {right_root}) if m in kept or isinstance(m, ConstExpr)]
-            if left_kept and right_kept:
-                pending.append((left_kept[0], right_kept[0], NEQ))
-        projected = result.extend(pending)
-        assert projected is not None, "projection of a consistent type is always consistent"
-        return projected
+        """The restriction of the type to expressions rooted at *roots* (and constants).
+
+        The kept ids are closed under navigation, so the restriction of a
+        closed type is closed: no union or congruence work is needed.
+        """
+        wanted = set(roots)
+        root_of, is_constant = self.universe.root_of, self.universe.is_constant
+        neq_roots = {root for pair in self._neq for root in pair}
+        rep: Dict[int, int] = {}
+        classes: Dict[int, Tuple[int, ...]] = {}
+        renamed: Dict[int, int] = {}
+        for root, members in self._classes.items():
+            kept = tuple(m for m in members if root_of[m] is None or root_of[m] in wanted)
+            if len(kept) > 1 or (kept and root in neq_roots):
+                new_root = root if is_constant[root] else kept[0]
+                renamed[root] = new_root
+                classes[new_root] = kept
+                for member in kept:
+                    rep[member] = new_root
+        neq: Set[Tuple[int, int]] = set()
+        for left, right in self._neq:
+            if left in renamed and right in renamed:
+                left, right = renamed[left], renamed[right]
+                neq.add((left, right) if left < right else (right, left))
+        return PartialIsoType(self.universe, rep, classes, neq)
 
     # -------------------------------------------------------------- renaming
 
     def rename_roots(
-        self, mapping: Dict[str, str], target_universe: "ExpressionUniverse"
+        self, mapping: Dict[str, str], target_universe: ExpressionUniverse
     ) -> Optional["PartialIsoType"]:
         """Rename root variables according to *mapping* into another universe.
 
@@ -354,53 +330,37 @@ class PartialIsoType:
         inconsistent in the target universe (which cannot happen for
         type-correct specifications, but is handled defensively).
         """
-
-        def rename(expression: Expression) -> Optional[Expression]:
-            if isinstance(expression, ConstExpr):
-                target_universe.add_constant(expression.value)
-                return expression
-            if expression.root not in mapping:
-                return None
-            renamed = NavExpr(mapping[expression.root], expression.path)
-            return renamed if target_universe.contains(renamed) else None
-
-        pending: List[Constraint] = []
-        for left, right, op in self.constraints():
-            renamed_left = rename(left)
-            renamed_right = rename(right)
-            if renamed_left is None or renamed_right is None:
-                continue
-            pending.append((renamed_left, renamed_right, op))
-        return PartialIsoType(target_universe).extend(pending)
+        table = self.universe.renaming(mapping, target_universe)
+        firsts: Dict[int, int] = {}
+        constraints: List[IdConstraint] = []
+        for root, members in self._classes.items():
+            mapped = [table[m] for m in members if table[m] >= 0]
+            if mapped:
+                firsts[root] = mapped[0]
+                constraints.extend((mapped[0], other, EQ) for other in mapped[1:])
+        for left, right in self._neq:
+            if left in firsts and right in firsts:
+                constraints.append((firsts[left], firsts[right], NEQ))
+        return PartialIsoType(target_universe).extend_ids(constraints)
 
     # -------------------------------------------------------------- entailment
 
     def entails(self, other: "PartialIsoType") -> bool:
         """``self |= other``: every constraint of *other* holds in *self* (τ' ⊆ τ)."""
-        # Fast path on the cached canonical keys.  Both representations are
-        # closed, so for the equality part entailment is exactly edge-set
-        # inclusion; a failed inclusion means there is nothing left to check.
+        # Both representations are closed, so for the equality part
+        # entailment is exactly edge-set inclusion.
         if not other.eq_key() <= self.eq_key():
             return False
         if other.neq_key() <= self.neq_key():
             return True
         # Slow path only for ≠-edges that may be entailed implicitly
-        # (e.g. via two distinct constants in the respective classes).
-        for pair in other._neq:
-            left_root, right_root = tuple(pair)
-            if not self.known_distinct(left_root, right_root):
+        # (via two distinct constants in the respective classes).
+        rep = self._rep
+        for left, right in other._neq:
+            left_root, right_root = rep.get(left, left), rep.get(right, right)
+            if left_root == right_root or not self._distinct_roots(left_root, right_root):
                 return False
         return True
-
-    def is_consistent_with(self, constraints: Iterable[Constraint]) -> bool:
-        """Whether the constraints can be added without contradiction."""
-        return self.extend(constraints) is not None
-
-    # -------------------------------------------------------------- edges (for indexes / pruning)
-
-    def edge_set(self) -> FrozenSet[Tuple[str, str, str]]:
-        """The canonical edge set (same encoding as :meth:`canonical_key`)."""
-        return self.canonical_key()
 
 
 def empty_type(universe: ExpressionUniverse) -> PartialIsoType:

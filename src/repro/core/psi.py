@@ -61,7 +61,7 @@ class PSI:
         if counters:
             kept = {k: v for k, v in counters.items() if v is OMEGA or v > 0}
             counter_items = tuple(
-                sorted(kept.items(), key=lambda item: (item[0][0], str(item[0][1].canonical_key())))
+                sorted(kept.items(), key=lambda item: (item[0][0], item[0][1].sorted_key()))
             )
         child_items: Tuple[Tuple[str, bool], ...] = ()
         if children:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.expressions import ConstExpr, Expression, ExpressionUniverse, NavExpr
-from repro.core.isotypes import Constraint, EQ, NEQ
+from repro.core.isotypes import Constraint, EQ, IdConstraint, NEQ
 
 
 Node = str  # expressions are identified by their canonical string form
@@ -247,13 +247,16 @@ class ConstraintGraph:
 
 
 class ConstraintFilter:
-    """Drops non-violating constraints before they reach partial isomorphism types."""
+    """Drops non-violating constraints before they reach partial isomorphism types.
 
-    def __init__(self, universe: ExpressionUniverse, enabled: bool = True):
+    Droppable constraints are kept as ``(smaller id, larger id, op)`` over
+    the universe's expression ids, so filtering interned constraints on the
+    search's hot path is one set lookup each.
+    """
+
+    def __init__(self, universe: ExpressionUniverse):
         self._universe = universe
-        self._enabled = enabled
-        self._droppable_eq: Set[Edge] = set()
-        self._droppable_neq: Set[Edge] = set()
+        self._droppable: Set[IdConstraint] = set()
 
     @classmethod
     def from_conditions(
@@ -263,7 +266,7 @@ class ConstraintFilter:
         enabled: bool = True,
     ) -> "ConstraintFilter":
         """Build the filter from every constraint any transition could add."""
-        instance = cls(universe, enabled)
+        instance = cls(universe)
         if not enabled:
             return instance
         graph = ConstraintGraph()
@@ -282,32 +285,42 @@ class ConstraintFilter:
         for left, right, op in all_constraints:
             key = _edge(str(left), str(right))
             if op == NEQ:
-                if key in non_violating_neq:
-                    instance._droppable_neq.add(key)
+                droppable = key in non_violating_neq
             else:
                 derived = [_edge(str(l), str(r)) for l, r in _derived_pairs(universe, left, right)]
-                if key in non_violating_eq and all(d in non_violating_eq for d in derived):
-                    instance._droppable_eq.add(key)
+                droppable = key in non_violating_eq and all(d in non_violating_eq for d in derived)
+            if droppable:
+                left_id, right_id = universe.intern(left), universe.intern(right)
+                if left_id is not None and right_id is not None:
+                    instance._droppable.add(_ordered(left_id, right_id, op))
         return instance
 
     def is_droppable(self, constraint: Constraint) -> bool:
-        if not self._enabled:
-            return False
         left, right, op = constraint
-        key = _edge(str(left), str(right))
-        if op == EQ:
-            return key in self._droppable_eq
-        return key in self._droppable_neq
+        ids = self._universe.ids
+        left_id, right_id = ids.get(left), ids.get(right)
+        if left_id is None or right_id is None:
+            return False
+        return _ordered(left_id, right_id, op) in self._droppable
 
     def filter_constraints(self, constraints: Sequence[Constraint]) -> List[Constraint]:
         """The constraints that must actually be recorded."""
-        if not self._enabled:
-            return list(constraints)
         return [c for c in constraints if not self.is_droppable(c)]
+
+    def filter_ids(self, constraints: Sequence[IdConstraint]) -> List[IdConstraint]:
+        """:meth:`filter_constraints` over expression ids."""
+        droppable = self._droppable
+        if not droppable:
+            return list(constraints)
+        return [c for c in constraints if _ordered(*c) not in droppable]
 
     @property
     def dropped_edge_count(self) -> int:
-        return len(self._droppable_eq) + len(self._droppable_neq)
+        return len(self._droppable)
+
+
+def _ordered(left: int, right: int, op: str) -> IdConstraint:
+    return (left, right, op) if left <= right else (right, left, op)
 
 
 def _derived_pairs(

@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.expressions import ExpressionUniverse
 from repro.core.flatten import flatten_condition
-from repro.core.isotypes import Constraint, PartialIsoType, empty_type
+from repro.core.isotypes import Constraint, IdConstraint, PartialIsoType, empty_type
 from repro.core.options import VerifierOptions
 from repro.core.psi import PSI, counter_add
 from repro.core.static_analysis import ConstraintFilter
@@ -87,20 +87,29 @@ class SymbolicTransitionSystem:
                 system.schema, relation_roots
             )
 
-        # Register every constant appearing in the specification or property so
-        # that constant expressions are shared.
-        for condition in self._all_conditions():
-            for constant in condition.constants():
-                self.universe.add_constant(constant.value)
+        # Register every constant of the specification and the property up
+        # front, in a fixed order and in every universe, so that expression
+        # ids depend on the spec and the property only.
+        constants = sorted(
+            (
+                constant.value
+                for condition in self._all_conditions()
+                for constant in condition.constants()
+            ),
+            key=lambda value: (type(value).__name__, repr(value)),
+        )
+        for universe in (self.universe, *self._relation_universes.values()):
+            for value in constants:
+                universe.add_constant(value)
 
-        # Pre-flatten every condition the search will evaluate.
-        self._flattened: Dict[int, List[List[Constraint]]] = {}
+        # Flattened, filtered and interned conjunctions per condition.
+        self._conjunctions: Dict[int, List[List[IdConstraint]]] = {}
         # Memos for the lifetime of this system (one verify): ``evaluate`` and
         # ``successors`` are pure functions of their arguments, so a hit
         # returns the very list the first call built, in the same order.
         # Callers must not mutate the returned lists.  ``evaluate`` is keyed
-        # like ``flatten`` (by condition identity), so every condition it sees
-        # must stay alive as long as the system -- hence the held ``true``.
+        # like ``conjunctions`` (by condition identity), so every condition it
+        # sees must stay alive as long as the system -- hence the held ``true``.
         self._evaluated: Dict[Tuple[int, PartialIsoType], List[PartialIsoType]] = {}
         self._successors: Dict[PSI, List[SymbolicMove]] = {}
         self._true = TrueCond()
@@ -134,17 +143,22 @@ class SymbolicTransitionSystem:
             conditions.extend(self.ltl_property.conditions.values())
         return conditions
 
-    def flatten(self, condition: Condition) -> List[List[Constraint]]:
-        """Cached ``conj(φ)`` of a condition over the task universe."""
-        key = id(condition)
-        if key not in self._flattened:
-            self._flattened[key] = flatten_condition(condition, self.universe, self.system.schema)
-        return self._flattened[key]
-
     def extend(self, tau: PartialIsoType, constraints: Sequence[Constraint]) -> Optional[PartialIsoType]:
         """Extend a type with constraints, after static-analysis filtering."""
         filtered = self.constraint_filter.filter_constraints(constraints)
         return tau.extend(filtered)
+
+    def conjunctions(self, condition: Condition) -> List[List[IdConstraint]]:
+        """Cached ``conj(φ)`` of a condition, filtered and interned."""
+        key = id(condition)
+        cached = self._conjunctions.get(key)
+        if cached is None:
+            ids, keep = self.universe.ids, self.constraint_filter.filter_ids
+            cached = self._conjunctions[key] = [
+                keep([(ids[left], ids[right], op) for left, right, op in conjunction])
+                for conjunction in flatten_condition(condition, self.universe, self.system.schema)
+            ]
+        return cached
 
     def evaluate(self, tau: PartialIsoType, condition: Condition) -> List[PartialIsoType]:
         """``eval(τ, φ)`` with static-analysis filtering and de-duplication (memoised)."""
@@ -154,8 +168,8 @@ class SymbolicTransitionSystem:
             return cached
         results: List[PartialIsoType] = []
         seen = set()
-        for conjunction in self.flatten(condition):
-            extended = self.extend(tau, conjunction)
+        for conjunction in self.conjunctions(condition):
+            extended = tau.extend_ids(conjunction)
             if extended is None:
                 continue
             key = extended.canonical_key()
@@ -310,7 +324,9 @@ class SymbolicTransitionSystem:
             retrieved = stored_type.rename_roots(renaming, self.universe)
             if retrieved is None:  # pragma: no cover - defensive
                 continue
-            merged = self.extend(post_extended, retrieved.constraints())
+            merged = post_extended.extend_ids(
+                self.constraint_filter.filter_ids(retrieved.id_constraints())
+            )
             if merged is None:
                 continue
             successor = psi.with_tau(merged).with_counter_delta((relation_name, stored_type), -1)

@@ -281,3 +281,155 @@ class TestPropertyBased:
         # Projection onto all roots keeps everything.
         full_projection = tau.project(["x", "y", "v", "w"])
         assert full_projection == tau
+
+
+# ---------------------------------------------------------------------------
+# Property-based tests of the interned representation
+# ---------------------------------------------------------------------------
+
+_SCHEMA = DatabaseSchema.from_dict(
+    {
+        "CUSTOMERS": {"name": None, "record": "CREDIT_RECORD"},
+        "CREDIT_RECORD": {"status": None},
+    }
+)
+_ROOTS = {"x": IdType("CUSTOMERS"), "y": IdType("CUSTOMERS"), "r": IdType("CREDIT_RECORD"),
+          "v": VALUE, "w": VALUE}
+_EXPRESSIONS = [
+    NavExpr("x"), NavExpr("x", ("name",)), NavExpr("x", ("record",)),
+    NavExpr("x", ("record", "status")), NavExpr("y"), NavExpr("y", ("record",)),
+    NavExpr("y", ("record", "status")), NavExpr("r"), NavExpr("r", ("status",)),
+    NavExpr("v"), NavExpr("w"), ConstExpr("Good"), ConstExpr("Bad"), ConstExpr(None),
+]
+
+
+def _small_universe():
+    universe = ExpressionUniverse(_SCHEMA, _ROOTS)
+    universe.add_constant("Good")
+    universe.add_constant("Bad")
+    return universe
+
+
+_constraints = st.lists(
+    st.tuples(st.sampled_from(_EXPRESSIONS), st.sampled_from(_EXPRESSIONS),
+              st.sampled_from([EQ, NEQ])).filter(lambda c: c[0] != c[1] or c[2] == EQ),
+    max_size=8,
+)
+_root_sets = st.sets(st.sampled_from(sorted(_ROOTS)))
+
+
+def _reference_closure(universe, constraints):
+    """Brute-force closure over the whole universe: (class of each expression, consistent)."""
+    expressions = list(universe.expressions)
+    null = ConstExpr(None)
+    cls = {e: {e} for e in expressions}
+
+    def merge(a, b):
+        if cls[a] is cls[b]:
+            return False
+        merged = cls[a] | cls[b]
+        for member in merged:
+            cls[member] = merged
+        return True
+
+    def kind(e):
+        if isinstance(e, ConstExpr):
+            return "null" if e.is_null else "value"
+        t = universe.type_of(e)
+        return t.relation if isinstance(t, IdType) else "value"
+
+    for left, right, op in constraints:
+        if op == EQ:
+            merge(left, right)
+    changed = True
+    while changed:
+        changed = False
+        for a in expressions:
+            for b in cls[a]:
+                navs_b = universe.navigations_of(b)
+                for attribute, child in universe.navigations_of(a).items():
+                    if attribute in navs_b:
+                        changed |= merge(child, navs_b[attribute])
+            if len({kind(m) for m in cls[a]} - {"null"}) > 1:
+                changed |= merge(a, null)
+    consistent = all(
+        sum(isinstance(m, ConstExpr) for m in cls[e]) <= 1 for e in expressions
+    ) and all(cls[left] is not cls[right] for left, right, op in constraints if op == NEQ)
+    return cls, consistent
+
+
+class TestInternedRepresentation:
+    @given(_constraints)
+    @settings(max_examples=200, deadline=None)
+    def test_extend_matches_brute_force_closure(self, constraints):
+        universe = _small_universe()
+        tau = empty_type(universe).extend(constraints)
+        cls, consistent = _reference_closure(universe, constraints)
+        assert (tau is not None) == consistent
+        if tau is None:
+            return
+        for left in _EXPRESSIONS:
+            for right in _EXPRESSIONS:
+                assert tau.same_class(left, right) == (right in cls[left])
+        for left, right, op in constraints:
+            if op == NEQ:
+                assert tau.known_distinct(left, right)
+
+    @given(_constraints, st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_canonical_key_ignores_constraint_order(self, constraints, rng):
+        universe = _small_universe()
+        tau = empty_type(universe).extend(constraints)
+        shuffled = list(constraints)
+        rng.shuffle(shuffled)
+        one_by_one = empty_type(universe)
+        for constraint in shuffled:
+            if one_by_one is not None:
+                one_by_one = one_by_one.extend([constraint])
+        if tau is None:
+            assert one_by_one is None
+            return
+        assert one_by_one is not None
+        assert one_by_one.canonical_key() == tau.canonical_key()
+        assert one_by_one.sorted_key() == tau.sorted_key()
+
+    @given(_constraints, _root_sets)
+    @settings(max_examples=150, deadline=None)
+    def test_types_and_projections_are_closed(self, constraints, roots):
+        universe = _small_universe()
+        tau = empty_type(universe).extend(constraints)
+        if tau is None:
+            return
+        projected = tau.project(roots)
+        for closed in (tau, projected):
+            assert PartialIsoType(universe).extend(closed.constraints()) == closed
+        assert tau.entails(projected)
+
+    @given(_constraints, _constraints)
+    @settings(max_examples=150, deadline=None)
+    def test_consistent_extension_entails_the_original(self, first, second):
+        universe = _small_universe()
+        tau = empty_type(universe).extend(first)
+        if tau is None:
+            return
+        extended = tau.extend(second)
+        if extended is not None:
+            assert extended.entails(tau)
+
+    @given(_constraints, _constraints, _constraints, _root_sets)
+    @settings(max_examples=150, deadline=None)
+    def test_entailment_is_reflexive_and_transitive(self, first, second, third, roots):
+        universe = _small_universe()
+        candidates = []
+        for constraints in (first, first + second, first + second + third, second, third):
+            tau = empty_type(universe).extend(constraints)
+            if tau is not None:
+                candidates.extend((tau, tau.project(roots)))
+        for a in candidates:
+            assert a.entails(a)
+            for b in candidates:
+                if not a.entails(b):
+                    continue
+                for c in candidates:
+                    if b.entails(c):
+                        assert a.entails(c)
