@@ -5,6 +5,10 @@ in the async client, opt-in in the sync one), poll with exponential backoff
 as the fallback, cancel.  Used by ``python -m repro batch --remote`` and the
 test suite, so neither has to hand-roll HTTP calls.
 
+One protocol, two transports: the sans-IO :mod:`repro.client.core` holds
+all of the protocol, and :mod:`repro.client.http` (``urllib``) and
+:mod:`repro.client.aio` (asyncio streams) only send requests and sleep.
+
 Synchronous (``urllib``)::
 
     from repro.client import VerifasClient
@@ -28,16 +32,16 @@ Asyncio (bounded-concurrency fan-out, completion-order consumption)::
 """
 
 from repro.client.aio import AsyncVerifasClient
-from repro.client.http import (
+from repro.client.core import (
     ClientError,
     JobHandle,
     RemoteJobError,
     SpecRejectedError,
-    VerifasClient,
     auth_headers,
     build_submit_payload,
     default_api_key,
 )
+from repro.client.http import VerifasClient
 
 __all__ = [
     "AsyncVerifasClient",

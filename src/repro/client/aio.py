@@ -1,14 +1,16 @@
-"""``AsyncVerifasClient``: an asyncio client for the ``/v1`` API.
+"""``AsyncVerifasClient``: the asyncio transport for the ``/v1`` API.
 
-Stdlib-only, like its synchronous sibling: raw HTTP/1.1 over
+The protocol lives in the sans-IO :mod:`repro.client.core`, shared with the
+synchronous client; this module adds raw HTTP/1.1 over
 ``asyncio.open_connection`` (one short-lived ``Connection: close`` exchange
 per request -- the server is thread-per-request anyway, so connection reuse
-buys nothing), JSON in and out, the same :class:`ClientError` /
-:class:`RemoteJobError` surface.  What asyncio adds is *concurrency shape*:
+buys nothing) and :func:`asyncio.sleep`.  What asyncio adds is
+*concurrency shape*:
 
-* every request passes through one bounded :class:`asyncio.Semaphore`, so a
-  thousand-job :meth:`submit_many` or :meth:`as_completed` sweep holds at
-  most ``concurrency`` sockets to the server at once;
+* every exchange passes through one bounded :class:`asyncio.Semaphore`, so
+  a thousand-job :meth:`submit_many` or :meth:`as_completed` sweep holds at
+  most ``concurrency`` sockets to the server at once (a throttled request
+  sleeps out its ``Retry-After`` without holding a slot);
 * :meth:`as_completed` yields ``(job_id, view)`` pairs the moment each job
   turns terminal (batch status polling under the hood), instead of blocking
   on the slowest;
@@ -29,23 +31,24 @@ each exchange).
 from __future__ import annotations
 
 import asyncio
-import json
-from typing import Any, AsyncIterator, Dict, Iterator, List, Optional, Sequence, Tuple
-from urllib.parse import quote, urlencode, urlsplit
+from typing import Any, AsyncIterator, Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
+from urllib.parse import urlsplit
 
-from repro.client.http import (
-    TERMINAL_STATES,
+from repro.client.core import (
     ClientError,
+    ClientProtocol,
+    Emit,
     JobHandle,
-    RemoteJobError,
-    SpecRejectedError,
+    Machine,
+    Request,
+    Sleep,
     build_submit_payload,
-    default_api_key,
+    merge_views,
+    read_submit,
 )
-from repro.obs import format_traceparent, new_span_id, new_trace_id
 
 
-class AsyncVerifasClient:
+class AsyncVerifasClient(ClientProtocol):
     """Asyncio client for one verification server's ``/v1`` API."""
 
     def __init__(
@@ -63,7 +66,12 @@ class AsyncVerifasClient:
         retry_throttled: bool = True,
         throttle_max_wait: float = 60.0,
     ):
-        self.base_url = base_url.rstrip("/")
+        # Long-poll by default: the async client exists for event-driven
+        # consumption, and the server side has always supported it.
+        super().__init__(
+            base_url, timeout, poll_initial, poll_max, poll_backoff, push_events,
+            wait_ms, trace_submissions, api_key, retry_throttled, throttle_max_wait,
+        )
         split = urlsplit(
             self.base_url if "//" in self.base_url else f"http://{self.base_url}"
         )
@@ -75,25 +83,7 @@ class AsyncVerifasClient:
         self._ssl = split.scheme == "https"
         self._port = split.port if split.port is not None else (443 if self._ssl else 80)
         self._prefix = split.path.rstrip("/")
-        self.timeout = timeout
         self.concurrency = max(1, int(concurrency))
-        self.poll_initial = poll_initial
-        self.poll_max = poll_max
-        self.poll_backoff = poll_backoff
-        #: Long-poll by default: the async client exists for event-driven
-        #: consumption, and the server side has always supported it.
-        self.push_events = push_events
-        self.wait_ms = max(1, int(wait_ms))
-        #: Whether submissions carry a fresh W3C ``traceparent`` header
-        #: (mirrors the sync client).
-        self.trace_submissions = trace_submissions
-        #: API key sent as ``Authorization: Bearer`` on every request
-        #: (mirrors the sync client; ``None`` means anonymous).
-        self.api_key = api_key if api_key is not None else default_api_key()
-        #: 429 handling (mirrors the sync client): retried after the
-        #: server's ``Retry-After`` up to *throttle_max_wait* total seconds.
-        self.retry_throttled = retry_throttled
-        self.throttle_max_wait = throttle_max_wait
         # Created lazily inside a running loop: instantiating the client at
         # module import time (no loop yet) must work on Python 3.9, where a
         # Semaphore binds the loop that exists at construction.  Re-created
@@ -111,65 +101,31 @@ class AsyncVerifasClient:
             self._semaphore_loop = loop
         return self._semaphore
 
-    async def _request(
-        self,
-        method: str,
-        path: str,
-        payload: Optional[Any] = None,
-        timeout: Optional[float] = None,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> Tuple[int, Dict[str, Any]]:
-        body = json.dumps(payload).encode("utf-8") if payload is not None else b""
-        auth = (
-            f"Authorization: Bearer {self.api_key}\r\n" if self.api_key else ""
-        )
-        extra = "".join(
-            f"{name}: {value}\r\n" for name, value in (headers or {}).items()
-        )
+    async def _send(self, wire: Request) -> Tuple[int, Dict[str, str], bytes]:
+        body = wire.body or b""
         head = (
-            f"{method} {self._prefix}{path} HTTP/1.1\r\n"
+            f"{wire.method} {self._prefix}{wire.path} HTTP/1.1\r\n"
             f"Host: {self._host}:{self._port}\r\n"
-            "Accept: application/json\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"{auth}"
-            f"{extra}"
+            + "".join(f"{name}: {value}\r\n" for name, value in (wire.headers or {}).items())
+            + f"Content-Length: {len(body)}\r\n"
             "Connection: close\r\n"
             "\r\n"
         ).encode("ascii")
-        budget = self.timeout if timeout is None else timeout
-        throttle_budget = self.throttle_max_wait if self.retry_throttled else 0.0
         async with self._gate():
-            while True:
-                try:
-                    return await asyncio.wait_for(
-                        self._exchange(head + body, method, path), timeout=budget
-                    )
-                except asyncio.TimeoutError:
-                    raise ClientError(
-                        f"timed out after {budget}s on {method} {path}"
-                    ) from None
-                except ClientError as error:
-                    retry_after = error.retry_after
-                    if (
-                        error.status == 429
-                        and retry_after is not None
-                        and retry_after <= throttle_budget
-                    ):
-                        # Honour the server's Retry-After instead of
-                        # surfacing the 429 (mirrors the sync client).
-                        throttle_budget -= retry_after
-                        await asyncio.sleep(retry_after)
-                        continue
-                    raise
-                except OSError as error:
-                    raise ClientError(
-                        f"cannot reach {self.base_url}: {error}"
-                    ) from None
+            try:
+                return await asyncio.wait_for(
+                    self._exchange(head + body, wire.method, wire.path), timeout=wire.timeout
+                )
+            except asyncio.TimeoutError:
+                raise ClientError(
+                    f"timed out after {wire.timeout}s on {wire.method} {wire.path}"
+                ) from None
+            except OSError as error:
+                raise ClientError(f"cannot reach {self.base_url}: {error}") from None
 
     async def _exchange(
         self, raw: bytes, method: str, path: str
-    ) -> Tuple[int, Dict[str, Any]]:
+    ) -> Tuple[int, Dict[str, str], bytes]:
         reader, writer = await asyncio.open_connection(
             self._host, self._port, ssl=True if self._ssl else None
         )
@@ -182,7 +138,6 @@ class AsyncVerifasClient:
                 raise ClientError(
                     f"malformed status line {status_line!r} from {method} {path}"
                 )
-            status = int(parts[1])
             headers: Dict[str, str] = {}
             while True:
                 line = await reader.readline()
@@ -195,31 +150,7 @@ class AsyncVerifasClient:
                 data = await reader.readexactly(int(length))
             else:
                 data = await reader.read()  # EOF-delimited (Connection: close)
-            try:
-                decoded = json.loads(data.decode("utf-8")) if data else {}
-            except (ValueError, UnicodeDecodeError):
-                decoded = {}
-            body = decoded if isinstance(decoded, dict) else {}
-            if status >= 400:
-                retry_after: Optional[float] = None
-                hint = body.get("retry_after")
-                if isinstance(hint, (int, float)) and not isinstance(hint, bool):
-                    # The body's float is more precise than the header,
-                    # which HTTP rounds up to whole seconds.
-                    retry_after = max(0.0, float(hint))
-                elif "retry-after" in headers:
-                    try:
-                        retry_after = max(0.0, float(headers["retry-after"]))
-                    except ValueError:
-                        pass
-                kind = SpecRejectedError if status == 422 else ClientError
-                raise kind(
-                    body.get("error", f"HTTP {status} on {method} {path}"),
-                    status=status,
-                    body=body,
-                    retry_after=retry_after,
-                )
-            return status, body
+            return int(parts[1]), headers, data
         finally:
             writer.close()
             try:
@@ -227,23 +158,57 @@ class AsyncVerifasClient:
             except OSError:  # pragma: no cover - peer reset during close
                 pass
 
-    def _backoff(self) -> Iterator[float]:
-        delay = self.poll_initial
+    async def _drive(
+        self, machine: Machine, send: Callable[[Any], Awaitable[Any]]
+    ) -> AsyncIterator[Any]:
+        """Run a core machine: *send* its requests, sleep its sleeps and
+        yield what it emits."""
+        reply = None
         while True:
-            yield delay
-            delay = min(self.poll_max, delay * self.poll_backoff)
+            try:
+                step = machine.send(reply)
+            except StopIteration:
+                return
+            reply = None
+            if isinstance(step, Sleep):
+                await asyncio.sleep(step.seconds)
+            elif isinstance(step, Emit):
+                yield step.value
+            else:
+                reply = await send(step)
 
-    @staticmethod
-    def _job_path(job_id: str) -> str:
-        return f"/v1/jobs/{quote(str(job_id), safe='')}"
+    async def _result(self, machine: Machine, send: Callable[[Any], Awaitable[Any]]) -> Any:
+        """The one value *machine* emits."""
+        (result,) = [value async for value in self._drive(machine, send)]
+        return result
+
+    async def _call(self, step: Any) -> Any:
+        """The body of an endpoint request (a list of bodies, fetched
+        concurrently, for a list)."""
+        if isinstance(step, list):
+            results = await asyncio.gather(*(self._request(*request) for request in step))
+            return [body for _, body in results]
+        return (await self._request(*step))[1]
+
+    async def _request(
+        self,
+        method: str,
+        path: str,
+        payload: Optional[Any] = None,
+        timeout: Optional[float] = None,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> Tuple[int, Any]:
+        """One API call, throttle retries included: ``(status, body)``."""
+        machine = self.exchange_machine(Request(method, path, payload, timeout, headers))
+        return await self._result(machine, self._send)
 
     # ------------------------------------------------------------------- basics
 
     async def healthz(self) -> Dict[str, Any]:
-        return (await self._request("GET", "/v1/healthz"))[1]
+        return await self._call(self.healthz_request())
 
     async def metrics(self) -> Dict[str, Any]:
-        return (await self._request("GET", "/v1/metrics"))[1]
+        return await self._call(self.metrics_request())
 
     # ------------------------------------------------------------------- submit
 
@@ -258,37 +223,16 @@ class AsyncVerifasClient:
         schema_version: int = 1,
     ) -> List[JobHandle]:
         """Submit one payload (canonical spec dicts); one handle per property."""
-        return await self.submit_payload(
-            build_submit_payload(
-                system,
-                properties,
-                options=options,
-                label=label,
-                ttl_seconds=ttl_seconds,
-                deadline_ms=deadline_ms,
-                schema_version=schema_version,
-            )
-        )
+        return await self.submit_payload(build_submit_payload(
+            system, properties, options, label, ttl_seconds, deadline_ms, schema_version
+        ))
 
     async def submit_payload(
         self, payload: Dict[str, Any], traceparent: Optional[str] = None
     ) -> List[JobHandle]:
-        """Submit an already-built ``POST /v1/jobs`` payload.
-
-        Mints and sends a fresh ``traceparent`` unless one is given (or
-        :attr:`trace_submissions` is off), exactly like the sync client.
-        """
-        headers: Dict[str, str] = {}
-        if traceparent is None and self.trace_submissions:
-            traceparent = format_traceparent(new_trace_id(), new_span_id())
-        if traceparent is not None:
-            headers["traceparent"] = traceparent
-        status, body = await self._request(
-            "POST", "/v1/jobs", payload, headers=headers
-        )
-        if status != 202:
-            raise ClientError(f"unexpected status {status} submitting jobs", status, body)
-        return [JobHandle.from_dict(job) for job in body.get("jobs", [])]
+        """Submit an already-built ``POST /v1/jobs`` payload, joined to a
+        distributed trace (see :meth:`ClientProtocol.submit_request`)."""
+        return read_submit(*await self._request(*self.submit_request(payload, traceparent)))
 
     async def submit_many(
         self, payloads: Sequence[Dict[str, Any]]
@@ -304,32 +248,17 @@ class AsyncVerifasClient:
 
     async def job(self, job_id: str) -> Dict[str, Any]:
         """The current ``GET /v1/jobs/<id>`` view."""
-        return (await self._request("GET", self._job_path(job_id)))[1]
+        return await self._call(self.job_request(job_id))
 
     async def jobs(
         self, status: Optional[str] = None, limit: int = 100
     ) -> Dict[str, Any]:
-        params: Dict[str, Any] = {"limit": limit}
-        if status:
-            params["status"] = status
-        return (await self._request("GET", f"/v1/jobs?{urlencode(params)}"))[1]
+        return await self._call(self.jobs_request(status, limit))
 
     async def job_views(self, job_ids: Sequence[str]) -> Dict[str, Dict[str, Any]]:
         """Batch status ``{id: view}`` via ``GET /v1/jobs?id=a&id=b``
         (chunks of 100 ids per request; unknown ids absent)."""
-        views: Dict[str, Dict[str, Any]] = {}
-        ids = list(dict.fromkeys(str(job_id) for job_id in job_ids))
-        chunks = [ids[start : start + 100] for start in range(0, len(ids), 100)]
-        bodies = await asyncio.gather(
-            *(
-                self._request("GET", f"/v1/jobs?{urlencode([('id', j) for j in chunk])}")
-                for chunk in chunks
-            )
-        )
-        for _, body in bodies:
-            for view in body.get("jobs", []):
-                views[view["id"]] = view
-        return views
+        return merge_views(await self._call(self.view_requests(job_ids)))
 
     async def events(
         self,
@@ -339,25 +268,15 @@ class AsyncVerifasClient:
         wait_ms: Optional[int] = None,
     ) -> Dict[str, Any]:
         """One events page; with *wait_ms* the request long-polls."""
-        params: Dict[str, Any] = {"cursor": cursor, "limit": limit}
-        timeout = None
-        if wait_ms is not None:
-            params["wait_ms"] = max(1, int(wait_ms))
-            timeout = self.timeout + params["wait_ms"] / 1000.0
-        query = urlencode(params)
-        return (
-            await self._request(
-                "GET", f"{self._job_path(job_id)}/events?{query}", timeout=timeout
-            )
-        )[1]
+        return await self._call(self.events_request(job_id, cursor, limit, wait_ms))
 
     async def trace(self, job_id: str) -> Dict[str, Any]:
         """The job's span tree: ``GET /v1/jobs/<id>/trace``."""
-        return (await self._request("GET", f"{self._job_path(job_id)}/trace"))[1]
+        return await self._call(self.trace_request(job_id))
 
     async def cancel(self, job_id: str) -> Dict[str, Any]:
         """``DELETE /v1/jobs/<id>``: cooperative cancellation."""
-        return (await self._request("DELETE", self._job_path(job_id)))[1]
+        return await self._call(self.cancel_request(job_id))
 
     # ------------------------------------------------------------------ waiting
 
@@ -367,125 +286,31 @@ class AsyncVerifasClient:
         deadline_seconds: float = 300.0,
         raise_on_error: bool = True,
     ) -> Dict[str, Any]:
-        """Poll (exponential backoff) until the job is terminal; returns its view."""
-        loop = asyncio.get_event_loop()
-        deadline = loop.time() + deadline_seconds
-        for delay in self._backoff():
-            view = await self.job(job_id)
-            if view.get("status") in TERMINAL_STATES:
-                if raise_on_error and view.get("status") == "error":
-                    raise RemoteJobError(
-                        view.get("error", f"job {job_id} failed"), body=view
-                    )
-                return view
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                raise TimeoutError(
-                    f"job {job_id} still {view.get('status')!r} after {deadline_seconds}s"
-                )
-            await asyncio.sleep(min(delay, remaining))
-        raise AssertionError("unreachable")  # pragma: no cover
+        """Poll until the job is terminal; returns its view."""
+        machine = self.wait_machine(job_id, deadline_seconds, raise_on_error)
+        return await self._result(machine, self._call)
 
-    async def as_completed(
+    def as_completed(
         self, job_ids: Sequence[str], deadline_seconds: float = 300.0
     ) -> AsyncIterator[Tuple[str, Dict[str, Any]]]:
-        """Yield ``(job_id, view)`` as each job turns terminal.
-
-        One batch-status request per backoff round covers every pending job;
-        jobs are yielded the moment their terminal view is observed --
-        submission order does not gate consumption.  Raises
-        :class:`ClientError` for an unknown id, :class:`TimeoutError` at the
-        deadline with jobs still pending.
-        """
-        loop = asyncio.get_event_loop()
-        deadline = loop.time() + deadline_seconds
-        pending = list(dict.fromkeys(str(job_id) for job_id in job_ids))
-        if not pending:
-            return
-        backoff = self._backoff()
-        while True:
-            batch = await self.job_views(pending)
-            missing = [job_id for job_id in pending if job_id not in batch]
-            if missing:
-                raise ClientError(f"no job with id {missing[0]!r}", status=404, body={})
-            still_pending = []
-            finished = []
-            for job_id in pending:
-                view = batch[job_id]
-                if view.get("status") in TERMINAL_STATES:
-                    finished.append((job_id, view))
-                else:
-                    still_pending.append(job_id)
-            pending = still_pending
-            for job_id, view in finished:
-                yield job_id, view
-            if not pending:
-                return
-            if finished:
-                backoff = self._backoff()  # progress: restart the backoff
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                raise TimeoutError(
-                    f"{len(pending)} job(s) still unfinished after {deadline_seconds}s"
-                )
-            await asyncio.sleep(min(next(backoff), remaining))
+        """Yield ``(job_id, view)`` as each job turns terminal, in completion
+        order (see :meth:`~repro.client.core.ClientProtocol.batch_wait_machine`)."""
+        return self._drive(self.batch_wait_machine(job_ids, deadline_seconds), self._call)
 
     async def wait_all(
         self, job_ids: Sequence[str], deadline_seconds: float = 300.0
     ) -> Dict[str, Dict[str, Any]]:
         """Wait for every job id; returns ``{id: terminal view}``."""
-        views: Dict[str, Dict[str, Any]] = {}
-        async for job_id, view in self.as_completed(
-            job_ids, deadline_seconds=deadline_seconds
-        ):
-            views[job_id] = view
-        return views
+        return dict([item async for item in self.as_completed(job_ids, deadline_seconds)])
 
-    async def iter_events(
+    def iter_events(
         self,
         job_id: str,
         deadline_seconds: float = 300.0,
         poll_limit: int = 500,
         push: Optional[bool] = None,
     ) -> AsyncIterator[Dict[str, Any]]:
-        """Yield the job's progress events (oldest first) until it is terminal.
-
-        Push mode (the default) long-polls, so awaiting this generator costs
-        no requests while nothing happens; poll mode backs off client-side.
-        Same termination rule as the sync client: a terminal page shorter
-        than *poll_limit* ends iteration with no extra round-trip.
-        """
-        push = self.push_events if push is None else push
-        loop = asyncio.get_event_loop()
-        deadline = loop.time() + deadline_seconds
-        cursor = 0
-        backoff = self._backoff()
-        while True:
-            wait_ms: Optional[int] = None
-            if push:
-                remaining_ms = int((deadline - loop.time()) * 1000)
-                if remaining_ms <= 0:
-                    raise TimeoutError(
-                        f"job {job_id} still emitting after {deadline_seconds}s"
-                    )
-                wait_ms = min(self.wait_ms, max(1, remaining_ms))
-            page = await self.events(
-                job_id, cursor=cursor, limit=poll_limit, wait_ms=wait_ms
-            )
-            events = page.get("events", [])
-            for event in events:
-                cursor = max(cursor, int(event.get("seq", cursor)))
-                yield event
-            if page.get("terminal") and len(events) < poll_limit:
-                return
-            if events:
-                backoff = self._backoff()
-                continue
-            if push:
-                continue
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                raise TimeoutError(
-                    f"job {job_id} still emitting after {deadline_seconds}s"
-                )
-            await asyncio.sleep(min(next(backoff), remaining))
+        """Yield the job's progress events (oldest first) until it is terminal
+        (see :meth:`~repro.client.core.ClientProtocol.events_machine`)."""
+        machine = self.events_machine(job_id, deadline_seconds, poll_limit, push)
+        return self._drive(machine, self._call)

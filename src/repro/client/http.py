@@ -1,215 +1,78 @@
-"""``VerifasClient``: a stdlib-only HTTP client for the ``/v1`` API.
+"""``VerifasClient``: the synchronous ``urllib`` transport for the ``/v1`` API.
 
-The client is deliberately boring: synchronous ``urllib`` calls, JSON in and
-out, exponential-backoff polling with a hard deadline.  Transport and HTTP
-errors surface as :class:`ClientError`; a job that reaches the ``error``
-lifecycle state surfaces as :class:`RemoteJobError` from :meth:`wait`.
-
-Event delivery has two modes.  ``push_events=True`` makes
-:meth:`iter_events` *long-poll*: each page request carries ``?wait_ms=`` and
-the server holds it open until events arrive or the job turns terminal, so a
-job emitting N events is observed in about ``ceil(N / limit) + 1`` requests
-with no client-side sleeping.  The default is fixed-cadence cursor polling
-with exponential backoff -- the fallback path that works against any server
-and degrades gracefully, at the cost of one request per poll tick.
-(``REPRO_TEST_PUSH_EVENTS=1`` flips the default to push: the CI hook that
-re-runs the e2e suites over long-poll delivery.)
+The protocol -- requests, response mapping, throttle retries and the
+polling algorithms -- lives in the sans-IO :mod:`repro.client.core`; this
+module only sends requests with ``urllib`` and sleeps with
+:func:`time.sleep`.  ``iter_events`` long-polls when ``push_events`` is on
+(``REPRO_TEST_PUSH_EVENTS=1`` flips the default: the CI hook that re-runs
+the e2e suites over long-poll delivery) and otherwise polls on the backoff,
+the fallback that works against any server.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
-from urllib.parse import quote, urlencode
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.obs import format_traceparent, new_span_id, new_trace_id
-from repro.tenancy import DEFAULT_TEST_API_KEY
-
-#: Lifecycle states after which a job can never change again.
-TERMINAL_STATES = ("done", "error", "cancelled")
-
-
-def default_api_key() -> Optional[str]:
-    """The API key a default-constructed client should send, if any.
-
-    ``REPRO_API_KEY`` wins; under the test hook ``REPRO_TEST_AUTH=1`` the
-    bootstrap test tenant's key (``REPRO_TEST_API_KEY`` override or the
-    well-known default) is used, so the existing suites run unchanged
-    against an auth-enabled server.  ``None`` means anonymous.
-    """
-    key = os.environ.get("REPRO_API_KEY")
-    if key:
-        return key
-    if os.environ.get("REPRO_TEST_AUTH", "") == "1":
-        return os.environ.get("REPRO_TEST_API_KEY", DEFAULT_TEST_API_KEY)
-    return None
+from repro.client.core import (
+    ClientError,
+    ClientProtocol,
+    Emit,
+    JobHandle,
+    Machine,
+    Request,
+    Sleep,
+    build_submit_payload,
+    merge_views,
+    read_submit,
+)
 
 
-def _retry_after_seconds(
-    error: "urllib.error.HTTPError", body: Dict[str, Any]
-) -> Optional[float]:
-    """The server's retry hint, if any: the JSON body's float is preferred
-    over the ``Retry-After`` header (which HTTP rounds up to whole seconds)."""
-    value = body.get("retry_after")
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return max(0.0, float(value))
-    header = error.headers.get("Retry-After") if error.headers else None
-    if header is not None:
-        try:
-            return max(0.0, float(header))
-        except ValueError:
-            pass
-    return None
-
-
-def auth_headers() -> Dict[str, str]:
-    """``{"Authorization": ...}`` for raw-``urllib`` callers (tests, curl
-    helpers); empty when no default key applies."""
-    key = default_api_key()
-    return {"Authorization": f"Bearer {key}"} if key else {}
-
-
-class ClientError(Exception):
-    """Transport-level or HTTP-level failure of one API call.
-
-    ``retry_after`` is set (seconds) on 429 responses that advertised one,
-    after the client's own throttle-retry budget was exhausted.
-    """
-
-    def __init__(self, message: str, status: Optional[int] = None,
-                 body: Optional[Dict[str, Any]] = None,
-                 retry_after: Optional[float] = None):
-        super().__init__(message)
-        self.status = status
-        self.body = body or {}
-        self.retry_after = retry_after
-
-
-class RemoteJobError(ClientError):
-    """A waited-on job finished in the ``error`` lifecycle state."""
-
-
-class SpecRejectedError(ClientError):
-    """The server's static analysis rejected the submitted spec (HTTP 422).
-
-    ``diagnostics`` carries the error-severity records from the response
-    body: a list of dicts with stable ``code`` (``VAxxx``), ``severity``,
-    ``message`` and ``where`` keys -- the same shape ``python -m repro lint
-    --json`` emits, so one remediation path serves both.
-    """
-
-    @property
-    def diagnostics(self) -> List[Dict[str, Any]]:
-        diagnostics = self.body.get("diagnostics")
-        return list(diagnostics) if isinstance(diagnostics, list) else []
-
-
-@dataclass(frozen=True)
-class JobHandle:
-    """One accepted job, as returned by ``POST /v1/jobs``."""
-
-    id: str
-    fingerprint: str
-    system: str
-    property: str
-    status: str
-    url: str
-    #: The distributed trace the job joined (present when the submit carried
-    #: a ``traceparent`` or the server runs with tracing on).
-    trace_id: Optional[str] = None
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "JobHandle":
-        return cls(
-            id=data["id"],
-            fingerprint=data["fingerprint"],
-            system=data.get("system", ""),
-            property=data.get("property", ""),
-            status=data.get("status", "queued"),
-            url=data.get("url", f"/v1/jobs/{quote(str(data['id']), safe='')}"),
-            trace_id=data.get("trace_id"),
-        )
-
-
-def build_submit_payload(
-    system: Dict[str, Any],
-    properties: Sequence[Dict[str, Any]],
-    options: Optional[Dict[str, Any]] = None,
-    label: Optional[str] = None,
-    ttl_seconds: Optional[float] = None,
-    deadline_ms: Optional[int] = None,
-    schema_version: int = 1,
-) -> Dict[str, Any]:
-    """The ``POST /v1/jobs`` payload for these inputs (shared by both clients)."""
-    payload: Dict[str, Any] = {
-        "schema_version": schema_version,
-        "system": system,
-        "properties": list(properties),
-    }
-    if options is not None:
-        payload["options"] = options
-    if label is not None:
-        payload["label"] = label
-    if ttl_seconds is not None:
-        payload["ttl_seconds"] = ttl_seconds
-    if deadline_ms is not None:
-        payload["deadline_ms"] = deadline_ms
-    return payload
-
-
-class VerifasClient:
-    """Synchronous client for one verification server's ``/v1`` API."""
-
-    def __init__(
-        self,
-        base_url: str,
-        timeout: float = 30.0,
-        poll_initial: float = 0.05,
-        poll_max: float = 2.0,
-        poll_backoff: float = 1.6,
-        push_events: Optional[bool] = None,
-        wait_ms: int = 10_000,
-        trace_submissions: bool = True,
-        api_key: Optional[str] = None,
-        retry_throttled: bool = True,
-        throttle_max_wait: float = 60.0,
-    ):
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        #: API key sent as ``Authorization: Bearer`` on every request.
-        #: Defaults from the environment (see :func:`default_api_key`);
-        #: ``None`` means anonymous.
-        self.api_key = api_key if api_key is not None else default_api_key()
-        #: Whether 429 responses are retried after their ``Retry-After``.
-        self.retry_throttled = retry_throttled
-        #: Total seconds one call may spend sleeping on 429s before the
-        #: :class:`ClientError` (with ``retry_after`` set) surfaces.
-        self.throttle_max_wait = throttle_max_wait
-        #: Whether :meth:`submit_payload` injects a W3C ``traceparent``
-        #: header (a fresh trace per submission).  Costs two uuid4s and one
-        #: header; against an untraced server it still stamps the job rows
-        #: for /events correlation, so it defaults on.
-        self.trace_submissions = trace_submissions
-        #: Exponential-backoff polling parameters (first wait, cap, factor).
-        self.poll_initial = poll_initial
-        self.poll_max = poll_max
-        self.poll_backoff = poll_backoff
-        if push_events is None:
-            # The documented test/ops hook: flips every default-constructed
-            # client (test suites, the CLI) to long-poll delivery so the
-            # same e2e suites exercise the push path end to end.
-            push_events = os.environ.get("REPRO_TEST_PUSH_EVENTS", "") == "1"
-        #: Whether :meth:`iter_events` long-polls by default (see module doc).
-        self.push_events = push_events
-        #: Long-poll window per request (the server clamps to its own cap).
-        self.wait_ms = max(1, int(wait_ms))
+class VerifasClient(ClientProtocol):
+    """Synchronous client for one verification server's ``/v1`` API (the
+    constructor is :class:`~repro.client.core.ClientProtocol`'s)."""
 
     # ------------------------------------------------------------------ plumbing
+
+    def _send(self, wire: Request) -> Tuple[int, Any, bytes]:
+        request = urllib.request.Request(
+            f"{self.base_url}{wire.path}",
+            data=wire.body,
+            method=wire.method,
+            headers=wire.headers or {},
+        )
+        try:
+            with urllib.request.urlopen(request, timeout=wire.timeout) as response:
+                return response.status, response.headers, response.read()
+        except urllib.error.HTTPError as error:
+            return error.code, error.headers or {}, error.read()
+        except (urllib.error.URLError, OSError) as error:
+            raise ClientError(f"cannot reach {self.base_url}: {error}") from None
+
+    def _drive(self, machine: Machine, send: Callable[[Any], Any]) -> Iterator[Any]:
+        """Run a core machine: *send* its requests, sleep its sleeps and
+        yield what it emits."""
+        reply = None
+        while True:
+            try:
+                step = machine.send(reply)
+            except StopIteration:
+                return
+            reply = None
+            if isinstance(step, Sleep):
+                time.sleep(step.seconds)
+            elif isinstance(step, Emit):
+                yield step.value
+            else:
+                reply = send(step)
+
+    def _call(self, step: Any) -> Any:
+        """The body of an endpoint request (a list of bodies for a list)."""
+        if isinstance(step, list):
+            return [self._request(*request)[1] for request in step]
+        return self._request(*step)[1]
 
     def _request(
         self,
@@ -218,62 +81,22 @@ class VerifasClient:
         payload: Optional[Any] = None,
         timeout: Optional[float] = None,
         headers: Optional[Dict[str, str]] = None,
-    ) -> Tuple[int, Dict[str, Any]]:
-        data = json.dumps(payload).encode("utf-8") if payload is not None else None
-        request_headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            request_headers["Authorization"] = f"Bearer {self.api_key}"
-        if headers:
-            request_headers.update(headers)
-        throttle_budget = self.throttle_max_wait if self.retry_throttled else 0.0
-        while True:
-            request = urllib.request.Request(
-                f"{self.base_url}{path}",
-                data=data,
-                method=method,
-                headers=request_headers,
-            )
-            try:
-                with urllib.request.urlopen(
-                    request, timeout=self.timeout if timeout is None else timeout
-                ) as response:
-                    return response.status, json.load(response)
-            except urllib.error.HTTPError as error:
-                try:
-                    body = json.loads(error.read().decode("utf-8"))
-                except (ValueError, UnicodeDecodeError):
-                    body = {}
-                retry_after = _retry_after_seconds(error, body)
-                if (
-                    error.code == 429
-                    and retry_after is not None
-                    and retry_after <= throttle_budget
-                ):
-                    # The server said exactly how long until the submit can
-                    # succeed; honour it rather than surfacing the 429.
-                    throttle_budget -= retry_after
-                    time.sleep(retry_after)
-                    continue
-                kind = SpecRejectedError if error.code == 422 else ClientError
-                raise kind(
-                    body.get("error", f"HTTP {error.code} on {method} {path}"),
-                    status=error.code,
-                    body=body,
-                    retry_after=retry_after,
-                ) from None
-            except (urllib.error.URLError, OSError) as error:
-                raise ClientError(f"cannot reach {self.base_url}: {error}") from None
+    ) -> Tuple[int, Any]:
+        """One API call, throttle retries included: ``(status, body)``."""
+        machine = self.exchange_machine(Request(method, path, payload, timeout, headers))
+        (result,) = self._drive(machine, self._send)
+        return result
 
     # ------------------------------------------------------------------- basics
 
     def healthz(self) -> Dict[str, Any]:
-        return self._request("GET", "/v1/healthz")[1]
+        return self._call(self.healthz_request())
 
     def readyz(self) -> Tuple[bool, Dict[str, Any]]:
         """``GET /v1/readyz``: ``(ready, body)`` -- a 503 is a verdict, not
         an error, so it is returned rather than raised."""
         try:
-            status, body = self._request("GET", "/v1/readyz")
+            status, body = self._request(*self.readyz_request())
         except ClientError as error:
             if error.status == 503 and "checks" in error.body:
                 return False, error.body
@@ -281,22 +104,11 @@ class VerifasClient:
         return status == 200, body
 
     def metrics(self) -> Dict[str, Any]:
-        return self._request("GET", "/v1/metrics")[1]
+        return self._call(self.metrics_request())
 
     def metrics_prometheus(self) -> str:
         """The Prometheus text exposition of ``GET /v1/metrics``."""
-        request = urllib.request.Request(
-            f"{self.base_url}/v1/metrics?format=prometheus", method="GET"
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.HTTPError as error:
-            raise ClientError(
-                f"HTTP {error.code} on GET /v1/metrics", status=error.code
-            ) from None
-        except (urllib.error.URLError, OSError) as error:
-            raise ClientError(f"cannot reach {self.base_url}: {error}") from None
+        return self._call(self.metrics_prometheus_request())
 
     # ------------------------------------------------------------------- submit
 
@@ -311,74 +123,30 @@ class VerifasClient:
         schema_version: int = 1,
     ) -> List[JobHandle]:
         """Submit one payload (canonical spec dicts); one handle per property."""
-        return self.submit_payload(
-            build_submit_payload(
-                system,
-                properties,
-                options=options,
-                label=label,
-                ttl_seconds=ttl_seconds,
-                deadline_ms=deadline_ms,
-                schema_version=schema_version,
-            )
-        )
+        return self.submit_payload(build_submit_payload(
+            system, properties, options, label, ttl_seconds, deadline_ms, schema_version
+        ))
 
     def submit_payload(
         self, payload: Dict[str, Any], traceparent: Optional[str] = None
     ) -> List[JobHandle]:
-        """Submit an already-built ``POST /v1/jobs`` payload.
-
-        With :attr:`trace_submissions` on (the default) and no explicit
-        *traceparent*, a fresh trace context is minted and sent as the W3C
-        ``traceparent`` header: the server's spans -- and, with tracing
-        enabled there, the whole queue-wait/worker/search span tree --
-        parent under this submission.
-        """
-        headers: Dict[str, str] = {}
-        if traceparent is None and self.trace_submissions:
-            traceparent = format_traceparent(new_trace_id(), new_span_id())
-        if traceparent is not None:
-            headers["traceparent"] = traceparent
-        status, body = self._request("POST", "/v1/jobs", payload, headers=headers)
-        if status != 202:
-            raise ClientError(f"unexpected status {status} submitting jobs", status, body)
-        return [JobHandle.from_dict(job) for job in body.get("jobs", [])]
+        """Submit an already-built ``POST /v1/jobs`` payload, joined to a
+        distributed trace (see :meth:`ClientProtocol.submit_request`)."""
+        return read_submit(*self._request(*self.submit_request(payload, traceparent)))
 
     # -------------------------------------------------------------------- query
 
-    @staticmethod
-    def _job_path(job_id: str) -> str:
-        # Percent-escape the id as a single path segment: an id containing
-        # `/`, `?`, `#` or spaces (e.g. attacker-controlled) must neither
-        # break the request line nor resolve to a different route.
-        return f"/v1/jobs/{quote(str(job_id), safe='')}"
-
     def job(self, job_id: str) -> Dict[str, Any]:
         """The current ``GET /v1/jobs/<id>`` view."""
-        return self._request("GET", self._job_path(job_id))[1]
+        return self._call(self.job_request(job_id))
 
     def jobs(self, status: Optional[str] = None, limit: int = 100) -> Dict[str, Any]:
-        params: Dict[str, Any] = {"limit": limit}
-        if status:
-            params["status"] = status
-        return self._request("GET", f"/v1/jobs?{urlencode(params)}")[1]
+        return self._call(self.jobs_request(status, limit))
 
     def job_views(self, job_ids: Sequence[str]) -> Dict[str, Dict[str, Any]]:
-        """Batch status: ``{id: view}`` via ``GET /v1/jobs?id=a&id=b``.
-
-        One request per 100 ids (bounding the query string); results for
-        done jobs are included in each view, so no follow-up GET per job is
-        needed.  Unknown ids are simply absent from the mapping.
-        """
-        views: Dict[str, Dict[str, Any]] = {}
-        ids = list(dict.fromkeys(str(job_id) for job_id in job_ids))
-        for start in range(0, len(ids), 100):
-            chunk = ids[start : start + 100]
-            query = urlencode([("id", job_id) for job_id in chunk])
-            body = self._request("GET", f"/v1/jobs?{query}")[1]
-            for view in body.get("jobs", []):
-                views[view["id"]] = view
-        return views
+        """Batch status ``{id: view}`` via ``GET /v1/jobs?id=a&id=b``, done
+        jobs' results included; unknown ids are absent."""
+        return merge_views(self._call(self.view_requests(job_ids)))
 
     def events(
         self,
@@ -387,41 +155,21 @@ class VerifasClient:
         limit: int = 500,
         wait_ms: Optional[int] = None,
     ) -> Dict[str, Any]:
-        """One ``GET /v1/jobs/<id>/events`` page starting after *cursor*.
-
-        With *wait_ms* the request long-polls: the server holds it open up
-        to that many milliseconds waiting for news (the HTTP timeout is
-        widened to cover the window).
-        """
-        params: Dict[str, Any] = {"cursor": cursor, "limit": limit}
-        if wait_ms is not None:
-            params["wait_ms"] = max(1, int(wait_ms))
-            query = urlencode(params)
-            return self._request(
-                "GET",
-                f"{self._job_path(job_id)}/events?{query}",
-                timeout=self.timeout + params["wait_ms"] / 1000.0,
-            )[1]
-        query = urlencode(params)
-        return self._request("GET", f"{self._job_path(job_id)}/events?{query}")[1]
+        """One ``GET /v1/jobs/<id>/events`` page after *cursor*; with
+        *wait_ms* the server holds the request open that long for news."""
+        return self._call(self.events_request(job_id, cursor, limit, wait_ms))
 
     def trace(self, job_id: str) -> Dict[str, Any]:
         """The job's span tree: ``GET /v1/jobs/<id>/trace``."""
-        return self._request("GET", f"{self._job_path(job_id)}/trace")[1]
+        return self._call(self.trace_request(job_id))
 
     # ------------------------------------------------------------------- cancel
 
     def cancel(self, job_id: str) -> Dict[str, Any]:
         """``DELETE /v1/jobs/<id>``: cooperative cancellation."""
-        return self._request("DELETE", self._job_path(job_id))[1]
+        return self._call(self.cancel_request(job_id))
 
     # ------------------------------------------------------------------ waiting
-
-    def _backoff(self) -> Iterator[float]:
-        delay = self.poll_initial
-        while True:
-            yield delay
-            delay = min(self.poll_max, delay * self.poll_backoff)
 
     def wait(
         self,
@@ -429,74 +177,19 @@ class VerifasClient:
         deadline_seconds: float = 300.0,
         raise_on_error: bool = True,
     ) -> Dict[str, Any]:
-        """Poll (exponential backoff) until the job is terminal; returns its view.
-
-        Raises :class:`RemoteJobError` when the job ends in the ``error``
-        state (unless *raise_on_error* is false) and :class:`TimeoutError`
-        when *deadline_seconds* elapses first.
-        """
-        deadline = time.monotonic() + deadline_seconds
-        for delay in self._backoff():
-            view = self.job(job_id)
-            if view.get("status") in TERMINAL_STATES:
-                if raise_on_error and view.get("status") == "error":
-                    raise RemoteJobError(
-                        view.get("error", f"job {job_id} failed"), body=view
-                    )
-                return view
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(
-                    f"job {job_id} still {view.get('status')!r} after {deadline_seconds}s"
-                )
-            # Never sleep past the deadline: the loop always gets one final
-            # poll at (roughly) the deadline before giving up.
-            time.sleep(min(delay, remaining))
-        raise AssertionError("unreachable")  # pragma: no cover
+        """Poll until the job is terminal; returns its view (see
+        :meth:`~repro.client.core.ClientProtocol.wait_machine`)."""
+        machine = self.wait_machine(job_id, deadline_seconds, raise_on_error)
+        (view,) = self._drive(machine, self._call)
+        return view
 
     def wait_all(
         self, job_ids: Sequence[str], deadline_seconds: float = 300.0
     ) -> Dict[str, Dict[str, Any]]:
-        """Wait for every job id; returns ``{id: terminal view}``.
-
-        Polls the *batch* status view (``GET /v1/jobs?id=a&id=b``): each
-        backoff round is one round-trip covering every still-pending job, so
-        a slow first job can no longer burn the whole deadline before the
-        others are even looked at, and N jobs no longer cost N requests per
-        poll.  Jobs that ended in ``error`` are returned like any other
-        terminal view (no raise -- callers inspect ``status``).  Raises
-        :class:`ClientError` for an unknown id and :class:`TimeoutError`
-        when *deadline_seconds* elapses with jobs still unfinished.
-        """
-        deadline = time.monotonic() + deadline_seconds
-        pending = list(dict.fromkeys(str(job_id) for job_id in job_ids))
-        views: Dict[str, Dict[str, Any]] = {}
-        if not pending:
-            return views
-        for delay in self._backoff():
-            batch = self.job_views(pending)
-            missing = [job_id for job_id in pending if job_id not in batch]
-            if missing:
-                raise ClientError(
-                    f"no job with id {missing[0]!r}", status=404, body={}
-                )
-            still_pending = []
-            for job_id in pending:
-                view = batch[job_id]
-                if view.get("status") in TERMINAL_STATES:
-                    views[job_id] = view
-                else:
-                    still_pending.append(job_id)
-            pending = still_pending
-            if not pending:
-                return views
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(
-                    f"{len(pending)} job(s) still unfinished after {deadline_seconds}s"
-                )
-            time.sleep(min(delay, remaining))
-        raise AssertionError("unreachable")  # pragma: no cover
+        """Wait for every job id; returns ``{id: terminal view}``, ``error``
+        jobs included (see
+        :meth:`~repro.client.core.ClientProtocol.batch_wait_machine`)."""
+        return dict(self._drive(self.batch_wait_machine(job_ids, deadline_seconds), self._call))
 
     def iter_events(
         self,
@@ -505,50 +198,7 @@ class VerifasClient:
         poll_limit: int = 500,
         push: Optional[bool] = None,
     ) -> Iterator[Dict[str, Any]]:
-        """Yield the job's progress events (oldest first) until it is terminal.
-
-        In push mode (*push*, default :attr:`push_events`) each page request
-        long-polls -- the server holds it open until events arrive or the
-        job turns terminal -- so the client never sleeps and a job emitting
-        N events costs about ``ceil(N / poll_limit) + 1`` requests.  In poll
-        mode, pages are fetched on an exponential backoff (reset whenever
-        new events arrive).
-
-        Either way iteration ends as soon as a ``terminal`` page has been
-        drained *and* proved complete: a terminal page shorter than
-        *poll_limit* cannot have truncated the log, so no extra empty-page
-        round-trip is spent confirming it.
-        """
-        push = self.push_events if push is None else push
-        deadline = time.monotonic() + deadline_seconds
-        cursor = 0
-        backoff = self._backoff()
-        while True:
-            wait_ms: Optional[int] = None
-            if push:
-                remaining_ms = int((deadline - time.monotonic()) * 1000)
-                if remaining_ms <= 0:
-                    raise TimeoutError(
-                        f"job {job_id} still emitting after {deadline_seconds}s"
-                    )
-                wait_ms = min(self.wait_ms, max(1, remaining_ms))
-            page = self.events(job_id, cursor=cursor, limit=poll_limit, wait_ms=wait_ms)
-            events = page.get("events", [])
-            for event in events:
-                cursor = max(cursor, int(event.get("seq", cursor)))
-                yield event
-            if page.get("terminal") and len(events) < poll_limit:
-                # Terminal and the page was not full: the log is drained.
-                # (A full terminal page loops straight back for the rest.)
-                return
-            if events:
-                backoff = self._backoff()  # progress: restart the backoff
-                continue
-            if push:
-                continue  # the server already blocked for wait_ms; no sleep
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(f"job {job_id} still emitting after {deadline_seconds}s")
-            # Never sleep past the deadline: one final page fetch happens at
-            # (roughly) the deadline before giving up.
-            time.sleep(min(next(backoff), remaining))
+        """Yield the job's progress events (oldest first) until it is terminal
+        (see :meth:`~repro.client.core.ClientProtocol.events_machine`)."""
+        machine = self.events_machine(job_id, deadline_seconds, poll_limit, push)
+        return self._drive(machine, self._call)

@@ -19,7 +19,7 @@ expression as a string.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.has.schema import DatabaseSchema
 from repro.has.types import IdType, VALUE, ValueType, VarType
@@ -210,15 +210,6 @@ class ExpressionUniverse:
         if index is None:
             return {}
         return {attribute: self._expressions[child] for attribute, child in self.children[index]}
-
-    def expressions_rooted_at(self, roots: Iterable[str]) -> Set[Expression]:
-        """All navigation expressions whose root variable is in *roots*, plus all constants."""
-        wanted = set(roots)
-        return {
-            expression
-            for expression, root in zip(self._expressions, self.root_of)
-            if root is None or root in wanted
-        }
 
     def renaming(self, mapping: Mapping[str, str], target: "ExpressionUniverse") -> List[int]:
         """Per id, the id in *target* after renaming roots by *mapping* (cached).

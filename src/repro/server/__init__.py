@@ -20,8 +20,8 @@ TTL'd jobs and their now-unreferenced results.
 The HTTP surface is versioned under ``/v1`` (``POST /v1/jobs``,
 ``GET /v1/jobs``, ``GET /v1/jobs/<id>``, ``DELETE /v1/jobs/<id>``,
 ``GET /v1/jobs/<id>/events``, ``GET /v1/metrics``, ``GET /v1/healthz``);
-the original unversioned routes answer identically but carry deprecation
-headers -- documented in ``README.md`` and :mod:`repro.server.handlers`.
+paths outside ``/v1`` answer 404 -- documented in ``README.md`` and
+:mod:`repro.server.handlers`.
 :mod:`repro.client` is the matching Python client library.
 """
 

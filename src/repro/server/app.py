@@ -821,7 +821,6 @@ class VerificationServer:
     def submit_payload(
         self,
         payload: Any,
-        url_prefix: str = "/v1/jobs",
         trace_id: Optional[str] = None,
         parent_span: Optional[str] = None,
         tenant: Optional[Tenant] = None,
@@ -1048,8 +1047,8 @@ class VerificationServer:
                 "system": stored.system_name,
                 "property": stored.property_name,
                 "status": stored.status,
-                "url": f"{url_prefix}/{stored.id}",
-                "events_url": f"{url_prefix}/{stored.id}/events",
+                "url": f"/v1/jobs/{stored.id}",
+                "events_url": f"/v1/jobs/{stored.id}/events",
             }
             if trace_id is not None:
                 entry["trace_id"] = trace_id

@@ -44,13 +44,11 @@ route requires ``Authorization: Bearer vk_...`` -- missing/unknown keys are
 401, revoked ones 403, and each response is scoped to the calling tenant
 (another tenant's job ids answer 404, never 403, to avoid leaking their
 existence).  Submits over the tenant's rate limit or in-flight quota answer
-429 with a ``Retry-After`` header.  ``/healthz``, ``/readyz`` and
-``/metrics`` stay unauthenticated for probes and scrapers.
+429 with a ``Retry-After`` header.  ``/v1/healthz``, ``/v1/readyz`` and
+``/v1/metrics`` stay unauthenticated for probes and scrapers.
 
-The original unversioned routes (``/jobs``, ``/metrics``, ``/healthz``, ...)
-remain as thin shims over the same views: they answer identically but carry a
-``Deprecation: true`` header plus a ``Link: <...>; rel="successor-version"``
-pointing at the ``/v1`` replacement.
+Paths outside ``/v1`` (including the retired unversioned ``/jobs``,
+``/metrics``, ``/healthz``, ...) answer 404.
 
 Handlers are deliberately thin: they parse the request, call the matching
 view on the owning :class:`~repro.server.app.VerificationServer`, and encode
@@ -68,7 +66,7 @@ import re
 import sqlite3
 import time
 from http.server import BaseHTTPRequestHandler
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 from urllib.parse import parse_qs, unquote
 
 from repro.analysis import SpecRejectedError
@@ -109,20 +107,18 @@ class ApiHandler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------ routing
 
-    def _route(self, path: str) -> Tuple[str, bool]:
-        """Strip the version prefix; returns ``(route, deprecated)``.
-
-        Unversioned paths resolve to the same routes but are flagged so the
-        response carries the deprecation headers.
-        """
+    @staticmethod
+    def _route(path: str) -> str:
+        """The route under the version prefix; outside ``/v1`` the empty
+        string, which matches no route (so the request answers 404)."""
         if path == API_PREFIX or path.startswith(API_PREFIX + "/"):
-            return path[len(API_PREFIX):] or "/", False
-        return path, True
+            return path[len(API_PREFIX):] or "/"
+        return ""
 
     def do_GET(self) -> None:  # noqa: N802 (http.server naming convention)
         self.app.metrics.increment("requests")
         path, _, query = self.path.partition("?")
-        route, self._deprecated = self._route(path)
+        route = self._route(path)
         try:
             # Probes and metrics stay unauthenticated even with the front
             # door on: orchestrators and scrapers hold no tenant keys, and
@@ -172,7 +168,7 @@ class ApiHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802
         self.app.metrics.increment("requests")
         path, _, _ = self.path.partition("?")
-        route, self._deprecated = self._route(path)
+        route = self._route(path)
         if route != "/jobs":
             # The body was never read; a reused keep-alive connection would
             # misparse it as the next request line.
@@ -181,12 +177,11 @@ class ApiHandler(BaseHTTPRequestHandler):
         tenant = self._authenticate(body_unread=True)
         if tenant is _AUTH_FAILED:
             return
-        url_prefix = "/jobs" if self._deprecated else f"{API_PREFIX}/jobs"
         # A missing or malformed traceparent header is never an error: it
         # simply starts a fresh trace at this server (the W3C behaviour).
         incoming = parse_traceparent(self.headers.get("traceparent"))
         tracer = self.app.tracer
-        span = tracer.start_span("http.submit", parent=incoming, route=url_prefix)
+        span = tracer.start_span("http.submit", parent=incoming, route=f"{API_PREFIX}/jobs")
         context = span.context()
         if context is not None:
             # Tracing on: jobs parent under this handler's span.
@@ -202,7 +197,6 @@ class ApiHandler(BaseHTTPRequestHandler):
                 payload = self._read_json_body()
                 response = self.app.submit_payload(
                     payload,
-                    url_prefix=url_prefix,
                     trace_id=trace_id,
                     parent_span=parent_span,
                     tenant=tenant,
@@ -260,7 +254,7 @@ class ApiHandler(BaseHTTPRequestHandler):
         except (TypeError, ValueError):
             self.close_connection = True
         path, _, _ = self.path.partition("?")
-        route, self._deprecated = self._route(path)
+        route = self._route(path)
         match = _JOB_PATH.match(route)
         if not match:
             return self._send(404, {"error": f"unknown path {path!r}"})
@@ -516,12 +510,6 @@ class ApiHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
-        if getattr(self, "_deprecated", False):
-            # Legacy unversioned route: same behaviour, plus a deprecation
-            # signal and a pointer at the /v1 successor.
-            path, _, _ = self.path.partition("?")
-            self.send_header("Deprecation", "true")
-            self.send_header("Link", f'<{API_PREFIX}{path}>; rel="successor-version"')
         if self.close_connection:
             # Set by error paths that leave the request body unread; tell the
             # client explicitly instead of silently dropping the keep-alive.

@@ -1,4 +1,4 @@
-"""Server metrics: counters and latency percentiles for ``GET /metrics``.
+"""Server metrics: counters and latency percentiles for ``GET /v1/metrics``.
 
 Latencies are kept in a bounded reservoir (the most recent ``window``
 observations), which is enough for interactive p50/p90/p99 readouts without

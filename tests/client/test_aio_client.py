@@ -114,6 +114,11 @@ class TestAsyncBasics:
         with pytest.raises(ValueError):
             AsyncVerifasClient("ftp://example.com")
 
+    def test_non_json_success_body_is_a_client_error(self, html_server):
+        with pytest.raises(ClientError) as excinfo:
+            asyncio.run(AsyncVerifasClient(html_server).healthz())
+        assert excinfo.value.status == 200 and "malformed JSON" in str(excinfo.value)
+
 
 class TestSubmitManyAsCompleted:
     def test_fan_out_and_completion_order_consumption(self, server, tiny_system):
@@ -239,6 +244,34 @@ class TestBoundedConcurrency:
 
         peak = asyncio.run(scenario())
         assert peak == 2
+
+    def test_throttled_request_sleeps_without_holding_its_slot(self):
+        """A 429 retried after ``Retry-After`` frees the only slot while it
+        sleeps: a concurrent healthz finishes before the retry is sent."""
+        async def scenario():
+            client = AsyncVerifasClient("http://example.invalid", concurrency=1)
+            log = []
+
+            async def fake_exchange(raw, method, path):
+                if path == "/v1/jobs":
+                    log.append("submit")
+                    if log.count("submit") == 1:
+                        return 429, {"retry-after": "1"}, b'{"retry_after": 0.3}'
+                    return 202, {}, b'{"jobs": [{"id": "j", "fingerprint": "f"}]}'
+                log.append("healthz")
+                return 200, {}, b'{"status": "ok"}'
+
+            client._exchange = fake_exchange
+            submit = asyncio.ensure_future(client.submit_payload({}))
+            await asyncio.sleep(0.05)  # the submit got its 429 and sleeps
+            assert (await asyncio.wait_for(client.healthz(), 0.2))["status"] == "ok"
+            log.append("healthz done")
+            handles = await submit
+            return log, handles
+
+        log, handles = asyncio.run(scenario())
+        assert log == ["submit", "healthz", "healthz done", "submit"]
+        assert [h.id for h in handles] == ["j"]
 
     def test_fresh_loop_per_run(self, server):
         # The semaphore is created lazily inside the running loop and

@@ -51,6 +51,11 @@ class TestErrorMapping:
         finally:
             server.stop()
 
+    def test_non_json_success_body_is_a_client_error(self, html_server):
+        with pytest.raises(ClientError) as excinfo:
+            VerifasClient(html_server).healthz()
+        assert excinfo.value.status == 200 and "malformed JSON" in str(excinfo.value)
+
     def test_trailing_slash_base_url_is_normalised(self):
         assert VerifasClient("http://host:1/").base_url == "http://host:1"
 
@@ -66,11 +71,11 @@ class TestUrlEscaping:
         client = VerifasClient("http://example.invalid")
         captured = []
 
-        def fake_request(method, path, payload=None):
-            captured.append((method, path))
-            return 200, {"events": [], "terminal": True}
+        def fake_send(wire):
+            captured.append((wire.method, wire.path))
+            return 200, {}, b'{"events": [], "terminal": true}'
 
-        monkeypatch.setattr(client, "_request", fake_request)
+        monkeypatch.setattr(client, "_send", fake_send)
         return client, captured
 
     def test_path_segments_are_percent_escaped(self, requests):

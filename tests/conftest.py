@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -137,3 +139,30 @@ def relation_system(items_schema: DatabaseSchema):
         propagated=["item"],
     )
     return builder.build()
+
+
+class _HtmlHandler(BaseHTTPRequestHandler):
+    """Answers every GET 200 with an HTML body (a misconfigured proxy)."""
+
+    def do_GET(self) -> None:  # noqa: N802 (http.server naming convention)
+        body = b"<html>not the API</html>"
+        self.send_response(200)
+        self.send_header("Content-Type", "text/html")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, format: str, *args) -> None:  # noqa: A002
+        pass
+
+
+@pytest.fixture
+def html_server():
+    """URL of a local HTTP server whose success bodies are not JSON."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _HtmlHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)

@@ -72,13 +72,6 @@ class TestExpressionUniverse:
         with pytest.raises(KeyError):
             universe.variable("missing")
 
-    def test_expressions_rooted_at(self, universe):
-        universe.add_constant("Good")
-        rooted = universe.expressions_rooted_at(["cust"])
-        assert NavExpr("cust", ("record", "status")) in rooted
-        assert NavExpr("status") not in rooted
-        assert ConstExpr("Good") in rooted  # constants always kept
-
     def test_size_is_finite_and_reasonable(self, universe):
         # cust + name + record + record.status + status variable + null constant
         assert len(universe) == 6

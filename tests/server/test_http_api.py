@@ -45,7 +45,7 @@ def _request(url: str, method: str = "GET", payload=None):
 
 
 def _submit(url: str, payload) -> list:
-    status, body = _request(f"{url}/jobs", "POST", payload)
+    status, body = _request(f"{url}/v1/jobs", "POST", payload)
     assert status == 202, body
     return body["jobs"]
 
@@ -57,7 +57,7 @@ def _wait_for(url: str, job_ids, deadline_seconds: float = 60.0) -> dict:
     while time.monotonic() < deadline:
         views = {}
         for job_id in job_ids:
-            status, body = _request(f"{url}/jobs/{job_id}")
+            status, body = _request(f"{url}/v1/jobs/{job_id}")
             assert status == 200, body
             views[job_id] = body
         if all(v["status"] in ("done", "error") for v in views.values()):
@@ -107,7 +107,7 @@ def server(tmp_path, worker_model):
 
 class TestApi:
     def test_healthz(self, server):
-        code, body = _request(f"{server.url}/healthz")
+        code, body = _request(f"{server.url}/v1/healthz")
         assert code == 200
         assert body["status"] == "ok"
         assert body["uptime_seconds"] >= 0
@@ -143,14 +143,14 @@ class TestApi:
         payload = _payload(tiny_system, _properties()[:1])
         first = _submit(server.url, payload)[0]
         _wait_for(server.url, [first["id"]])
-        runs_before = _request(f"{server.url}/metrics")[1]["counters"]["verifications_run"]
+        runs_before = _request(f"{server.url}/v1/metrics")[1]["counters"]["verifications_run"]
         second = _submit(server.url, payload)[0]
         assert second["id"] != first["id"]
         assert second["fingerprint"] == first["fingerprint"]
         view = _wait_for(server.url, [second["id"]])[second["id"]]
         assert view["cache_hit"] is True
         assert view["result"]["outcome"] == "violated"
-        runs_after = _request(f"{server.url}/metrics")[1]["counters"]["verifications_run"]
+        runs_after = _request(f"{server.url}/v1/metrics")[1]["counters"]["verifications_run"]
         assert runs_after == runs_before  # verifier not re-invoked
 
     def test_concurrent_duplicate_submissions_verify_once(self, server, tiny_system):
@@ -177,7 +177,7 @@ class TestApi:
         views = _wait_for(server.url, [j["id"] for j in jobs])
         assert all(v["status"] == "done" for v in views.values())
         assert sorted(v["cache_hit"] for v in views.values()) == [False, True, True, True]
-        _, metrics = _request(f"{server.url}/metrics")
+        _, metrics = _request(f"{server.url}/v1/metrics")
         assert metrics["counters"]["verifications_run"] == 1
 
     def test_keep_alive_connection_survives_an_unread_post_body(self, server, tiny_system):
@@ -196,7 +196,7 @@ class TestApi:
             # The server closed the connection rather than leave the unread
             # body to be misparsed as the next request line; http.client
             # transparently reconnects for the follow-up request.
-            connection.request("GET", "/healthz")
+            connection.request("GET", "/v1/healthz")
             follow_up = connection.getresponse()
             assert follow_up.status == 200
             follow_up.read()
@@ -206,7 +206,7 @@ class TestApi:
     def test_list_jobs_with_status_filter(self, server, tiny_system):
         jobs = _submit(server.url, _payload(tiny_system, _properties()[:2]))
         _wait_for(server.url, [j["id"] for j in jobs])
-        status, body = _request(f"{server.url}/jobs?status=done&limit=10")
+        status, body = _request(f"{server.url}/v1/jobs?status=done&limit=10")
         assert status == 200
         assert {j["id"] for j in body["jobs"]} >= {j["id"] for j in jobs}
         assert body["counts"]["done"] >= 2
@@ -214,7 +214,7 @@ class TestApi:
     def test_metrics_shape(self, server, tiny_system):
         jobs = _submit(server.url, _payload(tiny_system, _properties()[:1]))
         _wait_for(server.url, [j["id"] for j in jobs])
-        status, metrics = _request(f"{server.url}/metrics")
+        status, metrics = _request(f"{server.url}/v1/metrics")
         assert status == 200
         assert metrics["counters"]["jobs_submitted"] >= 1
         assert metrics["counters"]["jobs_completed"] >= 1
@@ -232,7 +232,7 @@ class TestApi:
 class TestApiErrors:
     def test_malformed_json_body(self, server):
         request = urllib.request.Request(
-            f"{server.url}/jobs", data=b"{not json", method="POST",
+            f"{server.url}/v1/jobs", data=b"{not json", method="POST",
             headers=auth_headers(),
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -240,18 +240,18 @@ class TestApiErrors:
         assert excinfo.value.code == 400
 
     def test_missing_system_section(self, server):
-        status, body = _request(f"{server.url}/jobs", "POST", {"properties": []})
+        status, body = _request(f"{server.url}/v1/jobs", "POST", {"properties": []})
         assert status == 400 and "system" in body["error"]
 
     def test_newer_schema_version_rejected(self, server, tiny_system):
         payload = _payload(tiny_system, _properties()[:1])
         payload["schema_version"] = 999
-        status, body = _request(f"{server.url}/jobs", "POST", payload)
+        status, body = _request(f"{server.url}/v1/jobs", "POST", payload)
         assert status == 400
 
     def test_empty_properties_rejected(self, server, tiny_system):
         status, body = _request(
-            f"{server.url}/jobs", "POST",
+            f"{server.url}/v1/jobs", "POST",
             {"system": dump_system(tiny_system), "properties": []},
         )
         assert status == 400 and "properties" in body["error"]
@@ -259,7 +259,7 @@ class TestApiErrors:
     def test_both_property_and_properties_rejected(self, server, tiny_system):
         prop = dump_property(_properties()[0])
         status, body = _request(
-            f"{server.url}/jobs", "POST",
+            f"{server.url}/v1/jobs", "POST",
             {"system": dump_system(tiny_system), "property": prop, "properties": [prop]},
         )
         assert status == 400
@@ -267,13 +267,13 @@ class TestApiErrors:
     def test_invalid_system_is_rejected_with_400(self, server, tiny_system):
         payload = _payload(tiny_system, _properties()[:1])
         payload["system"]["hierarchy"]["Main"] = "Main"  # self-parent: invalid
-        status, body = _request(f"{server.url}/jobs", "POST", payload)
+        status, body = _request(f"{server.url}/v1/jobs", "POST", payload)
         assert status == 400 and "error" in body
 
     def test_unknown_option_keys_are_rejected(self, server, tiny_system):
         payload = _payload(tiny_system, _properties()[:1])
         payload["options"] = {"timeout": 30}  # typo for timeout_seconds
-        status, body = _request(f"{server.url}/jobs", "POST", payload)
+        status, body = _request(f"{server.url}/v1/jobs", "POST", payload)
         assert status == 400 and "unknown verifier option" in body["error"]
         assert "timeout" in body["error"]
 
@@ -313,7 +313,7 @@ class TestApiErrors:
         assert status == 202, body
 
     def test_unknown_job_is_404(self, server):
-        status, body = _request(f"{server.url}/jobs/ffffffffffff")
+        status, body = _request(f"{server.url}/v1/jobs/ffffffffffff")
         assert status == 404 and "error" in body
 
     def test_unknown_path_is_404(self, server):
@@ -321,8 +321,8 @@ class TestApiErrors:
         assert _request(f"{server.url}/nope", "POST", {})[0] == 404
 
     def test_bad_query_parameters_are_400(self, server):
-        assert _request(f"{server.url}/jobs?limit=many")[0] == 400
-        assert _request(f"{server.url}/jobs?status=finished")[0] == 400
+        assert _request(f"{server.url}/v1/jobs?limit=many")[0] == 400
+        assert _request(f"{server.url}/v1/jobs?status=finished")[0] == 400
 
 
 class TestOptionsWireFormat:
@@ -433,7 +433,7 @@ class TestRestartRecovery:
         fresh_ids = [j["id"] for j in queued[2:]]
         assert all(views[job_id]["cache_hit"] for job_id in duplicate_ids)
         assert all(not views[job_id]["cache_hit"] for job_id in fresh_ids)
-        _, metrics = _request(f"{server_c.url}/metrics")
+        _, metrics = _request(f"{server_c.url}/v1/metrics")
         assert metrics["counters"]["verifications_run"] == 2  # only the fresh jobs
         assert metrics["cache"]["store_hits"] == 2            # duplicates came from SQLite
         assert metrics["queue"]["depth"] == 0
@@ -451,7 +451,7 @@ class TestRestartRecovery:
         server.start()
         blocked = threading.Thread(target=server.serve_forever, daemon=True)
         blocked.start()
-        assert _request(f"{server.url}/healthz")[0] == 200
+        assert _request(f"{server.url}/v1/healthz")[0] == 200
         server.stop()
         blocked.join(timeout=10)
         assert not blocked.is_alive()
@@ -463,5 +463,5 @@ class TestRestartRecovery:
         server_b = VerificationServer(store_path=tmp_path / "jobs.db", port=0, workers=1)
         assert server_b.recovery.requeued == 0
         server_b.start()
-        assert _request(f"{server_b.url}/healthz")[0] == 200
+        assert _request(f"{server_b.url}/v1/healthz")[0] == 200
         server_b.stop()

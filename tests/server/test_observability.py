@@ -72,7 +72,7 @@ class TestLivenessAndReadiness:
 
     def test_readyz_http_status_flips_to_503_when_store_fails(self, server):
         server.store.ping = lambda *a, **kw: False  # simulate a wedged store
-        status, _ctype, body = _raw_get(f"{server.url}/readyz")
+        status, _ctype, body = _raw_get(f"{server.url}/v1/readyz")
         assert status == 503
         assert '"unready"' in body and '"store"' in body
 

@@ -3,9 +3,9 @@
 Covers the PR acceptance criteria: the client round-trips
 submit → iter_events → cancel against a live server; ``DELETE /v1/jobs/<id>``
 on a *running* job stops the underlying search promptly and persists a
-``cancelled`` terminal state that survives a server restart; legacy
-unversioned routes still answer, with a deprecation header; TTL'd jobs are
-swept; ``deadline_ms`` bounds a runaway search.
+``cancelled`` terminal state that survives a server restart; the retired
+unversioned routes answer 404; TTL'd jobs are swept; ``deadline_ms`` bounds
+a runaway search.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import sqlite3
 import time
+import urllib.error
 import urllib.request
 
 import pytest
@@ -444,43 +445,16 @@ class TestTtlSweeper:
         assert server.store.has_result(keeper.fingerprint)
 
 
-# ------------------------------------------------------------- legacy shims
+# ------------------------------------------------------ unversioned routes
 
 
-class TestLegacyShims:
-    def test_legacy_routes_answer_with_deprecation_headers(self, server):
-        status, headers, body = _raw(f"{server.url}/healthz")
-        assert status == 200 and body["status"] == "ok"
-        assert headers.get("Deprecation") == "true"
-        assert '</v1/healthz>; rel="successor-version"' in headers.get("Link", "")
-
-    def test_v1_routes_carry_no_deprecation_header(self, server):
-        status, headers, _body = _raw(f"{server.url}/v1/healthz")
-        assert status == 200
-        assert "Deprecation" not in headers
-
-    def test_legacy_submit_and_poll_still_work(self, server, tiny_system):
-        payload = {
-            "schema_version": 1,
-            "system": dump_system(tiny_system),
-            "properties": [dump_property(p) for p in _properties()],
-            "options": OPTIONS,
-        }
-        status, headers, body = _raw(f"{server.url}/jobs", "POST", payload)
-        assert status == 202
-        assert headers.get("Deprecation") == "true"
-        # Legacy responses keep legacy (unversioned) resource URLs.
-        assert all(job["url"].startswith("/jobs/") for job in body["jobs"])
-        job_id = body["jobs"][0]["id"]
-        deadline = time.monotonic() + 60
-        while True:
-            status, headers, view = _raw(f"{server.url}/jobs/{job_id}")
-            assert status == 200 and headers.get("Deprecation") == "true"
-            if view["status"] in ("done", "error"):
-                break
-            assert time.monotonic() < deadline
-            time.sleep(0.05)
-        assert view["result"]["outcome"] == "violated"
+class TestUnversionedRoutes:
+    def test_unversioned_routes_answer_404_without_deprecation(self, server):
+        for path in ("/jobs", "/healthz"):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _raw(f"{server.url}{path}")
+            assert excinfo.value.code == 404
+            assert "Deprecation" not in excinfo.value.headers
 
 
 # --------------------------------------------------------------- migration

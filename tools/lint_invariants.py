@@ -33,6 +33,14 @@ goldens and relied on by the submit-path gate; iterating a dict/set (``for x in 
 ``set(...)``) without ``sorted(...)`` makes the emitted tuples depend on
 hash order.  Wrap the iterable in ``sorted(...)`` instead.
 
+**IO001 -- the client protocol core stays sans-IO**
+(``src/repro/client/core.py``).  Both clients share one protocol core that
+builds requests, reads responses and runs the polling algorithms without
+touching the network or the clock's sleep; the transports do the I/O.  An
+import of ``socket``, ``ssl``, ``asyncio``, ``urllib.request`` or
+``http.client`` there, or a ``time.sleep`` call, pulls I/O back into the
+core and forks the two transports' behaviour again.
+
 Violations are identified as ``<relpath>::<rule>::<enclosing function>``
 and checked against ``tools/lint_invariants_baseline.txt``: existing,
 reviewed call sites are grandfathered; anything new fails the build.
@@ -58,11 +66,15 @@ SCANNED_TREES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     (os.path.join("src", "repro", "tenancy"), ("RT001", "TX001")),
     (os.path.join("src", "repro", "core"), ("RT002",)),
     (os.path.join("src", "repro", "analysis", "dataflow.py"), ("DF001",)),
+    (os.path.join("src", "repro", "client", "core.py"), ("IO001",)),
 )
 BASELINE_PATH = os.path.join(REPO_ROOT, "tools", "lint_invariants_baseline.txt")
 
 MUTATING_PREFIXES = ("INSERT", "UPDATE", "DELETE", "REPLACE")
 WRITE_HELPER_NAMES = ("_write", "write_transaction")
+#: Modules (and their submodules) the sans-IO client core must not import;
+#: ``time.sleep`` catches ``from time import sleep``.
+IO_MODULES = ("socket", "ssl", "asyncio", "urllib.request", "http.client", "time.sleep")
 CONNECTION_PARAMS = ("conn", "connection")
 
 
@@ -167,8 +179,18 @@ class _InvariantVisitor(ast.NodeVisitor):
 
     # --------------------------------------------------------------- rules
 
+    def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            self._check_io_import([alias.name], node.lineno)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.module and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+            self._check_io_import([node.module] + names, node.lineno)
+
     def visit_Call(self, node: ast.Call) -> None:
         self._check_time_time(node)
+        self._check_sleep(node)
         if "TX001" in self.rules:
             self._check_mutation(node)
         self.generic_visit(node)
@@ -210,6 +232,35 @@ class _InvariantVisitor(ast.NodeVisitor):
                 node.lineno,
                 "bare time.time() in the core search: budgets/deadlines must "
                 "use time.monotonic and results must not embed wall time",
+            )
+
+    def _check_io_import(self, modules: List[str], lineno: int) -> None:
+        """Record one IO001 for the first of *modules* that is banned."""
+        if "IO001" not in self.rules:
+            return
+        for module in modules:
+            if any(module == banned or module.startswith(banned + ".") for banned in IO_MODULES):
+                self._record(
+                    "IO001",
+                    lineno,
+                    f"import of {module}: the client protocol core does no I/O "
+                    "-- sending and sleeping belong to the transports",
+                )
+                return
+
+    def _check_sleep(self, node: ast.Call) -> None:
+        callee = node.func
+        if "IO001" in self.rules and (
+            isinstance(callee, ast.Attribute)
+            and callee.attr == "sleep"
+            and isinstance(callee.value, ast.Name)
+            and callee.value.id == "time"
+        ):
+            self._record(
+                "IO001",
+                node.lineno,
+                "time.sleep() in the client protocol core: yield a Sleep step "
+                "and let the transport sleep",
             )
 
     def _check_unordered_iteration(self, iterable: ast.AST) -> None:
