@@ -25,27 +25,39 @@ from repro.core.psi import PSI, counter_leq
 from repro.vass.vass import OMEGA
 
 
+def _counters_dominated(covered: PSI, covering: PSI) -> bool:
+    """Every counter of *covered* is ≤ the counter of *covering* on the same key."""
+    covering_counters = covering.counter_map()
+    return all(
+        counter_leq(value, covering_counters.get(key, 0)) for key, value in covered.counters
+    )
+
+
 def covers_leq(covered: PSI, covering: PSI) -> bool:
     """The classic ordering ``covered ≤ covering`` (Section 3.3)."""
     if covered.children != covering.children:
         return False
     if covered.tau != covering.tau:
         return False
-    covering_counters = covering.counter_map()
-    for key, value in covered.counters:
-        if not counter_leq(value, covering_counters.get(key, 0)):
-            return False
-    return True
+    return _counters_dominated(covered, covering)
 
 
 def _counter_flow_feasible(covered: PSI, covering: PSI, require_slack: bool) -> bool:
     """Flow feasibility between the stored-tuple multisets of the two PSIs."""
-    covered_items = list(covered.counters)
-    covering_items = list(covering.counters)
+    covered_items = covered.counters
+    covering_items = covering.counters
     if not covered_items:
         if not require_slack:
             return True
         return bool(covering_items)
+    if (
+        not require_slack
+        and len(covered_items) <= len(covering_items)
+        and _counters_dominated(covered, covering)
+    ):
+        # The identity assignment is a valid flow (a type entails itself),
+        # so max-flow would say yes.
+        return True
     supplies = [value for _key, value in covered_items]
     capacities = [value for _key, value in covering_items]
     edges: Set[Tuple[int, int]] = set()

@@ -26,16 +26,20 @@ ItemId = TypeVar("ItemId", bound=Hashable)
 class ActiveStateIndex(Generic[ItemId]):
     """Edge-set masks of the active states of the search (Section 3.6).
 
-    ``candidates_covering(query)`` returns items whose edge set is a subset of
-    the query's (necessary for ``query ⪯ item``); ``candidates_covered_by(query)``
-    returns items whose edge set is a superset (necessary for ``item ⪯ query``).
+    :meth:`mask` encodes an edge set as an int (one bit per edge, numbered on
+    first sight); the other methods take such masks, so a caller encodes each
+    state once.  ``candidates_covering(query)`` returns items whose edge set is
+    a subset of the query's (necessary for ``query ⪯ item``);
+    ``candidates_covered_by(query)`` returns items whose edge set is a
+    superset (necessary for ``item ⪯ query``).
     """
 
     def __init__(self) -> None:
         self._bits: Dict[Hashable, int] = {}  # edge -> its single-bit mask
         self._masks: Dict[ItemId, int] = {}
 
-    def _mask(self, edges: Iterable[Hashable]) -> int:
+    def mask(self, edges: Iterable[Hashable]) -> int:
+        """The mask of an edge set (masks of one index are comparable)."""
         bits = self._bits
         mask = 0
         for edge in edges:
@@ -45,8 +49,8 @@ class ActiveStateIndex(Generic[ItemId]):
             mask |= bit
         return mask
 
-    def add(self, item: ItemId, edges: Iterable[Hashable]) -> None:
-        self._masks[item] = self._mask(edges)
+    def add(self, item: ItemId, mask: int) -> None:
+        self._masks[item] = mask
 
     def remove(self, item: ItemId) -> None:
         self._masks.pop(item, None)
@@ -60,12 +64,11 @@ class ActiveStateIndex(Generic[ItemId]):
     def items(self) -> Tuple[ItemId, ...]:
         return tuple(self._masks)
 
-    def candidates_covering(self, edges: Iterable[Hashable]) -> Set[ItemId]:
+    def candidates_covering(self, query: int) -> Set[ItemId]:
         """Items I' with E(I') ⊆ E(query): necessary condition for query ⪯ I'."""
-        outside = ~self._mask(edges)
+        outside = ~query
         return {item for item, mask in self._masks.items() if not mask & outside}
 
-    def candidates_covered_by(self, edges: Iterable[Hashable]) -> Set[ItemId]:
+    def candidates_covered_by(self, query: int) -> Set[ItemId]:
         """Items I' with E(I') ⊇ E(query): necessary condition for I' ⪯ query."""
-        query = self._mask(edges)
         return {item for item, mask in self._masks.items() if mask & query == query}

@@ -210,9 +210,38 @@ class PartialIsoType:
         return self.extend_ids(interned)
 
     def extend_ids(self, constraints: Iterable[IdConstraint]) -> Optional["PartialIsoType"]:
-        """:meth:`extend` over expression ids."""
+        """:meth:`extend` over expression ids.
+
+        A scan against the current roots settles two common cases before
+        anything is copied.  Merging never makes distinct roots equal nor
+        splits a class, so an ``=`` between known-distinct roots or a ``≠``
+        inside one class fails whatever else is added: ``None``.  When every
+        ``=`` joins mentioned members of one class and every ``≠`` is already
+        an explicit edge, nothing changes: ``self``.  (A ≠ that holds only
+        implicitly, between two constants, still adds an edge to the key.)
+        """
         pending = list(constraints)
         if not pending:
+            return self
+        rep, neq = self._rep, self._neq
+        unchanged = True
+        for left, right, op in pending:
+            # An unmentioned id is its own root; no ≠-edge names it.
+            left_root, right_root = rep.get(left, left), rep.get(right, right)
+            if op == EQ:
+                if left_root != right_root:
+                    if self._distinct_roots(left_root, right_root):
+                        return None
+                    unchanged = False
+                elif left not in rep:  # ``e = e`` mentions e
+                    unchanged = False
+            elif left_root == right_root:
+                return None
+            elif unchanged and (
+                (left_root, right_root) if left_root < right_root else (right_root, left_root)
+            ) not in neq:
+                unchanged = False
+        if unchanged:
             return self
         extended = PartialIsoType(
             self.universe, dict(self._rep), dict(self._classes), set(self._neq)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.control import STOP_CANCELLED, STOP_DEADLINE, SearchControl
 from repro.core.coverage import covers_leq, covers_preceq
@@ -145,10 +145,24 @@ class KarpMillerSearch:
         index: Optional[ActiveStateIndex] = (
             ActiveStateIndex() if self.options.data_structure_support else None
         )
+        # Each state's index mask, keyed by its (cached) edge set: computed
+        # once per search.  The index holds exactly the active nodes.
+        masks: Dict[FrozenSet[Hashable], int] = {}
         worklist: List[int] = []
         completed = True
 
-        def add_node(state: ProductState, parent: Optional[int], service: Optional[str]) -> SearchNode:
+        def mask_of(state: ProductState) -> int:
+            if index is None:
+                return 0
+            edges = state.edge_elements()
+            mask = masks.get(edges)
+            if mask is None:
+                mask = masks[edges] = index.mask(edges)
+            return mask
+
+        def add_node(
+            state: ProductState, parent: Optional[int], service: Optional[str], mask: int
+        ) -> SearchNode:
             node = SearchNode(
                 node_id=len(nodes),
                 state=state,
@@ -161,7 +175,7 @@ class KarpMillerSearch:
                 nodes[parent].children.append(node.node_id)
             active.add(node.node_id)
             if index is not None:
-                index.add(node.node_id, state.edge_elements())
+                index.add(node.node_id, mask)
             worklist.append(node.node_id)
             self.stats.states_explored += 1
             control.maybe_emit_progress(
@@ -169,16 +183,19 @@ class KarpMillerSearch:
             )
             return node
 
-        def active_candidates_covering(state: ProductState) -> Iterable[int]:
-            """Active nodes that might cover *state* (state ⪯ candidate)."""
+        def active_candidates_covering(mask: int) -> Iterable[int]:
+            """Active nodes that might cover the state of *mask* (state ⪯ candidate)."""
             if index is not None:
-                return index.candidates_covering(state.edge_elements()) & active
+                # Same members as the index's own set; the intersection only
+                # fixes the order in which the first-hit loop meets them, and
+                # so how many ⪯ checks it makes before it stops.
+                return index.candidates_covering(mask) & active
             return set(active)
 
-        def active_candidates_covered(state: ProductState) -> Iterable[int]:
-            """Nodes that might be covered by *state* (candidate ⪯ state)."""
+        def active_candidates_covered(mask: int) -> Iterable[int]:
+            """Active nodes that might be covered by the state of *mask* (candidate ⪯ state)."""
             if index is not None:
-                return index.candidates_covered_by(state.edge_elements()) & active
+                return index.candidates_covered_by(mask)
             return set(active)
 
         def deactivate_subtree(node_id: int) -> None:
@@ -208,7 +225,7 @@ class KarpMillerSearch:
                 nodes[node_id].state == move.state for node_id in active
             )
             if not duplicate:
-                add_node(move.state, None, move.service)
+                add_node(move.state, None, move.service, mask_of(move.state))
 
         while worklist:
             reason = control.stop_reason()
@@ -244,11 +261,12 @@ class KarpMillerSearch:
                 self.stats.transitions_computed += 1
                 with control.phase("acceleration"):
                     successor = self._accelerate(move.state, active_ancestors)
+                mask = mask_of(successor)
 
                 if self.options.monotone_pruning:
                     covered = False
                     with control.phase("coverage-check"):
-                        for candidate_id in active_candidates_covering(successor):
+                        for candidate_id in active_candidates_covering(mask):
                             if self._state_covers(successor, nodes[candidate_id].state):
                                 covered = True
                                 break
@@ -263,14 +281,14 @@ class KarpMillerSearch:
                         self.stats.states_pruned += 1
                         continue
 
-                new_node = add_node(successor, node_id, move.service)
+                new_node = add_node(successor, node_id, move.service, mask)
 
                 if self.options.monotone_pruning:
                     # Deactivate every state (and its descendants) that the new
                     # state covers, unless it is an inactive ancestor of the
                     # new node (Reynier-Servais rule).
                     with control.phase("coverage-check"):
-                        for candidate_id in list(active_candidates_covered(successor)):
+                        for candidate_id in list(active_candidates_covered(mask)):
                             if candidate_id == new_node.node_id:
                                 continue
                             candidate = nodes[candidate_id]
@@ -286,7 +304,7 @@ class KarpMillerSearch:
                         new_node.active = True
                         active.add(new_node.node_id)
                         if index is not None:
-                            index.add(new_node.node_id, successor.edge_elements())
+                            index.add(new_node.node_id, mask)
 
         self.stats.search_seconds = time.monotonic() - start_time
         self.stats.coverability_set_size = len(active)

@@ -78,6 +78,8 @@ class ProductSystem:
         self.ltl_property = ltl_property
         self._condition_props = set(ltl_property.conditions)
         self._label_conditions: Dict[TransitionLabel, Optional[Condition]] = {}
+        # (Büchi state, service) -> [(label condition, target)]: see _buchi_moves_for.
+        self._buchi_moves: Dict[Tuple[int, str], List[Tuple[Optional[Condition], int]]] = {}
         # Per-verify memo of ``successors`` (a pure function of the state):
         # the repeated-reachability phase re-expands main-search states.
         self._successors: Dict[ProductState, List[ProductMove]] = {}
@@ -113,25 +115,40 @@ class ProductSystem:
                 return False
         return True
 
+    def _buchi_moves_for(
+        self, buchi_source: int, service: str
+    ) -> List[Tuple[Optional[Condition], int]]:
+        """The (label condition, target) of each Büchi transition out of
+        *buchi_source* whose service propositions agree with *service*
+        (resolved once per pair)."""
+        key = (buchi_source, service)
+        moves = self._buchi_moves.get(key)
+        if moves is None:
+            moves = self._buchi_moves[key] = [
+                (self._label_condition(transition.label), transition.target)
+                for transition in self.automaton.outgoing(buchi_source)
+                if self._service_compatible(transition.label, service)
+            ]
+        return moves
+
     def _synchronise(self, move: SymbolicMove, buchi_source: int) -> List[ProductMove]:
         """All product successors obtained by synchronising a symbolic move."""
         results: List[ProductMove] = []
-        seen: Set[Tuple[object, int]] = set()
-        for transition in self.automaton.outgoing(buchi_source):
-            if not self._service_compatible(transition.label, move.service):
-                continue
-            condition = self._label_condition(transition.label)
+        seen: Set[ProductState] = set()
+        psi = move.psi
+        for condition, target in self._buchi_moves_for(buchi_source, move.service):
             if condition is None:
-                candidates = [move.psi.tau]
+                successors = [psi]
             else:
-                candidates = self.transition_system.evaluate(move.psi.tau, condition)
-            for extended in candidates:
-                successor = ProductState(move.psi.with_tau(extended), transition.target)
-                key = (successor.psi.tau.canonical_key(), transition.target,
-                       successor.psi.counters, successor.psi.children)
-                if key in seen:
+                successors = [
+                    psi.with_tau(extended)
+                    for extended in self.transition_system.evaluate(psi.tau, condition)
+                ]
+            for successor_psi in successors:
+                successor = ProductState(successor_psi, target)
+                if successor in seen:
                     continue
-                seen.add(key)
+                seen.add(successor)
                 results.append(ProductMove(move.service, successor))
         return results
 

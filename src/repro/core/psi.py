@@ -73,10 +73,6 @@ class PSI:
     def counter_map(self) -> Dict[CounterKey, CounterValue]:
         return dict(self.counters)
 
-    def positive_keys(self) -> Tuple[CounterKey, ...]:
-        """The keys with a positive (or ω) count -- ``pos(c̄)`` of the paper."""
-        return tuple(key for key, _value in self.counters)
-
     def count(self, key: CounterKey) -> CounterValue:
         for existing, value in self.counters:
             if existing == key:
@@ -106,7 +102,8 @@ class PSI:
         return PSI.make(self.tau, counters, self.child_map())
 
     def with_tau(self, tau: PartialIsoType) -> "PSI":
-        return PSI.make(tau, self.counter_map(), self.child_map())
+        # The counters and children are already normalised: reuse them.
+        return PSI(tau, self.counters, self.children)
 
     def with_counters(self, counters: Mapping[CounterKey, CounterValue]) -> "PSI":
         return PSI.make(self.tau, counters, self.child_map())
@@ -125,7 +122,7 @@ class PSI:
     def with_child(self, child: str, active: bool) -> "PSI":
         children = self.child_map()
         children[child] = active
-        return PSI.make(self.tau, self.counter_map(), children)
+        return PSI(self.tau, self.counters, tuple(sorted(children.items())))
 
     # -- misc ---------------------------------------------------------------------
 

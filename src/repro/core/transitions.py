@@ -22,7 +22,7 @@ verification, the successors of a partial symbolic instance under
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.expressions import ExpressionUniverse
 from repro.core.flatten import flatten_condition
@@ -104,15 +104,37 @@ class SymbolicTransitionSystem:
 
         # Flattened, filtered and interned conjunctions per condition.
         self._conjunctions: Dict[int, List[List[IdConstraint]]] = {}
-        # Memos for the lifetime of this system (one verify): ``evaluate`` and
-        # ``successors`` are pure functions of their arguments, so a hit
-        # returns the very list the first call built, in the same order.
+        # Memos for the lifetime of this system (one verify): ``evaluate``,
+        # ``project`` and ``successors`` are pure functions of their
+        # arguments, so a hit returns the very object the first call built.
         # Callers must not mutate the returned lists.  ``evaluate`` is keyed
         # like ``conjunctions`` (by condition identity), so every condition it
         # sees must stay alive as long as the system -- hence the held ``true``.
         self._evaluated: Dict[Tuple[int, PartialIsoType], List[PartialIsoType]] = {}
+        self._projected: Dict[Tuple[PartialIsoType, FrozenSet[str]], PartialIsoType] = {}
         self._successors: Dict[PSI, List[SymbolicMove]] = {}
         self._true = TrueCond()
+
+        # The roots each projection keeps, fixed per service: an internal
+        # service keeps its propagated variables and a child's closing
+        # service every task variable it does not overwrite, both with the
+        # global variables; a stored tuple keeps the inserted variables only.
+        task_vars = set(self.task.variable_names)
+        self._kept_by_service: Dict[str, FrozenSet[str]] = {
+            service.name: self._kept_roots(service.propagated)
+            for service in self.system.internal_services(task_name)
+        }
+        self._kept_by_child: Dict[str, FrozenSet[str]] = {
+            child: self._kept_roots(
+                task_vars - set(self.system.closing_service(child).output_mapping().values())
+            )
+            for child in self.system.children_of(task_name)
+        }
+        self._inserted_roots: Dict[str, FrozenSet[str]] = {
+            service.name: frozenset(service.update.variables)
+            for service in self.system.internal_services(task_name)
+            if isinstance(service.update, Insert)
+        }
 
         # Static analysis: collect every constraint any transition could add.
         all_conjunctions: List[Sequence[Constraint]] = []
@@ -142,11 +164,6 @@ class SymbolicTransitionSystem:
         if self.ltl_property is not None:
             conditions.extend(self.ltl_property.conditions.values())
         return conditions
-
-    def extend(self, tau: PartialIsoType, constraints: Sequence[Constraint]) -> Optional[PartialIsoType]:
-        """Extend a type with constraints, after static-analysis filtering."""
-        filtered = self.constraint_filter.filter_constraints(constraints)
-        return tau.extend(filtered)
 
     def conjunctions(self, condition: Condition) -> List[List[IdConstraint]]:
         """Cached ``conj(φ)`` of a condition, filtered and interned."""
@@ -184,8 +201,16 @@ class SymbolicTransitionSystem:
         """All service names observable in local runs, plus the stutter step."""
         return self.system.observable_service_names(self.task_name) + (TERMINATED_SERVICE,)
 
-    def _kept_roots(self, propagated: Iterable[str]) -> Set[str]:
-        return set(propagated) | set(self._global_roots)
+    def _kept_roots(self, propagated: Iterable[str]) -> FrozenSet[str]:
+        return frozenset(propagated) | frozenset(self._global_roots)
+
+    def project(self, tau: PartialIsoType, kept: FrozenSet[str]) -> PartialIsoType:
+        """``tau.project(kept)`` (memoised; *kept* is one of the fixed root sets)."""
+        memo_key = (tau, kept)
+        projected = self._projected.get(memo_key)
+        if projected is None:
+            projected = self._projected[memo_key] = tau.project(kept)
+        return projected
 
     def _initial_children(self) -> Dict[str, bool]:
         children = {child: False for child in self.system.children_of(self.task_name)}
@@ -264,10 +289,10 @@ class SymbolicTransitionSystem:
 
     def _apply_internal(self, psi: PSI, service: InternalService) -> List[SymbolicMove]:
         update = service.update if self.options.use_artifact_relations else None
-        kept = self._kept_roots(service.propagated)
+        kept = self._kept_by_service[service.name]
         moves: List[SymbolicMove] = []
         for pre_extended in self.evaluate(psi.tau, service.pre):
-            projected = pre_extended.project(kept)
+            projected = self.project(pre_extended, kept)
             for post_extended in self.evaluate(projected, service.post):
                 if update is None:
                     moves.append(SymbolicMove(service.name, psi.with_tau(post_extended)))
@@ -295,9 +320,9 @@ class SymbolicTransitionSystem:
             variable: attribute.name
             for variable, attribute in zip(update.variables, relation.attributes)
         }
-        stored_type = pre_extended.project(set(update.variables)).rename_roots(
-            renaming, target_universe
-        )
+        stored_type = self.project(
+            pre_extended, self._inserted_roots[service.name]
+        ).rename_roots(renaming, target_universe)
         if stored_type is None:  # pragma: no cover - defensive; renaming preserves consistency
             return []
         counters = psi.counter_map()
@@ -349,17 +374,14 @@ class SymbolicTransitionSystem:
 
     def _child_closing_moves(self, psi: PSI) -> List[SymbolicMove]:
         moves: List[SymbolicMove] = []
-        task_vars = set(self.task.variable_names)
         for child in self.system.children_of(self.task_name):
             if not psi.child_active(child):
                 continue
             closing = self.system.closing_service(child)
-            returned = set(closing.output_mapping().values())
-            kept = self._kept_roots(task_vars - returned)
             # The returned variables are overwritten by the child's outputs:
             # drop their accumulated constraints; later condition evaluations
             # re-constrain them lazily, covering every child behaviour.
-            projected = psi.tau.project(kept)
+            projected = self.project(psi.tau, self._kept_by_child[child])
             moves.append(SymbolicMove(closing.name, psi.with_tau(projected).with_child(child, False)))
         return moves
 

@@ -105,6 +105,7 @@ from repro.server.store import (
 )
 from repro.server.workers import (
     ProcessWorkerAgent,
+    children_alive,
     deadline_ms_binding,
     pool_snapshot,
     probe_process_support,
@@ -330,6 +331,9 @@ class VerificationServer:
             cache=self.cache, default_options=default_options
         )
         self._stop_event = threading.Event()
+        # Serialises stop(): see its docstring.
+        self._stop_lock = threading.Lock()
+        self._stopped = False
         self._wakeup = threading.Event()
         self._worker_threads: List[threading.Thread] = []
         self._agents: List[ProcessWorkerAgent] = []
@@ -415,7 +419,21 @@ class VerificationServer:
         self._heartbeat_thread.start()
 
     def stop(self) -> None:
-        """Graceful shutdown: finish in-flight jobs, leave the queue persisted."""
+        """Graceful shutdown: finish in-flight jobs, leave the queue persisted.
+
+        Safe to call more than once and from several threads at a time
+        (``serve_forever`` calls it on its way out while its caller may be
+        stopping the server too): a later call waits for the first to finish
+        and returns, so no thread closes the store's connections while
+        another is still running a statement on one.
+        """
+        with self._stop_lock:
+            if self._stopped:
+                return
+            self._stopped = True
+            self._shutdown()
+
+    def _shutdown(self) -> None:
         self._stop_event.set()
         self._wakeup.set()
         if self._httpd is not None:
@@ -1340,6 +1358,11 @@ class VerificationServer:
         slot is alive (when any were configured), and the sweeper loop
         ticked recently (lease misses count as ticks -- a peer holding the
         lease is healthy).  Any failing check flips the endpoint to 503.
+
+        A thread slot is alive when its thread runs.  A process slot is
+        alive when its agent thread runs and its child is alive or not
+        spawned yet: a process pool spawns its children lazily, on the first
+        claimed job, so a fresh idle pool is ready (see ``pool_snapshot``).
         """
         store_ok = self.store.ping()
         checks: Dict[str, Any] = {
@@ -1408,9 +1431,8 @@ class VerificationServer:
             "pool": self.metrics.worker_gauges.snapshot(),
         }
         if self.worker_model == "process":
-            alive, total = pool_snapshot(self._agents)
-            view["processes_alive"] = alive
-            view["processes_total"] = total
+            view["processes_alive"] = children_alive(self._agents)
+            view["processes_total"] = len(self._agents)
         if self.worker_fallback_error is not None:
             view["fallback_error"] = self.worker_fallback_error
         return view

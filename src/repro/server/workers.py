@@ -541,8 +541,23 @@ class ProcessWorkerAgent(threading.Thread):
 
 
 def pool_snapshot(agents) -> Tuple[int, int]:
-    """(alive, total) child-process counts for a list of agents."""
+    """(alive, total) worker slots of a process pool.
+
+    A slot is alive when its agent thread runs and its child process is
+    alive or not spawned yet: children spawn on the first claimed job (and
+    respawn on the next one after a crash), so an agent still waiting for
+    work can serve it.
+    """
     alive = sum(
-        1 for agent in agents if agent.process is not None and agent.process.is_alive()
+        1
+        for agent in agents
+        if agent.is_alive() and (agent.process is None or agent.process.is_alive())
     )
     return alive, len(agents)
+
+
+def children_alive(agents) -> int:
+    """How many of the agents' child processes are spawned and running."""
+    return sum(
+        1 for agent in agents if agent.process is not None and agent.process.is_alive()
+    )

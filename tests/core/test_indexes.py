@@ -10,59 +10,70 @@ from repro.core.indexes import ActiveStateIndex
 class TestActiveStateIndex:
     def test_candidates(self):
         index = ActiveStateIndex()
-        index.add("loose", ["e1"])
-        index.add("tight", ["e1", "e2", "e3"])
+        index.add("loose", index.mask(["e1"]))
+        index.add("tight", index.mask(["e1", "e2", "e3"]))
         # Items whose edges are a subset of the query: candidates that may cover the query.
-        assert index.candidates_covering(["e1", "e2"]) == {"loose"}
+        assert index.candidates_covering(index.mask(["e1", "e2"])) == {"loose"}
         # Items whose edges are a superset of the query: candidates the query may cover.
-        assert index.candidates_covered_by(["e1", "e2"]) == {"tight"}
+        assert index.candidates_covered_by(index.mask(["e1", "e2"])) == {"tight"}
 
     def test_empty_edge_set(self):
         index = ActiveStateIndex()
-        index.add("empty", [])
-        index.add("a", ["a"])
+        index.add("empty", index.mask([]))
+        index.add("a", index.mask(["a"]))
         # The empty set is a subset of every query ...
-        assert index.candidates_covering(["z"]) == {"empty"}
-        assert index.candidates_covering([]) == {"empty"}
+        assert index.candidates_covering(index.mask(["z"])) == {"empty"}
+        assert index.candidates_covering(index.mask([])) == {"empty"}
         # ... and every stored set is a superset of the empty query.
-        assert index.candidates_covered_by([]) == {"empty", "a"}
+        assert index.candidates_covered_by(index.mask([])) == {"empty", "a"}
 
     def test_duplicate_edge_sets(self):
         index = ActiveStateIndex()
-        index.add("a", ["e1", "e2"])
-        index.add("b", ["e2", "e1"])
-        assert index.candidates_covered_by(["e1", "e2"]) == {"a", "b"}
-        assert index.candidates_covering(["e1", "e2", "e3"]) == {"a", "b"}
+        index.add("a", index.mask(["e1", "e2"]))
+        index.add("b", index.mask(["e2", "e1"]))
+        assert index.candidates_covered_by(index.mask(["e1", "e2"])) == {"a", "b"}
+        assert index.candidates_covering(index.mask(["e1", "e2", "e3"])) == {"a", "b"}
 
     def test_unseen_query_edges(self):
         index = ActiveStateIndex()
-        index.add("a", ["e1"])
-        assert index.candidates_covering(["e1", "new"]) == {"a"}
-        assert index.candidates_covered_by(["e1", "new"]) == set()
+        index.add("a", index.mask(["e1"]))
+        assert index.candidates_covering(index.mask(["e1", "new"])) == {"a"}
+        assert index.candidates_covered_by(index.mask(["e1", "new"])) == set()
 
     def test_readding_an_item_replaces_its_edge_set(self):
         index = ActiveStateIndex()
-        index.add("a", ["e1", "e2"])
-        index.add("a", ["e3"])
+        index.add("a", index.mask(["e1", "e2"]))
+        index.add("a", index.mask(["e3"]))
         assert len(index) == 1
-        assert index.candidates_covering(["e3"]) == {"a"}
-        assert index.candidates_covered_by(["e1"]) == set()
+        assert index.candidates_covering(index.mask(["e3"])) == {"a"}
+        assert index.candidates_covered_by(index.mask(["e1"])) == set()
 
     def test_remove_and_contains(self):
         index = ActiveStateIndex()
-        index.add(1, ["a"])
+        index.add(1, index.mask(["a"]))
         assert 1 in index
         index.remove(1)
         assert 1 not in index
-        assert index.candidates_covering(["a"]) == set()
-        assert index.candidates_covered_by(["a"]) == set()
+        assert index.candidates_covering(index.mask(["a"])) == set()
+        assert index.candidates_covered_by(index.mask(["a"])) == set()
         index.remove(1)  # idempotent
         index.remove("missing")  # removing unknown items is a no-op
 
+    def test_mask_is_one_bit_per_edge_and_order_free(self):
+        index = ActiveStateIndex()
+        first = index.mask(["e1", "e2"])
+        assert bin(first).count("1") == 2
+        assert index.mask(["e2", "e1", "e2"]) == first
+        assert index.mask([]) == 0
+        # A new edge gets a new bit; the masks of known edges do not change.
+        extended = index.mask(["e1", "e2", "e3"])
+        assert extended & first == first and bin(extended).count("1") == 3
+        assert index.mask(["e1", "e2"]) == first
+
     def test_items_and_len(self):
         index = ActiveStateIndex()
-        index.add("x", ["a"])
-        index.add("y", ["b"])
+        index.add("x", index.mask(["a"]))
+        index.add("y", index.mask(["b"]))
         assert set(index.items()) == {"x", "y"}
         assert len(index) == 2
 
@@ -84,9 +95,9 @@ class TestDifferentialAgainstBruteForce:
         items, query = data
         index = ActiveStateIndex()
         for item, elements in items:
-            index.add(item, elements)
-        assert index.candidates_covering(query) == {i for i, e in items if e <= query}
-        assert index.candidates_covered_by(query) == {i for i, e in items if e >= query}
+            index.add(item, index.mask(elements))
+        assert index.candidates_covering(index.mask(query)) == {i for i, e in items if e <= query}
+        assert index.candidates_covered_by(index.mask(query)) == {i for i, e in items if e >= query}
 
     @given(_collections())
     @settings(max_examples=60, deadline=None)
@@ -95,11 +106,11 @@ class TestDifferentialAgainstBruteForce:
         rng = random.Random(0)
         index = ActiveStateIndex()
         for item, elements in items:
-            index.add(item, elements)
+            index.add(item, index.mask(elements))
         removed = {item for item, _ in items if rng.random() < 0.5}
         for item in removed:
             index.remove(item)
         remaining = [(item, elements) for item, elements in items if item not in removed]
-        assert index.candidates_covering(query) == {i for i, e in remaining if e <= query}
-        assert index.candidates_covered_by(query) == {i for i, e in remaining if e >= query}
+        assert index.candidates_covering(index.mask(query)) == {i for i, e in remaining if e <= query}
+        assert index.candidates_covered_by(index.mask(query)) == {i for i, e in remaining if e >= query}
         assert len(index) == len(remaining)

@@ -193,7 +193,7 @@ class TestGlobalVariables:
         sts = _sts(tiny_system, ltl_property=ltl_property)
         assert sts.universe.has_root("g")
         initial = sts.initial_moves()[0].psi
-        constrained = sts.extend(initial.tau, [(NavExpr("g"), ConstExpr(None), "!=")])
+        constrained = initial.tau.extend([(NavExpr("g"), ConstExpr(None), "!=")])
         psi = initial.with_tau(constrained)
         # `pick` propagates nothing, yet the global variable constraint survives.
         [pick] = [m for m in sts.successors(psi) if m.service == "pick"]

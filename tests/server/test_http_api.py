@@ -456,6 +456,42 @@ class TestRestartRecovery:
         blocked.join(timeout=10)
         assert not blocked.is_alive()
 
+    def test_concurrent_stops_run_one_shutdown(self, tmp_path):
+        # serve_forever stops the server on its way out while its caller may
+        # be stopping it too.  Overlapping shutdowns let one thread close the
+        # store's connections under another's statement (a crash in sqlite).
+        server = VerificationServer(store_path=tmp_path / "jobs.db", port=0, workers=1)
+        server.start()
+        lock = threading.Lock()
+        in_store, peak, closes = [0], [0], []
+        release_lease, close = server.store.release_lease, server.store.close
+
+        def slow_release(*args, **kwargs):
+            with lock:
+                in_store[0] += 1
+                peak[0] = max(peak[0], in_store[0])
+            time.sleep(0.2)
+            try:
+                return release_lease(*args, **kwargs)
+            finally:
+                with lock:
+                    in_store[0] -= 1
+
+        def counted_close():
+            closes.append(threading.current_thread().name)
+            close()
+
+        server.store.release_lease = slow_release
+        server.store.close = counted_close
+        stoppers = [threading.Thread(target=server.stop) for _ in range(2)]
+        for stopper in stoppers:
+            stopper.start()
+        for stopper in stoppers:
+            stopper.join(timeout=30)
+        assert not any(stopper.is_alive() for stopper in stoppers)
+        assert peak[0] == 1
+        assert len(closes) == 1
+
     def test_restart_with_no_pending_work_is_clean(self, tmp_path):
         server_a = VerificationServer(store_path=tmp_path / "jobs.db", port=0, workers=1)
         server_a.start()

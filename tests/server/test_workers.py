@@ -24,6 +24,7 @@ from repro.client import VerifasClient
 from repro.has.conditions import Const, Eq, Neq, Var
 from repro.ltl import LTLFOProperty, parse_ltl
 from repro.server import VerificationServer
+from repro.server.workers import children_alive, pool_snapshot
 from repro.spec import dump_property, dump_system
 
 pytestmark = pytest.mark.skipif(
@@ -87,6 +88,43 @@ def _wait_for_progress(client: VerifasClient, job_id: str) -> None:
         ),
         message="search progress",
     )
+
+
+class _Stub:
+    def __init__(self, alive):
+        self._alive = alive
+
+    def is_alive(self):
+        return self._alive
+
+
+class _StubAgent(_Stub):
+    def __init__(self, thread_alive, child_alive):
+        super().__init__(thread_alive)
+        self.process = None if child_alive is None else _Stub(child_alive)
+
+
+class TestPoolSnapshot:
+    """Readiness counts a live agent whose child is alive or not spawned yet
+    (children spawn lazily on the first job); ``processes_alive`` counts
+    spawned, running children only."""
+
+    @pytest.mark.parametrize("thread_alive,child_alive,ready,running", [
+        (True, None, 1, 0),    # fresh pool: no child yet, the agent waits for work
+        (True, True, 1, 1),
+        (True, False, 0, 0),   # the child died and has not been respawned
+        (False, None, 0, 0),   # the agent thread itself is gone
+        (False, True, 0, 1),
+    ])
+    def test_one_agent(self, thread_alive, child_alive, ready, running):
+        agents = [_StubAgent(thread_alive, child_alive)]
+        assert pool_snapshot(agents) == (ready, 1)
+        assert children_alive(agents) == running
+
+    def test_mixed_pool(self):
+        agents = [_StubAgent(True, None), _StubAgent(True, False), _StubAgent(True, True)]
+        assert pool_snapshot(agents) == (2, 3)
+        assert children_alive(agents) == 1
 
 
 class TestProcessPoolHappyPath:
