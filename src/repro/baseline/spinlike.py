@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.core.repeated import states_on_cycles
 from repro.has.artifact_system import ArtifactSystem
 from repro.has.conditions import (
     And,
@@ -368,42 +369,4 @@ class SpinLikeVerifier:
 
 def _has_accepting_cycle(edges: Dict[int, Set[int]], accepting: Set[int]) -> bool:
     """Whether some accepting vertex lies on a cycle (Tarjan SCC over the product graph)."""
-    import sys
-
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * len(edges) + 100))
-    index_counter = [0]
-    index: Dict[int, int] = {}
-    lowlink: Dict[int, int] = {}
-    stack: List[int] = []
-    on_stack: Set[int] = set()
-    found = [False]
-
-    def strongconnect(v: int) -> None:
-        index[v] = lowlink[v] = index_counter[0]
-        index_counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        for w in edges.get(v, ()):  # successors
-            if w not in index:
-                strongconnect(w)
-                lowlink[v] = min(lowlink[v], lowlink[w])
-            elif w in on_stack:
-                lowlink[v] = min(lowlink[v], index[w])
-        if lowlink[v] == index[v]:
-            component = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                component.append(w)
-                if w == v:
-                    break
-            has_cycle = len(component) > 1 or (
-                component and component[0] in edges.get(component[0], ())
-            )
-            if has_cycle and any(vertex in accepting for vertex in component):
-                found[0] = True
-
-    for vertex in list(edges):
-        if vertex not in index and not found[0]:
-            strongconnect(vertex)
-    return found[0]
+    return not accepting.isdisjoint(states_on_cycles(edges))

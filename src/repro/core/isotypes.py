@@ -93,10 +93,6 @@ class PartialIsoType:
         is_constant = self.universe.is_constant
         return pair in self._neq or (is_constant[left] and is_constant[right])
 
-    def representative(self, expression: Expression) -> Expression:
-        """The canonical representative of the expression's equivalence class."""
-        return self.universe.expression(self._root(expression))
-
     def same_class(self, left: Expression, right: Expression) -> bool:
         """Whether the two expressions are known to be equal."""
         return self._root(left) == self._root(right)
@@ -110,14 +106,6 @@ class PartialIsoType:
         """All expressions mentioned by at least one constraint."""
         expression = self.universe.expression
         return {expression(index) for index in self._rep}
-
-    def equivalence_classes(self) -> Dict[Expression, Set[Expression]]:
-        """Representative -> members, for all mentioned expressions."""
-        expression = self.universe.expression
-        return {
-            expression(root): {expression(member) for member in members}
-            for root, members in self._classes.items()
-        }
 
     def id_constraints(self) -> List[IdConstraint]:
         """All (closed) constraints over ids, in key order: = pairs within classes, ≠ pairs."""

@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.core.control import STOP_CANCELLED, STOP_DEADLINE, SearchControl
 from repro.core.coverage import covers_leq, covers_preceq
 from repro.core.indexes import ActiveStateIndex
+from repro.core.isotypes import PartialIsoType
 from repro.core.options import CoverageMode, VerifierOptions
 from repro.core.product import ProductMove, ProductState, ProductSystem
-from repro.core.psi import PSI
+from repro.core.psi import CounterKey
 from repro.core.stats import SearchStatistics
 from repro.vass.vass import OMEGA
 
@@ -72,6 +73,53 @@ class KarpMillerResult:
             current = node.parent
         path.reverse()
         return path
+
+
+class StateMasks:
+    """Index masks of product states, composed from per-component masks.
+
+    A state's edge set ``E(I)`` (Section 3.6) is the union of three parts:
+
+    * the edges of its isomorphism type;
+    * for each stored-tuple counter key ``(relation, stored type)``, the stored
+      type's edges tagged with the relation, plus a ``has-counter`` marker
+      for the key;
+    * the Büchi state and the child stages, as mandatory pseudo-edges, so
+      that only states with identical control components are candidates.
+
+    Each part's mask is computed once per search, keyed by its component, and
+    a state's mask is the OR of its parts.  All parts number their bits in
+    one index, so the OR is exactly the mask of ``E(I)``.
+    """
+
+    def __init__(self, index: ActiveStateIndex) -> None:
+        self._index = index
+        self._types: Dict[PartialIsoType, int] = {}
+        self._counters: Dict[CounterKey, int] = {}
+        self._controls: Dict[Tuple[int, Tuple[Tuple[str, bool], ...]], int] = {}
+
+    def mask_of(self, state: ProductState) -> int:
+        psi = state.psi
+        tau = psi.tau
+        mask = self._types.get(tau)
+        if mask is None:
+            mask = self._types[tau] = self._index.mask(tau.edge_set())
+        counters = self._counters
+        for key, _count in psi.counters:
+            part = counters.get(key)
+            if part is None:
+                relation, stored_type = key
+                edges: List[Hashable] = [(relation, edge) for edge in stored_type.edge_set()]
+                edges.append(("has-counter", relation, stored_type.canonical_key()))
+                part = counters[key] = self._index.mask(edges)
+            mask |= part
+        control = (state.buchi_state, psi.children)
+        part = self._controls.get(control)
+        if part is None:
+            edges = [("buchi", state.buchi_state)]
+            edges.extend(("child", child, active) for child, active in psi.children)
+            part = self._controls[control] = self._index.mask(edges)
+        return mask | part
 
 
 class KarpMillerSearch:
@@ -145,20 +193,11 @@ class KarpMillerSearch:
         index: Optional[ActiveStateIndex] = (
             ActiveStateIndex() if self.options.data_structure_support else None
         )
-        # Each state's index mask, keyed by its (cached) edge set: computed
-        # once per search.  The index holds exactly the active nodes.
-        masks: Dict[FrozenSet[Hashable], int] = {}
+        mask_of: Callable[[ProductState], int] = (
+            StateMasks(index).mask_of if index is not None else lambda _state: 0
+        )
         worklist: List[int] = []
         completed = True
-
-        def mask_of(state: ProductState) -> int:
-            if index is None:
-                return 0
-            edges = state.edge_elements()
-            mask = masks.get(edges)
-            if mask is None:
-                mask = masks[edges] = index.mask(edges)
-            return mask
 
         def add_node(
             state: ProductState, parent: Optional[int], service: Optional[str], mask: int

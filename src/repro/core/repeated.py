@@ -217,7 +217,7 @@ class RepeatedReachabilityAnalyzer:
         """
         with self.control.phase("cycle-detection"):
             graph = self._coverage_graph(states, roots=accepting)
-            return bool(_states_on_cycles(graph) & accepting)
+            return bool(states_on_cycles(graph) & accepting)
 
     def _coverage_graph(
         self, states: Sequence[ProductState], roots: Optional[Iterable[int]] = None
@@ -260,7 +260,7 @@ class RepeatedReachabilityAnalyzer:
         return graph
 
 
-def _states_on_cycles(graph: Dict[int, Set[int]]) -> Set[int]:
+def states_on_cycles(graph: Dict[int, Set[int]]) -> Set[int]:
     """Vertices lying on a (non-trivial or self-loop) cycle, via Tarjan's SCC.
 
     Iterative (explicit work stack): the graph can hold up to ``max_states``

@@ -24,7 +24,7 @@ when *every* derived edge ``(e.w, e'.w)`` is non-violating as well.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.expressions import ConstExpr, Expression, ExpressionUniverse, NavExpr
 from repro.core.isotypes import Constraint, EQ, IdConstraint, NEQ
@@ -103,38 +103,49 @@ class ConstraintGraph:
 
         Returns ``(blocks, blocks_of_node)`` where ``blocks`` is a list of edge
         sets (one per biconnected block) and ``blocks_of_node`` maps a node to
-        the indices of the blocks containing it.  Constraint graphs are small
-        (bounded by the expression universe), so a recursive DFS is fine.
+        the indices of the blocks containing it.  The DFS keeps an explicit
+        stack of ``(node, parent, neighbours)`` frames, so a long =-chain
+        needs no deep Python recursion.
         """
-        import sys
-
         adjacency = self._adjacency()
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * len(adjacency) + 100))
-
         index: Dict[Node, int] = {}
         lowlink: Dict[Node, int] = {}
         blocks: List[Set[Edge]] = []
         edge_stack: List[Edge] = []
-        counter = [0]
 
-        def dfs(node: Node, parent: Optional[Node]) -> None:
-            index[node] = lowlink[node] = counter[0]
-            counter[0] += 1
-            parent_skipped = False
-            for neighbour in sorted(adjacency[node]):
-                if neighbour == parent and not parent_skipped:
-                    # Skip the tree edge back to the parent exactly once
-                    # (parallel edges cannot occur: edges are sets).
-                    parent_skipped = True
-                    continue
-                edge = _edge(node, neighbour)
-                if neighbour not in index:
-                    edge_stack.append(edge)
-                    dfs(neighbour, node)
-                    lowlink[node] = min(lowlink[node], lowlink[neighbour])
-                    if lowlink[neighbour] >= index[node]:
-                        # node is an articulation point (or the DFS root):
+        for start in adjacency:
+            if start in index:
+                continue
+            index[start] = lowlink[start] = len(index)
+            work: List[Tuple[Node, Optional[Node], Iterator[Node]]] = [
+                (start, None, iter(sorted(adjacency[start])))
+            ]
+            while work:
+                node, parent, neighbours = work[-1]
+                for neighbour in neighbours:
+                    # Skip the tree edge back to the parent (edges are sets:
+                    # there are no parallel edges and no self-loops).
+                    if neighbour == parent:
+                        continue
+                    if neighbour not in index:
+                        edge_stack.append(_edge(node, neighbour))
+                        index[neighbour] = lowlink[neighbour] = len(index)
+                        work.append((neighbour, node, iter(sorted(adjacency[neighbour]))))
+                        break
+                    if index[neighbour] < index[node]:
+                        # Back edge.
+                        edge_stack.append(_edge(node, neighbour))
+                        lowlink[node] = min(lowlink[node], index[neighbour])
+                else:
+                    # Every neighbour is done: return to the parent.
+                    work.pop()
+                    if parent is None:
+                        continue
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+                    if lowlink[node] >= index[parent]:
+                        # parent is an articulation point (or the DFS root):
                         # pop one biconnected block ending with this tree edge.
+                        edge = _edge(parent, node)
                         block: Set[Edge] = set()
                         while edge_stack:
                             popped = edge_stack.pop()
@@ -143,17 +154,9 @@ class ConstraintGraph:
                                 break
                         if block:
                             blocks.append(block)
-                elif index[neighbour] < index[node]:
-                    # Back edge.
-                    edge_stack.append(edge)
-                    lowlink[node] = min(lowlink[node], index[neighbour])
-
-        for node in adjacency:
-            if node not in index:
-                dfs(node, None)
-                if edge_stack:  # pragma: no cover - defensive; blocks are popped eagerly
-                    blocks.append(set(edge_stack))
-                    edge_stack.clear()
+            if edge_stack:  # pragma: no cover - defensive; blocks are popped eagerly
+                blocks.append(set(edge_stack))
+                edge_stack.clear()
 
         blocks_of_node: Dict[Node, Set[int]] = {}
         for block_id, block in enumerate(blocks):

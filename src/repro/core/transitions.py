@@ -39,6 +39,8 @@ from repro.vass.vass import OMEGA
 
 #: Pseudo-child key marking that the verified task has executed its closing service.
 CLOSED_MARKER = "__closed__"
+#: Marks a memo entry not computed yet (``None`` is a memoised result).
+_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -114,6 +116,13 @@ class SymbolicTransitionSystem:
         self._projected: Dict[Tuple[PartialIsoType, FrozenSet[str]], PartialIsoType] = {}
         self._successors: Dict[PSI, List[SymbolicMove]] = {}
         self._true = TrueCond()
+        # Stored-tuple renamings, keyed by service: a service fixes the
+        # renaming and its target universe, so ``rename_roots`` is then a
+        # function of the type alone.  An insert maps the projected type to
+        # the stored type; a retrieval maps a stored type to the filtered id
+        # constraints it adds.  ``None`` (inconsistent) is memoised too.
+        self._stored: Dict[Tuple[str, PartialIsoType], Optional[PartialIsoType]] = {}
+        self._retrieved: Dict[Tuple[str, PartialIsoType], Optional[List[IdConstraint]]] = {}
 
         # The roots each projection keeps, fixed per service: an internal
         # service keeps its propagated variables and a child's closing
@@ -314,21 +323,31 @@ class SymbolicTransitionSystem:
         post_extended: PartialIsoType,
         update: Insert,
     ) -> List[SymbolicMove]:
-        relation = self.task.artifact_relation(update.relation)
-        target_universe = self._relation_universes[update.relation]
-        renaming = {
-            variable: attribute.name
-            for variable, attribute in zip(update.variables, relation.attributes)
-        }
-        stored_type = self.project(
-            pre_extended, self._inserted_roots[service.name]
-        ).rename_roots(renaming, target_universe)
+        projected = self.project(pre_extended, self._inserted_roots[service.name])
+        stored_type = self._stored_type(service, update, projected)
         if stored_type is None:  # pragma: no cover - defensive; renaming preserves consistency
             return []
         counters = psi.counter_map()
         key = (update.relation, stored_type)
         counters[key] = counter_add(counters.get(key, 0), 1)
         return [SymbolicMove(service.name, PSI.make(post_extended, counters, psi.child_map()))]
+
+    def _stored_type(
+        self, service: InternalService, update: Insert, projected: PartialIsoType
+    ) -> Optional[PartialIsoType]:
+        """The stored-tuple type inserting *projected* creates (memoised per service)."""
+        memo_key = (service.name, projected)
+        stored_type = self._stored.get(memo_key, _UNSET)
+        if stored_type is _UNSET:
+            relation = self.task.artifact_relation(update.relation)
+            renaming = {
+                variable: attribute.name
+                for variable, attribute in zip(update.variables, relation.attributes)
+            }
+            stored_type = self._stored[memo_key] = projected.rename_roots(
+                renaming, self._relation_universes[update.relation]
+            )
+        return stored_type
 
     def _retrieve_moves(
         self,
@@ -337,21 +356,14 @@ class SymbolicTransitionSystem:
         post_extended: PartialIsoType,
         update: Retrieve,
     ) -> List[SymbolicMove]:
-        relation = self.task.artifact_relation(update.relation)
-        renaming = {
-            attribute.name: variable
-            for variable, attribute in zip(update.variables, relation.attributes)
-        }
         moves: List[SymbolicMove] = []
         for (relation_name, stored_type), count in psi.counters:
             if relation_name != update.relation:
                 continue
-            retrieved = stored_type.rename_roots(renaming, self.universe)
-            if retrieved is None:  # pragma: no cover - defensive
+            constraints = self._retrieved_constraints(service, update, stored_type)
+            if constraints is None:  # pragma: no cover - defensive
                 continue
-            merged = post_extended.extend_ids(
-                self.constraint_filter.filter_ids(retrieved.id_constraints())
-            )
+            merged = post_extended.extend_ids(constraints)
             if merged is None:
                 continue
             successor = psi.with_tau(merged).with_counter_delta((relation_name, stored_type), -1)
@@ -359,6 +371,26 @@ class SymbolicTransitionSystem:
                 continue
             moves.append(SymbolicMove(service.name, successor))
         return moves
+
+    def _retrieved_constraints(
+        self, service: InternalService, update: Retrieve, stored_type: PartialIsoType
+    ) -> Optional[List[IdConstraint]]:
+        """The filtered id constraints retrieving *stored_type* adds (memoised per service)."""
+        memo_key = (service.name, stored_type)
+        constraints = self._retrieved.get(memo_key, _UNSET)
+        if constraints is _UNSET:
+            relation = self.task.artifact_relation(update.relation)
+            renaming = {
+                attribute.name: variable
+                for variable, attribute in zip(update.variables, relation.attributes)
+            }
+            retrieved = stored_type.rename_roots(renaming, self.universe)
+            constraints = self._retrieved[memo_key] = (
+                None
+                if retrieved is None
+                else self.constraint_filter.filter_ids(retrieved.id_constraints())
+            )
+        return constraints
 
     # -- child opening / closing ---------------------------------------------------------
 

@@ -1,9 +1,12 @@
 """Tests for the Spin-like explicit-state baseline verifier."""
 
+import sys
+
 import pytest
 
 from repro import Verifier, VerifierOptions
 from repro.baseline import SpinLikeVerifier
+from repro.baseline.spinlike import _has_accepting_cycle
 from repro.has.conditions import Const, Eq, Neq, NULL, Var
 from repro.ltl.ltlfo import LTLFOProperty
 from repro.ltl.parser import parse_ltl
@@ -85,3 +88,26 @@ class TestAgreementWithSymbolicVerifier:
         symbolic = Verifier(tiny_system, VerifierOptions(max_states=20_000)).verify(ltl_property)
         baseline = SpinLikeVerifier(tiny_system, max_states=100_000).verify(ltl_property)
         assert baseline.states_explored > symbolic.stats.states_explored
+
+
+class TestAcceptingCycle:
+    """The cycle check keeps an explicit stack: a product graph far deeper
+    than CPython's recursion limit needs no raised limit."""
+
+    N = 20_000
+
+    def _cycle_with_tail(self):
+        # 0 -> 1 -> ... -> N-1 -> 0, entered from a tail vertex N.
+        edges = {i: {(i + 1) % self.N} for i in range(self.N)}
+        edges[self.N] = {0}
+        return edges
+
+    def test_accepting_vertex_on_a_long_cycle(self):
+        limit = sys.getrecursionlimit()
+        assert _has_accepting_cycle(self._cycle_with_tail(), {self.N // 2})
+        assert sys.getrecursionlimit() == limit
+
+    def test_accepting_vertex_off_the_cycle(self):
+        limit = sys.getrecursionlimit()
+        assert not _has_accepting_cycle(self._cycle_with_tail(), {self.N})
+        assert sys.getrecursionlimit() == limit

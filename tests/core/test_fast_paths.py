@@ -8,7 +8,9 @@ Each fast path must return what its general algorithm returns:
 * ``PSI.with_tau`` / ``PSI.with_child`` reuse the normalised tuples instead
   of re-sorting them through ``PSI.make``;
 * ``SymbolicTransitionSystem.project`` memoises projections per verify;
-* ``ProductSystem`` resolves the Büchi moves once per (Büchi state, service).
+* ``ProductSystem`` resolves the Büchi moves once per (Büchi state, service);
+* ``StateMasks`` composes a state's index mask from per-component masks;
+* ``SymbolicTransitionSystem`` memoises stored-tuple renamings per service.
 
 The ``reference_*`` functions below are the general algorithms written out
 without their fast paths.  The hypothesis tests compare each pair on random
@@ -26,9 +28,11 @@ from repro.benchmark.properties import LTL_TEMPLATES, generate_properties
 from repro.benchmark.realworld import REAL_WORKFLOW_FACTORIES
 from repro.core.coverage import covers_preceq
 from repro.core.expressions import ConstExpr, ExpressionUniverse, NavExpr
+from repro.core.indexes import ActiveStateIndex
 from repro.core.isotypes import EQ, NEQ, PartialIsoType, empty_type
 from repro.core.maxflow import feasible_assignment
-from repro.core.product import ProductSystem
+from repro.core.karp_miller import StateMasks
+from repro.core.product import ProductState, ProductSystem
 from repro.core.psi import PSI, counter_leq
 from repro.core.transitions import SymbolicTransitionSystem
 from repro.has.conditions import Const, Eq, Var
@@ -99,6 +103,47 @@ def reference_buchi_moves_for(product, buchi_source, service):
         for transition in product.automaton.outgoing(buchi_source)
         if product._service_compatible(transition.label, service)
     ]
+
+
+def reference_edge_elements(state):
+    """A product state's whole edge set ``E(I)`` (Section 3.6), gathered in one pass."""
+    elements = set(state.psi.tau.edge_set())
+    for (relation, stored_type), _count in state.psi.counters:
+        for edge in stored_type.edge_set():
+            elements.add((relation, edge))
+        elements.add(("has-counter", relation, stored_type.canonical_key()))
+    elements.add(("buchi", state.buchi_state))
+    for child, active in state.psi.children:
+        elements.add(("child", child, active))
+    return frozenset(elements)
+
+
+class ReferenceMasks(StateMasks):
+    """Each state's mask encoded from its whole edge set, with no component memo."""
+
+    def mask_of(self, state):
+        return self._index.mask(reference_edge_elements(state))
+
+
+def reference_stored_type(system, service, update, projected):
+    relation = system.task.artifact_relation(update.relation)
+    renaming = {
+        variable: attribute.name
+        for variable, attribute in zip(update.variables, relation.attributes)
+    }
+    return projected.rename_roots(renaming, system._relation_universes[update.relation])
+
+
+def reference_retrieved_constraints(system, service, update, stored_type):
+    relation = system.task.artifact_relation(update.relation)
+    renaming = {
+        attribute.name: variable
+        for variable, attribute in zip(update.variables, relation.attributes)
+    }
+    retrieved = stored_type.rename_roots(renaming, system.universe)
+    if retrieved is None:
+        return None
+    return system.constraint_filter.filter_ids(retrieved.id_constraints())
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +378,37 @@ class TestPSIConstruction:
 
 
 # ---------------------------------------------------------------------------
+# Index masks
+# ---------------------------------------------------------------------------
+
+
+class TestComposedMasks:
+    @given(st.lists(st.tuples(_psis(), st.integers(0, 2)), min_size=1, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_match_the_mask_of_the_whole_edge_set(self, states):
+        # One index numbers the bits of both encodings, as in a search.
+        index = ActiveStateIndex()
+        masks = StateMasks(index)
+        for psi, buchi_state in states:
+            state = ProductState(psi, buchi_state)
+            assert masks.mask_of(state) == index.mask(reference_edge_elements(state))
+
+    def test_edge_elements_and_masks_follow_state_equality(self, tiny_system):
+        psi = SymbolicTransitionSystem(tiny_system, tiny_system.root).initial_moves()[0].psi
+        state = ProductState(psi, 0)
+        elements = reference_edge_elements(state)
+        # An equal state compares and hashes the same, and has the same edge
+        # set and mask; another Büchi state changes both.
+        twin = ProductState(psi, 0)
+        assert twin == state and hash(twin) == hash(state)
+        assert reference_edge_elements(twin) == elements
+        assert ("buchi", 0) in elements
+        assert reference_edge_elements(ProductState(psi, 1)) != elements
+        masks = StateMasks(ActiveStateIndex())
+        assert masks.mask_of(twin) == masks.mask_of(state) != masks.mask_of(ProductState(psi, 1))
+
+
+# ---------------------------------------------------------------------------
 # Projection memo
 # ---------------------------------------------------------------------------
 
@@ -399,6 +475,11 @@ def _patch_references(monkeypatch):
     monkeypatch.setattr(SymbolicTransitionSystem, "project", reference_project)
     monkeypatch.setattr(ProductSystem, "_buchi_moves_for", reference_buchi_moves_for)
     monkeypatch.setattr(karp_miller_module, "covers_preceq", reference_preceq)
+    monkeypatch.setattr(karp_miller_module, "StateMasks", ReferenceMasks)
+    monkeypatch.setattr(SymbolicTransitionSystem, "_stored_type", reference_stored_type)
+    monkeypatch.setattr(
+        SymbolicTransitionSystem, "_retrieved_constraints", reference_retrieved_constraints
+    )
 
 
 def _corpus_pair(workflow, template):
@@ -471,3 +552,59 @@ def test_service_propositions_reexpand_move_for_move(monkeypatch, tiny_system, f
         "Main", parse_ltl(formula), conditions={"p": Eq(Var("status"), Const("picked"))}
     )
     _assert_reexpands_move_for_move(monkeypatch, tiny_system, ltl_property)
+
+
+@pytest.mark.parametrize("workflow,template", CASES)
+def test_composed_masks_give_the_same_candidates(monkeypatch, workflow, template):
+    """At every mask lookup of a corpus verify, the composed mask is the mask
+    of the whole edge set, so both candidate queries return the same items."""
+    lookups = []
+
+    class CheckingMasks(StateMasks):
+        def mask_of(self, state):
+            mask = super().mask_of(state)
+            index = self._index
+            reference = index.mask(reference_edge_elements(state))
+            lookups.append((
+                state,
+                mask == reference,
+                index.candidates_covering(mask) == index.candidates_covering(reference),
+                index.candidates_covered_by(mask) == index.candidates_covered_by(reference),
+            ))
+            return mask
+
+    monkeypatch.setattr(karp_miller_module, "StateMasks", CheckingMasks)
+    system, ltl_property = _corpus_pair(workflow, template)
+    Verifier(system, OPTIONS).verify(ltl_property)
+    assert any(state.psi.counters for state, *_ in lookups)
+    assert [checks for _state, *checks in lookups] == [[True, True, True]] * len(lookups)
+
+
+@pytest.mark.parametrize("workflow,template", CASES)
+def test_renaming_memos_match_fresh_renamings(monkeypatch, workflow, template):
+    built = {}
+
+    class RecordingTransitions(SymbolicTransitionSystem):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built["transitions"] = self
+
+    monkeypatch.setattr(verifier_module, "SymbolicTransitionSystem", RecordingTransitions)
+    system, ltl_property = _corpus_pair(workflow, template)
+    Verifier(system, OPTIONS).verify(ltl_property)
+    transitions = built["transitions"]
+    assert transitions._stored and transitions._retrieved
+    services = {
+        service.name: service
+        for service in system.internal_services(transitions.task_name)
+    }
+    for (name, projected), stored_type in transitions._stored.items():
+        service = services[name]
+        assert stored_type == reference_stored_type(
+            transitions, service, service.update, projected
+        )
+    for (name, stored_type), constraints in transitions._retrieved.items():
+        service = services[name]
+        assert constraints == reference_retrieved_constraints(
+            transitions, service, service.update, stored_type
+        )

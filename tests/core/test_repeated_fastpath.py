@@ -17,7 +17,7 @@ else.  The fast path stays gated behind
 ``VerifierOptions.repeated_violation_fast_path`` so it can be switched off
 in the field (and forced off here for the comparison) without code changes.
 
-Also covers the iterative Tarjan rewrite of ``_states_on_cycles`` (the
+Also covers the iterative Tarjan rewrite of ``states_on_cycles`` (the
 recursive version risked C-stack overflow at ``max_states``-sized graphs).
 """
 
@@ -28,7 +28,7 @@ import pytest
 from repro.benchmark.properties import LTL_TEMPLATES, generate_properties
 from repro.benchmark.synthetic import SyntheticConfig, generate_synthetic_workflow
 from repro.core.options import VerifierOptions
-from repro.core.repeated import _states_on_cycles
+from repro.core.repeated import states_on_cycles
 from repro.core.verifier import Verifier
 from repro.has.conditions import Const, Eq, Neq, Var
 from repro.ltl import LTLFOProperty, parse_ltl
@@ -127,27 +127,27 @@ class TestFastPathDifferential:
 class TestIterativeTarjan:
     def test_simple_cycle_and_tail(self):
         graph = {0: {1}, 1: {2}, 2: {0}, 3: {0}}  # 3 is a tail into the cycle
-        assert _states_on_cycles(graph) == {0, 1, 2}
+        assert states_on_cycles(graph) == {0, 1, 2}
 
     def test_self_loop_counts(self):
-        assert _states_on_cycles({0: {0}, 1: set()}) == {0}
+        assert states_on_cycles({0: {0}, 1: set()}) == {0}
 
     def test_acyclic_graph_has_no_cycle_states(self):
         graph = {0: {1, 2}, 1: {3}, 2: {3}, 3: set()}
-        assert _states_on_cycles(graph) == set()
+        assert states_on_cycles(graph) == set()
 
     def test_two_disjoint_sccs(self):
         graph = {0: {1}, 1: {0}, 2: {3}, 3: {2}, 4: {0, 2}}
-        assert _states_on_cycles(graph) == {0, 1, 2, 3}
+        assert states_on_cycles(graph) == {0, 1, 2, 3}
 
     def test_edge_target_missing_from_keys_is_a_sink(self):
         # Rooted graph construction can reference vertices it never expanded.
-        assert _states_on_cycles({0: {1}}) == set()
+        assert states_on_cycles({0: {1}}) == set()
 
     def test_deep_chain_does_not_recurse(self):
         """A path longer than CPython's recursion limit must not crash."""
         n = 50_000
         graph = {i: {i + 1} for i in range(n)}
         graph[n] = {n - 1}  # one cycle at the far end
-        on_cycle = _states_on_cycles(graph)
+        on_cycle = states_on_cycles(graph)
         assert on_cycle == {n - 1, n}

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -110,6 +111,34 @@ class TestDifferentialAgainstBruteForce:
                 graph.add_constraint(NavExpr(a), NavExpr(b), NEQ)
         expected = _brute_force_violating_eq_edges(graph.eq_edges, graph.conflict_pairs())
         assert graph.violating_eq_edges() == expected
+
+
+class TestLongChains:
+    """Tarjan's blocks keep an explicit stack: an =-chain far longer than
+    CPython's recursion limit needs no raised limit."""
+
+    N = 20_000
+
+    def _chain(self):
+        graph = ConstraintGraph()
+        for i in range(self.N - 1):
+            graph.add_constraint(NavExpr(f"n{i}"), NavExpr(f"n{i + 1}"), EQ)
+        return graph
+
+    def test_chain_between_a_conflict_is_violating(self):
+        graph = self._chain()
+        graph.add_constraint(NavExpr("n0"), NavExpr(f"n{self.N - 1}"), NEQ)
+        limit = sys.getrecursionlimit()
+        blocks, _ = graph._block_cut_structure()
+        assert len(blocks) == self.N - 1  # every edge of a path is its own block
+        assert graph.violating_eq_edges() == graph.eq_edges
+        assert sys.getrecursionlimit() == limit
+
+    def test_chain_without_a_conflict_is_non_violating(self):
+        graph = self._chain()
+        limit = sys.getrecursionlimit()
+        assert graph.non_violating_eq_edges() == graph.eq_edges
+        assert sys.getrecursionlimit() == limit
 
 
 class TestConstraintFilter:

@@ -13,7 +13,7 @@ import repro.core.verifier as verifier_module
 from repro import Verifier, VerifierOptions
 from repro.benchmark.properties import LTL_TEMPLATES, generate_properties
 from repro.benchmark.realworld import REAL_WORKFLOW_FACTORIES
-from repro.core.product import ProductState, ProductSystem
+from repro.core.product import ProductSystem
 from repro.core.transitions import SymbolicTransitionSystem
 
 # (workflow, template): each reaches the repeated-reachability phase at the
@@ -97,20 +97,6 @@ def test_evaluate_memo_is_per_condition_and_type(tiny_system):
     assert by_name["pick"] and not by_name["ship"]
 
 
-def test_edge_elements_cached_outside_equality(tiny_system):
-    psi = SymbolicTransitionSystem(tiny_system, tiny_system.root).initial_moves()[0].psi
-    state = ProductState(psi, 0)
-    elements = state.edge_elements()
-    assert state.edge_elements() is elements
-    # The cache is not a dataclass field: an uncached equal state compares
-    # and hashes the same, and computes the same edge set.
-    twin = ProductState(psi, 0)
-    assert twin == state and hash(twin) == hash(state)
-    assert twin.edge_elements() == elements
-    assert ("buchi", 0) in elements
-    assert ProductState(psi, 1).edge_elements() != elements
-
-
 def test_each_verify_starts_with_empty_memos(monkeypatch):
     built = []
 
@@ -118,6 +104,7 @@ def test_each_verify_starts_with_empty_memos(monkeypatch):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             assert not self._successors and not self._evaluated
+            assert not self._stored and not self._retrieved
             built.append(self)
 
     monkeypatch.setattr(verifier_module, "SymbolicTransitionSystem", RecordingTransitions)

@@ -41,6 +41,15 @@ import of ``socket``, ``ssl``, ``asyncio``, ``urllib.request`` or
 ``http.client`` there, or a ``time.sleep`` call, pulls I/O back into the
 core and forks the two transports' behaviour again.
 
+**RC001 -- no ``sys.setrecursionlimit`` anywhere in the package**
+(``src/repro``).  The recursion limit is global to the process, so raising
+it inside a library call is a side effect on every thread of a server; and
+on Python 3.9/3.10 deep Python recursion also runs on the C stack, which a
+raised limit lets overflow.  Graph searches keep an explicit stack instead.
+A call, a reference (``sys.setrecursionlimit`` passed around) and
+``from sys import setrecursionlimit`` all count; the rule has no baseline
+entries.
+
 Violations are identified as ``<relpath>::<rule>::<enclosing function>``
 and checked against ``tools/lint_invariants_baseline.txt``: existing,
 reviewed call sites are grandfathered; anything new fails the build.
@@ -57,7 +66,7 @@ import argparse
 import ast
 import os
 import sys
-from typing import FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: (tree or single file, rules enforced there)
@@ -67,6 +76,7 @@ SCANNED_TREES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     (os.path.join("src", "repro", "core"), ("RT002",)),
     (os.path.join("src", "repro", "analysis", "dataflow.py"), ("DF001",)),
     (os.path.join("src", "repro", "client", "core.py"), ("IO001",)),
+    (os.path.join("src", "repro"), ("RC001",)),
 )
 BASELINE_PATH = os.path.join(REPO_ROOT, "tools", "lint_invariants_baseline.txt")
 
@@ -187,6 +197,17 @@ class _InvariantVisitor(ast.NodeVisitor):
         if node.module and not node.level:
             names = [f"{node.module}.{alias.name}" for alias in node.names]
             self._check_io_import([node.module] + names, node.lineno)
+            if "sys.setrecursionlimit" in names:
+                self._record_recursion_limit(node.lineno)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if (
+            node.attr == "setrecursionlimit"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "sys"
+        ):
+            self._record_recursion_limit(node.lineno)
+        self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
         self._check_time_time(node)
@@ -263,6 +284,15 @@ class _InvariantVisitor(ast.NodeVisitor):
                 "and let the transport sleep",
             )
 
+    def _record_recursion_limit(self, lineno: int) -> None:
+        if "RC001" in self.rules:
+            self._record(
+                "RC001",
+                lineno,
+                "sys.setrecursionlimit changes a process-wide limit: keep an "
+                "explicit stack instead of recursing",
+            )
+
     def _check_unordered_iteration(self, iterable: ast.AST) -> None:
         if "DF001" not in self.rules:
             return
@@ -310,15 +340,19 @@ class _InvariantVisitor(ast.NodeVisitor):
 
 
 def _python_files() -> Iterator[Tuple[str, FrozenSet[str]]]:
+    """Each scanned file once, with the rules of every tree that holds it."""
+    rules_of: Dict[str, Set[str]] = {}
     for tree, rules in SCANNED_TREES:
         root = os.path.join(REPO_ROOT, tree)
         if os.path.isfile(root):
-            yield root, frozenset(rules)
+            rules_of.setdefault(root, set()).update(rules)
             continue
-        for dirpath, _dirnames, filenames in os.walk(root):
+        for dirpath, _dirnames, filenames in sorted(os.walk(root)):
             for filename in sorted(filenames):
                 if filename.endswith(".py"):
-                    yield os.path.join(dirpath, filename), frozenset(rules)
+                    rules_of.setdefault(os.path.join(dirpath, filename), set()).update(rules)
+    for path in sorted(rules_of):
+        yield path, frozenset(rules_of[path])
 
 
 def collect_violations() -> List[Violation]:
