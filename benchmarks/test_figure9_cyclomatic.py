@@ -14,14 +14,14 @@ pytestmark = [pytest.mark.benchmark, pytest.mark.slow]
 from conftest import print_table
 
 from repro.benchmark.runner import BenchmarkRunner
-from repro.core.options import VerifierOptions
+from repro.core.options import Ablation
 
 
 def test_figure9_time_vs_cyclomatic_complexity(benchmark, runner, real_suite, synthetic_suite):
     def run():
         records = []
-        records += runner.run_suite(real_suite, {"VERIFAS": VerifierOptions()})
-        records += runner.run_suite(synthetic_suite, {"VERIFAS": VerifierOptions()})
+        records += runner.run_suite(real_suite, {"VERIFAS": Ablation()})
+        records += runner.run_suite(synthetic_suite, {"VERIFAS": Ablation()})
         return records
 
     records = benchmark.pedantic(run, rounds=1, iterations=1)

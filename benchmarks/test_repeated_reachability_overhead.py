@@ -13,7 +13,7 @@ pytestmark = [pytest.mark.benchmark, pytest.mark.slow]
 from conftest import print_table
 
 from repro.benchmark.runner import BenchmarkRunner
-from repro.core.options import VerifierOptions
+from repro.core.options import Ablation
 
 
 @pytest.mark.parametrize("suite_name", ["real", "synthetic"])
@@ -21,9 +21,9 @@ def test_repeated_reachability_overhead(benchmark, runner, real_suite, synthetic
     suite = real_suite if suite_name == "real" else synthetic_suite
 
     def run():
-        with_module = runner.run_suite(suite, {"full": VerifierOptions()})
+        with_module = runner.run_suite(suite, {"full": Ablation()})
         without_module = runner.run_suite(
-            suite, {"no-rr": VerifierOptions(check_repeated_reachability=False)}
+            suite, {"no-rr": Ablation(check_repeated_reachability=False)}
         )
         return with_module, without_module
 

@@ -13,12 +13,12 @@ pytestmark = [pytest.mark.benchmark, pytest.mark.slow]
 from conftest import print_table
 
 from repro.benchmark.runner import BenchmarkRunner
-from repro.core.options import VerifierOptions
+from repro.core.options import Ablation
 
 CONFIGURATIONS = {
     "Spin-Opt": None,  # the Spin-like explicit-state baseline
-    "VERIFAS-NoSet": VerifierOptions.no_artifact_relations(),
-    "VERIFAS": VerifierOptions.all_optimizations(),
+    "VERIFAS-NoSet": Ablation(use_artifact_relations=False),
+    "VERIFAS": Ablation(),
 }
 
 

@@ -12,12 +12,12 @@ pytestmark = [pytest.mark.benchmark, pytest.mark.slow]
 from conftest import print_table
 
 from repro.benchmark.runner import BenchmarkRunner
-from repro.core.options import VerifierOptions
+from repro.core.options import Ablation
 
 ABLATIONS = {
-    "SP (state pruning)": VerifierOptions(state_pruning=False),
-    "SA (static analysis)": VerifierOptions(static_analysis=False),
-    "DSS (data structures)": VerifierOptions(data_structure_support=False),
+    "SP (state pruning)": Ablation(state_pruning=False),
+    "SA (static analysis)": Ablation(static_analysis=False),
+    "DSS (data structures)": Ablation(data_structure_support=False),
 }
 
 
@@ -26,10 +26,10 @@ def test_table3_optimization_speedups(benchmark, runner, real_suite, synthetic_s
     suite = real_suite if suite_name == "real" else synthetic_suite
 
     def run():
-        baseline_records = runner.run_suite(suite, {"VERIFAS": VerifierOptions()})
+        baseline_records = runner.run_suite(suite, {"VERIFAS": Ablation()})
         speedups = {}
-        for label, ablated_options in ABLATIONS.items():
-            ablated_records = runner.run_suite(suite, {label: ablated_options})
+        for label, ablation in ABLATIONS.items():
+            ablated_records = runner.run_suite(suite, {label: ablation})
             speedups[label] = BenchmarkRunner.table3(baseline_records, ablated_records)
         return speedups
 

@@ -13,7 +13,7 @@ from conftest import TEMPLATES, print_table
 
 from repro.benchmark.properties import LTL_TEMPLATES
 from repro.benchmark.runner import BenchmarkRunner
-from repro.core.options import VerifierOptions
+from repro.core.options import Ablation
 
 
 @pytest.mark.parametrize("suite_name", ["real", "synthetic"])
@@ -21,7 +21,7 @@ def test_table4_ltl_property_classes(benchmark, runner, real_suite, synthetic_su
     suite = real_suite if suite_name == "real" else synthetic_suite
 
     def run():
-        return runner.run_suite(suite, {"VERIFAS": VerifierOptions()})
+        return runner.run_suite(suite, {"VERIFAS": Ablation()})
 
     records = benchmark.pedantic(run, rounds=1, iterations=1)
     table = BenchmarkRunner.table4(records)

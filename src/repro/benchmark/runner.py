@@ -20,7 +20,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 from repro.baseline.spinlike import SpinLikeVerifier
 from repro.benchmark.cyclomatic import cyclomatic_complexity
 from repro.benchmark.properties import LTL_TEMPLATES, LTLTemplate, generate_properties
-from repro.core.options import VerifierOptions
+from repro.core.options import Ablation, VerifierOptions
 from repro.core.verifier import VerificationOutcome, Verifier
 from repro.has.artifact_system import ArtifactSystem
 
@@ -85,24 +85,22 @@ class BenchmarkRunner:
         self.max_states = max_states
         self.templates = tuple(templates)
         self.property_seed = property_seed
+        self.options = VerifierOptions(timeout_seconds=timeout_seconds, max_states=max_states)
 
     # ------------------------------------------------------------------ running
-
-    def _options(self, base: VerifierOptions) -> VerifierOptions:
-        return base.with_(timeout_seconds=self.timeout_seconds, max_states=self.max_states)
 
     def run_workflow(
         self,
         workflow: ArtifactSystem,
         verifier_label: str,
-        options: Optional[VerifierOptions] = None,
+        ablation: Optional[Ablation] = None,
         use_spin_baseline: bool = False,
     ) -> List[RunRecord]:
-        """Verify the 12 template properties of one workflow under one configuration."""
+        """Verify the 12 template properties of one workflow under one
+        configuration: the runner's budgets with *ablation* (default: none)."""
         complexity = cyclomatic_complexity(workflow)
         properties = generate_properties(workflow, seed=self.property_seed, templates=self.templates)
         records: List[RunRecord] = []
-        template_by_property = {p.name: t for p, t in zip(properties, self.templates)}
         for ltl_property, template in zip(properties, self.templates):
             started = time.monotonic()
             if use_spin_baseline:
@@ -116,7 +114,7 @@ class BenchmarkRunner:
                 failed = result.failed
                 states = result.states_explored
             else:
-                verifier = Verifier(workflow, self._options(options or VerifierOptions()))
+                verifier = Verifier(workflow, self.options, ablation=ablation)
                 result = verifier.verify(ltl_property)
                 outcome = result.outcome.value
                 failed = result.stats.failed
@@ -140,22 +138,22 @@ class BenchmarkRunner:
     def run_suite(
         self,
         suite: WorkflowSuite,
-        configurations: Mapping[str, Optional[VerifierOptions]],
+        configurations: Mapping[str, Optional[Ablation]],
     ) -> List[RunRecord]:
         """Run every workflow of a suite under every configuration.
 
-        ``configurations`` maps a verifier label to its options; the special
+        ``configurations`` maps a verifier label to its ablation; the special
         value ``None`` selects the Spin-like baseline verifier.
         """
         records: List[RunRecord] = []
         for workflow in suite.workflows:
-            for label, options in configurations.items():
+            for label, ablation in configurations.items():
                 records.extend(
                     self.run_workflow(
                         workflow,
                         verifier_label=label,
-                        options=options,
-                        use_spin_baseline=options is None,
+                        ablation=ablation,
+                        use_spin_baseline=ablation is None,
                     )
                 )
         return records

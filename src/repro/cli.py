@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import List, Optional, Sequence
 
 from repro.core.options import VerifierOptions
@@ -57,10 +58,6 @@ def _add_option_flags(parser: argparse.ArgumentParser) -> None:
         "--max-states", type=int, default=None, metavar="N",
         help="per-property state budget (default: %s)" % VerifierOptions().max_states,
     )
-    parser.add_argument(
-        "--no-repeated-reachability", action="store_true",
-        help="reachability-only mode (skip the repeated-reachability phase)",
-    )
 
 
 def _options_from(args: argparse.Namespace) -> VerifierOptions:
@@ -69,8 +66,6 @@ def _options_from(args: argparse.Namespace) -> VerifierOptions:
         options = options.with_(timeout_seconds=args.timeout)
     if args.max_states is not None:
         options = options.with_(max_states=args.max_states)
-    if args.no_repeated_reachability:
-        options = options.with_(check_repeated_reachability=False)
     return options
 
 
@@ -157,7 +152,8 @@ def _run_remote_batch(args: argparse.Namespace, jobs) -> int:
             client.submit(
                 job.system_dict,
                 [job.property_dict],
-                options=job.options_dict,
+                # The API takes the budgets only, not the canonical dict.
+                options=asdict(job.options()),
                 label=job.label,
                 ttl_seconds=args.ttl,
                 deadline_ms=args.deadline_ms,

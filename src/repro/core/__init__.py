@@ -10,7 +10,7 @@ analysis of the constraint graph, and repeated-reachability extraction.
 The top-level entry point is :class:`repro.core.Verifier`.
 """
 
-from repro.core.options import CoverageMode, VerifierOptions
+from repro.core.options import VerifierOptions
 from repro.core.verifier import VerificationOutcome, VerificationResult, Verifier
 
 __all__ = [
@@ -18,5 +18,4 @@ __all__ = [
     "VerifierOptions",
     "VerificationResult",
     "VerificationOutcome",
-    "CoverageMode",
 ]

@@ -2,20 +2,19 @@
 
 The search materialises the reachable product state space lazily, pruning
 states covered by already-visited ones and accelerating counters to ω when a
-strictly dominated ancestor is found.  Three variants are supported, matching
-the paper's configurations:
+strictly dominated ancestor is found.  It keeps the *active* set of monotone
+pruning (Section 3.4, Reynier–Servais): a new state covered by an active
+state is pruned, and active states (plus their descendants) covered by a new
+state are deactivated.  The coverage relation is a parameter:
 
-* classic Karp–Miller (Algorithm 1): duplicate-only pruning over the whole
-  tree; only practical on tiny inputs, kept for differential testing;
-* monotone pruning (Section 3.4, Reynier–Servais): an *active* set of states,
-  pruning new states covered by an active state and deactivating active
-  states (plus their descendants) covered by a new state;
-* the ⪯-based pruning of Section 3.5 (the default), which replaces the
-  coverage relation ``≤`` by the weaker ``⪯`` tested via bipartite max-flow.
+* the ⪯ relation of Section 3.5 (the default), tested via bipartite
+  max-flow, which prunes more than ``≤``;
+* the classic ``≤`` coverage, used by the repeated-reachability re-search
+  (Section 3.8) and by the paper's state-pruning ablation.
 
 Candidate look-ups over the active set use the bitset index of Section 3.6
-(:mod:`repro.core.indexes`) when data-structure support is enabled, otherwise
-linear scans.
+(:mod:`repro.core.indexes`) unless the caller turns the index off, in which
+case every active state is a candidate (linear scan).
 """
 
 from __future__ import annotations
@@ -25,12 +24,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.core.control import STOP_CANCELLED, STOP_DEADLINE, SearchControl
-from repro.core.coverage import covers_leq, covers_preceq
+# Both relations stay module attributes: perfbench's layer tracer wraps
+# each one here to count coverage checks.
+from repro.core.coverage import covers_leq, covers_preceq  # noqa: F401
 from repro.core.indexes import ActiveStateIndex
 from repro.core.isotypes import PartialIsoType
-from repro.core.options import CoverageMode, VerifierOptions
 from repro.core.product import ProductMove, ProductState, ProductSystem
-from repro.core.psi import CounterKey
+from repro.core.psi import PSI, CounterKey
 from repro.core.stats import SearchStatistics
 from repro.vass.vass import OMEGA
 
@@ -43,7 +43,6 @@ class SearchNode:
     state: ProductState
     parent: Optional[int]
     service: Optional[str]
-    depth: int
     active: bool = True
     children: List[int] = field(default_factory=list)
 
@@ -123,23 +122,25 @@ class StateMasks:
 
 
 class KarpMillerSearch:
-    """Coverability search over the product system."""
+    """Coverability search over the product system: *covers* is the coverage
+    relation (``None``: ⪯), and *control* carries the cancellation token, the
+    verify's deadline and the progress-event sink."""
 
     def __init__(
         self,
         product: ProductSystem,
-        options: VerifierOptions,
+        max_states: int,
+        *,
+        covers: Optional[Callable[[PSI, PSI], bool]] = None,
+        use_index: bool = True,
         control: Optional[SearchControl] = None,
     ):
         self.product = product
-        self.options = options
+        self.max_states = max_states
+        self.use_index = use_index
         self.stats = SearchStatistics()
-        # The control carries the cooperative cancellation token and the
-        # progress-event sink; options.timeout_seconds folds into its deadline.
         self.control = control if control is not None else SearchControl()
-        self._covers = (
-            covers_preceq if options.coverage_mode is CoverageMode.PRECEQ else covers_leq
-        )
+        self._covers = covers_preceq if covers is None else covers
 
     # -- coverage helpers ----------------------------------------------------------
 
@@ -185,13 +186,11 @@ class KarpMillerSearch:
 
     def run(self) -> KarpMillerResult:
         start_time = time.monotonic()
-        # A private scope applies options.timeout_seconds without mutating
-        # the (possibly shared, reusable) caller token.
-        control = self.control.scoped(self.options.timeout_seconds)
+        control = self.control
         nodes: List[SearchNode] = []
         active: Set[int] = set()
         index: Optional[ActiveStateIndex] = (
-            ActiveStateIndex() if self.options.data_structure_support else None
+            ActiveStateIndex() if self.use_index else None
         )
         mask_of: Callable[[ProductState], int] = (
             StateMasks(index).mask_of if index is not None else lambda _state: 0
@@ -207,7 +206,6 @@ class KarpMillerSearch:
                 state=state,
                 parent=parent,
                 service=service,
-                depth=0 if parent is None else nodes[parent].depth + 1,
             )
             nodes.append(node)
             if parent is not None:
@@ -275,22 +273,22 @@ class KarpMillerSearch:
                     self.stats.cancelled = True
                 completed = False
                 break
-            if len(nodes) > self.options.max_states:
+            if len(nodes) > self.max_states:
                 self.stats.state_limit_reached = True
                 completed = False
                 break
             node_id = worklist.pop()
             node = nodes[node_id]
-            if self.options.monotone_pruning and not node.active:
+            if not node.active:
                 continue
 
-            ancestors = [nodes[ancestor_id] for ancestor_id in self._ancestor_ids(nodes, node_id)]
-            if self.options.monotone_pruning:
-                # Acceleration only considers ancestors that are still active
-                # (Section 3.4: accel is applied on ancestors(I) ∩ act).
-                active_ancestors = [a for a in ancestors if a.active]
-            else:
-                active_ancestors = ancestors
+            # Acceleration only considers ancestors that are still active
+            # (Section 3.4: accel is applied on ancestors(I) ∩ act).
+            active_ancestors = [
+                nodes[ancestor_id]
+                for ancestor_id in self._ancestor_ids(nodes, node_id)
+                if nodes[ancestor_id].active
+            ]
 
             # The phase hooks attribute hot-loop wall time for the trace
             # waterfall; an untraced control makes them shared no-ops.
@@ -302,48 +300,39 @@ class KarpMillerSearch:
                     successor = self._accelerate(move.state, active_ancestors)
                 mask = mask_of(successor)
 
-                if self.options.monotone_pruning:
-                    covered = False
-                    with control.phase("coverage-check"):
-                        for candidate_id in active_candidates_covering(mask):
-                            if self._state_covers(successor, nodes[candidate_id].state):
-                                covered = True
-                                break
-                    if covered:
-                        self.stats.states_pruned += 1
-                        continue
-                else:
-                    # Classic Karp-Miller: prune only exact duplicates anywhere in the tree.
-                    with control.phase("coverage-check"):
-                        duplicate = any(existing.state == successor for existing in nodes)
-                    if duplicate:
-                        self.stats.states_pruned += 1
-                        continue
+                covered = False
+                with control.phase("coverage-check"):
+                    for candidate_id in active_candidates_covering(mask):
+                        if self._state_covers(successor, nodes[candidate_id].state):
+                            covered = True
+                            break
+                if covered:
+                    self.stats.states_pruned += 1
+                    continue
 
                 new_node = add_node(successor, node_id, move.service, mask)
 
-                if self.options.monotone_pruning:
-                    # Deactivate every state (and its descendants) that the new
-                    # state covers, unless it is an inactive ancestor of the
-                    # new node (Reynier-Servais rule).
-                    with control.phase("coverage-check"):
-                        for candidate_id in list(active_candidates_covered(mask)):
-                            if candidate_id == new_node.node_id:
-                                continue
-                            candidate = nodes[candidate_id]
-                            if not self._state_covers(candidate.state, successor):
-                                continue
-                            if candidate.active or not is_ancestor(
-                                candidate_id, new_node.node_id
-                            ):
-                                deactivate_subtree(candidate_id)
-                    # The new node itself must stay active even if an ancestor
-                    # subtree containing it was deactivated.
-                    if not new_node.active:
-                        new_node.active = True
-                        active.add(new_node.node_id)
-                        if index is not None:
-                            index.add(new_node.node_id, mask)
+                # Deactivate every state (and its descendants) that the new
+                # state covers, unless it is an inactive ancestor of the new
+                # node (Reynier-Servais rule).
+                with control.phase("coverage-check"):
+                    for candidate_id in list(active_candidates_covered(mask)):
+                        if candidate_id == new_node.node_id:
+                            continue
+                        candidate = nodes[candidate_id]
+                        if not self._state_covers(candidate.state, successor):
+                            continue
+                        if candidate.active or not is_ancestor(
+                            candidate_id, new_node.node_id
+                        ):
+                            deactivate_subtree(candidate_id)
+                # The new node itself must stay active even if an ancestor
+                # subtree containing it was deactivated.
+                if not new_node.active:
+                    new_node.active = True
+                    active.add(new_node.node_id)
+                    if index is not None:
+                        index.add(new_node.node_id, mask)
 
         self.stats.search_seconds = time.monotonic() - start_time
         self.stats.coverability_set_size = len(active)

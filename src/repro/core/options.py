@@ -1,59 +1,42 @@
-"""Configuration options of the verifier.
+"""Configuration of the verifier: public budgets and harness-only ablations.
 
-The options mirror the optimizations evaluated in Section 4 of the paper, so
-the benchmark harness can toggle each one independently:
+:class:`VerifierOptions` holds the three budgets -- ``max_states``,
+``max_repeated_states`` and ``timeout_seconds``.  They are the only settings
+of the public surfaces (the HTTP API, the CLI, ``VerificationSession``, the
+service) and bound the work, never the meaning of the answer: a search out
+of budget says UNKNOWN.
 
-* ``state_pruning``          -- the novel ⪯-based pruning of Section 3.5 (SP);
-  when disabled the search falls back to the classic ``≤`` coverage of the
-  monotone-pruning Karp–Miller algorithm (Section 3.4).
-* ``data_structure_support`` -- the candidate index of Section 3.6 (DSS), a
-  bitset index returning the same candidates as the paper's Trie and inverted
-  lists; when disabled every active state is a candidate (linear scan).
-* ``static_analysis``        -- the constraint-graph analysis of Section 3.7 (SA).
-* ``monotone_pruning``       -- the Reynier–Servais active-set pruning of
-  Section 3.4; disabling it yields the plain Karp–Miller tree (Algorithm 1),
-  which is only practical on tiny specifications and exists mainly for
-  differential testing.
-* ``check_repeated_reachability`` -- the full LTL-FO semantics over infinite
-  runs (Section 3.8); when disabled a property is reported violated as soon as
-  an accepting Büchi state is reachable at all (used to measure the overhead
-  of the repeated-reachability module).
-* ``use_artifact_relations`` -- when disabled, artifact-relation updates are
-  ignored (the VERIFAS-NoSet configuration of Table 2).
+:class:`Ablation` holds the switches of the paper's Section 4 experiments,
+all on by default.  Only ``Verifier(..., ablation=...)``,
+:mod:`repro.benchmark.runner` and tests construct one; lint rule AB001 keeps
+it off the public surfaces, since two of its switches change the question.
+
+Fingerprints: :meth:`VerifierOptions.as_dict` keeps the canonical v1 dict
+that feeds every job fingerprint -- the six v1 switch keys fixed at ``true``
+(the value every public job ran with), then the budgets -- so stored results
+stay valid.  :meth:`VerifierOptions.from_dict` ignores unknown keys, so
+stored rows and spec files with switch keys still load, as budgets only.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional
 
-
-class CoverageMode(enum.Enum):
-    """Which coverage relation the search uses for pruning and acceleration."""
-
-    CLASSIC_LEQ = "leq"
-    PRECEQ = "preceq"
+#: The v1 switch keys, pinned at ``true`` in the canonical dict (see above).
+_V1_SWITCH_KEYS = (
+    "state_pruning",
+    "data_structure_support",
+    "static_analysis",
+    "monotone_pruning",
+    "check_repeated_reachability",
+    "use_artifact_relations",
+)
 
 
 @dataclass(frozen=True)
 class VerifierOptions:
-    """Tunable options of :class:`repro.core.Verifier`."""
-
-    state_pruning: bool = True
-    data_structure_support: bool = True
-    static_analysis: bool = True
-    monotone_pruning: bool = True
-    check_repeated_reachability: bool = True
-    use_artifact_relations: bool = True
-    #: The PR 1 violation fast path of the repeated-reachability phase: look
-    #: for a ≤-coverage cycle through an accepting state on the main ⪯-pruned
-    #: active set before falling back to the classic Section 3.8 re-search.
-    #: Sound (the cycle argument only needs reachable states) and audited by a
-    #: differential stress test against the classic re-search; the switch
-    #: exists so the audit can force the classic path and so the fast path can
-    #: be disabled in the field without a code change.
-    repeated_violation_fast_path: bool = True
+    """The budgets of :class:`repro.core.Verifier`."""
 
     #: Hard limit on the number of product states the search may materialise.
     max_states: int = 200_000
@@ -62,39 +45,27 @@ class VerifierOptions:
     #: Hard limit on the states explored by the repeated-reachability phase.
     max_repeated_states: int = 100_000
 
-    @property
-    def coverage_mode(self) -> CoverageMode:
-        return CoverageMode.PRECEQ if self.state_pruning else CoverageMode.CLASSIC_LEQ
-
     def with_(self, **changes) -> "VerifierOptions":
         """A copy of the options with the given fields replaced."""
         return replace(self, **changes)
 
     def as_dict(self) -> Dict[str, Any]:
         """Canonical, JSON-compatible dict form (used by spec files and the
-        result cache of :mod:`repro.service`).
-
-        Fields added after the v1 options schema are emitted only when they
-        differ from their default: the canonical dict feeds the content
-        fingerprint, and emitting a new always-present key would silently
-        orphan every previously persisted result (readers default missing
-        keys, so omission is lossless).
-        """
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        if data["repeated_violation_fast_path"] is True:
-            del data["repeated_violation_fast_path"]
+        result cache of :mod:`repro.service`): the v1 switch keys at
+        ``true``, then the budgets."""
+        data: Dict[str, Any] = dict.fromkeys(_V1_SWITCH_KEYS, True)
+        data.update((f.name, getattr(self, f.name)) for f in fields(self))
         return data
 
     @classmethod
     def known_keys(cls) -> set:
-        """Every accepted option key (including defaults omitted by
-        :meth:`as_dict`); used by the HTTP API's unknown-key validation."""
+        """Every accepted option key (the API rejects any other)."""
         return {f.name for f in fields(cls)}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "VerifierOptions":
         """Rebuild options from :meth:`as_dict` output; unknown keys are ignored."""
-        known = {f.name for f in fields(cls)}
+        known = cls.known_keys()
         return cls(**{key: value for key, value in data.items() if key in known})
 
     @classmethod
@@ -110,9 +81,7 @@ class VerifierOptions:
                 continue
             value = data[f.name]
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if f.type == "bool":
-                valid, expected = isinstance(value, bool), "a boolean"
-            elif f.type == "int":
+            if f.type == "int":
                 valid = number and isinstance(value, int) and value >= 1
                 expected = "an integer >= 1"
             else:  # timeout_seconds
@@ -122,12 +91,24 @@ class VerifierOptions:
                 raise ValueError(f"verifier option {f.name!r} must be {expected}, got {value!r}")
         return cls.from_dict(data)
 
-    @classmethod
-    def all_optimizations(cls) -> "VerifierOptions":
-        """The default, fully optimised configuration (the paper's VERIFAS)."""
-        return cls()
 
-    @classmethod
-    def no_artifact_relations(cls) -> "VerifierOptions":
-        """The VERIFAS-NoSet configuration of Table 2."""
-        return cls(use_artifact_relations=False)
+@dataclass(frozen=True)
+class Ablation:
+    """Switches of the paper's Section 4 ablation experiments (all on: VERIFAS)."""
+
+    #: The ⪯-based pruning of Section 3.5 (Table 3 SP); off, the search
+    #: prunes with the classic ``≤`` coverage of monotone pruning (Section 3.4).
+    state_pruning: bool = True
+    #: The candidate index of Section 3.6 (Table 3 DSS), a bitset index
+    #: returning the same candidates as the paper's Trie and inverted lists;
+    #: off, every active state is a candidate (linear scan).
+    data_structure_support: bool = True
+    #: The constraint-graph analysis of Section 3.7 (Table 3 SA).
+    static_analysis: bool = True
+    #: Artifact-relation updates; off, they are ignored, so the verifier
+    #: checks a different system (the VERIFAS-NoSet column of Table 2).
+    use_artifact_relations: bool = True
+    #: The repeated-reachability phase of Section 3.8; off, a property is
+    #: reported violated as soon as an accepting Büchi state is reachable at
+    #: all -- unsound for liveness, kept to measure the phase's overhead.
+    check_repeated_reachability: bool = True

@@ -25,9 +25,8 @@ The analysis is layered so that the expensive machinery only runs when needed:
    terminate on specifications whose artifact relations can grow without
    bound; the ``≤``-based search always terminates thanks to acceleration.
 
-Step 4 is preceded by a *violation fast path* (gated by
-``VerifierOptions.repeated_violation_fast_path`` and audited by a
-differential stress test against the classic re-search): every active node of
+Step 4 is preceded by a *violation fast path* (audited by a differential
+stress test against the classic re-search): every active node of
 the ⪯-pruned main search is a reachable symbolic state (or an ω limit of
 reachable states), and the cycle argument is *sound* on any set of reachable
 states -- a ≤-coverage cycle through an accepting state can be pumped
@@ -55,7 +54,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.core.control import SearchControl
 from repro.core.coverage import covers_leq
 from repro.core.karp_miller import KarpMillerResult, KarpMillerSearch, SearchNode
-from repro.core.options import CoverageMode, VerifierOptions
 from repro.core.product import ProductState, ProductSystem
 from repro.core.stats import SearchStatistics
 from repro.core.transitions import CLOSED_MARKER
@@ -83,12 +81,19 @@ class RepeatedReachabilityAnalyzer:
     def __init__(
         self,
         product: ProductSystem,
-        options: VerifierOptions,
+        max_states: int,
+        *,
+        use_index: bool = True,
+        leq_main_search: bool = False,
         stats: Optional[SearchStatistics] = None,
         control: Optional[SearchControl] = None,
     ):
+        # *leq_main_search*: the main search pruned with ``≤`` already, so
+        # its active set is the coverability set a re-search would build.
         self.product = product
-        self.options = options
+        self.max_states = max_states
+        self.use_index = use_index
+        self.leq_main_search = leq_main_search
         self.stats = stats or SearchStatistics()
         self.control = control if control is not None else SearchControl()
 
@@ -135,44 +140,29 @@ class RepeatedReachabilityAnalyzer:
         outcome: RepeatedReachabilityOutcome,
     ) -> bool:
         """The classic Section 3.8 analysis over a ``≤``-coverability set."""
-        if self.options.coverage_mode is CoverageMode.CLASSIC_LEQ:
-            # The main search already used the classic coverage: its active set
-            # is a coverability set on which the standard argument applies.
+        if self.leq_main_search:
             leq_result = result
-            completed = result.completed
         else:
-            if self.options.repeated_violation_fast_path:
-                # Violation fast path (see the module docstring): a ≤-coverage
-                # cycle through an accepting state of the main ⪯-pruned active
-                # set already witnesses the violation.
-                main_states = [node.state for node in result.active_nodes()]
-                accepting_main = {
-                    index
-                    for index, state in enumerate(main_states)
-                    if self.product.is_accepting(state)
-                }
-                if accepting_main and self._accepting_on_cycle(main_states, accepting_main):
-                    node = candidates[0]
-                    outcome.repeated_node_ids.add(node.node_id)
-                    outcome.witnesses[node.node_id] = "cycle"
-                    return True
+            if self._violation_fast_path(result):
+                self._report_cycle(candidates, outcome)
+                return True
             if self._out_of_time():
                 return False
             self.control.emit_phase("repeated-classic-search")
             # The shared control's deadline/cancellation token bounds the
-            # re-search; timeout_seconds stays unset so the re-search cannot
-            # extend the original deadline.
-            classic_options = self.options.with_(
-                state_pruning=False,
-                timeout_seconds=None,
-                max_states=self.options.max_repeated_states,
+            # re-search, so it cannot extend the original deadline.
+            search = KarpMillerSearch(
+                self.product,
+                self.max_states,
+                covers=covers_leq,
+                use_index=self.use_index,
+                control=self.control,
             )
-            search = KarpMillerSearch(self.product, classic_options, self.control)
             with self.control.span("repeated.classic-search") as span:
                 leq_result = search.run()
                 span.set_attr("states_explored", search.stats.states_explored)
             self.stats.repeated_phase_states += search.stats.states_explored
-            completed = leq_result.completed
+        completed = leq_result.completed
 
         active_states = [node.state for node in leq_result.active_nodes()]
         accepting_present = {
@@ -197,13 +187,29 @@ class RepeatedReachabilityAnalyzer:
             trivially_repeated = self._accepting_on_cycle(active_states, accepting_present)
 
         if trivially_repeated:
-            # Report the violation on the main search's accepting nodes (they
-            # witness reachability of the accepting Büchi state; the cycle
-            # itself lives in the ≤-coverability set).
-            node = candidates[0]
-            outcome.repeated_node_ids.add(node.node_id)
-            outcome.witnesses[node.node_id] = "cycle"
+            self._report_cycle(candidates, outcome)
         return completed
+
+    def _violation_fast_path(self, result: KarpMillerResult) -> bool:
+        """Whether a ≤-coverage cycle passes an accepting state of the main
+        ⪯-pruned active set, which already witnesses a violation (see the
+        module docstring)."""
+        states = [node.state for node in result.active_nodes()]
+        accepting = {
+            index for index, state in enumerate(states) if self.product.is_accepting(state)
+        }
+        return bool(accepting) and self._accepting_on_cycle(states, accepting)
+
+    @staticmethod
+    def _report_cycle(
+        candidates: Sequence[SearchNode], outcome: RepeatedReachabilityOutcome
+    ) -> None:
+        """Report the violation on the main search's first accepting
+        candidate: it witnesses reachability of the accepting Büchi state,
+        while the cycle itself lives in the ≤-coverability set."""
+        node = candidates[0]
+        outcome.repeated_node_ids.add(node.node_id)
+        outcome.witnesses[node.node_id] = "cycle"
 
     def _accepting_on_cycle(
         self, states: Sequence[ProductState], accepting: Set[int]

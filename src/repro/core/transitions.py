@@ -27,7 +27,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 from repro.core.expressions import ExpressionUniverse
 from repro.core.flatten import flatten_condition
 from repro.core.isotypes import Constraint, IdConstraint, PartialIsoType, empty_type
-from repro.core.options import VerifierOptions
 from repro.core.psi import PSI, counter_add
 from repro.core.static_analysis import ConstraintFilter
 from repro.has.artifact_system import ArtifactSystem
@@ -59,13 +58,15 @@ class SymbolicTransitionSystem:
         system: ArtifactSystem,
         task_name: str,
         ltl_property: Optional[LTLFOProperty] = None,
-        options: Optional[VerifierOptions] = None,
+        *,
+        static_analysis: bool = True,
+        use_artifact_relations: bool = True,
     ):
         self.system = system
         self.task_name = task_name
         self.task = system.task(task_name)
-        self.options = options or VerifierOptions()
         self.ltl_property = ltl_property
+        self.use_artifact_relations = use_artifact_relations
 
         # The expression universe of the task: its variables plus the global
         # variables of the property (rigid, propagated by every transition).
@@ -156,7 +157,7 @@ class SymbolicTransitionSystem:
                     continue
                 all_conjunctions.extend(conjunctions)
         self.constraint_filter = ConstraintFilter.from_conditions(
-            self.universe, all_conjunctions, enabled=self.options.static_analysis
+            self.universe, all_conjunctions, enabled=static_analysis
         )
 
     # ------------------------------------------------------------------ helpers
@@ -297,7 +298,7 @@ class SymbolicTransitionSystem:
         return moves
 
     def _apply_internal(self, psi: PSI, service: InternalService) -> List[SymbolicMove]:
-        update = service.update if self.options.use_artifact_relations else None
+        update = service.update if self.use_artifact_relations else None
         kept = self._kept_by_service[service.name]
         moves: List[SymbolicMove] = []
         for pre_extended in self.evaluate(psi.tau, service.pre):

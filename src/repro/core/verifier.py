@@ -27,8 +27,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.control import STOP_CANCELLED, STOP_DEADLINE, SearchControl
 from repro.core.counterexample import Counterexample, build_counterexample
+from repro.core.coverage import covers_leq
 from repro.core.karp_miller import KarpMillerResult, KarpMillerSearch
-from repro.core.options import VerifierOptions
+from repro.core.options import Ablation, VerifierOptions
 from repro.core.product import ProductSystem
 from repro.core.repeated import RepeatedReachabilityAnalyzer
 from repro.core.stats import SearchStatistics
@@ -104,11 +105,19 @@ class VerificationResult:
 
 
 class Verifier:
-    """Verifies LTL-FO properties of tasks of a HAS* specification."""
+    """Verifies LTL-FO properties of tasks of a HAS* specification under the
+    budgets of *options*; *ablation* is for the benchmark harness only."""
 
-    def __init__(self, system: ArtifactSystem, options: Optional[VerifierOptions] = None):
+    def __init__(
+        self,
+        system: ArtifactSystem,
+        options: Optional[VerifierOptions] = None,
+        *,
+        ablation: Optional[Ablation] = None,
+    ):
         self.system = system
         self.options = options or VerifierOptions()
+        self.ablation = ablation or Ablation()
 
     # ------------------------------------------------------------------ public API
 
@@ -137,7 +146,11 @@ class Verifier:
 
         with control.span("verify.setup", property=ltl_property.name, task=task_name):
             transition_system = SymbolicTransitionSystem(
-                self.system, task_name, ltl_property, self.options
+                self.system,
+                task_name,
+                ltl_property,
+                static_analysis=self.ablation.static_analysis,
+                use_artifact_relations=self.ablation.use_artifact_relations,
             )
             ltl_property.validate_against(
                 self.system.task(task_name).variable_names,
@@ -152,7 +165,13 @@ class Verifier:
 
             product = ProductSystem(transition_system, automaton, ltl_property)
         control.emit_phase("search", property=ltl_property.name, task=task_name)
-        search = KarpMillerSearch(product, self.options, control)
+        search = KarpMillerSearch(
+            product,
+            self.options.max_states,
+            covers=None if self.ablation.state_pruning else covers_leq,
+            use_index=self.ablation.data_structure_support,
+            control=control,
+        )
         with control.span("verify.search") as search_span:
             result = search.run()
             search_span.set_attr("states_explored", search.stats.states_explored)
@@ -193,8 +212,8 @@ class Verifier:
             node for node in result.nodes if product.is_accepting(node.state)
         ]
 
-        if not self.options.check_repeated_reachability:
-            # Reachability-only mode (used to measure the overhead of the
+        if not self.ablation.check_repeated_reachability:
+            # Reachability-only ablation (used to measure the overhead of the
             # repeated-reachability module): any reachable accepting state is
             # reported as a violation.
             if accepting_nodes:
@@ -207,7 +226,14 @@ class Verifier:
                 return VerificationOutcome.UNKNOWN, None
             return VerificationOutcome.SATISFIED, None
 
-        analyzer = RepeatedReachabilityAnalyzer(product, self.options, stats, control)
+        analyzer = RepeatedReachabilityAnalyzer(
+            product,
+            self.options.max_repeated_states,
+            use_index=self.ablation.data_structure_support,
+            leq_main_search=not self.ablation.state_pruning,
+            stats=stats,
+            control=control,
+        )
         with control.span("verify.repeated", accepting=len(accepting_nodes)):
             repeated = analyzer.analyse(result)
         if repeated.found_violation:

@@ -13,8 +13,9 @@ produce negative spans; ``start_time`` is a wall-clock epoch stamp used
 only for display and cross-process ordering.
 
 When tracing is disabled the tracer returns a single shared no-op span, so
-instrumented code pays one attribute check and no allocation per span --
-the guarantee `benchmarks/bench_trace.py` pins.
+instrumented code pays one attribute check and no allocation per span
+(perfbench's ``trace.overhead_share`` measures traced against untraced
+verify time).
 """
 
 from __future__ import annotations

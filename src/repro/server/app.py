@@ -308,10 +308,11 @@ class VerificationServer:
         #: Whether this server records distributed-trace spans (see
         #: :mod:`repro.obs`).  Default comes from ``REPRO_TRACE``; when off,
         #: the tracer hands out a shared no-op span and the instrumented
-        #: paths cost one attribute check each (``benchmarks/bench_trace.py``
-        #: pins the overhead).  Incoming ``traceparent`` headers still land
-        #: on the job row either way, so a traced *client* can correlate
-        #: ``/events`` entries even against an untraced server.
+        #: paths cost one attribute check each (perfbench's
+        #: ``trace.overhead_share`` measures the traced cost).  Incoming
+        #: ``traceparent`` headers still land on the job row either way, so a
+        #: traced *client* can correlate ``/events`` entries even against an
+        #: untraced server.
         self.trace_enabled = bool(trace_enabled)
         self.tracer = Tracer(enabled=self.trace_enabled, exporter=self._export_span)
         # In shared-store mode, startup recovery spares own-prefix claims

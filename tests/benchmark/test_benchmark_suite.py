@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Verifier, VerifierOptions
+from repro.core.options import Ablation
 from repro.benchmark.cyclomatic import cyclomatic_complexity
 from repro.benchmark.properties import (
     LTL_TEMPLATES,
@@ -134,7 +135,7 @@ class TestRunnerAggregation:
 
     def test_run_workflow_and_tables(self, tiny_system):
         runner = BenchmarkRunner(timeout_seconds=15, max_states=5_000, templates=LTL_TEMPLATES[:3])
-        records = runner.run_workflow(tiny_system, "VERIFAS", VerifierOptions())
+        records = runner.run_workflow(tiny_system, "VERIFAS", Ablation())
         assert len(records) == 3
         table2 = BenchmarkRunner.table2(records)
         assert table2["VERIFAS"]["runs"] == 3
@@ -145,8 +146,8 @@ class TestRunnerAggregation:
 
     def test_speedup_and_overhead_aggregation(self, tiny_system):
         runner = BenchmarkRunner(timeout_seconds=15, max_states=5_000, templates=LTL_TEMPLATES[:2])
-        fast = runner.run_workflow(tiny_system, "fast", VerifierOptions())
-        slow = runner.run_workflow(tiny_system, "slow", VerifierOptions(state_pruning=False))
+        fast = runner.run_workflow(tiny_system, "fast", Ablation())
+        slow = runner.run_workflow(tiny_system, "slow", Ablation(state_pruning=False))
         speedups = BenchmarkRunner.table3(fast, slow)
         assert speedups["runs"] == 2
         assert speedups["mean"] > 0
@@ -156,6 +157,6 @@ class TestRunnerAggregation:
     def test_spin_baseline_configuration(self, tiny_system):
         runner = BenchmarkRunner(timeout_seconds=15, max_states=20_000, templates=LTL_TEMPLATES[:2])
         suite = WorkflowSuite("tiny", [tiny_system])
-        records = runner.run_suite(suite, {"Spin-Opt": None, "VERIFAS": VerifierOptions()})
+        records = runner.run_suite(suite, {"Spin-Opt": None, "VERIFAS": Ablation()})
         verifiers = {record.verifier for record in records}
         assert verifiers == {"Spin-Opt", "VERIFAS"}

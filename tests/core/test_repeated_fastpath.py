@@ -1,10 +1,11 @@
-"""Audit of the repeated-reachability violation fast path (satellite task).
+"""Audit of the repeated-reachability violation fast path.
 
-PR 1 added a fast path that reports a violation when a ≤-coverage cycle
-through an accepting state exists on the main ⪯-pruned active set, skipping
-the classic Section 3.8 re-search.  A PR 2 review flagged the criterion as
-potentially unsound on the ⪯-pruned set.  The differential stress test below
-compares the two paths on randomized HAS* instances.
+The fast path reports a violation when a ≤-coverage cycle through an
+accepting state exists on the main ⪯-pruned active set, skipping the classic
+Section 3.8 re-search.  The criterion was once flagged as potentially unsound
+on the ⪯-pruned set, so the differential stress test below compares the two
+paths on randomized HAS* instances, forcing the classic re-search by
+patching the fast path out (``RepeatedReachabilityAnalyzer._violation_fast_path``).
 
 Audit verdict: no *soundness* divergence -- the fast path never contradicts
 a completed classic verdict (``violated`` vs ``satisfied``).  It does decide
@@ -13,9 +14,7 @@ instances the classic re-search cannot: when the ≤-based re-search exhausts
 (correctly) report ``violated`` from the cycle it found on the main active
 set -- that completeness gap is the fast path's reason to exist, so the
 checker accepts ``unknown -> violated`` refinements and rejects everything
-else.  The fast path stays gated behind
-``VerifierOptions.repeated_violation_fast_path`` so it can be switched off
-in the field (and forced off here for the comparison) without code changes.
+else.
 
 Also covers the iterative Tarjan rewrite of ``states_on_cycles`` (the
 recursive version risked C-stack overflow at ``max_states``-sized graphs).
@@ -27,25 +26,26 @@ import pytest
 
 from repro.benchmark.properties import LTL_TEMPLATES, generate_properties
 from repro.benchmark.synthetic import SyntheticConfig, generate_synthetic_workflow
+from repro.core.karp_miller import KarpMillerSearch
 from repro.core.options import VerifierOptions
-from repro.core.repeated import states_on_cycles
+from repro.core.repeated import RepeatedReachabilityAnalyzer, states_on_cycles
 from repro.core.verifier import Verifier
 from repro.has.conditions import Const, Eq, Neq, Var
 from repro.ltl import LTLFOProperty, parse_ltl
 
 
-def _differential_check(system, ltl_property, **budget):
-    base = dict(
+def _differential_check(monkeypatch, system, ltl_property, **budget):
+    options = VerifierOptions(
         max_states=budget.get("max_states", 1500),
         max_repeated_states=budget.get("max_repeated_states", 1500),
         timeout_seconds=budget.get("timeout_seconds", 10),
     )
-    fast = Verifier(
-        system, VerifierOptions(repeated_violation_fast_path=True, **base)
-    ).verify(ltl_property)
-    classic = Verifier(
-        system, VerifierOptions(repeated_violation_fast_path=False, **base)
-    ).verify(ltl_property)
+    fast = Verifier(system, options).verify(ltl_property)
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            RepeatedReachabilityAnalyzer, "_violation_fast_path", lambda self, result: False
+        )
+        classic = Verifier(system, options).verify(ltl_property)
     if classic.unknown:
         # The classic re-search ran out of budget; the fast path may still
         # decide the instance as violated (a sound refinement), but it must
@@ -66,7 +66,7 @@ class TestFastPathDifferential:
     """Fast-path verdicts must match the classic Section 3.8 re-search."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_randomized_instances_agree(self, seed):
+    def test_randomized_instances_agree(self, monkeypatch, seed):
         config = SyntheticConfig(
             relations=2, tasks=2, variables_per_task=4, services_per_task=4, seed=seed
         )
@@ -75,21 +75,21 @@ class TestFastPathDifferential:
         # verdicts most often hinge on the repeated-reachability phase.
         templates = [LTL_TEMPLATES[i] for i in (1, 6, 7, 9)]
         for ltl_property in generate_properties(system, seed=seed, templates=templates):
-            _differential_check(system, ltl_property)
+            _differential_check(monkeypatch, system, ltl_property)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
-    def test_randomized_instances_agree_full_sweep(self, seed):
+    def test_randomized_instances_agree_full_sweep(self, monkeypatch, seed):
         config = SyntheticConfig(
             relations=2, tasks=2, variables_per_task=5, services_per_task=5, seed=seed
         )
         system = generate_synthetic_workflow(config)
         for ltl_property in generate_properties(system, seed=seed):
             _differential_check(
-                system, ltl_property, max_states=4000, max_repeated_states=4000
+                monkeypatch, system, ltl_property, max_states=4000, max_repeated_states=4000
             )
 
-    def test_handcrafted_systems_agree(self, tiny_system, relation_system):
+    def test_handcrafted_systems_agree(self, monkeypatch, tiny_system, relation_system):
         properties = [
             LTLFOProperty("Main", parse_ltl("G ns"),
                           {"ns": Neq(Var("status"), Const("shipped"))}, name="never-shipped"),
@@ -99,29 +99,26 @@ class TestFastPathDifferential:
                           {"p": Eq(Var("status"), Const("picked"))}, name="eventually"),
         ]
         for ltl_property in properties:
-            _differential_check(tiny_system, ltl_property)
+            _differential_check(monkeypatch, tiny_system, ltl_property)
 
-    def test_fast_path_can_be_disabled(self, tiny_system):
-        """The gate exists and changes the execution path, not the verdict."""
+    def test_patching_the_fast_path_forces_the_classic_search(self, monkeypatch, tiny_system):
+        """The audit is not vacuous: with the fast path patched out, the
+        verdict comes from a second (classic) Karp–Miller search."""
+        searches = []
+        run = KarpMillerSearch.run
+
+        def counting_run(self):
+            searches.append(self)
+            return run(self)
+
+        monkeypatch.setattr(KarpMillerSearch, "run", counting_run)
         prop = LTLFOProperty(
             "Main", parse_ltl("G ns"),
             {"ns": Neq(Var("status"), Const("shipped"))}, name="never-shipped",
         )
-        fast, classic = _differential_check(tiny_system, prop)
+        fast, classic = _differential_check(monkeypatch, tiny_system, prop)
         assert fast.violated and classic.violated
-        assert VerifierOptions().repeated_violation_fast_path is True
-        assert VerifierOptions(
-            repeated_violation_fast_path=False
-        ).as_dict()["repeated_violation_fast_path"] is False
-
-    def test_default_options_dict_omits_the_gate_for_fingerprint_stability(self):
-        """Post-v1 option fields are emitted only when non-default, so
-        content fingerprints (and every persisted result keyed by them) from
-        before the field existed stay valid."""
-        data = VerifierOptions().as_dict()
-        assert "repeated_violation_fast_path" not in data
-        assert VerifierOptions.from_dict(data).repeated_violation_fast_path is True
-        assert "repeated_violation_fast_path" in VerifierOptions.known_keys()
+        assert len(searches) == 3  # one for the fast verify, two for the classic
 
 
 class TestIterativeTarjan:

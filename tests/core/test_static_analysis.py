@@ -194,11 +194,13 @@ class TestConstraintFilter:
     def test_filter_preserves_verification_verdicts(self, tiny_system):
         """Switching SA on/off must not change any verdict on the tiny system."""
         from repro import Verifier, VerifierOptions
+        from repro.core.options import Ablation
         from repro.benchmark.properties import generate_properties
 
         properties = generate_properties(tiny_system, seed=3)
-        with_sa = Verifier(tiny_system, VerifierOptions(static_analysis=True, max_states=5000))
-        without_sa = Verifier(tiny_system, VerifierOptions(static_analysis=False, max_states=5000))
+        options = VerifierOptions(max_states=5000)
+        with_sa = Verifier(tiny_system, options)
+        without_sa = Verifier(tiny_system, options, ablation=Ablation(static_analysis=False))
         for ltl_property in properties:
             assert (
                 with_sa.verify(ltl_property).outcome

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.expressions import ConstExpr, NavExpr
-from repro.core.options import VerifierOptions
 from repro.core.psi import PSI
 from repro.core.transitions import CLOSED_MARKER, SymbolicTransitionSystem
 from repro.has.builder import ArtifactSystemBuilder
@@ -15,10 +14,8 @@ from repro.ltl.parser import parse_ltl
 from repro.has.types import IdType
 
 
-def _sts(system, task=None, ltl_property=None, **options):
-    return SymbolicTransitionSystem(
-        system, task or system.root, ltl_property, VerifierOptions(**options)
-    )
+def _sts(system, task=None, ltl_property=None, **switches):
+    return SymbolicTransitionSystem(system, task or system.root, ltl_property, **switches)
 
 
 class TestInitialMoves:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Verifier, VerificationOutcome, VerifierOptions
+from repro.core.options import Ablation
 from repro.has.builder import ArtifactSystemBuilder
 from repro.has.conditions import And, Const, Eq, Neq, NULL, Or, Var
 from repro.has.schema import DatabaseSchema
@@ -156,19 +157,18 @@ class TestOptionConfigurations:
     """All optimisation configurations must agree on the verdicts."""
 
     CONFIGS = [
-        VerifierOptions(),
-        VerifierOptions(state_pruning=False),
-        VerifierOptions(data_structure_support=False),
-        VerifierOptions(static_analysis=False),
-        VerifierOptions(state_pruning=False, data_structure_support=False, static_analysis=False),
+        Ablation(),
+        Ablation(state_pruning=False),
+        Ablation(data_structure_support=False),
+        Ablation(static_analysis=False),
+        Ablation(state_pruning=False, data_structure_support=False, static_analysis=False),
     ]
 
     @pytest.mark.parametrize("config_index", range(len(CONFIGS)))
     def test_configurations_agree_on_tiny_system(self, tiny_system, config_index):
-        reference = Verifier(tiny_system, VerifierOptions(max_states=10_000))
-        candidate = Verifier(
-            tiny_system, self.CONFIGS[config_index].with_(max_states=10_000)
-        )
+        options = VerifierOptions(max_states=10_000)
+        reference = Verifier(tiny_system, options)
+        candidate = Verifier(tiny_system, options, ablation=self.CONFIGS[config_index])
         properties = [
             prop("Main", "G p", p=Neq(Var("status"), Const("shipped"))),
             prop("Main", "F p", p=Eq(Var("status"), Const("shipped"))),
@@ -184,10 +184,9 @@ class TestOptionConfigurations:
 
     @pytest.mark.parametrize("config_index", range(len(CONFIGS)))
     def test_configurations_agree_on_relation_system(self, relation_system, config_index):
-        reference = Verifier(relation_system, VerifierOptions(max_states=20_000))
-        candidate = Verifier(
-            relation_system, self.CONFIGS[config_index].with_(max_states=20_000)
-        )
+        options = VerifierOptions(max_states=20_000)
+        reference = Verifier(relation_system, options)
+        candidate = Verifier(relation_system, options, ablation=self.CONFIGS[config_index])
         properties = [
             LTLFOProperty(
                 "Main",

@@ -17,7 +17,6 @@ import urllib.request
 import pytest
 
 from repro.client import AsyncVerifasClient, ClientError, VerifasClient
-from repro.core.options import VerifierOptions
 from repro.has.conditions import Const, Eq, Var
 from repro.ltl import LTLFOProperty, parse_ltl
 from repro.server import VerificationServer
@@ -32,7 +31,7 @@ def _payload(system, index=0):
         "schema_version": 1,
         "system": dump_system(system),
         "properties": [dump_property(prop)],
-        "options": VerifierOptions(max_states=2000 + index).as_dict(),
+        "options": {"max_states": 2000 + index},
     }
 
 

@@ -9,6 +9,7 @@ proportionally instead of draining FIFO.
 from __future__ import annotations
 
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -238,7 +239,7 @@ class TestFairShareE2E:
                     "schema_version": 1,
                     "system": job.system_dict,
                     "properties": [job.property_dict],
-                    "options": job.options_dict,
+                    "options": asdict(job.options()),
                 }))
                 start += 1
             submitted[name] = [h.id for h in handles]
@@ -283,7 +284,7 @@ class TestFairShareE2E:
                     "schema_version": 1,
                     "system": job.system_dict,
                     "properties": [job.property_dict],
-                    "options": job.options_dict,
+                    "options": asdict(job.options()),
                 })[0]
                 ids.append(handle.id)
             claimed = [server.store.claim_next().id for _ in range(3)]

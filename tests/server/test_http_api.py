@@ -285,8 +285,6 @@ class TestApiErrors:
             {"max_states": True},
             {"max_states": 0},
             {"max_repeated_states": 2.5},
-            {"state_pruning": "no"},
-            {"check_repeated_reachability": 1},
             {"timeout_seconds": 0},
             {"timeout_seconds": "30"},
             {"timeout_seconds": False},
@@ -304,13 +302,33 @@ class TestApiErrors:
             "timeout_seconds": None,
             "max_states": 5_000,
             "max_repeated_states": 5_000,
-            "state_pruning": False,
         }
         status, body = _request(f"{server.url}/v1/jobs", "POST", payload)
         assert status == 202, body
         payload["options"] = {"timeout_seconds": 12.5}
         status, body = _request(f"{server.url}/v1/jobs", "POST", payload)
         assert status == 202, body
+
+    def test_former_switch_keys_are_rejected(self, server, tiny_system):
+        """The API takes the three budgets only: an ablation switch (or a
+        deleted one) is an unknown key, whatever its value -- including
+        check_repeated_reachability=false, which answered G F p wrongly."""
+        for key in (
+            "state_pruning",
+            "data_structure_support",
+            "static_analysis",
+            "monotone_pruning",
+            "check_repeated_reachability",
+            "use_artifact_relations",
+            "repeated_violation_fast_path",
+        ):
+            for value in (False, True):
+                payload = _payload(tiny_system, _properties()[:1])
+                payload["options"] = {key: value}
+                status, body = _request(f"{server.url}/v1/jobs", "POST", payload)
+                assert status == 400, (key, value)
+                assert "unknown verifier option" in body["error"], body
+                assert key in body["error"], body
 
     def test_unknown_job_is_404(self, server):
         status, body = _request(f"{server.url}/v1/jobs/ffffffffffff")
@@ -352,7 +370,15 @@ class TestOptionsWireFormat:
         assert status == 400 and "static_pruning" in body["error"]
 
     def test_retired_pruning_keys_are_ignored_when_loading(self):
-        data = dict(VerifierOptions().as_dict(), static_pruning=False, dataflow_pruning=False)
+        data = dict(
+            VerifierOptions().as_dict(),
+            static_pruning=False,
+            dataflow_pruning=False,
+            state_pruning=False,
+            check_repeated_reachability=False,
+            use_artifact_relations=False,
+            repeated_violation_fast_path=False,
+        )
         assert VerifierOptions.from_dict(data) == VerifierOptions()
 
     def test_retired_dataflow_counter_is_ignored_when_loading(self):

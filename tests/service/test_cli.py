@@ -92,6 +92,18 @@ class TestExitCodeContract:
         assert main(["batch", str(tmp_path / "missing.spec.json")]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["verify", "batch", "serve"])
+    def test_ablation_flags_are_argparse_errors(self, spec_path, command, capsys):
+        """The CLI takes the three budgets only: the reachability-only
+        ablation flag is gone, so argparse rejects it."""
+        from repro.cli import build_parser
+
+        spec = [] if command == "serve" else [str(spec_path)]
+        with pytest.raises(SystemExit) as error:
+            build_parser().parse_args([command, *spec, "--no-repeated-reachability"])
+        assert error.value.code == 2
+        assert "--no-repeated-reachability" in capsys.readouterr().err
+
     def test_exit_2_on_malformed_spec(self, tmp_path, capsys):
         path = tmp_path / "broken.spec.json"
         path.write_text("{not json")

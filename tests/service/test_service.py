@@ -66,6 +66,19 @@ class TestJobs:
         selected = jobs_from_bundle(bundle, OPTIONS, property_names=["never-shipped"])
         assert [j.property_name for j in selected] == ["never-shipped"]
 
+    def test_default_job_fingerprint_is_pinned(self, tiny_system):
+        """Stored results are keyed by this fingerprint: the canonical
+        system, property and options dicts of a default job must hash
+        exactly as they did before the options became budgets only."""
+        prop = LTLFOProperty(
+            "Main", parse_ltl("G F p"), {"p": Eq(Var("status"), Const("shipped"))},
+            name="always-eventually-shipped",
+        )
+        job = VerificationJob.from_objects(tiny_system, prop, VerifierOptions())
+        assert job.fingerprint == (
+            "4531971063f07c553262f9f4feac26ecb388706ca0a2a37ff6132561a1aa9e2e"
+        )
+
     def test_job_materialisation(self, tiny_system):
         prop = _properties("Main")[0]
         job = VerificationJob.from_objects(tiny_system, prop, OPTIONS)
@@ -278,7 +291,7 @@ class TestSerializableResults:
         assert clone.outcome == result.outcome
 
     def test_options_dict_roundtrip(self):
-        options = VerifierOptions(state_pruning=False, timeout_seconds=1.5)
+        options = VerifierOptions(max_repeated_states=7, timeout_seconds=1.5)
         rebuilt = VerifierOptions.from_dict(options.as_dict())
         assert rebuilt == options
         assert VerifierOptions.from_dict({"unknown": 1}) == VerifierOptions()

@@ -1,4 +1,5 @@
-"""The RC001 rule of tools/lint_invariants.py: no sys.setrecursionlimit in src/repro."""
+"""Rules of tools/lint_invariants.py: RC001 (no sys.setrecursionlimit in
+src/repro) and AB001 (no ablation switches on the public surfaces)."""
 
 import ast
 import importlib.util
@@ -55,3 +56,41 @@ def test_every_package_file_is_checked_once_with_all_its_rules(lint):
 def test_package_has_no_violation_and_no_baseline_entry(lint):
     assert [v.render() for v in lint.collect_violations() if v.rule == "RC001"] == []
     assert not [entry for entry in lint._load_baseline() if "::RC001::" in entry]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from repro.core.options import Ablation\n",
+        "from repro.core.options import VerifierOptions, Ablation as Switches\n",
+        "from ..core.options import Ablation\n",
+        "import repro.core.options\ndef submit():\n    return repro.core.options.Ablation()\n",
+    ],
+)
+def test_ablation_on_a_public_surface_is_flagged(lint, source):
+    assert [rule for rule, _ in _rules_hit(lint, source, rules=("AB001",))] == ["AB001"]
+
+
+def test_budgets_are_allowed_on_a_public_surface(lint):
+    source = "from repro.core.options import VerifierOptions\n"
+    assert _rules_hit(lint, source, rules=("AB001",)) == []
+
+
+def test_ablation_rule_covers_exactly_the_public_surfaces(lint):
+    files = dict(lint._python_files())
+    guarded = {
+        os.path.relpath(path, lint.REPO_ROOT).replace(os.sep, "/")
+        for path, rules in files.items()
+        if "AB001" in rules
+    }
+    assert "src/repro/cli.py" in guarded
+    for package in ("server", "service", "client", "api", "spec"):
+        assert any(path.startswith(f"src/repro/{package}/") for path in guarded), package
+    assert not any(
+        path.startswith(("src/repro/core/", "src/repro/benchmark/")) for path in guarded
+    )
+
+
+def test_public_surfaces_have_no_ablation_and_no_baseline_entry(lint):
+    assert [v.render() for v in lint.collect_violations() if v.rule == "AB001"] == []
+    assert not [entry for entry in lint._load_baseline() if "::AB001::" in entry]

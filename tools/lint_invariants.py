@@ -50,6 +50,15 @@ A call, a reference (``sys.setrecursionlimit`` passed around) and
 ``from sys import setrecursionlimit`` all count; the rule has no baseline
 entries.
 
+**AB001 -- no ablation switches on the public surfaces**
+(``src/repro/{server,service,client,api,spec}``, ``src/repro/cli.py``).
+``repro.core.options.Ablation`` turns off optimisations for the paper's
+Section 4 experiments, and two of its switches change the question the
+verifier answers.  The API, the CLI, the service and the spec layer accept
+the three budgets of ``VerifierOptions`` only; importing ``Ablation`` (or
+reaching it as an attribute) there would let a client ask for an unsound
+answer again.  The rule has no baseline entries.
+
 Violations are identified as ``<relpath>::<rule>::<enclosing function>``
 and checked against ``tools/lint_invariants_baseline.txt``: existing,
 reviewed call sites are grandfathered; anything new fails the build.
@@ -77,6 +86,12 @@ SCANNED_TREES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     (os.path.join("src", "repro", "analysis", "dataflow.py"), ("DF001",)),
     (os.path.join("src", "repro", "client", "core.py"), ("IO001",)),
     (os.path.join("src", "repro"), ("RC001",)),
+    (os.path.join("src", "repro", "server"), ("AB001",)),
+    (os.path.join("src", "repro", "service"), ("AB001",)),
+    (os.path.join("src", "repro", "client"), ("AB001",)),
+    (os.path.join("src", "repro", "api"), ("AB001",)),
+    (os.path.join("src", "repro", "spec"), ("AB001",)),
+    (os.path.join("src", "repro", "cli.py"), ("AB001",)),
 )
 BASELINE_PATH = os.path.join(REPO_ROOT, "tools", "lint_invariants_baseline.txt")
 
@@ -86,6 +101,8 @@ WRITE_HELPER_NAMES = ("_write", "write_transaction")
 #: ``time.sleep`` catches ``from time import sleep``.
 IO_MODULES = ("socket", "ssl", "asyncio", "urllib.request", "http.client", "time.sleep")
 CONNECTION_PARAMS = ("conn", "connection")
+#: The harness-only configuration AB001 keeps off the public surfaces.
+ABLATION_NAME = "Ablation"
 
 
 class Violation:
@@ -199,6 +216,8 @@ class _InvariantVisitor(ast.NodeVisitor):
             self._check_io_import([node.module] + names, node.lineno)
             if "sys.setrecursionlimit" in names:
                 self._record_recursion_limit(node.lineno)
+        if any(alias.name == ABLATION_NAME for alias in node.names):
+            self._record_ablation(node.lineno)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if (
@@ -207,6 +226,8 @@ class _InvariantVisitor(ast.NodeVisitor):
             and node.value.id == "sys"
         ):
             self._record_recursion_limit(node.lineno)
+        if node.attr == ABLATION_NAME:
+            self._record_ablation(node.lineno)
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -291,6 +312,15 @@ class _InvariantVisitor(ast.NodeVisitor):
                 lineno,
                 "sys.setrecursionlimit changes a process-wide limit: keep an "
                 "explicit stack instead of recursing",
+            )
+
+    def _record_ablation(self, lineno: int) -> None:
+        if "AB001" in self.rules:
+            self._record(
+                "AB001",
+                lineno,
+                "Ablation on a public surface: the API, CLI, service and spec "
+                "layers take the VerifierOptions budgets only",
             )
 
     def _check_unordered_iteration(self, iterable: ast.AST) -> None:
