@@ -467,14 +467,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verification workers (default: 2)")
     serve.add_argument(
         "--worker-model", choices=("thread", "process"), default="process",
-        help="process: one OS process per worker -- CPU-bound searches run truly in"
-             " parallel, with cross-process cancellation, crash requeue and recycling;"
-             " thread: in-process workers sharing the GIL.  process degrades to"
-             " thread automatically in sandboxes that cannot spawn (default: process)",
+        help="what runs each worker's searches -- process: an OS process, so"
+             " CPU-bound searches run truly in parallel; thread: a thread sharing the"
+             " GIL.  Both share the claim, cancel, crash-requeue and recycling rules."
+             "  process degrades to thread automatically in sandboxes that cannot"
+             " spawn (default: process)",
     )
     serve.add_argument(
         "--max-jobs-per-worker", type=int, default=32, metavar="K",
-        help="recycle a worker process after K jobs (process model; default: 32)",
+        help="recycle a worker's runner after K jobs (default: 32)",
     )
     serve.add_argument("--store", default="repro-jobs.db", metavar="PATH",
                        help="SQLite job/result store (default: repro-jobs.db)")

@@ -43,12 +43,12 @@ class CancellationToken:
     permanently tightening it.
 
     A token may also carry an *external* pollable backend: any zero-argument
-    callable returning truthy once cancellation is requested (for example a
-    ``multiprocessing.Event().is_set``, or a closure polling a persistent
-    store's ``cancel_requested`` flag).  The backend is consulted on every
-    :attr:`cancelled` check, which the search loops already perform once per
-    iteration -- this is how a cancel crosses a process boundary without the
-    requester holding a reference to the in-process token.
+    callable returning truthy once cancellation is requested (for example the
+    ``is_set`` of a ``multiprocessing`` or ``threading`` Event).  The backend
+    is consulted on every :attr:`cancelled` check, which the search loops
+    already perform once per iteration -- this is how a cancel crosses a
+    process boundary without the requester holding a reference to the
+    in-process token.
     """
 
     def __init__(
@@ -81,8 +81,7 @@ class CancellationToken:
         if self._cancelled.is_set():
             return True
         if self._external is not None and self._external():
-            # Latch it: external backends may be expensive to poll (a store
-            # query) or may be torn down while the search unwinds.
+            # Latch it: the backend may be torn down while the search unwinds.
             self._cancelled.set()
             return True
         return self._parent is not None and self._parent.cancelled
@@ -128,48 +127,6 @@ class CancellationToken:
 
     def should_stop(self) -> bool:
         return self.stop_reason() is not None
-
-
-class RateLimitedPoll:
-    """An *external* token backend over an expensive pollable.
-
-    Wraps a zero-argument callable (typically a persistent-store query such
-    as ``lambda: store.is_cancel_requested(job_id)``) for use as
-    ``CancellationToken(external=...)``.  Search loops consult the external
-    backend once per iteration -- far too often for a SQL round trip -- so
-    this adapter consults the underlying pollable at most once per
-    ``interval`` seconds and answers from the cached value in between.
-
-    Once the pollable returns truthy the result latches True forever (the
-    store row may be swept while the search unwinds).  Exceptions from the
-    pollable are swallowed and read as "not cancelled": a flaky or
-    shutting-down store must never kill a verification run.
-    """
-
-    def __init__(self, poll: Callable[[], bool], interval: float = 0.25):
-        self._poll = poll
-        self._interval = interval
-        self._lock = threading.Lock()
-        self._next_poll = 0.0  # monotonic stamp of the next allowed poll
-        self._value = False
-
-    def __call__(self) -> bool:
-        if self._value:
-            return True
-        with self._lock:
-            if self._value:
-                return True
-            now = time.monotonic()
-            if now < self._next_poll:
-                return False
-            self._next_poll = now + self._interval
-        try:
-            value = bool(self._poll())
-        except Exception:  # noqa: BLE001 - a dead store reads as "keep going"
-            return False
-        if value:
-            self._value = True
-        return value
 
 
 class _NullPhase:

@@ -36,20 +36,20 @@ from repro.server.store import (
     StoreBackedCache,
     StoredJob,
 )
-from repro.server.workers import ProcessWorkerAgent, probe_process_support
+from repro.server.workers import WorkerAgent, probe_process_support
 
 __all__ = [
     "JOB_STATUSES",
     "JobStore",
     "LatencyTracker",
     "PendingQuotaExceeded",
-    "ProcessWorkerAgent",
     "RecoveryReport",
     "ServerMetrics",
     "StoreBackedCache",
     "StoredJob",
     "TERMINAL_STATUSES",
     "VerificationServer",
+    "WorkerAgent",
     "WorkerGauges",
     "probe_process_support",
     "recover",

@@ -5,16 +5,15 @@ A :class:`VerificationServer` owns
 * a :class:`~repro.server.store.JobStore` (SQLite) holding the durable job
   queue and every computed result,
 * a :class:`~repro.server.store.StoreBackedCache` (in-memory LRU read-through
-  over the store) plugged into a
-  :class:`~repro.service.engine.VerificationService`,
-* a worker pool that claims queued jobs and verifies them -- either
-  **thread** workers (in-process, GIL-shared; always available) or
-  **process** workers (:mod:`repro.server.workers`: one long-lived OS
-  process per slot, truly parallel CPU-bound searches, cross-process
-  cancellation, crash requeue and recycling).  ``worker_model="process"``
-  degrades to threads automatically when the sandbox cannot spawn
-  processes, mirroring :mod:`repro.service.engine`'s ``BrokenProcessPool``
-  fallback, and
+  over the store) that the workers consult before running a search,
+* one :class:`~repro.server.workers.WorkerAgent` per worker slot: it claims
+  queued jobs and runs each on the slot's runner -- a spawned child process
+  (``worker_model="process"``: truly parallel CPU-bound searches) or a
+  thread in this process (``"thread"``: GIL-shared, always available).
+  Both models share the claim, cancel, heartbeat, crash-requeue and
+  recycling rules.  ``worker_model="process"`` degrades to threads
+  automatically when the sandbox cannot spawn processes, mirroring
+  :mod:`repro.service.engine`'s ``BrokenProcessPool`` fallback, and
 * a :class:`~http.server.ThreadingHTTPServer` running
   :class:`~repro.server.handlers.ApiHandler`.
 
@@ -27,9 +26,10 @@ Several server processes may share one ``--store`` file (the store runs in
 WAL mode with per-thread connections and atomic claim transactions): give
 each a unique ``server_id`` so worker claims are attributable, startup
 recovery only requeues that server's own previous claims, a ``DELETE``
-handled by one server cancels a search running on another (workers poll the
-persisted ``cancel_requested`` flag), and the store's ``sweeper`` lease
-elects a single server to run TTL expiry and dead-server rescue at a time.
+handled by one server cancels a search running on another (each agent reads
+the persisted ``cancel_requested`` flag back with every heartbeat), and the
+store's ``sweeper`` lease elects a single server to run TTL expiry and
+dead-server rescue at a time.
 
 ::
 
@@ -55,22 +55,11 @@ from repro.analysis import (
     analyze_system,
     sort_diagnostics,
 )
-from repro.core.control import (
-    CancellationToken,
-    PhaseTimer,
-    RateLimitedPoll,
-    SearchControl,
-)
 from repro.core.options import VerifierOptions
-from repro.core.verifier import VerificationResult, Verifier
 from repro.events import (
-    CacheServed,
     CancelRequested,
     EventBroker,
     EventManager,
-    JobCancelled,
-    JobCompleted,
-    JobFailed,
     JobSubmitted,
     LogSink,
     MetricsSink,
@@ -82,16 +71,8 @@ from repro.events import (
     SweeperLeaseMiss,
     TenantThrottled,
     TraceSink,
-    VerificationStarted,
 )
-from repro.obs import (
-    Span,
-    TraceContext,
-    TraceScope,
-    Tracer,
-    build_tree,
-    new_trace_id,
-)
+from repro.obs import Span, Tracer, build_tree, new_trace_id
 from repro.server.handlers import ApiHandler
 from repro.server.metrics import ServerMetrics
 from repro.server.recovery import RecoveryReport, recover
@@ -104,14 +85,12 @@ from repro.server.store import (
     StoredJob,
 )
 from repro.server.workers import (
-    ProcessWorkerAgent,
+    WorkerAgent,
     children_alive,
-    deadline_ms_binding,
     pool_snapshot,
     probe_process_support,
 )
 from repro.service.cache import ResultCache
-from repro.service.engine import VerificationService
 from repro.service.jobs import VerificationJob
 from repro.spec.codec import (
     SCHEMA_VERSION,
@@ -155,7 +134,6 @@ class VerificationServer:
         heartbeat_interval: float = 1.0,
         stale_heartbeat_seconds: float = 15.0,
         server_id: Optional[str] = None,
-        cancel_poll_interval: float = 0.25,
         long_poll_max_ms: int = 30_000,
         push_fallback_interval: float = 0.5,
         event_log_stream: Optional[Any] = None,
@@ -208,9 +186,6 @@ class VerificationServer:
             if server_id
             else f"srv:{uuid.uuid4().hex[:8]}"
         )
-        #: How often a *running* thread-model job's token re-polls the store's
-        #: ``cancel_requested`` flag (cross-server DELETE latency bound).
-        self.cancel_poll_interval = cancel_poll_interval
         self.host = host
         self.port = port
         self.quiet = quiet
@@ -221,22 +196,21 @@ class VerificationServer:
         self.worker_model = worker_model
         #: Why a requested process pool degraded to threads (None otherwise).
         self.worker_fallback_error: Optional[str] = None
-        #: Recycle a worker process after this many dispatched jobs.
+        #: Recycle a worker's runner after this many dispatched jobs.
         self.max_jobs_per_worker = max(1, max_jobs_per_worker)
         if stale_heartbeat_seconds <= 2.0 * heartbeat_interval:
-            # Workers (process agents in their drain loops, thread claims
-            # via the dedicated heartbeat thread) refresh heartbeats once
-            # per heartbeat_interval: a staleness threshold inside that
-            # cadence would make the sweeper perpetually "rescue" live jobs
-            # -- cancel, requeue, re-claim, forever.
+            # Worker agents refresh their claims' heartbeats once per
+            # heartbeat_interval from their drain loops: a staleness
+            # threshold inside that cadence would make the sweeper
+            # perpetually "rescue" live jobs -- cancel, requeue, re-claim,
+            # forever.
             raise ValueError(
                 f"stale_heartbeat_seconds ({stale_heartbeat_seconds}) must exceed"
                 f" twice heartbeat_interval ({heartbeat_interval}): workers only"
                 " refresh claims that often"
             )
-        #: How often (seconds) workers refresh their jobs' store heartbeats
-        #: (process agents from their drain loops; thread claims from the
-        #: dedicated heartbeat thread).
+        #: How often (seconds) worker agents refresh their jobs' store
+        #: heartbeats and read back cross-server cancels.
         self.heartbeat_interval = heartbeat_interval
         #: Heartbeat age past which the sweeper requeues a running job whose
         #: owner is presumed dead.
@@ -328,34 +302,22 @@ class VerificationServer:
             events=self.events,
         )
         self.cache = StoreBackedCache(self.store, ResultCache(max_entries=cache_entries))
-        self.service = VerificationService(
-            cache=self.cache, default_options=default_options
-        )
+        #: Options for a submitted job that names none.
+        self.default_options = default_options or VerifierOptions()
         self._stop_event = threading.Event()
         # Serialises stop(): see its docstring.
         self._stop_lock = threading.Lock()
         self._stopped = False
         self._wakeup = threading.Event()
-        self._worker_threads: List[threading.Thread] = []
-        self._agents: List[ProcessWorkerAgent] = []
+        self._agents: List[WorkerAgent] = []
         self._httpd: Optional[_HttpServer] = None
         self._http_thread: Optional[threading.Thread] = None
         self._sweeper_thread: Optional[threading.Thread] = None
-        self._heartbeat_thread: Optional[threading.Thread] = None
         # Cancel hooks of jobs currently running on this server's workers,
-        # so `DELETE /v1/jobs/<id>` can trip a live search: a thread job
-        # registers its CancellationToken.cancel, a process job the `set` of
-        # the multiprocessing.Event its child polls.
+        # so `DELETE /v1/jobs/<id>` can trip a live search: the `set` of the
+        # Event the job's runner polls.
         self._cancel_lock = threading.Lock()
         self._cancellers: Dict[str, Callable[[], None]] = {}
-        # Thread-model jobs currently executing on this server (job id ->
-        # worker id).  The dedicated heartbeat thread refreshes their store
-        # heartbeats -- the worker thread itself is busy inside the search
-        # -- so a peer server's stale sweep never mistakes a live thread
-        # job for a dead one, while this process dying hard leaves the
-        # heartbeat to go stale and the job to be rescued.  (Process-model
-        # agents heartbeat from their own drain loops instead.)
-        self._inflight: Dict[str, str] = {}
         #: Monotonic stamp of the sweeper loop's last completed pass (lease
         #: misses count: the loop is alive either way); ``/readyz`` flags a
         #: wedged sweeper through its age.
@@ -395,29 +357,14 @@ class VerificationServer:
             daemon=True,
         )
         self._http_thread.start()
-        if self.worker_model == "process":
-            for index in range(self.workers):
-                agent = ProcessWorkerAgent(self, index)
-                agent.start()
-                self._agents.append(agent)
-        else:
-            for index in range(self.workers):
-                thread = threading.Thread(
-                    target=self._worker_loop,
-                    args=(index,),
-                    name=f"repro-worker-{index}",
-                    daemon=True,
-                )
-                thread.start()
-                self._worker_threads.append(thread)
+        for index in range(self.workers):
+            agent = WorkerAgent(self, index)
+            agent.start()
+            self._agents.append(agent)
         self._sweeper_thread = threading.Thread(
             target=self._sweeper_loop, name="repro-sweeper", daemon=True
         )
         self._sweeper_thread.start()
-        self._heartbeat_thread = threading.Thread(
-            target=self._heartbeat_loop, name="repro-heartbeat", daemon=True
-        )
-        self._heartbeat_thread.start()
 
     def stop(self) -> None:
         """Graceful shutdown: finish in-flight jobs, leave the queue persisted.
@@ -444,30 +391,14 @@ class VerificationServer:
             self._http_thread.join(timeout=5)
         if self._sweeper_thread is not None:
             self._sweeper_thread.join(timeout=5)
-        if self._heartbeat_thread is not None:
-            self._heartbeat_thread.join(timeout=5)
-        # The heartbeat thread is gone, but in-flight thread jobs may run for a while
-        # yet -- keep their heartbeats fresh while waiting, or a peer
-        # server's stale sweep would "rescue" (re-run) jobs that are about
-        # to finish right here.  (Process agents heartbeat from their own
-        # drain loops until done.)
-        deadline = time.monotonic() + 60
-        for thread in self._worker_threads:
-            while thread.is_alive() and time.monotonic() < deadline:
-                thread.join(timeout=max(0.05, min(1.0, self.heartbeat_interval)))
-                if thread.is_alive():
-                    try:
-                        self._sync_inflight()
-                    except Exception:  # pragma: no cover - store unusable
-                        break
+        # In-flight jobs finish first; their agents keep heartbeating from
+        # their drain loops meanwhile, so no peer's stale sweep re-runs them.
         for agent in self._agents:
             agent.join(timeout=60)
         for agent in self._agents:
             if not agent.is_alive():
-                agent.close()  # tear down the (now idle) child process
-        workers_done = all(
-            not thread.is_alive() for thread in self._worker_threads
-        ) and all(not agent.is_alive() for agent in self._agents)
+                agent.close()  # stop the (now idle) runner
+        workers_done = all(not agent.is_alive() for agent in self._agents)
         try:
             # Hand the sweeper role to a peer immediately instead of making
             # it wait out the lease TTL.
@@ -499,33 +430,6 @@ class VerificationServer:
 
     # ------------------------------------------------------------------ workers
 
-    def _worker_loop(self, index: int) -> None:
-        worker_id = f"{self.worker_id_prefix}thread-{index}"
-        while not self._stop_event.is_set():
-            try:
-                stored = self.store.claim_next(worker_id=worker_id)
-            except sqlite3.ProgrammingError:
-                return  # store closed mid-shutdown
-            except Exception:
-                # Transient (e.g. an exhausted busy timeout under heavy
-                # multi-process contention): the claim loop must outlive it,
-                # or worker capacity silently shrinks to zero.
-                self._stop_event.wait(timeout=0.5)
-                continue
-            if stored is None:
-                self._wakeup.wait(timeout=0.1)
-                self._wakeup.clear()
-                continue
-            try:
-                self._process(stored, worker_id)
-            except sqlite3.ProgrammingError:
-                return  # store closed mid-shutdown
-            except Exception:
-                # A finalisation write hit the same transient trouble the
-                # claim above is hardened against; the job will be rescued
-                # by the stale sweep, and this slot lives on.
-                self._stop_event.wait(timeout=0.5)
-
     def _register_canceller(self, job_id: str, canceller: Callable[[], None]) -> None:
         """Register the hook `cancel_job` calls to trip *job_id*'s live search."""
         with self._cancel_lock:
@@ -534,199 +438,6 @@ class VerificationServer:
     def _unregister_canceller(self, job_id: str) -> None:
         with self._cancel_lock:
             self._cancellers.pop(job_id, None)
-
-    def _finalize_result(
-        self,
-        stored: StoredJob,
-        result: VerificationResult,
-        cache_hit: bool,
-        deadline_truncated: bool,
-        started: float,
-        owner: Optional[str] = None,
-    ) -> None:
-        """Land a finished job in the store (shared by both worker models).
-
-        A cancelled run lands as terminal ``cancelled`` with its partial
-        statistics (never cached); a ``deadline_ms``-truncated verdict stays
-        on the job row only (``persist_result=False``), mirroring the
-        decision to keep it out of the fingerprint-keyed cache.  ``owner``
-        is the claiming worker id: the mark lands only while that worker
-        still owns the claim, so a zombie whose job was rescued by a stale
-        sweep (here or on a peer server) can never overwrite the live run's
-        state.  A mark that does not land bumps no metrics.
-        """
-        if result.stats.cancelled:
-            if self.store.mark_cancelled(stored.id, result.as_dict(), worker_id=owner):
-                self.events.fire(
-                    JobCancelled(job_id=stored.id, tenant_id=stored.tenant_id)
-                )
-            return
-        if self.store.mark_done(
-            stored.id,
-            result.as_dict(),
-            cache_hit=cache_hit,
-            persist_result=not deadline_truncated,
-            worker_id=owner,
-        ):
-            self.events.fire(
-                JobCompleted(
-                    job_id=stored.id,
-                    data={
-                        "seconds": time.monotonic() - started,
-                        "cache_hit": cache_hit,
-                    },
-                    tenant_id=stored.tenant_id,
-                )
-            )
-
-    def _start_job_spans(
-        self, stored: StoredJob, worker_id: Optional[str]
-    ) -> Optional[Span]:
-        """Record the job's ``queue.wait`` span and open ``worker.execute``.
-
-        Returns the open execute span (``None`` when tracing is off or the
-        job carries no trace).  The queue wait happened before any traced
-        code ran, so it is recorded retroactively from the store's
-        ``submitted_at``/``started_at`` stamps.
-        """
-        if not self.tracer.enabled or stored.trace_id is None:
-            return None
-        claimed_at = stored.started_at if stored.started_at is not None else time.time()
-        self.tracer.record_span(
-            "queue.wait",
-            trace_id=stored.trace_id,
-            parent_id=stored.parent_span,
-            start_time=stored.submitted_at,
-            duration=claimed_at - stored.submitted_at,
-            job_id=stored.id,
-        )
-        parent = (
-            TraceContext(stored.trace_id, stored.parent_span)
-            if stored.parent_span
-            else None
-        )
-        return self.tracer.start_span(
-            "worker.execute",
-            parent=parent,
-            trace_id=stored.trace_id,
-            job_id=stored.id,
-            worker_id=worker_id,
-        )
-
-    def _process(self, stored: StoredJob, worker_id: Optional[str] = None) -> None:
-        started = time.monotonic()
-        execute_span = self._start_job_spans(stored, worker_id)
-        # The token's external backend re-polls the store's persisted
-        # cancel_requested flag (rate-limited -- it is a SQL read), so a
-        # DELETE accepted by *another server* sharing the store stops this
-        # thread-model search within cancel_poll_interval.
-        token = CancellationToken(
-            external=RateLimitedPoll(
-                lambda: self.store.is_cancel_requested(stored.id),
-                interval=self.cancel_poll_interval,
-            )
-        )
-        if stored.deadline_ms is not None:
-            token.tighten_deadline(stored.deadline_ms / 1000.0)
-        self._register_canceller(stored.id, token.cancel)
-        if worker_id is not None:
-            with self._cancel_lock:
-                self._inflight[stored.id] = worker_id
-        try:
-            # A cancel accepted between the claim and the registration above
-            # only reached the store; fold it into the live token now.
-            if self.store.is_cancel_requested(stored.id):
-                token.cancel()
-            try:
-                result, cache_hit, deadline_truncated = self._execute(
-                    stored, token, deadline_ms_binding(stored), execute_span
-                )
-            except Exception as error:
-                message = f"{type(error).__name__}: {error}"
-                if execute_span is not None:
-                    execute_span.set_error(message)
-                if self.store.mark_error(stored.id, message, worker_id=worker_id):
-                    self.events.fire(
-                        JobFailed(
-                            job_id=stored.id,
-                            data={"error": message},
-                            tenant_id=stored.tenant_id,
-                        )
-                    )
-                return
-            if execute_span is not None:
-                execute_span.set_attr("cache_hit", cache_hit)
-                if result.stats.cancelled:
-                    execute_span.set_error("search cancelled", reason="cancelled")
-            self._finalize_result(
-                stored, result, cache_hit, deadline_truncated, started, owner=worker_id
-            )
-        finally:
-            if execute_span is not None:
-                self.tracer.finish(execute_span)
-            self._unregister_canceller(stored.id)
-            with self._cancel_lock:
-                self._inflight.pop(stored.id, None)
-
-    def _execute(
-        self,
-        stored: StoredJob,
-        token: CancellationToken,
-        deadline_binding: bool,
-        execute_span: Optional[Span] = None,
-    ) -> Tuple[VerificationResult, bool, bool]:
-        """Run one claimed job: cache lookup, then a cancellable search.
-
-        Returns ``(result, cache_hit, deadline_truncated)``; the last flag is
-        the single source of truth for "this verdict was cut short by the
-        job-level deadline_ms", used both here (skip the cache) and by
-        ``_process`` (keep the result off the fingerprint-keyed table).
-
-        Progress events stream into the store's per-job event log as the
-        search runs, so ``GET /v1/jobs/<id>/events`` observes them live (the
-        log is the only consumer, so no in-memory session buffer is kept).
-        """
-        job = stored.to_job()
-        cached = self.cache.get(job.fingerprint)
-        if cached is not None:
-            self.events.fire(
-                CacheServed(
-                    job_id=stored.id,
-                    data={"outcome": cached.outcome.value, "cache_hit": True},
-                    tenant_id=stored.tenant_id,
-                )
-            )
-            return cached, True, False
-        self.events.fire(
-            VerificationStarted(job_id=stored.id, tenant_id=stored.tenant_id)
-        )
-        traced: Dict[str, Any] = {}
-        if execute_span is not None:
-            # Per-phase hot-loop attribution plus nested verify.* spans,
-            # parented under this worker's execute span.
-            traced = {
-                "phase_timer": PhaseTimer(),
-                "trace": TraceScope(
-                    self.tracer, parent=execute_span.context(), job_id=stored.id
-                ),
-            }
-        control = SearchControl(
-            token=token,
-            event_sink=self.events.progress_sink(stored.id, trace_id=stored.trace_id),
-            progress_interval=self.progress_interval,
-            **traced,
-        )
-        result = Verifier(job.system(), job.options()).verify(job.ltl_property(), control)
-        # Results truncated by job-level limits that are NOT part of the
-        # content fingerprint (cancellation, a binding deadline_ms) must
-        # never enter the fingerprint-keyed cache: a later job with the same
-        # inputs but no such limit would be served the partial UNKNOWN
-        # verdict forever.  Timeouts from the fingerprinted
-        # options.timeout_seconds remain cacheable, as before.
-        deadline_truncated = deadline_binding and result.stats.timed_out
-        if not result.stats.cancelled and not deadline_truncated:
-            self.cache.put(job.fingerprint, result)
-        return result, False, deadline_truncated
 
     # ------------------------------------------------------------------ sweeper
 
@@ -751,9 +462,9 @@ class VerificationServer:
                     continue
                 swept = self.store.sweep_expired()
                 # Rescue jobs whose owner went dark (its heartbeats
-                # stopped): a dead process-worker agent, a SIGKILL'd peer
-                # server, a dead thread-model server.  Anonymous claims
-                # carry no heartbeat and are never touched.
+                # stopped): a dead worker agent or a SIGKILL'd peer
+                # server.  Anonymous claims carry no heartbeat and are
+                # never touched.
                 stale = self.store.requeue_stale(self.stale_heartbeat_seconds)
                 if stale:
                     self.events.fire(StaleJobsRequeued(data={"count": stale}))
@@ -767,41 +478,6 @@ class VerificationServer:
                 continue
             if swept["jobs"]:
                 self.events.fire(SweepCompleted(data=swept))
-
-    def _heartbeat_loop(self) -> None:
-        # A dedicated thread, deliberately NOT the sweeper: it is the only
-        # heartbeat source for this server's thread-model claims, and a
-        # long sweep (a contended write, a big expiry DELETE) must not
-        # starve local heartbeats past the peers' staleness window.
-        while not self._stop_event.wait(timeout=self.heartbeat_interval):
-            try:
-                self._sync_inflight()
-            except sqlite3.ProgrammingError:  # store closed mid-shutdown
-                return
-            except Exception:  # transient: retry next tick
-                continue
-
-    def _sync_inflight(self) -> None:
-        """Heartbeat this server's thread-model jobs and fold store-side
-        cancels (e.g. a DELETE handled by a peer server) into their tokens."""
-        with self._cancel_lock:
-            inflight = dict(self._inflight)
-        for job_id, worker_id in inflight.items():
-            try:
-                owned, cancel_requested = self.store.touch_claim(job_id, worker_id)
-            except sqlite3.ProgrammingError:
-                raise  # store closed: let the caller's shutdown path handle it
-            except Exception:
-                continue  # contended tick: this job's claim retries next pass
-            if owned and not cancel_requested:
-                continue
-            # Cancelled through the store, or the claim was rescued from us:
-            # either way the search should unwind now (its late mark would
-            # bounce off the ownership predicate anyway).
-            with self._cancel_lock:
-                canceller = self._cancellers.get(job_id)
-                if canceller is not None:
-                    canceller()
 
     # -------------------------------------------------------------------- views
 
@@ -927,7 +603,7 @@ class VerificationServer:
 
         options_data = payload.get("options")
         if options_data is None:
-            options = self.service.default_options
+            options = self.default_options
         elif isinstance(options_data, Mapping):
             # Spec files tolerate unknown keys for forward compatibility; an
             # API submission with one is far more likely a typo (silently
@@ -1117,10 +793,9 @@ class VerificationServer:
         """The ``DELETE /v1/jobs/<id>`` body: cooperative cancellation.
 
         Queued jobs become ``cancelled`` immediately; running jobs get their
-        canceller tripped -- the thread model cancels the in-process token,
-        the process model sets the ``multiprocessing.Event`` the child's
-        token polls, so the search unwinds at its next loop iteration on
-        either side of the process boundary -- and land as ``cancelled``
+        canceller tripped -- it sets the Event the runner's token polls, so
+        the search unwinds at its next loop iteration, in a child process or
+        a thread alike -- and land as ``cancelled``
         with partial statistics; already terminal jobs (and repeated
         DELETEs) are reported unchanged -- the store appends the ``cancel``
         event and bumps nothing twice.
@@ -1133,10 +808,10 @@ class VerificationServer:
             return None
         disposition, fresh = outcome
         if disposition == "cancelling":
-            # Idempotent and racing-registration-safe: both worker models
-            # re-check the persisted flag after registering their canceller.
-            # The canceller is invoked *under* the lock: a process worker's
-            # canceller is its agent's per-child Event.set, and firing a
+            # Idempotent and racing-registration-safe: the agent re-checks
+            # the persisted flag after registering its canceller.  The
+            # canceller is invoked *under* the lock: it is the agent's
+            # per-runner Event.set, and firing a
             # stale reference after the agent moved on to its next job
             # would cancel that innocent job (the agent unregisters, then
             # clears the event, then re-registers -- all serialised against
@@ -1360,10 +1035,9 @@ class VerificationServer:
         ticked recently (lease misses count as ticks -- a peer holding the
         lease is healthy).  Any failing check flips the endpoint to 503.
 
-        A thread slot is alive when its thread runs.  A process slot is
-        alive when its agent thread runs and its child is alive or not
-        spawned yet: a process pool spawns its children lazily, on the first
-        claimed job, so a fresh idle pool is ready (see ``pool_snapshot``).
+        A slot is alive when its agent thread runs and its runner is alive
+        or not started yet: runners start lazily, on the first claimed job,
+        so a fresh idle pool is ready (see ``pool_snapshot``).
         """
         store_ok = self.store.ping()
         checks: Dict[str, Any] = {
@@ -1373,14 +1047,8 @@ class VerificationServer:
         if self.workers <= 0:
             workers_alive, workers_total = 0, 0
             workers_ok = True  # an API-only server is ready without workers
-        elif self.worker_model == "process" and self._agents:
-            workers_alive, workers_total = pool_snapshot(self._agents)
-            workers_ok = workers_alive > 0
         else:
-            workers_total = len(self._worker_threads)
-            workers_alive = sum(
-                1 for thread in self._worker_threads if thread.is_alive()
-            )
+            workers_alive, workers_total = pool_snapshot(self._agents)
             workers_ok = workers_alive > 0
         checks["workers"] = {
             "ok": workers_ok,

@@ -64,9 +64,9 @@ class LatencyTracker:
 class WorkerGauges:
     """Per-worker gauges: one row per worker slot, updated by its owner.
 
-    Process workers report their child pid, busy/idle state, the job
-    currently on the wire, and cumulative jobs / crashes / recycles;
-    thread workers report a subset.  Snapshotted into ``/metrics`` under
+    Each slot reports its busy/idle state, the job currently on the wire,
+    and cumulative jobs / crashes / recycles; a process-model slot also
+    reports its child pid.  Snapshotted into ``/metrics`` under
     ``workers.pool``.
     """
 

@@ -59,10 +59,9 @@ Both survive process restarts: a restarted server re-queues interrupted
 computed results straight from the ``results`` table without re-verifying.
 
 :class:`StoreBackedCache` layers the in-memory
-:class:`~repro.service.cache.ResultCache` *read-through* over the store: it
-satisfies the same ``get``/``put``/``statistics`` duck type the
-:class:`~repro.service.engine.VerificationService` expects, so the engine's
-cache path transparently hits memory first, then SQLite, then verifies.
+:class:`~repro.service.cache.ResultCache` *read-through* over the store: a
+worker's cache lookup hits memory first, then SQLite, and only then runs a
+search.  Results land in the store through the job's ``mark_done``.
 """
 
 from __future__ import annotations
@@ -1668,12 +1667,9 @@ class JobStore:
 class StoreBackedCache:
     """Read-through layer: in-memory LRU :class:`ResultCache` over a :class:`JobStore`.
 
-    ``get`` consults memory first, then the store (promoting store hits into
-    memory); ``put`` writes both.  Implements the cache duck type the
-    verification engine uses, so plugging it into a
-    :class:`~repro.service.engine.VerificationService` makes every previously
-    persisted result a cache hit -- including after a process restart with a
-    cold memory cache.
+    ``get`` consults memory first, then the store, promoting store hits into
+    memory.  Every previously persisted result is a cache hit, including
+    after a process restart with a cold memory cache.
     """
 
     def __init__(self, store: JobStore, memory: Optional[ResultCache] = None):
@@ -1690,13 +1686,6 @@ class StoreBackedCache:
         result = VerificationResult.from_dict(persisted)
         self.memory.put(fingerprint, result)
         return result
-
-    def peek(self, fingerprint: str) -> bool:
-        return self.memory.peek(fingerprint) or self.store.has_result(fingerprint)
-
-    def put(self, fingerprint: str, result: VerificationResult) -> None:
-        self.memory.put(fingerprint, result)
-        self.store.put_result(fingerprint, result.as_dict())
 
     def statistics(self) -> Dict[str, int]:
         memory = self.memory.statistics()

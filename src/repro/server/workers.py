@@ -1,56 +1,52 @@
-"""Multi-process verification workers for the HTTP server.
+"""The verification server's worker pipeline: one agent per slot, two runners.
 
-The thread-model workers in :mod:`repro.server.app` share one GIL, so
-``--workers N`` buys concurrency only for I/O: the CPU-bound Karp–Miller
-search still runs one state expansion at a time.  This module provides the
-**process** worker model: long-lived OS processes, one per worker slot, that
-run searches truly in parallel (Spin's multi-core swarm shape).
+Each worker slot is a :class:`WorkerAgent`, a daemon thread in the server
+process that runs the slot's claim loop:
 
-Architecture
-============
+* **claim** a job from the SQLite :class:`~repro.server.store.JobStore`
+  (``claim_next(worker_id=...)`` stamps ``claimed_by`` and a first
+  heartbeat);
+* **cache lookup**: a fingerprint already in the read-through result cache
+  completes as a cache hit without running a search;
+* **dispatch** the job to the slot's *runner* over a duplex connection, as
+  plain spec dicts (the same picklable shape
+  :func:`repro.service.engine._verify_job_dicts` uses);
+* **drain** the runner's messages -- progress events and finished trace
+  spans go onto the event bus, so ``GET /v1/jobs/<id>/events`` observes the
+  search live -- while *syncing* the claim with the store once per
+  heartbeat interval (:meth:`~repro.server.store.JobStore.touch_claim`);
+* **release** the job when the runner died mid-job, else **finalise** it.
 
-Each worker slot is a :class:`ProcessWorkerAgent` -- a *parent-side* thread
-owning one child process:
+The runner executes :func:`process_worker_main`: it rebuilds the model, runs
+the cancellable search and sends the result back.  The two worker models
+differ only in what runs that function (:meth:`WorkerAgent._start_runner`):
 
-* the agent claims jobs from the SQLite :class:`~repro.server.store.JobStore`
-  (``claim_next(worker_id=...)``, which stamps ``claimed_by`` and an initial
-  heartbeat), checks the read-through result cache, and dispatches uncached
-  jobs to its child over a duplex ``multiprocessing`` pipe as plain spec
-  dicts (the same picklable shape :func:`repro.service.engine._verify_job_dicts`
-  uses);
-* the child (:func:`process_worker_main`) rebuilds the model, runs the
-  cancellable search, and streams ``ProgressEvent`` tuples followed by one
-  terminal ``("done", result_dict)`` / ``("error", message)`` message back
-  up the pipe; the agent drains them into the store's events table, so
-  ``GET /v1/jobs/<id>/events`` observes a process-worker search exactly as
-  it would a thread-worker one;
-* while draining, the agent *syncs* its claim with the store once per
-  heartbeat interval (:meth:`~repro.server.store.JobStore.touch_claim`): the
-  heartbeat is refreshed only while the agent still owns the claim -- so
-  :meth:`~repro.server.store.JobStore.requeue_stale` (run by whichever
-  server holds the sweeper lease) can rescue jobs whose *agent* died, and a
-  zombie agent whose job was already rescued cannot keep it alive -- and the
-  persisted ``cancel_requested`` flag is read back, so a ``DELETE`` accepted
-  by **any server sharing the store** stops this child within one heartbeat
-  interval.
+* ``process`` -- a spawned child process, over a ``multiprocessing`` pipe
+  and Event.  Searches run truly in parallel (Spin's multi-core swarm
+  shape).
+* ``thread`` -- a daemon thread in the server process, over an in-process
+  pipe and a ``threading.Event``.  Always available; searches share the GIL.
 
-Cancellation crosses the process boundary through a shared
-``multiprocessing.Event``: the child's
-:class:`~repro.core.control.CancellationToken` polls ``event.is_set`` (the
-token's *external* backend) once per search-loop iteration, so
-``DELETE /v1/jobs/<id>`` -- handled locally, or observed from the store's
-``cancel_requested`` flag when a peer server accepted it -- stops a hot
-search within its poll interval and the partial statistics travel back like
-any other result.
+The claim sync refreshes the heartbeat only while the agent still owns the
+claim, so :meth:`~repro.server.store.JobStore.requeue_stale` (run by
+whichever server holds the sweeper lease) can rescue the jobs of a dead
+agent, and a zombie agent whose job was already rescued cannot keep it
+alive.  The sync also reads back the persisted ``cancel_requested`` flag,
+so a ``DELETE`` accepted by **any server sharing the store** stops the
+runner within one heartbeat interval.  A ``DELETE`` handled by this server
+sets the runner's cancel event at once: the runner's
+:class:`~repro.core.control.CancellationToken` polls it (the token's
+*external* backend) once per search-loop iteration, and the partial
+statistics travel back like any other result.
 
-Workers are spawn-safe (the ``spawn`` start method is used everywhere --- no
-fork-inherited locks) and **recycled** after ``max_jobs_per_worker`` jobs,
-bounding any leak a long worker life could accumulate.  A crashed child
-(segfault, OOM-kill, ``SIGKILL``) is detected by the agent, its job is
-released back to the queue through the same recovery semantics a server
-restart uses (requeue -- unless the job's cancellation was already
-requested, in which case it is finalised ``cancelled``), and a fresh child
-is spawned in its place.
+Runners are **recycled** after ``max_jobs_per_worker`` jobs, bounding any
+leak a long runner life could accumulate.  A runner that dies mid-job (a
+child's segfault, OOM-kill or ``SIGKILL``) is detected by the agent: its
+job is released back to the queue through the same recovery semantics a
+server restart uses (requeue -- unless the job's cancellation was already
+requested, in which case it is finalised ``cancelled``), and a fresh runner
+starts for the next job.  Child processes use the ``spawn`` start method
+everywhere: no fork-inherited locks.
 """
 
 from __future__ import annotations
@@ -65,6 +61,8 @@ from repro.core.control import CancellationToken, PhaseTimer, SearchControl
 from repro.core.verifier import VerificationResult, Verifier
 from repro.events import (
     CacheServed,
+    JobCancelled,
+    JobCompleted,
     JobFailed,
     SearchEvent,
     SpanRecorded,
@@ -72,7 +70,7 @@ from repro.events import (
     WorkerCrashed,
     WorkerRecycled,
 )
-from repro.obs import TraceContext, TraceScope, Tracer
+from repro.obs import Span, TraceContext, TraceScope, Tracer
 from repro.service.jobs import VerificationJob
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (app imports us)
@@ -83,6 +81,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (app imports us)
 #: is safe under threads on every platform (``fork`` duplicates a
 #: mid-transaction SQLite lock or a held logging lock into the child).
 START_METHOD = "spawn"
+
+#: Worker-id stem per worker model (``"<prefix>proc-0"``, ``"<prefix>thread-0"``).
+_WORKER_ID_STEMS = {"process": "proc", "thread": "thread"}
 
 
 def deadline_ms_binding(stored: "StoredJob") -> bool:
@@ -100,11 +101,11 @@ def deadline_ms_binding(stored: "StoredJob") -> bool:
     )
 
 
-# --------------------------------------------------------------------- child
+# -------------------------------------------------------------------- runner
 
 
 def process_worker_main(conn, cancel_event) -> None:
-    """Child-process entry point: verify tasks from the pipe until told to stop.
+    """Runner entry point: verify tasks from the connection until told to stop.
 
     Must stay a module-level function (picklable by reference under
     ``spawn``) and exchange only JSON-compatible payloads.  One message in
@@ -115,24 +116,26 @@ def process_worker_main(conn, cancel_event) -> None:
         ("done", result_dict)     # the serialized VerificationResult
         ("error", message)        # the search raised
 
-    ``cancel_event`` is the cross-process cancellation backend: the token
-    polls it cooperatively once per search-loop iteration, so a cancel set
-    by the parent stops the search within one iteration.
+    ``cancel_event`` is the cancellation backend (a ``multiprocessing`` or
+    ``threading`` Event): the token polls it cooperatively once per
+    search-loop iteration, so a cancel set by the agent stops the search
+    within one iteration.  The runner closes its end of ``conn`` on exit.
     """
-    while True:
-        try:
-            task = conn.recv()
-        except (EOFError, OSError):  # parent died or closed the pipe
-            return
-        if task is None:
-            return
-        try:
-            conn.send(("done", _run_task(task, conn, cancel_event)))
-        except Exception as error:  # noqa: BLE001 - report, don't die
+    with conn:
+        while True:
             try:
-                conn.send(("error", f"{type(error).__name__}: {error}"))
-            except (BrokenPipeError, OSError):  # pragma: no cover
+                task = conn.recv()
+            except (EOFError, OSError):  # parent died or closed the pipe
                 return
+            if task is None:
+                return
+            try:
+                conn.send(("done", _run_task(task, conn, cancel_event)))
+            except Exception as error:  # noqa: BLE001 - report, don't die
+                try:
+                    conn.send(("error", f"{type(error).__name__}: {error}"))
+                except (BrokenPipeError, OSError):  # pragma: no cover
+                    return
 
 
 def _run_task(task: Dict[str, Any], conn, cancel_event) -> Dict[str, Any]:
@@ -149,13 +152,13 @@ def _run_task(task: Dict[str, Any], conn, cancel_event) -> Dict[str, Any]:
 
     def relay(event) -> None:
         # SearchControl.emit swallows sink exceptions, so a dead pipe can
-        # never kill the search; the parent notices the crash separately.
+        # never kill the search; the agent notices the crash separately.
         conn.send(("event", event.kind, dict(event.data)))
 
-    # Traced tasks carry their context across the process boundary in the
-    # task dict; the child runs its own short-lived tracer whose exporter
-    # relays finished spans up the pipe (Tracer.finish swallows exporter
-    # errors, so a dying pipe cannot kill the search either).
+    # Traced tasks carry their context to the runner in the task dict; the
+    # runner keeps its own short-lived tracer whose exporter relays finished
+    # spans over the connection (Tracer.finish swallows exporter errors, so
+    # a dying pipe cannot kill the search either).
     traced: Dict[str, Any] = {}
     trace = task.get("trace")
     if trace:
@@ -209,69 +212,93 @@ def _probe_main() -> None:  # pragma: no cover - runs in a child process
     """A no-op child proving process creation works in this environment."""
 
 
-# -------------------------------------------------------------------- parent
+class _ThreadRunner(threading.Thread):
+    """A thread-model runner, with the part of the ``Process`` API the agent uses."""
+
+    pid = None
+    exitcode = None
+
+    def terminate(self) -> None:
+        """A thread cannot be killed; a stuck runner dies with the server."""
 
 
-class ProcessWorkerAgent(threading.Thread):
-    """Parent-side owner of one worker process (one worker slot).
+# --------------------------------------------------------------------- agent
 
-    The agent is a daemon thread running the same claim loop as a thread
-    worker, but executing each claimed job on its child process.  It is the
-    only toucher of its child's pipe, so no cross-thread pipe locking is
-    needed.
+
+class WorkerAgent(threading.Thread):
+    """One worker slot: the claim loop, running each job on the slot's runner.
+
+    The agent is the only user of its runner's connection, so no
+    cross-thread pipe locking is needed.
     """
 
     def __init__(self, server: "VerificationServer", index: int):
         # The server-id prefix makes the claim attributable in shared-store
         # deployments: startup recovery requeues only own-prefix claims, and
         # operators can read `claimed_by` to see which server runs a job.
-        self.worker_id = f"{server.worker_id_prefix}proc-{index}"
+        stem = _WORKER_ID_STEMS[server.worker_model]
+        self.worker_id = f"{server.worker_id_prefix}{stem}-{index}"
         super().__init__(name=f"repro-agent-{index}", daemon=True)
         self.server = server
-        self.context = multiprocessing.get_context(START_METHOD)
-        self.process: Optional[multiprocessing.process.BaseProcess] = None
-        self._conn = None  # parent end of the duplex pipe
+        self.runner: Optional[Any] = None  # a Process or a _ThreadRunner
+        self._conn = None  # the agent's end of the duplex pipe
         self._cancel_event = None
-        self._jobs_on_child = 0  # jobs dispatched to the current child
-        self._spawn_failures = 0
+        self._jobs_on_runner = 0  # jobs dispatched to the current runner
+        self._start_failures = 0
         server.metrics.worker_gauges.update(
-            self.worker_id, state="idle", model="process"
+            self.worker_id, state="idle", model=server.worker_model
         )
 
     # ------------------------------------------------------------- lifecycle
 
-    def _ensure_child(self) -> None:
-        """(Re)spawn the child if missing, dead, or due for recycling."""
-        if self.process is not None and self.process.is_alive():
-            if self._jobs_on_child < self.server.max_jobs_per_worker:
+    def _ensure_runner(self) -> None:
+        """(Re)start the runner if missing, dead, or due for recycling."""
+        if self.runner is not None and self.runner.is_alive():
+            if self._jobs_on_runner < self.server.max_jobs_per_worker:
                 return
-            self._shutdown_child()  # recycle: bounded worker lifetime
+            self._stop_runner()  # recycle: bounded runner lifetime
             self.server.events.fire(WorkerRecycled(data={"worker": self.worker_id}))
             self.server.metrics.worker_gauges.increment(self.worker_id, "recycles")
-        if self.process is not None and not self.process.is_alive():
+        if self.runner is not None and not self.runner.is_alive():
             self._close_pipes()
-        parent_conn, child_conn = self.context.Pipe(duplex=True)
-        cancel_event = self.context.Event()
-        process = self.context.Process(
-            target=process_worker_main,
-            args=(child_conn, cancel_event),
-            name=f"repro-worker-{self.worker_id}",
-            daemon=True,
-        )
+        self._start_runner()
+
+    def _start_runner(self) -> None:
+        """Start a fresh runner: the one place the two worker models differ."""
+        if self.server.worker_model == "process":
+            context = multiprocessing.get_context(START_METHOD)
+            conn, runner_conn = context.Pipe(duplex=True)
+            cancel_event = context.Event()
+            runner = context.Process(
+                target=process_worker_main,
+                args=(runner_conn, cancel_event),
+                name=f"repro-worker-{self.worker_id}",
+                daemon=True,
+            )
+        else:
+            conn, runner_conn = multiprocessing.Pipe(duplex=True)
+            cancel_event = threading.Event()
+            runner = _ThreadRunner(
+                target=process_worker_main,
+                args=(runner_conn, cancel_event),
+                name=f"repro-worker-{self.worker_id}",
+                daemon=True,
+            )
         try:
-            process.start()
+            runner.start()
         except BaseException:
-            # A failed spawn must not leak the fresh pipe fds: the agent's
+            # A failed start must not leak the fresh pipe fds: the agent's
             # claim loop retries indefinitely on EAGAIN-style failures.
-            parent_conn.close()
-            child_conn.close()
+            conn.close()
+            runner_conn.close()
             raise
-        child_conn.close()  # the child holds its own copy
-        self.process = process
-        self._conn = parent_conn
+        if self.server.worker_model == "process":
+            runner_conn.close()  # the child holds its own copy
+        self.runner = runner
+        self._conn = conn
         self._cancel_event = cancel_event
-        self._jobs_on_child = 0
-        self.server.metrics.worker_gauges.update(self.worker_id, pid=process.pid)
+        self._jobs_on_runner = 0
+        self.server.metrics.worker_gauges.update(self.worker_id, pid=runner.pid)
 
     def _close_pipes(self) -> None:
         if self._conn is not None:
@@ -280,27 +307,27 @@ class ProcessWorkerAgent(threading.Thread):
             except OSError:  # pragma: no cover
                 pass
         self._conn = None
-        self.process = None
+        self.runner = None
 
-    def _shutdown_child(self, graceful: bool = True) -> None:
-        """Stop the current child: sentinel first, terminate if it lingers."""
-        if self.process is None:
+    def _stop_runner(self) -> None:
+        """Stop the current runner: sentinel first, terminate if it lingers."""
+        if self.runner is None:
             return
-        if graceful and self.process.is_alive() and self._conn is not None:
+        if self.runner.is_alive() and self._conn is not None:
             try:
                 self._conn.send(None)
             except (BrokenPipeError, OSError):
                 pass
-        if self.process.is_alive():
-            self.process.join(timeout=2)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=5)
+        if self.runner.is_alive():
+            self.runner.join(timeout=2)
+        if self.runner.is_alive():
+            self.runner.terminate()
+            self.runner.join(timeout=5)
         self._close_pipes()
 
     def close(self) -> None:
-        """Tear the child down (called by the server after the agent joined)."""
-        self._shutdown_child()
+        """Stop the runner (called by the server after the agent joined)."""
+        self._stop_runner()
         self.server.metrics.worker_gauges.update(
             self.worker_id, state="stopped", pid=None, current_job=None
         )
@@ -324,16 +351,16 @@ class ProcessWorkerAgent(threading.Thread):
                 continue
             try:
                 self._run_job(stored)
-                self._spawn_failures = 0
+                self._start_failures = 0
             except Exception:  # noqa: BLE001 - agent must survive anything
-                # Most likely a failed (re)spawn: hand the job back and back
+                # Most likely a failed (re)start: hand the job back and back
                 # off (monotonic sleep; wall-clock steps cannot starve us).
-                self._spawn_failures += 1
+                self._start_failures += 1
                 try:
                     self.server.store.release(stored.id, self.worker_id)
                 except Exception:  # pragma: no cover - store closed
                     return
-                time.sleep(min(5.0, 0.25 * (2 ** min(self._spawn_failures, 5))))
+                time.sleep(min(5.0, 0.25 * (2 ** min(self._start_failures, 5))))
 
     # ------------------------------------------------------------- execution
 
@@ -342,29 +369,28 @@ class ProcessWorkerAgent(threading.Thread):
         started = time.monotonic()
         gauges = server.metrics.worker_gauges
         gauges.update(self.worker_id, state="busy", current_job=stored.id)
-        # The agent owns the job's worker.execute span: the child may be
-        # SIGKILL'd mid-search, and a dead process cannot close its own
+        # The agent owns the job's worker.execute span: a child process may
+        # be SIGKILL'd mid-search, and a dead process cannot close its own
         # spans -- the agent closes this one with an error status instead.
-        execute_span = server._start_job_spans(stored, self.worker_id)
+        execute_span = self._start_job_spans(stored)
         try:
             job = stored.to_job()
             cached = server.cache.get(job.fingerprint)
             if cached is not None:
                 server.events.fire(
                     CacheServed(
-                        stored.id,
-                        {"outcome": cached.outcome.value, "cache_hit": True},
+                        job_id=stored.id,
+                        data={"outcome": cached.outcome.value, "cache_hit": True},
+                        tenant_id=stored.tenant_id,
                     )
                 )
                 if execute_span is not None:
                     execute_span.set_attr("cache_hit", True)
-                server._finalize_result(
-                    stored, cached, True, False, started, owner=self.worker_id
-                )
+                self._finalize_result(stored, cached, True, False, started)
                 gauges.increment(self.worker_id, "jobs_completed")
                 return
 
-            self._ensure_child()
+            self._ensure_runner()
             self._cancel_event.clear()  # a late cancel of the previous job
             server._register_canceller(stored.id, self._cancel_event.set)
             try:
@@ -372,8 +398,10 @@ class ProcessWorkerAgent(threading.Thread):
                 # above only reached the store; fold it into the event now.
                 if server.store.is_cancel_requested(stored.id):
                     self._cancel_event.set()
-                server.events.fire(VerificationStarted(job_id=stored.id))
-                self._jobs_on_child += 1
+                server.events.fire(
+                    VerificationStarted(job_id=stored.id, tenant_id=stored.tenant_id)
+                )
+                self._jobs_on_runner += 1
                 task = {
                     "system": job.system_dict,
                     "property": job.property_dict,
@@ -382,7 +410,7 @@ class ProcessWorkerAgent(threading.Thread):
                     "progress_interval": server.progress_interval,
                 }
                 if execute_span is not None:
-                    # The child's verify.* spans parent under this agent's
+                    # The runner's verify.* spans parent under this agent's
                     # execute span, crossing the pipe as plain dict context.
                     task["trace"] = {
                         "trace_id": execute_span.trace_id,
@@ -406,17 +434,50 @@ class ProcessWorkerAgent(threading.Thread):
                 server.tracer.finish(execute_span)
             gauges.update(self.worker_id, state="idle", current_job=None)
 
+    def _start_job_spans(self, stored: "StoredJob") -> Optional[Span]:
+        """Record the job's ``queue.wait`` span and open ``worker.execute``.
+
+        Returns the open execute span (``None`` when tracing is off or the
+        job carries no trace).  The queue wait happened before any traced
+        code ran, so it is recorded retroactively from the store's
+        ``submitted_at``/``started_at`` stamps.
+        """
+        tracer = self.server.tracer
+        if not tracer.enabled or stored.trace_id is None:
+            return None
+        claimed_at = stored.started_at if stored.started_at is not None else time.time()
+        tracer.record_span(
+            "queue.wait",
+            trace_id=stored.trace_id,
+            parent_id=stored.parent_span,
+            start_time=stored.submitted_at,
+            duration=claimed_at - stored.submitted_at,
+            job_id=stored.id,
+        )
+        parent = (
+            TraceContext(stored.trace_id, stored.parent_span)
+            if stored.parent_span
+            else None
+        )
+        return tracer.start_span(
+            "worker.execute",
+            parent=parent,
+            trace_id=stored.trace_id,
+            job_id=stored.id,
+            worker_id=self.worker_id,
+        )
+
     def _drain(
         self, stored: "StoredJob", started: float, execute_span=None
     ) -> str:
-        """Pump child messages into the store until the job reaches an end.
+        """Pump runner messages into the store until the job reaches an end.
 
         Returns ``"done"``, ``"error"`` or ``"crashed"``.  Once per
         ``heartbeat_interval`` the agent *syncs* the claim with the store
         (one transaction): the heartbeat is refreshed only while this worker
         still owns the claim, and the persisted ``cancel_requested`` flag is
         read back -- so a ``DELETE`` handled by **another server** sharing
-        the store stops this child within one heartbeat interval, and a
+        the store stops this runner within one heartbeat interval, and a
         claim rescued by a peer's stale sweeper makes this agent abandon the
         (now zombie) run instead of keeping it alive.
         """
@@ -447,7 +508,7 @@ class ProcessWorkerAgent(threading.Thread):
                         )
                     )
                 elif kind == "span":
-                    # A finished span relayed by the child's tracer: onto
+                    # A finished span relayed by the runner's tracer: onto
                     # the bus, where the TraceSink persists it.
                     server.events.fire(
                         SpanRecorded(
@@ -465,10 +526,7 @@ class ProcessWorkerAgent(threading.Thread):
                             execute_span.set_error(
                                 "search cancelled", reason="cancelled"
                             )
-                    server._finalize_result(
-                        stored, result, False, truncated, started,
-                        owner=self.worker_id,
-                    )
+                    self._finalize_result(stored, result, False, truncated, started)
                     return "done"
                 elif kind == "error":
                     if execute_span is not None:
@@ -477,11 +535,15 @@ class ProcessWorkerAgent(threading.Thread):
                         stored.id, message[1], worker_id=self.worker_id
                     ):
                         server.events.fire(
-                            JobFailed(job_id=stored.id, data={"error": message[1]})
+                            JobFailed(
+                                job_id=stored.id,
+                                data={"error": message[1]},
+                                tenant_id=stored.tenant_id,
+                            )
                         )
                     return "error"
-            elif not self.process.is_alive():
-                # One final poll: the child may have flushed its terminal
+            elif not self.runner.is_alive():
+                # One final poll: the runner may have flushed its terminal
                 # message between our poll() and is_alive() checks.
                 if self._conn.poll(timeout=0):
                     continue
@@ -500,15 +562,62 @@ class ProcessWorkerAgent(threading.Thread):
                 if (cancel_requested or not owned) and not self._cancel_event.is_set():
                     # Either a cancel arrived through the store (possibly
                     # from another server), or we lost the claim to a stale
-                    # rescue -- in both cases the child should stop: its
+                    # rescue -- in both cases the runner should stop: its
                     # verdict would bounce off the ownership predicate anyway.
                     self._cancel_event.set()
                 last_sync = now
 
-    def _handle_crash(self, stored: "StoredJob") -> None:
-        """The child died mid-job: requeue through the recovery semantics."""
+    def _finalize_result(
+        self,
+        stored: "StoredJob",
+        result: VerificationResult,
+        cache_hit: bool,
+        deadline_truncated: bool,
+        started: float,
+    ) -> None:
+        """Land a finished job in the store.
+
+        A cancelled run lands as terminal ``cancelled`` with its partial
+        statistics (never cached); a ``deadline_ms``-truncated verdict stays
+        on the job row only (``persist_result=False``): it must not enter
+        the fingerprint-keyed result table, or a later job with the same
+        inputs but no deadline would be served the partial verdict.  The
+        mark lands only while this agent still owns the claim, so a zombie
+        whose job was rescued by a stale sweep (here or on a peer server)
+        can never overwrite the live run's state.  A mark that does not land
+        bumps no metrics.
+        """
         server = self.server
-        exitcode = self.process.exitcode if self.process is not None else None
+        if result.stats.cancelled:
+            if server.store.mark_cancelled(
+                stored.id, result.as_dict(), worker_id=self.worker_id
+            ):
+                server.events.fire(
+                    JobCancelled(job_id=stored.id, tenant_id=stored.tenant_id)
+                )
+            return
+        if server.store.mark_done(
+            stored.id,
+            result.as_dict(),
+            cache_hit=cache_hit,
+            persist_result=not deadline_truncated,
+            worker_id=self.worker_id,
+        ):
+            server.events.fire(
+                JobCompleted(
+                    job_id=stored.id,
+                    data={
+                        "seconds": time.monotonic() - started,
+                        "cache_hit": cache_hit,
+                    },
+                    tenant_id=stored.tenant_id,
+                )
+            )
+
+    def _handle_crash(self, stored: "StoredJob") -> None:
+        """The runner died mid-job: requeue through the recovery semantics."""
+        server = self.server
+        exitcode = self.runner.exitcode if self.runner is not None else None
         self._close_pipes()
         server.metrics.worker_gauges.increment(self.worker_id, "crashes")
         # Same rule as restart recovery: an accepted cancel is honoured
@@ -541,23 +650,23 @@ class ProcessWorkerAgent(threading.Thread):
 
 
 def pool_snapshot(agents) -> Tuple[int, int]:
-    """(alive, total) worker slots of a process pool.
+    """(alive, total) worker slots of a pool.
 
-    A slot is alive when its agent thread runs and its child process is
-    alive or not spawned yet: children spawn on the first claimed job (and
-    respawn on the next one after a crash), so an agent still waiting for
-    work can serve it.
+    A slot is alive when its agent thread runs and its runner is alive or
+    not started yet: runners start on the first claimed job (and restart on
+    the next one after a crash), so an agent still waiting for work can
+    serve it.
     """
     alive = sum(
         1
         for agent in agents
-        if agent.is_alive() and (agent.process is None or agent.process.is_alive())
+        if agent.is_alive() and (agent.runner is None or agent.runner.is_alive())
     )
     return alive, len(agents)
 
 
 def children_alive(agents) -> int:
-    """How many of the agents' child processes are spawned and running."""
+    """How many of the agents' runners are started and running."""
     return sum(
-        1 for agent in agents if agent.process is not None and agent.process.is_alive()
+        1 for agent in agents if agent.runner is not None and agent.runner.is_alive()
     )

@@ -10,7 +10,6 @@ from repro.core.control import (
     STOP_DEADLINE,
     CancellationToken,
     ProgressEvent,
-    RateLimitedPoll,
     SearchControl,
 )
 
@@ -59,49 +58,6 @@ class TestCancellationToken:
 
     def test_with_timeout_none_has_no_deadline(self):
         assert CancellationToken.with_timeout(None).deadline is None
-
-
-class TestRateLimitedPoll:
-    """The store-poll external backend: rate-limited, latching, fail-safe."""
-
-    def test_polls_at_most_once_per_interval(self):
-        calls = []
-        poll = RateLimitedPoll(lambda: calls.append(1) and False, interval=60.0)
-        assert poll() is False
-        for _ in range(100):  # every further call answers from the cache
-            assert poll() is False
-        assert len(calls) == 1
-
-    def test_zero_interval_polls_every_time(self):
-        calls = []
-        poll = RateLimitedPoll(lambda: len(calls) == 2 or calls.append(1), interval=0.0)
-        assert poll() is False
-        assert poll() is False
-        assert poll() is True  # third poll: the underlying flag fired
-
-    def test_truthy_result_latches_without_repolling(self):
-        calls = []
-        poll = RateLimitedPoll(lambda: calls.append(1) or True, interval=0.0)
-        assert poll() is True
-        assert poll() is True
-        assert len(calls) == 1  # latched: the pollable is never consulted again
-
-    def test_poll_exceptions_read_as_keep_going(self):
-        def broken():
-            raise RuntimeError("store closed")
-
-        poll = RateLimitedPoll(broken, interval=0.0)
-        assert poll() is False  # a dying store must never kill the search
-
-    def test_as_token_external_backend(self):
-        flag = []
-        token = CancellationToken(
-            external=RateLimitedPoll(lambda: bool(flag), interval=0.0)
-        )
-        assert not token.cancelled
-        flag.append(1)
-        assert token.cancelled
-        assert token.stop_reason() == STOP_CANCELLED
 
 
 class TestSearchControl:

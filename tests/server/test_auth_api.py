@@ -20,6 +20,7 @@ from repro.client import AsyncVerifasClient, ClientError, VerifasClient
 from repro.has.conditions import Const, Eq, Var
 from repro.ltl import LTLFOProperty, parse_ltl
 from repro.server import VerificationServer
+from repro.service import VerificationJob
 from repro.spec import dump_property, dump_system
 from repro.tenancy import DEFAULT_TEST_API_KEY
 
@@ -305,6 +306,33 @@ class TestPerTenantMetrics:
         assert tenant_view["jobs"]["done"] >= 1
         status, _, body = _raw(auth_server.url + "/v1/metrics")
         assert status == 200 and "alice" in body.get("tenants", {})
+
+    def test_worker_events_count_toward_the_job_tenant(
+        self, auth_server, tenants, tiny_system
+    ):
+        """Verification starts and failures land in the tenant's counters."""
+        alice = VerifasClient(auth_server.url, api_key=tenants["alice"],
+                              poll_initial=0.02, poll_max=0.2)
+        job_id = alice.submit_payload(_payload(tiny_system, 70))[0].id
+        assert alice.wait(job_id, deadline_seconds=60)["status"] == "done"
+        # A formula that only fails to parse in the runner: stored directly,
+        # past the submit-time spec gate.
+        payload = _payload(tiny_system, 71)
+        failing = auth_server.store.submit(
+            VerificationJob(
+                system_dict=payload["system"],
+                property_dict={**payload["properties"][0], "formula": "G ("},
+                options_dict=payload["options"],
+            ),
+            tenant_id="alice",
+        )
+        auth_server._wakeup.set()
+        view = alice.wait(failing.id, deadline_seconds=60, raise_on_error=False)
+        assert view["status"] == "error"
+        counters = auth_server.metrics_view()["tenants"]["alice"]["counters"]
+        assert counters["verifications_run"] == 2
+        assert counters["jobs_completed"] == 1
+        assert counters["jobs_failed"] == 1
 
 
 class TestTestAuthBootstrap:

@@ -88,7 +88,7 @@ class TestSharedStoreInProcess:
         b = VerificationServer(
             store_path=store_path, port=0, server_id="b",
             sweep_interval=0.1, progress_interval=25,
-            heartbeat_interval=0.1, cancel_poll_interval=0.05,
+            heartbeat_interval=0.1,
             stale_heartbeat_seconds=stale_after,
             worker_model=worker_model, **b_kwargs,
         )
@@ -290,8 +290,8 @@ class TestSweeperRobustness:
     ):
         """A transient OperationalError (e.g. an exhausted busy timeout
         under multi-process write contention) must not kill the sweeper
-        thread: it is the only heartbeat source for thread-model claims,
-        and it still has to sweep once the store recovers."""
+        thread: it is the only thread that expires TTL'd jobs and rescues
+        stale claims, and it still has to sweep once the store recovers."""
         import sqlite3
 
         server = VerificationServer(

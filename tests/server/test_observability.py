@@ -99,6 +99,30 @@ class TestLivenessAndReadiness:
             server.stop()
 
 
+class TestWorkerPool:
+    def test_runner_is_recycled_after_max_jobs(self, tmp_path, worker_model, tiny_system):
+        """Recycling is one rule for both runners: a fresh runner after K jobs."""
+        server = VerificationServer(
+            store_path=tmp_path / "jobs.db", port=0, workers=1,
+            sweep_interval=0.1, worker_model=worker_model, max_jobs_per_worker=1,
+        )
+        server.start()
+        try:
+            client = VerifasClient(server.url, poll_initial=0.02, poll_max=0.2)
+            for timeout in (60, 61):  # distinct fingerprints: two real runs
+                handle = client.submit(
+                    dump_system(tiny_system), [dump_property(_property())],
+                    options={"timeout_seconds": timeout},
+                )[0]
+                assert client.wait(handle.id, deadline_seconds=60)["status"] == "done"
+            [gauge] = server.metrics_view()["workers"]["pool"]
+            assert gauge["model"] == server.worker_model
+            assert gauge["jobs_completed"] == 2 and gauge["recycles"] == 1
+            assert server.metrics.counter("worker_recycles") == 1
+        finally:
+            server.stop()
+
+
 class TestPrometheusExposition:
     def test_query_param_selects_the_text_format(self, server, client, tiny_system):
         # Run one job first so the latency summary has mass.
@@ -119,11 +143,10 @@ class TestPrometheusExposition:
         assert 'repro_job_latency_seconds{quantile="0.5"}' in text
         assert "repro_job_latency_seconds_count 1" in text
 
-        # Per-worker gauges appear only once workers register in the pool
-        # (the process model does; render_prometheus label formatting is
-        # unit-tested in test_metrics.py).
-        if server.metrics.worker_gauges.snapshot():
-            assert 'repro_worker_busy{worker_id="' in text
+        # Every worker slot registers in the pool on either worker model
+        # (render_prometheus label formatting is unit-tested in
+        # test_metrics.py).
+        assert 'repro_worker_busy{worker_id="' in text
 
     def test_accept_header_negotiates_text(self, server):
         status, ctype, body = _raw_get(

@@ -693,12 +693,6 @@ class TestPersistence:
 
 
 class TestStoreBackedCache:
-    def test_put_writes_memory_and_store(self, store):
-        cache = StoreBackedCache(store)
-        cache.put("fp", _result())
-        assert cache.memory.peek("fp")
-        assert store.has_result("fp")
-
     def test_get_prefers_memory_then_store(self, store):
         cache = StoreBackedCache(store)
         store.put_result("fp", _result("persisted").as_dict())
@@ -714,7 +708,7 @@ class TestStoreBackedCache:
     def test_cold_memory_after_reopen_serves_from_store(self, tmp_path):
         path = tmp_path / "jobs.db"
         store = JobStore(path)
-        StoreBackedCache(store).put("fp", _result())
+        store.put_result("fp", _result().as_dict())
         store.close()
         reopened = JobStore(path)
         cache = StoreBackedCache(reopened, ResultCache(max_entries=4))
@@ -725,4 +719,3 @@ class TestStoreBackedCache:
     def test_miss_everywhere_returns_none(self, store):
         cache = StoreBackedCache(store)
         assert cache.get("absent") is None
-        assert not cache.peek("absent")

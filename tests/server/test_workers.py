@@ -25,6 +25,7 @@ from repro.has.conditions import Const, Eq, Neq, Var
 from repro.ltl import LTLFOProperty, parse_ltl
 from repro.server import VerificationServer
 from repro.server.workers import children_alive, pool_snapshot
+from repro.service import VerificationJob
 from repro.spec import dump_property, dump_system
 
 pytestmark = pytest.mark.skipif(
@@ -101,7 +102,7 @@ class _Stub:
 class _StubAgent(_Stub):
     def __init__(self, thread_alive, child_alive):
         super().__init__(thread_alive)
-        self.process = None if child_alive is None else _Stub(child_alive)
+        self.runner = None if child_alive is None else _Stub(child_alive)
 
 
 class TestPoolSnapshot:
@@ -321,6 +322,40 @@ class TestWorkerRecycling:
             # Recycling is invisible to the jobs themselves.
             assert client.job(first.id)["result"]["outcome"] == "violated"
             assert client.job(second.id)["result"]["outcome"] == "satisfied"
+        finally:
+            server.stop()
+
+
+class TestTenantAttribution:
+    def test_worker_events_count_toward_the_job_tenant(self, tmp_path, tiny_system):
+        """The agent's verification-started and job-failed events carry the
+        job's tenant, so its /v1/metrics counters match the global ones."""
+        server = _make_server(tmp_path, workers=1, auth_enabled=True)
+        try:
+            _, key = server.tenants.create("alice", tenant_id="alice")
+            client = VerifasClient(server.url, api_key=key, poll_initial=0.02)
+            handle = client.submit(
+                dump_system(tiny_system), [dump_property(_properties()[0])],
+                options={"timeout_seconds": 60},
+            )[0]
+            assert client.wait(handle.id, deadline_seconds=60)["status"] == "done"
+            # A formula that only fails to parse in the runner: stored
+            # directly, past the submit-time spec gate.
+            failing = server.store.submit(
+                VerificationJob(
+                    system_dict=dump_system(tiny_system),
+                    property_dict={**dump_property(_properties()[1]), "formula": "G ("},
+                    options_dict={"timeout_seconds": 60},
+                ),
+                tenant_id="alice",
+            )
+            server._wakeup.set()
+            view = client.wait(failing.id, deadline_seconds=60, raise_on_error=False)
+            assert view["status"] == "error"
+            counters = server.metrics_view()["tenants"]["alice"]["counters"]
+            assert counters["verifications_run"] == 2
+            assert counters["jobs_completed"] == 1
+            assert counters["jobs_failed"] == 1
         finally:
             server.stop()
 

@@ -1,5 +1,6 @@
 """Rules of tools/lint_invariants.py: RC001 (no sys.setrecursionlimit in
-src/repro) and AB001 (no ablation switches on the public surfaces)."""
+src/repro), AB001 (no ablation switches on the public surfaces) and WK001
+(only the worker pipeline builds verifiers in the server)."""
 
 import ast
 import importlib.util
@@ -18,8 +19,8 @@ def lint():
     return module
 
 
-def _rules_hit(lint, source, rules=("RC001",)):
-    visitor = lint._InvariantVisitor("src/repro/example.py", frozenset(rules))
+def _rules_hit(lint, source, rules=("RC001",), relpath="src/repro/example.py"):
+    visitor = lint._InvariantVisitor(relpath, frozenset(rules))
     visitor.visit(ast.parse(source))
     return [(v.rule, v.function) for v in visitor.violations]
 
@@ -94,3 +95,47 @@ def test_ablation_rule_covers_exactly_the_public_surfaces(lint):
 def test_public_surfaces_have_no_ablation_and_no_baseline_entry(lint):
     assert [v.render() for v in lint.collect_violations() if v.rule == "AB001"] == []
     assert not [entry for entry in lint._load_baseline() if "::AB001::" in entry]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from repro.core.verifier import Verifier\ndef run(s, o):\n    return Verifier(s, o)\n",
+        "from repro.core import verifier\ndef run(s, o):\n    return verifier.Verifier(s, o)\n",
+        "from repro.core.control import SearchControl\ndef run():\n    return SearchControl()\n",
+        "from repro.core.control import CancellationToken\ntoken = CancellationToken()\n",
+        "from repro.core.control import CancellationToken\nCancellationToken.with_timeout(1)\n",
+    ],
+)
+def test_execution_primitive_outside_the_worker_pipeline_is_flagged(lint, source):
+    hits = _rules_hit(lint, source, rules=("WK001",), relpath="src/repro/server/app.py")
+    assert [rule for rule, _ in hits] == ["WK001"]
+
+
+def test_worker_pipeline_may_build_execution_primitives(lint):
+    source = "from repro.core.verifier import Verifier\nVerifier(1, 2)\n"
+    assert _rules_hit(lint, source, rules=("WK001",), relpath=lint.WORKER_PIPELINE) == []
+
+
+def test_execution_primitive_references_are_allowed(lint):
+    source = (
+        "from repro.core.verifier import VerificationResult, Verifier\n"
+        "def land(result: VerificationResult, token: 'CancellationToken'):\n"
+        "    return VerificationResult.from_dict(result)\n"
+    )
+    assert _rules_hit(lint, source, rules=("WK001",), relpath="src/repro/server/app.py") == []
+
+
+def test_worker_rule_covers_exactly_the_server(lint):
+    guarded = {
+        os.path.relpath(path, lint.REPO_ROOT).replace(os.sep, "/")
+        for path, rules in lint._python_files()
+        if "WK001" in rules
+    }
+    assert lint.WORKER_PIPELINE in guarded and "src/repro/server/app.py" in guarded
+    assert all(path.startswith("src/repro/server/") for path in guarded)
+
+
+def test_server_has_one_execution_path_and_no_baseline_entry(lint):
+    assert [v.render() for v in lint.collect_violations() if v.rule == "WK001"] == []
+    assert not [entry for entry in lint._load_baseline() if "::WK001::" in entry]

@@ -59,6 +59,15 @@ the three budgets of ``VerifierOptions`` only; importing ``Ablation`` (or
 reaching it as an attribute) there would let a client ask for an unsound
 answer again.  The rule has no baseline entries.
 
+**WK001 -- one execution path in the server** (``src/repro/server``).
+Both worker models run searches through one pipeline: the worker agent
+dispatches each job to a runner executing
+``repro.server.workers.process_worker_main``.  Only
+``src/repro/server/workers.py`` may therefore construct a ``Verifier``, a
+``SearchControl`` or a ``CancellationToken`` (``CancellationToken.with_timeout``
+included); one of them built anywhere else in the server is a second
+execution path growing back.  The rule has no baseline entries.
+
 Violations are identified as ``<relpath>::<rule>::<enclosing function>``
 and checked against ``tools/lint_invariants_baseline.txt``: existing,
 reviewed call sites are grandfathered; anything new fails the build.
@@ -92,6 +101,7 @@ SCANNED_TREES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     (os.path.join("src", "repro", "api"), ("AB001",)),
     (os.path.join("src", "repro", "spec"), ("AB001",)),
     (os.path.join("src", "repro", "cli.py"), ("AB001",)),
+    (os.path.join("src", "repro", "server"), ("WK001",)),
 )
 BASELINE_PATH = os.path.join(REPO_ROOT, "tools", "lint_invariants_baseline.txt")
 
@@ -103,6 +113,9 @@ IO_MODULES = ("socket", "ssl", "asyncio", "urllib.request", "http.client", "time
 CONNECTION_PARAMS = ("conn", "connection")
 #: The harness-only configuration AB001 keeps off the public surfaces.
 ABLATION_NAME = "Ablation"
+#: What WK001 lets only the worker pipeline construct, and where that lives.
+EXECUTION_PRIMITIVES = ("Verifier", "SearchControl", "CancellationToken")
+WORKER_PIPELINE = "src/repro/server/workers.py"
 
 
 class Violation:
@@ -233,6 +246,7 @@ class _InvariantVisitor(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         self._check_time_time(node)
         self._check_sleep(node)
+        self._check_execution_primitive(node)
         if "TX001" in self.rules:
             self._check_mutation(node)
         self.generic_visit(node)
@@ -321,6 +335,26 @@ class _InvariantVisitor(ast.NodeVisitor):
                 lineno,
                 "Ablation on a public surface: the API, CLI, service and spec "
                 "layers take the VerifierOptions budgets only",
+            )
+
+    def _check_execution_primitive(self, node: ast.Call) -> None:
+        if "WK001" not in self.rules or self.relpath == WORKER_PIPELINE:
+            return
+        callee = node.func
+        names = []
+        if isinstance(callee, ast.Name):
+            names.append(callee.id)
+        elif isinstance(callee, ast.Attribute):
+            names.append(callee.attr)  # module.Verifier(...)
+            if isinstance(callee.value, ast.Name):
+                names.append(callee.value.id)  # CancellationToken.with_timeout(...)
+        constructed = next((n for n in names if n in EXECUTION_PRIMITIVES), None)
+        if constructed is not None:
+            self._record(
+                "WK001",
+                node.lineno,
+                f"{constructed} constructed outside {WORKER_PIPELINE}: the server "
+                "runs searches only through the worker agent's runner",
             )
 
     def _check_unordered_iteration(self, iterable: ast.AST) -> None:
