@@ -38,7 +38,7 @@ from repro.analysis.dataflow import compute_dataflow_facts
 from repro.analysis.satisfiability import statically_unsatisfiable
 from repro.has.artifact_system import ArtifactSystem
 from repro.has.conditions import Condition, Const, Eq, Neq, RelationAtom, TrueCond, Var
-from repro.has.runs import TERMINATED_SERVICE
+from repro.has.services import TERMINATED_SERVICE
 from repro.ltl.ltlfo import LTLFOProperty
 from repro.ltl.syntax import LFalse, LTrue
 

@@ -43,7 +43,7 @@ from repro.has.conditions import (
     TrueCond,
     Var,
 )
-from repro.has.runs import TERMINATED_SERVICE
+from repro.has.services import TERMINATED_SERVICE
 from repro.has.types import IdType
 from repro.ltl.buchi import BuchiAutomaton, ltl_to_buchi
 from repro.ltl.ltlfo import LTLFOProperty
@@ -189,8 +189,6 @@ class SpinLikeVerifier:
                 if not self._satisfiable(service.pre, valuation):
                     continue
                 propagated = set(service.propagated)
-                if service.update is not None:
-                    propagated = set(task.input_variables)
                 free_vars = [v.name for v in task.variables if v.name not in propagated]
                 for assignment in assignments(free_vars):
                     successor = dict(valuation)

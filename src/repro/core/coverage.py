@@ -21,8 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Set, Tuple
 
 from repro.core.maxflow import feasible_assignment
-from repro.core.psi import PSI, counter_leq
-from repro.vass.vass import OMEGA
+from repro.core.psi import OMEGA, PSI, counter_leq
 
 
 def _counters_dominated(covered: PSI, covering: PSI) -> bool:

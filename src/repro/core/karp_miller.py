@@ -30,9 +30,8 @@ from repro.core.coverage import covers_leq, covers_preceq  # noqa: F401
 from repro.core.indexes import ActiveStateIndex
 from repro.core.isotypes import PartialIsoType
 from repro.core.product import ProductMove, ProductState, ProductSystem
-from repro.core.psi import PSI, CounterKey
+from repro.core.psi import OMEGA, PSI, CounterKey
 from repro.core.stats import SearchStatistics
-from repro.vass.vass import OMEGA
 
 
 @dataclass

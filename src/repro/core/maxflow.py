@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.vass.vass import OMEGA
+from repro.core.psi import OMEGA
 
 #: Large finite stand-in for ω capacities once ω supplies have been discharged.
 _INFINITE = 10**12

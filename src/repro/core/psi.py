@@ -18,7 +18,24 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple, Union
 
 from repro.core.isotypes import PartialIsoType
-from repro.vass.vass import OMEGA
+
+
+class _Omega:
+    """The ordinal ω: larger than every natural number, absorbing under ±."""
+
+    _instance: Optional["_Omega"] = None
+
+    def __new__(cls) -> "_Omega":
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self) -> str:
+        return "ω"
+
+
+#: Singleton ω value of accelerated counters; every check is ``is OMEGA``.
+OMEGA = _Omega()
 
 CounterValue = Union[int, object]  # int or OMEGA
 CounterKey = Tuple[str, PartialIsoType]  # (artifact relation name, stored tuple type)

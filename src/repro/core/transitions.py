@@ -27,14 +27,12 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 from repro.core.expressions import ExpressionUniverse
 from repro.core.flatten import flatten_condition
 from repro.core.isotypes import Constraint, IdConstraint, PartialIsoType, empty_type
-from repro.core.psi import PSI, counter_add
+from repro.core.psi import OMEGA, PSI, counter_add
 from repro.core.static_analysis import ConstraintFilter
 from repro.has.artifact_system import ArtifactSystem
 from repro.has.conditions import Condition, TrueCond
-from repro.has.services import Insert, InternalService, Retrieve
-from repro.has.runs import TERMINATED_SERVICE
+from repro.has.services import TERMINATED_SERVICE, Insert, InternalService, Retrieve
 from repro.ltl.ltlfo import LTLFOProperty
-from repro.vass.vass import OMEGA
 
 #: Pseudo-child key marking that the verified task has executed its closing service.
 CLOSED_MARKER = "__closed__"

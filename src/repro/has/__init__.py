@@ -4,9 +4,9 @@ This subpackage implements Section 2 and Appendix A of the VERIFAS paper:
 database schemas with acyclic foreign keys, quantifier-free first-order
 conditions, task schemas with artifact variables and artifact relations,
 internal / opening / closing services, artifact systems, concrete instances
-and the concrete transition semantics, and a small simulator for concrete
-runs (used by the test suite for differential testing against the symbolic
-verifier).
+and the concrete transition semantics, and a sampler of concrete local runs
+that steps through it (used by the test suite for differential testing
+against the symbolic verifier).
 """
 
 from repro.has.schema import Attribute, DatabaseSchema, Relation

@@ -6,9 +6,10 @@ read-only database and the contents of every artifact relation.  The module
 implements the concrete transition relation of Definition 27 (Appendix A):
 internal services, opening services and closing services.
 
-The concrete semantics is not used by the symbolic verifier; it powers the
-simulator in :mod:`repro.has.runs`, which the test-suite uses to cross-check
-the symbolic search against explicitly enumerated runs on small databases.
+The concrete semantics is independent of the symbolic verifier, which it
+grades: it is the only concrete step relation in the package, and the sampler
+in :mod:`repro.has.runs` steps through it to cross-check the symbolic search
+against concrete runs on small databases.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from repro.has.database import Database
 from repro.has.services import ClosingService, Insert, InternalService, OpeningService, Retrieve
 from repro.has.tasks import TaskSchema
 from repro.has.types import IdType
+
+#: The most valuations one enumeration of candidate values tries.
+SUCCESSOR_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -124,7 +128,7 @@ class TransitionEngine:
     # -- successor enumeration ---------------------------------------------------
 
     def internal_successors(
-        self, instance: Instance, service: InternalService, limit: int = 2000
+        self, instance: Instance, service: InternalService, limit: int = SUCCESSOR_LIMIT
     ) -> List[Instance]:
         """All successors of *instance* under an internal service (bounded)."""
         task = self.system.task(service.task)

@@ -1,33 +1,36 @@
-"""Simulation of concrete local runs of a task.
+"""Random concrete local runs of a task, stepped through the concrete semantics.
 
-The verifier reasons about *local runs* of a task (the subsequence of a global
-run consisting of the task's observable transitions).  For testing we simulate
-local runs directly: starting from the opening of the task under verification,
-we repeatedly apply observable services (internal services, children opening /
-closing, and the task's own closing service) on a concrete database.
+The verifier reasons about *local runs* of a task: the subsequence of a global
+run made of the task's observable services Σ^obs_T (its internal services, its
+own opening and closing, and its children's openings and closings).  For
+testing we sample local runs directly on a small concrete database.
 
-The simulator abstracts the behaviour of child tasks exactly like the symbolic
-verifier does: when a child closes, its returned variables receive arbitrary
-values from the candidate pool (all possible child behaviours are allowed).
-This makes random concrete local runs a sound sample of the runs the verifier
-explores, which is what the differential tests rely on.
+Every step is a move of :class:`repro.has.instance.TransitionEngine`
+(Definition 27) by the verified task or one of its descendants, so artifact
+relations hold real tuples and children run concretely: a child returns its
+output variables only when its closing guard holds, with the values its own
+run produced.  Only the verified task's observable moves are recorded; the
+descendants' internal moves run silently, at most :data:`SILENT_STEP_LIMIT`
+of them per run.
+
+The engine draws non-propagated values from a finite candidate pool, so the
+sampled runs are a subset of the real runs: a sampled run that violates a
+property is a genuine violation, while the absence of one proves nothing.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.has.artifact_system import ArtifactSystem
 from repro.has.database import Database
-from repro.has.instance import Instance, TransitionEngine, initial_instance
-from repro.has.services import InternalService
-from repro.has.tasks import TaskSchema
-from repro.has.types import IdType
+from repro.has.instance import SUCCESSOR_LIMIT, Instance, TransitionEngine, initial_instance
 
-#: Reserved service name used for the terminal stutter step after a task closes.
-TERMINATED_SERVICE = "__terminated__"
+#: Internal moves of descendant tasks one sampled run may take.
+SILENT_STEP_LIMIT = 200
 
 
 @dataclass(frozen=True)
@@ -36,7 +39,6 @@ class LocalSnapshot:
 
     service: str
     valuation: Dict[str, object]
-    child_stages: Dict[str, bool]
 
     def value(self, variable: str) -> object:
         return self.valuation[variable]
@@ -58,7 +60,7 @@ class LocalRun:
 
 
 class ConcreteRunner:
-    """Enumerates / samples concrete local runs of one task on a concrete database."""
+    """Samples concrete local runs of one task on a concrete database."""
 
     def __init__(
         self,
@@ -66,184 +68,84 @@ class ConcreteRunner:
         database: Database,
         task: Optional[str] = None,
         extra_constants: Iterable[object] = (),
-        branch_limit: int = 400,
     ):
         self.system = system
         self.database = database
         self.task_name = task or system.root
         self.task = system.task(self.task_name)
         self.engine = TransitionEngine(system, database, extra_constants)
-        self.branch_limit = branch_limit
+        self._subtree = (self.task_name,) + system.descendants_of(self.task_name)
+        self._initials = self._initial_instances()
 
-    # -- initial snapshots -------------------------------------------------------
+    def _initial_instances(self) -> List[Instance]:
+        """Instances right after the verified task opens, everything else inactive.
 
-    def initial_snapshots(self) -> List[LocalSnapshot]:
-        """Snapshots produced by the opening service of the verified task."""
-        opening = self.system.opening_service(self.task_name)
-        snapshots = []
-        if self.task_name == self.system.root:
-            valuation = {var.name: None for var in self.task.variables}
-            if self.system.global_precondition.evaluate(valuation, self.database):
-                snapshots.append(LocalSnapshot(opening.name, valuation, self._inactive_children()))
-            # The global pre-condition may constrain variables away from null;
-            # try candidate assignments for the variables it mentions.
-            mentioned = sorted(self.system.global_precondition.variables())
-            if mentioned:
-                snapshots.extend(self._satisfying_openings(opening.name, mentioned))
+        The root's variables mentioned by the global pre-condition range over
+        their candidate values, subject to the pre-condition.  A non-root
+        task's input variables come from its parent: any candidate values.
+        """
+        is_root = self.task_name == self.system.root
+        if is_root:
+            variables = sorted(self.system.global_precondition.variables())
         else:
-            # Input variables come from the parent: any candidate values.
-            mentioned = list(self.task.input_variables)
-            valuation = {var.name: None for var in self.task.variables}
-            snapshots.append(LocalSnapshot(opening.name, valuation, self._inactive_children()))
-            if mentioned:
-                snapshots.extend(self._satisfying_openings(opening.name, mentioned, check_pre=False))
-        return snapshots
-
-    def _satisfying_openings(
-        self, service_name: str, variables: Sequence[str], check_pre: bool = True
-    ) -> List[LocalSnapshot]:
-        import itertools
-
+            variables = list(self.task.input_variables)
         pools = [self.engine.candidate_values(self.task, v) for v in variables]
-        snapshots = []
-        count = 0
-        for combo in itertools.product(*pools):
-            count += 1
-            if count > self.branch_limit:
-                break
-            valuation = {var.name: None for var in self.task.variables}
-            for var_name, value in zip(variables, combo):
-                valuation[var_name] = value
-            if check_pre and not self.system.global_precondition.evaluate(valuation, self.database):
-                continue
-            snapshots.append(LocalSnapshot(service_name, valuation, self._inactive_children()))
-        return snapshots
-
-    def _inactive_children(self) -> Dict[str, bool]:
-        return {child: False for child in self.system.children_of(self.task_name)}
-
-    # -- successor enumeration -----------------------------------------------------
-
-    def successors(self, snapshot: LocalSnapshot, run_closed: bool = False) -> List[LocalSnapshot]:
-        """All observable successors of a local snapshot (bounded enumeration)."""
-        if run_closed:
-            return [LocalSnapshot(TERMINATED_SERVICE, dict(snapshot.valuation), dict(snapshot.child_stages))]
-        result: List[LocalSnapshot] = []
-        result.extend(self._internal_successors(snapshot))
-        result.extend(self._child_open_successors(snapshot))
-        result.extend(self._child_close_successors(snapshot))
-        result.extend(self._own_close_successors(snapshot))
-        return result
-
-    def _instance_from_snapshot(self, snapshot: LocalSnapshot, relation_contents) -> Instance:
-        base = initial_instance(self.system)
-        stages = {name: False for name in self.system.task_names}
-        stages[self.task_name] = True
-        stages.update(snapshot.child_stages)
-        return base.with_updates(
-            valuations={self.task_name: snapshot.valuation},
-            stages=stages,
-            relations=relation_contents,
+        base = initial_instance(self.system).with_updates(
+            stages={name: name == self.task_name for name in self.system.task_names}
         )
-
-    def _internal_successors(self, snapshot: LocalSnapshot) -> List[LocalSnapshot]:
-        if any(snapshot.child_stages.values()):
-            return []
-        result = []
-        valuation = dict(snapshot.valuation)
-        for service in self.system.internal_services(self.task_name):
-            if not service.pre.evaluate(valuation, self.database):
+        instances = []
+        for combo in itertools.islice(itertools.product(*pools), SUCCESSOR_LIMIT):
+            valuation = {var.name: None for var in self.task.variables}
+            valuation.update(zip(variables, combo))
+            if is_root and not self.system.global_precondition.evaluate(valuation, self.database):
                 continue
-            propagated = set(service.propagated)
-            free_vars = [v.name for v in self.task.variables if v.name not in propagated]
-            import itertools
+            instances.append(base.with_updates(valuations={self.task_name: valuation}))
+        return instances
 
-            pools = [self.engine.candidate_values(self.task, v) for v in free_vars]
-            count = 0
-            for combo in itertools.product(*pools) if free_vars else [()]:
-                count += 1
-                if count > self.branch_limit:
-                    break
-                next_valuation = dict(valuation)
-                for var_name, value in zip(free_vars, combo):
-                    next_valuation[var_name] = value
-                if not service.post.evaluate(next_valuation, self.database):
-                    continue
-                result.append(
-                    LocalSnapshot(service.name, next_valuation, dict(snapshot.child_stages))
-                )
-        return result
-
-    def _child_open_successors(self, snapshot: LocalSnapshot) -> List[LocalSnapshot]:
-        result = []
-        for child in self.system.children_of(self.task_name):
-            if snapshot.child_stages.get(child):
+    def _moves(self, instance: Instance) -> List[Tuple[str, bool, Instance]]:
+        """``(service, observable, successor)`` for every move of the subtree."""
+        moves = []
+        for task_name in self._subtree:
+            if not instance.is_active(task_name):
                 continue
-            opening = self.system.opening_service(child)
-            if not opening.pre.evaluate(snapshot.valuation, self.database):
-                continue
-            stages = dict(snapshot.child_stages)
-            stages[child] = True
-            result.append(LocalSnapshot(opening.name, dict(snapshot.valuation), stages))
-        return result
-
-    def _child_close_successors(self, snapshot: LocalSnapshot) -> List[LocalSnapshot]:
-        import itertools
-
-        result = []
-        for child in self.system.children_of(self.task_name):
-            if not snapshot.child_stages.get(child):
-                continue
-            closing = self.system.closing_service(child)
-            returned_parent_vars = sorted(set(closing.output_mapping().values()))
-            stages = dict(snapshot.child_stages)
-            stages[child] = False
-            if not returned_parent_vars:
-                result.append(LocalSnapshot(closing.name, dict(snapshot.valuation), stages))
-                continue
-            pools = [self.engine.candidate_values(self.task, v) for v in returned_parent_vars]
-            count = 0
-            for combo in itertools.product(*pools):
-                count += 1
-                if count > self.branch_limit:
-                    break
-                valuation = dict(snapshot.valuation)
-                for var_name, value in zip(returned_parent_vars, combo):
-                    valuation[var_name] = value
-                result.append(LocalSnapshot(closing.name, valuation, stages))
-        return result
-
-    def _own_close_successors(self, snapshot: LocalSnapshot) -> List[LocalSnapshot]:
-        if any(snapshot.child_stages.values()):
-            return []
+            observable = task_name == self.task_name
+            for service in self.system.internal_services(task_name):
+                for successor in self.engine.internal_successors(instance, service):
+                    moves.append((service.name, observable, successor))
+            for child in self.system.children_of(task_name):
+                open_name = self.system.opening_service(child).name
+                close_name = self.system.closing_service(child).name
+                for successor in self.engine.opening_successors(instance, child):
+                    moves.append((open_name, observable, successor))
+                for successor in self.engine.closing_successors(instance, child):
+                    moves.append((close_name, observable, successor))
         closing = self.system.closing_service(self.task_name)
-        if not closing.pre.evaluate(snapshot.valuation, self.database):
-            return []
-        return [LocalSnapshot(closing.name, dict(snapshot.valuation), dict(snapshot.child_stages))]
-
-    # -- random sampling --------------------------------------------------------------
+        if not any(
+            instance.is_active(child) for child in self.system.children_of(self.task_name)
+        ) and closing.pre.evaluate(instance.valuation(self.task_name), self.database):
+            moves.append((closing.name, True, instance))
+        return moves
 
     def random_local_run(self, rng: random.Random, max_length: int = 12) -> LocalRun:
-        """Sample one local run prefix uniformly over the bounded successor sets.
-
-        Artifact-relation updates are ignored by this sampler (the snapshot
-        keeps only the variable valuation), which keeps it sound for
-        properties over variables and services.
-        """
-        initials = self.initial_snapshots()
-        if not initials:
-            return LocalRun(self.task_name, [], closed=False)
-        snapshot = rng.choice(initials)
-        run = LocalRun(self.task_name, [snapshot])
-        closing_name = self.system.closing_service(self.task_name).name
-        for _ in range(max_length - 1):
-            if run.closed:
+        """Sample one local run prefix, choosing uniformly among the moves at each step."""
+        run = LocalRun(self.task_name, [])
+        if not self._initials:
+            return run
+        instance = rng.choice(self._initials)
+        opening = self.system.opening_service(self.task_name).name
+        closing = self.system.closing_service(self.task_name).name
+        run.snapshots.append(LocalSnapshot(opening, instance.valuation(self.task_name)))
+        silent_steps = 0
+        while len(run) < max_length and not run.closed:
+            moves = self._moves(instance)
+            if not moves:
                 break
-            choices = self.successors(snapshot)
-            if not choices:
-                break
-            snapshot = rng.choice(choices)
-            run.snapshots.append(snapshot)
-            if snapshot.service == closing_name:
-                run.closed = True
+            service, observable, instance = rng.choice(moves)
+            if observable:
+                run.snapshots.append(LocalSnapshot(service, instance.valuation(self.task_name)))
+                run.closed = service == closing
+            else:
+                silent_steps += 1
+                if silent_steps > SILENT_STEP_LIMIT:
+                    break
         return run

@@ -19,6 +19,10 @@ from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple, Union
 from repro.has.conditions import Condition, TrueCond
 
 
+#: Reserved service name used for the terminal stutter step after a task closes.
+TERMINATED_SERVICE = "__terminated__"
+
+
 class ServiceError(ValueError):
     """Raised when a service definition violates the model's restrictions."""
 

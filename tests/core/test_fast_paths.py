@@ -33,14 +33,13 @@ from repro.core.isotypes import EQ, NEQ, PartialIsoType, empty_type
 from repro.core.maxflow import feasible_assignment
 from repro.core.karp_miller import StateMasks
 from repro.core.product import ProductState, ProductSystem
-from repro.core.psi import PSI, counter_leq
+from repro.core.psi import OMEGA, PSI, counter_leq
 from repro.core.transitions import SymbolicTransitionSystem
 from repro.has.conditions import Const, Eq, Var
 from repro.has.schema import DatabaseSchema
 from repro.has.types import VALUE, IdType
 from repro.ltl.ltlfo import GlobalVariable, LTLFOProperty
 from repro.ltl.parser import parse_ltl
-from repro.vass.vass import OMEGA
 
 # ---------------------------------------------------------------------------
 # The general algorithms, without fast paths

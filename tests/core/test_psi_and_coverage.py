@@ -7,10 +7,9 @@ from repro.core.coverage import covers_leq, covers_preceq, covers_preceq_plus
 from repro.core.expressions import ConstExpr, ExpressionUniverse, NavExpr
 from repro.core.isotypes import EQ, NEQ, empty_type
 from repro.core.maxflow import feasible_assignment, max_bipartite_flow
-from repro.core.psi import PSI, counter_add, counter_leq
+from repro.core.psi import OMEGA, PSI, counter_add, counter_leq
 from repro.has.schema import DatabaseSchema
 from repro.has.types import VALUE
-from repro.vass.vass import OMEGA
 
 
 @pytest.fixture

@@ -7,8 +7,8 @@ from repro.core.psi import PSI
 from repro.core.transitions import CLOSED_MARKER, SymbolicTransitionSystem
 from repro.has.builder import ArtifactSystemBuilder
 from repro.has.conditions import And, Const, Eq, Neq, NULL, Or, Var
-from repro.has.runs import TERMINATED_SERVICE
 from repro.has.schema import DatabaseSchema
+from repro.has.services import TERMINATED_SERVICE
 from repro.ltl.ltlfo import GlobalVariable, LTLFOProperty
 from repro.ltl.parser import parse_ltl
 from repro.has.types import IdType

@@ -1,8 +1,11 @@
-"""Differential tests: symbolic verifier vs explicitly simulated concrete runs.
+"""Differential tests: symbolic verifier vs sampled concrete runs.
 
 For small specifications and small concrete databases we sample random
-concrete local runs with :class:`repro.has.runs.ConcreteRunner`, evaluate
-safety invariants on every sampled prefix, and check the two directions:
+concrete local runs with :class:`repro.has.runs.ConcreteRunner`, which steps
+through the concrete semantics of :mod:`repro.has.instance` (artifact
+relations hold real tuples, children run and return what they produced).
+We evaluate safety invariants on every sampled prefix and check the two
+directions:
 
 * if the symbolic verifier reports *satisfied*, no sampled concrete prefix may
   violate the invariant (soundness of the "satisfied" verdict);
@@ -13,13 +16,20 @@ Only pure safety invariants (``G condition``) are used: a violation of such a
 property is witnessed by a finite prefix, and in the chosen specifications
 every reachable configuration has an applicable service, so every sampled
 prefix extends to a valid infinite run.
+
+Seeds derive from the case name with ``zlib.crc32``, so every process samples
+the same runs whatever ``PYTHONHASHSEED`` is.  The last two classes pin the
+concrete semantics itself: a child returns only values it can produce, and a
+retrieval needs a stored tuple.
 """
 
 import random
+import zlib
 
 import pytest
 
 from repro import Verifier, VerifierOptions
+from repro.has.builder import ArtifactSystemBuilder
 from repro.has.conditions import And, Condition, Const, Eq, Neq, NULL, Or, Var
 from repro.has.database import Database
 from repro.has.runs import ConcreteRunner
@@ -55,7 +65,7 @@ class TestTinySystemDifferential:
         assert not verdict.unknown
 
         runner = ConcreteRunner(tiny_system, database)
-        rng = random.Random(hash(name) % 100_000)
+        rng = random.Random(zlib.crc32(name.encode()))
         sampled_violation = False
         for _ in range(60):
             run = runner.random_local_run(rng, max_length=10)
@@ -106,7 +116,7 @@ class TestRelationSystemDifferential:
         assert not verdict.unknown
 
         runner = ConcreteRunner(relation_system, database)
-        rng = random.Random(hash(name) % 100_000)
+        rng = random.Random(zlib.crc32(name.encode()))
         sampled_violation = any(
             not _invariant_holds_on_run(run, condition, database)
             for run in (runner.random_local_run(rng, max_length=8) for _ in range(60))
@@ -131,3 +141,46 @@ class TestServicePropositionDifferential:
             "ship" in runner.random_local_run(rng, max_length=10).services()
             for _ in range(100)
         )
+
+
+class TestChildReturnsWhatItProduces:
+    @pytest.fixture
+    def system(self, items_schema):
+        """Child's only service sets its output ``y`` from null to "ok"; it
+        closes only when ``y = "ok"`` and returns ``y`` to Parent's ``y``."""
+        builder = ArtifactSystemBuilder("child-return", items_schema)
+        builder.task("Parent").variable("y")
+        child = builder.task("Child", parent="Parent")
+        child.variable("y", output=True)
+        child.internal_service("set_ok", pre=Eq(Var("y"), NULL), post=Eq(Var("y"), Const("ok")))
+        child.closing(pre=Eq(Var("y"), Const("ok")))
+        return builder.build()
+
+    def test_parent_sees_only_returned_values(self, system, items_schema):
+        database = Database(items_schema, {"ITEMS": [("i1", 3, "tools")]})
+        runner = ConcreteRunner(system, database)
+        rng = random.Random(zlib.crc32(b"child-return"))
+        runs = [runner.random_local_run(rng, max_length=10) for _ in range(200)]
+        values = {snapshot.value("y") for run in runs for snapshot in run.snapshots}
+        assert values == {None, "ok"}
+        assert all(
+            snapshot.value("y") == "ok"
+            for run in runs
+            for snapshot in run.snapshots
+            if snapshot.service == "close_Child"
+        )
+
+
+class TestRetrievalNeedsAStoredTuple:
+    def test_no_prefix_grabs_more_than_it_stashed(self, relation_system, items_schema):
+        database = Database(items_schema, {"ITEMS": [("i1", 3, "tools")]})
+        runner = ConcreteRunner(relation_system, database)
+        rng = random.Random(zlib.crc32(b"stash-grab"))
+        grabs = 0
+        for _ in range(200):
+            stored = 0
+            for service in runner.random_local_run(rng, max_length=10).services():
+                stored += {"stash": 1, "grab": -1}.get(service, 0)
+                grabs += service == "grab"
+                assert stored >= 0
+        assert grabs > 0

@@ -1,6 +1,7 @@
 """Rules of tools/lint_invariants.py: RC001 (no sys.setrecursionlimit in
-src/repro), AB001 (no ablation switches on the public surfaces) and WK001
-(only the worker pipeline builds verifiers in the server)."""
+src/repro), AB001 (no ablation switches on the public surfaces), WK001
+(only the worker pipeline builds verifiers in the server) and OR001 (the
+symbolic search and the concrete reference do not import each other)."""
 
 import ast
 import importlib.util
@@ -139,3 +140,63 @@ def test_worker_rule_covers_exactly_the_server(lint):
 def test_server_has_one_execution_path_and_no_baseline_entry(lint):
     assert [v.render() for v in lint.collect_violations() if v.rule == "WK001"] == []
     assert not [entry for entry in lint._load_baseline() if "::WK001::" in entry]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        # The import core/transitions.py carried before TERMINATED_SERVICE moved.
+        "from repro.has.runs import TERMINATED_SERVICE\n",
+        "from repro.has import instance\n",
+        "import repro.has.instance\n",
+        "from repro.baseline.spinlike import SpinLikeVerifier\n",
+        "from ..has.runs import ConcreteRunner\n",
+        "from .. import baseline\n",
+    ],
+)
+def test_core_importing_the_concrete_reference_is_flagged(lint, source):
+    hits = _rules_hit(lint, source, rules=("OR001",), relpath="src/repro/core/transitions.py")
+    assert hits == [("OR001", "<module>")]
+
+
+@pytest.mark.parametrize("relpath", ["src/repro/has/runs.py", "src/repro/has/instance.py"])
+@pytest.mark.parametrize(
+    "source",
+    ["from repro.core.psi import OMEGA\n", "import repro.core\n", "from ..core import psi\n"],
+)
+def test_concrete_reference_importing_core_is_flagged(lint, relpath, source):
+    assert [rule for rule, _ in _rules_hit(lint, source, rules=("OR001",), relpath=relpath)] == [
+        "OR001"
+    ]
+
+
+@pytest.mark.parametrize(
+    "relpath,source",
+    [
+        ("src/repro/core/transitions.py", "from repro.has.services import TERMINATED_SERVICE\n"),
+        ("src/repro/core/verifier.py", "from repro.has.artifact_system import ArtifactSystem\n"),
+        ("src/repro/has/runs.py", "from repro.has.instance import TransitionEngine\n"),
+        ("src/repro/has/instance.py", "from .services import Insert\n"),
+    ],
+)
+def test_imports_within_each_side_are_allowed(lint, relpath, source):
+    assert _rules_hit(lint, source, rules=("OR001",), relpath=relpath) == []
+
+
+def test_boundary_rule_covers_core_and_the_concrete_reference(lint):
+    guarded = {
+        os.path.relpath(path, lint.REPO_ROOT).replace(os.sep, "/")
+        for path, rules in lint._python_files()
+        if "OR001" in rules
+    }
+    assert {"src/repro/has/runs.py", "src/repro/has/instance.py"} < guarded
+    assert "src/repro/core/transitions.py" in guarded
+    assert all(
+        path.startswith("src/repro/core/") or path.startswith("src/repro/has/") for path in guarded
+    )
+    assert "src/repro/has/services.py" not in guarded
+
+
+def test_search_and_reference_are_apart_with_no_baseline_entry(lint):
+    assert [v.render() for v in lint.collect_violations() if v.rule == "OR001"] == []
+    assert not [entry for entry in lint._load_baseline() if "::OR001::" in entry]

@@ -68,6 +68,15 @@ dispatches each job to a runner executing
 included); one of them built anywhere else in the server is a second
 execution path growing back.  The rule has no baseline entries.
 
+**OR001 -- the concrete reference and the symbolic search stay apart**
+(``src/repro/core``, ``src/repro/has/runs.py``, ``src/repro/has/instance.py``).
+The concrete semantics (``repro.has.instance``) and the run sampler over it
+(``repro.has.runs``) grade the symbolic search, so neither may lean on it:
+``src/repro/core`` imports nothing from ``repro.has.runs``,
+``repro.has.instance`` or ``repro.baseline``, and those two modules import
+nothing from ``repro.core``.  Plain and ``from`` imports count, relative ones
+resolved against the importing file.  The rule has no baseline entries.
+
 Violations are identified as ``<relpath>::<rule>::<enclosing function>``
 and checked against ``tools/lint_invariants_baseline.txt``: existing,
 reviewed call sites are grandfathered; anything new fails the build.
@@ -102,6 +111,9 @@ SCANNED_TREES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     (os.path.join("src", "repro", "spec"), ("AB001",)),
     (os.path.join("src", "repro", "cli.py"), ("AB001",)),
     (os.path.join("src", "repro", "server"), ("WK001",)),
+    (os.path.join("src", "repro", "core"), ("OR001",)),
+    (os.path.join("src", "repro", "has", "runs.py"), ("OR001",)),
+    (os.path.join("src", "repro", "has", "instance.py"), ("OR001",)),
 )
 BASELINE_PATH = os.path.join(REPO_ROOT, "tools", "lint_invariants_baseline.txt")
 
@@ -116,6 +128,12 @@ ABLATION_NAME = "Ablation"
 #: What WK001 lets only the worker pipeline construct, and where that lives.
 EXECUTION_PRIMITIVES = ("Verifier", "SearchControl", "CancellationToken")
 WORKER_PIPELINE = "src/repro/server/workers.py"
+#: What OR001 forbids each side of the search/reference split to import.
+ORACLE_BOUNDARY = (
+    ("src/repro/core/", ("repro.has.runs", "repro.has.instance", "repro.baseline")),
+    ("src/repro/has/runs.py", ("repro.core",)),
+    ("src/repro/has/instance.py", ("repro.core",)),
+)
 
 
 class Violation:
@@ -159,6 +177,14 @@ def _is_write_helper_call(node: ast.AST) -> bool:
     return name in WRITE_HELPER_NAMES
 
 
+def _first_within(modules: List[str], packages: Tuple[str, ...]) -> Optional[str]:
+    """The first of *modules* that is one of *packages* or inside one."""
+    for module in modules:
+        if any(module == package or module.startswith(package + ".") for package in packages):
+            return module
+    return None
+
+
 _UNORDERED_BUILTINS = ("set", "dict", "frozenset")
 _UNORDERED_METHODS = ("keys", "values", "items")
 
@@ -188,6 +214,11 @@ class _InvariantVisitor(ast.NodeVisitor):
         self._function_stack: List[str] = ["<module>"]
         self._write_depth = 0
         self._connection_params: List[Set[str]] = [set()]
+        self._boundary: Tuple[str, ...] = ()
+        if "OR001" in rules:
+            self._boundary = next(
+                (banned for prefix, banned in ORACLE_BOUNDARY if relpath.startswith(prefix)), ()
+            )
 
     # ------------------------------------------------------------- scoping
 
@@ -222,6 +253,7 @@ class _InvariantVisitor(ast.NodeVisitor):
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
             self._check_io_import([alias.name], node.lineno)
+            self._check_boundary_import([alias.name], node.lineno)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if node.module and not node.level:
@@ -229,6 +261,10 @@ class _InvariantVisitor(ast.NodeVisitor):
             self._check_io_import([node.module] + names, node.lineno)
             if "sys.setrecursionlimit" in names:
                 self._record_recursion_limit(node.lineno)
+        module = self._absolute_module(node)
+        self._check_boundary_import(
+            [module] + [f"{module}.{alias.name}" for alias in node.names], node.lineno
+        )
         if any(alias.name == ABLATION_NAME for alias in node.names):
             self._record_ablation(node.lineno)
 
@@ -294,15 +330,34 @@ class _InvariantVisitor(ast.NodeVisitor):
         """Record one IO001 for the first of *modules* that is banned."""
         if "IO001" not in self.rules:
             return
-        for module in modules:
-            if any(module == banned or module.startswith(banned + ".") for banned in IO_MODULES):
-                self._record(
-                    "IO001",
-                    lineno,
-                    f"import of {module}: the client protocol core does no I/O "
-                    "-- sending and sleeping belong to the transports",
-                )
-                return
+        module = _first_within(modules, IO_MODULES)
+        if module is not None:
+            self._record(
+                "IO001",
+                lineno,
+                f"import of {module}: the client protocol core does no I/O "
+                "-- sending and sleeping belong to the transports",
+            )
+
+    def _absolute_module(self, node: ast.ImportFrom) -> str:
+        """The module a ``from`` import names, relative levels resolved
+        against the package of the file (``src/<package path>/<file>``)."""
+        if not node.level:
+            return node.module or ""
+        package = self.relpath.split("/")[1:-1]
+        base = package[: len(package) - (node.level - 1)]
+        return ".".join(base + ([node.module] if node.module else []))
+
+    def _check_boundary_import(self, modules: List[str], lineno: int) -> None:
+        """Record one OR001 for the first of *modules* across the boundary."""
+        module = _first_within(modules, self._boundary)
+        if module is not None:
+            self._record(
+                "OR001",
+                lineno,
+                f"import of {module}: the symbolic search and the concrete "
+                "reference that grades it must not import each other",
+            )
 
     def _check_sleep(self, node: ast.Call) -> None:
         callee = node.func
