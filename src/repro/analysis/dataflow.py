@@ -48,7 +48,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from repro.analysis.satisfiability import (
     analyse_disjunct,
     binding_literals,
-    statically_unsatisfiable,
     statically_unsatisfiable_under,
 )
 from repro.has.artifact_system import ArtifactSystem
@@ -433,9 +432,3 @@ def compute_dataflow_facts(system: ArtifactSystem) -> DataflowFacts:
     return DataflowFacts(
         tasks={name: _task_dataflow(system, name) for name in system.task_names}
     )
-
-
-def plainly_dead_service(service: InternalService) -> bool:
-    """Whether a service is dead *without* constant propagation (its pre is
-    unsatisfiable on its own -- the VA203 fact, which VA302 must not repeat)."""
-    return statically_unsatisfiable(service.pre)

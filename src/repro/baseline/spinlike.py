@@ -14,7 +14,9 @@ comparison point, "Spin-Opt") in spirit:
   verifier of [33] handles;
 * verification is classic explicit-state LTL model checking: the reachable
   product of the bounded-state system with the Büchi automaton of the negated
-  property is built breadth-first and searched for reachable accepting cycles.
+  property is built breadth-first and searched for an accepting lasso by
+  :mod:`repro.baseline.explicit`, which the concrete oracle shares.  The
+  answer is ``unknown`` whenever the state budget or the deadline stops it.
 
 Because states are concrete valuations, the state space grows exponentially
 with the number of artifact variables; this is the behaviour the Table 2
@@ -25,10 +27,10 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.repeated import states_on_cycles
+from repro.baseline.explicit import search_product
 from repro.has.artifact_system import ArtifactSystem
 from repro.has.conditions import (
     And,
@@ -41,11 +43,9 @@ from repro.has.conditions import (
     Or,
     RelationAtom,
     TrueCond,
-    Var,
 )
 from repro.has.services import TERMINATED_SERVICE
 from repro.has.types import IdType
-from repro.ltl.buchi import BuchiAutomaton, ltl_to_buchi
 from repro.ltl.ltlfo import LTLFOProperty
 
 #: How many fresh symbolic values each variable type contributes to the domain.
@@ -110,12 +110,8 @@ class SpinLikeVerifier:
 
     # ------------------------------------------------------------------ condition abstraction
 
-    def _satisfiable(self, condition: Condition, valuation: Dict[str, object]) -> bool:
-        """Three-valued satisfiability: relational atoms are non-deterministic."""
-        verdict = self._evaluate3(condition, valuation)
-        return verdict is not False
-
     def _evaluate3(self, condition: Condition, valuation: Dict[str, object]) -> Optional[bool]:
+        """Three-valued evaluation: ``None`` when the abstract database cannot decide."""
         if isinstance(condition, TrueCond):
             return True
         if isinstance(condition, FalseCond):
@@ -164,17 +160,18 @@ class SpinLikeVerifier:
     # ------------------------------------------------------------------ transition system
 
     def _successors(
-        self,
-        task_name: str,
-        valuation: Dict[str, object],
-        children: Dict[str, bool],
-        closed: bool,
-        domains: Dict[str, List[object]],
-    ) -> List[Tuple[str, Dict[str, object], Dict[str, bool], bool]]:
+        self, task_name: str, state: _State, domains: Dict[str, List[object]]
+    ) -> List[Tuple[Tuple[str, Dict[str, object]], _State]]:
+        """``((service, valuation), successor)`` for every move of the task."""
+        valuation_items, children_items, closed = state
+        valuation, children = dict(valuation_items), dict(children_items)
         if closed:
-            return [(TERMINATED_SERVICE, dict(valuation), dict(children), True)]
+            return [((TERMINATED_SERVICE, valuation), state)]
         task = self.system.task(task_name)
-        successors: List[Tuple[str, Dict[str, object], Dict[str, bool], bool]] = []
+        successors: List[Tuple[Tuple[str, Dict[str, object]], _State]] = []
+
+        def add(service: str, after: Dict[str, object], active: Dict[str, bool], closes=False):
+            successors.append(((service, after), _state_key(after, active, closes)))
 
         def assignments(free_vars: Sequence[str]) -> Iterable[Dict[str, object]]:
             pools = [domains[name] for name in free_vars]
@@ -186,25 +183,25 @@ class SpinLikeVerifier:
         # Internal services (artifact-relation updates are ignored, as in [33]).
         if not any_child_active:
             for service in self.system.internal_services(task_name):
-                if not self._satisfiable(service.pre, valuation):
+                if self._evaluate3(service.pre, valuation) is False:
                     continue
                 propagated = set(service.propagated)
                 free_vars = [v.name for v in task.variables if v.name not in propagated]
                 for assignment in assignments(free_vars):
                     successor = dict(valuation)
                     successor.update(assignment)
-                    if self._satisfiable(service.post, successor):
-                        successors.append((service.name, successor, dict(children), False))
+                    if self._evaluate3(service.post, successor) is not False:
+                        add(service.name, successor, children)
 
         # Child openings.
         for child in self.system.children_of(task_name):
             if children.get(child):
                 continue
             opening = self.system.opening_service(child)
-            if self._satisfiable(opening.pre, valuation):
+            if self._evaluate3(opening.pre, valuation) is not False:
                 updated = dict(children)
                 updated[child] = True
-                successors.append((opening.name, dict(valuation), updated, False))
+                add(opening.name, dict(valuation), updated)
 
         # Child closings: the returned variables take arbitrary domain values.
         for child in self.system.children_of(task_name):
@@ -217,55 +214,14 @@ class SpinLikeVerifier:
             for assignment in assignments(returned):
                 successor = dict(valuation)
                 successor.update(assignment)
-                successors.append((closing.name, successor, updated_children, False))
+                add(closing.name, successor, updated_children)
 
         # Own closing.
         if not any_child_active:
             closing = self.system.closing_service(task_name)
-            if self._satisfiable(closing.pre, valuation):
-                successors.append((closing.name, dict(valuation), dict(children), True))
+            if self._evaluate3(closing.pre, valuation) is not False:
+                add(closing.name, dict(valuation), children, True)
         return successors
-
-    # ------------------------------------------------------------------ LTL product
-
-    def _proposition_assignment(
-        self,
-        ltl_property: LTLFOProperty,
-        service: str,
-        valuation: Dict[str, object],
-    ) -> Tuple[Set[str], Set[str]]:
-        """(definitely true, definitely false) propositions at a snapshot."""
-        definitely_true: Set[str] = set()
-        definitely_false: Set[str] = set()
-        for proposition, condition in ltl_property.conditions.items():
-            verdict = self._evaluate3(condition, valuation)
-            if verdict is True:
-                definitely_true.add(proposition)
-            elif verdict is False:
-                definitely_false.add(proposition)
-        for proposition in ltl_property.service_propositions:
-            if proposition == service:
-                definitely_true.add(proposition)
-            else:
-                definitely_false.add(proposition)
-        return definitely_true, definitely_false
-
-    def _buchi_successors(
-        self,
-        automaton: BuchiAutomaton,
-        buchi_state: int,
-        definitely_true: Set[str],
-        definitely_false: Set[str],
-    ) -> Set[int]:
-        """Büchi successors; unknown propositions may take either truth value."""
-        result: Set[int] = set()
-        for transition in automaton.outgoing(buchi_state):
-            if transition.label.required & definitely_false:
-                continue
-            if transition.label.forbidden & definitely_true:
-                continue
-            result.add(transition.target)
-        return result
 
     # ------------------------------------------------------------------ verification
 
@@ -281,90 +237,35 @@ class SpinLikeVerifier:
         for global_var in ltl_property.global_variables:
             domains[global_var.name] = self._domain(task_name, global_var.type, constants)
 
-        negated = ltl_property.formula.negated()
-        automaton = ltl_to_buchi(negated)
-
         # Initial states: every variable null (plus every valuation of the
         # global variables), global pre-condition respected for the root task.
-        initial_valuations: List[Dict[str, object]] = []
+        opening_name = self.system.opening_service(task_name).name
+        children0 = {child: False for child in self.system.children_of(task_name)}
+        initial = []
         base = {var.name: None for var in task.variables}
         global_names = list(ltl_property.global_variable_names)
         pools = [domains[name] for name in global_names]
         for combo in itertools.product(*pools) if global_names else [()]:
             valuation = dict(base)
             valuation.update(dict(zip(global_names, combo)))
-            if task_name != self.system.root or self._satisfiable(
-                self.system.global_precondition, valuation
-            ):
-                initial_valuations.append(valuation)
+            pre = self._evaluate3(self.system.global_precondition, valuation)
+            if task_name != self.system.root or pre is not False:
+                initial.append(((opening_name, valuation), _state_key(valuation, children0, False)))
 
-        opening_name = self.system.opening_service(task_name).name
-        children0 = {child: False for child in self.system.children_of(task_name)}
-
-        # Explicit product exploration.
-        edges: Dict[int, Set[int]] = {}
-        accepting: Set[int] = set()
-        state_ids: Dict[Tuple[_State, int], int] = {}
-        work: List[Tuple[_State, int]] = []
-        failed = False
-
-        def state_key(valuation: Dict[str, object], children: Dict[str, bool], closed: bool) -> _State:
-            return (tuple(sorted(valuation.items(), key=lambda kv: kv[0])),
-                    tuple(sorted(children.items())), closed)
-
-        def intern(state: Tuple[_State, int]) -> int:
-            if state not in state_ids:
-                state_ids[state] = len(state_ids)
-                edges[state_ids[state]] = set()
-                if state[1] in automaton.accepting_states:
-                    accepting.add(state_ids[state])
-                work.append(state)
-            return state_ids[state]
-
-        for valuation in initial_valuations:
-            true_props, false_props = self._proposition_assignment(
-                ltl_property, opening_name, valuation
-            )
-            for initial in automaton.initial_states:
-                for target in self._buchi_successors(automaton, initial, true_props, false_props):
-                    intern((state_key(valuation, children0, False), target))
-
-        explored = 0
-        while work:
-            if deadline is not None and time.monotonic() > deadline:
-                failed = True
-                break
-            if len(state_ids) > self.max_states:
-                failed = True
-                break
-            state = work.pop()
-            state_id = state_ids[state]
-            (valuation_items, children_items, closed), buchi_state = state
-            valuation = dict(valuation_items)
-            children = dict(children_items)
-            explored += 1
-            for service, next_valuation, next_children, next_closed in self._successors(
-                task_name, valuation, children, closed, domains
-            ):
-                true_props, false_props = self._proposition_assignment(
-                    ltl_property, service, next_valuation
-                )
-                for target in self._buchi_successors(
-                    automaton, buchi_state, true_props, false_props
-                ):
-                    successor = (state_key(next_valuation, next_children, next_closed), target)
-                    successor_id = intern(successor)
-                    edges[state_id].add(successor_id)
-
+        result = search_product(
+            ltl_property,
+            initial,
+            lambda state: self._successors(task_name, state, domains),
+            self._evaluate3,
+            self.max_states,
+            deadline,
+        )
         seconds = time.monotonic() - started
-        if failed:
-            return SpinLikeResult("unknown", len(state_ids), seconds, failed=True)
-
-        violated = _has_accepting_cycle(edges, accepting)
-        outcome = "violated" if violated else "satisfied"
-        return SpinLikeResult(outcome, len(state_ids), seconds, failed=False)
+        if not result.complete:
+            return SpinLikeResult("unknown", result.states, seconds, failed=True)
+        outcome = "violated" if result.lasso is not None else "satisfied"
+        return SpinLikeResult(outcome, result.states, seconds, failed=False)
 
 
-def _has_accepting_cycle(edges: Dict[int, Set[int]], accepting: Set[int]) -> bool:
-    """Whether some accepting vertex lies on a cycle (Tarjan SCC over the product graph)."""
-    return not accepting.isdisjoint(states_on_cycles(edges))
+def _state_key(valuation: Dict[str, object], children: Dict[str, bool], closed: bool) -> _State:
+    return (tuple(sorted(valuation.items())), tuple(sorted(children.items())), closed)

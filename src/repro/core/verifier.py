@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.control import STOP_CANCELLED, STOP_DEADLINE, SearchControl
 from repro.core.counterexample import Counterexample, build_counterexample
@@ -193,10 +193,6 @@ class Verifier:
             stats=stats,
             counterexample=counterexample,
         )
-
-    def verify_all(self, properties: Sequence[LTLFOProperty]) -> List[VerificationResult]:
-        """Verify a collection of properties, one result per property."""
-        return [self.verify(ltl_property) for ltl_property in properties]
 
     # ------------------------------------------------------------------ verdict
 

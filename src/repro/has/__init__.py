@@ -4,9 +4,11 @@ This subpackage implements Section 2 and Appendix A of the VERIFAS paper:
 database schemas with acyclic foreign keys, quantifier-free first-order
 conditions, task schemas with artifact variables and artifact relations,
 internal / opening / closing services, artifact systems, concrete instances
-and the concrete transition semantics, and a sampler of concrete local runs
-that steps through it (used by the test suite for differential testing
-against the symbolic verifier).
+and the concrete transition semantics.  :mod:`repro.has.runs` holds a
+concrete oracle that searches the concrete local runs for a violating lasso
+(used by the test suite for differential testing against the symbolic
+verifier); it is not imported here, so the model does not load the
+explicit-state checkers.
 """
 
 from repro.has.schema import Attribute, DatabaseSchema, Relation
@@ -39,7 +41,6 @@ from repro.has.artifact_system import ArtifactSystem, SpecificationError
 from repro.has.builder import ArtifactSystemBuilder, TaskBuilder
 from repro.has.database import Database
 from repro.has.instance import Instance
-from repro.has.runs import ConcreteRunner, LocalSnapshot
 
 __all__ = [
     "Attribute",
@@ -76,6 +77,4 @@ __all__ = [
     "TaskBuilder",
     "Database",
     "Instance",
-    "ConcreteRunner",
-    "LocalSnapshot",
 ]

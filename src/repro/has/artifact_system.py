@@ -23,7 +23,6 @@ interpreted relative to a single task).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.has.conditions import Condition, FalseCond, TrueCond

@@ -9,7 +9,6 @@ never materialises a database.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.has.schema import DatabaseSchema, Relation

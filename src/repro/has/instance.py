@@ -7,9 +7,9 @@ implements the concrete transition relation of Definition 27 (Appendix A):
 internal services, opening services and closing services.
 
 The concrete semantics is independent of the symbolic verifier, which it
-grades: it is the only concrete step relation in the package, and the sampler
-in :mod:`repro.has.runs` steps through it to cross-check the symbolic search
-against concrete runs on small databases.
+grades: it is the only concrete step relation in the package, and the
+concrete oracle in :mod:`repro.has.runs` searches its runs for violating
+lassos to cross-check the symbolic search on small databases.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.has.artifact_system import ArtifactSystem
-from repro.has.conditions import Condition
 from repro.has.database import Database
 from repro.has.services import ClosingService, Insert, InternalService, OpeningService, Retrieve
 from repro.has.tasks import TaskSchema

@@ -1,151 +1,145 @@
-"""Random concrete local runs of a task, stepped through the concrete semantics.
+"""A concrete oracle: the LTL product search over concrete local runs of a task.
 
-The verifier reasons about *local runs* of a task: the subsequence of a global
-run made of the task's observable services Σ^obs_T (its internal services, its
-own opening and closing, and its children's openings and closings).  For
-testing we sample local runs directly on a small concrete database.
+A *local run* of a task is the subsequence of a global run made of its
+observable services Σ^obs_T: its internal services, its own opening and
+closing, and its children's openings and closings.  :class:`ConcreteOracle`
+searches them on one small database for a lasso that violates an LTL-FO
+property, with the product search of :mod:`repro.baseline.explicit`.
 
-Every step is a move of :class:`repro.has.instance.TransitionEngine`
-(Definition 27) by the verified task or one of its descendants, so artifact
-relations hold real tuples and children run concretely: a child returns its
-output variables only when its closing guard holds, with the values its own
-run produced.  Only the verified task's observable moves are recorded; the
-descendants' internal moves run silently, at most :data:`SILENT_STEP_LIMIT`
-of them per run.
+Every step is a :class:`repro.has.instance.TransitionEngine` move (Definition
+27) of the task or of a descendant, so artifact relations hold real tuples
+and a child returns only what its own run produced.  Descendants' moves are
+silent: they fold into the task's next observable step and count against
+``max_states``.  A closed task stutters on ``TERMINATED_SERVICE``.  A run
+that reaches a state with no observable move ever after (say, the task waits
+on a child that cannot return) yields no lasso.
 
-The engine draws non-propagated values from a finite candidate pool, so the
-sampled runs are a subset of the real runs: a sampled run that violates a
-property is a genuine violation, while the absence of one proves nothing.
+Values come from the engine's finite candidate pools, so the oracle sees a
+subset of the real runs.  What :meth:`ConcreteOracle.check` proves:
+
+* a lasso is a real violating run;
+* a complete search without a lasso means no violation on this one database
+  within the candidate pools and ``SUCCESSOR_LIMIT``, not that the property
+  holds;
+* a search the budget stopped without a lasso proves nothing.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
 
+from repro.baseline.explicit import ProductResult, search_product
 from repro.has.artifact_system import ArtifactSystem
 from repro.has.database import Database
 from repro.has.instance import SUCCESSOR_LIMIT, Instance, TransitionEngine, initial_instance
+from repro.has.services import TERMINATED_SERVICE
+from repro.ltl.ltlfo import LTLFOProperty
 
-#: Internal moves of descendant tasks one sampled run may take.
-SILENT_STEP_LIMIT = 200
 
-
-@dataclass(frozen=True)
-class LocalSnapshot:
-    """One snapshot of a local run: the service applied and the resulting valuation."""
+class LocalSnapshot(NamedTuple):
+    """One step of a local run: the service applied and the resulting valuation."""
 
     service: str
     valuation: Dict[str, object]
 
-    def value(self, variable: str) -> object:
-        return self.valuation[variable]
+
+#: A move of the oracle's system: its step (``None`` if silent) and the successor.
+_Move = Tuple[Optional[LocalSnapshot], Instance]
 
 
-@dataclass
-class LocalRun:
-    """A finite prefix of a local run of the verified task."""
-
-    task: str
-    snapshots: List[LocalSnapshot]
-    closed: bool = False
-
-    def services(self) -> List[str]:
-        return [s.service for s in self.snapshots]
-
-    def __len__(self) -> int:
-        return len(self.snapshots)
-
-
-class ConcreteRunner:
-    """Samples concrete local runs of one task on a concrete database."""
+class ConcreteOracle:
+    """Searches the concrete local runs of a task on one database for a violation."""
 
     def __init__(
-        self,
-        system: ArtifactSystem,
-        database: Database,
-        task: Optional[str] = None,
-        extra_constants: Iterable[object] = (),
+        self, system: ArtifactSystem, database: Database, extra_constants: Iterable[object] = ()
     ):
         self.system = system
         self.database = database
-        self.task_name = task or system.root
-        self.task = system.task(self.task_name)
         self.engine = TransitionEngine(system, database, extra_constants)
-        self._subtree = (self.task_name,) + system.descendants_of(self.task_name)
-        self._initials = self._initial_instances()
 
-    def _initial_instances(self) -> List[Instance]:
-        """Instances right after the verified task opens, everything else inactive.
+    def check(self, ltl_property: LTLFOProperty, max_states: int) -> ProductResult:
+        """``(lasso | None, states, complete)`` for the property's task; the
+        lasso's steps are :class:`LocalSnapshot` s.  Letters are exact: each
+        condition is evaluated on the snapshot's valuation and the database.
+        ``max_states`` bounds the product states, as for Spin-Opt.  Properties
+        with global variables raise ``ValueError``."""
+        if ltl_property.global_variables:
+            raise ValueError("the concrete oracle does not support global variables")
+        task = ltl_property.task
+        opening = self.system.opening_service(task).name
+        initial = [
+            (LocalSnapshot(opening, instance.valuation(task)), instance)
+            for instance in self._initial_instances(task)
+        ]
+        return search_product(
+            ltl_property,
+            initial,
+            lambda instance: self._moves(task, instance),
+            lambda condition, valuation: condition.evaluate(valuation, self.database),
+            max_states,
+            key=_instance_key,
+        )
 
-        The root's variables mentioned by the global pre-condition range over
-        their candidate values, subject to the pre-condition.  A non-root
-        task's input variables come from its parent: any candidate values.
-        """
-        is_root = self.task_name == self.system.root
+    def _initial_instances(self, task_name: str) -> List[Instance]:
+        """Instances right after the task opens, every other task inactive.
+        The root's variables in the global pre-condition take the candidate
+        values that satisfy it; a non-root task's inputs take any candidates."""
+        task = self.system.task(task_name)
+        is_root = task_name == self.system.root
         if is_root:
             variables = sorted(self.system.global_precondition.variables())
         else:
-            variables = list(self.task.input_variables)
-        pools = [self.engine.candidate_values(self.task, v) for v in variables]
+            variables = list(task.input_variables)
+        pools = [self.engine.candidate_values(task, v) for v in variables]
         base = initial_instance(self.system).with_updates(
-            stages={name: name == self.task_name for name in self.system.task_names}
+            stages={name: name == task_name for name in self.system.task_names}
         )
         instances = []
         for combo in itertools.islice(itertools.product(*pools), SUCCESSOR_LIMIT):
-            valuation = {var.name: None for var in self.task.variables}
+            valuation = {var.name: None for var in task.variables}
             valuation.update(zip(variables, combo))
             if is_root and not self.system.global_precondition.evaluate(valuation, self.database):
                 continue
-            instances.append(base.with_updates(valuations={self.task_name: valuation}))
+            instances.append(base.with_updates(valuations={task_name: valuation}))
         return instances
 
-    def _moves(self, instance: Instance) -> List[Tuple[str, bool, Instance]]:
-        """``(service, observable, successor)`` for every move of the subtree."""
-        moves = []
-        for task_name in self._subtree:
-            if not instance.is_active(task_name):
+    def _moves(self, task: str, instance: Instance) -> List[_Move]:
+        """Every move of the task's subtree; a descendant's move is silent
+        (``None``).  The task's own closing leaves it inactive; then it stutters."""
+        system, engine = self.system, self.engine
+        valuation = instance.valuation(task)
+        if not instance.is_active(task):
+            return [(LocalSnapshot(TERMINATED_SERVICE, valuation), instance)]
+        moves: List[_Move] = []
+        for mover in (task,) + system.descendants_of(task):
+            if not instance.is_active(mover):
                 continue
-            observable = task_name == self.task_name
-            for service in self.system.internal_services(task_name):
-                for successor in self.engine.internal_successors(instance, service):
-                    moves.append((service.name, observable, successor))
-            for child in self.system.children_of(task_name):
-                open_name = self.system.opening_service(child).name
-                close_name = self.system.closing_service(child).name
-                for successor in self.engine.opening_successors(instance, child):
-                    moves.append((open_name, observable, successor))
-                for successor in self.engine.closing_successors(instance, child):
-                    moves.append((close_name, observable, successor))
-        closing = self.system.closing_service(self.task_name)
+            enabled = [
+                (service.name, engine.internal_successors(instance, service))
+                for service in system.internal_services(mover)
+            ]
+            for child in system.children_of(mover):
+                opening, closing = system.opening_service(child), system.closing_service(child)
+                enabled.append((opening.name, engine.opening_successors(instance, child)))
+                enabled.append((closing.name, engine.closing_successors(instance, child)))
+            for service, successors in enabled:
+                for successor in successors:
+                    snapshot = LocalSnapshot(service, successor.valuation(task))
+                    moves.append((snapshot if mover == task else None, successor))
+        closing = system.closing_service(task)
         if not any(
-            instance.is_active(child) for child in self.system.children_of(self.task_name)
-        ) and closing.pre.evaluate(instance.valuation(self.task_name), self.database):
-            moves.append((closing.name, True, instance))
+            instance.is_active(child) for child in system.children_of(task)
+        ) and closing.pre.evaluate(valuation, self.database):
+            closed = instance.with_updates(stages={task: False})
+            moves.append((LocalSnapshot(closing.name, valuation), closed))
         return moves
 
-    def random_local_run(self, rng: random.Random, max_length: int = 12) -> LocalRun:
-        """Sample one local run prefix, choosing uniformly among the moves at each step."""
-        run = LocalRun(self.task_name, [])
-        if not self._initials:
-            return run
-        instance = rng.choice(self._initials)
-        opening = self.system.opening_service(self.task_name).name
-        closing = self.system.closing_service(self.task_name).name
-        run.snapshots.append(LocalSnapshot(opening, instance.valuation(self.task_name)))
-        silent_steps = 0
-        while len(run) < max_length and not run.closed:
-            moves = self._moves(instance)
-            if not moves:
-                break
-            service, observable, instance = rng.choice(moves)
-            if observable:
-                run.snapshots.append(LocalSnapshot(service, instance.valuation(self.task_name)))
-                run.closed = service == closing
-            else:
-                silent_steps += 1
-                if silent_steps > SILENT_STEP_LIMIT:
-                    break
-        return run
+
+def _instance_key(instance: Instance) -> Hashable:
+    """A hashable key of an instance; relation multisets are sorted."""
+    return (
+        tuple(sorted((task, tuple(sorted(v.items()))) for task, v in instance.valuations.items())),
+        tuple(sorted(instance.stages.items())),
+        tuple(sorted((k, tuple(sorted(r, key=repr))) for k, r in instance.relations.items())),
+    )

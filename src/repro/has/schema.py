@@ -110,9 +110,6 @@ class Relation:
     def has_attribute(self, name: str) -> bool:
         return any(a.name == name for a in self.attributes)
 
-    def id_type(self) -> IdType:
-        return IdType(self.name)
-
 
 class DatabaseSchema:
     """An acyclic database schema: a collection of relations (Definition 1)."""

@@ -23,10 +23,6 @@ from repro.has.conditions import Condition, TrueCond
 TERMINATED_SERVICE = "__terminated__"
 
 
-class ServiceError(ValueError):
-    """Raised when a service definition violates the model's restrictions."""
-
-
 @dataclass(frozen=True)
 class Insert:
     """Insert the current value of ``variables`` as a tuple into ``relation``.
@@ -101,14 +97,6 @@ class InternalService:
         object.__setattr__(self, "post", post)
         object.__setattr__(self, "propagated", frozenset(propagated))
         object.__setattr__(self, "update", update)
-
-    @property
-    def is_insert(self) -> bool:
-        return isinstance(self.update, Insert)
-
-    @property
-    def is_retrieve(self) -> bool:
-        return isinstance(self.update, Retrieve)
 
     def __str__(self) -> str:
         return f"{self.task}.{self.name}"

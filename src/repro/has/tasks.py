@@ -122,20 +122,12 @@ class TaskSchema:
         return tuple(self._variables)
 
     @property
-    def id_variables(self) -> Tuple[Variable, ...]:
-        return tuple(v for v in self._variables.values() if v.is_id)
-
-    @property
     def value_variables(self) -> Tuple[Variable, ...]:
         return tuple(v for v in self._variables.values() if not v.is_id)
 
     @property
     def artifact_relations(self) -> Tuple[ArtifactRelation, ...]:
         return tuple(self._relations.values())
-
-    @property
-    def artifact_relation_names(self) -> Tuple[str, ...]:
-        return tuple(self._relations)
 
     def variable(self, name: str) -> Variable:
         try:

@@ -53,13 +53,3 @@ VALUE = ValueType()
 def is_id_type(var_type: VarType) -> bool:
     """Return ``True`` when *var_type* is an :class:`IdType`."""
     return isinstance(var_type, IdType)
-
-
-def types_compatible(left: VarType, right: VarType) -> bool:
-    """Whether two expressions of these types may ever be equal.
-
-    Identifiers of different relations come from disjoint domains and can
-    therefore never be equal; identifiers and data values are likewise
-    incomparable.  ``null`` is handled separately by the condition layer.
-    """
-    return left == right

@@ -60,11 +60,6 @@ class LTLFOProperty:
     # -- structural queries ---------------------------------------------------
 
     @property
-    def condition_propositions(self) -> Set[str]:
-        """Propositions interpreted as FO conditions (the set P)."""
-        return set(self.conditions)
-
-    @property
     def service_propositions(self) -> Set[str]:
         """Propositions interpreted as observable service occurrences."""
         return self.formula.propositions() - set(self.conditions)
@@ -72,9 +67,6 @@ class LTLFOProperty:
     @property
     def global_variable_names(self) -> Tuple[str, ...]:
         return tuple(v.name for v in self.global_variables)
-
-    def condition_for(self, proposition: str) -> Condition:
-        return self.conditions[proposition]
 
     def validate_against(self, task_variables: Iterable[str], observable_services: Iterable[str]) -> None:
         """Check the property only refers to the task's variables and observable services.

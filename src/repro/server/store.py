@@ -1437,14 +1437,6 @@ class JobStore:
                     self.store_hits += 1
         return json.loads(row["result_json"]) if row is not None else None
 
-    def has_result(self, fingerprint: str) -> bool:
-        """Whether a result is persisted, without touching the hit/miss counters."""
-        with self._read() as conn:
-            row = conn.execute(
-                "SELECT 1 FROM results WHERE fingerprint = ?", (fingerprint,)
-            ).fetchone()
-        return row is not None
-
     def put_result(self, fingerprint: str, result: Dict[str, Any]) -> None:
         with self._write() as conn:
             self._put_result_txn(conn, fingerprint, result)
@@ -1582,12 +1574,6 @@ class JobStore:
             }
             for row in rows
         ]
-
-    def span_count(self, trace_id: str) -> int:
-        with self._read() as conn:
-            return conn.execute(
-                "SELECT COUNT(*) FROM spans WHERE trace_id = ?", (trace_id,)
-            ).fetchone()[0]
 
     # --------------------------------------------------------------- readiness
 

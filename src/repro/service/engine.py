@@ -84,37 +84,6 @@ class VerificationService:
     ):
         self.cache = cache if cache is not None else ResultCache()
         self.default_options = default_options or VerifierOptions()
-        self._pending: List[VerificationJob] = []
-
-    # ------------------------------------------------------------------ queue
-
-    def submit(
-        self,
-        system: ArtifactSystem,
-        ltl_property: LTLFOProperty,
-        options: Optional[VerifierOptions] = None,
-        label: Optional[str] = None,
-    ) -> VerificationJob:
-        """Enqueue one job built from live model objects; returns the job."""
-        job = VerificationJob.from_objects(
-            system, ltl_property, options or self.default_options, label=label
-        )
-        self._pending.append(job)
-        return job
-
-    def submit_job(self, job: VerificationJob) -> VerificationJob:
-        """Enqueue an already-built job."""
-        self._pending.append(job)
-        return job
-
-    @property
-    def pending(self) -> Sequence[VerificationJob]:
-        return tuple(self._pending)
-
-    def run_pending(self, workers: int = 1) -> List[JobResult]:
-        """Run (and drain) every queued job."""
-        jobs, self._pending = self._pending, []
-        return self.run_batch(jobs, workers=workers)
 
     # ------------------------------------------------------------------ one-shot
 

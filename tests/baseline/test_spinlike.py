@@ -6,7 +6,7 @@ import pytest
 
 from repro import Verifier, VerifierOptions
 from repro.baseline import SpinLikeVerifier
-from repro.baseline.spinlike import _has_accepting_cycle
+from repro.baseline.explicit import find_lasso
 from repro.has.conditions import Const, Eq, Neq, NULL, Var
 from repro.ltl.ltlfo import LTLFOProperty
 from repro.ltl.parser import parse_ltl
@@ -91,23 +91,33 @@ class TestAgreementWithSymbolicVerifier:
 
 
 class TestAcceptingCycle:
-    """The cycle check keeps an explicit stack: a product graph far deeper
+    """The lasso search keeps explicit stacks: a product graph far deeper
     than CPython's recursion limit needs no raised limit."""
 
     N = 20_000
 
     def _cycle_with_tail(self):
         # 0 -> 1 -> ... -> N-1 -> 0, entered from a tail vertex N.
-        edges = {i: {(i + 1) % self.N} for i in range(self.N)}
-        edges[self.N] = {0}
+        edges = {i: [(i + 1) % self.N] for i in range(self.N)}
+        edges[self.N] = [0]
         return edges
 
     def test_accepting_vertex_on_a_long_cycle(self):
         limit = sys.getrecursionlimit()
-        assert _has_accepting_cycle(self._cycle_with_tail(), {self.N // 2})
+        edges = self._cycle_with_tail()
+        stem, loop = find_lasso([self.N], edges, {self.N // 2})
         assert sys.getrecursionlimit() == limit
+        assert stem == [self.N] + list(range(self.N // 2 + 1))
+        assert len(loop) == self.N and loop[-1] == self.N // 2
+        path = stem + loop
+        assert all(target in edges[source] for source, target in zip(path, path[1:]))
 
     def test_accepting_vertex_off_the_cycle(self):
         limit = sys.getrecursionlimit()
-        assert not _has_accepting_cycle(self._cycle_with_tail(), {self.N})
+        assert find_lasso([self.N], self._cycle_with_tail(), {self.N}) is None
         assert sys.getrecursionlimit() == limit
+
+    def test_unreachable_accepting_cycle_is_not_a_lasso(self):
+        edges = {0: [1], 1: [], 2: [3], 3: [2]}
+        assert find_lasso([0], edges, {2}) is None
+        assert find_lasso([0, 2], edges, {2}) == ([2], [3, 2])

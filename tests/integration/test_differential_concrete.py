@@ -1,44 +1,59 @@
-"""Differential tests: symbolic verifier vs sampled concrete runs.
+"""Differential tests: symbolic verifier vs the concrete oracle.
 
-For small specifications and small concrete databases we sample random
-concrete local runs with :class:`repro.has.runs.ConcreteRunner`, which steps
-through the concrete semantics of :mod:`repro.has.instance` (artifact
-relations hold real tuples, children run and return what they produced).
-We evaluate safety invariants on every sampled prefix and check the two
-directions:
+For small specifications and small concrete databases,
+:class:`repro.has.runs.ConcreteOracle` searches the product of the concrete
+local runs with the Büchi automaton of the negated property.  It steps
+through the concrete semantics of :mod:`repro.has.instance`: artifact
+relations hold real tuples, and children run and return what they produced.
+A lasso it finds is a real violating run, so:
 
-* if the symbolic verifier reports *satisfied*, no sampled concrete prefix may
-  violate the invariant (soundness of the "satisfied" verdict);
-* if some sampled prefix violates the invariant, the verifier must report
-  *violated* (the sample is a genuine witness).
+* if the symbolic verifier reports *satisfied*, the oracle finds no lasso
+  (soundness of the "satisfied" verdict);
+* if the oracle finds a lasso, the verifier reports *violated*.
 
-Only pure safety invariants (``G condition``) are used: a violation of such a
-property is witnessed by a finite prefix, and in the chosen specifications
-every reachable configuration has an applicable service, so every sampled
-prefix extends to a valid infinite run.
-
-Seeds derive from the case name with ``zlib.crc32``, so every process samples
-the same runs whatever ``PYTHONHASHSEED`` is.  The last two classes pin the
-concrete semantics itself: a child returns only values it can produce, and a
-retrieval needs a stored tuple.
+On the tiny system the oracle's search finishes, and it has a lasso exactly
+when the verifier reports *violated*.  Every lasso a test gets is checked
+independently of the search: the Büchi automaton of the negated property
+accepts its letters, and the direct LTL evaluator finds the property false
+on it.  The last two classes pin the concrete semantics itself: a child
+returns only values it can produce, and a retrieval needs a stored tuple.
 """
-
-import random
-import zlib
 
 import pytest
 
 from repro import Verifier, VerifierOptions
 from repro.has.builder import ArtifactSystemBuilder
-from repro.has.conditions import And, Condition, Const, Eq, Neq, NULL, Or, Var
+from repro.has.conditions import Const, Eq, Neq, NULL, Or, Var
 from repro.has.database import Database
-from repro.has.runs import ConcreteRunner
+from repro.has.runs import ConcreteOracle
+from repro.ltl.buchi import ltl_to_buchi
+from repro.ltl.evaluate import evaluate_lasso
 from repro.ltl.ltlfo import LTLFOProperty
 from repro.ltl.parser import parse_ltl
 
 
-def _invariant_holds_on_run(run, condition: Condition, database) -> bool:
-    return all(condition.evaluate(snapshot.valuation, database) for snapshot in run.snapshots)
+def _letters(snapshots, ltl_property, database):
+    services = ltl_property.service_propositions
+    return [
+        {
+            proposition
+            for proposition, condition in ltl_property.conditions.items()
+            if condition.evaluate(snapshot.valuation, database)
+        }
+        | ({snapshot.service} & services)
+        for snapshot in snapshots
+    ]
+
+
+def _check(system, database, ltl_property, max_states):
+    """The oracle's answer, with its lasso (if any) checked independently."""
+    result = ConcreteOracle(system, database).check(ltl_property, max_states=max_states)
+    if result.lasso is not None:
+        stem = _letters(result.lasso.stem, ltl_property, database)
+        loop = _letters(result.lasso.loop, ltl_property, database)
+        assert ltl_to_buchi(ltl_property.formula.negated()).accepts_lasso(stem, loop)
+        assert evaluate_lasso(ltl_property.formula, stem, loop) is False
+    return result
 
 
 INVARIANTS = [
@@ -56,7 +71,7 @@ class TestTinySystemDifferential:
         return Database(items_schema, {"ITEMS": [("i1", 3, "tools"), ("i2", 8, "toys")]})
 
     @pytest.mark.parametrize("name,condition", INVARIANTS)
-    def test_safety_verdicts_agree_with_sampled_runs(self, tiny_system, database, name, condition):
+    def test_oracle_has_a_lasso_exactly_when_violated(self, tiny_system, database, name, condition):
         verifier = Verifier(tiny_system, VerifierOptions(max_states=20_000, timeout_seconds=30))
         ltl_property = LTLFOProperty(
             "Main", parse_ltl("G p"), conditions={"p": condition}, name=name
@@ -64,31 +79,20 @@ class TestTinySystemDifferential:
         verdict = verifier.verify(ltl_property)
         assert not verdict.unknown
 
-        runner = ConcreteRunner(tiny_system, database)
-        rng = random.Random(zlib.crc32(name.encode()))
-        sampled_violation = False
-        for _ in range(60):
-            run = runner.random_local_run(rng, max_length=10)
-            if run.snapshots and not _invariant_holds_on_run(run, condition, database):
-                sampled_violation = True
-                break
-        if verdict.satisfied:
-            assert not sampled_violation, (
-                f"verifier claims {name} holds but a concrete run violates it"
-            )
-        if sampled_violation:
-            assert verdict.violated
+        result = _check(tiny_system, database, ltl_property, max_states=1_000)
+        assert result.complete
+        assert (result.lasso is not None) == verdict.violated
 
     def test_known_violated_invariant_is_found_by_both(self, tiny_system, database):
         condition = Neq(Var("status"), Const("shipped"))
         verifier = Verifier(tiny_system, VerifierOptions(max_states=20_000))
         ltl_property = LTLFOProperty("Main", parse_ltl("G p"), conditions={"p": condition})
         assert verifier.verify(ltl_property).violated
-        runner = ConcreteRunner(tiny_system, database)
-        rng = random.Random(0)
-        assert any(
-            not _invariant_holds_on_run(runner.random_local_run(rng, max_length=10), condition, database)
-            for _ in range(100)
+        result = _check(tiny_system, database, ltl_property, max_states=1_000)
+        assert result.complete and result.lasso is not None
+        assert not all(
+            condition.evaluate(snapshot.valuation, database)
+            for snapshot in result.lasso.stem + result.lasso.loop
         )
 
 
@@ -107,7 +111,7 @@ class TestRelationSystemDifferential:
         return Database(items_schema, {"ITEMS": [("i1", 3, "tools")]})
 
     @pytest.mark.parametrize("name,condition", RELATION_INVARIANTS)
-    def test_safety_verdicts_agree_with_sampled_runs(self, relation_system, database, name, condition):
+    def test_verdicts_agree_with_the_oracle(self, relation_system, database, name, condition):
         verifier = Verifier(relation_system, VerifierOptions(max_states=20_000, timeout_seconds=30))
         ltl_property = LTLFOProperty(
             "Main", parse_ltl("G p"), conditions={"p": condition}, name=name
@@ -115,32 +119,23 @@ class TestRelationSystemDifferential:
         verdict = verifier.verify(ltl_property)
         assert not verdict.unknown
 
-        runner = ConcreteRunner(relation_system, database)
-        rng = random.Random(zlib.crc32(name.encode()))
-        sampled_violation = any(
-            not _invariant_holds_on_run(run, condition, database)
-            for run in (runner.random_local_run(rng, max_length=8) for _ in range(60))
-            if run.snapshots
-        )
+        result = _check(relation_system, database, ltl_property, max_states=1_000)
         if verdict.satisfied:
-            assert not sampled_violation
-        if sampled_violation:
+            assert result.lasso is None
+        if result.lasso is not None:
             assert verdict.violated
 
 
 class TestServicePropositionDifferential:
     def test_service_occurrence_agrees(self, tiny_system, items_schema):
-        """G(!ship) must be violated, and sampled runs do apply ship."""
+        """G(!ship) must be violated, and the oracle's lasso applies ship."""
         database = Database(items_schema, {"ITEMS": [("i1", 3, "tools")]})
         verifier = Verifier(tiny_system, VerifierOptions(max_states=20_000))
         ltl_property = LTLFOProperty("Main", parse_ltl("G (!ship)"), name="never-ship")
         assert verifier.verify(ltl_property).violated
-        runner = ConcreteRunner(tiny_system, database)
-        rng = random.Random(3)
-        assert any(
-            "ship" in runner.random_local_run(rng, max_length=10).services()
-            for _ in range(100)
-        )
+        result = _check(tiny_system, database, ltl_property, max_states=1_000)
+        assert result.complete and result.lasso is not None
+        assert "ship" in [s.service for s in result.lasso.stem + result.lasso.loop]
 
 
 class TestChildReturnsWhatItProduces:
@@ -156,31 +151,36 @@ class TestChildReturnsWhatItProduces:
         child.closing(pre=Eq(Var("y"), Const("ok")))
         return builder.build()
 
-    def test_parent_sees_only_returned_values(self, system, items_schema):
-        database = Database(items_schema, {"ITEMS": [("i1", 3, "tools")]})
-        runner = ConcreteRunner(system, database)
-        rng = random.Random(zlib.crc32(b"child-return"))
-        runs = [runner.random_local_run(rng, max_length=10) for _ in range(200)]
-        values = {snapshot.value("y") for run in runs for snapshot in run.snapshots}
-        assert values == {None, "ok"}
-        assert all(
-            snapshot.value("y") == "ok"
-            for run in runs
-            for snapshot in run.snapshots
-            if snapshot.service == "close_Child"
+    @pytest.fixture
+    def database(self, items_schema):
+        return Database(items_schema, {"ITEMS": [("i1", 3, "tools")]})
+
+    def test_parent_sees_only_returned_values(self, system, database):
+        ltl_property = LTLFOProperty(
+            "Parent",
+            parse_ltl("G p"),
+            conditions={"p": Or(Eq(Var("y"), NULL), Eq(Var("y"), Const("ok")))},
         )
+        result = _check(system, database, ltl_property, max_states=1_000)
+        assert result.complete and result.lasso is None
+
+    def test_returned_value_is_the_one_the_child_produced(self, system, database):
+        ltl_property = LTLFOProperty(
+            "Parent", parse_ltl("G p"), conditions={"p": Eq(Var("y"), NULL)}
+        )
+        result = _check(system, database, ltl_property, max_states=1_000)
+        assert result.lasso is not None
+        closings = [
+            snapshot
+            for snapshot in result.lasso.stem + result.lasso.loop
+            if snapshot.service == "close_Child"
+        ]
+        assert closings and all(snapshot.valuation["y"] == "ok" for snapshot in closings)
 
 
 class TestRetrievalNeedsAStoredTuple:
-    def test_no_prefix_grabs_more_than_it_stashed(self, relation_system, items_schema):
+    def test_no_run_grabs_before_it_stashes(self, relation_system, items_schema):
         database = Database(items_schema, {"ITEMS": [("i1", 3, "tools")]})
-        runner = ConcreteRunner(relation_system, database)
-        rng = random.Random(zlib.crc32(b"stash-grab"))
-        grabs = 0
-        for _ in range(200):
-            stored = 0
-            for service in runner.random_local_run(rng, max_length=10).services():
-                stored += {"stash": 1, "grab": -1}.get(service, 0)
-                grabs += service == "grab"
-                assert stored >= 0
-        assert grabs > 0
+        ltl_property = LTLFOProperty("Main", parse_ltl("(!grab U stash) | G (!grab)"))
+        result = _check(relation_system, database, ltl_property, max_states=1_000)
+        assert result.complete and result.lasso is None

@@ -600,7 +600,7 @@ class TestFingerprintDedupCorners:
         assert store.claim_next().id == running.id
         # Deadline-truncated verdicts stay off the results table.
         store.mark_done(running.id, _result().as_dict(), persist_result=False)
-        assert not store.has_result(running.fingerprint)
+        assert store.get_result(running.fingerprint, count=False) is None
         reclaimed = store.claim_next()
         assert reclaimed is not None and reclaimed.id == twin.id
 
@@ -651,9 +651,10 @@ class TestQueries:
         store.get_result("missing")
         assert store.statistics() == {"results": 1, "store_hits": 1, "store_misses": 1}
 
-    def test_has_result_does_not_touch_counters(self, store):
+    def test_uncounted_get_does_not_touch_counters(self, store):
         store.put_result("fp", _result().as_dict())
-        assert store.has_result("fp") and not store.has_result("other")
+        assert store.get_result("fp", count=False) is not None
+        assert store.get_result("other", count=False) is None
         assert store.statistics()["store_hits"] == 0
 
 

@@ -174,14 +174,6 @@ class TestVerificationService:
         assert first.outcome == second.outcome == VerificationOutcome.VIOLATED
         assert service.cache.statistics()["hits"] == 1
 
-    def test_submit_and_run_pending(self, tiny_system):
-        service = VerificationService(default_options=OPTIONS)
-        for prop in _properties("Main")[:2]:
-            service.submit(tiny_system, prop)
-        assert len(service.pending) == 2
-        results = service.run_pending()
-        assert len(results) == 2 and not service.pending
-
     def test_duplicate_jobs_in_one_batch_hit_the_cache(self, tiny_system):
         service = VerificationService(default_options=OPTIONS)
         prop = _properties("Main")[0]

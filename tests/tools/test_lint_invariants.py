@@ -1,7 +1,7 @@
 """Rules of tools/lint_invariants.py: RC001 (no sys.setrecursionlimit in
 src/repro), AB001 (no ablation switches on the public surfaces), WK001
 (only the worker pipeline builds verifiers in the server) and OR001 (the
-symbolic search and the concrete reference do not import each other)."""
+symbolic search and the explicit-state checkers do not import each other)."""
 
 import ast
 import importlib.util
@@ -150,7 +150,7 @@ def test_server_has_one_execution_path_and_no_baseline_entry(lint):
         "from repro.has import instance\n",
         "import repro.has.instance\n",
         "from repro.baseline.spinlike import SpinLikeVerifier\n",
-        "from ..has.runs import ConcreteRunner\n",
+        "from ..has.runs import ConcreteOracle\n",
         "from .. import baseline\n",
     ],
 )
@@ -171,30 +171,62 @@ def test_concrete_reference_importing_core_is_flagged(lint, relpath, source):
 
 
 @pytest.mark.parametrize(
+    "relpath", ["src/repro/baseline/spinlike.py", "src/repro/baseline/explicit.py"]
+)
+@pytest.mark.parametrize(
+    "source",
+    [
+        # The import spinlike.py carried before the lasso search moved to explicit.py.
+        "from repro.core.repeated import states_on_cycles\n",
+        "import repro.core.psi\n",
+        "from ..core import repeated\n",
+    ],
+)
+def test_baseline_importing_core_is_flagged(lint, relpath, source):
+    assert _rules_hit(lint, source, rules=("OR001",), relpath=relpath) == [("OR001", "<module>")]
+
+
+def test_the_old_spinlike_import_is_flagged_at_its_line(lint):
+    # spinlike.py imported states_on_cycles on line 31 until the lasso search moved.
+    source = "import itertools\n" * 30 + "from repro.core.repeated import states_on_cycles\n"
+    visitor = lint._InvariantVisitor("src/repro/baseline/spinlike.py", frozenset({"OR001"}))
+    visitor.visit(ast.parse(source))
+    assert [(v.rule, v.lineno) for v in visitor.violations] == [("OR001", 31)]
+
+
+@pytest.mark.parametrize(
     "relpath,source",
     [
         ("src/repro/core/transitions.py", "from repro.has.services import TERMINATED_SERVICE\n"),
         ("src/repro/core/verifier.py", "from repro.has.artifact_system import ArtifactSystem\n"),
         ("src/repro/has/runs.py", "from repro.has.instance import TransitionEngine\n"),
         ("src/repro/has/instance.py", "from .services import Insert\n"),
+        ("src/repro/has/runs.py", "from repro.baseline.explicit import search_product\n"),
+        ("src/repro/baseline/spinlike.py", "from .explicit import search_product\n"),
+        ("src/repro/baseline/explicit.py", "from repro.ltl.buchi import ltl_to_buchi\n"),
     ],
 )
 def test_imports_within_each_side_are_allowed(lint, relpath, source):
     assert _rules_hit(lint, source, rules=("OR001",), relpath=relpath) == []
 
 
-def test_boundary_rule_covers_core_and_the_concrete_reference(lint):
+def test_boundary_rule_covers_core_and_the_explicit_checkers(lint):
     guarded = {
         os.path.relpath(path, lint.REPO_ROOT).replace(os.sep, "/")
         for path, rules in lint._python_files()
         if "OR001" in rules
     }
     assert {"src/repro/has/runs.py", "src/repro/has/instance.py"} < guarded
+    assert {"src/repro/baseline/spinlike.py", "src/repro/baseline/explicit.py"} < guarded
     assert "src/repro/core/transitions.py" in guarded
+    assert {path for path in guarded if path.startswith("src/repro/has/")} == {
+        "src/repro/has/runs.py",
+        "src/repro/has/instance.py",
+    }
     assert all(
-        path.startswith("src/repro/core/") or path.startswith("src/repro/has/") for path in guarded
+        path.startswith(("src/repro/core/", "src/repro/has/", "src/repro/baseline/"))
+        for path in guarded
     )
-    assert "src/repro/has/services.py" not in guarded
 
 
 def test_search_and_reference_are_apart_with_no_baseline_entry(lint):

@@ -68,14 +68,16 @@ dispatches each job to a runner executing
 included); one of them built anywhere else in the server is a second
 execution path growing back.  The rule has no baseline entries.
 
-**OR001 -- the concrete reference and the symbolic search stay apart**
-(``src/repro/core``, ``src/repro/has/runs.py``, ``src/repro/has/instance.py``).
-The concrete semantics (``repro.has.instance``) and the run sampler over it
-(``repro.has.runs``) grade the symbolic search, so neither may lean on it:
-``src/repro/core`` imports nothing from ``repro.has.runs``,
-``repro.has.instance`` or ``repro.baseline``, and those two modules import
-nothing from ``repro.core``.  Plain and ``from`` imports count, relative ones
-resolved against the importing file.  The rule has no baseline entries.
+**OR001 -- the explicit-state checkers and the symbolic search stay apart**
+(``src/repro/core``, ``src/repro/has/runs.py``, ``src/repro/has/instance.py``,
+``src/repro/baseline``).  The concrete semantics (``repro.has.instance``),
+the concrete oracle over it (``repro.has.runs``) and the explicit product
+search it shares with Spin-Opt (``repro.baseline``) grade the symbolic
+search, so none of them may lean on it: ``src/repro/core`` imports nothing
+from ``repro.has.runs``, ``repro.has.instance`` or ``repro.baseline``, and
+those modules import nothing from ``repro.core``.  Plain and ``from``
+imports count, relative ones resolved against the importing file.  The rule
+has no baseline entries.
 
 Violations are identified as ``<relpath>::<rule>::<enclosing function>``
 and checked against ``tools/lint_invariants_baseline.txt``: existing,
@@ -114,6 +116,7 @@ SCANNED_TREES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     (os.path.join("src", "repro", "core"), ("OR001",)),
     (os.path.join("src", "repro", "has", "runs.py"), ("OR001",)),
     (os.path.join("src", "repro", "has", "instance.py"), ("OR001",)),
+    (os.path.join("src", "repro", "baseline"), ("OR001",)),
 )
 BASELINE_PATH = os.path.join(REPO_ROOT, "tools", "lint_invariants_baseline.txt")
 
@@ -133,6 +136,7 @@ ORACLE_BOUNDARY = (
     ("src/repro/core/", ("repro.has.runs", "repro.has.instance", "repro.baseline")),
     ("src/repro/has/runs.py", ("repro.core",)),
     ("src/repro/has/instance.py", ("repro.core",)),
+    ("src/repro/baseline/", ("repro.core",)),
 )
 
 
@@ -355,8 +359,8 @@ class _InvariantVisitor(ast.NodeVisitor):
             self._record(
                 "OR001",
                 lineno,
-                f"import of {module}: the symbolic search and the concrete "
-                "reference that grades it must not import each other",
+                f"import of {module}: the symbolic search and the explicit-state "
+                "checkers that grade it must not import each other",
             )
 
     def _check_sleep(self, node: ast.Call) -> None:
