@@ -112,17 +112,15 @@ class SearchEvent(Event):
 
 @dataclass(frozen=True)
 class CacheServed(Event):
-    """A job completed straight from the result cache (no search ran).
+    """A job completed from a stored verdict (no search ran).
 
-    Durable under the ``done`` kind, so a job's event log always ends with
-    the same terminal event whether the verdict was computed or replayed.
+    Not durable: the store appends the job's ``done`` event in the same
+    transaction that completes it (see :mod:`repro.server.store`), so a
+    poller that sees the job terminal always finds that event.
     """
 
     name: ClassVar[str] = "cache-hit"
-    durable: ClassVar[bool] = True
-
-    def log_kind(self) -> str:
-        return "done"
+    counter: ClassVar[Optional[str]] = "cache_hits"
 
 
 # ---------------------------------------------------------------- job events
@@ -130,9 +128,18 @@ class CacheServed(Event):
 
 @dataclass(frozen=True)
 class JobSubmitted(Event):
+    """A job was accepted; ``data["status"]`` is ``"queued"`` for a cache
+    miss (a search will run) and ``"done"`` for a stored verdict."""
+
     name: ClassVar[str] = "job-submitted"
     level: ClassVar[str] = DEBUG
     counter: ClassVar[Optional[str]] = "jobs_submitted"
+
+    def metric_increments(self) -> List[Tuple[str, int]]:
+        increments = super().metric_increments()
+        if self.data.get("status") == "queued":
+            increments.append(("cache_misses", 1))
+        return increments
 
 
 @dataclass(frozen=True)

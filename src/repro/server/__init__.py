@@ -12,10 +12,10 @@ cancelled``), every computed result and the per-job progress-event log
 persist in the SQLite store, keyed by content fingerprint.  A restarted
 server re-queues interrupted jobs (finalising those whose cancellation was
 already accepted) and serves previously computed results without
-re-verifying (see :mod:`repro.server.recovery`); the in-memory LRU result
-cache acts as a read-through layer over the store
-(:class:`repro.server.store.StoreBackedCache`); a sweeper thread expires
-TTL'd jobs and their now-unreferenced results.
+re-verifying (see :mod:`repro.server.recovery`): a job whose fingerprint
+has a stored verdict completes inside its ``POST /v1/jobs`` transaction
+and never enters the queue (see :mod:`repro.server.store`); a sweeper
+thread expires TTL'd jobs and their now-unreferenced results.
 
 The HTTP surface is versioned under ``/v1`` (``POST /v1/jobs``,
 ``GET /v1/jobs``, ``GET /v1/jobs/<id>``, ``DELETE /v1/jobs/<id>``,
@@ -33,7 +33,6 @@ from repro.server.store import (
     TERMINAL_STATUSES,
     JobStore,
     PendingQuotaExceeded,
-    StoreBackedCache,
     StoredJob,
 )
 from repro.server.workers import WorkerAgent, probe_process_support
@@ -45,7 +44,6 @@ __all__ = [
     "PendingQuotaExceeded",
     "RecoveryReport",
     "ServerMetrics",
-    "StoreBackedCache",
     "StoredJob",
     "TERMINAL_STATUSES",
     "VerificationServer",

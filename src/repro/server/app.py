@@ -4,8 +4,6 @@ A :class:`VerificationServer` owns
 
 * a :class:`~repro.server.store.JobStore` (SQLite) holding the durable job
   queue and every computed result,
-* a :class:`~repro.server.store.StoreBackedCache` (in-memory LRU read-through
-  over the store) that the workers consult before running a search,
 * one :class:`~repro.server.workers.WorkerAgent` per worker slot: it claims
   queued jobs and runs each on the slot's runner -- a spawned child process
   (``worker_model="process"``: truly parallel CPU-bound searches) or a
@@ -17,10 +15,12 @@ A :class:`VerificationServer` owns
 * a :class:`~http.server.ThreadingHTTPServer` running
   :class:`~repro.server.handlers.ApiHandler`.
 
-On startup the store is repaired with :func:`repro.server.recovery.recover`:
-interrupted jobs re-queue, completed results survive, and re-submitted
-payloads whose fingerprints are already stored complete as cache hits without
-invoking the verifier (the ``verifications_run`` metric stays flat).
+A submitted job whose fingerprint already has a stored verdict completes
+inside the ``POST /v1/jobs`` transaction as a cache hit, after the auth,
+rate-limit, quota and static-analysis gates: it never enters the queue and
+the verifier is not invoked (``verifications_run`` stays flat).  On startup
+the store is repaired with :func:`repro.server.recovery.recover`:
+interrupted jobs re-queue and completed results survive.
 
 Several server processes may share one ``--store`` file (the store runs in
 WAL mode with per-thread connections and atomic claim transactions): give
@@ -57,9 +57,11 @@ from repro.analysis import (
 )
 from repro.core.options import VerifierOptions
 from repro.events import (
+    CacheServed,
     CancelRequested,
     EventBroker,
     EventManager,
+    JobCompleted,
     JobSubmitted,
     LogSink,
     MetricsSink,
@@ -81,7 +83,6 @@ from repro.server.store import (
     TERMINAL_STATUSES,
     JobStore,
     PendingQuotaExceeded,
-    StoreBackedCache,
     StoredJob,
 )
 from repro.server.workers import (
@@ -90,7 +91,6 @@ from repro.server.workers import (
     pool_snapshot,
     probe_process_support,
 )
-from repro.service.cache import ResultCache
 from repro.service.jobs import VerificationJob
 from repro.spec.codec import (
     SCHEMA_VERSION,
@@ -125,7 +125,6 @@ class VerificationServer:
         port: int = 8080,
         workers: int = 2,
         default_options: Optional[VerifierOptions] = None,
-        cache_entries: int = 10_000,
         quiet: bool = True,
         sweep_interval: float = 2.0,
         progress_interval: int = 500,
@@ -301,7 +300,6 @@ class VerificationServer:
             ),
             events=self.events,
         )
-        self.cache = StoreBackedCache(self.store, ResultCache(max_entries=cache_entries))
         #: Options for a submitted job that names none.
         self.default_options = default_options or VerifierOptions()
         self._stop_event = threading.Event()
@@ -438,6 +436,15 @@ class VerificationServer:
     def _unregister_canceller(self, job_id: str) -> None:
         with self._cancel_lock:
             self._cancellers.pop(job_id, None)
+
+    def fire_cache_hit(self, stored: StoredJob) -> None:
+        """Fire the events of a job the store completed from a stored verdict
+        (at submit, or as the twin of a job that just finished)."""
+        job_id, tenant_id = stored.id, stored.tenant_id
+        data = {"fingerprint": stored.fingerprint}
+        self.events.fire(CacheServed(job_id=job_id, data=data, tenant_id=tenant_id))
+        data = {"seconds": 0.0, "cache_hit": True}
+        self.events.fire(JobCompleted(job_id=job_id, data=data, tenant_id=tenant_id))
 
     # ------------------------------------------------------------------ sweeper
 
@@ -720,7 +727,7 @@ class VerificationServer:
                         },
                     )
                 )
-                if accepted:
+                if any(entry["status"] == "queued" for entry in accepted):
                     self._wakeup.set()
                 raise ThrottledError(
                     str(error),
@@ -731,11 +738,13 @@ class VerificationServer:
             self.events.fire(
                 JobSubmitted(
                     job_id=stored.id,
-                    data={"fingerprint": stored.fingerprint},
+                    data={"fingerprint": stored.fingerprint, "status": stored.status},
                     trace_id=trace_id,
                     tenant_id=tenant_id,
                 )
             )
+            if stored.status == "done":
+                self.fire_cache_hit(stored)
             entry = {
                 "id": stored.id,
                 "fingerprint": stored.fingerprint,
@@ -750,7 +759,8 @@ class VerificationServer:
             if warnings:
                 entry["warnings"] = warnings
             accepted.append(entry)
-        self._wakeup.set()
+        if any(entry["status"] == "queued" for entry in accepted):
+            self._wakeup.set()
         return {"jobs": accepted}
 
     def _visible_job(
@@ -783,8 +793,7 @@ class VerificationServer:
             return None
         result = None
         if stored.status == "done":
-            # Status polling must not skew the cache-effectiveness counters.
-            result = self.store.get_result(stored.fingerprint, count=False)
+            result = self.store.get_result(stored.fingerprint)
         return stored.as_dict(result=result)
 
     def cancel_job(
@@ -924,7 +933,7 @@ class VerificationServer:
                     continue
                 result = None
                 if stored.status == "done":
-                    result = self.store.get_result(stored.fingerprint, count=False)
+                    result = self.store.get_result(stored.fingerprint)
                 views.append(stored.as_dict(result=result))
             return {"jobs": views}
         return {
@@ -936,9 +945,11 @@ class VerificationServer:
         }
 
     def metrics_view(self) -> Dict[str, Any]:
-        cache = self.cache.statistics()
-        lookups = cache["hits"] + cache["misses"]
-        served_from_cache = cache["hits"] + cache["store_hits"]
+        """The ``GET /v1/metrics`` body.  ``cache.hits`` counts the jobs this
+        server completed from a stored verdict, ``cache.misses`` the jobs it
+        queued for a search (a twin counts in both)."""
+        hits = self.metrics.counter("cache_hits")
+        misses = self.metrics.counter("cache_misses")
         counts = self.store.counts()
         view = {
             **self.metrics.snapshot(),
@@ -948,8 +959,10 @@ class VerificationServer:
                 "jobs": counts,
             },
             "cache": {
-                **cache,
-                "hit_rate": (served_from_cache / lookups) if lookups else None,
+                "hits": hits,
+                "misses": misses,
+                "hit_rate": hits / (hits + misses) if hits + misses else None,
+                "results": self.store.result_count(),
             },
             "recovery": self.recovery.as_dict(),
             "workers": self.workers_view(),

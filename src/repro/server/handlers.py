@@ -100,6 +100,10 @@ class ApiHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-verifas"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two sends: with Nagle's algorithm on, a
+    # client reusing its keep-alive connection waits out the delayed ACK
+    # (about 40 ms) on every request.
+    disable_nagle_algorithm = True
 
     @property
     def app(self):

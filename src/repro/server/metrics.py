@@ -127,6 +127,10 @@ class ServerMetrics:
             "results_expired": 0,
             "cancel_requests": 0,
             "verifications_run": 0,
+            # Jobs completed from a stored verdict (at submit, or as the
+            # twin of a job that just finished) and jobs queued for a search.
+            "cache_hits": 0,
+            "cache_misses": 0,
             "worker_crashes": 0,
             "worker_recycles": 0,
             # Shared-store citizenship: jobs this server's sweeper rescued
@@ -281,11 +285,10 @@ def render_prometheus(view: Mapping[str, Any]) -> str:
         lines.append(f'repro_jobs{{status="{_escape_label(status)}"}} {_number(value)}')
 
     cache = view.get("cache") or {}
-    emit("repro_cache_entries", cache.get("entries", 0), "In-memory result cache entries.", "gauge")
     emit(
         "repro_cache_hit_rate",
         cache.get("hit_rate"),
-        "Fraction of lookups served from cache or store.",
+        "Fraction of jobs completed from a stored verdict.",
         "gauge",
     )
 

@@ -9,9 +9,11 @@ server runs :func:`recover` against its :class:`~repro.server.store.JobStore`:
 * the remaining ``running`` jobs (their worker died mid-verification) go back
   to ``queued`` and are re-verified -- verification is deterministic and
   idempotent, so re-running an interrupted job is always safe;
-* ``queued`` jobs simply wait for the restarted workers;
-* ``done`` jobs keep their persisted results, which the read-through cache
-  serves without invoking the verifier again;
+* ``queued`` jobs simply wait for the restarted workers (one whose
+  fingerprint already has a stored result, left by an older store, is
+  verified again -- deterministically, to the same verdict);
+* ``done`` jobs keep their persisted results: a resubmitted fingerprint
+  completes from them at submit, without invoking the verifier again;
 * ``cancelled`` jobs are terminal and stay untouched.
 
 Shared-store deployments
@@ -49,7 +51,7 @@ class RecoveryReport:
     errored: int           # jobs that had failed before the restart
     cancelled: int         # terminal cancelled jobs (incl. those finalised now)
     cancelled_interrupted: int  # running jobs finalised as cancelled (not requeued)
-    results_retained: int  # persisted result rows available to the cache
+    results_retained: int  # persisted result rows resubmissions complete from
 
     def as_dict(self) -> Dict[str, int]:
         return {

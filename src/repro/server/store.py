@@ -58,10 +58,15 @@ Both survive process restarts: a restarted server re-queues interrupted
 ``running`` jobs (see :mod:`repro.server.recovery`) and serves previously
 computed results straight from the ``results`` table without re-verifying.
 
-:class:`StoreBackedCache` layers the in-memory
-:class:`~repro.service.cache.ResultCache` *read-through* over the store: a
-worker's cache lookup hits memory first, then SQLite, and only then runs a
-search.  Results land in the store through the job's ``mark_done``.
+A verdict is a deterministic function of its fingerprint, so a job whose
+fingerprint has a row in ``results`` is never ``queued``:
+:meth:`JobStore.submit` completes such a job inside its transaction, and
+:meth:`JobStore.mark_done`, when it persists a result, completes the
+fingerprint's ``queued`` twins in its own.  A job completed this way is
+``done`` with ``cache_hit`` set, and its ``done`` event is appended in the
+same transaction, so a poller that sees it terminal finds the event too.
+A ``queued`` row an older store left behind with a stored result is simply
+verified again (deterministically, to the same verdict).
 """
 
 from __future__ import annotations
@@ -87,8 +92,6 @@ from typing import (
     Union,
 )
 
-from repro.core.verifier import VerificationResult
-from repro.service.cache import ResultCache
 from repro.service.jobs import VerificationJob
 
 #: Lifecycle states of a stored job.
@@ -405,9 +408,6 @@ class JobStore:
         #: hook cannot extend the write lock.  Exceptions are swallowed:
         #: delivery is best-effort on top of the durable log.
         self.on_job_update: Optional[Callable[[str], None]] = None
-        self._stats_lock = threading.Lock()
-        self.store_hits = 0
-        self.store_misses = 0
         # Wall-clock anchor for the monotonic store clock (see _now): all
         # in-process time arithmetic (TTL sweeps, heartbeat staleness,
         # expires_at computation) is immune to wall-clock steps, while the
@@ -687,7 +687,11 @@ class JobStore:
         pending_limit: Optional[int] = None,
         warnings: Optional[List[Dict[str, Any]]] = None,
     ) -> StoredJob:
-        """Persist *job* as ``queued`` and return its stored form (with id).
+        """Persist *job* and return its stored form (with id).
+
+        The job is ``queued``, or ``done`` as a cache hit when its
+        fingerprint has a stored verdict (``started_at = finished_at =
+        submitted_at``; see the module docstring).
 
         ``ttl_seconds`` schedules the job row (and, transitively, any result
         no other job references) for deletion that long after it reaches a
@@ -721,7 +725,11 @@ class JobStore:
                     ).fetchone()[0]
                     if pending_limit is not None and pending >= pending_limit:
                         raise PendingQuotaExceeded(pending, pending_limit)
-                    if pending == 0:
+                    cached = conn.execute(
+                        "SELECT result_json FROM results WHERE fingerprint = ?",
+                        (job.fingerprint,),
+                    ).fetchone()
+                    if cached is None and pending == 0:
                         # Idle tenant rejoining the queue: lift its virtual
                         # time to the smallest vtime among currently
                         # backlogged tenants, so sitting out never banks
@@ -752,6 +760,10 @@ class JobStore:
                             json.dumps(job.options_dict),
                         ),
                     )
+                    if cached is not None:
+                        return self._complete_txn(
+                            conn, [job_id], json.loads(cached["result_json"]), now
+                        )[0]
                     row = conn.execute(
                         "SELECT * FROM jobs WHERE id = ?", (job_id,)
                     ).fetchone()
@@ -797,9 +809,9 @@ class JobStore:
         A queued job whose fingerprint is already ``running`` on another
         worker is not claimable yet: claiming it would verify the same
         content twice concurrently.  It stays queued until the in-flight twin
-        finishes, at which point it completes as a cache hit (or, when the
-        twin ends uncached -- cancelled, deadline-truncated, crashed -- is
-        claimed and verified in its own right).
+        finishes: the twin's :meth:`mark_done` completes it as a cache hit,
+        or, when the twin ends uncached -- cancelled, deadline-truncated,
+        crashed -- it is claimed and verified in its own right.
 
         ``worker_id`` records who claimed the job (``claimed_by``) and stamps
         an initial heartbeat; workers keep the heartbeat fresh via
@@ -989,27 +1001,32 @@ class JobStore:
         self,
         job_id: str,
         result: Dict[str, Any],
-        cache_hit: bool = False,
         persist_result: bool = True,
         worker_id: Optional[str] = None,
-    ) -> bool:
+    ) -> Tuple[bool, List[StoredJob]]:
         """Record a finished job and persist its result under the fingerprint.
 
+        Returns ``(landed, twins)``: persisting a result completes the
+        fingerprint's ``queued`` twins as cache hits (see the module
+        docstring), and ``twins`` are those jobs in their new state.
+
         ``persist_result=False`` keeps the result on the job row only (like a
-        cancelled job's partial result) -- used for verdicts truncated by
-        job-level limits (``deadline_ms``) that are not part of the content
-        fingerprint, so they can never be served as cache hits to jobs
-        without that limit.
+        cancelled job's partial result) and completes no twin -- used for
+        verdicts truncated by job-level limits (``deadline_ms``) that are not
+        part of the content fingerprint, so they can never be served as
+        cache hits to jobs without that limit.
 
         Terminal states are never overwritten, and when *worker_id* is given
         the update additionally lands only while that worker still owns the
         claim: a zombie whose job was rescued, re-claimed and re-run
         elsewhere cannot overwrite the live claim's state even before it
-        turns terminal.  A mark that does not land returns ``False``.  The
-        computed result itself is still persisted under the fingerprint when
-        eligible -- verification is deterministic, so the verdict is valid
-        regardless of which claim produced it.
+        turns terminal.  ``landed`` is ``False`` for a mark that does not
+        land.  The computed result itself is still persisted under the
+        fingerprint when eligible, and still completes the twins --
+        verification is deterministic, so the verdict is valid regardless of
+        which claim produced it.
         """
+        twins: List[StoredJob] = []
         with self._write() as conn:
             row = conn.execute(
                 "SELECT fingerprint FROM jobs WHERE id = ?", (job_id,)
@@ -1018,9 +1035,9 @@ class JobStore:
                 raise KeyError(f"no stored job with id {job_id!r}")
             partial_json = None
             if persist_result:
-                # The read-through cache usually persisted the result already
-                # (results are deterministic per fingerprint): skip the
-                # redundant serialize-and-write on the hot path.
+                # A legacy queued row may be re-verifying a fingerprint whose
+                # result is stored already (results are deterministic per
+                # fingerprint): skip the redundant serialize-and-write.
                 exists = conn.execute(
                     "SELECT 1 FROM results WHERE fingerprint = ?", (row["fingerprint"],)
                 ).fetchone()
@@ -1030,27 +1047,55 @@ class JobStore:
                 partial_json = json.dumps(result)
             now = self._now()
             cursor = conn.execute(
-                "UPDATE jobs SET status = 'done', cache_hit = ?, finished_at = ?,"
+                "UPDATE jobs SET status = 'done', cache_hit = 0, finished_at = ?,"
                 " partial_json = ?, claimed_by = NULL, heartbeat_at = NULL,"
                 " expires_at = CASE WHEN ttl_seconds IS NOT NULL"
                 "   THEN ? + ttl_seconds ELSE NULL END,"
                 " error = NULL"
                 " WHERE id = ? AND status NOT IN ('done', 'error', 'cancelled')"
                 " AND (? IS NULL OR claimed_by IS ?)",
-                (
-                    1 if cache_hit else 0,
-                    now,
-                    partial_json,
-                    now,
-                    job_id,
-                    worker_id,
-                    worker_id,
-                ),
+                (now, partial_json, now, job_id, worker_id, worker_id),
             )
             landed = cursor.rowcount > 0
+            if persist_result:
+                queued = conn.execute(
+                    "SELECT id FROM jobs WHERE fingerprint = ? AND status = 'queued'"
+                    " ORDER BY submitted_at, rowid",
+                    (row["fingerprint"],),
+                ).fetchall()
+                twins = self._complete_txn(conn, [r["id"] for r in queued], result, now)
         if landed:
             self._notify(job_id)
-        return landed
+        for twin in twins:
+            self._notify(twin.id)
+        return landed, twins
+
+    def _complete_txn(
+        self,
+        conn: sqlite3.Connection,
+        job_ids: List[str],
+        result: Dict[str, Any],
+        now: float,
+    ) -> List[StoredJob]:
+        """Complete queued *job_ids* as cache hits of the stored *result*:
+        append each one's ``done`` event, then flip it ``done``."""
+        completed = []
+        for job_id in job_ids:
+            self._append_event_txn(
+                conn,
+                job_id,
+                "done",
+                {"data": {"outcome": result["outcome"], "cache_hit": True}},
+            )
+            conn.execute(
+                "UPDATE jobs SET status = 'done', cache_hit = 1, started_at = ?,"
+                " finished_at = ?, expires_at = CASE WHEN ttl_seconds IS NOT NULL"
+                "   THEN ? + ttl_seconds ELSE NULL END WHERE id = ?",
+                (now, now, now, job_id),
+            )
+            row = conn.execute("SELECT * FROM jobs WHERE id = ?", (job_id,)).fetchone()
+            completed.append(StoredJob._from_row(row))
+        return completed
 
     def mark_error(
         self, job_id: str, message: str, worker_id: Optional[str] = None
@@ -1083,7 +1128,7 @@ class JobStore:
 
         The partial result (an ``UNKNOWN`` verdict with the statistics
         gathered before the stop) lives on the job row only -- never in the
-        ``results`` table, so it can never satisfy a cache lookup.  No-op
+        ``results`` table, so it can never complete a cache hit.  No-op
         (False) on already-terminal jobs or when *worker_id* (if given) no
         longer owns the claim.
         """
@@ -1418,26 +1463,16 @@ class JobStore:
 
     # ------------------------------------------------------------------ results
 
-    def get_result(self, fingerprint: str, count: bool = True) -> Optional[Dict[str, Any]]:
-        """The persisted result dict for *fingerprint*.
-
-        ``count=True`` (the default, used by the read-through cache) updates
-        the store hit/miss counters; status polling passes ``count=False`` so
-        it cannot skew the cache-effectiveness metrics.
-        """
+    def get_result(self, fingerprint: str) -> Optional[Dict[str, Any]]:
+        """The persisted result dict for *fingerprint*."""
         with self._read() as conn:
             row = conn.execute(
                 "SELECT result_json FROM results WHERE fingerprint = ?", (fingerprint,)
             ).fetchone()
-        if count:
-            with self._stats_lock:
-                if row is None:
-                    self.store_misses += 1
-                else:
-                    self.store_hits += 1
         return json.loads(row["result_json"]) if row is not None else None
 
     def put_result(self, fingerprint: str, result: Dict[str, Any]) -> None:
+        """Seed the ``results`` table directly (no job row is touched)."""
         with self._write() as conn:
             self._put_result_txn(conn, fingerprint, result)
 
@@ -1639,45 +1674,3 @@ class JobStore:
                 "results": results,
                 "spans": spans,
             }
-
-    def statistics(self) -> Dict[str, int]:
-        with self._stats_lock:
-            hits, misses = self.store_hits, self.store_misses
-        return {
-            "results": self.result_count(),
-            "store_hits": hits,
-            "store_misses": misses,
-        }
-
-
-class StoreBackedCache:
-    """Read-through layer: in-memory LRU :class:`ResultCache` over a :class:`JobStore`.
-
-    ``get`` consults memory first, then the store, promoting store hits into
-    memory.  Every previously persisted result is a cache hit, including
-    after a process restart with a cold memory cache.
-    """
-
-    def __init__(self, store: JobStore, memory: Optional[ResultCache] = None):
-        self.store = store
-        self.memory = memory if memory is not None else ResultCache()
-
-    def get(self, fingerprint: str) -> Optional[VerificationResult]:
-        cached = self.memory.get(fingerprint)
-        if cached is not None:
-            return cached
-        persisted = self.store.get_result(fingerprint)
-        if persisted is None:
-            return None
-        result = VerificationResult.from_dict(persisted)
-        self.memory.put(fingerprint, result)
-        return result
-
-    def statistics(self) -> Dict[str, int]:
-        memory = self.memory.statistics()
-        return {
-            "entries": memory["entries"],
-            "hits": memory["hits"],
-            "misses": memory["misses"],
-            **self.store.statistics(),
-        }

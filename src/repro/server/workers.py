@@ -6,8 +6,6 @@ process that runs the slot's claim loop:
 * **claim** a job from the SQLite :class:`~repro.server.store.JobStore`
   (``claim_next(worker_id=...)`` stamps ``claimed_by`` and a first
   heartbeat);
-* **cache lookup**: a fingerprint already in the read-through result cache
-  completes as a cache hit without running a search;
 * **dispatch** the job to the slot's *runner* over a duplex connection, as
   plain spec dicts (the same picklable shape
   :func:`repro.service.engine._verify_job_dicts` uses);
@@ -15,7 +13,11 @@ process that runs the slot's claim loop:
   spans go onto the event bus, so ``GET /v1/jobs/<id>/events`` observes the
   search live -- while *syncing* the claim with the store once per
   heartbeat interval (:meth:`~repro.server.store.JobStore.touch_claim`);
-* **release** the job when the runner died mid-job, else **finalise** it.
+* **release** the job when the runner died mid-job, else **finalise** it
+  (the persisted verdict completes the fingerprint's ``queued`` twins).
+
+A fingerprint with a stored verdict never reaches an agent: its job
+completes inside the ``POST /v1/jobs`` transaction.
 
 The runner executes :func:`process_worker_main`: it rebuilds the model, runs
 the cancellable search and sends the result back.  The two worker models
@@ -60,7 +62,6 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 from repro.core.control import CancellationToken, PhaseTimer, SearchControl
 from repro.core.verifier import VerificationResult, Verifier
 from repro.events import (
-    CacheServed,
     JobCancelled,
     JobCompleted,
     JobFailed,
@@ -374,22 +375,6 @@ class WorkerAgent(threading.Thread):
         # spans -- the agent closes this one with an error status instead.
         execute_span = self._start_job_spans(stored)
         try:
-            job = stored.to_job()
-            cached = server.cache.get(job.fingerprint)
-            if cached is not None:
-                server.events.fire(
-                    CacheServed(
-                        job_id=stored.id,
-                        data={"outcome": cached.outcome.value, "cache_hit": True},
-                        tenant_id=stored.tenant_id,
-                    )
-                )
-                if execute_span is not None:
-                    execute_span.set_attr("cache_hit", True)
-                self._finalize_result(stored, cached, True, False, started)
-                gauges.increment(self.worker_id, "jobs_completed")
-                return
-
             self._ensure_runner()
             self._cancel_event.clear()  # a late cancel of the previous job
             server._register_canceller(stored.id, self._cancel_event.set)
@@ -403,9 +388,9 @@ class WorkerAgent(threading.Thread):
                 )
                 self._jobs_on_runner += 1
                 task = {
-                    "system": job.system_dict,
-                    "property": job.property_dict,
-                    "options": job.options_dict,
+                    "system": stored.system_dict,
+                    "property": stored.property_dict,
+                    "options": stored.options_dict,
                     "deadline_ms": stored.deadline_ms,
                     "progress_interval": server.progress_interval,
                 }
@@ -520,13 +505,9 @@ class WorkerAgent(threading.Thread):
                 elif kind == "done":
                     result = VerificationResult.from_dict(message[1])
                     truncated = deadline_ms_binding(stored) and result.stats.timed_out
-                    if execute_span is not None:
-                        execute_span.set_attr("cache_hit", False)
-                        if result.stats.cancelled:
-                            execute_span.set_error(
-                                "search cancelled", reason="cancelled"
-                            )
-                    self._finalize_result(stored, result, False, truncated, started)
+                    if execute_span is not None and result.stats.cancelled:
+                        execute_span.set_error("search cancelled", reason="cancelled")
+                    self._finalize_result(stored, result, truncated, started)
                     return "done"
                 elif kind == "error":
                     if execute_span is not None:
@@ -571,7 +552,6 @@ class WorkerAgent(threading.Thread):
         self,
         stored: "StoredJob",
         result: VerificationResult,
-        cache_hit: bool,
         deadline_truncated: bool,
         started: float,
     ) -> None:
@@ -585,7 +565,8 @@ class WorkerAgent(threading.Thread):
         mark lands only while this agent still owns the claim, so a zombie
         whose job was rescued by a stale sweep (here or on a peer server)
         can never overwrite the live run's state.  A mark that does not land
-        bumps no metrics.
+        bumps no metrics; the twins the verdict completed get the events of
+        a cache hit.
         """
         server = self.server
         if result.stats.cancelled:
@@ -596,23 +577,22 @@ class WorkerAgent(threading.Thread):
                     JobCancelled(job_id=stored.id, tenant_id=stored.tenant_id)
                 )
             return
-        if server.store.mark_done(
+        landed, twins = server.store.mark_done(
             stored.id,
             result.as_dict(),
-            cache_hit=cache_hit,
             persist_result=not deadline_truncated,
             worker_id=self.worker_id,
-        ):
+        )
+        if landed:
             server.events.fire(
                 JobCompleted(
                     job_id=stored.id,
-                    data={
-                        "seconds": time.monotonic() - started,
-                        "cache_hit": cache_hit,
-                    },
+                    data={"seconds": time.monotonic() - started, "cache_hit": False},
                     tenant_id=stored.tenant_id,
                 )
             )
+        for twin in twins:
+            server.fire_cache_hit(twin)
 
     def _handle_crash(self, stored: "StoredJob") -> None:
         """The runner died mid-job: requeue through the recovery semantics."""

@@ -82,10 +82,18 @@ class TestEventTypes:
         assert SearchEvent(kind="done").log_level() == "info"
         assert SearchEvent.durable and SearchEvent.lossy
 
-    def test_cache_hit_lands_in_log_as_done(self):
-        # Whether a verdict was searched or replayed, the log ends with "done".
-        assert CacheServed().log_kind() == "done"
-        assert CacheServed.durable and not CacheServed.lossy
+    def test_cache_hit_and_miss_counters(self):
+        # The store appends a cache hit's "done" log entry in the transaction
+        # that completes the job, so the bus event only counts.
+        assert not CacheServed.durable
+        assert CacheServed().metric_increments() == [("cache_hits", 1)]
+        assert JobSubmitted(data={"status": "queued"}).metric_increments() == [
+            ("jobs_submitted", 1),
+            ("cache_misses", 1),
+        ]
+        assert JobSubmitted(data={"status": "done"}).metric_increments() == [
+            ("jobs_submitted", 1)
+        ]
 
     def test_sweep_events_carry_amounts(self):
         requeued = StaleJobsRequeued(data={"count": 3})
@@ -169,7 +177,7 @@ class TestStoreSink:
         stored = _stored_job(store, tiny_system)
         sink = StoreSink(store)
         sink.handle(SearchEvent(job_id=stored.id, data={"phase": "search"}, kind="phase"))
-        sink.handle(CacheServed(job_id=stored.id, data={"outcome": "satisfied"}))
+        sink.handle(SearchEvent(job_id=stored.id, data={"outcome": "satisfied"}, kind="done"))
         events = store.events_after(stored.id)
         assert [e["kind"] for e in events] == ["phase", "done"]
         assert events[0]["data"] == {"phase": "search"}

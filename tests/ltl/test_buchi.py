@@ -6,6 +6,7 @@ the ultimately periodic word.
 """
 
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,7 +157,7 @@ class TestDifferentialAgainstSemantics:
     def test_table4_templates_on_sample_words(self, text):
         formula = parse_ltl(text)
         automaton = ltl_to_buchi(formula)
-        rng = random.Random(hash(text) % 10_000)
+        rng = random.Random(zlib.crc32(text.encode()))
         for _ in range(8):
             prefix, cycle = _random_word(rng)
             assert automaton.accepts_lasso(prefix, cycle) == evaluate_lasso(formula, prefix, cycle)

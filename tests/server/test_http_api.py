@@ -203,6 +203,42 @@ class TestApi:
         finally:
             connection.close()
 
+    def test_reused_keep_alive_connection_answers_promptly(self, server):
+        """Headers and body go out in two sends: with Nagle's algorithm on,
+        each request on a reused connection waited out a delayed ACK."""
+        import http.client
+        import statistics
+
+        connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        try:
+            seconds = []
+            for _ in range(10):
+                started = time.perf_counter()
+                connection.request("GET", "/v1/healthz")
+                response = connection.getresponse()
+                response.read()
+                seconds.append(time.perf_counter() - started)
+                assert response.status == 200
+        finally:
+            connection.close()
+        assert statistics.median(seconds) < 0.020, seconds
+
+    def test_cache_metrics_count_fresh_and_repeat_jobs(self, server, tiny_system):
+        """cache.hits counts jobs completed from a stored verdict, cache.misses
+        jobs queued for a search."""
+        fresh = _submit(server.url, _payload(tiny_system, _properties()[:2]))
+        _wait_for(server.url, [j["id"] for j in fresh])
+        repeats = []
+        for index in range(3):
+            repeats += _submit(server.url, _payload(tiny_system, [_properties()[index % 2]]))
+        assert [j["status"] for j in repeats] == ["done"] * 3
+        _, metrics = _request(f"{server.url}/v1/metrics")
+        assert metrics["cache"] == {"hits": 3, "misses": 2, "hit_rate": 0.6, "results": 2}
+        assert metrics["counters"]["cache_hits"] == 3
+        assert metrics["counters"]["cache_misses"] == 2
+        assert metrics["counters"]["verifications_run"] == 2
+        assert metrics["counters"]["jobs_completed"] == 5
+
     def test_list_jobs_with_status_filter(self, server, tiny_system):
         jobs = _submit(server.url, _payload(tiny_system, _properties()[:2]))
         _wait_for(server.url, [j["id"] for j in jobs])
@@ -432,36 +468,41 @@ class TestRestartRecovery:
         # Phase 2: a worker-less server accepts more jobs over HTTP, then is
         # killed with its whole queue pending (one job artificially left
         # `running`, as if a worker died mid-verification).  Two of the four
-        # new jobs duplicate phase-1 fingerprints.
+        # new jobs duplicate phase-1 fingerprints: they complete inside their
+        # POST, from the stored verdicts, although no worker exists.
         server_b = VerificationServer(store_path=store_path, port=0, workers=0)
         server_b.start()
         queued = _submit(server_b.url, _payload(tiny_system, properties[:2]))       # duplicates
         queued += _submit(server_b.url, _payload(relation_system, properties[2:]))  # fresh work
         assert len(queued) == 4
+        assert [j["status"] for j in queued] == ["done", "done", "queued", "queued"]
+        _, metrics_b = _request(f"{server_b.url}/v1/metrics")
+        assert metrics_b["counters"]["verifications_run"] == 0
+        assert metrics_b["cache"]["hits"] == 2 and metrics_b["cache"]["misses"] == 2
+        assert metrics_b["queue"]["depth"] == 2
         interrupted = server_b.store.claim_next()  # simulate dying mid-job
-        assert interrupted is not None
+        assert interrupted is not None and interrupted.id == queued[2]["id"]
         server_b.stop()
 
         # Phase 3: restart on the same store.
         server_c = VerificationServer(store_path=store_path, port=0, workers=2)
         server_c.start()
         assert server_c.recovery.requeued == 1
-        assert server_c.recovery.queued == 4
-        assert server_c.recovery.completed == 6
+        assert server_c.recovery.queued == 2
+        assert server_c.recovery.completed == 8
         assert server_c.recovery.results_retained == 6
 
         views = _wait_for(server_c.url, [j["id"] for j in queued])
         assert all(v["status"] == "done" for v in views.values())
 
-        # The two duplicated jobs were served from the persistent store with a
-        # cold memory cache -- no verifier invocation, counted as cache hits.
+        # The two duplicated jobs were served from the persistent store --
+        # no verifier invocation, counted as cache hits.
         duplicate_ids = [j["id"] for j in queued[:2]]
         fresh_ids = [j["id"] for j in queued[2:]]
         assert all(views[job_id]["cache_hit"] for job_id in duplicate_ids)
         assert all(not views[job_id]["cache_hit"] for job_id in fresh_ids)
         _, metrics = _request(f"{server_c.url}/v1/metrics")
         assert metrics["counters"]["verifications_run"] == 2  # only the fresh jobs
-        assert metrics["cache"]["store_hits"] == 2            # duplicates came from SQLite
         assert metrics["queue"]["depth"] == 0
 
         # Completed results agree with what phase 1 computed.

@@ -137,7 +137,7 @@ class TestPrometheusRendering:
             },
             "queue": {"depth": 2, "running": 1,
                       "jobs": {"queued": 2, "running": 1, "done": 5}},
-            "cache": {"entries": 7, "hit_rate": 0.25},
+            "cache": {"hits": 1, "misses": 3, "hit_rate": 0.25, "results": 3},
             "workers": {"count": 2, "pool": [
                 {"worker_id": "a:proc-0", "state": "busy",
                  "jobs_completed": 9, "crashes": 1, "recycles": 0},
@@ -177,6 +177,11 @@ class TestPrometheusRendering:
         assert 'repro_worker_jobs_completed_total{worker_id="a:proc-0"} 9' in text
         assert 'repro_worker_crashes_total{worker_id="a:proc-0"} 1' in text
         assert 'repro_worker_recycles_total{worker_id="a:proc-1"} 1' in text
+
+    def test_cache_hit_rate_is_the_only_cache_gauge(self):
+        text = render_prometheus(self._view())
+        assert "repro_cache_hit_rate 0.25" in text
+        assert "repro_cache_entries" not in text
 
     def test_job_status_series_and_queue_gauges(self):
         text = render_prometheus(self._view())

@@ -158,7 +158,7 @@ class TestSharedStoreInProcess:
             assert result["stats"]["cancelled"] is True
             assert result["stats"]["states_explored"] > 0
             # The partial verdict never enters the shared results table.
-            assert a.store.get_result(handle.fingerprint, count=False) is None
+            assert a.store.get_result(handle.fingerprint) is None
             assert b.metrics.counter("jobs_cancelled") == 1
         finally:
             b.stop()

@@ -30,10 +30,10 @@ from repro.spec import dump_property, dump_system
 OPTIONS = {"timeout_seconds": 60}
 
 
-def _property():
+def _property(name="eventually-picked"):
     return LTLFOProperty(
         "Main", parse_ltl("F p"),
-        {"p": Eq(Var("status"), Const("picked"))}, name="eventually-picked",
+        {"p": Eq(Var("status"), Const("picked"))}, name=name,
     )
 
 
@@ -61,11 +61,13 @@ def idle_server(tmp_path):
     server.stop()
 
 
-def _submit_one(server, tiny_system, ttl_seconds=None):
+def _submit_one(server, tiny_system, ttl_seconds=None, name="eventually-picked"):
+    """Submit one job; the property *name* is part of its fingerprint, and a
+    fingerprint with a stored verdict completes at submit."""
     client = VerifasClient(server.url)
     payload = {
         "system": dump_system(tiny_system),
-        "properties": [dump_property(_property())],
+        "properties": [dump_property(_property(name))],
         "options": OPTIONS,
     }
     if ttl_seconds is not None:
@@ -130,7 +132,9 @@ class TestRequestCountBound:
         n_events = 8
 
         def run(client_cls, push):
-            handle = _submit_one(idle_server, tiny_system)
+            # One fingerprint per run: the first run's verdict would
+            # otherwise complete the second job at submit.
+            handle = _submit_one(idle_server, tiny_system, name=f"slow-emitter-{push}")
 
             def emit():
                 for index in range(n_events):
@@ -384,7 +388,9 @@ class TestBatchStatusView:
         self, idle_server, tiny_system
     ):
         first = _submit_one(idle_server, tiny_system)
-        second = _submit_one(idle_server, tiny_system)
+        # A second fingerprint: a twin of `first` would be completed by its
+        # mark_done, and the view must still show a done + queued mix.
+        second = _submit_one(idle_server, tiny_system, name="second")
         idle_server.store.mark_done(first.id, {"outcome": "satisfied"})
 
         client = CountingClient(idle_server.url)

@@ -8,8 +8,8 @@ import pytest
 
 from repro.core.stats import SearchStatistics
 from repro.core.verifier import VerificationOutcome, VerificationResult
-from repro.server import JobStore, StoreBackedCache, recover
-from repro.service import ResultCache, VerificationJob
+from repro.server import JobStore, recover
+from repro.service import VerificationJob
 from repro.spec import dump_property, dump_system
 
 
@@ -128,8 +128,10 @@ class TestJobLifecycle:
         # distinct job is handed out instead.
         assert store.claim_next().id == other.id
         assert store.claim_next() is None
+        # The twin's verdict completes the duplicate: nothing is left to claim.
         store.mark_done(first.id, _result().as_dict())
-        assert store.claim_next().id == duplicate.id
+        assert store.get_job(duplicate.id).status == "done"
+        assert store.claim_next() is None
 
     def test_each_job_is_claimed_exactly_once_across_threads(self, store, tiny_system):
         from repro.has.conditions import Const, Eq, Var
@@ -301,14 +303,14 @@ class TestWorkerClaims:
         store.request_cancel(stored.id)               # user cancels the rescued copy
         assert store.get_job(stored.id).status == "cancelled"
         # The zombie worker's verdict arrives afterwards: rejected.
-        assert store.mark_done(stored.id, _result().as_dict()) is False
+        assert store.mark_done(stored.id, _result().as_dict()) == (False, [])
         assert store.mark_error(stored.id, "late failure") is False
         assert store.mark_cancelled(stored.id, None) is False
         assert store.get_job(stored.id).status == "cancelled"
         # A live mark on a running job still returns True.
         other = store.submit(sample_jobs[1])
         store.claim_next()
-        assert store.mark_done(other.id, _result().as_dict()) is True
+        assert store.mark_done(other.id, _result().as_dict()) == (True, [])
 
     def test_zombie_mark_cannot_land_on_a_reclaimed_running_job(
         self, store, sample_jobs
@@ -320,11 +322,17 @@ class TestWorkerClaims:
         store.claim_next(worker_id="proc-0")
         assert store.requeue_stale(0.0) == 1
         assert store.claim_next(worker_id="proc-1").id == stored.id
-        assert store.mark_done(stored.id, _result().as_dict(), worker_id="proc-0") is False
+        assert store.mark_done(stored.id, _result().as_dict(), worker_id="proc-0") == (
+            False,
+            [],
+        )
         assert store.mark_error(stored.id, "late", worker_id="proc-0") is False
         assert store.mark_cancelled(stored.id, None, worker_id="proc-0") is False
         assert store.get_job(stored.id).status == "running"
-        assert store.mark_done(stored.id, _result().as_dict(), worker_id="proc-1") is True
+        assert store.mark_done(stored.id, _result().as_dict(), worker_id="proc-1") == (
+            True,
+            [],
+        )
 
     def test_terminal_transitions_clear_the_claim(self, store, sample_jobs):
         stored = store.submit(sample_jobs[0])
@@ -496,9 +504,12 @@ class TestConcurrencyLayer:
             assert claimed.id == stored.id
             assert a.get_job(stored.id).claimed_by == "b:proc-0"
             assert a.claim_next(worker_id="a:proc-0") is None  # no double claim
-            assert b.mark_done(stored.id, _result().as_dict(), worker_id="b:proc-0")
+            assert b.mark_done(stored.id, _result().as_dict(), worker_id="b:proc-0") == (
+                True,
+                [],
+            )
             assert a.get_job(stored.id).status == "done"
-            assert a.get_result(stored.fingerprint, count=False) is not None
+            assert a.get_result(stored.fingerprint) is not None
         finally:
             a.close()
             b.close()
@@ -587,6 +598,7 @@ class TestFingerprintDedupCorners:
         assert store.claim_next(worker_id="proc-1") is None  # deferred
         store.request_cancel(running.id)
         store.mark_cancelled(running.id, None)
+        assert store.get_job(twin.id).status == "queued"
         # The cancelled twin produced no cached result: the queued twin must
         # not wedge -- it is claimed and verified like any other job.
         reclaimed = store.claim_next(worker_id="proc-1")
@@ -598,9 +610,13 @@ class TestFingerprintDedupCorners:
         running = store.submit(sample_jobs[0], deadline_ms=1)
         twin = store.submit(sample_jobs[0])
         assert store.claim_next().id == running.id
-        # Deadline-truncated verdicts stay off the results table.
-        store.mark_done(running.id, _result().as_dict(), persist_result=False)
-        assert store.get_result(running.fingerprint, count=False) is None
+        # Deadline-truncated verdicts stay off the results table and complete
+        # no twin.
+        assert store.mark_done(
+            running.id, _result().as_dict(), persist_result=False
+        ) == (True, [])
+        assert store.get_result(running.fingerprint) is None
+        assert store.get_job(twin.id).status == "queued"
         reclaimed = store.claim_next()
         assert reclaimed is not None and reclaimed.id == twin.id
 
@@ -614,6 +630,132 @@ class TestFingerprintDedupCorners:
         assert store.claim_next(worker_id="proc-2") is None
         store.mark_cancelled(crashed.id, None)
         assert store.claim_next(worker_id="proc-2").id == twin.id
+
+
+class TestKnownVerdictsNeverQueue:
+    """A job whose fingerprint has a stored verdict is never ``queued``:
+    ``submit`` completes it at once, and ``mark_done`` completes the
+    queued twins of the fingerprint it persists."""
+
+    @staticmethod
+    def _assert_cache_hit(store, job_id):
+        job = store.get_job(job_id)
+        assert job.status == "done" and job.cache_hit
+        assert job.claimed_by is None
+        events = store.events_after(job_id)
+        assert [(e["kind"], e["data"]) for e in events] == [
+            ("done", {"outcome": "satisfied", "cache_hit": True})
+        ]
+        return job
+
+    def test_submit_of_a_stored_fingerprint_is_done_at_once(self, store, sample_jobs):
+        store.put_result(sample_jobs[0].fingerprint, _result().as_dict())
+        stored = store.submit(sample_jobs[0], ttl_seconds=60.0)
+        assert stored.status == "done" and stored.cache_hit
+        assert stored.started_at == stored.finished_at == stored.submitted_at
+        assert stored.expires_at == pytest.approx(stored.submitted_at + 60.0)
+        self._assert_cache_hit(store, stored.id)
+        assert store.claim_next() is None
+        other = store.submit(sample_jobs[1], ttl_seconds=60.0)  # nothing stored
+        assert other.status == "queued" and other.expires_at is None
+        assert store.events_after(other.id) == []
+
+    def test_queued_twin_is_done_after_the_running_job_persists(
+        self, store, sample_jobs
+    ):
+        running = store.submit(sample_jobs[0])
+        twin = store.submit(sample_jobs[0])
+        assert store.claim_next(worker_id="proc-0").id == running.id
+        landed, twins = store.mark_done(
+            running.id, _result().as_dict(), worker_id="proc-0"
+        )
+        assert landed and [t.id for t in twins] == [twin.id]
+        assert twins[0].status == "done" and twins[0].cache_hit
+        job = self._assert_cache_hit(store, twin.id)
+        assert job.started_at == job.finished_at
+        assert not store.get_job(running.id).cache_hit
+        assert store.claim_next(worker_id="proc-1") is None
+
+    def test_twin_completion_across_two_store_handles(self, tmp_path, sample_jobs):
+        path = tmp_path / "shared.db"
+        a, b = JobStore(path), JobStore(path)
+        try:
+            running = a.submit(sample_jobs[0])
+            assert b.claim_next(worker_id="b:proc-0").id == running.id
+            twin = a.submit(sample_jobs[0])  # queued: nothing stored yet
+            assert twin.status == "queued"
+            _, twins = b.mark_done(running.id, _result().as_dict(), worker_id="b:proc-0")
+            assert [t.id for t in twins] == [twin.id]
+            self._assert_cache_hit(a, twin.id)
+            assert a.claim_next(worker_id="a:proc-0") is None
+        finally:
+            a.close()
+            b.close()
+
+    def test_a_zombie_verdict_still_completes_the_twins(self, store, sample_jobs):
+        running = store.submit(sample_jobs[0])
+        twin = store.submit(sample_jobs[0])
+        store.claim_next(worker_id="proc-0")
+        assert store.requeue_stale(0.0) == 1  # the rescue requeues the job
+        landed, twins = store.mark_done(
+            running.id, _result().as_dict(), worker_id="proc-0"
+        )
+        # The zombie's own mark bounces, but its verdict is persisted and
+        # completes every queued row of the fingerprint -- the rescued job
+        # itself included.
+        assert not landed
+        assert sorted(t.id for t in twins) == sorted([running.id, twin.id])
+        assert store.claim_next() is None
+
+
+class TestResubmissionThroughTheServer:
+    """The invariant end to end: a resubmitted fingerprint is answered inside
+    its POST, so no queue wait or worker execution is traced for it and the
+    verifier is not invoked again."""
+
+    def test_resubmission_skips_queue_and_worker(self, tmp_path, worker_model, sample_jobs):
+        import time
+
+        from repro.client import VerifasClient
+        from repro.server import VerificationServer
+
+        server = VerificationServer(
+            store_path=tmp_path / "jobs.db", port=0, workers=1,
+            worker_model=worker_model, trace_enabled=True,
+        )
+        server.start()
+        try:
+            client = VerifasClient(server.url)
+            job = sample_jobs[0]
+            payload = {
+                "system": job.system_dict,
+                "property": job.property_dict,
+                "options": {"timeout_seconds": 30},
+            }
+            first = client.submit_payload(payload)[0]
+            assert first.status == "queued"
+            client.wait(first.id, deadline_seconds=60)
+            runs = client.metrics()["counters"]["verifications_run"]
+            assert runs == 1
+
+            second = client.submit_payload(payload)[0]
+            assert second.status == "done" and second.fingerprint == first.fingerprint
+            view = client.job(second.id)
+            assert view["cache_hit"] is True
+            assert view["result"] == client.job(first.id)["result"]
+            assert [e["kind"] for e in client.events(second.id)["events"]] == ["done"]
+            # The http.submit span is finished after the response is sent.
+            deadline = time.monotonic() + 10.0
+            names = set()
+            while "http.submit" not in names and time.monotonic() < deadline:
+                names = {span["name"] for span in client.trace(second.id)["spans"]}
+                time.sleep(0.02)
+            assert names == {"http.submit"}
+            first_names = {span["name"] for span in client.trace(first.id)["spans"]}
+            assert {"queue.wait", "worker.execute"} <= first_names
+            assert client.metrics()["counters"]["verifications_run"] == runs
+        finally:
+            server.stop()
 
 
 class TestQueries:
@@ -641,21 +783,10 @@ class TestQueries:
             "queued": 1, "running": 1, "done": 0, "error": 0, "cancelled": 0,
         }
 
-    def test_get_result_counts_only_when_asked(self, store):
+    def test_get_result_reads_the_persisted_verdict(self, store):
         store.put_result("fp", _result().as_dict())
-        assert store.get_result("fp", count=False) is not None
-        assert store.get_result("missing", count=False) is None
-        assert store.statistics()["store_hits"] == 0
-        assert store.statistics()["store_misses"] == 0
-        store.get_result("fp")
-        store.get_result("missing")
-        assert store.statistics() == {"results": 1, "store_hits": 1, "store_misses": 1}
-
-    def test_uncounted_get_does_not_touch_counters(self, store):
-        store.put_result("fp", _result().as_dict())
-        assert store.get_result("fp", count=False) is not None
-        assert store.get_result("other", count=False) is None
-        assert store.statistics()["store_hits"] == 0
+        assert store.get_result("fp")["outcome"] == "satisfied"
+        assert store.get_result("missing") is None
 
 
 class TestPersistence:
@@ -671,7 +802,7 @@ class TestPersistence:
         reopened = JobStore(path)
         assert reopened.get_job(stored.id).status == "done"
         assert reopened.get_job(queued.id).status == "queued"
-        assert reopened.get_result(stored.fingerprint, count=False) is not None
+        assert reopened.get_result(stored.fingerprint) is not None
         reopened.close()
 
     def test_recover_requeues_interrupted_jobs(self, tmp_path, sample_jobs):
@@ -691,32 +822,3 @@ class TestPersistence:
         assert reopened.get_job(interrupted.id).status == "queued"
         assert "re-queued" in report.summary()
         reopened.close()
-
-
-class TestStoreBackedCache:
-    def test_get_prefers_memory_then_store(self, store):
-        cache = StoreBackedCache(store)
-        store.put_result("fp", _result("persisted").as_dict())
-        first = cache.get("fp")  # memory miss -> store hit, promoted to memory
-        assert first.property_name == "persisted"
-        assert store.store_hits == 1
-        second = cache.get("fp")  # now a pure memory hit
-        assert second.property_name == "persisted"
-        assert store.store_hits == 1  # store untouched the second time
-        stats = cache.statistics()
-        assert stats["hits"] == 1 and stats["misses"] == 1 and stats["store_hits"] == 1
-
-    def test_cold_memory_after_reopen_serves_from_store(self, tmp_path):
-        path = tmp_path / "jobs.db"
-        store = JobStore(path)
-        store.put_result("fp", _result().as_dict())
-        store.close()
-        reopened = JobStore(path)
-        cache = StoreBackedCache(reopened, ResultCache(max_entries=4))
-        assert cache.get("fp") is not None  # cold memory, warm store
-        assert reopened.store_hits == 1
-        reopened.close()
-
-    def test_miss_everywhere_returns_none(self, store):
-        cache = StoreBackedCache(store)
-        assert cache.get("absent") is None

@@ -68,7 +68,7 @@ def _storm_worker(path: str, worker_id: str, results) -> None:
                 stored.id,
                 {"outcome": "satisfied", "worker": worker_id},
                 worker_id=worker_id,
-            ) is True
+            ) == (True, [])
             claimed.append(stored.id)
     finally:
         store.close()

@@ -278,7 +278,7 @@ class TestCancellation:
         assert result["stats"]["cancelled"] is True
         assert result["stats"]["states_explored"] > 0
         # The partial verdict must never enter the fingerprint-keyed cache.
-        assert server.store.get_result(handle.fingerprint, count=False) is None
+        assert server.store.get_result(handle.fingerprint) is None
         assert server.metrics.counter("jobs_cancelled") == 1
 
         # The cancel itself is in the event log.
@@ -368,7 +368,7 @@ class TestDeadlines:
         # deadline_ms is not part of the content fingerprint, so the
         # truncated UNKNOWN verdict must not poison the result cache for a
         # later deadline-less submission of the same inputs.
-        assert server.store.get_result(handle.fingerprint, count=False) is None
+        assert server.store.get_result(handle.fingerprint) is None
 
     def test_fingerprinted_options_timeout_stays_cacheable(
         self, server, client, exploding_system
@@ -387,7 +387,7 @@ class TestDeadlines:
         assert view["result"]["stats"]["timed_out"] is True
         # Deterministic per fingerprint (the timeout is in the options), so
         # it is cached as it always was.
-        assert server.store.get_result(handle.fingerprint, count=False) is not None
+        assert server.store.get_result(handle.fingerprint) is not None
 
 
 class TestTtlSweeper:
@@ -408,7 +408,7 @@ class TestTtlSweeper:
             assert time.monotonic() < deadline, "job was never swept"
             time.sleep(0.05)
         assert server.store.event_count(handle.id) == 0
-        assert server.store.get_result(handle.fingerprint, count=False) is None
+        assert server.store.get_result(handle.fingerprint) is None
         assert server.metrics.counter("jobs_expired") >= 1
 
     def test_ttl_less_jobs_are_never_swept(self, server, client, tiny_system):
@@ -418,7 +418,7 @@ class TestTtlSweeper:
         client.wait(handle.id, deadline_seconds=60)
         time.sleep(0.3)  # several sweep intervals
         assert client.job(handle.id)["status"] == "done"
-        assert server.store.get_result(handle.fingerprint, count=False) is not None
+        assert server.store.get_result(handle.fingerprint) is not None
 
     def test_shared_result_survives_while_a_job_references_it(
         self, server, client, tiny_system
@@ -442,7 +442,7 @@ class TestTtlSweeper:
             time.sleep(0.05)
         # The TTL-less twin still references the fingerprint: result retained.
         assert client.job(keeper.id)["status"] == "done"
-        assert server.store.get_result(keeper.fingerprint, count=False) is not None
+        assert server.store.get_result(keeper.fingerprint) is not None
 
 
 # ------------------------------------------------------ unversioned routes

@@ -207,7 +207,7 @@ class TestCrossProcessCancellation:
             assert result["stats"]["cancelled"] is True
             assert result["stats"]["states_explored"] > 0
             # The partial verdict never enters the fingerprint-keyed cache.
-            assert server.store.get_result(handle.fingerprint, count=False) is None
+            assert server.store.get_result(handle.fingerprint) is None
             assert server.metrics.counter("jobs_cancelled") == 1
             # The worker process survives its cancelled job and stays idle.
             workers = server.metrics_view()["workers"]
