@@ -146,21 +146,21 @@ def _run_remote_batch(args: argparse.Namespace, jobs) -> int:
     from repro.core.verifier import VerificationOutcome, VerificationResult
     from repro.service import JobResult
 
-    client = VerifasClient(args.remote)
     try:
-        handles = [
-            client.submit(
-                job.system_dict,
-                [job.property_dict],
-                # The API takes the budgets only, not the canonical dict.
-                options=asdict(job.options()),
-                label=job.label,
-                ttl_seconds=args.ttl,
-                deadline_ms=args.deadline_ms,
-            )[0]
-            for job in jobs
-        ]
-        views = client.wait_all([h.id for h in handles], deadline_seconds=args.wait)
+        with VerifasClient(args.remote) as client:
+            handles = [
+                client.submit(
+                    job.system_dict,
+                    [job.property_dict],
+                    # The API takes the budgets only, not the canonical dict.
+                    options=asdict(job.options()),
+                    label=job.label,
+                    ttl_seconds=args.ttl,
+                    deadline_ms=args.deadline_ms,
+                )[0]
+                for job in jobs
+            ]
+            views = client.wait_all([h.id for h in handles], deadline_seconds=args.wait)
     except (ClientError, TimeoutError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -374,9 +374,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.client import ClientError, VerifasClient
     from repro.obs import render_trace
 
-    client = VerifasClient(args.url)
     try:
-        view = client.trace(args.job_id)
+        with VerifasClient(args.url) as client:
+            view = client.trace(args.job_id)
     except ClientError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -6,20 +6,21 @@ as the fallback, cancel.  Used by ``python -m repro batch --remote`` and the
 test suite, so neither has to hand-roll HTTP calls.
 
 One protocol, two transports: the sans-IO :mod:`repro.client.core` holds
-all of the protocol, and :mod:`repro.client.http` (``urllib``) and
-:mod:`repro.client.aio` (asyncio streams) only send requests and sleep.
+all of the protocol, and :mod:`repro.client.http` (``http.client``, one
+keep-alive connection per calling thread) and :mod:`repro.client.aio`
+(asyncio streams) only send requests and sleep.
 
-Synchronous (``urllib``)::
+Synchronous (``http.client``)::
 
     from repro.client import VerifasClient
 
-    client = VerifasClient("http://127.0.0.1:8080")
-    jobs = client.submit(system_dict, properties=[prop_dict],
-                         options={"timeout_seconds": 30}, deadline_ms=60_000)
-    for event in client.iter_events(jobs[0].id):
-        print(event["kind"], event.get("data"))
-    view = client.wait(jobs[0].id)
-    client.cancel(jobs[0].id)
+    with VerifasClient("http://127.0.0.1:8080") as client:
+        jobs = client.submit(system_dict, properties=[prop_dict],
+                             options={"timeout_seconds": 30}, deadline_ms=60_000)
+        for event in client.iter_events(jobs[0].id):
+            print(event["kind"], event.get("data"))
+        view = client.wait(jobs[0].id)
+        client.cancel(jobs[0].id)
 
 Asyncio (bounded-concurrency fan-out, completion-order consumption)::
 

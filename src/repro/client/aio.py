@@ -3,8 +3,10 @@
 The protocol lives in the sans-IO :mod:`repro.client.core`, shared with the
 synchronous client; this module adds raw HTTP/1.1 over
 ``asyncio.open_connection`` (one short-lived ``Connection: close`` exchange
-per request -- the server is thread-per-request anyway, so connection reuse
-buys nothing) and :func:`asyncio.sleep`.  What asyncio adds is
+per request, although the server runs one handler thread per *connection*
+and a reused one would save that thread's start and its SQLite connection;
+unlike the sync client, this one does not keep connections alive yet) and
+:func:`asyncio.sleep`.  What asyncio adds is
 *concurrency shape*:
 
 * every exchange passes through one bounded :class:`asyncio.Semaphore`, so

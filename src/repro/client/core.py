@@ -4,8 +4,8 @@ Everything the two clients share is written once here, and none of it does
 I/O or sleeps: the error types, the headers, one request builder per
 endpoint, the response reader, the 429 retry budget, the backoff and the
 polling algorithms.  A transport -- :mod:`repro.client.http` over
-``urllib``, :mod:`repro.client.aio` over raw asyncio streams -- adds only a
-way to send a request and a way to sleep.
+``http.client``, :mod:`repro.client.aio` over raw asyncio streams -- adds
+only a way to send a request and a way to sleep.
 
 The algorithms are *machines*: generators that yield steps and are resumed
 with each step's answer:
@@ -62,7 +62,7 @@ def _bearer(api_key: Optional[str]) -> Dict[str, str]:
 
 
 def auth_headers() -> Dict[str, str]:
-    """``{"Authorization": ...}`` for raw-``urllib`` callers (tests, curl
+    """``{"Authorization": ...}`` for callers sending raw HTTP (tests, curl
     helpers); empty when no default key applies."""
     return _bearer(default_api_key())
 

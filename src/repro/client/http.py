@@ -1,20 +1,34 @@
-"""``VerifasClient``: the synchronous ``urllib`` transport for the ``/v1`` API.
+"""``VerifasClient``: the synchronous ``http.client`` transport for the ``/v1`` API.
 
 The protocol -- requests, response mapping, throttle retries and the
 polling algorithms -- lives in the sans-IO :mod:`repro.client.core`; this
-module only sends requests with ``urllib`` and sleeps with
+module only sends requests with :mod:`http.client` and sleeps with
 :func:`time.sleep`.  ``iter_events`` long-polls when ``push_events`` is on
 (``REPRO_TEST_PUSH_EVENTS=1`` flips the default: the CI hook that re-runs
 the e2e suites over long-poll delivery) and otherwise polls on the backoff,
 the fallback that works against any server.
+
+Each calling thread keeps one persistent HTTP/1.1 connection, so a job's
+submit, its event long-polls and its views reach one server handler thread
+(and its SQLite connection), and a client shared by threads never
+interleaves two responses on one socket.  A connection is reopened when
+the server answered ``Connection: close`` or closed it while it sat idle;
+a ``GET`` or ``DELETE`` that fails on a reused connection is sent once more
+on a fresh one, a ``POST`` whose bytes went out never is (the server may
+have accepted it).  :meth:`VerifasClient.close`, or leaving a ``with``
+block, closes every connection the client opened.  Proxy settings in the
+environment (``http_proxy``) are not used.
 """
 
 from __future__ import annotations
 
+import selectors
+import socket
+import threading
 import time
-import urllib.error
-import urllib.request
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from urllib.parse import urlsplit
 
 from repro.client.core import (
     ClientError,
@@ -29,6 +43,59 @@ from repro.client.core import (
     read_submit,
 )
 
+#: Methods sent again on a fresh connection when a reused one fails.
+IDEMPOTENT_METHODS = ("GET", "DELETE")
+
+
+def _closed_by_peer(sock: socket.socket) -> bool:
+    """Whether an idle keep-alive socket is unusable: no request is out, so
+    a socket that polls readable holds an EOF, a reset or stray bytes."""
+    with selectors.DefaultSelector() as selector:  # no FD_SETSIZE cap, unlike select()
+        selector.register(sock, selectors.EVENT_READ)
+        return bool(selector.select(0))
+
+
+class _Connections:
+    """One keep-alive connection per calling thread, to one server.
+
+    Every connection opened is also listed, so :meth:`close` reaches the
+    other threads' too; a new thread's first call closes and drops those of
+    threads that have since died.
+    """
+
+    def __init__(self, base_url: str):
+        split = urlsplit(base_url)
+        if split.scheme not in ("http", "https") or not split.hostname:
+            raise ClientError(f"cannot reach {base_url}: not an http(s) URL")
+        self._factory = HTTPSConnection if split.scheme == "https" else HTTPConnection
+        self._host = split.hostname
+        self._port = split.port
+        #: The base URL's path, put before every request path.
+        self.prefix = split.path
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._opened: List[Tuple[threading.Thread, HTTPConnection]] = []
+
+    def mine(self) -> HTTPConnection:
+        """The calling thread's connection (its socket opens on first use)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._factory(self._host, self._port)
+            self._local.connection = connection
+            with self._lock:
+                dead = [c for thread, c in self._opened if not thread.is_alive()]
+                self._opened = [(t, c) for t, c in self._opened if t.is_alive()]
+                self._opened.append((threading.current_thread(), connection))
+            for stale in dead:
+                stale.close()
+        return connection
+
+    def close(self) -> None:
+        with self._lock:
+            opened = [connection for _, connection in self._opened]
+        for connection in opened:
+            connection.close()
+
 
 class VerifasClient(ClientProtocol):
     """Synchronous client for one verification server's ``/v1`` API (the
@@ -36,20 +103,64 @@ class VerifasClient(ClientProtocol):
 
     # ------------------------------------------------------------------ plumbing
 
+    @property
+    def _connections(self) -> _Connections:
+        # Built on the first call, not in the shared ClientProtocol
+        # constructor; setdefault keeps a single one when several threads
+        # make their first call at once.
+        connections = self.__dict__.get("_connection_pool")
+        if connections is None:
+            connections = self.__dict__.setdefault(
+                "_connection_pool", _Connections(self.base_url)
+            )
+        return connections
+
+    def close(self) -> None:
+        """Close every connection this client opened, on any thread; a later
+        call opens a fresh one."""
+        connections = self.__dict__.get("_connection_pool")
+        if connections is not None:
+            connections.close()
+
+    def __enter__(self) -> "VerifasClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
     def _send(self, wire: Request) -> Tuple[int, Any, bytes]:
-        request = urllib.request.Request(
-            f"{self.base_url}{wire.path}",
-            data=wire.body,
-            method=wire.method,
-            headers=wire.headers or {},
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=wire.timeout) as response:
+        connections = self._connections
+        connection = connections.mine()
+        while True:
+            reused = connection.sock is not None
+            if reused and _closed_by_peer(connection.sock):
+                connection.close()  # the server ended the idle connection
+                reused = False
+            connection.timeout = wire.timeout  # for a socket opened below
+            if reused:
+                connection.sock.settimeout(wire.timeout)
+            sent = False
+            try:
+                connection.request(
+                    wire.method, connections.prefix + wire.path, wire.body, wire.headers or {}
+                )
+                sent = True
+                response = connection.getresponse()
+                # On `Connection: close` http.client has already dropped the
+                # socket; the next request opens a fresh one.
                 return response.status, response.headers, response.read()
-        except urllib.error.HTTPError as error:
-            return error.code, error.headers or {}, error.read()
-        except (urllib.error.URLError, OSError) as error:
-            raise ClientError(f"cannot reach {self.base_url}: {error}") from None
+            except (OSError, HTTPException) as error:
+                connection.close()
+                # A slow server is not a dropped connection: a timeout is
+                # never sent again.
+                dropped = reused and not isinstance(error, socket.timeout)
+                if dropped and (not sent or wire.method in IDEMPOTENT_METHODS):
+                    continue  # at most once: the next connection is a fresh one
+                if sent:
+                    raise ClientError(
+                        f"no response from {self.base_url} to {wire.method} {wire.path}: {error}"
+                    ) from None
+                raise ClientError(f"cannot reach {self.base_url}: {error}") from None
 
     def _drive(self, machine: Machine, send: Callable[[Any], Any]) -> Iterator[Any]:
         """Run a core machine: *send* its requests, sleep its sleeps and

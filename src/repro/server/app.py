@@ -42,12 +42,13 @@ dead-server rescue at a time.
 from __future__ import annotations
 
 import os
+import socket
 import sqlite3
 import threading
 import time
 import uuid
 from http.server import ThreadingHTTPServer
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.analysis import (
     SpecRejectedError,
@@ -113,6 +114,35 @@ from repro.tenancy import (
 class _HttpServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
+
+    def __init__(self, *args: Any, **kwargs: Any):
+        # Set before binding: a failed bind calls server_close.
+        self._open_lock = threading.Lock()
+        self._open: Set[socket.socket] = set()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request: socket.socket, client_address: Any) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: socket.socket) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Stop listening and end the open keep-alive connections: a handler
+        waiting for its next request reads EOF and exits, one mid-request
+        still writes its response first."""
+        super().server_close()
+        with self._open_lock:
+            open_connections = list(self._open)
+        for request in open_connections:
+            try:
+                request.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # already closed by its handler
 
 
 class VerificationServer:

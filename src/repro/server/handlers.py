@@ -104,10 +104,20 @@ class ApiHandler(BaseHTTPRequestHandler):
     # client reusing its keep-alive connection waits out the delayed ACK
     # (about 40 ms) on every request.
     disable_nagle_algorithm = True
+    # Seconds a keep-alive connection may sit idle (or a read or write
+    # stall) before the handler closes it, releasing its thread and that
+    # thread's SQLite connection.
+    timeout = 60
 
     @property
     def app(self):
         return self.server.app  # type: ignore[attr-defined]
+
+    def setup(self) -> None:
+        super().setup()
+        # One handler (thread) per connection, so requests / connections is
+        # the mean number of requests a connection carried.
+        self.app.metrics.increment("connections")
 
     # ------------------------------------------------------------------ routing
 

@@ -138,7 +138,10 @@ class ServerMetrics:
             # server currently holds the sweeper lease.
             "stale_jobs_requeued": 0,
             "sweeper_lease_misses": 0,
+            # HTTP requests, and the connections (one handler thread each)
+            # that carried them.
             "requests": 0,
+            "connections": 0,
             # Event-bus delivery: every typed event fired through the
             # EventManager, and how many /v1/jobs/<id>/events requests used
             # push-style delivery (long-poll via ?wait_ms=, SSE streams).

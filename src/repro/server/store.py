@@ -501,8 +501,8 @@ class JobStore:
 
         Creating a connection for a new thread also prunes (and closes) the
         connections of threads that have since died -- the HTTP server
-        spawns one thread per request, so without pruning a busy server
-        would leak one file descriptor per request ever handled.
+        spawns one thread per connection, so without pruning a busy server
+        would leak one file descriptor per connection ever accepted.
         """
         if self._memory:
             return self._memory_conn

@@ -153,11 +153,11 @@ class TestSubmitManyAsCompleted:
 
     def test_wait_all_times_out_on_a_stuck_job(self, idle_server, tiny_system):
         async def scenario():
-            sync = VerifasClient(idle_server.url)
-            handle = sync.submit(
-                dump_system(tiny_system), [dump_property(_properties()[0])],
-                options=OPTIONS,
-            )[0]
+            with VerifasClient(idle_server.url) as sync:
+                handle = sync.submit(
+                    dump_system(tiny_system), [dump_property(_properties()[0])],
+                    options=OPTIONS,
+                )[0]
             client = AsyncVerifasClient(
                 idle_server.url, poll_initial=0.02, poll_max=0.1
             )
@@ -168,11 +168,11 @@ class TestSubmitManyAsCompleted:
 
     def test_wait_raises_remote_error(self, idle_server, tiny_system):
         async def scenario():
-            sync = VerifasClient(idle_server.url)
-            handle = sync.submit(
-                dump_system(tiny_system), [dump_property(_properties()[0])],
-                options=OPTIONS,
-            )[0]
+            with VerifasClient(idle_server.url) as sync:
+                handle = sync.submit(
+                    dump_system(tiny_system), [dump_property(_properties()[0])],
+                    options=OPTIONS,
+                )[0]
             idle_server.store.claim_next()
             idle_server.store.mark_error(handle.id, "synthetic failure")
             client = AsyncVerifasClient(idle_server.url)

@@ -16,12 +16,13 @@ import urllib.request
 
 import pytest
 
-from repro.client import auth_headers
+from repro.client import VerifasClient, auth_headers
 from repro.core.options import VerifierOptions
 from repro.core.stats import SearchStatistics
 from repro.has.conditions import Const, Eq, Neq, NULL, Var
 from repro.ltl import LTLFOProperty, parse_ltl
 from repro.server import VerificationServer
+from repro.server.handlers import ApiHandler
 from repro.spec import dump_property, dump_system
 
 OPTIONS = {"timeout_seconds": 30}
@@ -222,6 +223,49 @@ class TestApi:
         finally:
             connection.close()
         assert statistics.median(seconds) < 0.020, seconds
+
+    def test_one_client_thread_holds_one_connection_for_a_whole_job(
+        self, server, tiny_system
+    ):
+        """Submit, long-poll the events to the terminal one and read the
+        view: the sync client sends all of it over one connection, so the
+        server starts one handler thread (with one SQLite connection)."""
+        before = server.metrics.counter("connections")
+        with VerifasClient(server.url, push_events=True) as client:
+            (handle,) = client.submit_payload(_payload(tiny_system, _properties()[:1]))
+            kinds = [event["kind"] for event in client.iter_events(handle.id)]
+            view = client.job(handle.id)
+        assert kinds[-1] == "done" and view["status"] == "done"
+        assert server.metrics.counter("connections") - before == 1
+        # Shown beside `requests` in both renderings of /v1/metrics.
+        _, metrics = _request(f"{server.url}/v1/metrics")
+        assert metrics["counters"]["connections"] == before + 2  # ours and this GET's
+        with VerifasClient(server.url) as client:
+            assert "repro_connections_total" in client.metrics_prometheus()
+
+    def test_idle_keep_alive_connections_are_closed(self, server, tiny_system, monkeypatch):
+        """An idle connection releases its handler thread after
+        ``ApiHandler.timeout``; the client notices the close and sends its
+        next GET and POST on fresh connections, the POST exactly once."""
+        monkeypatch.setattr(ApiHandler, "timeout", 0.2)
+        with VerifasClient(server.url) as client:
+            before = server.metrics.counter("connections")
+            client.healthz()
+            time.sleep(0.6)
+            assert client.healthz()["status"] == "ok"
+            # The closed socket is noticed before the POST, not by a failed send.
+            connection = client._connections.mine()
+            stale = connection.sock
+            sent_on = []
+            send = connection.send
+            monkeypatch.setattr(
+                connection, "send", lambda data: (sent_on.append(connection.sock), send(data))
+            )
+            time.sleep(0.6)
+            client.submit_payload(_payload(tiny_system, _properties()[:1]))
+        assert sent_on and stale not in sent_on
+        assert server.metrics.counter("connections") - before == 3
+        assert sum(server.store.counts().values()) == 1
 
     def test_cache_metrics_count_fresh_and_repeat_jobs(self, server, tiny_system):
         """cache.hits counts jobs completed from a stored verdict, cache.misses

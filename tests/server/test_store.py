@@ -461,8 +461,8 @@ class TestConcurrencyLayer:
             memory.close()
 
     def test_dead_threads_connections_are_pruned(self, store):
-        """One connection per request thread must not leak: the HTTP server
-        spawns a thread per request, and each dead thread's connection is
+        """One connection per handler thread must not leak: the HTTP server
+        spawns a thread per connection, and each dead thread's connection is
         closed when a later thread connects."""
         def touch():
             store.counts()

@@ -1,7 +1,8 @@
 """Rules of tools/lint_invariants.py: RC001 (no sys.setrecursionlimit in
 src/repro), AB001 (no ablation switches on the public surfaces), WK001
-(only the worker pipeline builds verifiers in the server) and OR001 (the
-symbolic search and the explicit-state checkers do not import each other)."""
+(only the worker pipeline builds verifiers in the server), OR001 (the
+symbolic search and the explicit-state checkers do not import each other)
+and HC001 (no urllib.request transport in src/repro)."""
 
 import ast
 import importlib.util
@@ -232,3 +233,45 @@ def test_boundary_rule_covers_core_and_the_explicit_checkers(lint):
 def test_search_and_reference_are_apart_with_no_baseline_entry(lint):
     assert [v.render() for v in lint.collect_violations() if v.rule == "OR001"] == []
     assert not [entry for entry in lint._load_baseline() if "::OR001::" in entry]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import urllib.request\n",
+        "import urllib.request as fetch\n",
+        "from urllib import request\n",
+        "from urllib.request import Request, urlopen\n",
+        "import urllib.parse\ndef get(url):\n    return urllib.request.urlopen(url)\n",
+    ],
+)
+def test_urllib_request_transport_is_flagged(lint, source):
+    assert [rule for rule, _ in _rules_hit(lint, source, rules=("HC001",))] == ["HC001"]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from urllib.parse import quote, urlsplit\n",
+        "import urllib.parse\nquery = urllib.parse.urlencode({})\n",
+        "from urllib import parse\n",
+        "from http.client import HTTPConnection\n",
+    ],
+)
+def test_url_parsing_and_http_client_are_allowed(lint, source):
+    assert _rules_hit(lint, source, rules=("HC001",)) == []
+
+
+def test_transport_rule_covers_the_whole_package(lint):
+    guarded = {
+        os.path.relpath(path, lint.REPO_ROOT).replace(os.sep, "/")
+        for path, rules in lint._python_files()
+        if "HC001" in rules
+    }
+    assert "src/repro/client/http.py" in guarded and "src/repro/cli.py" in guarded
+    assert all(path.startswith("src/repro/") for path in guarded)
+
+
+def test_package_has_one_transport_and_no_baseline_entry(lint):
+    assert [v.render() for v in lint.collect_violations() if v.rule == "HC001"] == []
+    assert not [entry for entry in lint._load_baseline() if "::HC001::" in entry]

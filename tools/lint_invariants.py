@@ -79,6 +79,16 @@ those modules import nothing from ``repro.core``.  Plain and ``from``
 imports count, relative ones resolved against the importing file.  The rule
 has no baseline entries.
 
+**HC001 -- one HTTP transport per client** (``src/repro``).  The sync
+client keeps one HTTP/1.1 connection per calling thread over
+``http.client``, so a job's requests reuse one server handler thread and
+its SQLite connection.  ``urllib.request`` sends every request with
+``Connection: close``; an import of it (``import urllib.request``,
+``from urllib import request``, ``from urllib.request import ...``) or a
+``urllib.request`` reference anywhere in the package is that per-request
+connection growing back as a second transport.  The rule has no baseline
+entries.
+
 Violations are identified as ``<relpath>::<rule>::<enclosing function>``
 and checked against ``tools/lint_invariants_baseline.txt``: existing,
 reviewed call sites are grandfathered; anything new fails the build.
@@ -117,6 +127,7 @@ SCANNED_TREES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     (os.path.join("src", "repro", "has", "runs.py"), ("OR001",)),
     (os.path.join("src", "repro", "has", "instance.py"), ("OR001",)),
     (os.path.join("src", "repro", "baseline"), ("OR001",)),
+    (os.path.join("src", "repro"), ("HC001",)),
 )
 BASELINE_PATH = os.path.join(REPO_ROOT, "tools", "lint_invariants_baseline.txt")
 
@@ -126,6 +137,8 @@ WRITE_HELPER_NAMES = ("_write", "write_transaction")
 #: ``time.sleep`` catches ``from time import sleep``.
 IO_MODULES = ("socket", "ssl", "asyncio", "urllib.request", "http.client", "time.sleep")
 CONNECTION_PARAMS = ("conn", "connection")
+#: The per-request-connection transport HC001 keeps out of the package.
+CLOSING_TRANSPORT = "urllib.request"
 #: The harness-only configuration AB001 keeps off the public surfaces.
 ABLATION_NAME = "Ablation"
 #: What WK001 lets only the worker pipeline construct, and where that lives.
@@ -258,11 +271,13 @@ class _InvariantVisitor(ast.NodeVisitor):
         for alias in node.names:
             self._check_io_import([alias.name], node.lineno)
             self._check_boundary_import([alias.name], node.lineno)
+            self._check_transport([alias.name], node.lineno)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if node.module and not node.level:
             names = [f"{node.module}.{alias.name}" for alias in node.names]
             self._check_io_import([node.module] + names, node.lineno)
+            self._check_transport([node.module] + names, node.lineno)
             if "sys.setrecursionlimit" in names:
                 self._record_recursion_limit(node.lineno)
         module = self._absolute_module(node)
@@ -281,6 +296,8 @@ class _InvariantVisitor(ast.NodeVisitor):
             self._record_recursion_limit(node.lineno)
         if node.attr == ABLATION_NAME:
             self._record_ablation(node.lineno)
+        if isinstance(node.value, ast.Name):
+            self._check_transport([f"{node.value.id}.{node.attr}"], node.lineno)
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -341,6 +358,16 @@ class _InvariantVisitor(ast.NodeVisitor):
                 lineno,
                 f"import of {module}: the client protocol core does no I/O "
                 "-- sending and sleeping belong to the transports",
+            )
+
+    def _check_transport(self, modules: List[str], lineno: int) -> None:
+        """Record one HC001 when any of *modules* is ``urllib.request``."""
+        if "HC001" in self.rules and _first_within(modules, (CLOSING_TRANSPORT,)):
+            self._record(
+                "HC001",
+                lineno,
+                f"{CLOSING_TRANSPORT} closes its connection after every request: "
+                "send HTTP over the keep-alive http.client transport",
             )
 
     def _absolute_module(self, node: ast.ImportFrom) -> str:
