@@ -50,12 +50,7 @@ import uuid
 from http.server import ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple, Union
 
-from repro.analysis import (
-    SpecRejectedError,
-    analyze_property,
-    analyze_system,
-    sort_diagnostics,
-)
+from repro.analysis import SpecRejectedError, analyze_property, sort_diagnostics
 from repro.core.options import VerifierOptions
 from repro.events import (
     CacheServed,
@@ -79,6 +74,7 @@ from repro.obs import Span, Tracer, build_tree, new_trace_id
 from repro.server.handlers import ApiHandler
 from repro.server.metrics import ServerMetrics
 from repro.server.recovery import RecoveryReport, recover
+from repro.server.spec_memo import SpecMemo
 from repro.server.store import (
     JOB_STATUSES,
     TERMINAL_STATUSES,
@@ -93,13 +89,7 @@ from repro.server.workers import (
     probe_process_support,
 )
 from repro.service.jobs import VerificationJob
-from repro.spec.codec import (
-    SCHEMA_VERSION,
-    dump_property,
-    dump_system,
-    load_property,
-    load_system,
-)
+from repro.spec.codec import SCHEMA_VERSION, dump_property, load_property
 from repro.spec.errors import SpecError, SpecVersionError
 from repro.tenancy import (
     DEFAULT_TEST_API_KEY,
@@ -259,6 +249,9 @@ class VerificationServer:
         self.push_fallback_interval = max(0.05, push_fallback_interval)
         self.store = JobStore(store_path)
         self.metrics = ServerMetrics(server_id=server_id)
+        #: Submitted systems, parsed and linted once per distinct system
+        #: (see :mod:`repro.server.spec_memo`).
+        self.spec_memo = SpecMemo(self.metrics)
         if auth_enabled is None:
             auth_enabled = os.environ.get("REPRO_TEST_AUTH", "").strip() == "1"
         #: Whether the multi-tenant front door is on (see
@@ -566,6 +559,9 @@ class VerificationServer:
         finishes) and ``deadline_ms`` (bound the search's wall-clock run
         time).  Inputs are canonicalised through the spec codecs, so
         fingerprints match jobs built anywhere else (CLI, Python API).
+        The system-side parse, rendering and lint come from
+        :attr:`spec_memo`, so a resubmitted system skips them; the
+        property-side checks run on every POST.
 
         ``trace_id``/``parent_span`` put the accepted jobs into a
         distributed trace (the HTTP handler passes the ``http.submit``
@@ -591,8 +587,7 @@ class VerificationServer:
         system_data = payload.get("system")
         if system_data is None:
             raise SpecError("job payload has no 'system' section")
-        system = load_system(system_data)
-        system_dict = dump_system(system)
+        checked = self.spec_memo.check(system_data)
 
         if "property" in payload and "properties" in payload:
             raise SpecError("job payload has both 'property' and 'properties'")
@@ -612,13 +607,14 @@ class VerificationServer:
         # claim a worker.  Warning-severity diagnostics ride along on the
         # accepted job rows (system-wide ones on every job, property ones on
         # the job verifying that property) and surface in the job view.
-        system_diagnostics, _ = analyze_system(system)
+        # The system-side diagnostics are memoised with the system; each
+        # POST lints its own properties.
         property_diagnostics = [
-            analyze_property(system, p) for p in loaded_properties
+            analyze_property(checked.system, p) for p in loaded_properties
         ]
         errors = [
             d
-            for diagnostics in [system_diagnostics] + property_diagnostics
+            for diagnostics in [checked.diagnostics] + property_diagnostics
             for d in diagnostics
             if d.is_error
         ]
@@ -627,7 +623,7 @@ class VerificationServer:
             for code in sorted({d.code for d in errors}):
                 self.metrics.increment(f"specs_rejected_{code.lower()}")
             raise SpecRejectedError(errors)
-        system_warnings = [d for d in system_diagnostics if not d.is_error]
+        system_warnings = [d for d in checked.diagnostics if not d.is_error]
         job_warnings = [
             [
                 d.as_dict()
@@ -678,10 +674,11 @@ class VerificationServer:
 
         jobs = [
             VerificationJob(
-                system_dict=system_dict,
+                system_dict=checked.system_dict,
                 property_dict=dump_property(loaded_property),
                 options_dict=options_dict,
                 label=label,
+                _system_json=checked.system_json,
             )
             for loaded_property in loaded_properties
         ]
@@ -977,7 +974,9 @@ class VerificationServer:
     def metrics_view(self) -> Dict[str, Any]:
         """The ``GET /v1/metrics`` body.  ``cache.hits`` counts the jobs this
         server completed from a stored verdict, ``cache.misses`` the jobs it
-        queued for a search (a twin counts in both)."""
+        queued for a search (a twin counts in both).  ``spec_memo.hits``
+        counts submissions whose system skipped the parse and lint,
+        ``spec_memo.misses`` those that ran them."""
         hits = self.metrics.counter("cache_hits")
         misses = self.metrics.counter("cache_misses")
         counts = self.store.counts()
@@ -993,6 +992,11 @@ class VerificationServer:
                 "misses": misses,
                 "hit_rate": hits / (hits + misses) if hits + misses else None,
                 "results": self.store.result_count(),
+            },
+            "spec_memo": {
+                "hits": self.metrics.counter("spec_memo_hits"),
+                "misses": self.metrics.counter("spec_memo_misses"),
+                "entries": len(self.spec_memo),
             },
             "recovery": self.recovery.as_dict(),
             "workers": self.workers_view(),

@@ -160,6 +160,10 @@ class ServerMetrics:
             # Submissions rejected by the static analysis gate (HTTP 422);
             # per-code shadows appear as specs_rejected_va1xx on first use.
             "specs_rejected": 0,
+            # Submissions whose system came from the checked-system memo
+            # (parse and lint skipped) and those that ran them.
+            "spec_memo_hits": 0,
+            "spec_memo_misses": 0,
         }
         #: Per-tenant shadows of the counters above, keyed by tenant id --
         #: populated only for tenant-attributed events/rejections, so an

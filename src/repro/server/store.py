@@ -691,7 +691,9 @@ class JobStore:
 
         The job is ``queued``, or ``done`` as a cache hit when its
         fingerprint has a stored verdict (``started_at = finished_at =
-        submitted_at``; see the module docstring).
+        submitted_at``; see the module docstring).  The row's
+        ``system_json`` is :attr:`VerificationJob.system_json`, the canonical
+        text the fingerprint hashes.
 
         ``ttl_seconds`` schedules the job row (and, transitively, any result
         no other job references) for deletion that long after it reaches a
@@ -755,7 +757,7 @@ class JobStore:
                             tenant_id,
                             int(priority),
                             json.dumps(warnings) if warnings else None,
-                            json.dumps(job.system_dict),
+                            job.system_json,
                             json.dumps(job.property_dict),
                             json.dumps(job.options_dict),
                         ),

@@ -20,7 +20,7 @@ from repro.core.verifier import VerificationResult
 from repro.has.artifact_system import ArtifactSystem
 from repro.ltl.ltlfo import LTLFOProperty
 from repro.spec.codec import dump_property, dump_system, load_property, load_system
-from repro.spec.fingerprint import job_fingerprint
+from repro.spec.fingerprint import canonical_json, job_fingerprint
 
 
 @dataclass
@@ -32,6 +32,10 @@ class VerificationJob:
     options_dict: Dict[str, Any]
     label: Optional[str] = None
     _fingerprint: Optional[str] = field(default=None, repr=False, compare=False)
+    #: Canonical text of ``system_dict`` (see :attr:`system_json`).  A
+    #: builder holding it already passes it in, so jobs of one system
+    #: render it once.
+    _system_json: Optional[str] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_objects(
@@ -54,9 +58,18 @@ class VerificationJob:
         """Content hash of the job: identical inputs -> identical fingerprint."""
         if self._fingerprint is None:
             self._fingerprint = job_fingerprint(
-                self.system_dict, self.property_dict, self.options_dict
+                self.system_json, self.property_dict, self.options_dict
             )
         return self._fingerprint
+
+    @property
+    def system_json(self) -> str:
+        """The :func:`~repro.spec.fingerprint.canonical_json` text of the
+        system: hashed into the fingerprint and stored as the job row's
+        ``system_json``."""
+        if self._system_json is None:
+            self._system_json = canonical_json(self.system_dict)
+        return self._system_json
 
     @property
     def system_name(self) -> str:
@@ -104,6 +117,7 @@ def jobs_from_bundle(
 
     assert isinstance(bundle, SpecBundle)
     system_dict = dump_system(bundle.system)
+    system_json = canonical_json(system_dict)
     options_dict = (options or VerifierOptions()).as_dict()
     selected = list(bundle.properties)
     if property_names is not None:
@@ -113,6 +127,7 @@ def jobs_from_bundle(
             system_dict=system_dict,
             property_dict=dump_property(ltl_property),
             options_dict=options_dict,
+            _system_json=system_json,
         )
         for ltl_property in selected
     ]

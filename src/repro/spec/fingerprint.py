@@ -26,11 +26,21 @@ def fingerprint(data: Any) -> str:
 
 
 def job_fingerprint(
-    system_dict: Mapping[str, Any],
+    system_json: str,
     property_dict: Mapping[str, Any],
     options_dict: Mapping[str, Any],
 ) -> str:
-    """The cache key of one (system, property, options) verification job."""
-    return fingerprint(
-        {"system": system_dict, "property": property_dict, "options": options_dict}
+    """The cache key of one (system, property, options) verification job.
+
+    *system_json* is the system's :func:`canonical_json` text, which a
+    caller verifying several properties of one system renders once.  The
+    result equals ``fingerprint({"system": ..., "property": ...,
+    "options": ...})``: the keys are spliced in sorted order around
+    canonical renderings, exactly as the whole dict would be rendered.
+    """
+    text = (
+        '{"options":' + canonical_json(options_dict)
+        + ',"property":' + canonical_json(property_dict)
+        + ',"system":' + system_json + "}"
     )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

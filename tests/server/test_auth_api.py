@@ -128,35 +128,35 @@ class TestAuthentication:
 
 class TestTenantIsolation:
     def test_cross_tenant_access_is_404(self, auth_server, tenants, tiny_system):
-        alice = VerifasClient(auth_server.url, api_key=tenants["alice"],
-                              poll_initial=0.02, poll_max=0.2)
-        job_id = alice.submit_payload(_payload(tiny_system))[0].id
-        base = auth_server.url
-        for method, path in [
-            ("GET", f"/v1/jobs/{job_id}"),
-            ("GET", f"/v1/jobs/{job_id}/events"),
-            ("GET", f"/v1/jobs/{job_id}/trace"),
-            ("DELETE", f"/v1/jobs/{job_id}"),
-        ]:
-            status, _, _ = _raw(base + path, method, api_key=tenants["bob"])
-            assert status == 404, f"bob's {method} {path} answered {status}"
-        # The owner still sees everything.
-        assert alice.job(job_id)["id"] == job_id
-        assert alice.wait(job_id, deadline_seconds=60)["status"] == "done"
+        with VerifasClient(auth_server.url, api_key=tenants["alice"],
+                           poll_initial=0.02, poll_max=0.2) as alice:
+            job_id = alice.submit_payload(_payload(tiny_system))[0].id
+            base = auth_server.url
+            for method, path in [
+                ("GET", f"/v1/jobs/{job_id}"),
+                ("GET", f"/v1/jobs/{job_id}/events"),
+                ("GET", f"/v1/jobs/{job_id}/trace"),
+                ("DELETE", f"/v1/jobs/{job_id}"),
+            ]:
+                status, _, _ = _raw(base + path, method, api_key=tenants["bob"])
+                assert status == 404, f"bob's {method} {path} answered {status}"
+            # The owner still sees everything.
+            assert alice.job(job_id)["id"] == job_id
+            assert alice.wait(job_id, deadline_seconds=60)["status"] == "done"
 
     def test_listing_is_scoped_to_the_caller(self, auth_server, tenants, tiny_system):
-        alice = VerifasClient(auth_server.url, api_key=tenants["alice"],
-                              poll_initial=0.02, poll_max=0.2)
-        bob = VerifasClient(auth_server.url, api_key=tenants["bob"],
-                            poll_initial=0.02, poll_max=0.2)
-        alice_id = alice.submit_payload(_payload(tiny_system, 1))[0].id
-        bob_id = bob.submit_payload(_payload(tiny_system, 2))[0].id
-        alice_view = alice.jobs()
-        assert [j["id"] for j in alice_view["jobs"]] == [alice_id]
-        assert sum(alice_view["counts"].values()) == 1
-        # Batch-status ids filter: bob's ids silently drop out for alice.
-        views = alice.job_views([alice_id, bob_id])
-        assert set(views) == {alice_id}
+        with VerifasClient(auth_server.url, api_key=tenants["alice"],
+                           poll_initial=0.02, poll_max=0.2) as alice:
+            with VerifasClient(auth_server.url, api_key=tenants["bob"],
+                               poll_initial=0.02, poll_max=0.2) as bob:
+                alice_id = alice.submit_payload(_payload(tiny_system, 1))[0].id
+                bob_id = bob.submit_payload(_payload(tiny_system, 2))[0].id
+                alice_view = alice.jobs()
+                assert [j["id"] for j in alice_view["jobs"]] == [alice_id]
+                assert sum(alice_view["counts"].values()) == 1
+                # Batch-status ids filter: bob's ids silently drop out for alice.
+                views = alice.job_views([alice_id, bob_id])
+                assert set(views) == {alice_id}
 
     def test_isolation_holds_across_two_servers_sharing_a_store(
         self, tmp_path, tenants, auth_server, tiny_system
@@ -170,26 +170,26 @@ class TestTenantIsolation:
         )
         second.start()
         try:
-            alice_one = VerifasClient(auth_server.url, api_key=tenants["alice"],
-                                      poll_initial=0.02, poll_max=0.2)
-            job_id = alice_one.submit_payload(_payload(tiny_system, 3))[0].id
-            # Same key, other server: authenticated and scoped.
-            status, _, body = _raw(second.url + "/v1/jobs",
-                                   api_key=tenants["alice"])
-            assert status == 200
-            assert job_id in [j["id"] for j in body["jobs"]]
-            status, _, _ = _raw(second.url + f"/v1/jobs/{job_id}",
-                                api_key=tenants["bob"])
-            assert status == 404
-            status, _, _ = _raw(second.url + f"/v1/jobs/{job_id}",
-                                api_key=tenants["alice"])
-            assert status == 200
-            # Revocation on server one reaches server two after its TTL.
-            auth_server.tenants.revoke("alice")
-            time.sleep(0.1)
-            status, _, _ = _raw(second.url + "/v1/jobs",
-                                api_key=tenants["alice"])
-            assert status == 403
+            with VerifasClient(auth_server.url, api_key=tenants["alice"],
+                               poll_initial=0.02, poll_max=0.2) as alice_one:
+                job_id = alice_one.submit_payload(_payload(tiny_system, 3))[0].id
+                # Same key, other server: authenticated and scoped.
+                status, _, body = _raw(second.url + "/v1/jobs",
+                                       api_key=tenants["alice"])
+                assert status == 200
+                assert job_id in [j["id"] for j in body["jobs"]]
+                status, _, _ = _raw(second.url + f"/v1/jobs/{job_id}",
+                                    api_key=tenants["bob"])
+                assert status == 404
+                status, _, _ = _raw(second.url + f"/v1/jobs/{job_id}",
+                                    api_key=tenants["alice"])
+                assert status == 200
+                # Revocation on server one reaches server two after its TTL.
+                auth_server.tenants.revoke("alice")
+                time.sleep(0.1)
+                status, _, _ = _raw(second.url + "/v1/jobs",
+                                    api_key=tenants["alice"])
+                assert status == 403
         finally:
             second.stop()
 
@@ -251,26 +251,26 @@ class TestRateLimitAndQuota:
 
     def test_sync_client_honours_retry_after(self, auth_server, tiny_system):
         _, key = auth_server.tenants.create("patient", rate_limit=5.0, burst=1.0)
-        client = VerifasClient(auth_server.url, api_key=key,
-                               poll_initial=0.02, poll_max=0.2)
-        started = time.monotonic()
-        ids = [client.submit_payload(_payload(tiny_system, 30 + i))[0].id
-               for i in range(3)]
-        elapsed = time.monotonic() - started
-        assert len(ids) == 3
-        assert elapsed >= 0.3  # two 429 retries at 5/s were actually waited out
-        views = client.wait_all(ids, deadline_seconds=60)
-        assert all(v["status"] == "done" for v in views.values())
+        with VerifasClient(auth_server.url, api_key=key,
+                           poll_initial=0.02, poll_max=0.2) as client:
+            started = time.monotonic()
+            ids = [client.submit_payload(_payload(tiny_system, 30 + i))[0].id
+                   for i in range(3)]
+            elapsed = time.monotonic() - started
+            assert len(ids) == 3
+            assert elapsed >= 0.3  # two 429 retries at 5/s were actually waited out
+            views = client.wait_all(ids, deadline_seconds=60)
+            assert all(v["status"] == "done" for v in views.values())
 
     def test_sync_client_surfaces_429_when_not_retrying(self, auth_server, tiny_system):
         _, key = auth_server.tenants.create("impatient", rate_limit=0.5, burst=1.0)
-        client = VerifasClient(auth_server.url, api_key=key, retry_throttled=False)
-        client.submit_payload(_payload(tiny_system, 40))
-        with pytest.raises(ClientError) as excinfo:
-            client.submit_payload(_payload(tiny_system, 41))
-        assert excinfo.value.status == 429
-        assert excinfo.value.retry_after and excinfo.value.retry_after > 0
-        assert excinfo.value.body["reason"] == "rate_limit"
+        with VerifasClient(auth_server.url, api_key=key, retry_throttled=False) as client:
+            client.submit_payload(_payload(tiny_system, 40))
+            with pytest.raises(ClientError) as excinfo:
+                client.submit_payload(_payload(tiny_system, 41))
+            assert excinfo.value.status == 429
+            assert excinfo.value.retry_after and excinfo.value.retry_after > 0
+            assert excinfo.value.body["reason"] == "rate_limit"
 
     def test_async_client_auth_and_retry(self, auth_server, tiny_system):
         import asyncio
@@ -295,44 +295,44 @@ class TestRateLimitAndQuota:
 
 class TestPerTenantMetrics:
     def test_metrics_view_has_tenant_section(self, auth_server, tenants, tiny_system):
-        alice = VerifasClient(auth_server.url, api_key=tenants["alice"],
-                              poll_initial=0.02, poll_max=0.2)
-        job_id = alice.submit_payload(_payload(tiny_system, 60))[0].id
-        alice.wait(job_id, deadline_seconds=60)
-        view = auth_server.metrics_view()
-        assert view["auth_enabled"] is True
-        tenant_view = view["tenants"]["alice"]
-        assert tenant_view["name"] == "alice"
-        assert tenant_view["jobs"]["done"] >= 1
-        status, _, body = _raw(auth_server.url + "/v1/metrics")
-        assert status == 200 and "alice" in body.get("tenants", {})
+        with VerifasClient(auth_server.url, api_key=tenants["alice"],
+                           poll_initial=0.02, poll_max=0.2) as alice:
+            job_id = alice.submit_payload(_payload(tiny_system, 60))[0].id
+            alice.wait(job_id, deadline_seconds=60)
+            view = auth_server.metrics_view()
+            assert view["auth_enabled"] is True
+            tenant_view = view["tenants"]["alice"]
+            assert tenant_view["name"] == "alice"
+            assert tenant_view["jobs"]["done"] >= 1
+            status, _, body = _raw(auth_server.url + "/v1/metrics")
+            assert status == 200 and "alice" in body.get("tenants", {})
 
     def test_worker_events_count_toward_the_job_tenant(
         self, auth_server, tenants, tiny_system
     ):
         """Verification starts and failures land in the tenant's counters."""
-        alice = VerifasClient(auth_server.url, api_key=tenants["alice"],
-                              poll_initial=0.02, poll_max=0.2)
-        job_id = alice.submit_payload(_payload(tiny_system, 70))[0].id
-        assert alice.wait(job_id, deadline_seconds=60)["status"] == "done"
-        # A formula that only fails to parse in the runner: stored directly,
-        # past the submit-time spec gate.
-        payload = _payload(tiny_system, 71)
-        failing = auth_server.store.submit(
-            VerificationJob(
-                system_dict=payload["system"],
-                property_dict={**payload["properties"][0], "formula": "G ("},
-                options_dict=payload["options"],
-            ),
-            tenant_id="alice",
-        )
-        auth_server._wakeup.set()
-        view = alice.wait(failing.id, deadline_seconds=60, raise_on_error=False)
-        assert view["status"] == "error"
-        counters = auth_server.metrics_view()["tenants"]["alice"]["counters"]
-        assert counters["verifications_run"] == 2
-        assert counters["jobs_completed"] == 1
-        assert counters["jobs_failed"] == 1
+        with VerifasClient(auth_server.url, api_key=tenants["alice"],
+                           poll_initial=0.02, poll_max=0.2) as alice:
+            job_id = alice.submit_payload(_payload(tiny_system, 70))[0].id
+            assert alice.wait(job_id, deadline_seconds=60)["status"] == "done"
+            # A formula that only fails to parse in the runner: stored directly,
+            # past the submit-time spec gate.
+            payload = _payload(tiny_system, 71)
+            failing = auth_server.store.submit(
+                VerificationJob(
+                    system_dict=payload["system"],
+                    property_dict={**payload["properties"][0], "formula": "G ("},
+                    options_dict=payload["options"],
+                ),
+                tenant_id="alice",
+            )
+            auth_server._wakeup.set()
+            view = alice.wait(failing.id, deadline_seconds=60, raise_on_error=False)
+            assert view["status"] == "error"
+            counters = auth_server.metrics_view()["tenants"]["alice"]["counters"]
+            assert counters["verifications_run"] == 2
+            assert counters["jobs_completed"] == 1
+            assert counters["jobs_failed"] == 1
 
 
 class TestTestAuthBootstrap:
@@ -348,9 +348,9 @@ class TestTestAuthBootstrap:
                                 api_key=DEFAULT_TEST_API_KEY)
             assert status == 200
             # The default-constructed client picks the key up from the env.
-            client = VerifasClient(server.url)
-            assert client.api_key == DEFAULT_TEST_API_KEY
-            assert "counts" in client.jobs()
+            with VerifasClient(server.url) as client:
+                assert client.api_key == DEFAULT_TEST_API_KEY
+                assert "counts" in client.jobs()
         finally:
             server.stop()
 

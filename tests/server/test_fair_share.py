@@ -211,61 +211,61 @@ class TestFairShareE2E:
         from repro.has.conditions import Const, Eq, Var
         from repro.ltl import LTLFOProperty, parse_ltl
 
-        blocking = VerifasClient(server.url, api_key=blocker_key,
-                                 poll_initial=0.02, poll_max=0.2)
-        prop = LTLFOProperty(
-            "Main", parse_ltl("G p"),
-            {"p": Eq(Var("v0"), Const("c0"))}, name="blocker",
-        )
-        # Occupy the single worker so the whole backlog queues up before any
-        # fair-share claim happens -- the claim order is then deterministic.
-        blocker = blocking.submit(
-            dump_system(exploding_system), [dump_property(prop)],
-            options={"timeout_seconds": 120},
-        )[0]
-        deadline = time.monotonic() + 30
-        while blocking.job(blocker.id)["status"] != "running":
-            assert time.monotonic() < deadline, "blocker never started"
-            time.sleep(0.05)
+        with VerifasClient(server.url, api_key=blocker_key,
+                           poll_initial=0.02, poll_max=0.2) as blocking:
+            prop = LTLFOProperty(
+                "Main", parse_ltl("G p"),
+                {"p": Eq(Var("v0"), Const("c0"))}, name="blocker",
+            )
+            # Occupy the single worker so the whole backlog queues up before any
+            # fair-share claim happens -- the claim order is then deterministic.
+            blocker = blocking.submit(
+                dump_system(exploding_system), [dump_property(prop)],
+                options={"timeout_seconds": 120},
+            )[0]
+            deadline = time.monotonic() + 30
+            while blocking.job(blocker.id)["status"] != "running":
+                assert time.monotonic() < deadline, "blocker never started"
+                time.sleep(0.05)
 
-        submitted = {}
-        start = 0
-        for name in ("a", "b", "c"):
-            client = VerifasClient(server.url, api_key=keys[name],
-                                   poll_initial=0.02, poll_max=0.2)
-            handles = []
-            for job in _distinct_jobs(tiny_system, 7, start=start):
-                handles.extend(client.submit_payload({
-                    "schema_version": 1,
-                    "system": job.system_dict,
-                    "properties": [job.property_dict],
-                    "options": asdict(job.options()),
-                }))
-                start += 1
-            submitted[name] = [h.id for h in handles]
-        blocking.cancel(blocker.id)
+            submitted = {}
+            start = 0
+            for name in ("a", "b", "c"):
+                with VerifasClient(server.url, api_key=keys[name],
+                                   poll_initial=0.02, poll_max=0.2) as client:
+                    handles = []
+                    for job in _distinct_jobs(tiny_system, 7, start=start):
+                        handles.extend(client.submit_payload({
+                            "schema_version": 1,
+                            "system": job.system_dict,
+                            "properties": [job.property_dict],
+                            "options": asdict(job.options()),
+                        }))
+                        start += 1
+                    submitted[name] = [h.id for h in handles]
+            blocking.cancel(blocker.id)
 
-        all_ids = [job_id for ids in submitted.values() for job_id in ids]
-        views = {}
-        for name in ("a", "b", "c"):
-            client = VerifasClient(server.url, api_key=keys[name],
-                                   poll_initial=0.02, poll_max=0.2)
-            views.update(client.wait_all(submitted[name], deadline_seconds=120))
-        assert len(views) == len(all_ids) == 21
-        assert all(v["status"] == "done" for v in views.values())
+            all_ids = [job_id for ids in submitted.values() for job_id in ids]
+            views = {}
+            for name in ("a", "b", "c"):
+                with VerifasClient(server.url, api_key=keys[name],
+                                   poll_initial=0.02, poll_max=0.2) as client:
+                    views.update(client.wait_all(submitted[name], deadline_seconds=120))
+            assert len(views) == len(all_ids) == 21
+            assert all(v["status"] == "done" for v in views.values())
 
-        # Reconstruct the claim order from the store's started_at stamps:
-        # one worker claims strictly sequentially.
-        jobs = server.store.get_jobs(all_ids)
-        order = [
-            j.tenant_id for j in sorted(jobs, key=lambda j: j.started_at)
-        ]
-        first = order[:7]
-        counts = {t: first.count(t) for t in ("a", "b", "c")}
-        # The exact stride window: weights 1/2/4 over the first 7 claims.
-        assert counts == {"a": 1, "b": 2, "c": 4}
-        # Starvation regression: the weight-1 tenant is served in-window.
-        assert "a" in first
+            # Reconstruct the claim order from the store's started_at stamps:
+            # one worker claims strictly sequentially.
+            jobs = server.store.get_jobs(all_ids)
+            order = [
+                j.tenant_id for j in sorted(jobs, key=lambda j: j.started_at)
+            ]
+            first = order[:7]
+            counts = {t: first.count(t) for t in ("a", "b", "c")}
+            # The exact stride window: weights 1/2/4 over the first 7 claims.
+            assert counts == {"a": 1, "b": 2, "c": 4}
+            # Starvation regression: the weight-1 tenant is served in-window.
+            assert "a" in first
 
     def test_fifo_regression_anonymous_single_tenant(
         self, tmp_path, worker_model, tiny_system
@@ -277,17 +277,17 @@ class TestFairShareE2E:
         )
         server.start()
         try:
-            client = VerifasClient(server.url, poll_initial=0.02, poll_max=0.2)
-            ids = []
-            for job in _distinct_jobs(tiny_system, 3):
-                handle = client.submit_payload({
-                    "schema_version": 1,
-                    "system": job.system_dict,
-                    "properties": [job.property_dict],
-                    "options": asdict(job.options()),
-                })[0]
-                ids.append(handle.id)
-            claimed = [server.store.claim_next().id for _ in range(3)]
-            assert claimed == ids
+            with VerifasClient(server.url, poll_initial=0.02, poll_max=0.2) as client:
+                ids = []
+                for job in _distinct_jobs(tiny_system, 3):
+                    handle = client.submit_payload({
+                        "schema_version": 1,
+                        "system": job.system_dict,
+                        "properties": [job.property_dict],
+                        "options": asdict(job.options()),
+                    })[0]
+                    ids.append(handle.id)
+                claimed = [server.store.claim_next().id for _ in range(3)]
+                assert claimed == ids
         finally:
             server.stop()

@@ -104,23 +104,23 @@ class TestSharedStoreInProcess:
     ):
         a, b = self._pair(tmp_path, worker_model)
         try:
-            front = VerifasClient(a.url, poll_initial=0.02)
-            handle = front.submit(
-                dump_system(tiny_system), [dump_property(_tiny_property())],
-                options={"timeout_seconds": 60},
-            )[0]
-            # Server a has no workers: only b can have claimed and run it.
-            view = front.wait(handle.id, deadline_seconds=60)
-            assert view["status"] == "done"
-            assert view["result"]["outcome"] == "satisfied"
-            assert b.metrics.counter("jobs_completed") == 1
-            assert a.metrics.counter("jobs_completed") == 0
-            # The whole event stream (claimed on b) is visible through a.
-            kinds = [e["kind"] for e in front.events(handle.id)["events"]]
-            assert kinds and kinds[-1] == "done"
-            # While running, the claim was attributed to b's workers; the
-            # stored claim prefix proves which server owned it.
-            assert view["claimed_by"] is None  # cleared once terminal
+            with VerifasClient(a.url, poll_initial=0.02) as front:
+                handle = front.submit(
+                    dump_system(tiny_system), [dump_property(_tiny_property())],
+                    options={"timeout_seconds": 60},
+                )[0]
+                # Server a has no workers: only b can have claimed and run it.
+                view = front.wait(handle.id, deadline_seconds=60)
+                assert view["status"] == "done"
+                assert view["result"]["outcome"] == "satisfied"
+                assert b.metrics.counter("jobs_completed") == 1
+                assert a.metrics.counter("jobs_completed") == 0
+                # The whole event stream (claimed on b) is visible through a.
+                kinds = [e["kind"] for e in front.events(handle.id)["events"]]
+                assert kinds and kinds[-1] == "done"
+                # While running, the claim was attributed to b's workers; the
+                # stored claim prefix proves which server owned it.
+                assert view["claimed_by"] is None  # cleared once terminal
         finally:
             b.stop()
             a.stop()
@@ -133,33 +133,33 @@ class TestSharedStoreInProcess:
         (a holds no canceller for the job)."""
         a, b = self._pair(tmp_path, worker_model)
         try:
-            front = VerifasClient(a.url, poll_initial=0.02)
-            handle = front.submit(
-                dump_system(exploding_system),
-                [dump_property(_exploding_property())],
-                options={"max_states": 500_000},
-            )[0]
-            _wait_until(
-                lambda: any(
-                    e["kind"] == "progress"
-                    for e in front.events(handle.id)["events"]
-                ),
-                message="search progress on server b",
-            )
-            claimed_by = front.job(handle.id)["claimed_by"]
-            assert claimed_by is not None and claimed_by.startswith("b:")
+            with VerifasClient(a.url, poll_initial=0.02) as front:
+                handle = front.submit(
+                    dump_system(exploding_system),
+                    [dump_property(_exploding_property())],
+                    options={"max_states": 500_000},
+                )[0]
+                _wait_until(
+                    lambda: any(
+                        e["kind"] == "progress"
+                        for e in front.events(handle.id)["events"]
+                    ),
+                    message="search progress on server b",
+                )
+                claimed_by = front.job(handle.id)["claimed_by"]
+                assert claimed_by is not None and claimed_by.startswith("b:")
 
-            ack = front.cancel(handle.id)
-            assert ack["status"] == "cancelling" and ack["cancelled"] is True
-            view = front.wait(handle.id, deadline_seconds=15)
-            assert view["status"] == "cancelled"
-            result = view["result"]
-            assert result["outcome"] == "unknown"
-            assert result["stats"]["cancelled"] is True
-            assert result["stats"]["states_explored"] > 0
-            # The partial verdict never enters the shared results table.
-            assert a.store.get_result(handle.fingerprint) is None
-            assert b.metrics.counter("jobs_cancelled") == 1
+                ack = front.cancel(handle.id)
+                assert ack["status"] == "cancelling" and ack["cancelled"] is True
+                view = front.wait(handle.id, deadline_seconds=15)
+                assert view["status"] == "cancelled"
+                result = view["result"]
+                assert result["outcome"] == "unknown"
+                assert result["stats"]["cancelled"] is True
+                assert result["stats"]["states_explored"] > 0
+                # The partial verdict never enters the shared results table.
+                assert a.store.get_result(handle.fingerprint) is None
+                assert b.metrics.counter("jobs_cancelled") == 1
         finally:
             b.stop()
             a.stop()
@@ -172,23 +172,23 @@ class TestSharedStoreInProcess:
         a, b = self._pair(tmp_path, worker_model)
         c = None
         try:
-            front = VerifasClient(a.url, poll_initial=0.02)
-            handle = front.submit(
-                dump_system(exploding_system),
-                [dump_property(_exploding_property())],
-                options={"max_states": 500_000},
-            )[0]
-            _wait_until(
-                lambda: front.job(handle.id)["status"] == "running",
-                message="job to start on server b",
-            )
-            c = VerificationServer(
-                store_path=tmp_path / "shared.db", port=0, workers=0, server_id="c",
-            )
-            assert c.recovery.requeued == 0
-            assert front.job(handle.id)["status"] == "running"
-            front.cancel(handle.id)
-            front.wait(handle.id, deadline_seconds=15)
+            with VerifasClient(a.url, poll_initial=0.02) as front:
+                handle = front.submit(
+                    dump_system(exploding_system),
+                    [dump_property(_exploding_property())],
+                    options={"max_states": 500_000},
+                )[0]
+                _wait_until(
+                    lambda: front.job(handle.id)["status"] == "running",
+                    message="job to start on server b",
+                )
+                c = VerificationServer(
+                    store_path=tmp_path / "shared.db", port=0, workers=0, server_id="c",
+                )
+                assert c.recovery.requeued == 0
+                assert front.job(handle.id)["status"] == "running"
+                front.cancel(handle.id)
+                front.wait(handle.id, deadline_seconds=15)
         finally:
             if c is not None:
                 c.store.close()
@@ -203,26 +203,26 @@ class TestSharedStoreInProcess:
         disrupts) a job that is actually running."""
         a, b = self._pair(tmp_path, worker_model, stale_after=2.0)
         try:
-            front = VerifasClient(a.url, poll_initial=0.02)
-            handle = front.submit(
-                dump_system(exploding_system),
-                [dump_property(_exploding_property())],
-                options={"max_states": 500_000},
-            )[0]
-            _wait_until(
-                lambda: front.job(handle.id)["status"] == "running",
-                message="job to start on server b",
-            )
-            first_beat = a.store.get_job(handle.id).heartbeat_at
-            assert first_beat is not None
-            time.sleep(3.0)  # longer than the 2s staleness threshold
-            job = a.store.get_job(handle.id)
-            assert job.status == "running"
-            assert job.heartbeat_at > first_beat  # liveness kept fresh
-            assert a.metrics.counter("stale_jobs_requeued") == 0
-            assert b.metrics.counter("stale_jobs_requeued") == 0
-            front.cancel(handle.id)
-            front.wait(handle.id, deadline_seconds=15)
+            with VerifasClient(a.url, poll_initial=0.02) as front:
+                handle = front.submit(
+                    dump_system(exploding_system),
+                    [dump_property(_exploding_property())],
+                    options={"max_states": 500_000},
+                )[0]
+                _wait_until(
+                    lambda: front.job(handle.id)["status"] == "running",
+                    message="job to start on server b",
+                )
+                first_beat = a.store.get_job(handle.id).heartbeat_at
+                assert first_beat is not None
+                time.sleep(3.0)  # longer than the 2s staleness threshold
+                job = a.store.get_job(handle.id)
+                assert job.status == "running"
+                assert job.heartbeat_at > first_beat  # liveness kept fresh
+                assert a.metrics.counter("stale_jobs_requeued") == 0
+                assert b.metrics.counter("stale_jobs_requeued") == 0
+                front.cancel(handle.id)
+                front.wait(handle.id, deadline_seconds=15)
         finally:
             b.stop()
             a.stop()
@@ -310,23 +310,23 @@ class TestSweeperRobustness:
         monkeypatch.setattr(server.store, "sweep_expired", flaky)
         server.start()
         try:
-            client = VerifasClient(server.url, poll_initial=0.02)
-            handle = client.submit(
-                dump_system(tiny_system), [dump_property(_tiny_property())],
-                options={"timeout_seconds": 60}, ttl_seconds=0.0,
-            )[0]
-            client.wait(handle.id, deadline_seconds=60)
-            _wait_until(lambda: failures["left"] == 0, message="injected failures")
+            with VerifasClient(server.url, poll_initial=0.02) as client:
+                handle = client.submit(
+                    dump_system(tiny_system), [dump_property(_tiny_property())],
+                    options={"timeout_seconds": 60}, ttl_seconds=0.0,
+                )[0]
+                client.wait(handle.id, deadline_seconds=60)
+                _wait_until(lambda: failures["left"] == 0, message="injected failures")
 
-            def swept():
-                try:
-                    client.job(handle.id)
-                    return False
-                except Exception as error:
-                    return getattr(error, "status", None) == 404
+                def swept():
+                    try:
+                        client.job(handle.id)
+                        return False
+                    except Exception as error:
+                        return getattr(error, "status", None) == 404
 
-            # The sweeper absorbed the failures and still expires the job.
-            _wait_until(swept, message="the expired job to be swept")
+                # The sweeper absorbed the failures and still expires the job.
+                _wait_until(swept, message="the expired job to be swept")
         finally:
             server.stop()
 
@@ -403,15 +403,24 @@ class TestTwoServeProcesses:
                 except subprocess.TimeoutExpired:  # pragma: no cover
                     server["process"].kill()
 
+    @pytest.fixture
+    def cluster_clients(self, cluster):
+        """One client per cluster server, by server id, closed afterwards."""
+        clients = {
+            server["id"]: VerifasClient(server["url"], poll_initial=0.02)
+            for server in cluster
+        }
+        yield clients
+        for client in clients.values():
+            client.close()
+
     def test_cross_server_claim_events_and_cancel(
-        self, cluster, tiny_system, exploding_system
+        self, cluster, cluster_clients, tiny_system, exploding_system
     ):
         """Acceptance: submit through one server, observe the claim and the
         event stream through another, and DELETE-cancel a job running on
         whichever server claimed it -- through a server that did NOT."""
-        clients = [
-            VerifasClient(server["url"], poll_initial=0.02) for server in cluster
-        ]
+        clients = list(cluster_clients.values())
         # Visibility: a tiny job submitted on server 0 completes somewhere
         # in the cluster and reads identically from every server.
         handle = clients[0].submit(
@@ -451,15 +460,12 @@ class TestTwoServeProcesses:
         assert view["result"]["stats"]["cancelled"] is True
 
     def test_sigkilled_server_job_is_rescued_by_the_survivor(
-        self, cluster, exploding_system
+        self, cluster, cluster_clients, exploding_system
     ):
         """Acceptance: SIGKILL the server that claimed a job mid-search; a
         surviving server's lease-guarded stale sweep requeues it and the
         job completes on the survivor."""
-        clients = {
-            server["id"]: VerifasClient(server["url"], poll_initial=0.02)
-            for server in cluster
-        }
+        clients = cluster_clients
         probe = next(iter(clients.values()))
         # timeout_seconds bounds the re-run after the rescue, so the test
         # terminates quickly; it is fingerprinted, hence cacheable.

@@ -37,7 +37,8 @@ def server(tmp_path, worker_model):
 
 @pytest.fixture
 def client(server):
-    return VerifasClient(server.url, poll_initial=0.02, poll_max=0.2)
+    with VerifasClient(server.url, poll_initial=0.02, poll_max=0.2) as client:
+        yield client
 
 
 def _raw_get(url: str, headers=None):
@@ -78,7 +79,8 @@ class TestLivenessAndReadiness:
 
     def test_client_reports_unready_as_a_verdict_not_an_error(self, server):
         server.store.ping = lambda *a, **kw: False
-        ready, view = VerifasClient(server.url).readyz()
+        with VerifasClient(server.url) as probe:
+            ready, view = probe.readyz()
         assert ready is False
         assert view["status"] == "unready"
         assert view["checks"]["store"]["ok"] is False
@@ -92,7 +94,8 @@ class TestLivenessAndReadiness:
         )
         server.start()
         try:
-            ready, view = VerifasClient(server.url).readyz()
+            with VerifasClient(server.url) as probe:
+                ready, view = probe.readyz()
             assert ready is True
             assert view["checks"]["workers"]["total"] == 0
         finally:
@@ -108,17 +111,17 @@ class TestWorkerPool:
         )
         server.start()
         try:
-            client = VerifasClient(server.url, poll_initial=0.02, poll_max=0.2)
-            for timeout in (60, 61):  # distinct fingerprints: two real runs
-                handle = client.submit(
-                    dump_system(tiny_system), [dump_property(_property())],
-                    options={"timeout_seconds": timeout},
-                )[0]
-                assert client.wait(handle.id, deadline_seconds=60)["status"] == "done"
-            [gauge] = server.metrics_view()["workers"]["pool"]
-            assert gauge["model"] == server.worker_model
-            assert gauge["jobs_completed"] == 2 and gauge["recycles"] == 1
-            assert server.metrics.counter("worker_recycles") == 1
+            with VerifasClient(server.url, poll_initial=0.02, poll_max=0.2) as client:
+                for timeout in (60, 61):  # distinct fingerprints: two real runs
+                    handle = client.submit(
+                        dump_system(tiny_system), [dump_property(_property())],
+                        options={"timeout_seconds": timeout},
+                    )[0]
+                    assert client.wait(handle.id, deadline_seconds=60)["status"] == "done"
+                [gauge] = server.metrics_view()["workers"]["pool"]
+                assert gauge["model"] == server.worker_model
+                assert gauge["jobs_completed"] == 2 and gauge["recycles"] == 1
+                assert server.metrics.counter("worker_recycles") == 1
         finally:
             server.stop()
 
@@ -177,7 +180,8 @@ class TestPrometheusExposition:
         )
         server.start()
         try:
-            text = VerifasClient(server.url).metrics_prometheus()
+            with VerifasClient(server.url) as scraper:
+                text = scraper.metrics_prometheus()
             assert 'repro_server_info{server_id="scrape-me"} 1' in text
         finally:
             server.stop()

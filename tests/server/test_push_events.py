@@ -64,15 +64,15 @@ def idle_server(tmp_path):
 def _submit_one(server, tiny_system, ttl_seconds=None, name="eventually-picked"):
     """Submit one job; the property *name* is part of its fingerprint, and a
     fingerprint with a stored verdict completes at submit."""
-    client = VerifasClient(server.url)
-    payload = {
-        "system": dump_system(tiny_system),
-        "properties": [dump_property(_property(name))],
-        "options": OPTIONS,
-    }
-    if ttl_seconds is not None:
-        payload["ttl_seconds"] = ttl_seconds
-    return client.submit_payload(payload)[0]
+    with VerifasClient(server.url) as client:
+        payload = {
+            "system": dump_system(tiny_system),
+            "properties": [dump_property(_property(name))],
+            "options": OPTIONS,
+        }
+        if ttl_seconds is not None:
+            payload["ttl_seconds"] = ttl_seconds
+        return client.submit_payload(payload)[0]
 
 
 def _append_events(store, job_id, count, start=0):
@@ -95,11 +95,11 @@ class TestRequestCountBound:
         _append_events(idle_server.store, handle.id, n_events)
         idle_server.store.mark_done(handle.id, {"outcome": "satisfied"})
 
-        client = CountingClient(idle_server.url, push_events=True, wait_ms=2_000)
-        events = list(client.iter_events(handle.id, poll_limit=limit))
-        assert len(events) == n_events
-        assert [e["seq"] for e in events] == list(range(1, n_events + 1))
-        assert client.request_count <= math.ceil(n_events / limit) + 1
+        with CountingClient(idle_server.url, push_events=True, wait_ms=2_000) as client:
+            events = list(client.iter_events(handle.id, poll_limit=limit))
+            assert len(events) == n_events
+            assert [e["seq"] for e in events] == list(range(1, n_events + 1))
+            assert client.request_count <= math.ceil(n_events / limit) + 1
 
     def test_terminal_short_page_needs_no_closing_probe(
         self, idle_server, tiny_system
@@ -110,9 +110,9 @@ class TestRequestCountBound:
         _append_events(idle_server.store, handle.id, 10)
         idle_server.store.mark_done(handle.id, {"outcome": "satisfied"})
 
-        client = CountingClient(idle_server.url, push_events=True, wait_ms=2_000)
-        assert len(list(client.iter_events(handle.id, poll_limit=500))) == 10
-        assert client.request_count == 1
+        with CountingClient(idle_server.url, push_events=True, wait_ms=2_000) as client:
+            assert len(list(client.iter_events(handle.id, poll_limit=500))) == 10
+            assert client.request_count == 1
 
     def test_limit_exactly_at_page_size(self, idle_server, tiny_system):
         """N == limit: the full page cannot prove completeness, so exactly
@@ -121,9 +121,9 @@ class TestRequestCountBound:
         _append_events(idle_server.store, handle.id, 20)
         idle_server.store.mark_done(handle.id, {"outcome": "satisfied"})
 
-        client = CountingClient(idle_server.url, push_events=True, wait_ms=2_000)
-        assert len(list(client.iter_events(handle.id, poll_limit=20))) == 20
-        assert client.request_count == 2
+        with CountingClient(idle_server.url, push_events=True, wait_ms=2_000) as client:
+            assert len(list(client.iter_events(handle.id, poll_limit=20))) == 20
+            assert client.request_count == 2
 
     def test_push_beats_polling_on_a_slow_emitter(self, idle_server, tiny_system):
         """Live emission: long-poll parks on the server between events, while
@@ -144,11 +144,11 @@ class TestRequestCountBound:
 
             emitter = threading.Thread(target=emit)
             emitter.start()
-            client = client_cls(
+            with client_cls(
                 idle_server.url, push_events=push, wait_ms=5_000,
                 poll_initial=0.005, poll_max=0.02,
-            )
-            events = list(client.iter_events(handle.id, deadline_seconds=30))
+            ) as client:
+                events = list(client.iter_events(handle.id, deadline_seconds=30))
             emitter.join()
             return events, client.request_count
 
@@ -162,13 +162,13 @@ class TestRequestCountBound:
     def test_idle_long_poll_parks_in_one_request(self, idle_server, tiny_system):
         """A long-poll on a quiet job is ONE held request, not a poll storm."""
         handle = _submit_one(idle_server, tiny_system)
-        client = CountingClient(idle_server.url)
-        started = time.monotonic()
-        page = client.events(handle.id, wait_ms=300)
-        elapsed = time.monotonic() - started
-        assert client.request_count == 1
-        assert page["events"] == [] and page["terminal"] is False
-        assert 0.25 <= elapsed < 5.0
+        with CountingClient(idle_server.url) as client:
+            started = time.monotonic()
+            page = client.events(handle.id, wait_ms=300)
+            elapsed = time.monotonic() - started
+            assert client.request_count == 1
+            assert page["events"] == [] and page["terminal"] is False
+            assert 0.25 <= elapsed < 5.0
 
     def test_long_poll_wakes_promptly_on_append(self, idle_server, tiny_system):
         handle = _submit_one(idle_server, tiny_system)
@@ -180,7 +180,8 @@ class TestRequestCountBound:
         appender = threading.Thread(target=append_soon)
         appender.start()
         started = time.monotonic()
-        page = VerifasClient(idle_server.url).events(handle.id, wait_ms=10_000)
+        with VerifasClient(idle_server.url) as waiter:
+            page = waiter.events(handle.id, wait_ms=10_000)
         elapsed = time.monotonic() - started
         appender.join()
         assert len(page["events"]) == 1
@@ -209,10 +210,10 @@ class TestTwoServersSharedStore:
             _append_events(a.store, handle.id, n_events)
             a.store.mark_done(handle.id, {"outcome": "satisfied"})
 
-            client = CountingClient(b.url, push_events=True, wait_ms=2_000)
-            events = list(client.iter_events(handle.id, poll_limit=limit))
-            assert len(events) == n_events
-            assert client.request_count <= math.ceil(n_events / limit) + 1
+            with CountingClient(b.url, push_events=True, wait_ms=2_000) as client:
+                events = list(client.iter_events(handle.id, poll_limit=limit))
+                assert len(events) == n_events
+                assert client.request_count <= math.ceil(n_events / limit) + 1
         finally:
             a.stop()
             b.stop()
@@ -239,7 +240,8 @@ class TestTwoServersSharedStore:
 
             appender = threading.Thread(target=append_via_a)
             appender.start()
-            page = VerifasClient(b.url).events(handle.id, wait_ms=10_000)
+            with VerifasClient(b.url) as waiter:
+                page = waiter.events(handle.id, wait_ms=10_000)
             appender.join()
             assert len(page["events"]) == 1
         finally:
@@ -333,9 +335,8 @@ class TestEventCursorEdges:
         idle_server.store.mark_done(handle.id, {"outcome": "satisfied"})
 
         started = time.monotonic()
-        page = VerifasClient(idle_server.url).events(
-            handle.id, cursor=999, wait_ms=10_000
-        )
+        with VerifasClient(idle_server.url) as waiter:
+            page = waiter.events(handle.id, cursor=999, wait_ms=10_000)
         assert time.monotonic() - started < 5.0  # terminal: no parking
         assert page["events"] == [] and page["terminal"] is True
         assert page["cursor"] == 999  # the cursor never moves backwards
@@ -345,39 +346,39 @@ class TestEventCursorEdges:
         _append_events(idle_server.store, handle.id, 2)
         idle_server.store.mark_done(handle.id, {"outcome": "satisfied"})
 
-        client = VerifasClient(idle_server.url, push_events=True, wait_ms=1_000)
-        first_page = client.events(handle.id, cursor=0, limit=1)
-        assert len(first_page["events"]) == 1
+        with VerifasClient(idle_server.url, push_events=True, wait_ms=1_000) as client:
+            first_page = client.events(handle.id, cursor=0, limit=1)
+            assert len(first_page["events"]) == 1
 
-        time.sleep(0.05)
-        swept = idle_server.store.sweep_expired()
-        assert swept["jobs"] == 1
+            time.sleep(0.05)
+            swept = idle_server.store.sweep_expired()
+            assert swept["jobs"] == 1
 
-        with pytest.raises(ClientError) as excinfo:
-            client.events(handle.id, cursor=first_page["cursor"], wait_ms=1_000)
-        assert excinfo.value.status == 404
+            with pytest.raises(ClientError) as excinfo:
+                client.events(handle.id, cursor=first_page["cursor"], wait_ms=1_000)
+            assert excinfo.value.status == 404
 
     @pytest.mark.parametrize(
         "hostile",
         ["../../../etc/passwd", "a b%00c", "<script>alert(1)</script>", "."],
     )
     def test_hostile_job_ids_get_quick_404s(self, idle_server, hostile):
-        client = VerifasClient(idle_server.url)
-        started = time.monotonic()
-        with pytest.raises(ClientError) as excinfo:
-            client.events(hostile, wait_ms=10_000)
-        assert excinfo.value.status == 404
-        assert time.monotonic() - started < 5.0  # unknown job: no parking
+        with VerifasClient(idle_server.url) as client:
+            started = time.monotonic()
+            with pytest.raises(ClientError) as excinfo:
+                client.events(hostile, wait_ms=10_000)
+            assert excinfo.value.status == 404
+            assert time.monotonic() - started < 5.0  # unknown job: no parking
 
-        from urllib.parse import quote
+            from urllib.parse import quote
 
-        request = urllib.request.Request(
-            f"{idle_server.url}/v1/jobs/{quote(hostile, safe='')}/events?wait_ms=10000",
-            headers={"Accept": "text/event-stream", **auth_headers()},
-        )
-        with pytest.raises(urllib.error.HTTPError) as sse_excinfo:
-            urllib.request.urlopen(request, timeout=10)
-        assert sse_excinfo.value.code == 404
+            request = urllib.request.Request(
+                f"{idle_server.url}/v1/jobs/{quote(hostile, safe='')}/events?wait_ms=10000",
+                headers={"Accept": "text/event-stream", **auth_headers()},
+            )
+            with pytest.raises(urllib.error.HTTPError) as sse_excinfo:
+                urllib.request.urlopen(request, timeout=10)
+            assert sse_excinfo.value.code == 404
 
 
 # ------------------------------------------------------- batch status view
@@ -393,29 +394,29 @@ class TestBatchStatusView:
         second = _submit_one(idle_server, tiny_system, name="second")
         idle_server.store.mark_done(first.id, {"outcome": "satisfied"})
 
-        client = CountingClient(idle_server.url)
-        views = client.job_views([first.id, second.id, "no-such-job"])
-        assert client.request_count == 1  # the whole batch is one round-trip
-        assert set(views) == {first.id, second.id}
-        assert views[first.id]["status"] == "done"
-        assert views[first.id]["result"] == {"outcome": "satisfied"}
-        assert views[second.id]["status"] == "queued"
-        assert views[second.id].get("result") is None
+        with CountingClient(idle_server.url) as client:
+            views = client.job_views([first.id, second.id, "no-such-job"])
+            assert client.request_count == 1  # the whole batch is one round-trip
+            assert set(views) == {first.id, second.id}
+            assert views[first.id]["status"] == "done"
+            assert views[first.id]["result"] == {"outcome": "satisfied"}
+            assert views[second.id]["status"] == "queued"
+            assert views[second.id].get("result") is None
 
     def test_wait_all_uses_one_request_per_round(self, idle_server, tiny_system):
         handles = [_submit_one(idle_server, tiny_system) for _ in range(3)]
         for handle in handles:
             idle_server.store.mark_done(handle.id, {"outcome": "satisfied"})
-        client = CountingClient(idle_server.url)
-        views = client.wait_all([h.id for h in handles], deadline_seconds=10)
-        assert len(views) == 3
-        assert client.request_count == 1
+        with CountingClient(idle_server.url) as client:
+            views = client.wait_all([h.id for h in handles], deadline_seconds=10)
+            assert len(views) == 3
+            assert client.request_count == 1
 
     def test_wait_all_unknown_id_is_an_error(self, idle_server, tiny_system):
         handle = _submit_one(idle_server, tiny_system)
         idle_server.store.mark_done(handle.id, {"outcome": "satisfied"})
-        with pytest.raises(ClientError) as excinfo:
-            VerifasClient(idle_server.url).wait_all([handle.id, "ghost"])
+        with VerifasClient(idle_server.url) as client, pytest.raises(ClientError) as excinfo:
+            client.wait_all([handle.id, "ghost"])
         assert excinfo.value.status == 404
 
 
@@ -430,15 +431,15 @@ class TestPushWithRealWorkers:
         )
         server.start()
         try:
-            client = CountingClient(server.url, push_events=True, wait_ms=5_000)
-            handle = client.submit(
-                dump_system(tiny_system), [dump_property(_property())], options=OPTIONS
-            )[0]
-            events = list(client.iter_events(handle.id, deadline_seconds=60))
-            kinds = [event["kind"] for event in events]
-            assert kinds[0] == "phase"
-            assert kinds[-1] == "done"
-            assert server.metrics.counter("long_poll_requests") >= 1
-            assert server.metrics.counter("events_emitted") > 0
+            with CountingClient(server.url, push_events=True, wait_ms=5_000) as client:
+                handle = client.submit(
+                    dump_system(tiny_system), [dump_property(_property())], options=OPTIONS
+                )[0]
+                events = list(client.iter_events(handle.id, deadline_seconds=60))
+                kinds = [event["kind"] for event in events]
+                assert kinds[0] == "phase"
+                assert kinds[-1] == "done"
+                assert server.metrics.counter("long_poll_requests") >= 1
+                assert server.metrics.counter("events_emitted") > 0
         finally:
             server.stop()

@@ -37,7 +37,8 @@ def server(tmp_path, worker_model):
 
 @pytest.fixture
 def client(server):
-    return VerifasClient(server.url, poll_initial=0.02, poll_max=0.2)
+    with VerifasClient(server.url, poll_initial=0.02, poll_max=0.2) as client:
+        yield client
 
 
 def _good_property():

@@ -725,35 +725,35 @@ class TestResubmissionThroughTheServer:
         )
         server.start()
         try:
-            client = VerifasClient(server.url)
-            job = sample_jobs[0]
-            payload = {
-                "system": job.system_dict,
-                "property": job.property_dict,
-                "options": {"timeout_seconds": 30},
-            }
-            first = client.submit_payload(payload)[0]
-            assert first.status == "queued"
-            client.wait(first.id, deadline_seconds=60)
-            runs = client.metrics()["counters"]["verifications_run"]
-            assert runs == 1
+            with VerifasClient(server.url) as client:
+                job = sample_jobs[0]
+                payload = {
+                    "system": job.system_dict,
+                    "property": job.property_dict,
+                    "options": {"timeout_seconds": 30},
+                }
+                first = client.submit_payload(payload)[0]
+                assert first.status == "queued"
+                client.wait(first.id, deadline_seconds=60)
+                runs = client.metrics()["counters"]["verifications_run"]
+                assert runs == 1
 
-            second = client.submit_payload(payload)[0]
-            assert second.status == "done" and second.fingerprint == first.fingerprint
-            view = client.job(second.id)
-            assert view["cache_hit"] is True
-            assert view["result"] == client.job(first.id)["result"]
-            assert [e["kind"] for e in client.events(second.id)["events"]] == ["done"]
-            # The http.submit span is finished after the response is sent.
-            deadline = time.monotonic() + 10.0
-            names = set()
-            while "http.submit" not in names and time.monotonic() < deadline:
-                names = {span["name"] for span in client.trace(second.id)["spans"]}
-                time.sleep(0.02)
-            assert names == {"http.submit"}
-            first_names = {span["name"] for span in client.trace(first.id)["spans"]}
-            assert {"queue.wait", "worker.execute"} <= first_names
-            assert client.metrics()["counters"]["verifications_run"] == runs
+                second = client.submit_payload(payload)[0]
+                assert second.status == "done" and second.fingerprint == first.fingerprint
+                view = client.job(second.id)
+                assert view["cache_hit"] is True
+                assert view["result"] == client.job(first.id)["result"]
+                assert [e["kind"] for e in client.events(second.id)["events"]] == ["done"]
+                # The http.submit span is finished after the response is sent.
+                deadline = time.monotonic() + 10.0
+                names = set()
+                while "http.submit" not in names and time.monotonic() < deadline:
+                    names = {span["name"] for span in client.trace(second.id)["spans"]}
+                    time.sleep(0.02)
+                assert names == {"http.submit"}
+                first_names = {span["name"] for span in client.trace(first.id)["spans"]}
+                assert {"queue.wait", "worker.execute"} <= first_names
+                assert client.metrics()["counters"]["verifications_run"] == runs
         finally:
             server.stop()
 

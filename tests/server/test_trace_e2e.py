@@ -82,7 +82,8 @@ def traced_server(tmp_path, worker_model):
 
 @pytest.fixture
 def client(traced_server):
-    return VerifasClient(traced_server.url, poll_initial=0.02, poll_max=0.2)
+    with VerifasClient(traced_server.url, poll_initial=0.02, poll_max=0.2) as client:
+        yield client
 
 
 class TestTracedJobLifecycle:
@@ -179,13 +180,13 @@ class TestTraceparentEdgeCases:
         assert status == 202
         job = body["jobs"][0]
         assert job["trace_id"]  # server minted one
-        client = VerifasClient(traced_server.url, poll_initial=0.02)
-        client.wait(job["id"], deadline_seconds=60)
-        view = client.trace(job["id"])
-        assert "worker.execute" in _span_names(view)
-        # With no client context the handler's span IS the root.
-        submit = next(s for s in view["spans"] if s["name"] == "http.submit")
-        assert submit["parent_id"] is None
+        with VerifasClient(traced_server.url, poll_initial=0.02) as client:
+            client.wait(job["id"], deadline_seconds=60)
+            view = client.trace(job["id"])
+            assert "worker.execute" in _span_names(view)
+            # With no client context the handler's span IS the root.
+            submit = next(s for s in view["spans"] if s["name"] == "http.submit")
+            assert submit["parent_id"] is None
 
     @pytest.mark.parametrize("header", [
         "not-a-traceparent",
@@ -221,33 +222,33 @@ class TestTraceparentEdgeCases:
         )
         server.start()
         try:
-            client = VerifasClient(server.url, poll_initial=0.02)
-            handle = client.submit(
-                dump_system(tiny_system), [dump_property(_property())],
-                options=OPTIONS,
-            )[0]
-            # The client's trace id is stamped for log correlation...
-            assert handle.trace_id is not None
-            client.wait(handle.id, deadline_seconds=60)
-            # ...but no spans are recorded, and /trace still answers 200.
-            view = client.trace(handle.id)
-            assert view["spans"] == [] and view["tree"] == []
+            with VerifasClient(server.url, poll_initial=0.02) as client:
+                handle = client.submit(
+                    dump_system(tiny_system), [dump_property(_property())],
+                    options=OPTIONS,
+                )[0]
+                # The client's trace id is stamped for log correlation...
+                assert handle.trace_id is not None
+                client.wait(handle.id, deadline_seconds=60)
+                # ...but no spans are recorded, and /trace still answers 200.
+                view = client.trace(handle.id)
+                assert view["spans"] == [] and view["tree"] == []
         finally:
             server.stop()
 
     def test_client_can_opt_out_of_trace_propagation(
         self, traced_server, tiny_system
     ):
-        client = VerifasClient(
+        with VerifasClient(
             traced_server.url, poll_initial=0.02, trace_submissions=False
-        )
-        handle = client.submit(
-            dump_system(tiny_system), [dump_property(_property())], options=OPTIONS
-        )[0]
-        # The traced server still mints a server-side root trace.
-        assert handle.trace_id is not None
-        client.wait(handle.id, deadline_seconds=60)
-        assert "worker.execute" in _span_names(client.trace(handle.id))
+        ) as client:
+            handle = client.submit(
+                dump_system(tiny_system), [dump_property(_property())], options=OPTIONS
+            )[0]
+            # The traced server still mints a server-side root trace.
+            assert handle.trace_id is not None
+            client.wait(handle.id, deadline_seconds=60)
+            assert "worker.execute" in _span_names(client.trace(handle.id))
 
 
 class TestFailureSpans:
@@ -261,24 +262,24 @@ class TestFailureSpans:
         )
         server.start()
         try:
-            client = VerifasClient(server.url, poll_initial=0.02)
-            handle = client.submit(
-                dump_system(exploding_system),
-                [dump_property(_exploding_property())],
-                options={"max_states": 500_000},
-            )[0]
-            _wait_for_progress(client, handle.id)
-            client.cancel(handle.id)
-            view = client.wait(handle.id, deadline_seconds=30)
-            assert view["status"] == "cancelled"
+            with VerifasClient(server.url, poll_initial=0.02) as client:
+                handle = client.submit(
+                    dump_system(exploding_system),
+                    [dump_property(_exploding_property())],
+                    options={"max_states": 500_000},
+                )[0]
+                _wait_for_progress(client, handle.id)
+                client.cancel(handle.id)
+                view = client.wait(handle.id, deadline_seconds=30)
+                assert view["status"] == "cancelled"
 
-            trace = client.trace(handle.id)
-            execute = next(
-                s for s in trace["spans"] if s["name"] == "worker.execute"
-            )
-            assert execute["status"] == "error"
-            assert execute["attrs"]["reason"] == "cancelled"
-            assert execute["duration"] > 0.0  # closed, not dangling
+                trace = client.trace(handle.id)
+                execute = next(
+                    s for s in trace["spans"] if s["name"] == "worker.execute"
+                )
+                assert execute["status"] == "error"
+                assert execute["attrs"]["reason"] == "cancelled"
+                assert execute["duration"] > 0.0  # closed, not dangling
         finally:
             server.stop()
 
@@ -299,28 +300,28 @@ class TestFailureSpans:
             server.stop()
             pytest.skip(f"no process support here: {server.worker_fallback_error}")
         try:
-            client = VerifasClient(server.url, poll_initial=0.02)
-            handle = client.submit(
-                dump_system(exploding_system),
-                [dump_property(_exploding_property())],
-                options={"max_states": 500_000, "timeout_seconds": 3},
-            )[0]
-            _wait_for_progress(client, handle.id)
-            victim_pid = server.metrics_view()["workers"]["pool"][0]["pid"]
-            os.kill(victim_pid, signal.SIGKILL)
+            with VerifasClient(server.url, poll_initial=0.02) as client:
+                handle = client.submit(
+                    dump_system(exploding_system),
+                    [dump_property(_exploding_property())],
+                    options={"max_states": 500_000, "timeout_seconds": 3},
+                )[0]
+                _wait_for_progress(client, handle.id)
+                victim_pid = server.metrics_view()["workers"]["pool"][0]["pid"]
+                os.kill(victim_pid, signal.SIGKILL)
 
-            # The job re-runs on a respawned child and completes; the
-            # *first* execution's span was closed by the agent with the
-            # crash disposition (the child could not have done it).
-            client.wait(handle.id, deadline_seconds=60)
-            trace = client.trace(handle.id)
-            executions = [
-                s for s in trace["spans"] if s["name"] == "worker.execute"
-            ]
-            assert len(executions) == 2  # crashed attempt + successful re-run
-            crashed = [s for s in executions if s["status"] == "error"]
-            assert len(crashed) == 1
-            assert crashed[0]["attrs"]["reason"] == "worker-crashed"
+                # The job re-runs on a respawned child and completes; the
+                # *first* execution's span was closed by the agent with the
+                # crash disposition (the child could not have done it).
+                client.wait(handle.id, deadline_seconds=60)
+                trace = client.trace(handle.id)
+                executions = [
+                    s for s in trace["spans"] if s["name"] == "worker.execute"
+                ]
+                assert len(executions) == 2  # crashed attempt + successful re-run
+                crashed = [s for s in executions if s["status"] == "error"]
+                assert len(crashed) == 1
+                assert crashed[0]["attrs"]["reason"] == "worker-crashed"
         finally:
             server.stop()
 
@@ -345,24 +346,25 @@ class TestCrossServerTrace:
         )
         backend.start()
         try:
-            submit_client = VerifasClient(frontend.url, poll_initial=0.02)
-            handle = submit_client.submit(
-                dump_system(tiny_system), [dump_property(_property())],
-                options=OPTIONS,
-            )[0]
-            submit_client.wait(handle.id, deadline_seconds=60)
+            with VerifasClient(frontend.url, poll_initial=0.02) as submit_client:
+                handle = submit_client.submit(
+                    dump_system(tiny_system), [dump_property(_property())],
+                    options=OPTIONS,
+                )[0]
+                submit_client.wait(handle.id, deadline_seconds=60)
 
-            for url in (frontend.url, backend.url):
-                view = VerifasClient(url).trace(handle.id)
-                names = _span_names(view)
-                assert "http.submit" in names       # recorded by the frontend
-                assert "worker.execute" in names    # recorded by the backend
-                assert "verify.search" in names
-                assert {s["trace_id"] for s in view["spans"]} == {handle.trace_id}
-                execute = next(
-                    s for s in view["spans"] if s["name"] == "worker.execute"
-                )
-                assert execute["attrs"]["worker_id"].startswith("back:")
+                for url in (frontend.url, backend.url):
+                    with VerifasClient(url) as reader:
+                        view = reader.trace(handle.id)
+                    names = _span_names(view)
+                    assert "http.submit" in names       # recorded by the frontend
+                    assert "worker.execute" in names    # recorded by the backend
+                    assert "verify.search" in names
+                    assert {s["trace_id"] for s in view["spans"]} == {handle.trace_id}
+                    execute = next(
+                        s for s in view["spans"] if s["name"] == "worker.execute"
+                    )
+                    assert execute["attrs"]["worker_id"].startswith("back:")
         finally:
             backend.stop()
             frontend.stop()

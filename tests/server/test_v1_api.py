@@ -79,7 +79,8 @@ def idle_server(tmp_path):
 
 @pytest.fixture
 def client(server):
-    return VerifasClient(server.url, poll_initial=0.02, poll_max=0.2)
+    with VerifasClient(server.url, poll_initial=0.02, poll_max=0.2) as client:
+        yield client
 
 
 # ----------------------------------------------------------------- happy path
@@ -134,27 +135,27 @@ class TestV1Protocol:
         assert excinfo.value.status == 404
 
     def test_remote_error_surfaces_as_remote_job_error(self, idle_server, tiny_system):
-        client = VerifasClient(idle_server.url, poll_initial=0.02)
-        handle = client.submit(
-            dump_system(tiny_system), [dump_property(_properties()[0])], options=OPTIONS
-        )[0]
-        idle_server.store.claim_next()
-        idle_server.store.mark_error(handle.id, "RuntimeError: boom")
-        with pytest.raises(RemoteJobError, match="boom"):
-            client.wait(handle.id, deadline_seconds=10)
+        with VerifasClient(idle_server.url, poll_initial=0.02) as client:
+            handle = client.submit(
+                dump_system(tiny_system), [dump_property(_properties()[0])], options=OPTIONS
+            )[0]
+            idle_server.store.claim_next()
+            idle_server.store.mark_error(handle.id, "RuntimeError: boom")
+            with pytest.raises(RemoteJobError, match="boom"):
+                client.wait(handle.id, deadline_seconds=10)
 
     def test_wait_times_out_on_a_stuck_queue(self, idle_server, tiny_system):
-        client = VerifasClient(idle_server.url, poll_initial=0.02)
-        handle = client.submit(
-            dump_system(tiny_system), [dump_property(_properties()[0])], options=OPTIONS
-        )[0]
-        with pytest.raises(TimeoutError):
-            client.wait(handle.id, deadline_seconds=0.3)
+        with VerifasClient(idle_server.url, poll_initial=0.02) as client:
+            handle = client.submit(
+                dump_system(tiny_system), [dump_property(_properties()[0])], options=OPTIONS
+            )[0]
+            with pytest.raises(TimeoutError):
+                client.wait(handle.id, deadline_seconds=0.3)
 
     def test_unreachable_server_is_a_client_error(self):
-        client = VerifasClient("http://127.0.0.1:9", timeout=0.5)
-        with pytest.raises(ClientError, match="cannot reach"):
-            client.healthz()
+        with VerifasClient("http://127.0.0.1:9", timeout=0.5) as client:
+            with pytest.raises(ClientError, match="cannot reach"):
+                client.healthz()
 
 
 class TestJobsListValidation:
@@ -176,18 +177,18 @@ class TestJobsListValidation:
         assert excinfo.value.code == 400
 
     def test_known_status_filters_the_ids_view(self, idle_server, tiny_system):
-        client = VerifasClient(idle_server.url, poll_initial=0.02)
-        handle = client.submit(
-            dump_system(tiny_system), [dump_property(_properties()[0])], options=OPTIONS
-        )[0]
-        status, _, body = _raw(
-            f"{idle_server.url}/v1/jobs?status=queued&id={handle.id}"
-        )
-        assert status == 200 and [j["id"] for j in body["jobs"]] == [handle.id]
-        status, _, body = _raw(
-            f"{idle_server.url}/v1/jobs?status=done&id={handle.id}"
-        )
-        assert status == 200 and body["jobs"] == []
+        with VerifasClient(idle_server.url, poll_initial=0.02) as client:
+            handle = client.submit(
+                dump_system(tiny_system), [dump_property(_properties()[0])], options=OPTIONS
+            )[0]
+            status, _, body = _raw(
+                f"{idle_server.url}/v1/jobs?status=queued&id={handle.id}"
+            )
+            assert status == 200 and [j["id"] for j in body["jobs"]] == [handle.id]
+            status, _, body = _raw(
+                f"{idle_server.url}/v1/jobs?status=done&id={handle.id}"
+            )
+            assert status == 200 and body["jobs"] == []
 
     def test_negative_limit_is_400(self, client):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -207,40 +208,40 @@ class TestJobsListValidation:
 
 class TestCancellation:
     def test_cancel_queued_job_is_terminal_immediately(self, idle_server, tiny_system):
-        client = VerifasClient(idle_server.url, poll_initial=0.02)
-        handle = client.submit(
-            dump_system(tiny_system), [dump_property(_properties()[0])], options=OPTIONS
-        )[0]
-        ack = client.cancel(handle.id)
-        assert ack["status"] == "cancelled" and ack["cancelled"] is True
-        view = client.job(handle.id)
-        assert view["status"] == "cancelled"
-        assert idle_server.metrics.counter("verifications_run") == 0
-        # The cancel event lands atomically with the terminal flip, so a
-        # poller observing `terminal` is guaranteed the complete event log.
-        page = client.events(handle.id)
-        assert page["terminal"] is True
-        assert [e["kind"] for e in page["events"]] == ["cancel"]
+        with VerifasClient(idle_server.url, poll_initial=0.02) as client:
+            handle = client.submit(
+                dump_system(tiny_system), [dump_property(_properties()[0])], options=OPTIONS
+            )[0]
+            ack = client.cancel(handle.id)
+            assert ack["status"] == "cancelled" and ack["cancelled"] is True
+            view = client.job(handle.id)
+            assert view["status"] == "cancelled"
+            assert idle_server.metrics.counter("verifications_run") == 0
+            # The cancel event lands atomically with the terminal flip, so a
+            # poller observing `terminal` is guaranteed the complete event log.
+            page = client.events(handle.id)
+            assert page["terminal"] is True
+            assert [e["kind"] for e in page["events"]] == ["cancel"]
 
     def test_repeated_delete_is_idempotent(self, idle_server, tiny_system):
-        client = VerifasClient(idle_server.url, poll_initial=0.02)
-        handle = client.submit(
-            dump_system(tiny_system), [dump_property(_properties()[0])], options=OPTIONS
-        )[0]
-        first = client.cancel(handle.id)
-        assert first == {
-            "id": handle.id, "status": "cancelled",
-            "cancelled": True, "already_finished": False,
-        }
-        second = client.cancel(handle.id)
-        assert second == {
-            "id": handle.id, "status": "cancelled",
-            "cancelled": False, "already_finished": True,
-        }
-        # No duplicate event, no double-counted metric.
-        kinds = [e["kind"] for e in client.events(handle.id)["events"]]
-        assert kinds.count("cancel") == 1
-        assert idle_server.metrics.counter("cancel_requests") == 1
+        with VerifasClient(idle_server.url, poll_initial=0.02) as client:
+            handle = client.submit(
+                dump_system(tiny_system), [dump_property(_properties()[0])], options=OPTIONS
+            )[0]
+            first = client.cancel(handle.id)
+            assert first == {
+                "id": handle.id, "status": "cancelled",
+                "cancelled": True, "already_finished": False,
+            }
+            second = client.cancel(handle.id)
+            assert second == {
+                "id": handle.id, "status": "cancelled",
+                "cancelled": False, "already_finished": True,
+            }
+            # No duplicate event, no double-counted metric.
+            kinds = [e["kind"] for e in client.events(handle.id)["events"]]
+            assert kinds.count("cancel") == 1
+            assert idle_server.metrics.counter("cancel_requests") == 1
 
     def test_cancel_running_job_stops_search_and_persists(
         self, server, client, exploding_system, tmp_path
@@ -294,10 +295,10 @@ class TestCancellation:
         try:
             assert restarted.recovery.requeued == 0
             assert restarted.recovery.cancelled == 1
-            restarted_client = VerifasClient(restarted.url)
-            view = restarted_client.job(handle.id)
-            assert view["status"] == "cancelled"
-            assert view["result"]["stats"]["cancelled"] is True
+            with VerifasClient(restarted.url) as restarted_client:
+                view = restarted_client.job(handle.id)
+                assert view["status"] == "cancelled"
+                assert view["result"]["stats"]["cancelled"] is True
         finally:
             restarted.stop()
 
@@ -307,29 +308,30 @@ class TestCancellation:
         store_path = tmp_path / "jobs.db"
         server_a = VerificationServer(store_path=store_path, port=0, workers=0)
         server_a.start()
-        client = VerifasClient(server_a.url, poll_initial=0.02)
-        handle = client.submit(
-            dump_system(exploding_system),
-            [dump_property(_exploding_property())],
-            options={"max_states": 500_000},
-        )[0]
-        # Simulate a worker claiming the job, a cancel arriving, then a crash
-        # before the worker can finalise it.
-        assert server_a.store.claim_next() is not None
-        ack = client.cancel(handle.id)
-        assert ack["status"] == "cancelling"
-        server_a.stop()
+        with VerifasClient(server_a.url, poll_initial=0.02) as client:
+            handle = client.submit(
+                dump_system(exploding_system),
+                [dump_property(_exploding_property())],
+                options={"max_states": 500_000},
+            )[0]
+            # Simulate a worker claiming the job, a cancel arriving, then a crash
+            # before the worker can finalise it.
+            assert server_a.store.claim_next() is not None
+            ack = client.cancel(handle.id)
+            assert ack["status"] == "cancelling"
+            server_a.stop()
 
-        server_b = VerificationServer(store_path=store_path, port=0, workers=1)
-        server_b.start()
-        try:
-            assert server_b.recovery.cancelled_interrupted == 1
-            assert server_b.recovery.requeued == 0
-            assert server_b.recovery.queued == 0
-            view = VerifasClient(server_b.url).job(handle.id)
-            assert view["status"] == "cancelled"
-        finally:
-            server_b.stop()
+            server_b = VerificationServer(store_path=store_path, port=0, workers=1)
+            server_b.start()
+            try:
+                assert server_b.recovery.cancelled_interrupted == 1
+                assert server_b.recovery.requeued == 0
+                assert server_b.recovery.queued == 0
+                with VerifasClient(server_b.url) as reader:
+                    view = reader.job(handle.id)
+                assert view["status"] == "cancelled"
+            finally:
+                server_b.stop()
 
     def test_cancel_finished_job_is_a_no_op(self, client, tiny_system):
         handle = client.submit(

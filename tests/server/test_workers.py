@@ -132,27 +132,27 @@ class TestProcessPoolHappyPath:
     def test_jobs_verify_on_child_processes(self, tmp_path, tiny_system):
         server = _make_server(tmp_path, workers=2)
         try:
-            client = VerifasClient(server.url, poll_initial=0.02)
-            handles = client.submit(
-                dump_system(tiny_system),
-                [dump_property(p) for p in _properties()],
-                options={"timeout_seconds": 60},
-            )
-            views = client.wait_all([h.id for h in handles], deadline_seconds=60)
-            assert views[handles[0].id]["result"]["outcome"] == "violated"
-            assert views[handles[1].id]["result"]["outcome"] == "satisfied"
+            with VerifasClient(server.url, poll_initial=0.02) as client:
+                handles = client.submit(
+                    dump_system(tiny_system),
+                    [dump_property(p) for p in _properties()],
+                    options={"timeout_seconds": 60},
+                )
+                views = client.wait_all([h.id for h in handles], deadline_seconds=60)
+                assert views[handles[0].id]["result"]["outcome"] == "violated"
+                assert views[handles[1].id]["result"]["outcome"] == "satisfied"
 
-            workers = server.metrics_view()["workers"]
-            assert workers["model"] == "process"
-            assert workers["processes_alive"] == 2
-            pids = {gauge["pid"] for gauge in workers["pool"]}
-            assert len(pids) == 2 and os.getpid() not in pids
-            assert sum(g["jobs_completed"] for g in workers["pool"]) == 2
+                workers = server.metrics_view()["workers"]
+                assert workers["model"] == "process"
+                assert workers["processes_alive"] == 2
+                pids = {gauge["pid"] for gauge in workers["pool"]}
+                assert len(pids) == 2 and os.getpid() not in pids
+                assert sum(g["jobs_completed"] for g in workers["pool"]) == 2
 
-            # The event log is fed through the pipe, indistinguishable from
-            # a thread-worker run: phase events first, a terminal done.
-            kinds = [e["kind"] for e in client.events(handles[0].id)["events"]]
-            assert kinds[0] == "phase" and kinds[-1] == "done"
+                # The event log is fed through the pipe, indistinguishable from
+                # a thread-worker run: phase events first, a terminal done.
+                kinds = [e["kind"] for e in client.events(handles[0].id)["events"]]
+                assert kinds[0] == "phase" and kinds[-1] == "done"
         finally:
             server.stop()
 
@@ -161,18 +161,18 @@ class TestProcessPoolHappyPath:
     ):
         server = _make_server(tmp_path, workers=1)
         try:
-            client = VerifasClient(server.url, poll_initial=0.02)
-            payload = [dump_property(_properties()[0])]
-            first = client.submit(
-                dump_system(tiny_system), payload, options={"timeout_seconds": 60}
-            )[0]
-            client.wait(first.id, deadline_seconds=60)
-            second = client.submit(
-                dump_system(tiny_system), payload, options={"timeout_seconds": 60}
-            )[0]
-            view = client.wait(second.id, deadline_seconds=60)
-            assert view["cache_hit"] is True
-            assert server.metrics.counter("verifications_run") == 1
+            with VerifasClient(server.url, poll_initial=0.02) as client:
+                payload = [dump_property(_properties()[0])]
+                first = client.submit(
+                    dump_system(tiny_system), payload, options={"timeout_seconds": 60}
+                )[0]
+                client.wait(first.id, deadline_seconds=60)
+                second = client.submit(
+                    dump_system(tiny_system), payload, options={"timeout_seconds": 60}
+                )[0]
+                view = client.wait(second.id, deadline_seconds=60)
+                assert view["cache_hit"] is True
+                assert server.metrics.counter("verifications_run") == 1
         finally:
             server.stop()
 
@@ -186,33 +186,33 @@ class TestCrossProcessCancellation:
         partial statistics gathered so far."""
         server = _make_server(tmp_path, workers=1)
         try:
-            client = VerifasClient(server.url, poll_initial=0.02)
-            handle = client.submit(
-                dump_system(exploding_system),
-                [dump_property(_exploding_property())],
-                options={"max_states": 500_000},
-            )[0]
-            _wait_for_progress(client, handle.id)
+            with VerifasClient(server.url, poll_initial=0.02) as client:
+                handle = client.submit(
+                    dump_system(exploding_system),
+                    [dump_property(_exploding_property())],
+                    options={"max_states": 500_000},
+                )[0]
+                _wait_for_progress(client, handle.id)
 
-            cancelled_at = time.monotonic()
-            ack = client.cancel(handle.id)
-            assert ack["status"] == "cancelling" and ack["cancelled"] is True
-            view = client.wait(handle.id, deadline_seconds=10)
-            stopped_after = time.monotonic() - cancelled_at
+                cancelled_at = time.monotonic()
+                ack = client.cancel(handle.id)
+                assert ack["status"] == "cancelling" and ack["cancelled"] is True
+                view = client.wait(handle.id, deadline_seconds=10)
+                stopped_after = time.monotonic() - cancelled_at
 
-            assert view["status"] == "cancelled"
-            assert stopped_after < 5.0  # well within one event-poll interval
-            result = view["result"]
-            assert result["outcome"] == "unknown"
-            assert result["stats"]["cancelled"] is True
-            assert result["stats"]["states_explored"] > 0
-            # The partial verdict never enters the fingerprint-keyed cache.
-            assert server.store.get_result(handle.fingerprint) is None
-            assert server.metrics.counter("jobs_cancelled") == 1
-            # The worker process survives its cancelled job and stays idle.
-            workers = server.metrics_view()["workers"]
-            assert workers["processes_alive"] == 1
-            assert workers["pool"][0]["crashes"] == 0
+                assert view["status"] == "cancelled"
+                assert stopped_after < 5.0  # well within one event-poll interval
+                result = view["result"]
+                assert result["outcome"] == "unknown"
+                assert result["stats"]["cancelled"] is True
+                assert result["stats"]["states_explored"] > 0
+                # The partial verdict never enters the fingerprint-keyed cache.
+                assert server.store.get_result(handle.fingerprint) is None
+                assert server.metrics.counter("jobs_cancelled") == 1
+                # The worker process survives its cancelled job and stays idle.
+                workers = server.metrics_view()["workers"]
+                assert workers["processes_alive"] == 1
+                assert workers["pool"][0]["crashes"] == 0
         finally:
             server.stop()
 
@@ -227,45 +227,45 @@ class TestKillAWorker:
         the job (plus its queued fingerprint-twin) still completes."""
         server = _make_server(tmp_path, workers=1)
         try:
-            client = VerifasClient(server.url, poll_initial=0.02)
+            with VerifasClient(server.url, poll_initial=0.02) as client:
             # timeout_seconds bounds the *re-run* after the crash, so the
             # test terminates quickly; it is fingerprinted, hence cacheable.
-            options = {"max_states": 500_000, "timeout_seconds": 3}
-            payload = [dump_property(_exploding_property())]
-            handle = client.submit(
-                dump_system(exploding_system), payload, options=options
-            )[0]
-            twin = client.submit(
-                dump_system(exploding_system), payload, options=options
-            )[0]
-            assert twin.fingerprint == handle.fingerprint
-            _wait_for_progress(client, handle.id)
+                options = {"max_states": 500_000, "timeout_seconds": 3}
+                payload = [dump_property(_exploding_property())]
+                handle = client.submit(
+                    dump_system(exploding_system), payload, options=options
+                )[0]
+                twin = client.submit(
+                    dump_system(exploding_system), payload, options=options
+                )[0]
+                assert twin.fingerprint == handle.fingerprint
+                _wait_for_progress(client, handle.id)
 
-            victim_pid = server.metrics_view()["workers"]["pool"][0]["pid"]
-            assert victim_pid is not None
-            os.kill(victim_pid, signal.SIGKILL)
+                victim_pid = server.metrics_view()["workers"]["pool"][0]["pid"]
+                assert victim_pid is not None
+                os.kill(victim_pid, signal.SIGKILL)
 
-            # Both the crashed job and its deferred twin complete: the job
-            # re-runs on a respawned child, the twin lands as a cache hit.
-            views = client.wait_all([handle.id, twin.id], deadline_seconds=60)
-            assert views[handle.id]["status"] == "done"
-            assert views[twin.id]["status"] == "done"
-            assert views[twin.id]["cache_hit"] is True
+                # Both the crashed job and its deferred twin complete: the job
+                # re-runs on a respawned child, the twin lands as a cache hit.
+                views = client.wait_all([handle.id, twin.id], deadline_seconds=60)
+                assert views[handle.id]["status"] == "done"
+                assert views[twin.id]["status"] == "done"
+                assert views[twin.id]["cache_hit"] is True
 
-            assert server.metrics.counter("worker_crashes") == 1
-            workers = server.metrics_view()["workers"]
-            assert workers["pool"][0]["crashes"] == 1
-            respawned = workers["pool"][0]["pid"]
-            assert respawned is not None and respawned != victim_pid
-            assert workers["processes_alive"] == 1
+                assert server.metrics.counter("worker_crashes") == 1
+                workers = server.metrics_view()["workers"]
+                assert workers["pool"][0]["crashes"] == 1
+                respawned = workers["pool"][0]["pid"]
+                assert respawned is not None and respawned != victim_pid
+                assert workers["processes_alive"] == 1
 
-            # The crash is visible in the job's event log, with the
-            # recovery disposition.
-            events = client.events(handle.id)["events"]
-            crash_events = [e for e in events if e["kind"] == "worker-crash"]
-            assert len(crash_events) == 1
-            assert crash_events[0]["data"]["disposition"] == "requeued"
-            assert server.metrics.counter("verifications_run") == 2  # run + re-run
+                # The crash is visible in the job's event log, with the
+                # recovery disposition.
+                events = client.events(handle.id)["events"]
+                crash_events = [e for e in events if e["kind"] == "worker-crash"]
+                assert len(crash_events) == 1
+                assert crash_events[0]["data"]["disposition"] == "requeued"
+                assert server.metrics.counter("verifications_run") == 2  # run + re-run
         finally:
             server.stop()
 
@@ -276,25 +276,25 @@ class TestKillAWorker:
         job lands `cancelled`, never rising from the dead as `queued`."""
         server = _make_server(tmp_path, workers=1)
         try:
-            client = VerifasClient(server.url, poll_initial=0.02)
-            handle = client.submit(
-                dump_system(exploding_system),
-                [dump_property(_exploding_property())],
-                options={"max_states": 500_000},
-            )[0]
-            _wait_for_progress(client, handle.id)
-            victim_pid = server.metrics_view()["workers"]["pool"][0]["pid"]
+            with VerifasClient(server.url, poll_initial=0.02) as client:
+                handle = client.submit(
+                    dump_system(exploding_system),
+                    [dump_property(_exploding_property())],
+                    options={"max_states": 500_000},
+                )[0]
+                _wait_for_progress(client, handle.id)
+                victim_pid = server.metrics_view()["workers"]["pool"][0]["pid"]
 
-            # Freeze the child so it cannot unwind cooperatively, accept the
-            # cancel, then kill it -- the crash path must finalise the job.
-            os.kill(victim_pid, signal.SIGSTOP)
-            ack = client.cancel(handle.id)
-            assert ack["status"] == "cancelling"
-            os.kill(victim_pid, signal.SIGKILL)
+                # Freeze the child so it cannot unwind cooperatively, accept the
+                # cancel, then kill it -- the crash path must finalise the job.
+                os.kill(victim_pid, signal.SIGSTOP)
+                ack = client.cancel(handle.id)
+                assert ack["status"] == "cancelling"
+                os.kill(victim_pid, signal.SIGKILL)
 
-            view = client.wait(handle.id, deadline_seconds=30)
-            assert view["status"] == "cancelled"
-            assert server.store.get_job(handle.id).status == "cancelled"
+                view = client.wait(handle.id, deadline_seconds=30)
+                assert view["status"] == "cancelled"
+                assert server.store.get_job(handle.id).status == "cancelled"
         finally:
             server.stop()
 
@@ -303,25 +303,25 @@ class TestWorkerRecycling:
     def test_worker_is_recycled_after_max_jobs(self, tmp_path, tiny_system):
         server = _make_server(tmp_path, workers=1, max_jobs_per_worker=1)
         try:
-            client = VerifasClient(server.url, poll_initial=0.02)
-            first = client.submit(
-                dump_system(tiny_system), [dump_property(_properties()[0])],
-                options={"timeout_seconds": 60},
-            )[0]
-            client.wait(first.id, deadline_seconds=60)
-            pid_before = server.metrics_view()["workers"]["pool"][0]["pid"]
-            second = client.submit(
-                dump_system(tiny_system), [dump_property(_properties()[1])],
-                options={"timeout_seconds": 60},
-            )[0]
-            client.wait(second.id, deadline_seconds=60)
-            workers = server.metrics_view()["workers"]
-            assert workers["pool"][0]["recycles"] == 1
-            assert workers["pool"][0]["pid"] != pid_before
-            assert server.metrics.counter("worker_recycles") == 1
-            # Recycling is invisible to the jobs themselves.
-            assert client.job(first.id)["result"]["outcome"] == "violated"
-            assert client.job(second.id)["result"]["outcome"] == "satisfied"
+            with VerifasClient(server.url, poll_initial=0.02) as client:
+                first = client.submit(
+                    dump_system(tiny_system), [dump_property(_properties()[0])],
+                    options={"timeout_seconds": 60},
+                )[0]
+                client.wait(first.id, deadline_seconds=60)
+                pid_before = server.metrics_view()["workers"]["pool"][0]["pid"]
+                second = client.submit(
+                    dump_system(tiny_system), [dump_property(_properties()[1])],
+                    options={"timeout_seconds": 60},
+                )[0]
+                client.wait(second.id, deadline_seconds=60)
+                workers = server.metrics_view()["workers"]
+                assert workers["pool"][0]["recycles"] == 1
+                assert workers["pool"][0]["pid"] != pid_before
+                assert server.metrics.counter("worker_recycles") == 1
+                # Recycling is invisible to the jobs themselves.
+                assert client.job(first.id)["result"]["outcome"] == "violated"
+                assert client.job(second.id)["result"]["outcome"] == "satisfied"
         finally:
             server.stop()
 
@@ -333,29 +333,29 @@ class TestTenantAttribution:
         server = _make_server(tmp_path, workers=1, auth_enabled=True)
         try:
             _, key = server.tenants.create("alice", tenant_id="alice")
-            client = VerifasClient(server.url, api_key=key, poll_initial=0.02)
-            handle = client.submit(
-                dump_system(tiny_system), [dump_property(_properties()[0])],
-                options={"timeout_seconds": 60},
-            )[0]
-            assert client.wait(handle.id, deadline_seconds=60)["status"] == "done"
-            # A formula that only fails to parse in the runner: stored
-            # directly, past the submit-time spec gate.
-            failing = server.store.submit(
-                VerificationJob(
-                    system_dict=dump_system(tiny_system),
-                    property_dict={**dump_property(_properties()[1]), "formula": "G ("},
-                    options_dict={"timeout_seconds": 60},
-                ),
-                tenant_id="alice",
-            )
-            server._wakeup.set()
-            view = client.wait(failing.id, deadline_seconds=60, raise_on_error=False)
-            assert view["status"] == "error"
-            counters = server.metrics_view()["tenants"]["alice"]["counters"]
-            assert counters["verifications_run"] == 2
-            assert counters["jobs_completed"] == 1
-            assert counters["jobs_failed"] == 1
+            with VerifasClient(server.url, api_key=key, poll_initial=0.02) as client:
+                handle = client.submit(
+                    dump_system(tiny_system), [dump_property(_properties()[0])],
+                    options={"timeout_seconds": 60},
+                )[0]
+                assert client.wait(handle.id, deadline_seconds=60)["status"] == "done"
+                # A formula that only fails to parse in the runner: stored
+                # directly, past the submit-time spec gate.
+                failing = server.store.submit(
+                    VerificationJob(
+                        system_dict=dump_system(tiny_system),
+                        property_dict={**dump_property(_properties()[1]), "formula": "G ("},
+                        options_dict={"timeout_seconds": 60},
+                    ),
+                    tenant_id="alice",
+                )
+                server._wakeup.set()
+                view = client.wait(failing.id, deadline_seconds=60, raise_on_error=False)
+                assert view["status"] == "error"
+                counters = server.metrics_view()["tenants"]["alice"]["counters"]
+                assert counters["verifications_run"] == 2
+                assert counters["jobs_completed"] == 1
+                assert counters["jobs_failed"] == 1
         finally:
             server.stop()
 
@@ -381,13 +381,13 @@ class TestThreadFallback:
             assert workers["model"] == "thread"
             assert workers["fallback_error"] == "RuntimeError: no spawn here"
             # ... and the degraded server still verifies.
-            client = VerifasClient(server.url, poll_initial=0.02)
-            handle = client.submit(
-                dump_system(tiny_system), [dump_property(_properties()[1])],
-                options={"timeout_seconds": 60},
-            )[0]
-            view = client.wait(handle.id, deadline_seconds=60)
-            assert view["result"]["outcome"] == "satisfied"
+            with VerifasClient(server.url, poll_initial=0.02) as client:
+                handle = client.submit(
+                    dump_system(tiny_system), [dump_property(_properties()[1])],
+                    options={"timeout_seconds": 60},
+                )[0]
+                view = client.wait(handle.id, deadline_seconds=60)
+                assert view["result"]["outcome"] == "satisfied"
         finally:
             server.stop()
 
@@ -421,14 +421,14 @@ class TestProcessSpeedup:
             )
             server.start()
             try:
-                client = VerifasClient(server.url, poll_initial=0.02)
-                handles = [
-                    client.submit(system_dict, payload, options=options)[0]
-                    for payload in payloads
-                ]
-                started = time.monotonic()
-                client.wait_all([h.id for h in handles], deadline_seconds=600)
-                return time.monotonic() - started
+                with VerifasClient(server.url, poll_initial=0.02) as client:
+                    handles = [
+                        client.submit(system_dict, payload, options=options)[0]
+                        for payload in payloads
+                    ]
+                    started = time.monotonic()
+                    client.wait_all([h.id for h in handles], deadline_seconds=600)
+                    return time.monotonic() - started
             finally:
                 server.stop()
 

@@ -7,6 +7,8 @@ sequential ``Verifier.verify``, with cache hits reported for duplicate jobs.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro import Verifier, VerifierOptions
@@ -22,7 +24,8 @@ from repro.service import (
     VerificationService,
     jobs_from_bundle,
 )
-from repro.spec import SpecBundle
+from repro.spec import SpecBundle, canonical_json, fingerprint
+from repro.spec.codec import dump_system
 
 
 OPTIONS = VerifierOptions(timeout_seconds=30)
@@ -78,6 +81,47 @@ class TestJobs:
         assert job.fingerprint == (
             "4531971063f07c553262f9f4feac26ecb388706ca0a2a37ff6132561a1aa9e2e"
         )
+
+    def test_composed_fingerprint_equals_the_whole_dict_hash(
+        self, tiny_system, monkeypatch
+    ):
+        """``job_fingerprint`` splices the system's canonical text into the
+        rendering instead of re-encoding the dict: the hash must be the one
+        of the whole ``{"system", "property", "options"}`` dict."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[2]))
+        from perfbench.http_mixed import OPTIONS as BENCH_OPTIONS, job_pool
+
+        options_dict = VerifierOptions.from_request(BENCH_OPTIONS).as_dict()
+        entries = job_pool(1)[: 2 * 26]  # the first two draws
+        assert len({entry["system"]["name"] for entry in entries}) == 13
+        for entry in entries:
+            job = VerificationJob(entry["system"], entry["property"], options_dict)
+            assert job.fingerprint == fingerprint(
+                {
+                    "system": entry["system"],
+                    "property": entry["property"],
+                    "options": options_dict,
+                }
+            )
+
+        prop = _properties("Main")[1]
+        job = VerificationJob.from_objects(tiny_system, prop, OPTIONS)
+        assert job.system_json == canonical_json(dump_system(tiny_system))
+        assert job.fingerprint == fingerprint(
+            {
+                "system": dump_system(tiny_system),
+                "property": job.property_dict,
+                "options": OPTIONS.as_dict(),
+            }
+        )
+
+    def test_bundle_jobs_share_one_system_text(self, tiny_system):
+        jobs = jobs_from_bundle(SpecBundle(tiny_system, _properties("Main")), OPTIONS)
+        assert len({id(job.system_json) for job in jobs}) == 1
+        assert [job.fingerprint for job in jobs] == [
+            VerificationJob.from_objects(tiny_system, prop, OPTIONS).fingerprint
+            for prop in _properties("Main")
+        ]
 
     def test_job_materialisation(self, tiny_system):
         prop = _properties("Main")[0]

@@ -1,8 +1,9 @@
 """Rules of tools/lint_invariants.py: RC001 (no sys.setrecursionlimit in
 src/repro), AB001 (no ablation switches on the public surfaces), WK001
 (only the worker pipeline builds verifiers in the server), OR001 (the
-symbolic search and the explicit-state checkers do not import each other)
-and HC001 (no urllib.request transport in src/repro)."""
+symbolic search and the explicit-state checkers do not import each other),
+HC001 (no urllib.request transport in src/repro) and SM001 (the server
+parses and lints submitted systems only through the checked-system memo)."""
 
 import ast
 import importlib.util
@@ -275,3 +276,49 @@ def test_transport_rule_covers_the_whole_package(lint):
 def test_package_has_one_transport_and_no_baseline_entry(lint):
     assert [v.render() for v in lint.collect_violations() if v.rule == "HC001"] == []
     assert not [entry for entry in lint._load_baseline() if "::HC001::" in entry]
+
+
+@pytest.mark.parametrize(
+    "source, function",
+    [
+        ("from repro.spec.codec import load_system\n", "<module>"),
+        ("from repro.analysis import analyze_system as lint\n", "<module>"),
+        ("def submit(data):\n    return load_system(data)\n", "submit"),
+        ("def submit(data):\n    return codec.load_system(data)\n", "submit"),
+        ("def gate(system):\n    diagnostics, _ = analyze_system(system)\n", "gate"),
+        ("def gate():\n    return analysis.analyze_system\n", "gate"),
+    ],
+)
+def test_system_gate_outside_the_memo_is_flagged(lint, source, function):
+    hits = _rules_hit(lint, source, rules=("SM001",), relpath="src/repro/server/app.py")
+    assert hits == [("SM001", function)]
+
+
+def test_system_gate_is_allowed_in_the_memo_and_other_calls_pass(lint):
+    gate = (
+        "from repro.spec.codec import load_system\n"
+        "from repro.analysis import analyze_system\n"
+        "def check(data):\n    return analyze_system(load_system(data))\n"
+    )
+    memo = "src/repro/server/spec_memo.py"
+    assert _rules_hit(lint, gate, rules=("SM001",), relpath=memo) == []
+    others = (
+        "from repro.spec.codec import load_property, dump_system\n"
+        "def submit(system, p):\n    return analyze_property(system, load_property(p))\n"
+    )
+    assert _rules_hit(lint, others, rules=("SM001",), relpath="src/repro/server/app.py") == []
+
+
+def test_system_gate_rule_covers_the_server_only(lint):
+    guarded = {
+        os.path.relpath(path, lint.REPO_ROOT).replace(os.sep, "/")
+        for path, rules in lint._python_files()
+        if "SM001" in rules
+    }
+    assert {"src/repro/server/app.py", "src/repro/server/spec_memo.py"} <= guarded
+    assert all(path.startswith("src/repro/server/") for path in guarded)
+
+
+def test_server_has_one_system_gate_and_no_baseline_entry(lint):
+    assert [v.render() for v in lint.collect_violations() if v.rule == "SM001"] == []
+    assert not [entry for entry in lint._load_baseline() if "::SM001::" in entry]

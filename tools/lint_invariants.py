@@ -89,6 +89,14 @@ its SQLite connection.  ``urllib.request`` sends every request with
 connection growing back as a second transport.  The rule has no baseline
 entries.
 
+**SM001 -- one system gate on the submit path** (``src/repro/server``).
+``POST /v1/jobs`` parses and lints each distinct system once: the
+checked-system memo (``src/repro/server/spec_memo.py``) runs
+``load_system`` and ``analyze_system`` and keeps the outcome for
+resubmits.  A call, an import or a reference of either anywhere else in
+the server is a second, unmemoised gate growing back.  The rule has no
+baseline entries.
+
 Violations are identified as ``<relpath>::<rule>::<enclosing function>``
 and checked against ``tools/lint_invariants_baseline.txt``: existing,
 reviewed call sites are grandfathered; anything new fails the build.
@@ -128,6 +136,7 @@ SCANNED_TREES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     (os.path.join("src", "repro", "has", "instance.py"), ("OR001",)),
     (os.path.join("src", "repro", "baseline"), ("OR001",)),
     (os.path.join("src", "repro"), ("HC001",)),
+    (os.path.join("src", "repro", "server"), ("SM001",)),
 )
 BASELINE_PATH = os.path.join(REPO_ROOT, "tools", "lint_invariants_baseline.txt")
 
@@ -144,6 +153,9 @@ ABLATION_NAME = "Ablation"
 #: What WK001 lets only the worker pipeline construct, and where that lives.
 EXECUTION_PRIMITIVES = ("Verifier", "SearchControl", "CancellationToken")
 WORKER_PIPELINE = "src/repro/server/workers.py"
+#: What SM001 lets only the checked-system memo use, and where that lives.
+SYSTEM_GATE = ("load_system", "analyze_system")
+SPEC_MEMO = "src/repro/server/spec_memo.py"
 #: What OR001 forbids each side of the search/reference split to import.
 ORACLE_BOUNDARY = (
     ("src/repro/core/", ("repro.has.runs", "repro.has.instance", "repro.baseline")),
@@ -286,6 +298,8 @@ class _InvariantVisitor(ast.NodeVisitor):
         )
         if any(alias.name == ABLATION_NAME for alias in node.names):
             self._record_ablation(node.lineno)
+        for alias in node.names:
+            self._check_system_gate(alias.name, node.lineno)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if (
@@ -298,7 +312,11 @@ class _InvariantVisitor(ast.NodeVisitor):
             self._record_ablation(node.lineno)
         if isinstance(node.value, ast.Name):
             self._check_transport([f"{node.value.id}.{node.attr}"], node.lineno)
+        self._check_system_gate(node.attr, node.lineno)
         self.generic_visit(node)
+
+    def visit_Name(self, node: ast.Name) -> None:
+        self._check_system_gate(node.id, node.lineno)
 
     def visit_Call(self, node: ast.Call) -> None:
         self._check_time_time(node)
@@ -441,6 +459,16 @@ class _InvariantVisitor(ast.NodeVisitor):
                 node.lineno,
                 f"{constructed} constructed outside {WORKER_PIPELINE}: the server "
                 "runs searches only through the worker agent's runner",
+            )
+
+    def _check_system_gate(self, name: str, lineno: int) -> None:
+        """Record one SM001 when *name* is the system parse or lint."""
+        if "SM001" in self.rules and name in SYSTEM_GATE and self.relpath != SPEC_MEMO:
+            self._record(
+                "SM001",
+                lineno,
+                f"{name} outside {SPEC_MEMO}: submitted systems are parsed and "
+                "linted once, through the checked-system memo",
             )
 
     def _check_unordered_iteration(self, iterable: ast.AST) -> None:
