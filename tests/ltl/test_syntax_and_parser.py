@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ltl.parser import LTLParseError, parse_ltl
+from repro.ltl.parser import MAX_FORMULA_DEPTH, LTLParseError, parse_ltl
 from repro.ltl.syntax import (
     And,
     Finally,
@@ -124,3 +124,44 @@ class TestParser:
     def test_invalid_character_rejected(self):
         with pytest.raises(LTLParseError):
             parse_ltl("p # q")
+
+
+class TestNestingDepth:
+    def test_formula_at_the_limit_parses(self):
+        formula = parse_ltl("X " * MAX_FORMULA_DEPTH + "p")
+        for _ in range(MAX_FORMULA_DEPTH):
+            assert isinstance(formula, Next)
+            formula = formula.operand
+        assert formula == Prop("p")
+
+    @pytest.mark.parametrize("depth", [MAX_FORMULA_DEPTH + 1, 2000, 100000])
+    def test_deeper_formula_is_rejected_with_the_limit_named(self, depth):
+        with pytest.raises(LTLParseError, match=f"deeper than {MAX_FORMULA_DEPTH}"):
+            parse_ltl("X " * depth + "p")
+
+    def test_left_associative_chain_counts_every_operator(self):
+        assert parse_ltl(" & ".join(["p"] * (MAX_FORMULA_DEPTH + 1)))
+        with pytest.raises(LTLParseError, match=f"deeper than {MAX_FORMULA_DEPTH}"):
+            parse_ltl(" & ".join(["p"] * (MAX_FORMULA_DEPTH + 2)))
+
+    def test_right_associative_until_chain(self):
+        with pytest.raises(LTLParseError, match=f"deeper than {MAX_FORMULA_DEPTH}"):
+            parse_ltl(" U ".join(["p"] * (MAX_FORMULA_DEPTH + 2)))
+
+    def test_biconditional_counts_its_expansion(self):
+        text = "X " * (MAX_FORMULA_DEPTH - 2) + "(p <-> q)"
+        assert parse_ltl(text)
+        with pytest.raises(LTLParseError, match=f"deeper than {MAX_FORMULA_DEPTH}"):
+            parse_ltl("X " + text)
+
+    def test_parentheses_do_not_count_and_do_not_recurse(self):
+        assert parse_ltl("(" * 5000 + "p" + ")" * 5000) == Prop("p")
+        with pytest.raises(LTLParseError):
+            parse_ltl("(" * 5000 + "p" + ")" * 4999)
+
+    def test_rendering_of_a_formula_at_the_limit_parses_back(self):
+        # str() parenthesises every operand; the text a spec file or a job
+        # row stores must parse back at the same depth.
+        half = MAX_FORMULA_DEPTH // 2
+        formula = parse_ltl("G (" * half + "p" + " & q)" * half)
+        assert parse_ltl(str(formula)) == formula

@@ -21,6 +21,7 @@ from repro.core.options import VerifierOptions
 from repro.core.stats import SearchStatistics
 from repro.has.conditions import Const, Eq, Neq, NULL, Var
 from repro.ltl import LTLFOProperty, parse_ltl
+from repro.ltl.parser import MAX_FORMULA_DEPTH
 from repro.server import VerificationServer
 from repro.server.handlers import ApiHandler
 from repro.spec import dump_property, dump_system
@@ -349,6 +350,28 @@ class TestApiErrors:
         payload["system"]["hierarchy"]["Main"] = "Main"  # self-parent: invalid
         status, body = _request(f"{server.url}/v1/jobs", "POST", payload)
         assert status == 400 and "error" in body
+
+    def test_formula_at_the_depth_limit_reaches_a_verdict(self, server, tiny_system):
+        payload = _payload(tiny_system, [])
+        payload["properties"] = [{
+            "name": "deep", "task": "Main", "conditions": {},
+            "formula": "X " * MAX_FORMULA_DEPTH + "pick",
+        }]
+        job = _submit(server.url, payload)[0]
+        view = _wait_for(server.url, [job["id"]])[job["id"]]
+        assert view["status"] == "done"
+        assert view["result"]["outcome"] in ("satisfied", "violated")
+
+    @pytest.mark.parametrize("depth", [MAX_FORMULA_DEPTH + 1, 2000])
+    def test_formula_deeper_than_the_limit_is_400(self, server, tiny_system, depth):
+        payload = _payload(tiny_system, [])
+        payload["properties"] = [{
+            "name": "deep", "task": "Main", "conditions": {},
+            "formula": "X " * depth + "pick",
+        }]
+        status, body = _request(f"{server.url}/v1/jobs", "POST", payload)
+        assert status == 400
+        assert f"nested deeper than {MAX_FORMULA_DEPTH} operators" in body["error"]
 
     def test_unknown_option_keys_are_rejected(self, server, tiny_system):
         payload = _payload(tiny_system, _properties()[:1])

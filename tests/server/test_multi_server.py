@@ -343,7 +343,8 @@ class TestTwoServeProcesses:
 
     @staticmethod
     def _start_serve(store_path, server_id: str):
-        """Launch one `serve` process; returns (process, url, lines)."""
+        """Launch one `serve` process; returns (process, url, lines, pump),
+        where *pump* is the thread that reads its output into *lines*."""
         process = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",
@@ -366,13 +367,14 @@ class TestTwoServeProcesses:
             for line in process.stdout:
                 lines.append(line.rstrip("\n"))
 
-        threading.Thread(target=pump, daemon=True).start()
+        pump_thread = threading.Thread(target=pump, daemon=True)
+        pump_thread.start()
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline:
             listening = [line for line in lines if "listening on " in line]
             if listening:
                 url = listening[0].split("listening on ", 1)[1].split()[0]
-                return process, url, lines
+                return process, url, lines, pump_thread
             if process.poll() is not None:
                 break
             time.sleep(0.05)
@@ -388,10 +390,11 @@ class TestTwoServeProcesses:
         servers = []
         try:
             for index in range(SERVER_COUNT):
-                process, url, lines = self._start_serve(store_path, f"s{index}")
-                servers.append(
-                    {"id": f"s{index}", "process": process, "url": url, "lines": lines}
-                )
+                process, url, lines, pump = self._start_serve(store_path, f"s{index}")
+                servers.append({
+                    "id": f"s{index}", "process": process, "url": url,
+                    "lines": lines, "pump": pump,
+                })
             yield servers
         finally:
             for server in servers:
@@ -402,6 +405,11 @@ class TestTwoServeProcesses:
                     server["process"].wait(timeout=10)
                 except subprocess.TimeoutExpired:  # pragma: no cover
                     server["process"].kill()
+                    server["process"].wait(timeout=10)
+                # The pump reads to EOF once the process is gone; close the
+                # pipe after it, not under it.
+                server["pump"].join(timeout=10)
+                server["process"].stdout.close()
 
     @pytest.fixture
     def cluster_clients(self, cluster):
