@@ -260,7 +260,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             default_options=_options_from(args),
             quiet=args.quiet,
             worker_model=args.worker_model,
-            max_jobs_per_worker=args.max_jobs_per_worker,
             server_id=args.server_id,
             sweep_interval=args.sweep_interval,
             heartbeat_interval=args.heartbeat_interval,
@@ -469,13 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--worker-model", choices=("thread", "process"), default="process",
         help="what runs each worker's searches -- process: an OS process, so"
              " CPU-bound searches run truly in parallel; thread: a thread sharing the"
-             " GIL.  Both share the claim, cancel, crash-requeue and recycling rules."
+             " GIL.  Both share the claim, cancel and crash-requeue rules."
              "  process degrades to thread automatically in sandboxes that cannot"
              " spawn (default: process)",
-    )
-    serve.add_argument(
-        "--max-jobs-per-worker", type=int, default=32, metavar="K",
-        help="recycle a worker's runner after K jobs (default: 32)",
     )
     serve.add_argument("--store", default="repro-jobs.db", metavar="PATH",
                        help="SQLite job/result store (default: repro-jobs.db)")

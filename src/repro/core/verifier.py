@@ -35,7 +35,7 @@ from repro.core.repeated import RepeatedReachabilityAnalyzer
 from repro.core.stats import SearchStatistics
 from repro.core.transitions import SymbolicTransitionSystem
 from repro.has.artifact_system import ArtifactSystem
-from repro.ltl.buchi import ltl_to_buchi
+from repro.ltl.buchi import ConstructionStopped, ltl_to_buchi
 from repro.ltl.ltlfo import LTLFOProperty
 
 
@@ -159,28 +159,39 @@ class Verifier:
 
             # The verifier searches for runs of the *negated* property.
             negated = ltl_property.formula.negated()
-            automaton = ltl_to_buchi(
-                negated, extra_propositions=transition_system.observable_services
+            try:
+                automaton = ltl_to_buchi(
+                    negated,
+                    extra_propositions=transition_system.observable_services,
+                    should_stop=control.should_stop,
+                )
+            except ConstructionStopped:  # the deadline passed or a cancel came
+                product = None
+            else:
+                product = ProductSystem(transition_system, automaton, ltl_property)
+        if product is None:
+            reason = control.stop_reason()
+            stats = SearchStatistics(
+                timed_out=reason == STOP_DEADLINE, cancelled=reason == STOP_CANCELLED
             )
-
-            product = ProductSystem(transition_system, automaton, ltl_property)
-        control.emit_phase("search", property=ltl_property.name, task=task_name)
-        search = KarpMillerSearch(
-            product,
-            self.options.max_states,
-            covers=None if self.ablation.state_pruning else covers_leq,
-            use_index=self.ablation.data_structure_support,
-            control=control,
-        )
-        with control.span("verify.search") as search_span:
-            result = search.run()
-            search_span.set_attr("states_explored", search.stats.states_explored)
-            search_span.set_attr("phases", control.phase_timer.snapshot())
-        stats = search.stats
+            outcome, counterexample = VerificationOutcome.UNKNOWN, None
+        else:
+            control.emit_phase("search", property=ltl_property.name, task=task_name)
+            search = KarpMillerSearch(
+                product,
+                self.options.max_states,
+                covers=None if self.ablation.state_pruning else covers_leq,
+                use_index=self.ablation.data_structure_support,
+                control=control,
+            )
+            with control.span("verify.search") as search_span:
+                result = search.run()
+                search_span.set_attr("states_explored", search.stats.states_explored)
+                search_span.set_attr("phases", control.phase_timer.snapshot())
+            stats = search.stats
+            with control.span("verify.verdict"):
+                outcome, counterexample = self._verdict(product, result, stats, control)
         stats.constraints_dropped = transition_system.constraint_filter.dropped_edge_count
-
-        with control.span("verify.verdict"):
-            outcome, counterexample = self._verdict(product, result, stats, control)
         stats.total_seconds = time.monotonic() - started
         if control.phase_timer.enabled:
             stats.phase_seconds = control.phase_timer.snapshot()

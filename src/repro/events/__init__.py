@@ -38,7 +38,6 @@ from repro.events.types import (
     TenantThrottled,
     VerificationStarted,
     WorkerCrashed,
-    WorkerRecycled,
 )
 
 __all__ = [
@@ -70,5 +69,4 @@ __all__ = [
     "TraceSink",
     "VerificationStarted",
     "WorkerCrashed",
-    "WorkerRecycled",
 ]

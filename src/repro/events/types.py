@@ -229,13 +229,6 @@ class WorkerCrashed(Event):
     counter: ClassVar[Optional[str]] = "worker_crashes"
 
 
-@dataclass(frozen=True)
-class WorkerRecycled(Event):
-    name: ClassVar[str] = "worker-recycled"
-    level: ClassVar[str] = DEBUG
-    counter: ClassVar[Optional[str]] = "worker_recycles"
-
-
 # ------------------------------------------------- sweeper / recovery events
 
 

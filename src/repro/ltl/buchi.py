@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.ltl.syntax import (
     And,
@@ -194,7 +194,7 @@ def _negate_literal(formula: Formula) -> Formula:
     return Not(formula)
 
 
-def _expand(subformulas: Sequence[Formula]) -> List[_Node]:
+def _expand(subformulas: Sequence[Formula], should_stop: Callable[[], bool]) -> List[_Node]:
     """The `expand` procedure of the GPVW construction from the first of
     *subformulas* (the NNF itself); returns the nodes.
 
@@ -210,6 +210,8 @@ def _expand(subformulas: Sequence[Formula]) -> List[_Node]:
     nodes: List[_Node] = []
     stack = [_Node(node_id=next(counter), incoming={_INIT}, new={0})]
     while stack:
+        if should_stop():
+            raise ConstructionStopped
         node = stack.pop()
         if not node.new:
             for existing in nodes:
@@ -277,7 +279,15 @@ def _split(
     raise TypeError(f"unexpected formula {formula}")
 
 
-def ltl_to_buchi(formula: Formula, extra_propositions: Iterable[str] = ()) -> BuchiAutomaton:
+class ConstructionStopped(Exception):
+    """The *should_stop* of :func:`ltl_to_buchi` fired mid-construction."""
+
+
+def ltl_to_buchi(
+    formula: Formula,
+    extra_propositions: Iterable[str] = (),
+    should_stop: Callable[[], bool] = lambda: False,
+) -> BuchiAutomaton:
     """Translate an LTL formula into an equivalent Büchi automaton.
 
     The input is converted to NNF first, so any formula (including ``G``,
@@ -289,10 +299,13 @@ def ltl_to_buchi(formula: Formula, extra_propositions: Iterable[str] = ()) -> Bu
     (so that the first letter is checked against the label of the first
     tableau node), degeneralize with the standard counter construction and
     return its forward-bisimulation quotient, whose initial state is 0.
+    Chained ``U`` and nested ``F`` blow both up: the construction polls
+    *should_stop* once per tableau node and refinement round, and raises
+    :class:`ConstructionStopped` when it fires.
     """
     nnf = formula.nnf()
     subformulas = nnf.subformulas()
-    nodes = _expand(subformulas)
+    nodes = _expand(subformulas, should_stop)
 
     # Generalized acceptance: one set of nodes per until subformula.
     acceptance_sets: List[Set[int]] = []
@@ -373,7 +386,7 @@ def ltl_to_buchi(formula: Formula, extra_propositions: Iterable[str] = ()) -> Bu
     }
 
     states = [INIT_STATE] + sorted(set(state_index.values()))
-    return _bisimulation_quotient(states, transitions, accepting, propositions)
+    return _bisimulation_quotient(states, transitions, accepting, propositions, should_stop)
 
 
 def _bisimulation_quotient(
@@ -381,6 +394,7 @@ def _bisimulation_quotient(
     transitions: Sequence[BuchiTransition],
     accepting: Set[int],
     propositions: Iterable[str],
+    should_stop: Callable[[], bool],
 ) -> BuchiAutomaton:
     """Merge forward-bisimilar states; the first of *states* is the initial one.
 
@@ -396,6 +410,8 @@ def _bisimulation_quotient(
     block = {s: int(s in accepting) for s in states}
     n_blocks = len(set(block.values()))
     while True:
+        if should_stop():
+            raise ConstructionStopped
         signatures: Dict[object, int] = {}
         refined = {
             s: signatures.setdefault(

@@ -8,9 +8,9 @@ A :class:`VerificationServer` owns
   queued jobs and runs each on the slot's runner -- a spawned child process
   (``worker_model="process"``: truly parallel CPU-bound searches) or a
   thread in this process (``"thread"``: GIL-shared, always available).
-  Both models share the claim, cancel, heartbeat, crash-requeue and
-  recycling rules.  ``worker_model="process"`` degrades to threads
-  automatically when the sandbox cannot spawn processes, mirroring
+  Both models share the claim, cancel, heartbeat and crash-requeue rules,
+  and keep a runner until it dies.  ``worker_model="process"`` degrades to
+  threads automatically when the sandbox cannot spawn processes, mirroring
   :mod:`repro.service.engine`'s ``BrokenProcessPool`` fallback, and
 * a :class:`~http.server.ThreadingHTTPServer` running
   :class:`~repro.server.handlers.ApiHandler`.
@@ -149,7 +149,6 @@ class VerificationServer:
         sweep_interval: float = 2.0,
         progress_interval: int = 500,
         worker_model: str = "thread",
-        max_jobs_per_worker: int = 32,
         heartbeat_interval: float = 1.0,
         stale_heartbeat_seconds: float = 15.0,
         server_id: Optional[str] = None,
@@ -215,8 +214,6 @@ class VerificationServer:
         self.worker_model = worker_model
         #: Why a requested process pool degraded to threads (None otherwise).
         self.worker_fallback_error: Optional[str] = None
-        #: Recycle a worker's runner after this many dispatched jobs.
-        self.max_jobs_per_worker = max(1, max_jobs_per_worker)
         if stale_heartbeat_seconds <= 2.0 * heartbeat_interval:
             # Worker agents refresh their claims' heartbeats once per
             # heartbeat_interval from their drain loops: a staleness

@@ -65,9 +65,8 @@ class WorkerGauges:
     """Per-worker gauges: one row per worker slot, updated by its owner.
 
     Each slot reports its busy/idle state, the job currently on the wire,
-    and cumulative jobs / crashes / recycles; a process-model slot also
-    reports its child pid.  Snapshotted into ``/metrics`` under
-    ``workers.pool``.
+    and cumulative jobs / crashes; a process-model slot also reports its
+    child pid.  Snapshotted into ``/metrics`` under ``workers.pool``.
     """
 
     _DEFAULTS = {
@@ -76,7 +75,6 @@ class WorkerGauges:
         "current_job": None,
         "jobs_completed": 0,
         "crashes": 0,
-        "recycles": 0,
     }
 
     def __init__(self):
@@ -132,7 +130,6 @@ class ServerMetrics:
             "cache_hits": 0,
             "cache_misses": 0,
             "worker_crashes": 0,
-            "worker_recycles": 0,
             # Shared-store citizenship: jobs this server's sweeper rescued
             # from dead owners, and sweep rounds skipped because a peer
             # server currently holds the sweeper lease.
@@ -314,7 +311,6 @@ def render_prometheus(view: Mapping[str, Any]) -> str:
         for field_name, help_text in (
             ("jobs_completed", "Jobs completed by the worker slot."),
             ("crashes", "Worker process crashes observed on the slot."),
-            ("recycles", "Worker process recycles performed on the slot."),
         ):
             metric = f"repro_worker_{field_name}_total"
             lines.append(f"# HELP {metric} {help_text}")

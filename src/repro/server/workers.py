@@ -41,12 +41,11 @@ sets the runner's cancel event at once: the runner's
 *external* backend) once per search-loop iteration, and the partial
 statistics travel back like any other result.
 
-Runners are **recycled** after ``max_jobs_per_worker`` jobs, bounding any
-leak a long runner life could accumulate.  A runner that dies mid-job (a
-child's segfault, OOM-kill or ``SIGKILL``) is detected by the agent: its
-job is released back to the queue through the same recovery semantics a
-server restart uses (requeue -- unless the job's cancellation was already
-requested, in which case it is finalised ``cancelled``), and a fresh runner
+A runner lives until the server stops or it dies: none is recycled.  One
+that dies mid-job (a child's segfault, OOM-kill or ``SIGKILL``) is detected
+by the agent: its job is released back to the queue through the recovery
+semantics of a server restart (requeue -- unless its cancellation was
+already requested, then it is finalised ``cancelled``), and a fresh runner
 starts for the next job.  Child processes use the ``spawn`` start method
 everywhere: no fork-inherited locks.
 """
@@ -69,7 +68,6 @@ from repro.events import (
     SpanRecorded,
     VerificationStarted,
     WorkerCrashed,
-    WorkerRecycled,
 )
 from repro.obs import Span, TraceContext, TraceScope, Tracer
 from repro.service.jobs import VerificationJob
@@ -244,25 +242,12 @@ class WorkerAgent(threading.Thread):
         self.runner: Optional[Any] = None  # a Process or a _ThreadRunner
         self._conn = None  # the agent's end of the duplex pipe
         self._cancel_event = None
-        self._jobs_on_runner = 0  # jobs dispatched to the current runner
         self._start_failures = 0
         server.metrics.worker_gauges.update(
             self.worker_id, state="idle", model=server.worker_model
         )
 
     # ------------------------------------------------------------- lifecycle
-
-    def _ensure_runner(self) -> None:
-        """(Re)start the runner if missing, dead, or due for recycling."""
-        if self.runner is not None and self.runner.is_alive():
-            if self._jobs_on_runner < self.server.max_jobs_per_worker:
-                return
-            self._stop_runner()  # recycle: bounded runner lifetime
-            self.server.events.fire(WorkerRecycled(data={"worker": self.worker_id}))
-            self.server.metrics.worker_gauges.increment(self.worker_id, "recycles")
-        if self.runner is not None and not self.runner.is_alive():
-            self._close_pipes()
-        self._start_runner()
 
     def _start_runner(self) -> None:
         """Start a fresh runner: the one place the two worker models differ."""
@@ -298,7 +283,6 @@ class WorkerAgent(threading.Thread):
         self.runner = runner
         self._conn = conn
         self._cancel_event = cancel_event
-        self._jobs_on_runner = 0
         self.server.metrics.worker_gauges.update(self.worker_id, pid=runner.pid)
 
     def _close_pipes(self) -> None:
@@ -375,7 +359,9 @@ class WorkerAgent(threading.Thread):
         # spans -- the agent closes this one with an error status instead.
         execute_span = self._start_job_spans(stored)
         try:
-            self._ensure_runner()
+            if self.runner is None or not self.runner.is_alive():
+                self._close_pipes()  # no runner yet, or it died
+                self._start_runner()
             self._cancel_event.clear()  # a late cancel of the previous job
             server._register_canceller(stored.id, self._cancel_event.set)
             try:
@@ -386,7 +372,6 @@ class WorkerAgent(threading.Thread):
                 server.events.fire(
                     VerificationStarted(job_id=stored.id, tenant_id=stored.tenant_id)
                 )
-                self._jobs_on_runner += 1
                 task = {
                     "system": stored.system_dict,
                     "property": stored.property_dict,

@@ -396,12 +396,20 @@ def dump_property(ltl_property: LTLFOProperty) -> Dict[str, Any]:
     }
 
 
+def _quote_formula(text: str) -> str:
+    """*text* quoted for an error message: at most its first 80 characters."""
+    if len(text) <= 80:
+        return repr(text)
+    return f"{text[:80] + '…'!r} ({len(text)} characters)"
+
+
 def load_property(data: Mapping[str, Any]) -> LTLFOProperty:
     formula_text = _require(data, "formula", "LTL-FO property")
     try:
         formula = parse_ltl(formula_text)
     except ValueError as error:
-        raise SpecError(f"cannot parse LTL formula {formula_text!r}: {error}") from None
+        quoted = _quote_formula(formula_text)
+        raise SpecError(f"cannot parse LTL formula {quoted}: {error}") from None
     return LTLFOProperty(
         _require(data, "task", "LTL-FO property"),
         formula,

@@ -1,8 +1,12 @@
 """Integration tests of the full verifier on small, hand-analysed specifications."""
 
+import threading
+import time
+
 import pytest
 
 from repro import Verifier, VerificationOutcome, VerifierOptions
+from repro.core.control import SearchControl
 from repro.core.options import Ablation
 from repro.has.builder import ArtifactSystemBuilder
 from repro.has.conditions import And, Const, Eq, Neq, NULL, Or, Var
@@ -238,3 +242,47 @@ class TestCounterexamples:
     def test_satisfied_results_have_no_counterexample(self, verifier):
         result = verifier.verify(prop("Main", "true"))
         assert result.counterexample is None
+
+
+def chained_until(task, links=10):
+    """``p0 U p1 U … U p<links-1>``: its negation's tableau takes seconds to build."""
+    return prop(
+        task,
+        " U ".join(f"p{i}" for i in range(links)),
+        name="chained-until",
+        **{f"p{i}": Eq(Var("status"), Const(f"c{i}")) for i in range(links)},
+    )
+
+
+def nested_globally(task, depth=30):
+    """``G (G (… p …))``: its negation's quotient takes seconds to refine."""
+    text = "G (" * depth + "p" + ")" * depth
+    return prop(task, text, name="nested-globally", p=Eq(Var("status"), Const("picked")))
+
+
+class TestStopDuringSetup:
+    """The deadline and a cancel reach the Büchi construction in verify.setup."""
+
+    @pytest.mark.parametrize("build", [chained_until, nested_globally])
+    def test_timeout_stops_the_automaton_construction(self, tiny_system, build):
+        started = time.monotonic()
+        result = Verifier(tiny_system, VerifierOptions(timeout_seconds=1)).verify(
+            build("Main")
+        )
+        assert time.monotonic() - started < 3.0
+        assert result.outcome is VerificationOutcome.UNKNOWN
+        assert result.stats.timed_out and not result.stats.cancelled
+        assert result.stats.states_explored == 0
+
+    def test_cancel_stops_the_automaton_construction(self, tiny_system):
+        control = SearchControl()
+        timer = threading.Timer(0.2, control.cancel)
+        timer.start()
+        started = time.monotonic()
+        try:
+            result = Verifier(tiny_system).verify(chained_until("Main"), control)
+        finally:
+            timer.cancel()
+        assert time.monotonic() - started < 3.0
+        assert result.outcome is VerificationOutcome.UNKNOWN
+        assert result.stats.cancelled and not result.stats.timed_out

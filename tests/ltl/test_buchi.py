@@ -17,7 +17,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.benchmark.properties import LTL_TEMPLATES
-from repro.ltl.buchi import BuchiAutomaton, TransitionLabel, ltl_to_buchi
+from repro.ltl.buchi import (
+    BuchiAutomaton,
+    ConstructionStopped,
+    TransitionLabel,
+    ltl_to_buchi,
+)
 from repro.ltl.evaluate import evaluate_finite_trace, evaluate_lasso
 from repro.ltl.parser import parse_ltl
 from repro.ltl.syntax import (
@@ -114,6 +119,17 @@ class TestBasicAutomata:
         automaton = ltl_to_buchi(parse_ltl("G p"))
         with pytest.raises(ValueError):
             automaton.accepts_lasso([{"p"}], [])
+
+    def test_should_stop_ends_the_construction(self):
+        polls = []
+
+        def stop_on_third_poll():
+            polls.append(None)
+            return len(polls) >= 3
+
+        with pytest.raises(ConstructionStopped):
+            ltl_to_buchi(parse_ltl("G (p -> F q)"), should_stop=stop_on_third_poll)
+        assert len(polls) == 3
 
 
 def _random_formula(rng: random.Random, depth: int) -> Formula:

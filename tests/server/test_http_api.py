@@ -372,6 +372,7 @@ class TestApiErrors:
         status, body = _request(f"{server.url}/v1/jobs", "POST", payload)
         assert status == 400
         assert f"nested deeper than {MAX_FORMULA_DEPTH} operators" in body["error"]
+        assert len(body["error"]) < 300  # quotes the formula's head, not all of it
 
     def test_unknown_option_keys_are_rejected(self, server, tiny_system):
         payload = _payload(tiny_system, _properties()[:1])

@@ -140,9 +140,9 @@ class TestPrometheusRendering:
             "cache": {"hits": 1, "misses": 3, "hit_rate": 0.25, "results": 3},
             "workers": {"count": 2, "pool": [
                 {"worker_id": "a:proc-0", "state": "busy",
-                 "jobs_completed": 9, "crashes": 1, "recycles": 0},
+                 "jobs_completed": 9, "crashes": 1},
                 {"worker_id": "a:proc-1", "state": "idle",
-                 "jobs_completed": 2, "crashes": 0, "recycles": 1},
+                 "jobs_completed": 2, "crashes": 0},
             ]},
         }
         view.update(overrides)
@@ -176,7 +176,7 @@ class TestPrometheusRendering:
         assert 'repro_worker_busy{worker_id="a:proc-1"} 0' in text
         assert 'repro_worker_jobs_completed_total{worker_id="a:proc-0"} 9' in text
         assert 'repro_worker_crashes_total{worker_id="a:proc-0"} 1' in text
-        assert 'repro_worker_recycles_total{worker_id="a:proc-1"} 1' in text
+        assert "recycles" not in text
 
     def test_cache_hit_rate_is_the_only_cache_gauge(self):
         text = render_prometheus(self._view())

@@ -12,6 +12,7 @@ from repro.client import VerifasClient, auth_headers
 from repro.has.conditions import Const, Eq, Var
 from repro.ltl import LTLFOProperty, parse_ltl
 from repro.server import VerificationServer
+from repro.server.workers import children_alive
 from repro.spec import dump_property, dump_system
 
 OPTIONS = {"timeout_seconds": 60}
@@ -103,25 +104,34 @@ class TestLivenessAndReadiness:
 
 
 class TestWorkerPool:
-    def test_runner_is_recycled_after_max_jobs(self, tmp_path, worker_model, tiny_system):
-        """Recycling is one rule for both runners: a fresh runner after K jobs."""
+    def test_one_runner_serves_every_job(self, tmp_path, worker_model, tiny_system):
+        """A slot's runner lives until the server stops or the runner dies:
+        40 real runs (distinct fingerprints) on one slot share one runner --
+        one child pid on the process model, one thread on the thread model."""
         server = VerificationServer(
             store_path=tmp_path / "jobs.db", port=0, workers=1,
-            sweep_interval=0.1, worker_model=worker_model, max_jobs_per_worker=1,
+            sweep_interval=0.1, worker_model=worker_model,
         )
         server.start()
         try:
+            [agent] = server._agents
+            runners, pids = [], set()
             with VerifasClient(server.url, poll_initial=0.02, poll_max=0.2) as client:
-                for timeout in (60, 61):  # distinct fingerprints: two real runs
+                for timeout in range(60, 100):
                     handle = client.submit(
                         dump_system(tiny_system), [dump_property(_property())],
                         options={"timeout_seconds": timeout},
                     )[0]
                     assert client.wait(handle.id, deadline_seconds=60)["status"] == "done"
-                [gauge] = server.metrics_view()["workers"]["pool"]
-                assert gauge["model"] == server.worker_model
-                assert gauge["jobs_completed"] == 2 and gauge["recycles"] == 1
-                assert server.metrics.counter("worker_recycles") == 1
+                    runners.append(agent.runner)
+                    pids.add(server.metrics_view()["workers"]["pool"][0]["pid"])
+                    assert children_alive(server._agents) == 1
+            [gauge] = server.metrics_view()["workers"]["pool"]
+            assert gauge["model"] == server.worker_model
+            assert gauge["jobs_completed"] == 40 and gauge["crashes"] == 0
+            assert all(runner is runners[0] for runner in runners)
+            assert len(pids) == 1
+            assert server.metrics.counter("verifications_run") == 40
         finally:
             server.stop()
 

@@ -302,6 +302,34 @@ class TestCancellation:
         finally:
             restarted.stop()
 
+    def test_cancel_reaches_the_automaton_construction(self, server, client, tiny_system):
+        """A DELETE stops a job still building its Büchi automaton: the
+        negated ``p0 U p1 U … U p9`` takes seconds to translate."""
+        links = 10
+        chained = LTLFOProperty(
+            "Main", parse_ltl(" U ".join(f"p{i}" for i in range(links))),
+            {f"p{i}": Eq(Var("status"), Const(f"c{i}")) for i in range(links)},
+            name="chained-until",
+        )
+        handle = client.submit(
+            dump_system(tiny_system), [dump_property(chained)],
+            options={"timeout_seconds": 600},
+        )[0]
+        deadline = time.monotonic() + 30
+        while client.job(handle.id)["status"] != "running":
+            assert time.monotonic() < deadline, "job never started running"
+            time.sleep(0.02)
+        time.sleep(0.5)  # well into the construction
+
+        cancelled_at = time.monotonic()
+        assert client.cancel(handle.id)["status"] == "cancelling"
+        view = client.wait(handle.id, deadline_seconds=30)
+        assert view["status"] == "cancelled"
+        assert time.monotonic() - cancelled_at < 5.0
+        result = view["result"]
+        assert result["outcome"] == "unknown"
+        assert result["stats"]["cancelled"] is True
+
     def test_cancel_requested_before_crash_is_not_requeued(self, tmp_path, exploding_system):
         """Satellite: a job whose cancel was accepted pre-crash must not rise
         from the dead as `queued` on restart."""

@@ -5,9 +5,9 @@ Covers the PR acceptance criteria: jobs verify on real OS processes
 terminates a hot process-worker search within its poll interval with
 partial statistics, a SIGKILL'd worker's job is requeued through the
 recovery path and completes on a respawned child (extending the PR 2
-kill/restart suite), workers are recycled after ``max_jobs_per_worker``
-jobs, a queued fingerprint-twin of a crashed job is re-claimed instead of
-wedging, sandboxes without spawn degrade to thread workers, and -- behind
+kill/restart suite), one child serves every job of its slot (there is no
+recycling), a queued fingerprint-twin of a crashed job is re-claimed
+instead of wedging, sandboxes without spawn degrade to thread workers, and -- behind
 the ``slow`` marker -- a CPU-heavy batch speeds up >1.5x over threads on a
 multi-core machine.
 """
@@ -219,7 +219,7 @@ class TestCrossProcessCancellation:
 
 class TestKillAWorker:
     def test_sigkilled_worker_job_requeues_and_completes_on_a_respawn(
-        self, tmp_path, exploding_system
+        self, tmp_path, exploding_system, tiny_system
     ):
         """Extends the PR 2 kill/restart suite down to worker granularity:
         SIGKILL the child mid-search; the agent detects the crash, releases
@@ -266,6 +266,17 @@ class TestKillAWorker:
                 assert len(crash_events) == 1
                 assert crash_events[0]["data"]["disposition"] == "requeued"
                 assert server.metrics.counter("verifications_run") == 2  # run + re-run
+
+                # The respawned child is the slot's runner from now on: the
+                # next two jobs run on it too.
+                for prop in _properties():
+                    after = client.submit(
+                        dump_system(tiny_system), [dump_property(prop)],
+                        options={"timeout_seconds": 60},
+                    )[0]
+                    assert client.wait(after.id, deadline_seconds=60)["status"] == "done"
+                    assert server.metrics_view()["workers"]["pool"][0]["pid"] == respawned
+                assert server.metrics.counter("verifications_run") == 4
         finally:
             server.stop()
 
@@ -299,29 +310,27 @@ class TestKillAWorker:
             server.stop()
 
 
-class TestWorkerRecycling:
-    def test_worker_is_recycled_after_max_jobs(self, tmp_path, tiny_system):
-        server = _make_server(tmp_path, workers=1, max_jobs_per_worker=1)
+class TestRunnerLifetime:
+    def test_one_child_process_serves_every_job(self, tmp_path, tiny_system):
+        """No recycling: 40 real runs (distinct fingerprints) on one slot all
+        run on the slot's first child process."""
+        server = _make_server(tmp_path, workers=1)
         try:
+            pids = set()
             with VerifasClient(server.url, poll_initial=0.02) as client:
-                first = client.submit(
-                    dump_system(tiny_system), [dump_property(_properties()[0])],
-                    options={"timeout_seconds": 60},
-                )[0]
-                client.wait(first.id, deadline_seconds=60)
-                pid_before = server.metrics_view()["workers"]["pool"][0]["pid"]
-                second = client.submit(
-                    dump_system(tiny_system), [dump_property(_properties()[1])],
-                    options={"timeout_seconds": 60},
-                )[0]
-                client.wait(second.id, deadline_seconds=60)
-                workers = server.metrics_view()["workers"]
-                assert workers["pool"][0]["recycles"] == 1
-                assert workers["pool"][0]["pid"] != pid_before
-                assert server.metrics.counter("worker_recycles") == 1
-                # Recycling is invisible to the jobs themselves.
-                assert client.job(first.id)["result"]["outcome"] == "violated"
-                assert client.job(second.id)["result"]["outcome"] == "satisfied"
+                for timeout in range(60, 100):
+                    handle = client.submit(
+                        dump_system(tiny_system), [dump_property(_properties()[0])],
+                        options={"timeout_seconds": timeout},
+                    )[0]
+                    view = client.wait(handle.id, deadline_seconds=60)
+                    assert view["result"]["outcome"] == "violated"
+                    workers = server.metrics_view()["workers"]
+                    pids.add(workers["pool"][0]["pid"])
+                    assert workers["processes_alive"] == 1
+            [gauge] = server.metrics_view()["workers"]["pool"]
+            assert gauge["jobs_completed"] == 40
+            assert len(pids) == 1 and None not in pids
         finally:
             server.stop()
 

@@ -174,18 +174,16 @@ class TestServeCommand:
         # Process workers are the default: CPU-bound searches parallelise,
         # and sandboxes degrade to threads automatically at start().
         assert args.worker_model == "process"
-        assert args.max_jobs_per_worker == 32
 
     def test_serve_worker_model_flag(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(
-            ["serve", "--worker-model", "thread", "--max-jobs-per-worker", "5"]
-        )
+        args = build_parser().parse_args(["serve", "--worker-model", "thread"])
         assert args.worker_model == "thread"
-        assert args.max_jobs_per_worker == 5
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--worker-model", "fibers"])
+        with pytest.raises(SystemExit):  # runners are never recycled
+            build_parser().parse_args(["serve", "--max-jobs-per-worker", "5"])
 
     def test_serve_with_unusable_store_path_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "missing-dir" / "jobs.db"

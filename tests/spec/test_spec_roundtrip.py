@@ -164,6 +164,15 @@ class TestErrors:
         with pytest.raises(SpecError, match="cannot parse LTL formula"):
             load_property({"task": "T", "formula": "G (("})
 
+    def test_long_unparsable_formula_is_quoted_by_its_head(self):
+        formula = "G (" + "p & " * 500
+        with pytest.raises(SpecError) as caught:
+            load_property({"task": "T", "formula": formula})
+        message = str(caught.value)
+        assert repr(formula[:80] + "…") in message
+        assert f"({len(formula)} characters)" in message
+        assert len(message) < 200
+
     def test_missing_system_section(self):
         with pytest.raises(SpecError, match="no 'system' section"):
             SpecBundle.from_dict({"schema_version": 1})

@@ -2,8 +2,9 @@
 src/repro), AB001 (no ablation switches on the public surfaces), WK001
 (only the worker pipeline builds verifiers in the server), OR001 (the
 symbolic search and the explicit-state checkers do not import each other),
-HC001 (no urllib.request transport in src/repro) and SM001 (the server
-parses and lints submitted systems only through the checked-system memo)."""
+HC001 (no urllib.request transport in src/repro), SM001 (the server
+parses and lints submitted systems only through the checked-system memo)
+and RN001 (only the worker agent's close stops a runner)."""
 
 import ast
 import importlib.util
@@ -322,3 +323,35 @@ def test_system_gate_rule_covers_the_server_only(lint):
 def test_server_has_one_system_gate_and_no_baseline_entry(lint):
     assert [v.render() for v in lint.collect_violations() if v.rule == "SM001"] == []
     assert not [entry for entry in lint._load_baseline() if "::SM001::" in entry]
+
+
+@pytest.mark.parametrize(
+    "source,function",
+    [
+        # The deleted recycle branch: stop a live runner before a job.
+        (
+            "class WorkerAgent:\n    def _ensure_runner(self):\n"
+            "        if self.jobs > 32:\n            self._stop_runner()\n",
+            "_ensure_runner",
+        ),
+        # A close() of another class is not the agent's shutdown.
+        ("class Pool:\n    def close(self):\n        self.agent._stop_runner()\n", "close"),
+    ],
+)
+def test_runner_stop_outside_close_is_flagged(lint, source, function):
+    hits = _rules_hit(lint, source, rules=("RN001",), relpath=lint.WORKER_PIPELINE)
+    assert hits == [("RN001", function)]
+
+
+def test_runner_stop_is_allowed_in_the_agent_close(lint):
+    source = (
+        "class WorkerAgent:\n"
+        "    def _stop_runner(self):\n        self.runner.join()\n"
+        "    def close(self):\n        self._stop_runner()\n"
+    )
+    assert _rules_hit(lint, source, rules=("RN001",), relpath=lint.WORKER_PIPELINE) == []
+
+
+def test_server_never_recycles_a_runner_and_has_no_baseline_entry(lint):
+    assert [v.render() for v in lint.collect_violations() if v.rule == "RN001"] == []
+    assert not [entry for entry in lint._load_baseline() if "::RN001::" in entry]

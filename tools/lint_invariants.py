@@ -97,6 +97,14 @@ resubmits.  A call, an import or a reference of either anywhere else in
 the server is a second, unmemoised gate growing back.  The rule has no
 baseline entries.
 
+**RN001 -- a runner lives until the server stops or it dies**
+(``src/repro/server``).  A fresh runner costs a ``spawn`` start and an
+import of the package (about 0.4 s on the process model) and a runner's
+memory stays flat over a thousand verifies, so nothing recycles one: the
+agent starts a runner only when it has none or the old one died.  A call of
+``_stop_runner`` anywhere but ``WorkerAgent.close`` is runner recycling
+growing back.  The rule has no baseline entries.
+
 Violations are identified as ``<relpath>::<rule>::<enclosing function>``
 and checked against ``tools/lint_invariants_baseline.txt``: existing,
 reviewed call sites are grandfathered; anything new fails the build.
@@ -137,6 +145,7 @@ SCANNED_TREES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     (os.path.join("src", "repro", "baseline"), ("OR001",)),
     (os.path.join("src", "repro"), ("HC001",)),
     (os.path.join("src", "repro", "server"), ("SM001",)),
+    (os.path.join("src", "repro", "server"), ("RN001",)),
 )
 BASELINE_PATH = os.path.join(REPO_ROOT, "tools", "lint_invariants_baseline.txt")
 
@@ -156,6 +165,9 @@ WORKER_PIPELINE = "src/repro/server/workers.py"
 #: What SM001 lets only the checked-system memo use, and where that lives.
 SYSTEM_GATE = ("load_system", "analyze_system")
 SPEC_MEMO = "src/repro/server/spec_memo.py"
+#: What RN001 lets only the server's shutdown call: (file, class, method).
+RUNNER_STOP = "_stop_runner"
+RUNNER_STOP_SITE = (WORKER_PIPELINE, "WorkerAgent", "close")
 #: What OR001 forbids each side of the search/reference split to import.
 ORACLE_BOUNDARY = (
     ("src/repro/core/", ("repro.has.runs", "repro.has.instance", "repro.baseline")),
@@ -241,6 +253,7 @@ class _InvariantVisitor(ast.NodeVisitor):
         self.rules = rules
         self.violations: List[Violation] = []
         self._function_stack: List[str] = ["<module>"]
+        self._class_stack: List[str] = ["<module>"]
         self._write_depth = 0
         self._connection_params: List[Set[str]] = [set()]
         self._boundary: Tuple[str, ...] = ()
@@ -268,6 +281,11 @@ class _InvariantVisitor(ast.NodeVisitor):
 
     visit_FunctionDef = _visit_function
     visit_AsyncFunctionDef = _visit_function
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self._class_stack.append(node.name)
+        self.generic_visit(node)
+        self._class_stack.pop()
 
     def visit_With(self, node: ast.With) -> None:
         is_write = any(_is_write_helper_call(item.context_expr) for item in node.items)
@@ -322,6 +340,7 @@ class _InvariantVisitor(ast.NodeVisitor):
         self._check_time_time(node)
         self._check_sleep(node)
         self._check_execution_primitive(node)
+        self._check_runner_stop(node)
         if "TX001" in self.rules:
             self._check_mutation(node)
         self.generic_visit(node)
@@ -459,6 +478,22 @@ class _InvariantVisitor(ast.NodeVisitor):
                 node.lineno,
                 f"{constructed} constructed outside {WORKER_PIPELINE}: the server "
                 "runs searches only through the worker agent's runner",
+            )
+
+    def _check_runner_stop(self, node: ast.Call) -> None:
+        if "RN001" not in self.rules:
+            return
+        callee = node.func
+        name = callee.attr if isinstance(callee, ast.Attribute) else (
+            callee.id if isinstance(callee, ast.Name) else None
+        )
+        site = (self.relpath, self._class_stack[-1], self._function_stack[-1])
+        if name == RUNNER_STOP and site != RUNNER_STOP_SITE:
+            self._record(
+                "RN001",
+                node.lineno,
+                f"{RUNNER_STOP} outside WorkerAgent.close: a runner lives until "
+                "the server stops or the runner dies, it is never recycled",
             )
 
     def _check_system_gate(self, name: str, lineno: int) -> None:
