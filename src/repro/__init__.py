@@ -10,8 +10,6 @@ The public API is intentionally small; most users only need:
 * :mod:`repro.has` -- build HAS* artifact-system specifications,
 * :mod:`repro.ltl` -- build LTL-FO properties,
 * :class:`repro.core.Verifier` -- verify a property against a specification,
-* :mod:`repro.api` -- cancellable, deadline-aware verification sessions with
-  typed progress events (the stable public surface over the core search),
 * :mod:`repro.client` -- the stdlib HTTP client for a verification server's
   ``/v1`` API (submit / wait / cancel / iter_events),
 * :mod:`repro.spec` -- save / load specifications and properties as versioned

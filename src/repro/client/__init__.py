@@ -1,16 +1,13 @@
 """The Python client library for the ``/v1`` verification API.
 
-Pure stdlib: submit jobs, stream progress events (long-poll push by default
-in the async client, opt-in in the sync one), poll with exponential backoff
-as the fallback, cancel.  Used by ``python -m repro batch --remote`` and the
-test suite, so neither has to hand-roll HTTP calls.
+Pure stdlib: submit jobs, stream progress events (long-polling with
+``push_events=True``), poll with exponential backoff as the fallback,
+cancel.  Used by ``python -m repro batch --remote`` and the test suite, so
+neither has to hand-roll HTTP calls.  :mod:`repro.client.http` holds the
+whole client: one ``http.client`` transport with one keep-alive connection
+per calling thread.
 
-One protocol, two transports: the sans-IO :mod:`repro.client.core` holds
-all of the protocol, and :mod:`repro.client.http` (``http.client``, one
-keep-alive connection per calling thread) and :mod:`repro.client.aio`
-(asyncio streams) only send requests and sleep.
-
-Synchronous (``http.client``)::
+::
 
     from repro.client import VerifasClient
 
@@ -21,31 +18,20 @@ Synchronous (``http.client``)::
             print(event["kind"], event.get("data"))
         view = client.wait(jobs[0].id)
         client.cancel(jobs[0].id)
-
-Asyncio (bounded-concurrency fan-out, completion-order consumption)::
-
-    from repro.client import AsyncVerifasClient
-
-    client = AsyncVerifasClient("http://127.0.0.1:8080", concurrency=8)
-    handles = await client.submit_many(payloads)
-    async for job_id, view in client.as_completed([h.id for h in handles]):
-        print(job_id, view["status"])
 """
 
-from repro.client.aio import AsyncVerifasClient
-from repro.client.core import (
+from repro.client.http import (
     ClientError,
     JobHandle,
     RemoteJobError,
     SpecRejectedError,
+    VerifasClient,
     auth_headers,
     build_submit_payload,
     default_api_key,
 )
-from repro.client.http import VerifasClient
 
 __all__ = [
-    "AsyncVerifasClient",
     "ClientError",
     "JobHandle",
     "RemoteJobError",

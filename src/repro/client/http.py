@@ -1,9 +1,9 @@
-"""``VerifasClient``: the synchronous ``http.client`` transport for the ``/v1`` API.
+"""``VerifasClient``: the synchronous client for the ``/v1`` API.
 
-The protocol -- requests, response mapping, throttle retries and the
-polling algorithms -- lives in the sans-IO :mod:`repro.client.core`; this
-module only sends requests with :mod:`http.client` and sleeps with
-:func:`time.sleep`.  ``iter_events`` long-polls when ``push_events`` is on
+One transport and one protocol path: the client builds each request, reads
+its response, sleeps out 429s within its throttle budget and runs the
+polling algorithms itself, over :mod:`http.client` and :func:`time.sleep`.
+``iter_events`` long-polls when ``push_events`` is on
 (``REPRO_TEST_PUSH_EVENTS=1`` flips the default: the CI hook that re-runs
 the e2e suites over long-poll delivery) and otherwise polls on the backoff,
 the fallback that works against any server.
@@ -22,29 +22,195 @@ environment (``http_proxy``) are not used.
 
 from __future__ import annotations
 
+import json
+import os
 import selectors
 import socket
 import threading
 import time
+from dataclasses import dataclass
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
-from urllib.parse import urlsplit
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from urllib.parse import quote, urlencode, urlsplit
 
-from repro.client.core import (
-    ClientError,
-    ClientProtocol,
-    Emit,
-    JobHandle,
-    Machine,
-    Request,
-    Sleep,
-    build_submit_payload,
-    merge_views,
-    read_submit,
-)
+from repro.obs import format_traceparent, new_span_id, new_trace_id
+from repro.tenancy import DEFAULT_TEST_API_KEY
+
+#: Lifecycle states after which a job can never change again.
+TERMINAL_STATES = ("done", "error", "cancelled")
+
+#: Ids per batch-status request (bounds the query string).
+VIEW_BATCH = 100
 
 #: Methods sent again on a fresh connection when a reused one fails.
 IDEMPOTENT_METHODS = ("GET", "DELETE")
+
+
+def default_api_key() -> Optional[str]:
+    """The API key a default-constructed client should send, if any.
+
+    ``REPRO_API_KEY`` wins; under the test hook ``REPRO_TEST_AUTH=1`` the
+    bootstrap test tenant's key (``REPRO_TEST_API_KEY`` override or the
+    well-known default) is used, so the existing suites run unchanged
+    against an auth-enabled server.  ``None`` means anonymous.
+    """
+    key = os.environ.get("REPRO_API_KEY")
+    if key:
+        return key
+    if os.environ.get("REPRO_TEST_AUTH", "") == "1":
+        return os.environ.get("REPRO_TEST_API_KEY", DEFAULT_TEST_API_KEY)
+    return None
+
+
+def _bearer(api_key: Optional[str]) -> Dict[str, str]:
+    return {"Authorization": f"Bearer {api_key}"} if api_key else {}
+
+
+def auth_headers() -> Dict[str, str]:
+    """``{"Authorization": ...}`` for callers sending raw HTTP (tests, curl
+    helpers); empty when no default key applies."""
+    return _bearer(default_api_key())
+
+
+class ClientError(Exception):
+    """Transport-level or HTTP-level failure of one API call.
+
+    ``retry_after`` is set (seconds) on 429 responses that advertised one,
+    after the client's own throttle-retry budget was exhausted.
+    """
+
+    def __init__(self, message: str, status: Optional[int] = None,
+                 body: Optional[Dict[str, Any]] = None,
+                 retry_after: Optional[float] = None):
+        super().__init__(message)
+        self.status = status
+        self.body = body or {}
+        self.retry_after = retry_after
+
+
+class RemoteJobError(ClientError):
+    """A waited-on job finished in the ``error`` lifecycle state."""
+
+
+class SpecRejectedError(ClientError):
+    """The server's static analysis rejected the submitted spec (HTTP 422).
+
+    ``diagnostics`` carries the error-severity records from the response
+    body: a list of dicts with stable ``code`` (``VAxxx``), ``severity``,
+    ``message`` and ``where`` keys -- the same shape ``python -m repro lint
+    --json`` emits, so one remediation path serves both.
+    """
+
+    @property
+    def diagnostics(self) -> List[Dict[str, Any]]:
+        diagnostics = self.body.get("diagnostics")
+        return list(diagnostics) if isinstance(diagnostics, list) else []
+
+
+def _job_path(job_id: str) -> str:
+    # Percent-escape the id as a single path segment: an id containing
+    # `/`, `?`, `#` or spaces (e.g. attacker-controlled) must neither
+    # break the request line nor resolve to a different route.
+    return f"/v1/jobs/{quote(str(job_id), safe='')}"
+
+
+@dataclass(frozen=True)
+class JobHandle:
+    """One accepted job, as returned by ``POST /v1/jobs``."""
+
+    id: str
+    fingerprint: str
+    system: str
+    property: str
+    status: str
+    url: str
+    #: The distributed trace the job joined (present when the submit carried
+    #: a ``traceparent`` or the server runs with tracing on).
+    trace_id: Optional[str] = None
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "JobHandle":
+        return cls(
+            id=data["id"],
+            fingerprint=data["fingerprint"],
+            system=data.get("system", ""),
+            property=data.get("property", ""),
+            status=data.get("status", "queued"),
+            url=data.get("url", _job_path(data["id"])),
+            trace_id=data.get("trace_id"),
+        )
+
+
+def build_submit_payload(
+    system: Dict[str, Any],
+    properties: Sequence[Dict[str, Any]],
+    options: Optional[Dict[str, Any]] = None,
+    label: Optional[str] = None,
+    ttl_seconds: Optional[float] = None,
+    deadline_ms: Optional[int] = None,
+    schema_version: int = 1,
+) -> Dict[str, Any]:
+    """The ``POST /v1/jobs`` payload for these inputs."""
+    payload: Dict[str, Any] = {
+        "schema_version": schema_version,
+        "system": system,
+        "properties": list(properties),
+    }
+    if options is not None:
+        payload["options"] = options
+    if label is not None:
+        payload["label"] = label
+    if ttl_seconds is not None:
+        payload["ttl_seconds"] = ttl_seconds
+    if deadline_ms is not None:
+        payload["deadline_ms"] = deadline_ms
+    return payload
+
+
+def _retry_after(headers: Mapping[str, str], body: Dict[str, Any]) -> Optional[float]:
+    """The server's retry hint, if any: the JSON body's float is preferred
+    over the ``Retry-After`` header (which HTTP rounds up to whole seconds)."""
+    value = body.get("retry_after")
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return max(0.0, float(value))
+    for name, header in headers.items():
+        if name.lower() == "retry-after":
+            try:
+                return max(0.0, float(header))
+            except ValueError:
+                return None
+    return None
+
+
+def _read_response(
+    where: str, text: bool, status: int, headers: Mapping[str, str], data: bytes
+) -> Tuple[int, Any]:
+    """``(status, body)`` of one response to the request *where*.
+
+    A success body is a JSON object (text when the request asked for it);
+    anything else raises :class:`ClientError`.  Status 422 raises
+    :class:`SpecRejectedError`, any other status >= 400 :class:`ClientError`;
+    both carry the status, the decoded error body and the server's retry
+    hint.
+    """
+    if status < 400 and text:
+        return status, data.decode("utf-8", errors="replace")
+    try:
+        body = json.loads(data.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError):
+        body = None
+    if status < 400:
+        if not isinstance(body, dict):
+            raise ClientError(f"malformed JSON body in HTTP {status} on {where}", status=status)
+        return status, body
+    body = body if isinstance(body, dict) else {}
+    kind = SpecRejectedError if status == 422 else ClientError
+    raise kind(
+        body.get("error", f"HTTP {status} on {where}"),
+        status=status,
+        body=body,
+        retry_after=_retry_after(headers, body),
+    )
 
 
 def _closed_by_peer(sock: socket.socket) -> bool:
@@ -97,30 +263,60 @@ class _Connections:
             connection.close()
 
 
-class VerifasClient(ClientProtocol):
-    """Synchronous client for one verification server's ``/v1`` API (the
-    constructor is :class:`~repro.client.core.ClientProtocol`'s)."""
+class VerifasClient:
+    """The client for one verification server's ``/v1`` API."""
+
+    def __init__(
+        self,
+        base_url: str,
+        timeout: float = 30.0,
+        poll_initial: float = 0.05,
+        poll_max: float = 2.0,
+        poll_backoff: float = 1.6,
+        push_events: Optional[bool] = None,
+        wait_ms: int = 10_000,
+        trace_submissions: bool = True,
+        api_key: Optional[str] = None,
+        retry_throttled: bool = True,
+        throttle_max_wait: float = 60.0,
+    ):
+        self.base_url = base_url.rstrip("/")
+        self.timeout = timeout
+        #: API key sent as ``Authorization: Bearer`` on every request.
+        #: Defaults from the environment (see :func:`default_api_key`);
+        #: ``None`` means anonymous.
+        self.api_key = api_key if api_key is not None else default_api_key()
+        #: Whether 429 responses are retried after their ``Retry-After``.
+        self.retry_throttled = retry_throttled
+        #: Total seconds one call may spend sleeping on 429s before the
+        #: :class:`ClientError` (with ``retry_after`` set) surfaces.
+        self.throttle_max_wait = throttle_max_wait
+        #: Whether submissions inject a W3C ``traceparent`` header (a fresh
+        #: trace per submission).  Costs two uuid4s and one header; against
+        #: an untraced server it still stamps the job rows for /events
+        #: correlation, so it defaults on.
+        self.trace_submissions = trace_submissions
+        #: Exponential-backoff polling parameters (first wait, cap, factor).
+        self.poll_initial = poll_initial
+        self.poll_max = poll_max
+        self.poll_backoff = poll_backoff
+        if push_events is None:
+            # The documented test/ops hook: flips every default-constructed
+            # client (test suites, the CLI) to long-poll delivery so the
+            # same e2e suites exercise the push path end to end.
+            push_events = os.environ.get("REPRO_TEST_PUSH_EVENTS", "") == "1"
+        #: Whether ``iter_events`` long-polls by default.
+        self.push_events = push_events
+        #: Long-poll window per request (the server clamps to its own cap).
+        self.wait_ms = max(1, int(wait_ms))
+        self._connections = _Connections(self.base_url)
 
     # ------------------------------------------------------------------ plumbing
-
-    @property
-    def _connections(self) -> _Connections:
-        # Built on the first call, not in the shared ClientProtocol
-        # constructor; setdefault keeps a single one when several threads
-        # make their first call at once.
-        connections = self.__dict__.get("_connection_pool")
-        if connections is None:
-            connections = self.__dict__.setdefault(
-                "_connection_pool", _Connections(self.base_url)
-            )
-        return connections
 
     def close(self) -> None:
         """Close every connection this client opened, on any thread; a later
         call opens a fresh one."""
-        connections = self.__dict__.get("_connection_pool")
-        if connections is not None:
-            connections.close()
+        self._connections.close()
 
     def __enter__(self) -> "VerifasClient":
         return self
@@ -128,7 +324,16 @@ class VerifasClient(ClientProtocol):
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    def _send(self, wire: Request) -> Tuple[int, Any, bytes]:
+    def _send(
+        self,
+        method: str,
+        path: str,
+        body: Optional[bytes],
+        timeout: float,
+        headers: Dict[str, str],
+    ) -> Tuple[int, Any, bytes]:
+        """One HTTP exchange on the calling thread's connection:
+        ``(status, headers, data)``."""
         connections = self._connections
         connection = connections.mine()
         while True:
@@ -136,14 +341,12 @@ class VerifasClient(ClientProtocol):
             if reused and _closed_by_peer(connection.sock):
                 connection.close()  # the server ended the idle connection
                 reused = False
-            connection.timeout = wire.timeout  # for a socket opened below
+            connection.timeout = timeout  # for a socket opened below
             if reused:
-                connection.sock.settimeout(wire.timeout)
+                connection.sock.settimeout(timeout)
             sent = False
             try:
-                connection.request(
-                    wire.method, connections.prefix + wire.path, wire.body, wire.headers or {}
-                )
+                connection.request(method, connections.prefix + path, body, headers)
                 sent = True
                 response = connection.getresponse()
                 # On `Connection: close` http.client has already dropped the
@@ -154,36 +357,13 @@ class VerifasClient(ClientProtocol):
                 # A slow server is not a dropped connection: a timeout is
                 # never sent again.
                 dropped = reused and not isinstance(error, socket.timeout)
-                if dropped and (not sent or wire.method in IDEMPOTENT_METHODS):
+                if dropped and (not sent or method in IDEMPOTENT_METHODS):
                     continue  # at most once: the next connection is a fresh one
                 if sent:
                     raise ClientError(
-                        f"no response from {self.base_url} to {wire.method} {wire.path}: {error}"
+                        f"no response from {self.base_url} to {method} {path}: {error}"
                     ) from None
                 raise ClientError(f"cannot reach {self.base_url}: {error}") from None
-
-    def _drive(self, machine: Machine, send: Callable[[Any], Any]) -> Iterator[Any]:
-        """Run a core machine: *send* its requests, sleep its sleeps and
-        yield what it emits."""
-        reply = None
-        while True:
-            try:
-                step = machine.send(reply)
-            except StopIteration:
-                return
-            reply = None
-            if isinstance(step, Sleep):
-                time.sleep(step.seconds)
-            elif isinstance(step, Emit):
-                yield step.value
-            else:
-                reply = send(step)
-
-    def _call(self, step: Any) -> Any:
-        """The body of an endpoint request (a list of bodies for a list)."""
-        if isinstance(step, list):
-            return [self._request(*request)[1] for request in step]
-        return self._request(*step)[1]
 
     def _request(
         self,
@@ -193,21 +373,47 @@ class VerifasClient(ClientProtocol):
         timeout: Optional[float] = None,
         headers: Optional[Dict[str, str]] = None,
     ) -> Tuple[int, Any]:
-        """One API call, throttle retries included: ``(status, body)``."""
-        machine = self.exchange_machine(Request(method, path, payload, timeout, headers))
-        (result,) = self._drive(machine, self._send)
-        return result
+        """One API call: ``(status, body)``.  A 429 whose retry hint fits the
+        remaining throttle budget is slept out and sent again."""
+        wire_headers = {"Content-Type": "application/json", "Accept": "application/json"}
+        wire_headers.update(_bearer(self.api_key))
+        wire_headers.update(headers or {})
+        body = None if payload is None else json.dumps(payload).encode("utf-8")
+        timeout = self.timeout if timeout is None else timeout
+        text = wire_headers["Accept"].startswith("text/")
+        budget = self.throttle_max_wait if self.retry_throttled else 0.0
+        while True:
+            status, response_headers, data = self._send(method, path, body, timeout, wire_headers)
+            try:
+                return _read_response(f"{method} {path}", text, status, response_headers, data)
+            except ClientError as error:
+                delay = error.retry_after
+                if error.status != 429 or delay is None or delay > budget:
+                    raise
+                # The server said how long until the call can succeed;
+                # honour it rather than surfacing the 429.
+                budget -= delay
+                time.sleep(delay)
+
+    def _get(self, path: str, timeout: Optional[float] = None) -> Any:
+        return self._request("GET", path, timeout=timeout)[1]
+
+    def _backoff(self) -> Iterator[float]:
+        delay = self.poll_initial
+        while True:
+            yield delay
+            delay = min(self.poll_max, delay * self.poll_backoff)
 
     # ------------------------------------------------------------------- basics
 
     def healthz(self) -> Dict[str, Any]:
-        return self._call(self.healthz_request())
+        return self._get("/v1/healthz")
 
     def readyz(self) -> Tuple[bool, Dict[str, Any]]:
         """``GET /v1/readyz``: ``(ready, body)`` -- a 503 is a verdict, not
         an error, so it is returned rather than raised."""
         try:
-            status, body = self._request(*self.readyz_request())
+            status, body = self._request("GET", "/v1/readyz")
         except ClientError as error:
             if error.status == 503 and "checks" in error.body:
                 return False, error.body
@@ -215,11 +421,13 @@ class VerifasClient(ClientProtocol):
         return status == 200, body
 
     def metrics(self) -> Dict[str, Any]:
-        return self._call(self.metrics_request())
+        return self._get("/v1/metrics")
 
     def metrics_prometheus(self) -> str:
         """The Prometheus text exposition of ``GET /v1/metrics``."""
-        return self._call(self.metrics_prometheus_request())
+        return self._request(
+            "GET", "/v1/metrics?format=prometheus", headers={"Accept": "text/plain"}
+        )[1]
 
     # ------------------------------------------------------------------- submit
 
@@ -241,23 +449,47 @@ class VerifasClient(ClientProtocol):
     def submit_payload(
         self, payload: Dict[str, Any], traceparent: Optional[str] = None
     ) -> List[JobHandle]:
-        """Submit an already-built ``POST /v1/jobs`` payload, joined to a
-        distributed trace (see :meth:`ClientProtocol.submit_request`)."""
-        return read_submit(*self._request(*self.submit_request(payload, traceparent)))
+        """Submit an already-built ``POST /v1/jobs`` payload.
+
+        With :attr:`trace_submissions` on (the default) and no explicit
+        *traceparent*, a fresh trace context is minted and sent as the W3C
+        ``traceparent`` header: the server's spans -- and, with tracing
+        enabled there, the whole queue-wait/worker/search span tree --
+        parent under this submission.
+        """
+        headers: Dict[str, str] = {}
+        if traceparent is None and self.trace_submissions:
+            traceparent = format_traceparent(new_trace_id(), new_span_id())
+        if traceparent is not None:
+            headers["traceparent"] = traceparent
+        status, body = self._request("POST", "/v1/jobs", payload, headers=headers)
+        if status != 202:
+            raise ClientError(f"unexpected status {status} submitting jobs", status, body)
+        return [JobHandle.from_dict(job) for job in body.get("jobs", [])]
 
     # -------------------------------------------------------------------- query
 
     def job(self, job_id: str) -> Dict[str, Any]:
         """The current ``GET /v1/jobs/<id>`` view."""
-        return self._call(self.job_request(job_id))
+        return self._get(_job_path(job_id))
 
     def jobs(self, status: Optional[str] = None, limit: int = 100) -> Dict[str, Any]:
-        return self._call(self.jobs_request(status, limit))
+        params: Dict[str, Any] = {"limit": limit}
+        if status:
+            params["status"] = status
+        return self._get(f"/v1/jobs?{urlencode(params)}")
 
     def job_views(self, job_ids: Sequence[str]) -> Dict[str, Dict[str, Any]]:
-        """Batch status ``{id: view}`` via ``GET /v1/jobs?id=a&id=b``, done
-        jobs' results included; unknown ids are absent."""
-        return merge_views(self._call(self.view_requests(job_ids)))
+        """Batch status ``{id: view}`` via ``GET /v1/jobs?id=a&id=b``, one
+        request per :data:`VIEW_BATCH` distinct ids, done jobs' results
+        included; unknown ids are absent."""
+        ids = list(dict.fromkeys(str(job_id) for job_id in job_ids))
+        views: Dict[str, Dict[str, Any]] = {}
+        for start in range(0, len(ids), VIEW_BATCH):
+            query = urlencode([("id", job_id) for job_id in ids[start:start + VIEW_BATCH]])
+            for view in self._get(f"/v1/jobs?{query}").get("jobs", []):
+                views[view["id"]] = view
+        return views
 
     def events(
         self,
@@ -267,18 +499,24 @@ class VerifasClient(ClientProtocol):
         wait_ms: Optional[int] = None,
     ) -> Dict[str, Any]:
         """One ``GET /v1/jobs/<id>/events`` page after *cursor*; with
-        *wait_ms* the server holds the request open that long for news."""
-        return self._call(self.events_request(job_id, cursor, limit, wait_ms))
+        *wait_ms* the server holds the request open that long for news, and
+        the timeout is widened to cover the window."""
+        params: Dict[str, Any] = {"cursor": cursor, "limit": limit}
+        timeout = None
+        if wait_ms is not None:
+            params["wait_ms"] = max(1, int(wait_ms))
+            timeout = self.timeout + params["wait_ms"] / 1000.0
+        return self._get(f"{_job_path(job_id)}/events?{urlencode(params)}", timeout)
 
     def trace(self, job_id: str) -> Dict[str, Any]:
         """The job's span tree: ``GET /v1/jobs/<id>/trace``."""
-        return self._call(self.trace_request(job_id))
+        return self._get(f"{_job_path(job_id)}/trace")
 
     # ------------------------------------------------------------------- cancel
 
     def cancel(self, job_id: str) -> Dict[str, Any]:
         """``DELETE /v1/jobs/<id>``: cooperative cancellation."""
-        return self._call(self.cancel_request(job_id))
+        return self._request("DELETE", _job_path(job_id))[1]
 
     # ------------------------------------------------------------------ waiting
 
@@ -288,19 +526,61 @@ class VerifasClient(ClientProtocol):
         deadline_seconds: float = 300.0,
         raise_on_error: bool = True,
     ) -> Dict[str, Any]:
-        """Poll until the job is terminal; returns its view (see
-        :meth:`~repro.client.core.ClientProtocol.wait_machine`)."""
-        machine = self.wait_machine(job_id, deadline_seconds, raise_on_error)
-        (view,) = self._drive(machine, self._call)
-        return view
+        """Poll one job on the backoff until it is terminal; returns its view.
+
+        Raises :class:`RemoteJobError` for an ``error`` job when
+        *raise_on_error*, :class:`TimeoutError` at the deadline.
+        """
+        deadline = time.monotonic() + deadline_seconds
+        backoff = self._backoff()
+        while True:
+            view = self.job(job_id)
+            if view.get("status") in TERMINAL_STATES:
+                if raise_on_error and view.get("status") == "error":
+                    raise RemoteJobError(view.get("error", f"job {job_id} failed"), body=view)
+                return view
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise TimeoutError(
+                    f"job {job_id} still {view.get('status')!r} after {deadline_seconds}s"
+                )
+            # Never sleep past the deadline: the loop always gets one final
+            # poll at (roughly) the deadline before giving up.
+            time.sleep(min(next(backoff), remaining))
 
     def wait_all(
         self, job_ids: Sequence[str], deadline_seconds: float = 300.0
     ) -> Dict[str, Dict[str, Any]]:
-        """Wait for every job id; returns ``{id: terminal view}``, ``error``
-        jobs included (see
-        :meth:`~repro.client.core.ClientProtocol.batch_wait_machine`)."""
-        return dict(self._drive(self.batch_wait_machine(job_ids, deadline_seconds), self._call))
+        """Wait for every job id; returns ``{id: terminal view}`` in
+        completion order, ``error`` jobs included.
+
+        One round of :meth:`job_views` covers every pending job; the backoff
+        restarts whenever a job finishes.  Raises a 404 :class:`ClientError`
+        for an unknown id and :class:`TimeoutError` at the deadline.
+        """
+        deadline = time.monotonic() + deadline_seconds
+        pending = list(dict.fromkeys(str(job_id) for job_id in job_ids))
+        finished: Dict[str, Dict[str, Any]] = {}
+        backoff = self._backoff()
+        while pending:
+            batch = self.job_views(pending)
+            missing = [job_id for job_id in pending if job_id not in batch]
+            if missing:
+                raise ClientError(f"no job with id {missing[0]!r}", status=404, body={})
+            done = [j for j in pending if batch[j].get("status") in TERMINAL_STATES]
+            pending = [j for j in pending if batch[j].get("status") not in TERMINAL_STATES]
+            finished.update((job_id, batch[job_id]) for job_id in done)
+            if not pending:
+                break
+            if done:
+                backoff = self._backoff()  # progress: restart the backoff
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise TimeoutError(
+                    f"{len(pending)} job(s) still unfinished after {deadline_seconds}s"
+                )
+            time.sleep(min(next(backoff), remaining))
+        return finished
 
     def iter_events(
         self,
@@ -309,7 +589,42 @@ class VerifasClient(ClientProtocol):
         poll_limit: int = 500,
         push: Optional[bool] = None,
     ) -> Iterator[Dict[str, Any]]:
-        """Yield the job's progress events (oldest first) until it is terminal
-        (see :meth:`~repro.client.core.ClientProtocol.events_machine`)."""
-        machine = self.events_machine(job_id, deadline_seconds, poll_limit, push)
-        return self._drive(machine, self._call)
+        """Yield the job's progress events (oldest first) until it is terminal.
+
+        In push mode (*push*, default :attr:`push_events`) each page request
+        long-polls, so nothing sleeps and a job emitting N events costs
+        about ``ceil(N / poll_limit) + 1`` requests.  In poll mode pages are
+        fetched on the backoff, restarted whenever new events arrive.
+
+        Either way the stream ends as soon as a ``terminal`` page shorter
+        than *poll_limit* is drained: it cannot have truncated the log, so
+        no extra round-trip confirms it.  A full terminal page fetches
+        again for the rest.
+        """
+        push = self.push_events if push is None else push
+        deadline = time.monotonic() + deadline_seconds
+        cursor = 0
+        backoff = self._backoff()
+        while True:
+            wait_ms: Optional[int] = None
+            if push:
+                remaining_ms = int((deadline - time.monotonic()) * 1000)
+                if remaining_ms <= 0:
+                    raise TimeoutError(f"job {job_id} still emitting after {deadline_seconds}s")
+                wait_ms = min(self.wait_ms, max(1, remaining_ms))
+            page = self.events(job_id, cursor, poll_limit, wait_ms)
+            events = page.get("events", [])
+            for event in events:
+                cursor = max(cursor, int(event.get("seq", cursor)))
+                yield event
+            if page.get("terminal") and len(events) < poll_limit:
+                return
+            if events:
+                backoff = self._backoff()
+                continue
+            if push:
+                continue  # the server already blocked for wait_ms
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise TimeoutError(f"job {job_id} still emitting after {deadline_seconds}s")
+            time.sleep(min(next(backoff), remaining))

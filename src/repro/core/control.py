@@ -12,7 +12,8 @@ re-search) accept a :class:`SearchControl` that bundles
   partial statistics) while the search runs.
 
 The primitives live in :mod:`repro.core` because the search loops consume
-them; the user-facing session API that builds on them is :mod:`repro.api`.
+them; the server's worker pipeline (:mod:`repro.server.workers`) builds them
+for each job.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class CancellationToken:
     A token may be *scoped* under a parent (see :meth:`SearchControl.scoped`):
     it then also stops when the parent is cancelled or past its deadline,
     while its own deadline stays private -- this is how a per-``verify``
-    ``timeout_seconds`` coexists with a long-lived session token without
+    ``timeout_seconds`` coexists with a caller-owned token without
     permanently tightening it.
 
     A token may also carry an *external* pollable backend: any zero-argument
@@ -63,11 +64,6 @@ class CancellationToken:
         self._external = external
         self._cancelled = threading.Event()
 
-    @classmethod
-    def with_timeout(cls, seconds: Optional[float]) -> "CancellationToken":
-        """A token whose deadline is *seconds* from now (``None``: no deadline)."""
-        return cls(deadline=None if seconds is None else time.monotonic() + seconds)
-
     # ------------------------------------------------------------------ state
 
     def cancel(self) -> None:
@@ -86,10 +82,6 @@ class CancellationToken:
             return True
         return self._parent is not None and self._parent.cancelled
 
-    @property
-    def deadline(self) -> Optional[float]:
-        return self._deadline
-
     def tighten_deadline(self, seconds: Optional[float]) -> None:
         """Lower the deadline to *seconds* from now if that is sooner."""
         if seconds is None:
@@ -97,16 +89,6 @@ class CancellationToken:
         candidate = time.monotonic() + seconds
         if self._deadline is None or candidate < self._deadline:
             self._deadline = candidate
-
-    def remaining(self) -> Optional[float]:
-        """Seconds until the nearest deadline (own or inherited), or ``None``."""
-        own = None if self._deadline is None else self._deadline - time.monotonic()
-        inherited = self._parent.remaining() if self._parent is not None else None
-        if own is None:
-            return inherited
-        if inherited is None:
-            return own
-        return min(own, inherited)
 
     def expired(self) -> bool:
         if self._deadline is not None and time.monotonic() > self._deadline:
@@ -268,14 +250,6 @@ class ProgressEvent:
     seq: int = 0
     timestamp: float = 0.0
 
-    @property
-    def level(self) -> str:
-        """Log level when the event reaches a log sink: the periodic
-        ``progress`` heartbeats are ``debug`` chatter, everything else
-        (phase transitions, stats snapshots, the verdict) is ``info``.
-        :class:`repro.events.SearchEvent` mirrors this classification."""
-        return "debug" if self.kind == "progress" else "info"
-
     def as_dict(self) -> Dict[str, Any]:
         return {
             "kind": self.kind,
@@ -283,15 +257,6 @@ class ProgressEvent:
             "timestamp": self.timestamp,
             "data": dict(self.data),
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "ProgressEvent":
-        return cls(
-            kind=payload.get("kind", "progress"),
-            data=dict(payload.get("data", {})),
-            seq=int(payload.get("seq", 0)),
-            timestamp=float(payload.get("timestamp", 0.0)),
-        )
 
 
 #: Anything accepting a :class:`ProgressEvent`; exceptions it raises are
@@ -333,8 +298,8 @@ class SearchControl:
         an additional *private* deadline *timeout_seconds* from now.
 
         Used to apply a per-run ``options.timeout_seconds`` without
-        permanently tightening a caller-owned token (a session token reused
-        across several ``verify`` calls keeps its own deadline intact).
+        permanently tightening a caller-owned token (a token reused across
+        several ``verify`` calls keeps its own deadline intact).
         """
         if timeout_seconds is None:
             return self
@@ -376,9 +341,6 @@ class SearchControl:
 
     def should_stop(self) -> bool:
         return self.token.should_stop()
-
-    def cancel(self) -> None:
-        self.token.cancel()
 
     # ------------------------------------------------------------------ events
 

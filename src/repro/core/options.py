@@ -2,9 +2,8 @@
 
 :class:`VerifierOptions` holds the three budgets -- ``max_states``,
 ``max_repeated_states`` and ``timeout_seconds``.  They are the only settings
-of the public surfaces (the HTTP API, the CLI, ``VerificationSession``, the
-service) and bound the work, never the meaning of the answer: a search out
-of budget says UNKNOWN.
+of the public surfaces (the HTTP API, the CLI, the service) and bound the
+work, never the meaning of the answer: a search out of budget says UNKNOWN.
 
 :class:`Ablation` holds the switches of the paper's Section 4 experiments,
 all on by default.  Only ``Verifier(..., ablation=...)``,

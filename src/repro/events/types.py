@@ -94,7 +94,7 @@ class SearchEvent(Event):
     ``stats`` / ``done``) and doubles as the durable-log kind, so the
     on-disk event log is byte-compatible with the pre-bus format.  Periodic
     ``progress`` heartbeats log at ``debug``; the structural events at
-    ``info`` (mirroring :attr:`ProgressEvent.level`).
+    ``info``.
     """
 
     kind: str = "progress"

@@ -1,22 +1,78 @@
-"""Unit tests of repro.client plus the ``batch --remote`` CLI path."""
+"""Unit tests of repro.client plus the ``batch --remote`` CLI path.
+
+The protocol tests need no server: the ``scripted`` fixture stubs
+``VerifasClient._send`` with scripted ``(status, headers, body)`` replies,
+records every request it is handed and records ``time.sleep`` delays
+instead of sleeping them.
+"""
 
 from __future__ import annotations
 
 import itertools
 import json
+import re
 import socket
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import NamedTuple
 
 import pytest
 
 from repro.cli import main
-from repro.client import ClientError, JobHandle, VerifasClient
+from repro.client import ClientError, JobHandle, SpecRejectedError, VerifasClient
 from repro.has.conditions import Const, Eq, Neq, Var
 from repro.ltl import LTLFOProperty, parse_ltl
 from repro.server import VerificationServer
 from repro.spec import dump_property, dump_system, save_spec
+
+HOSTILE = "a/b?c=1#frag x"
+ESCAPED = "a%2Fb%3Fc%3D1%23frag%20x"
+
+
+class Sent(NamedTuple):
+    """One request as ``VerifasClient._send`` receives it."""
+
+    method: str
+    path: str
+    body: object
+    timeout: float
+    headers: dict
+
+
+@pytest.fixture
+def scripted(monkeypatch):
+    """``make(replies, **client_kwargs) -> (client, sent, sleeps)``.
+
+    The client answers its n-th request with the n-th of *replies*, a
+    ``(status, headers, body)`` triple whose *body* is bytes or a value to
+    JSON-encode; *sent* lists the requests and *sleeps* the delays the
+    client would have slept.
+    """
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+
+    def make(replies, **kwargs):
+        kwargs.setdefault("api_key", "vk_test.secret")
+        client = VerifasClient("http://example.invalid", **kwargs)
+        replies = iter(replies)
+        sent = []
+
+        def send(*request):
+            sent.append(Sent(*request))
+            status, headers, body = next(replies)
+            return status, headers, body if isinstance(body, bytes) else json.dumps(body).encode()
+
+        monkeypatch.setattr(client, "_send", send)
+        return client, sent, sleeps
+
+    return make
+
+
+def _ok(body):
+    """An endless script answering every request with 200 and *body*."""
+    return itertools.repeat((200, {}, body))
 
 
 class TestBackoff:
@@ -26,6 +82,14 @@ class TestBackoff:
         )
         delays = list(itertools.islice(client._backoff(), 5))
         assert delays == [0.1, 0.2, 0.4, 0.5, 0.5]
+
+    def test_wait_sleeps_on_the_capped_backoff_until_terminal(self, scripted):
+        views = [{"status": "queued"}] * 3 + [{"status": "done", "id": "j"}]
+        client, sent, sleeps = scripted(
+            [(200, {}, view) for view in views], poll_initial=0.1, poll_max=0.3, poll_backoff=2.0
+        )
+        assert client.wait("j", 60) == {"status": "done", "id": "j"}
+        assert sleeps == [0.1, 0.2, 0.3] and len(sent) == 4
 
 
 class TestJobHandle:
@@ -62,42 +126,97 @@ class TestErrorMapping:
     def test_trailing_slash_base_url_is_normalised(self):
         assert VerifasClient("http://host:1/").base_url == "http://host:1"
 
+    def test_success_body_is_decoded(self, scripted):
+        client, _, _ = scripted([(200, {}, b'{"ok": true}')])
+        assert client.healthz() == {"ok": True}
+
+    @pytest.mark.parametrize("data", [b"<html>oops</html>", b"", b"[1, 2]", b"\xff"])
+    def test_success_body_that_is_not_a_json_object_is_a_client_error(self, scripted, data):
+        client, _, _ = scripted([(200, {}, data)])
+        with pytest.raises(ClientError) as excinfo:
+            client.jobs()
+        assert excinfo.value.status == 200
+        assert str(excinfo.value) == "malformed JSON body in HTTP 200 on GET /v1/jobs?limit=100"
+
+    def test_text_is_returned_when_the_request_asked_for_it(self, scripted):
+        client, sent, _ = scripted([(200, {}, b"repro_up 1\n")])
+        assert client.metrics_prometheus() == "repro_up 1\n"
+        assert sent[0].headers["Accept"] == "text/plain"
+
+    @pytest.mark.parametrize(
+        "status, data, kind, message",
+        [
+            (400, b'{"error": "bad payload"}', ClientError, "bad payload"),
+            (401, b'{"error": "missing key"}', ClientError, "missing key"),
+            (404, b"not json", ClientError, "HTTP 404 on GET /v1/jobs?limit=100"),
+            (422, b'{"error": "rejected", "diagnostics": [{"code": "VA101"}]}',
+             SpecRejectedError, "rejected"),
+        ],
+    )
+    def test_error_statuses_map_to_client_errors(self, scripted, status, data, kind, message):
+        client, _, _ = scripted([(status, {}, data)])
+        with pytest.raises(ClientError) as excinfo:
+            client.jobs()
+        assert type(excinfo.value) is kind
+        assert excinfo.value.status == status and str(excinfo.value) == message
+        assert excinfo.value.retry_after is None
+        if kind is SpecRejectedError:
+            assert excinfo.value.diagnostics == [{"code": "VA101"}]
+
+    @pytest.mark.parametrize(
+        "headers, body, expected",
+        [
+            ({"Retry-After": "2"}, {"retry_after": 0.25}, 0.25),  # body float wins
+            ({"retry-after": "3"}, {}, 3.0),  # header only, any case
+            ({}, {}, None),  # neither
+            ({"Retry-After": "soon"}, {"retry_after": True}, None),  # junk
+        ],
+    )
+    def test_retry_after_on_429(self, scripted, headers, body, expected):
+        client, _, sleeps = scripted([(429, headers, body)], retry_throttled=False)
+        with pytest.raises(ClientError) as excinfo:
+            client.healthz()
+        assert excinfo.value.status == 429
+        assert excinfo.value.retry_after == expected
+        assert sleeps == []
+
+    def test_submit_reads_handles_from_a_202_only(self, scripted):
+        client, _, _ = scripted([
+            (202, {}, {"jobs": [{"id": "j/1", "fingerprint": "fp"}]}),
+            (200, {}, {"jobs": []}),
+        ])
+        [handle] = client.submit_payload({})
+        assert handle.url == "/v1/jobs/j%2F1"
+        with pytest.raises(ClientError, match="unexpected status 200"):
+            client.submit_payload({})
+
 
 class TestUrlEscaping:
     """Satellite: job ids (or attacker-controlled id strings) containing
     `/`, `?`, `#` or spaces must neither break the request line nor resolve
     to a different route -- every path segment and query value is escaped."""
 
-    @pytest.fixture
-    def requests(self, monkeypatch):
-        """Capture (method, path) of every request the client would send."""
-        client = VerifasClient("http://example.invalid")
-        captured = []
-
-        def fake_send(wire):
-            captured.append((wire.method, wire.path))
-            return 200, {}, b'{"events": [], "terminal": true}'
-
-        monkeypatch.setattr(client, "_send", fake_send)
-        return client, captured
-
-    def test_path_segments_are_percent_escaped(self, requests):
-        client, captured = requests
-        hostile = "a/b?c=1#frag x"
-        client.job(hostile)
-        client.cancel(hostile)
-        client.events(hostile, cursor=7, limit=9)
-        escaped = "a%2Fb%3Fc%3D1%23frag%20x"
-        assert captured == [
-            ("GET", f"/v1/jobs/{escaped}"),
-            ("DELETE", f"/v1/jobs/{escaped}"),
-            ("GET", f"/v1/jobs/{escaped}/events?cursor=7&limit=9"),
+    def test_path_segments_are_percent_escaped(self, scripted):
+        client, sent, _ = scripted(_ok({"events": [], "terminal": True}))
+        client.job(HOSTILE)
+        client.cancel(HOSTILE)
+        client.trace(HOSTILE)
+        client.events(HOSTILE, cursor=7, limit=9)
+        assert [(request.method, request.path) for request in sent] == [
+            ("GET", f"/v1/jobs/{ESCAPED}"),
+            ("DELETE", f"/v1/jobs/{ESCAPED}"),
+            ("GET", f"/v1/jobs/{ESCAPED}/trace"),
+            ("GET", f"/v1/jobs/{ESCAPED}/events?cursor=7&limit=9"),
         ]
 
-    def test_query_values_are_escaped(self, requests):
-        client, captured = requests
+    def test_query_values_are_escaped(self, scripted):
+        client, sent, _ = scripted(_ok({"jobs": []}))
         client.jobs(status="queued&limit=0", limit=5)
-        assert captured == [("GET", "/v1/jobs?limit=5&status=queued%26limit%3D0")]
+        client.job_views([HOSTILE])
+        assert [request.path for request in sent] == [
+            "/v1/jobs?limit=5&status=queued%26limit%3D0",
+            f"/v1/jobs?id={ESCAPED.replace('%20', '+')}",
+        ]
 
     def test_hostile_id_round_trips_to_a_clean_404(self, tmp_path):
         """Against a live server: the escaped id reaches the job route (not
@@ -117,6 +236,155 @@ class TestUrlEscaping:
                     assert "no job with id" in str(excinfo.value)
         finally:
             server.stop()
+
+
+class TestRequests:
+    def test_views_are_deduplicated_and_fetched_100_ids_at_a_time(self, scripted):
+        client, sent, _ = scripted(_ok({"jobs": []}))
+        assert client.job_views([f"j{i}" for i in range(250)] + ["j0", "j1"]) == {}
+        sizes = [len(re.findall(r"(?:\?|&)id=", request.path)) for request in sent]
+        assert sizes == [100, 100, 50]
+        assert sent[0].path.startswith("/v1/jobs?id=j0&id=j1&")
+        assert "id=j249" in sent[-1].path
+        sent.clear()
+        assert client.job_views([]) == {} and sent == []
+
+    def test_views_of_every_chunk_are_merged(self, scripted):
+        client, _, _ = scripted([
+            (200, {}, {"jobs": [{"id": f"j{i}", "status": "done"} for i in range(100)]}),
+            (200, {}, {"jobs": [{"id": "j100", "status": "queued"}]}),
+        ])
+        views = client.job_views([f"j{i}" for i in range(101)])
+        assert len(views) == 101 and views["j100"]["status"] == "queued"
+
+    def test_long_poll_widens_the_timeout(self, scripted):
+        client, sent, _ = scripted(_ok({"events": []}))
+        client.events("j", wait_ms=2500)
+        client.events("j")
+        assert sent[0].timeout == pytest.approx(32.5)
+        assert "wait_ms=2500" in sent[0].path
+        assert sent[1].timeout == 30.0  # the client's default
+
+    def test_submit_mints_a_traceparent_unless_given_or_disabled(self, scripted):
+        client, sent, _ = scripted(itertools.repeat((202, {}, {"jobs": []})))
+        client.submit_payload({"x": 1})
+        assert re.fullmatch(r"00-[0-9a-f]{32}-[0-9a-f]{16}-01", sent[0].headers["traceparent"])
+        client.submit_payload({}, traceparent="00-" + "1" * 32 + "-" + "2" * 16 + "-01")
+        assert sent[1].headers["traceparent"].startswith("00-111")
+        client.trace_submissions = False
+        client.submit_payload({})
+        assert "traceparent" not in sent[2].headers
+
+    def test_request_carries_auth_json_and_the_default_timeout(self, scripted):
+        client, sent, _ = scripted([(202, {}, {"jobs": []})])
+        assert client.submit_payload({"a": 1}) == []
+        request = sent[0]
+        assert (request.method, request.path) == ("POST", "/v1/jobs")
+        assert request.body == b'{"a": 1}' and request.timeout == 30.0
+        assert request.headers["Authorization"] == "Bearer vk_test.secret"
+        assert request.headers["Content-Type"] == "application/json"
+        assert request.headers["Accept"] == "application/json"
+
+    def test_anonymous_client_sends_no_authorization(self, scripted, monkeypatch):
+        monkeypatch.delenv("REPRO_API_KEY", raising=False)
+        monkeypatch.delenv("REPRO_TEST_AUTH", raising=False)
+        client, sent, _ = scripted(_ok({}), api_key=None)
+        client.healthz()
+        assert "Authorization" not in sent[0].headers and sent[0].body is None
+
+
+def _throttled(retry_after):
+    return 429, {}, {"error": "slow down", "retry_after": retry_after}
+
+
+class TestThrottleBudget:
+    def test_429s_are_slept_out_within_the_budget(self, scripted):
+        client, sent, sleeps = scripted([_throttled(0.5), _throttled(0.25), (200, {}, {})])
+        assert client.healthz() == {}
+        assert sleeps == [0.5, 0.25] and len(sent) == 3
+
+    def test_budget_exhaustion_surfaces_the_429_with_retry_after(self, scripted):
+        client, sent, sleeps = scripted([_throttled(0.75), _throttled(0.5)],
+                                        throttle_max_wait=1.0)
+        with pytest.raises(ClientError) as excinfo:
+            client.healthz()
+        assert excinfo.value.status == 429 and excinfo.value.retry_after == 0.5
+        assert sleeps == [0.75] and len(sent) == 2
+
+    def test_retry_throttled_off_never_sleeps(self, scripted):
+        client, _, sleeps = scripted([_throttled(0.01)], retry_throttled=False)
+        with pytest.raises(ClientError) as excinfo:
+            client.healthz()
+        assert excinfo.value.retry_after == 0.01 and sleeps == []
+
+    def test_429_without_a_hint_is_not_retried(self, scripted):
+        client, sent, _ = scripted([(429, {}, {})])
+        with pytest.raises(ClientError):
+            client.healthz()
+        assert len(sent) == 1
+
+
+def _page(first, count, terminal):
+    return 200, {}, {"events": [{"seq": seq} for seq in range(first, first + count)],
+                     "terminal": terminal}
+
+
+class TestEventsTerminalPage:
+    def test_short_terminal_page_ends_with_no_extra_request(self, scripted):
+        client, sent, _ = scripted([_page(1, 3, True)])
+        events = list(client.iter_events("j", 60, poll_limit=3 + 1, push=True))
+        assert [event["seq"] for event in events] == [1, 2, 3] and len(sent) == 1
+
+    def test_full_terminal_page_fetches_again_from_the_cursor(self, scripted):
+        client, sent, _ = scripted([_page(1, 2, True), _page(3, 0, True)])
+        events = list(client.iter_events("j", 60, poll_limit=2, push=True))
+        assert [event["seq"] for event in events] == [1, 2] and len(sent) == 2
+        assert "cursor=2&limit=2&wait_ms=" in sent[1].path
+
+    def test_poll_mode_backs_off_on_empty_pages_and_resets_on_progress(self, scripted):
+        client, sent, sleeps = scripted(
+            [_page(1, 0, False), _page(1, 0, False), _page(1, 1, False),
+             _page(2, 0, False), _page(2, 0, True)],
+            poll_initial=0.1, poll_max=1.0, poll_backoff=2.0,
+        )
+        assert len(list(client.iter_events("j", 60, poll_limit=10, push=False))) == 1
+        assert sleeps == [0.1, 0.2, 0.1]
+        assert all("wait_ms" not in request.path for request in sent)
+
+    def test_push_mode_never_sleeps_on_an_empty_page(self, scripted):
+        client, sent, sleeps = scripted([_page(1, 0, False), _page(1, 0, False),
+                                         _page(1, 1, True)])
+        assert len(list(client.iter_events("j", 60, poll_limit=10, push=True))) == 1
+        assert sleeps == [] and all("wait_ms=" in request.path for request in sent)
+
+
+class TestBatchWait:
+    def test_missing_id_is_a_404_client_error(self, scripted):
+        client, _, _ = scripted(_ok({"jobs": [{"id": "known", "status": "queued"}]}))
+        with pytest.raises(ClientError) as excinfo:
+            client.wait_all(["known", "ghost"], 60)
+        assert excinfo.value.status == 404 and "ghost" in str(excinfo.value)
+
+    def test_returns_in_completion_order_and_resets_backoff_on_progress(self, scripted):
+        rounds = [
+            {"a": "queued", "b": "running"},
+            {"a": "queued", "b": "running"},
+            {"a": "queued", "b": "done"},
+            {"a": "error"},
+        ]
+        client, sent, sleeps = scripted(
+            [(200, {}, {"jobs": [{"id": i, "status": s} for i, s in statuses.items()]})
+             for statuses in rounds],
+            poll_initial=0.1, poll_max=1.0, poll_backoff=2.0,
+        )
+        views = client.wait_all(["a", "b", "a"], 60)
+        assert list(views) == ["b", "a"] and views["a"]["status"] == "error"
+        assert sleeps == [0.1, 0.2, 0.1]
+        assert "id=b" not in sent[-1].path
+
+    def test_no_ids_means_no_requests(self, scripted):
+        client, sent, sleeps = scripted([])
+        assert client.wait_all([], 60) == {} and sent == [] and sleeps == []
 
 
 class _DroppingHandler(BaseHTTPRequestHandler):

@@ -20,7 +20,6 @@ class TestCancellationToken:
         assert token.stop_reason() is None
         assert not token.should_stop()
         assert not token.cancelled
-        assert token.remaining() is None
 
     def test_cancel_is_idempotent_and_thread_safe(self):
         token = CancellationToken()
@@ -33,31 +32,35 @@ class TestCancellationToken:
         assert token.stop_reason() == STOP_CANCELLED
 
     def test_deadline_expiry(self):
-        token = CancellationToken.with_timeout(0.01)
-        assert token.remaining() is not None
+        token = CancellationToken(deadline=time.monotonic() + 0.01)
         time.sleep(0.03)
         assert token.expired()
         assert token.stop_reason() == STOP_DEADLINE
         assert not token.cancelled  # deadline expiry is not a cancel
 
     def test_explicit_cancel_wins_over_expired_deadline(self):
-        token = CancellationToken.with_timeout(0.0)
+        token = CancellationToken(deadline=time.monotonic())
         time.sleep(0.01)
         token.cancel()
         assert token.stop_reason() == STOP_CANCELLED
 
     def test_tighten_deadline_only_lowers(self):
-        token = CancellationToken.with_timeout(100.0)
-        before = token.deadline
+        token = CancellationToken(deadline=time.monotonic() + 0.01)
         token.tighten_deadline(500.0)          # later: ignored
-        assert token.deadline == before
-        token.tighten_deadline(0.001)          # sooner: applied
-        assert token.deadline < before
+        time.sleep(0.03)
+        assert token.stop_reason() == STOP_DEADLINE
+        token = CancellationToken(deadline=time.monotonic() + 100.0)
         token.tighten_deadline(None)           # no-op
-        assert token.deadline < before
+        assert not token.expired()
+        token.tighten_deadline(0.001)          # sooner: applied
+        time.sleep(0.01)
+        assert token.stop_reason() == STOP_DEADLINE
 
-    def test_with_timeout_none_has_no_deadline(self):
-        assert CancellationToken.with_timeout(None).deadline is None
+    def test_tightening_a_token_without_deadline_sets_one(self):
+        token = CancellationToken()
+        token.tighten_deadline(0.001)
+        time.sleep(0.01)
+        assert token.expired()
 
 
 class TestSearchControl:
@@ -92,11 +95,6 @@ class TestSearchControl:
         control = SearchControl(event_sink=sink)
         control.emit("progress")  # must not propagate
 
-    def test_cancel_shortcut(self):
-        control = SearchControl()
-        control.cancel()
-        assert control.stop_reason() == STOP_CANCELLED
-
     def test_scoped_adds_a_private_deadline(self):
         parent = SearchControl()
         child = parent.scoped(0.01)
@@ -105,16 +103,14 @@ class TestSearchControl:
         assert child.stop_reason() == STOP_DEADLINE
         # The parent's token is untouched: it can be reused with a fresh scope.
         assert parent.stop_reason() is None
-        assert parent.token.deadline is None
 
     def test_scoped_inherits_parent_cancellation_and_deadline(self):
-        parent = SearchControl(token=CancellationToken.with_timeout(0.01))
+        parent = SearchControl(token=CancellationToken(deadline=time.monotonic() + 0.01))
         child = parent.scoped(100.0)
         time.sleep(0.03)
         assert child.stop_reason() == STOP_DEADLINE  # parent deadline binds
-        parent.cancel()
+        parent.token.cancel()
         assert child.stop_reason() == STOP_CANCELLED
-        assert child.token.remaining() < 50.0  # min of own and inherited
 
     def test_scoped_without_timeout_returns_self(self):
         control = SearchControl()
@@ -122,12 +118,10 @@ class TestSearchControl:
 
 
 class TestProgressEvent:
-    def test_dict_round_trip(self):
+    def test_as_dict(self):
         event = ProgressEvent(
             kind="progress", data={"states_explored": 7}, seq=3, timestamp=12.5
         )
-        assert ProgressEvent.from_dict(event.as_dict()) == event
-
-    def test_from_dict_defaults(self):
-        event = ProgressEvent.from_dict({})
-        assert event.kind == "progress" and event.seq == 0 and event.data == {}
+        assert event.as_dict() == {
+            "kind": "progress", "seq": 3, "timestamp": 12.5, "data": {"states_explored": 7},
+        }

@@ -276,7 +276,7 @@ class TestStopDuringSetup:
 
     def test_cancel_stops_the_automaton_construction(self, tiny_system):
         control = SearchControl()
-        timer = threading.Timer(0.2, control.cancel)
+        timer = threading.Timer(0.2, control.token.cancel)
         timer.start()
         started = time.monotonic()
         try:

@@ -16,7 +16,7 @@ import urllib.request
 
 import pytest
 
-from repro.client import AsyncVerifasClient, ClientError, VerifasClient
+from repro.client import ClientError, VerifasClient
 from repro.has.conditions import Const, Eq, Var
 from repro.ltl import LTLFOProperty, parse_ltl
 from repro.server import VerificationServer
@@ -124,6 +124,12 @@ class TestAuthentication:
         _raw(auth_server.url + "/v1/jobs", api_key="vk_ffffffff.x")
         after = auth_server.metrics.counters()["auth_failures"]
         assert after == before + 2
+
+    def test_client_with_an_unknown_key_gets_401(self, auth_server):
+        with VerifasClient(auth_server.url, api_key="vk_ffffffff.x") as bad:
+            with pytest.raises(ClientError) as excinfo:
+                bad.jobs()
+        assert excinfo.value.status == 401
 
 
 class TestTenantIsolation:
@@ -271,26 +277,6 @@ class TestRateLimitAndQuota:
             assert excinfo.value.status == 429
             assert excinfo.value.retry_after and excinfo.value.retry_after > 0
             assert excinfo.value.body["reason"] == "rate_limit"
-
-    def test_async_client_auth_and_retry(self, auth_server, tiny_system):
-        import asyncio
-
-        _, key = auth_server.tenants.create("async", rate_limit=5.0, burst=1.0)
-
-        async def run():
-            client = AsyncVerifasClient(auth_server.url, api_key=key)
-            handles = []
-            for i in range(2):  # the second submit rides a Retry-After wait
-                handles.extend(await client.submit_payload(_payload(tiny_system, 50 + i)))
-            views = await client.wait_all([h.id for h in handles],
-                                          deadline_seconds=60)
-            assert all(v["status"] == "done" for v in views.values())
-            bad = AsyncVerifasClient(auth_server.url, api_key="vk_ffffffff.x")
-            with pytest.raises(ClientError) as excinfo:
-                await bad.jobs()
-            assert excinfo.value.status == 401
-
-        asyncio.run(run())
 
 
 class TestPerTenantMetrics:

@@ -89,7 +89,7 @@ def test_ablation_rule_covers_exactly_the_public_surfaces(lint):
         if "AB001" in rules
     }
     assert "src/repro/cli.py" in guarded
-    for package in ("server", "service", "client", "api", "spec"):
+    for package in ("server", "service", "client", "spec"):
         assert any(path.startswith(f"src/repro/{package}/") for path in guarded), package
     assert not any(
         path.startswith(("src/repro/core/", "src/repro/benchmark/")) for path in guarded

@@ -33,14 +33,6 @@ goldens and relied on by the submit-path gate; iterating a dict/set (``for x in 
 ``set(...)``) without ``sorted(...)`` makes the emitted tuples depend on
 hash order.  Wrap the iterable in ``sorted(...)`` instead.
 
-**IO001 -- the client protocol core stays sans-IO**
-(``src/repro/client/core.py``).  Both clients share one protocol core that
-builds requests, reads responses and runs the polling algorithms without
-touching the network or the clock's sleep; the transports do the I/O.  An
-import of ``socket``, ``ssl``, ``asyncio``, ``urllib.request`` or
-``http.client`` there, or a ``time.sleep`` call, pulls I/O back into the
-core and forks the two transports' behaviour again.
-
 **RC001 -- no ``sys.setrecursionlimit`` anywhere in the package**
 (``src/repro``).  The recursion limit is global to the process, so raising
 it inside a library call is a side effect on every thread of a server; and
@@ -51,7 +43,7 @@ A call, a reference (``sys.setrecursionlimit`` passed around) and
 entries.
 
 **AB001 -- no ablation switches on the public surfaces**
-(``src/repro/{server,service,client,api,spec}``, ``src/repro/cli.py``).
+(``src/repro/{server,service,client,spec}``, ``src/repro/cli.py``).
 ``repro.core.options.Ablation`` turns off optimisations for the paper's
 Section 4 experiments, and two of its switches change the question the
 verifier answers.  The API, the CLI, the service and the spec layer accept
@@ -64,8 +56,8 @@ Both worker models run searches through one pipeline: the worker agent
 dispatches each job to a runner executing
 ``repro.server.workers.process_worker_main``.  Only
 ``src/repro/server/workers.py`` may therefore construct a ``Verifier``, a
-``SearchControl`` or a ``CancellationToken`` (``CancellationToken.with_timeout``
-included); one of them built anywhere else in the server is a second
+``SearchControl`` or a ``CancellationToken`` (a classmethod called on one of
+them included); one of them built anywhere else in the server is a second
 execution path growing back.  The rule has no baseline entries.
 
 **OR001 -- the explicit-state checkers and the symbolic search stay apart**
@@ -130,12 +122,10 @@ SCANNED_TREES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     (os.path.join("src", "repro", "tenancy"), ("RT001", "TX001")),
     (os.path.join("src", "repro", "core"), ("RT002",)),
     (os.path.join("src", "repro", "analysis", "dataflow.py"), ("DF001",)),
-    (os.path.join("src", "repro", "client", "core.py"), ("IO001",)),
     (os.path.join("src", "repro"), ("RC001",)),
     (os.path.join("src", "repro", "server"), ("AB001",)),
     (os.path.join("src", "repro", "service"), ("AB001",)),
     (os.path.join("src", "repro", "client"), ("AB001",)),
-    (os.path.join("src", "repro", "api"), ("AB001",)),
     (os.path.join("src", "repro", "spec"), ("AB001",)),
     (os.path.join("src", "repro", "cli.py"), ("AB001",)),
     (os.path.join("src", "repro", "server"), ("WK001",)),
@@ -151,9 +141,6 @@ BASELINE_PATH = os.path.join(REPO_ROOT, "tools", "lint_invariants_baseline.txt")
 
 MUTATING_PREFIXES = ("INSERT", "UPDATE", "DELETE", "REPLACE")
 WRITE_HELPER_NAMES = ("_write", "write_transaction")
-#: Modules (and their submodules) the sans-IO client core must not import;
-#: ``time.sleep`` catches ``from time import sleep``.
-IO_MODULES = ("socket", "ssl", "asyncio", "urllib.request", "http.client", "time.sleep")
 CONNECTION_PARAMS = ("conn", "connection")
 #: The per-request-connection transport HC001 keeps out of the package.
 CLOSING_TRANSPORT = "urllib.request"
@@ -299,14 +286,12 @@ class _InvariantVisitor(ast.NodeVisitor):
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
-            self._check_io_import([alias.name], node.lineno)
             self._check_boundary_import([alias.name], node.lineno)
             self._check_transport([alias.name], node.lineno)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if node.module and not node.level:
             names = [f"{node.module}.{alias.name}" for alias in node.names]
-            self._check_io_import([node.module] + names, node.lineno)
             self._check_transport([node.module] + names, node.lineno)
             if "sys.setrecursionlimit" in names:
                 self._record_recursion_limit(node.lineno)
@@ -338,7 +323,6 @@ class _InvariantVisitor(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         self._check_time_time(node)
-        self._check_sleep(node)
         self._check_execution_primitive(node)
         self._check_runner_stop(node)
         if "TX001" in self.rules:
@@ -384,19 +368,6 @@ class _InvariantVisitor(ast.NodeVisitor):
                 "use time.monotonic and results must not embed wall time",
             )
 
-    def _check_io_import(self, modules: List[str], lineno: int) -> None:
-        """Record one IO001 for the first of *modules* that is banned."""
-        if "IO001" not in self.rules:
-            return
-        module = _first_within(modules, IO_MODULES)
-        if module is not None:
-            self._record(
-                "IO001",
-                lineno,
-                f"import of {module}: the client protocol core does no I/O "
-                "-- sending and sleeping belong to the transports",
-            )
-
     def _check_transport(self, modules: List[str], lineno: int) -> None:
         """Record one HC001 when any of *modules* is ``urllib.request``."""
         if "HC001" in self.rules and _first_within(modules, (CLOSING_TRANSPORT,)):
@@ -427,21 +398,6 @@ class _InvariantVisitor(ast.NodeVisitor):
                 "checkers that grade it must not import each other",
             )
 
-    def _check_sleep(self, node: ast.Call) -> None:
-        callee = node.func
-        if "IO001" in self.rules and (
-            isinstance(callee, ast.Attribute)
-            and callee.attr == "sleep"
-            and isinstance(callee.value, ast.Name)
-            and callee.value.id == "time"
-        ):
-            self._record(
-                "IO001",
-                node.lineno,
-                "time.sleep() in the client protocol core: yield a Sleep step "
-                "and let the transport sleep",
-            )
-
     def _record_recursion_limit(self, lineno: int) -> None:
         if "RC001" in self.rules:
             self._record(
@@ -470,7 +426,7 @@ class _InvariantVisitor(ast.NodeVisitor):
         elif isinstance(callee, ast.Attribute):
             names.append(callee.attr)  # module.Verifier(...)
             if isinstance(callee.value, ast.Name):
-                names.append(callee.value.id)  # CancellationToken.with_timeout(...)
+                names.append(callee.value.id)  # a classmethod: Verifier.<name>(...)
         constructed = next((n for n in names if n in EXECUTION_PRIMITIVES), None)
         if constructed is not None:
             self._record(
