@@ -21,7 +21,13 @@ from typing import NamedTuple
 import pytest
 
 from repro.cli import main
-from repro.client import ClientError, JobHandle, SpecRejectedError, VerifasClient
+from repro.client import (
+    ClientError,
+    JobHandle,
+    RemoteJobError,
+    SpecRejectedError,
+    VerifasClient,
+)
 from repro.has.conditions import Const, Eq, Neq, Var
 from repro.ltl import LTLFOProperty, parse_ltl
 from repro.server import VerificationServer
@@ -292,6 +298,46 @@ class TestRequests:
         client.healthz()
         assert "Authorization" not in sent[0].headers and sent[0].body is None
 
+    @pytest.mark.parametrize(
+        "call, status, body, method, path",
+        [
+            (lambda c: c.healthz(), 200, {}, "GET", "/v1/healthz"),
+            (lambda c: c.readyz(), 200, {}, "GET", "/v1/readyz"),
+            (lambda c: c.metrics(), 200, {}, "GET", "/v1/metrics"),
+            (lambda c: c.metrics_prometheus(), 200, b"", "GET", "/v1/metrics?format=prometheus"),
+            (lambda c: c.submit_payload({}), 202, {"jobs": []}, "POST", "/v1/jobs"),
+            (lambda c: c.job("j"), 200, {}, "GET", "/v1/jobs/j"),
+            (lambda c: c.jobs(), 200, {}, "GET", "/v1/jobs?limit=100"),
+            (lambda c: c.jobs("done", 5), 200, {}, "GET", "/v1/jobs?limit=5&status=done"),
+            (lambda c: c.job_views(["a", "b", "a"]), 200, {"jobs": []}, "GET",
+             "/v1/jobs?id=a&id=b"),
+            (lambda c: c.events("j", 3), 200, {}, "GET", "/v1/jobs/j/events?cursor=3&limit=500"),
+            (lambda c: c.trace("j"), 200, {}, "GET", "/v1/jobs/j/trace"),
+            (lambda c: c.cancel("j"), 200, {}, "DELETE", "/v1/jobs/j"),
+        ],
+        ids=[
+            "healthz", "readyz", "metrics", "metrics_prometheus", "submit_payload", "job",
+            "jobs", "jobs_filtered", "job_views", "events", "trace", "cancel",
+        ],
+    )
+    def test_each_api_call_is_one_request_to_its_route(
+        self, scripted, monkeypatch, call, status, body, method, path
+    ):
+        """``_request`` runs once per API call (request counters that
+        override it rely on this) and sends exactly one request."""
+        client, sent, _ = scripted([(status, {}, body)])
+        calls = []
+        request = client._request
+
+        def counting(*args, **kwargs):
+            calls.append(args[:2])
+            return request(*args, **kwargs)
+
+        monkeypatch.setattr(client, "_request", counting)
+        call(client)
+        assert calls == [(method, path)]
+        assert [(r.method, r.path) for r in sent] == [(method, path)]
+
 
 def _throttled(retry_after):
     return 429, {}, {"error": "slow down", "retry_after": retry_after}
@@ -322,6 +368,15 @@ class TestThrottleBudget:
         with pytest.raises(ClientError):
             client.healthz()
         assert len(sent) == 1
+
+    def test_throttled_submit_is_sent_again_and_returns_its_handles(self, scripted):
+        client, sent, sleeps = scripted([
+            _throttled(0.3),
+            (202, {}, {"jobs": [{"id": "j", "fingerprint": "f"}]}),
+        ])
+        [handle] = client.submit_payload({"a": 1})
+        assert handle.id == "j" and sleeps == [0.3]
+        assert [(r.method, r.body) for r in sent] == [("POST", b'{"a": 1}')] * 2
 
 
 def _page(first, count, terminal):
@@ -356,6 +411,15 @@ class TestEventsTerminalPage:
                                          _page(1, 1, True)])
         assert len(list(client.iter_events("j", 60, poll_limit=10, push=True))) == 1
         assert sleeps == [] and all("wait_ms=" in request.path for request in sent)
+
+    @pytest.mark.parametrize("push, requests", [(True, 0), (False, 1)], ids=["push", "poll"])
+    def test_a_spent_deadline_raises_timeout(self, scripted, push, requests):
+        """Push mode checks the deadline before it long-polls; poll mode
+        fetches one page and gives up instead of sleeping past it."""
+        client, sent, sleeps = scripted(_ok({"events": [], "terminal": False}))
+        with pytest.raises(TimeoutError, match="still emitting"):
+            list(client.iter_events("j", 0, push=push))
+        assert len(sent) == requests and sleeps == []
 
 
 class TestBatchWait:
@@ -537,6 +601,80 @@ def _properties():
         LTLFOProperty("Main", parse_ltl("F p"),
                       {"p": Eq(Var("status"), Const("picked"))}, name="eventually-picked"),
     ]
+
+
+class TestLiveJobs:
+    """The waiting and event-stream calls against a live server."""
+
+    @pytest.fixture
+    def server(self, tmp_path, worker_model):
+        server = VerificationServer(
+            store_path=tmp_path / "jobs.db", port=0, workers=2,
+            progress_interval=25, worker_model=worker_model,
+        )
+        server.start()
+        yield server
+        server.stop()
+
+    @pytest.fixture
+    def idle_server(self, tmp_path):
+        """No workers: jobs stay queued until the test moves them on."""
+        server = VerificationServer(store_path=tmp_path / "jobs.db", port=0, workers=0)
+        server.start()
+        yield server
+        server.stop()
+
+    @staticmethod
+    def _submit(client, system, properties):
+        return client.submit(
+            dump_system(system), [dump_property(p) for p in properties],
+            options={"timeout_seconds": 60},
+        )
+
+    @pytest.mark.parametrize("push", [True, False], ids=["push", "poll"])
+    def test_iter_events_ends_with_done(self, server, tiny_system, push):
+        with VerifasClient(
+            server.url, push_events=push, poll_initial=0.02, poll_max=0.2, wait_ms=5_000
+        ) as client:
+            [handle] = self._submit(client, tiny_system, _properties()[1:])
+            events = list(client.iter_events(handle.id, deadline_seconds=60))
+        kinds = [event["kind"] for event in events]
+        assert kinds[0] == "phase" and kinds[-1] == "done"
+        assert [event["seq"] for event in events] == list(range(1, len(events) + 1))
+
+    def test_job_views_skip_unknown_ids(self, idle_server, tiny_system):
+        with VerifasClient(idle_server.url) as client:
+            handles = self._submit(client, tiny_system, _properties())
+            views = client.job_views([h.id for h in handles] + ["ghost"])
+        assert set(views) == {h.id for h in handles}
+        assert all(view["status"] == "queued" for view in views.values())
+
+    def test_wait_all_times_out_on_a_stuck_job(self, idle_server, tiny_system):
+        with VerifasClient(idle_server.url, poll_initial=0.02, poll_max=0.1) as client:
+            [handle] = self._submit(client, tiny_system, _properties()[:1])
+            started = time.monotonic()
+            with pytest.raises(TimeoutError, match="1 job"):
+                client.wait_all([handle.id], deadline_seconds=0.5)
+        assert time.monotonic() - started < 5.0
+
+    def test_wait_returns_the_error_view_when_told_not_to_raise(self, idle_server, tiny_system):
+        with VerifasClient(idle_server.url, poll_initial=0.02) as client:
+            [handle] = self._submit(client, tiny_system, _properties()[:1])
+            idle_server.store.claim_next()
+            idle_server.store.mark_error(handle.id, "synthetic failure")
+            with pytest.raises(RemoteJobError, match="synthetic failure"):
+                client.wait(handle.id, deadline_seconds=10)
+            view = client.wait(handle.id, deadline_seconds=10, raise_on_error=False)
+        assert view["status"] == "error" and "synthetic failure" in view["error"]
+
+    def test_wait_all_returns_error_jobs_without_raising(self, idle_server, tiny_system):
+        with VerifasClient(idle_server.url, poll_initial=0.02) as client:
+            failed, queued = self._submit(client, tiny_system, _properties())
+            idle_server.store.mark_error(failed.id, "synthetic failure")
+            client.cancel(queued.id)
+            views = client.wait_all([failed.id, queued.id], deadline_seconds=10)
+        assert views[failed.id]["status"] == "error"
+        assert views[queued.id]["status"] == "cancelled"
 
 
 class TestRemoteBatch:
