@@ -490,8 +490,8 @@ class VerificationServer:
                 swept = self.store.sweep_expired()
                 # Rescue jobs whose owner went dark (its heartbeats
                 # stopped): a dead worker agent or a SIGKILL'd peer
-                # server.  Anonymous claims carry no heartbeat and are
-                # never touched.
+                # server.  Every claim has an owner that heartbeats, so a
+                # stale heartbeat is the one sign of a lost worker.
                 stale = self.store.requeue_stale(self.stale_heartbeat_seconds)
                 if stale:
                     self.events.fire(StaleJobsRequeued(data={"count": stale}))

@@ -1,13 +1,15 @@
 """Restart recovery for the verification server.
 
 A server process can die with jobs in every lifecycle state.  On startup the
-server runs :func:`recover` against its :class:`~repro.server.store.JobStore`:
+server runs :func:`recover` against its :class:`~repro.server.store.JobStore`,
+which makes one store call,
+:meth:`~repro.server.store.JobStore.recover_interrupted`:
 
-* jobs stuck ``running`` whose cancellation was already requested before the
-  crash are finalised as ``cancelled`` -- the user's cancel was accepted, so
-  requeueing them would resurrect work that was explicitly stopped;
-* the remaining ``running`` jobs (their worker died mid-verification) go back
-  to ``queued`` and are re-verified -- verification is deterministic and
+* jobs stuck ``running`` lost their worker, and the store's one rule for
+  interrupted jobs applies: a job whose cancellation was already accepted
+  before the crash is finalised ``cancelled`` (requeueing it would resurrect
+  work that was explicitly stopped), every other one goes back to
+  ``queued`` and is re-verified -- verification is deterministic and
   idempotent, so re-running an interrupted job is always safe;
 * ``queued`` jobs simply wait for the restarted workers (one whose
   fingerprint already has a stored result, left by an older store, is
@@ -22,14 +24,13 @@ Shared-store deployments
 When several servers share one store file, a restarting server must not
 "recover" jobs that are running live on its peers.  Passing ``server_id``
 scopes the repair: only claims made by this server's own workers (their
-``claimed_by`` starts with ``"<server_id>:"``) and unattributable claims
-(``claimed_by IS NULL`` -- jobs claimed outside any server) are touched.
-Scopes of distinct server ids are disjoint, so concurrent startups cannot
-requeue each other's work -- no lock needed; repair of *peers that crash
-later* is handled at runtime by the sweeper-lease holder's stale-heartbeat
-rescue (see :meth:`~repro.server.store.JobStore.requeue_stale` and the
-server's sweeper loop).  ``server_id=None`` keeps the legacy single-server
-behaviour: the whole store is repaired.
+``claimed_by`` starts with ``"<server_id>:"``) are touched, plus ``running``
+rows without any claim, which only older store files hold.  Scopes of
+distinct server ids are disjoint, so concurrent startups cannot requeue
+each other's work -- no lock needed; repair of *peers that crash later* is
+handled at runtime by the sweeper-lease holder's stale-heartbeat rescue
+(see :meth:`~repro.server.store.JobStore.requeue_stale` and the server's
+sweeper loop).  ``server_id=None`` repairs the whole store.
 """
 
 from __future__ import annotations
@@ -83,22 +84,20 @@ def recover(
     """Repair *store* after an unclean shutdown and report what was found.
 
     With ``server_id``, the repair is scoped to this server's own previous
-    claims (plus unattributable ones) -- see the module docstring; jobs
-    running live on peer servers sharing the store are left alone.
+    claims (plus claim-less rows of older stores) -- see the module
+    docstring; jobs running live on peer servers sharing the store are left
+    alone.
 
     ``heartbeat_grace_seconds`` (the server passes its staleness threshold)
     spares claims whose heartbeat is still fresh: during a rolling restart
     the old same-id instance may still be draining -- and heartbeating --
     its last jobs, and yanking them would discard nearly-finished work.
     Such claims are picked up by the sweeper's stale rescue if their owner
-    really is gone.  Claims without heartbeats are always repaired.
+    really is gone.  Rows without heartbeats are always repaired.
     """
-    owner_prefix = None if server_id is None else f"{server_id}:"
-    cancelled_interrupted = store.cancel_interrupted(
-        owner_prefix=owner_prefix, heartbeat_grace_seconds=heartbeat_grace_seconds
-    )
-    requeued = store.requeue_running(
-        owner_prefix=owner_prefix, heartbeat_grace_seconds=heartbeat_grace_seconds
+    requeued, cancelled_interrupted = store.recover_interrupted(
+        owner_prefix=None if server_id is None else f"{server_id}:",
+        heartbeat_grace_seconds=heartbeat_grace_seconds,
     )
     counts = store.counts()
     report = RecoveryReport(

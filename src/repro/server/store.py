@@ -36,11 +36,20 @@ at the same file:
 * every mutating method is one atomic ``BEGIN IMMEDIATE`` transaction, so a
   read-decide-write sequence (claim, release, cancel, ...) can never
   interleave with another process's transaction;
-* claim-ownership is enforced *in SQL*: :meth:`heartbeat`, :meth:`release`
-  and the ``mark_*`` finalisers take the claiming ``worker_id`` and update
-  only rows whose ``claimed_by`` still matches, so a zombie worker whose job
-  was rescued and re-claimed elsewhere can neither keep it alive, yank it
-  back, nor overwrite its state.
+* every claim has an owner, and ownership is enforced *in SQL*:
+  :meth:`~JobStore.claim_next` stamps ``claimed_by``, and
+  :meth:`~JobStore.touch_claim`, :meth:`~JobStore.release` and the
+  ``mark_*`` finalisers take the claiming ``worker_id`` and update only rows
+  whose ``claimed_by = ?`` still matches, so a zombie worker whose job was
+  rescued and re-claimed elsewhere can neither keep it alive, yank it back,
+  nor overwrite its state;
+* every job-state change goes through two transaction helpers:
+  ``_finish_txn`` is the one terminal flip (``finished_at``, a dropped
+  claim, the TTL stamp), and ``_interrupt_txn`` is the one rule for a
+  ``running`` job that lost its worker (back to ``queued``, or
+  ``cancelled`` when a cancel was already accepted).  Every job they move,
+  and every job an event is appended to, is handed to
+  :attr:`JobStore.on_job_update` after the transaction commits.
 
 In-memory stores (``:memory:``) are invisible to other connections, so they
 keep the legacy single-connection design serialized behind an ``RLock`` --
@@ -54,7 +63,7 @@ rows no remaining job references.
 Older (PR 2) store files are migrated in place on open: the ``jobs`` table is
 rebuilt with the extended schema and every existing row is preserved.
 
-Both survive process restarts: a restarted server re-queues interrupted
+Both survive process restarts: a restarted server repairs interrupted
 ``running`` jobs (see :mod:`repro.server.recovery`) and serves previously
 computed results straight from the ``results`` table without re-verifying.
 
@@ -225,6 +234,10 @@ _SCHEMA_STATEMENTS = (
     )
     """,
 )
+
+#: The one ownership predicate (parameters: job id, worker id): the job is
+#: ``running`` and claimed by that worker.
+_OWNED_BY = "id = ? AND status = 'running' AND claimed_by = ?"
 
 #: Columns shared by the PR 2 ``jobs`` table and the current one, used to
 #: carry rows across the in-place migration.
@@ -461,16 +474,6 @@ class JobStore:
         """
         return max(self._now(), time.time())
 
-    def _notify(self, job_id: str) -> None:
-        """Fire :attr:`on_job_update` (post-commit, best-effort)."""
-        listener = self.on_job_update
-        if listener is None:
-            return
-        try:
-            listener(job_id)
-        except Exception:
-            pass
-
     # ------------------------------------------------------------- connections
 
     def _new_connection(self) -> sqlite3.Connection:
@@ -556,7 +559,14 @@ class JobStore:
         busy timeout instead of failing.  ``busy_timeout_seconds`` bounds
         that wait below the store default for callers (the heartbeat path)
         that would rather fail fast and retry than block.
+
+        The job ids the body put on ``self._local.touched`` (the lifecycle
+        helpers and event appends do) are handed to :attr:`on_job_update`
+        once the transaction has committed and the store lock is released;
+        a rolled-back transaction notifies nobody.
         """
+        touched: List[str] = []
+        self._local.touched = touched
         if self._serial is not None:
             self._serial.acquire()
         try:
@@ -584,6 +594,13 @@ class JobStore:
         finally:
             if self._serial is not None:
                 self._serial.release()
+        listener = self.on_job_update
+        if listener is not None:
+            for job_id in dict.fromkeys(touched):
+                try:
+                    listener(job_id)
+                except Exception:
+                    pass
 
     def read_connection(self) -> ContextManager[sqlite3.Connection]:
         """Public form of :meth:`_read` for sibling subsystems.
@@ -801,7 +818,7 @@ class JobStore:
             (tenant_id if tenant_id is not None else "", floor),
         )
 
-    def claim_next(self, worker_id: Optional[str] = None) -> Optional[StoredJob]:
+    def claim_next(self, worker_id: str) -> Optional[StoredJob]:
         """Atomically pop the next claimable ``queued`` job, marking it ``running``.
 
         One ``BEGIN IMMEDIATE`` transaction, so each queued job is handed to
@@ -815,11 +832,10 @@ class JobStore:
         or, when the twin ends uncached -- cancelled, deadline-truncated,
         crashed -- it is claimed and verified in its own right.
 
-        ``worker_id`` records who claimed the job (``claimed_by``) and stamps
-        an initial heartbeat; workers keep the heartbeat fresh via
-        :meth:`heartbeat` / :meth:`touch_claim` so :meth:`requeue_stale` can
-        detect dead workers.  Claims without a ``worker_id`` never heartbeat
-        and are never considered stale.
+        ``worker_id`` becomes the claim's owner (``claimed_by``) and the
+        claim gets a first heartbeat; the worker keeps it fresh with
+        :meth:`touch_claim`, so :meth:`requeue_stale` can tell a dead
+        worker's claim by its stale heartbeat.
 
         Selection is weighted fair share (stride scheduling) across tenants:
         the claimable job whose tenant has the smallest virtual time wins,
@@ -870,43 +886,27 @@ class JobStore:
                 " ON CONFLICT(tenant_key) DO UPDATE SET vtime = excluded.vtime",
                 (row["tenant_key"], row["vtime"] + 1.0 / weight),
             )
-            now = self._now()
             conn.execute(
                 "UPDATE jobs SET status = 'running', started_at = ?,"
                 " claimed_by = ?, heartbeat_at = ? WHERE id = ?",
-                (
-                    now,
-                    worker_id,
-                    self._shared_now() if worker_id is not None else None,
-                    row["id"],
-                ),
+                (self._now(), worker_id, self._shared_now(), row["id"]),
             )
             claimed = conn.execute(
                 "SELECT * FROM jobs WHERE id = ?", (row["id"],)
             ).fetchone()
         return StoredJob._from_row(claimed)
 
-    def heartbeat(self, job_id: str, worker_id: Optional[str] = None) -> bool:
-        """Refresh a running job's liveness stamp; returns whether it landed.
-
-        The stamp lands only while *worker_id* still owns the claim
-        (``claimed_by`` matches -- ``NULL`` claims match ``worker_id=None``),
-        so after :meth:`requeue_stale` hands the job to a new worker the dead
-        worker's heartbeats bounce instead of keeping it alive forever.
-        The ownership semantics live in :meth:`touch_claim` (the superset
-        the workers use); this is the plain liveness-only form.
-        """
-        return self.touch_claim(job_id, worker_id)[0]
-
-    def touch_claim(self, job_id: str, worker_id: Optional[str]) -> Tuple[bool, bool]:
+    def touch_claim(self, job_id: str, worker_id: str) -> Tuple[bool, bool]:
         """Heartbeat + cancel-flag read in one transaction.
 
         Returns ``(still_owned, cancel_requested)``: the liveness stamp lands
-        only if *worker_id* still owns the claim (exactly like
-        :meth:`heartbeat`), and ``cancel_requested`` reports the persisted
-        cooperative-cancel flag -- which may have been set by *another
-        server* sharing the store, so workers polling this see cross-server
-        DELETEs.  ``(False, False)`` when the job no longer exists.
+        only while *worker_id* still owns the claim -- after
+        :meth:`requeue_stale` hands the job to a new worker, the dead
+        worker's heartbeats bounce instead of keeping it alive forever --
+        and ``cancel_requested`` reports the persisted cooperative-cancel
+        flag, which may have been set by *another server* sharing the store,
+        so workers polling this see cross-server DELETEs.  ``(False,
+        False)`` when the job no longer exists.
 
         Runs with the short heartbeat busy timeout: under pathological
         write contention it raises ``sqlite3.OperationalError`` quickly
@@ -917,8 +917,7 @@ class JobStore:
             busy_timeout_seconds=self.heartbeat_busy_timeout_seconds
         ) as conn:
             cursor = conn.execute(
-                "UPDATE jobs SET heartbeat_at = ? WHERE id = ?"
-                " AND status = 'running' AND claimed_by IS ?",
+                f"UPDATE jobs SET heartbeat_at = ? WHERE {_OWNED_BY}",
                 (self._shared_now(), job_id, worker_id),
             )
             row = conn.execute(
@@ -926,85 +925,158 @@ class JobStore:
             ).fetchone()
             return cursor.rowcount > 0, bool(row and row["cancel_requested"])
 
-    def release(self, job_id: str, worker_id: Optional[str] = None) -> bool:
-        """Return one ``running`` job to the queue (its worker died mid-run).
+    def _finish_txn(
+        self,
+        conn: sqlite3.Connection,
+        now: float,
+        status: str,
+        where: str,
+        params: Sequence[Any],
+        **columns: Any,
+    ) -> List[str]:
+        """The one terminal flip: land *status* on the jobs matching *where*.
 
-        No-op (returns False) unless the job is currently ``running`` **and**
-        still claimed by *worker_id* -- a crashed worker's cleanup can race
-        the stale-heartbeat sweeper, and without the ownership predicate it
+        Stamps ``finished_at = now``, drops the claim (``claimed_by`` and
+        ``heartbeat_at``) and starts the TTL clock: ``expires_at`` is ``now
+        + ttl_seconds``, or ``NULL`` for a job without a TTL.  *columns* are
+        the caller's extra assignments (``error``, ``partial_json``, ...).
+        Returns the ids it moved; :meth:`_write` notifies them after commit.
+        """
+        assignments = "".join(f", {name} = ?" for name in columns)
+        moved = [
+            row[0]
+            for row in conn.execute(
+                "UPDATE jobs SET status = ?, finished_at = ?,"
+                " claimed_by = NULL, heartbeat_at = NULL,"
+                " expires_at = CASE WHEN ttl_seconds IS NOT NULL"
+                f"   THEN ? + ttl_seconds ELSE NULL END{assignments}"
+                f" WHERE {where} RETURNING id",
+                (status, now, now, *columns.values(), *params),
+            )
+        ]
+        self._local.touched.extend(moved)
+        return moved
+
+    def _interrupt_txn(
+        self,
+        conn: sqlite3.Connection,
+        now: float,
+        scope_sql: str,
+        params: Sequence[Any],
+    ) -> Tuple[List[str], List[str]]:
+        """The one rule for ``running`` jobs in *scope_sql* that lost their worker.
+
+        A job whose cancellation was already accepted lands ``cancelled``
+        (through :meth:`_finish_txn`): requeueing it would resurrect work
+        that was explicitly stopped.  Every other one goes back to
+        ``queued`` without a claim -- verification is deterministic and
+        idempotent, so a re-run is always safe.  Returns the ids moved,
+        ``(requeued, cancelled)``; :meth:`_write` notifies them after commit.
+        """
+        scope = f"status = 'running' AND ({scope_sql})"
+        cancelled = self._finish_txn(
+            conn, now, "cancelled", f"{scope} AND cancel_requested = 1", params
+        )
+        requeued = [
+            row[0]
+            for row in conn.execute(
+                "UPDATE jobs SET status = 'queued', started_at = NULL,"
+                " claimed_by = NULL, heartbeat_at = NULL"
+                f" WHERE {scope} AND cancel_requested = 0 RETURNING id",
+                params,
+            )
+        ]
+        self._local.touched.extend(requeued)
+        return requeued, cancelled
+
+    def release(self, job_id: str, worker_id: str) -> Optional[str]:
+        """Give back a ``running`` job whose worker died mid-run.
+
+        Returns the status it set -- ``"queued"``, or ``"cancelled"`` when a
+        cancel was already accepted (see :meth:`_interrupt_txn`) -- or
+        ``None`` when it did not land: the job is not ``running`` **and**
+        claimed by *worker_id*.  A crashed worker's cleanup can race the
+        stale-heartbeat sweeper, and without the ownership predicate it
         would yank a job that was already rescued and re-claimed elsewhere,
-        aborting a healthy run.  A job whose cancellation was already
-        requested is finalised as ``cancelled`` instead of being resurrected.
+        aborting a healthy run.
         """
         with self._write() as conn:
-            row = conn.execute(
-                "SELECT status, cancel_requested, claimed_by FROM jobs WHERE id = ?",
-                (job_id,),
-            ).fetchone()
-            if row is None or row["status"] != "running":
-                return False
-            if row["claimed_by"] != worker_id:
-                return False
-            if row["cancel_requested"]:
-                now = self._now()
-                conn.execute(
-                    "UPDATE jobs SET status = 'cancelled', finished_at = ?,"
-                    " claimed_by = NULL, heartbeat_at = NULL,"
-                    " expires_at = CASE WHEN ttl_seconds IS NOT NULL"
-                    "   THEN ? + ttl_seconds ELSE NULL END WHERE id = ?",
-                    (now, now, job_id),
-                )
-            else:
-                conn.execute(
-                    "UPDATE jobs SET status = 'queued', started_at = NULL,"
-                    " claimed_by = NULL, heartbeat_at = NULL WHERE id = ?",
-                    (job_id,),
-                )
-        self._notify(job_id)
-        return True
+            requeued, cancelled = self._interrupt_txn(
+                conn, self._now(), _OWNED_BY, (job_id, worker_id)
+            )
+        return "queued" if requeued else "cancelled" if cancelled else None
 
     def requeue_stale(self, max_age_seconds: float) -> int:
-        """Re-queue ``running`` jobs whose heartbeat went stale; returns the count.
+        """Repair ``running`` jobs whose heartbeat went stale; returns how
+        many went back to the queue.
 
-        Only heartbeat-carrying claims are eligible -- claims without a
-        ``worker_id`` never heartbeat, so they are never mistaken for a dead
-        worker.  Stale jobs with a pending cancel are finalised ``cancelled``
-        rather than requeued.  Both timestamps are computed *inside* the
-        transaction (a pre-lock cutoff could drift from the stamps under
-        contention), each on the clock family its comparison needs: the
-        staleness cutoff uses the *shared* clock -- the one heartbeat stamps
-        are written with, so both sides of the comparison agree even after
-        the sweeping host was suspended -- while the ``finished_at`` /
-        ``expires_at`` stamps stay on the plain store clock like every other
-        TTL stamp (:meth:`sweep_expired` compares them against it).
+        Every claim has an owner that heartbeats, so a claim whose last
+        heartbeat is older than *max_age_seconds* belongs to a dead worker
+        or server; :meth:`_interrupt_txn` requeues it, or finalises it
+        ``cancelled`` when a cancel is pending (not counted).  Both
+        timestamps are read *inside* the transaction (a pre-lock cutoff
+        could drift from the stamps under contention), each on the clock
+        family its comparison needs: the staleness cutoff uses the *shared*
+        clock -- the one heartbeat stamps are written with, so both sides of
+        the comparison agree even after the sweeping host was suspended --
+        while the ``finished_at`` / ``expires_at`` stamps stay on the plain
+        store clock like every other TTL stamp (:meth:`sweep_expired`
+        compares them against it).
         """
         with self._write() as conn:
             now = self._now()
-            cutoff = self._shared_now() - max_age_seconds
-            conn.execute(
-                "UPDATE jobs SET status = 'cancelled', finished_at = ?,"
-                " claimed_by = NULL, heartbeat_at = NULL,"
-                " expires_at = CASE WHEN ttl_seconds IS NOT NULL"
-                "   THEN ? + ttl_seconds ELSE NULL END"
-                " WHERE status = 'running' AND cancel_requested = 1"
-                " AND heartbeat_at IS NOT NULL AND heartbeat_at <= ?",
-                (now, now, cutoff),
+            requeued, _ = self._interrupt_txn(
+                conn,
+                now,
+                "heartbeat_at <= ?",
+                (self._shared_now() - max_age_seconds,),
             )
-            cursor = conn.execute(
-                "UPDATE jobs SET status = 'queued', started_at = NULL,"
-                " claimed_by = NULL, heartbeat_at = NULL"
-                " WHERE status = 'running' AND cancel_requested = 0"
-                " AND heartbeat_at IS NOT NULL AND heartbeat_at <= ?",
-                (cutoff,),
+        return len(requeued)
+
+    def recover_interrupted(
+        self,
+        owner_prefix: Optional[str] = None,
+        heartbeat_grace_seconds: Optional[float] = None,
+    ) -> Tuple[int, int]:
+        """Repair jobs a dead process left ``running``; returns the counts
+        ``(requeued, cancelled)`` (see :meth:`_interrupt_txn`).
+
+        ``owner_prefix`` scopes the repair for shared-store deployments: only
+        jobs whose ``claimed_by`` starts with the prefix (this server's own
+        workers from a previous incarnation) are repaired -- jobs running
+        live on *other* servers are left alone.  ``None`` repairs every
+        ``running`` job.  Rows with no claim at all, which older store files
+        hold, are repaired under any prefix.
+
+        ``heartbeat_grace_seconds`` additionally spares claims whose
+        heartbeat is younger than the grace: during a rolling restart, the
+        replacement server starts while the old same-id instance is still
+        draining (and heartbeating) its last jobs -- without the grace,
+        startup recovery would yank live, nearly-finished work.  Rows with
+        no heartbeat are always eligible.
+        """
+        with self._write() as conn:
+            now = self._now()
+            cutoff = (
+                None
+                if heartbeat_grace_seconds is None
+                else self._shared_now() - heartbeat_grace_seconds
             )
-            return cursor.rowcount
+            requeued, cancelled = self._interrupt_txn(
+                conn,
+                now,
+                "(? IS NULL OR claimed_by IS NULL OR substr(claimed_by, 1, ?) = ?)"
+                " AND (? IS NULL OR heartbeat_at IS NULL OR heartbeat_at <= ?)",
+                (owner_prefix, len(owner_prefix or ""), owner_prefix, cutoff, cutoff),
+            )
+        return len(requeued), len(cancelled)
 
     def mark_done(
         self,
         job_id: str,
         result: Dict[str, Any],
+        worker_id: str,
         persist_result: bool = True,
-        worker_id: Optional[str] = None,
     ) -> Tuple[bool, List[StoredJob]]:
         """Record a finished job and persist its result under the fingerprint.
 
@@ -1018,15 +1090,14 @@ class JobStore:
         part of the content fingerprint, so they can never be served as
         cache hits to jobs without that limit.
 
-        Terminal states are never overwritten, and when *worker_id* is given
-        the update additionally lands only while that worker still owns the
-        claim: a zombie whose job was rescued, re-claimed and re-run
-        elsewhere cannot overwrite the live claim's state even before it
-        turns terminal.  ``landed`` is ``False`` for a mark that does not
-        land.  The computed result itself is still persisted under the
-        fingerprint when eligible, and still completes the twins --
-        verification is deterministic, so the verdict is valid regardless of
-        which claim produced it.
+        The mark lands only while *worker_id* owns the running claim, so
+        terminal states are never overwritten, and a zombie whose job was
+        rescued, re-claimed and re-run elsewhere cannot overwrite the live
+        claim's state even before it turns terminal.  ``landed`` is
+        ``False`` for a mark that does not land.  The computed result itself
+        is still persisted under the fingerprint when eligible, and still
+        completes the twins -- verification is deterministic, so the verdict
+        is valid regardless of which claim produced it.
         """
         twins: List[StoredJob] = []
         with self._write() as conn:
@@ -1048,17 +1119,12 @@ class JobStore:
             else:
                 partial_json = json.dumps(result)
             now = self._now()
-            cursor = conn.execute(
-                "UPDATE jobs SET status = 'done', cache_hit = 0, finished_at = ?,"
-                " partial_json = ?, claimed_by = NULL, heartbeat_at = NULL,"
-                " expires_at = CASE WHEN ttl_seconds IS NOT NULL"
-                "   THEN ? + ttl_seconds ELSE NULL END,"
-                " error = NULL"
-                " WHERE id = ? AND status NOT IN ('done', 'error', 'cancelled')"
-                " AND (? IS NULL OR claimed_by IS ?)",
-                (now, partial_json, now, job_id, worker_id, worker_id),
+            landed = bool(
+                self._finish_txn(
+                    conn, now, "done", _OWNED_BY, (job_id, worker_id),
+                    cache_hit=0, partial_json=partial_json, error=None,
+                )
             )
-            landed = cursor.rowcount > 0
             if persist_result:
                 queued = conn.execute(
                     "SELECT id FROM jobs WHERE fingerprint = ? AND status = 'queued'"
@@ -1066,10 +1132,6 @@ class JobStore:
                     (row["fingerprint"],),
                 ).fetchall()
                 twins = self._complete_txn(conn, [r["id"] for r in queued], result, now)
-        if landed:
-            self._notify(job_id)
-        for twin in twins:
-            self._notify(twin.id)
         return landed, twins
 
     def _complete_txn(
@@ -1089,73 +1151,45 @@ class JobStore:
                 "done",
                 {"data": {"outcome": result["outcome"], "cache_hit": True}},
             )
-            conn.execute(
-                "UPDATE jobs SET status = 'done', cache_hit = 1, started_at = ?,"
-                " finished_at = ?, expires_at = CASE WHEN ttl_seconds IS NOT NULL"
-                "   THEN ? + ttl_seconds ELSE NULL END WHERE id = ?",
-                (now, now, now, job_id),
+            self._finish_txn(
+                conn, now, "done", "id = ?", (job_id,), cache_hit=1, started_at=now
             )
             row = conn.execute("SELECT * FROM jobs WHERE id = ?", (job_id,)).fetchone()
             completed.append(StoredJob._from_row(row))
         return completed
 
-    def mark_error(
-        self, job_id: str, message: str, worker_id: Optional[str] = None
-    ) -> bool:
-        """Land the ``error`` state; no-op (False) on already-terminal jobs or
-        when *worker_id* (if given) no longer owns the claim."""
+    def mark_error(self, job_id: str, message: str, worker_id: str) -> bool:
+        """Land the ``error`` state; no-op (False) unless *worker_id* owns
+        the running claim."""
         with self._write() as conn:
-            now = self._now()
-            cursor = conn.execute(
-                "UPDATE jobs SET status = 'error', error = ?, finished_at = ?,"
-                " claimed_by = NULL, heartbeat_at = NULL,"
-                " expires_at = CASE WHEN ttl_seconds IS NOT NULL"
-                "   THEN ? + ttl_seconds ELSE NULL END"
-                " WHERE id = ? AND status NOT IN ('done', 'error', 'cancelled')"
-                " AND (? IS NULL OR claimed_by IS ?)",
-                (message, now, now, job_id, worker_id, worker_id),
+            return bool(
+                self._finish_txn(
+                    conn, self._now(), "error", _OWNED_BY, (job_id, worker_id),
+                    error=message,
+                )
             )
-            landed = cursor.rowcount > 0
-        if landed:
-            self._notify(job_id)
-        return landed
 
     def mark_cancelled(
         self,
         job_id: str,
-        partial_result: Optional[Dict[str, Any]] = None,
-        worker_id: Optional[str] = None,
+        partial_result: Optional[Dict[str, Any]],
+        worker_id: str,
     ) -> bool:
         """Land the terminal ``cancelled`` state, keeping any partial result.
 
         The partial result (an ``UNKNOWN`` verdict with the statistics
         gathered before the stop) lives on the job row only -- never in the
         ``results`` table, so it can never complete a cache hit.  No-op
-        (False) on already-terminal jobs or when *worker_id* (if given) no
-        longer owns the claim.
+        (False) unless *worker_id* owns the running claim.
         """
+        partial_json = json.dumps(partial_result) if partial_result is not None else None
         with self._write() as conn:
-            now = self._now()
-            cursor = conn.execute(
-                "UPDATE jobs SET status = 'cancelled', finished_at = ?,"
-                " partial_json = ?, claimed_by = NULL, heartbeat_at = NULL,"
-                " expires_at = CASE WHEN ttl_seconds IS NOT NULL"
-                "   THEN ? + ttl_seconds ELSE NULL END"
-                " WHERE id = ? AND status NOT IN ('done', 'error', 'cancelled')"
-                " AND (? IS NULL OR claimed_by IS ?)",
-                (
-                    now,
-                    json.dumps(partial_result) if partial_result is not None else None,
-                    now,
-                    job_id,
-                    worker_id,
-                    worker_id,
-                ),
+            return bool(
+                self._finish_txn(
+                    conn, self._now(), "cancelled", _OWNED_BY, (job_id, worker_id),
+                    partial_json=partial_json,
+                )
             )
-            landed = cursor.rowcount > 0
-        if landed:
-            self._notify(job_id)
-        return landed
 
     def request_cancel(self, job_id: str) -> Optional[Tuple[str, bool]]:
         """Request cooperative cancellation of a job.
@@ -1182,34 +1216,26 @@ class JobStore:
             if row is None:
                 return None
             status = row["status"]
-            outcome: Tuple[str, bool]
             if status == "queued":
                 self._append_event_txn(
                     conn, job_id, "cancel", {"data": {"disposition": "cancelled"}}
                 )
-                now = self._now()
-                conn.execute(
-                    "UPDATE jobs SET status = 'cancelled', cancel_requested = 1,"
-                    " finished_at = ?,"
-                    " expires_at = CASE WHEN ttl_seconds IS NOT NULL"
-                    "   THEN ? + ttl_seconds ELSE NULL END WHERE id = ?",
-                    (now, now, job_id),
+                self._finish_txn(
+                    conn, self._now(), "cancelled", "id = ?", (job_id,),
+                    cancel_requested=1,
                 )
-                outcome = ("cancelled", True)
-            elif status == "running":
-                if row["cancel_requested"]:
-                    return "cancelling", False
-                self._append_event_txn(
-                    conn, job_id, "cancel", {"data": {"disposition": "cancelling"}}
-                )
-                conn.execute(
-                    "UPDATE jobs SET cancel_requested = 1 WHERE id = ?", (job_id,)
-                )
-                outcome = ("cancelling", True)
-            else:
+                return "cancelled", True
+            if status != "running":
                 return status, False
-        self._notify(job_id)
-        return outcome
+            if row["cancel_requested"]:
+                return "cancelling", False
+            self._append_event_txn(
+                conn, job_id, "cancel", {"data": {"disposition": "cancelling"}}
+            )
+            conn.execute(
+                "UPDATE jobs SET cancel_requested = 1 WHERE id = ?", (job_id,)
+            )
+            return "cancelling", True
 
     def is_cancel_requested(self, job_id: str) -> bool:
         with self._read() as conn:
@@ -1217,91 +1243,6 @@ class JobStore:
                 "SELECT cancel_requested FROM jobs WHERE id = ?", (job_id,)
             ).fetchone()
         return bool(row and row["cancel_requested"])
-
-    def requeue_running(
-        self,
-        owner_prefix: Optional[str] = None,
-        heartbeat_grace_seconds: Optional[float] = None,
-    ) -> int:
-        """Re-queue jobs left ``running`` by a dead process; returns the count.
-
-        ``owner_prefix`` scopes the repair for shared-store deployments: only
-        jobs whose ``claimed_by`` starts with the prefix (this server's own
-        workers from a previous incarnation) or carries no claim at all are
-        requeued -- jobs running live on *other* servers are left alone.
-        ``None`` keeps the legacy single-server behaviour (everything).
-
-        ``heartbeat_grace_seconds`` additionally spares heartbeat-carrying
-        claims whose stamp is younger than the grace: during a rolling
-        restart, the replacement server starts while the old same-id
-        instance is still draining (and heartbeating) its last jobs --
-        without the grace, startup recovery would yank live, nearly-finished
-        work.  Claims with no heartbeat at all are always eligible.
-
-        Interrupted jobs whose cancellation was already requested are *not*
-        requeued: the cancel was accepted before the crash, so they land in
-        the terminal ``cancelled`` state instead (see
-        :meth:`cancel_interrupted`, which recovery runs first).
-        """
-        with self._write() as conn:
-            cutoff = self._heartbeat_cutoff(heartbeat_grace_seconds)
-            cursor = conn.execute(
-                "UPDATE jobs SET status = 'queued', started_at = NULL,"
-                " claimed_by = NULL, heartbeat_at = NULL"
-                " WHERE status = 'running' AND cancel_requested = 0"
-                " AND (? IS NULL OR claimed_by IS NULL"
-                "      OR substr(claimed_by, 1, ?) = ?)"
-                " AND (heartbeat_at IS NULL OR ? IS NULL OR heartbeat_at <= ?)",
-                (
-                    owner_prefix,
-                    len(owner_prefix or ""),
-                    owner_prefix,
-                    cutoff,
-                    cutoff,
-                ),
-            )
-            return cursor.rowcount
-
-    def cancel_interrupted(
-        self,
-        owner_prefix: Optional[str] = None,
-        heartbeat_grace_seconds: Optional[float] = None,
-    ) -> int:
-        """Finalise ``running`` jobs with a pending cancel as ``cancelled``.
-
-        Scoped by ``owner_prefix`` and ``heartbeat_grace_seconds`` exactly
-        like :meth:`requeue_running` (a still-heartbeating claim will honour
-        its cancel itself).
-        """
-        with self._write() as conn:
-            now = self._now()
-            cutoff = self._heartbeat_cutoff(heartbeat_grace_seconds)
-            cursor = conn.execute(
-                "UPDATE jobs SET status = 'cancelled', finished_at = ?,"
-                " claimed_by = NULL, heartbeat_at = NULL,"
-                " expires_at = CASE WHEN ttl_seconds IS NOT NULL"
-                "   THEN ? + ttl_seconds ELSE NULL END"
-                " WHERE status = 'running' AND cancel_requested = 1"
-                " AND (? IS NULL OR claimed_by IS NULL"
-                "      OR substr(claimed_by, 1, ?) = ?)"
-                " AND (heartbeat_at IS NULL OR ? IS NULL OR heartbeat_at <= ?)",
-                (
-                    now,
-                    now,
-                    owner_prefix,
-                    len(owner_prefix or ""),
-                    owner_prefix,
-                    cutoff,
-                    cutoff,
-                ),
-            )
-            return cursor.rowcount
-
-    def _heartbeat_cutoff(self, grace_seconds: Optional[float]) -> Optional[float]:
-        """Shared-clock staleness cutoff for a grace window (``None``: no limit)."""
-        if grace_seconds is None:
-            return None
-        return self._shared_now() - grace_seconds
 
     # ------------------------------------------------------------------- leases
 
@@ -1510,9 +1451,7 @@ class JobStore:
         event) instead of blocking on a contended write lock.
         """
         with self._write(busy_timeout_seconds=busy_timeout_seconds) as conn:
-            seq = self._append_event_txn(conn, job_id, kind, payload)
-        self._notify(job_id)
-        return seq
+            return self._append_event_txn(conn, job_id, kind, payload)
 
     def _append_event_txn(
         self, conn: sqlite3.Connection, job_id: str, kind: str, payload: Dict[str, Any]
@@ -1527,6 +1466,7 @@ class JobStore:
             " VALUES (?, ?, ?, ?, ?)",
             (job_id, seq, self._now(), kind, json.dumps(payload)),
         )
+        self._local.touched.append(job_id)
         return seq
 
     def events_after(

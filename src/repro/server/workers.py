@@ -588,23 +588,21 @@ class WorkerAgent(threading.Thread):
         # Same rule as restart recovery: an accepted cancel is honoured
         # (finalise `cancelled`), otherwise the job re-queues -- verification
         # is deterministic and idempotent, so a re-run is always safe.  The
-        # ownership predicate makes this a no-op if a peer server's sweeper
-        # already rescued (and possibly re-claimed) the job.
+        # ownership predicate makes this a no-op (None) if a peer server's
+        # sweeper already rescued (and possibly re-claimed) the job.
         released = server.store.release(stored.id, self.worker_id)
         # WorkerCrashed is durable-when-job-scoped: the job id is attached
         # only when the release landed (the rescued job's event log belongs
-        # to its new owner); the crash counter bumps either way.
+        # to its new owner); the crash counter bumps either way.  The
+        # disposition is what the release itself did, not a later re-read
+        # that a DELETE landing in between would falsify.
         server.events.fire(
             WorkerCrashed(
                 job_id=stored.id if released else None,
                 data={
                     "worker": self.worker_id,
                     "exitcode": exitcode,
-                    "disposition": (
-                        "cancelled"
-                        if server.store.is_cancel_requested(stored.id)
-                        else "requeued"
-                    ),
+                    "disposition": "cancelled" if released == "cancelled" else "requeued",
                 },
             )
         )

@@ -660,8 +660,8 @@ class TestLiveJobs:
     def test_wait_returns_the_error_view_when_told_not_to_raise(self, idle_server, tiny_system):
         with VerifasClient(idle_server.url, poll_initial=0.02) as client:
             [handle] = self._submit(client, tiny_system, _properties()[:1])
-            idle_server.store.claim_next()
-            idle_server.store.mark_error(handle.id, "synthetic failure")
+            idle_server.store.claim_next("test:proc-0")
+            idle_server.store.mark_error(handle.id, "synthetic failure", worker_id="test:proc-0")
             with pytest.raises(RemoteJobError, match="synthetic failure"):
                 client.wait(handle.id, deadline_seconds=10)
             view = client.wait(handle.id, deadline_seconds=10, raise_on_error=False)
@@ -670,7 +670,8 @@ class TestLiveJobs:
     def test_wait_all_returns_error_jobs_without_raising(self, idle_server, tiny_system):
         with VerifasClient(idle_server.url, poll_initial=0.02) as client:
             failed, queued = self._submit(client, tiny_system, _properties())
-            idle_server.store.mark_error(failed.id, "synthetic failure")
+            assert idle_server.store.claim_next("test:proc-0").id == failed.id
+            idle_server.store.mark_error(failed.id, "synthetic failure", worker_id="test:proc-0")
             client.cancel(queued.id)
             views = client.wait_all([failed.id, queued.id], deadline_seconds=10)
         assert views[failed.id]["status"] == "error"

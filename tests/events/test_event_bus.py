@@ -280,9 +280,9 @@ class TestStoreUpdateHook:
         touched = []
         store.on_job_update = touched.append
         store.append_event(stored.id, "phase", {"data": {"phase": "search"}})
-        claimed = store.claim_next()
+        claimed = store.claim_next("proc-0")
         assert claimed is not None and claimed.id == stored.id
-        store.mark_done(stored.id, {"outcome": "satisfied"})
+        store.mark_done(stored.id, {"outcome": "satisfied"}, worker_id="proc-0")
         assert touched.count(stored.id) >= 2  # the append + the terminal mark
 
     def test_cancel_request_fires_the_hook_once(self, store, tiny_system):

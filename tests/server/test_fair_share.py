@@ -63,7 +63,7 @@ def _claim_order(store):
     """Tenant ids in the order claim_next hands out the whole backlog."""
     order = []
     while True:
-        claimed = store.claim_next()
+        claimed = store.claim_next("w")
         if claimed is None:
             return order
         order.append(claimed.tenant_id)
@@ -109,7 +109,7 @@ class TestStrideClaiming:
         low = store.submit(jobs[0], tenant_id="a", priority=-1)
         base = store.submit(jobs[1], tenant_id="a")
         high = store.submit(jobs[2], tenant_id="a", priority=5)
-        claimed = [store.claim_next().id for _ in range(3)]
+        claimed = [store.claim_next("w").id for _ in range(3)]
         assert claimed == [high.id, base.id, low.id]
 
     def test_idle_rejoin_lift_prevents_monopoly(self, store, registry, tiny_system):
@@ -120,12 +120,12 @@ class TestStrideClaiming:
         for job in _distinct_jobs(tiny_system, 10):
             store.submit(job, tenant_id="busy")
         for _ in range(5):  # busy's vtime climbs to 5.0
-            assert store.claim_next().tenant_id == "busy"
+            assert store.claim_next("w").tenant_id == "busy"
         for job in _distinct_jobs(tiny_system, 3, start=10):
             store.submit(job, tenant_id="idler")
         # Equal weights from a level start: strict alternation, not a run of
         # three idler claims (which vtime 0 would have produced).
-        order = [store.claim_next().tenant_id for _ in range(6)]
+        order = [store.claim_next("w").tenant_id for _ in range(6)]
         assert order == ["busy", "idler", "busy", "idler", "busy", "idler"]
 
     def test_anonymous_jobs_share_one_lane(self, store, registry, tiny_system):
@@ -150,12 +150,12 @@ class TestPendingQuota:
             store.submit(jobs[2], tenant_id="t", pending_limit=2)
         assert excinfo.value.pending == 2 and excinfo.value.limit == 2
         # running jobs still count against the quota ...
-        assert store.claim_next() is not None
+        assert store.claim_next("w") is not None
         with pytest.raises(PendingQuotaExceeded):
             store.submit(jobs[2], tenant_id="t", pending_limit=2)
         # ... finished ones do not.
         running = store.list_jobs(status="running", tenant_id="t")[0]
-        store.mark_done(running.id, _done())
+        store.mark_done(running.id, _done(), worker_id="w")
         store.submit(jobs[2], tenant_id="t", pending_limit=2)
         assert store.pending_count("t") == 2
 
@@ -287,7 +287,7 @@ class TestFairShareE2E:
                         "options": asdict(job.options()),
                     })[0]
                     ids.append(handle.id)
-                claimed = [server.store.claim_next().id for _ in range(3)]
+                claimed = [server.store.claim_next("w").id for _ in range(3)]
                 assert claimed == ids
         finally:
             server.stop()

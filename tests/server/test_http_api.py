@@ -548,7 +548,7 @@ class TestRestartRecovery:
         assert metrics_b["counters"]["verifications_run"] == 0
         assert metrics_b["cache"]["hits"] == 2 and metrics_b["cache"]["misses"] == 2
         assert metrics_b["queue"]["depth"] == 2
-        interrupted = server_b.store.claim_next()  # simulate dying mid-job
+        interrupted = server_b.store.claim_next("b:proc-0")  # simulate dying mid-job
         assert interrupted is not None and interrupted.id == queued[2]["id"]
         server_b.stop()
 

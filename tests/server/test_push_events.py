@@ -75,6 +75,13 @@ def _submit_one(server, tiny_system, ttl_seconds=None, name="eventually-picked")
         return client.submit_payload(payload)[0]
 
 
+def _finish(store, job_id, worker_id="test:proc-0"):
+    """Land a `done` verdict on the queued job *job_id* the way a worker
+    does: claim it under an owner, then mark it."""
+    assert store.claim_next(worker_id).id == job_id
+    store.mark_done(job_id, {"outcome": "satisfied"}, worker_id=worker_id)
+
+
 def _append_events(store, job_id, count, start=0):
     for index in range(start, start + count):
         store.append_event(
@@ -93,7 +100,7 @@ class TestRequestCountBound:
         """N logged events over long-poll: at most ceil(N/limit)+1 requests."""
         handle = _submit_one(idle_server, tiny_system)
         _append_events(idle_server.store, handle.id, n_events)
-        idle_server.store.mark_done(handle.id, {"outcome": "satisfied"})
+        _finish(idle_server.store, handle.id)
 
         with CountingClient(idle_server.url, push_events=True, wait_ms=2_000) as client:
             events = list(client.iter_events(handle.id, poll_limit=limit))
@@ -108,7 +115,7 @@ class TestRequestCountBound:
         exactly ceil(N/limit) requests, no extra round-trip (satellite fix)."""
         handle = _submit_one(idle_server, tiny_system)
         _append_events(idle_server.store, handle.id, 10)
-        idle_server.store.mark_done(handle.id, {"outcome": "satisfied"})
+        _finish(idle_server.store, handle.id)
 
         with CountingClient(idle_server.url, push_events=True, wait_ms=2_000) as client:
             assert len(list(client.iter_events(handle.id, poll_limit=500))) == 10
@@ -119,7 +126,7 @@ class TestRequestCountBound:
         one closing probe follows -- the "+1" in the bound, no worse."""
         handle = _submit_one(idle_server, tiny_system)
         _append_events(idle_server.store, handle.id, 20)
-        idle_server.store.mark_done(handle.id, {"outcome": "satisfied"})
+        _finish(idle_server.store, handle.id)
 
         with CountingClient(idle_server.url, push_events=True, wait_ms=2_000) as client:
             assert len(list(client.iter_events(handle.id, poll_limit=20))) == 20
@@ -140,7 +147,7 @@ class TestRequestCountBound:
                 for index in range(n_events):
                     time.sleep(0.06)
                     _append_events(idle_server.store, handle.id, 1, start=index)
-                idle_server.store.mark_done(handle.id, {"outcome": "satisfied"})
+                _finish(idle_server.store, handle.id)
 
             emitter = threading.Thread(target=emit)
             emitter.start()
@@ -188,6 +195,37 @@ class TestRequestCountBound:
         assert elapsed < 5.0  # woke on the append, not the 10s deadline
 
 
+    def test_stale_rescue_wakes_a_long_poll(self, tmp_path, tiny_system):
+        """A stale claim with a pending cancel lands `cancelled` in the
+        sweeper's rescue; its long-poll wakes on that flip, not on the
+        fallback re-read (10 s here)."""
+        server = VerificationServer(
+            store_path=tmp_path / "jobs.db", port=0, workers=0,
+            push_fallback_interval=10,
+        )
+        server.start()
+        try:
+            handle = _submit_one(server, tiny_system)
+            assert server.store.claim_next("gone:proc-0").id == handle.id
+            assert server.store.request_cancel(handle.id) == ("cancelling", True)
+            views = []
+            waiter = threading.Thread(
+                target=lambda: views.append(
+                    server.events_view_wait(handle.id, cursor=1, wait_ms=5_000)
+                )
+            )
+            waiter.start()
+            time.sleep(0.2)  # let the waiter park on the broker
+            server.store.requeue_stale(0.0)
+            waiter.join(timeout=1.0)
+            woke = not waiter.is_alive()
+            waiter.join(timeout=10.0)  # the 5 s long-poll deadline, at worst
+            assert woke, "the long-poll slept through the cancelled flip"
+            assert views[0]["terminal"] is True and views[0]["events"] == []
+        finally:
+            server.stop()
+
+
 class TestTwoServersSharedStore:
     def test_push_bound_holds_across_servers(self, tmp_path, tiny_system):
         """Events written via server A are observed via server B under the
@@ -208,7 +246,7 @@ class TestTwoServersSharedStore:
             handle = _submit_one(a, tiny_system)
             n_events, limit = 100, 30
             _append_events(a.store, handle.id, n_events)
-            a.store.mark_done(handle.id, {"outcome": "satisfied"})
+            _finish(a.store, handle.id)
 
             with CountingClient(b.url, push_events=True, wait_ms=2_000) as client:
                 events = list(client.iter_events(handle.id, poll_limit=limit))
@@ -281,7 +319,7 @@ class TestServerSentEvents:
     ):
         handle = _submit_one(idle_server, tiny_system)
         _append_events(idle_server.store, handle.id, 3)
-        idle_server.store.mark_done(handle.id, {"outcome": "satisfied"})
+        _finish(idle_server.store, handle.id)
 
         frames = _read_sse(idle_server.url, handle.id)
         assert [f["event"] for f in frames] == ["progress"] * 3 + ["terminal"]
@@ -297,7 +335,7 @@ class TestServerSentEvents:
             for index in range(4):
                 time.sleep(0.05)
                 _append_events(idle_server.store, handle.id, 1, start=index)
-            idle_server.store.mark_done(handle.id, {"outcome": "satisfied"})
+            _finish(idle_server.store, handle.id)
 
         emitter = threading.Thread(target=emit)
         emitter.start()
@@ -308,7 +346,7 @@ class TestServerSentEvents:
     def test_last_event_id_resumes_mid_stream(self, idle_server, tiny_system):
         handle = _submit_one(idle_server, tiny_system)
         _append_events(idle_server.store, handle.id, 5)
-        idle_server.store.mark_done(handle.id, {"outcome": "satisfied"})
+        _finish(idle_server.store, handle.id)
 
         frames = _read_sse(idle_server.url, handle.id, last_event_id=3)
         assert [f["id"] for f in frames[:-1]] == ["4", "5"]
@@ -332,7 +370,7 @@ class TestEventCursorEdges:
     ):
         handle = _submit_one(idle_server, tiny_system)
         _append_events(idle_server.store, handle.id, 3)
-        idle_server.store.mark_done(handle.id, {"outcome": "satisfied"})
+        _finish(idle_server.store, handle.id)
 
         started = time.monotonic()
         with VerifasClient(idle_server.url) as waiter:
@@ -344,7 +382,7 @@ class TestEventCursorEdges:
     def test_job_swept_mid_iteration_surfaces_as_404(self, idle_server, tiny_system):
         handle = _submit_one(idle_server, tiny_system, ttl_seconds=0.01)
         _append_events(idle_server.store, handle.id, 2)
-        idle_server.store.mark_done(handle.id, {"outcome": "satisfied"})
+        _finish(idle_server.store, handle.id)
 
         with VerifasClient(idle_server.url, push_events=True, wait_ms=1_000) as client:
             first_page = client.events(handle.id, cursor=0, limit=1)
@@ -392,7 +430,7 @@ class TestBatchStatusView:
         # A second fingerprint: a twin of `first` would be completed by its
         # mark_done, and the view must still show a done + queued mix.
         second = _submit_one(idle_server, tiny_system, name="second")
-        idle_server.store.mark_done(first.id, {"outcome": "satisfied"})
+        _finish(idle_server.store, first.id)
 
         with CountingClient(idle_server.url) as client:
             views = client.job_views([first.id, second.id, "no-such-job"])
@@ -405,8 +443,8 @@ class TestBatchStatusView:
 
     def test_wait_all_uses_one_request_per_round(self, idle_server, tiny_system):
         handles = [_submit_one(idle_server, tiny_system) for _ in range(3)]
-        for handle in handles:
-            idle_server.store.mark_done(handle.id, {"outcome": "satisfied"})
+        # One fingerprint: the first verdict completes the two twins.
+        _finish(idle_server.store, handles[0].id)
         with CountingClient(idle_server.url) as client:
             views = client.wait_all([h.id for h in handles], deadline_seconds=10)
             assert len(views) == 3
@@ -414,7 +452,7 @@ class TestBatchStatusView:
 
     def test_wait_all_unknown_id_is_an_error(self, idle_server, tiny_system):
         handle = _submit_one(idle_server, tiny_system)
-        idle_server.store.mark_done(handle.id, {"outcome": "satisfied"})
+        _finish(idle_server.store, handle.id)
         with VerifasClient(idle_server.url) as client, pytest.raises(ClientError) as excinfo:
             client.wait_all([handle.id, "ghost"])
         assert excinfo.value.status == 404

@@ -76,62 +76,62 @@ class TestJobLifecycle:
     def test_claim_next_is_fifo_and_marks_running(self, store, sample_jobs):
         first = store.submit(sample_jobs[0])
         second = store.submit(sample_jobs[1])
-        claimed = store.claim_next()
+        claimed = store.claim_next("proc-0")
         assert claimed.id == first.id and claimed.status == "running"
         assert claimed.started_at is not None
-        assert store.claim_next().id == second.id
-        assert store.claim_next() is None
+        assert store.claim_next("proc-0").id == second.id
+        assert store.claim_next("proc-0") is None
 
     def test_mark_done_persists_result_under_fingerprint(self, store, sample_jobs):
         stored = store.submit(sample_jobs[0])
-        store.claim_next()
-        store.mark_done(stored.id, _result().as_dict())
+        store.claim_next("proc-0")
+        store.mark_done(stored.id, _result().as_dict(), worker_id="proc-0")
         finished = store.get_job(stored.id)
         assert finished.status == "done" and finished.finished_at is not None
         assert store.get_result(stored.fingerprint)["outcome"] == "satisfied"
 
     def test_mark_done_keeps_an_already_persisted_result(self, store, sample_jobs):
         stored = store.submit(sample_jobs[0])
-        store.claim_next()
+        store.claim_next("proc-0")
         store.put_result(stored.fingerprint, _result("from-cache").as_dict())
         # mark_done skips the redundant write; the persisted result stands.
-        store.mark_done(stored.id, _result("from-worker").as_dict())
+        store.mark_done(stored.id, _result("from-worker").as_dict(), worker_id="proc-0")
         assert store.get_job(stored.id).status == "done"
         assert store.get_result(stored.fingerprint)["property_name"] == "from-cache"
 
     def test_mark_done_unknown_id_raises(self, store):
         with pytest.raises(KeyError):
-            store.mark_done("nope", _result().as_dict())
+            store.mark_done("nope", _result().as_dict(), worker_id="proc-0")
 
     def test_mark_error(self, store, sample_jobs):
         stored = store.submit(sample_jobs[0])
-        store.claim_next()
-        store.mark_error(stored.id, "ValueError: boom")
+        store.claim_next("proc-0")
+        store.mark_error(stored.id, "ValueError: boom", worker_id="proc-0")
         failed = store.get_job(stored.id)
         assert failed.status == "error" and failed.error == "ValueError: boom"
         assert store.counts()["error"] == 1
 
-    def test_requeue_running(self, store, sample_jobs):
+    def test_recover_interrupted_requeues_running_jobs(self, store, sample_jobs):
         stored = store.submit(sample_jobs[0])
-        store.claim_next()
-        assert store.requeue_running() == 1
+        store.claim_next("proc-0")
+        assert store.recover_interrupted() == (1, 0)
         requeued = store.get_job(stored.id)
         assert requeued.status == "queued" and requeued.started_at is None
-        assert store.requeue_running() == 0
+        assert store.recover_interrupted() == (0, 0)
 
     def test_duplicate_fingerprint_is_not_claimed_while_twin_runs(self, store, sample_jobs):
         first = store.submit(sample_jobs[0])
         duplicate = store.submit(sample_jobs[0])   # same fingerprint
         other = store.submit(sample_jobs[1])
-        assert store.claim_next().id == first.id
+        assert store.claim_next("proc-0").id == first.id
         # The duplicate is skipped while its twin is in flight; the next
         # distinct job is handed out instead.
-        assert store.claim_next().id == other.id
-        assert store.claim_next() is None
+        assert store.claim_next("proc-1").id == other.id
+        assert store.claim_next("proc-2") is None
         # The twin's verdict completes the duplicate: nothing is left to claim.
-        store.mark_done(first.id, _result().as_dict())
+        store.mark_done(first.id, _result().as_dict(), worker_id="proc-0")
         assert store.get_job(duplicate.id).status == "done"
-        assert store.claim_next() is None
+        assert store.claim_next("proc-0") is None
 
     def test_each_job_is_claimed_exactly_once_across_threads(self, store, tiny_system):
         from repro.has.conditions import Const, Eq, Var
@@ -146,7 +146,7 @@ class TestJobLifecycle:
 
         def worker():
             while True:
-                stored = store.claim_next()
+                stored = store.claim_next(threading.current_thread().name)
                 if stored is None:
                     return
                 with lock:
@@ -189,22 +189,14 @@ class TestWorkerClaims:
         assert claimed.claimed_by == "proc-0"
         assert claimed.heartbeat_at is not None
 
-    def test_anonymous_claims_never_heartbeat(self, store, sample_jobs):
-        store.submit(sample_jobs[0])
-        claimed = store.claim_next()
-        assert claimed.claimed_by is None and claimed.heartbeat_at is None
-        # ... and are therefore never considered stale, however old.
-        assert store.requeue_stale(0.0) == 0
-        assert store.get_job(claimed.id).status == "running"
-
-    def test_heartbeat_refreshes_the_stamp(self, store, sample_jobs):
+    def test_touch_claim_refreshes_the_stamp(self, store, sample_jobs):
         stored = store.submit(sample_jobs[0])
         store.claim_next(worker_id="proc-0")
         before = store.get_job(stored.id).heartbeat_at
-        assert store.heartbeat(stored.id, "proc-0") is True
+        assert store.touch_claim(stored.id, "proc-0") == (True, False)
         assert store.get_job(stored.id).heartbeat_at >= before
 
-    def test_heartbeat_requires_ownership(self, store, sample_jobs):
+    def test_touch_claim_requires_ownership(self, store, sample_jobs):
         """Satellite: after requeue_stale hands the job to a new worker, the
         dead worker's agent must not be able to keep it alive forever."""
         stored = store.submit(sample_jobs[0])
@@ -214,10 +206,10 @@ class TestWorkerClaims:
         assert reclaimed.id == stored.id
         stamp = store.get_job(stored.id).heartbeat_at
         # The zombie's heartbeat bounces and leaves the stamp untouched...
-        assert store.heartbeat(stored.id, "proc-0") is False
+        assert store.touch_claim(stored.id, "proc-0") == (False, False)
         assert store.get_job(stored.id).heartbeat_at == stamp
         # ... while the live owner's lands.
-        assert store.heartbeat(stored.id, "proc-1") is True
+        assert store.touch_claim(stored.id, "proc-1") == (True, False)
 
     def test_touch_claim_reports_ownership_and_cancel(self, store, sample_jobs):
         stored = store.submit(sample_jobs[0])
@@ -249,7 +241,7 @@ class TestWorkerClaims:
     def test_release_requeues_a_running_job(self, store, sample_jobs):
         stored = store.submit(sample_jobs[0])
         store.claim_next(worker_id="proc-0")
-        assert store.release(stored.id, "proc-0") is True
+        assert store.release(stored.id, "proc-0") == "queued"
         released = store.get_job(stored.id)
         assert released.status == "queued" and released.started_at is None
         assert released.claimed_by is None
@@ -258,16 +250,16 @@ class TestWorkerClaims:
         stored = store.submit(sample_jobs[0])
         store.claim_next(worker_id="proc-0")
         store.request_cancel(stored.id)
-        assert store.release(stored.id, "proc-0") is True
+        assert store.release(stored.id, "proc-0") == "cancelled"
         assert store.get_job(stored.id).status == "cancelled"
 
     def test_release_is_a_no_op_off_running(self, store, sample_jobs):
         stored = store.submit(sample_jobs[0])
-        assert store.release(stored.id) is False   # still queued
-        assert store.release("missing") is False
-        store.claim_next()
-        store.mark_done(stored.id, _result().as_dict())
-        assert store.release(stored.id) is False   # terminal
+        assert store.release(stored.id, "proc-0") is None   # still queued
+        assert store.release("missing", "proc-0") is None
+        store.claim_next("proc-0")
+        store.mark_done(stored.id, _result().as_dict(), worker_id="proc-0")
+        assert store.release(stored.id, "proc-0") is None   # terminal
         assert store.get_job(stored.id).status == "done"
 
     def test_zombie_release_cannot_yank_a_rescued_job(self, store, sample_jobs):
@@ -280,15 +272,15 @@ class TestWorkerClaims:
         reclaimed = store.claim_next(worker_id="other:proc-3")
         assert reclaimed.id == stored.id
         # The dead worker's cleanup fires late: ownership predicate rejects it.
-        assert store.release(stored.id, "proc-0") is False
+        assert store.release(stored.id, "proc-0") is None
         healthy = store.get_job(stored.id)
         assert healthy.status == "running" and healthy.claimed_by == "other:proc-3"
         # Same with a pending cancel: the zombie cannot finalise either.
         store.request_cancel(stored.id)
-        assert store.release(stored.id, "proc-0") is False
+        assert store.release(stored.id, "proc-0") is None
         assert store.get_job(stored.id).status == "running"
         # The rightful owner still can.
-        assert store.release(stored.id, "other:proc-3") is True
+        assert store.release(stored.id, "other:proc-3") == "cancelled"
         assert store.get_job(stored.id).status == "cancelled"
 
     def test_zombie_finalizer_cannot_overwrite_a_terminal_state(
@@ -303,14 +295,14 @@ class TestWorkerClaims:
         store.request_cancel(stored.id)               # user cancels the rescued copy
         assert store.get_job(stored.id).status == "cancelled"
         # The zombie worker's verdict arrives afterwards: rejected.
-        assert store.mark_done(stored.id, _result().as_dict()) == (False, [])
-        assert store.mark_error(stored.id, "late failure") is False
-        assert store.mark_cancelled(stored.id, None) is False
+        assert store.mark_done(stored.id, _result().as_dict(), worker_id="proc-0") == (False, [])
+        assert store.mark_error(stored.id, "late failure", worker_id="proc-0") is False
+        assert store.mark_cancelled(stored.id, None, worker_id="proc-0") is False
         assert store.get_job(stored.id).status == "cancelled"
         # A live mark on a running job still returns True.
         other = store.submit(sample_jobs[1])
-        store.claim_next()
-        assert store.mark_done(other.id, _result().as_dict()) == (True, [])
+        store.claim_next("proc-1")
+        assert store.mark_done(other.id, _result().as_dict(), worker_id="proc-1") == (True, [])
 
     def test_zombie_mark_cannot_land_on_a_reclaimed_running_job(
         self, store, sample_jobs
@@ -337,7 +329,7 @@ class TestWorkerClaims:
     def test_terminal_transitions_clear_the_claim(self, store, sample_jobs):
         stored = store.submit(sample_jobs[0])
         store.claim_next(worker_id="proc-0")
-        store.mark_done(stored.id, _result().as_dict())
+        store.mark_done(stored.id, _result().as_dict(), worker_id="proc-0")
         finished = store.get_job(stored.id)
         assert finished.claimed_by is None and finished.heartbeat_at is None
 
@@ -362,6 +354,103 @@ class TestWorkerClaims:
         assert finalised.status == "cancelled"
         assert finalised.finished_at == 1e12
         assert finalised.expires_at == 1e12 + 10.0
+
+
+def _claimed(store, job, ttl):
+    stored = store.submit(job, ttl_seconds=ttl)
+    assert store.claim_next("proc-0").id == stored.id
+    return stored.id
+
+
+def _cancel_pending(store, job, ttl):
+    job_id = _claimed(store, job, ttl)
+    assert store.request_cancel(job_id) == ("cancelling", True)
+    return job_id
+
+
+def _land_done(store, job, ttl):
+    job_id = _claimed(store, job, ttl)
+    store.mark_done(job_id, _result().as_dict(), worker_id="proc-0")
+    return job_id
+
+
+def _land_error(store, job, ttl):
+    job_id = _claimed(store, job, ttl)
+    store.mark_error(job_id, "ValueError: boom", worker_id="proc-0")
+    return job_id
+
+
+def _land_cancelled(store, job, ttl):
+    job_id = _claimed(store, job, ttl)
+    store.mark_cancelled(job_id, None, worker_id="proc-0")
+    return job_id
+
+
+def _cancel_queued(store, job, ttl):
+    job_id = store.submit(job, ttl_seconds=ttl).id
+    store.request_cancel(job_id)
+    return job_id
+
+
+def _release_cancel_pending(store, job, ttl):
+    job_id = _cancel_pending(store, job, ttl)
+    assert store.release(job_id, "proc-0") == "cancelled"
+    return job_id
+
+
+def _stale_cancel_pending(store, job, ttl):
+    job_id = _cancel_pending(store, job, ttl)
+    store.requeue_stale(0.0)
+    return job_id
+
+
+def _recover_cancel_pending(store, job, ttl):
+    job_id = _cancel_pending(store, job, ttl)
+    assert recover(store).cancelled_interrupted == 1
+    return job_id
+
+
+def _cache_hit_at_submit(store, job, ttl):
+    store.put_result(job.fingerprint, _result().as_dict())
+    return store.submit(job, ttl_seconds=ttl).id
+
+
+def _cache_hit_twin(store, job, ttl):
+    running = _claimed(store, job, ttl)
+    twin = store.submit(job, ttl_seconds=ttl).id
+    _, twins = store.mark_done(running, _result().as_dict(), worker_id="proc-0")
+    assert [t.id for t in twins] == [twin]
+    return twin
+
+
+class TestTerminalStateContract:
+    """Every path that lands a terminal state stamps the same columns: the
+    finish time, no claim left behind, and the TTL clock started."""
+
+    @pytest.mark.parametrize("ttl", [None, 60.0])
+    @pytest.mark.parametrize(
+        "land,status",
+        [
+            (_land_done, "done"),
+            (_land_error, "error"),
+            (_land_cancelled, "cancelled"),
+            (_cancel_queued, "cancelled"),
+            (_release_cancel_pending, "cancelled"),
+            (_stale_cancel_pending, "cancelled"),
+            (_recover_cancel_pending, "cancelled"),
+            (_cache_hit_at_submit, "done"),
+            (_cache_hit_twin, "done"),
+        ],
+    )
+    def test_terminal_columns(self, store, sample_jobs, land, status, ttl):
+        job = store.get_job(land(store, sample_jobs[0], ttl))
+        assert job.status == status
+        assert job.finished_at is not None
+        assert job.claimed_by is None and job.heartbeat_at is None
+        if ttl is None:
+            assert job.expires_at is None
+        else:
+            assert job.expires_at == job.finished_at + ttl
 
 
 class TestLeases:
@@ -392,26 +481,37 @@ class TestLeases:
         assert store.acquire_lease("recovery", "server-b", 60.0) is True
 
 
-class TestScopedRecovery:
-    """requeue_running / cancel_interrupted scoped to one server's claims:
-    a restarting server must not requeue jobs running live on its peers."""
+def _legacy_running_row(store, job_id):
+    """Claim *job_id*, then strip the claim's owner and heartbeat: the
+    ``running`` row without a claim that an older store file can hold."""
+    assert store.claim_next("legacy").id == job_id
+    with store.write_transaction() as conn:
+        conn.execute(
+            "UPDATE jobs SET claimed_by = NULL, heartbeat_at = NULL WHERE id = ?",
+            (job_id,),
+        )
 
-    def test_requeue_running_scoped_to_owner_prefix(self, store, tiny_system):
+
+class TestScopedRecovery:
+    """recover_interrupted scoped to one server's claims: a restarting
+    server must not requeue jobs running live on its peers."""
+
+    def test_recovery_scoped_to_owner_prefix(self, store, tiny_system):
         jobs = _distinct_jobs(tiny_system, 3)
         mine = store.submit(jobs[0])
         theirs = store.submit(jobs[1])
         unclaimed = store.submit(jobs[2])
         assert store.claim_next(worker_id="a:proc-0").id == mine.id
         assert store.claim_next(worker_id="b:proc-0").id == theirs.id
-        assert store.claim_next().id == unclaimed.id
+        _legacy_running_row(store, unclaimed.id)
         # Server a restarts: its own claim and the unattributable one
         # requeue; server b's live job is left running.
-        assert store.requeue_running(owner_prefix="a:") == 2
+        assert store.recover_interrupted(owner_prefix="a:") == (2, 0)
         assert store.get_job(mine.id).status == "queued"
         assert store.get_job(unclaimed.id).status == "queued"
         assert store.get_job(theirs.id).status == "running"
-        # The legacy unscoped call still repairs everything.
-        assert store.requeue_running() == 1
+        # The unscoped call repairs everything.
+        assert store.recover_interrupted() == (1, 0)
         assert store.get_job(theirs.id).status == "queued"
 
     def test_recovery_grace_spares_freshly_heartbeating_claims(
@@ -419,20 +519,24 @@ class TestScopedRecovery:
     ):
         """Rolling restart: the replacement server's startup recovery must
         not yank jobs the old same-id instance is still draining (their
-        heartbeats are fresh); heartbeat-less claims are always repaired."""
+        heartbeats are fresh); heartbeat-less rows are always repaired."""
         jobs = _distinct_jobs(tiny_system, 2)
         draining = store.submit(jobs[0])
         unclaimed = store.submit(jobs[1])
         assert store.claim_next(worker_id="a:proc-0").id == draining.id
-        assert store.claim_next().id == unclaimed.id  # anonymous, no heartbeat
-        assert store.requeue_running(owner_prefix="a:", heartbeat_grace_seconds=60.0) == 1
+        _legacy_running_row(store, unclaimed.id)
+        assert store.recover_interrupted(
+            owner_prefix="a:", heartbeat_grace_seconds=60.0
+        ) == (1, 0)
         assert store.get_job(draining.id).status == "running"   # spared
         assert store.get_job(unclaimed.id).status == "queued"   # repaired
         # Once the heartbeat has aged past the grace, the claim is repaired.
-        assert store.requeue_running(owner_prefix="a:", heartbeat_grace_seconds=0.0) == 1
+        assert store.recover_interrupted(
+            owner_prefix="a:", heartbeat_grace_seconds=0.0
+        ) == (1, 0)
         assert store.get_job(draining.id).status == "queued"
 
-    def test_cancel_interrupted_scoped_to_owner_prefix(self, store, tiny_system):
+    def test_recovery_cancels_own_jobs_with_a_pending_cancel(self, store, tiny_system):
         jobs = _distinct_jobs(tiny_system, 2)
         mine = store.submit(jobs[0])
         theirs = store.submit(jobs[1])
@@ -440,7 +544,7 @@ class TestScopedRecovery:
         store.claim_next(worker_id="b:proc-0")
         store.request_cancel(mine.id)
         store.request_cancel(theirs.id)
-        assert store.cancel_interrupted(owner_prefix="a:") == 1
+        assert store.recover_interrupted(owner_prefix="a:") == (0, 1)
         assert store.get_job(mine.id).status == "cancelled"
         # Server b's job keeps running; its own worker honours the cancel.
         assert store.get_job(theirs.id).status == "running"
@@ -534,8 +638,8 @@ class TestMonotonicClock:
         import time as time_module
 
         stored = store.submit(sample_jobs[0], ttl_seconds=0.0)
-        store.claim_next()
-        store.mark_done(stored.id, _result().as_dict())
+        store.claim_next("proc-0")
+        store.mark_done(stored.id, _result().as_dict(), worker_id="proc-0")
         # An NTP step pulls wall time a day into the past *after* the job
         # finished; the expiry comparison must not be pushed a day out.
         real_time = time_module.time
@@ -548,8 +652,8 @@ class TestMonotonicClock:
         import time as time_module
 
         stored = store.submit(sample_jobs[0], ttl_seconds=3600.0)
-        store.claim_next()
-        store.mark_done(stored.id, _result().as_dict())
+        store.claim_next("proc-0")
+        store.mark_done(stored.id, _result().as_dict(), worker_id="proc-0")
         real_time = time_module.time
         monkeypatch.setattr(time_module, "time", lambda: real_time() + 86_400)
         assert store.sweep_expired()["jobs"] == 0
@@ -575,7 +679,7 @@ class TestMonotonicClock:
         # Simulate a 100s suspend: the monotonic-anchored clock now lags.
         store._wall_anchor -= 100.0
         assert store._now() < time_module.time() - 50.0
-        assert store.heartbeat(stored.id, "proc-0") is True
+        assert store.touch_claim(stored.id, "proc-0") == (True, False)
         assert store.get_job(stored.id).heartbeat_at >= time_module.time() - 5.0
         # A peer store handle with an accurate clock sees the claim as live.
         peer = JobStore(store.path)
@@ -597,7 +701,7 @@ class TestFingerprintDedupCorners:
         assert store.claim_next(worker_id="proc-0").id == running.id
         assert store.claim_next(worker_id="proc-1") is None  # deferred
         store.request_cancel(running.id)
-        store.mark_cancelled(running.id, None)
+        store.mark_cancelled(running.id, None, worker_id="proc-0")
         assert store.get_job(twin.id).status == "queued"
         # The cancelled twin produced no cached result: the queued twin must
         # not wedge -- it is claimed and verified like any other job.
@@ -609,15 +713,15 @@ class TestFingerprintDedupCorners:
     ):
         running = store.submit(sample_jobs[0], deadline_ms=1)
         twin = store.submit(sample_jobs[0])
-        assert store.claim_next().id == running.id
+        assert store.claim_next("proc-0").id == running.id
         # Deadline-truncated verdicts stay off the results table and complete
         # no twin.
         assert store.mark_done(
-            running.id, _result().as_dict(), persist_result=False
+            running.id, _result().as_dict(), worker_id="proc-0", persist_result=False
         ) == (True, [])
         assert store.get_result(running.fingerprint) is None
         assert store.get_job(twin.id).status == "queued"
-        reclaimed = store.claim_next()
+        reclaimed = store.claim_next("proc-1")
         assert reclaimed is not None and reclaimed.id == twin.id
 
     def test_queued_twin_is_claimable_after_worker_death(self, store, sample_jobs):
@@ -628,7 +732,7 @@ class TestFingerprintDedupCorners:
         # FIFO: the released original comes back first, the twin after it.
         assert store.claim_next(worker_id="proc-1").id == crashed.id
         assert store.claim_next(worker_id="proc-2") is None
-        store.mark_cancelled(crashed.id, None)
+        store.mark_cancelled(crashed.id, None, worker_id="proc-1")
         assert store.claim_next(worker_id="proc-2").id == twin.id
 
 
@@ -655,7 +759,7 @@ class TestKnownVerdictsNeverQueue:
         assert stored.started_at == stored.finished_at == stored.submitted_at
         assert stored.expires_at == pytest.approx(stored.submitted_at + 60.0)
         self._assert_cache_hit(store, stored.id)
-        assert store.claim_next() is None
+        assert store.claim_next("proc-0") is None
         other = store.submit(sample_jobs[1], ttl_seconds=60.0)  # nothing stored
         assert other.status == "queued" and other.expires_at is None
         assert store.events_after(other.id) == []
@@ -705,7 +809,7 @@ class TestKnownVerdictsNeverQueue:
         # itself included.
         assert not landed
         assert sorted(t.id for t in twins) == sorted([running.id, twin.id])
-        assert store.claim_next() is None
+        assert store.claim_next("proc-0") is None
 
 
 class TestResubmissionThroughTheServer:
@@ -762,7 +866,7 @@ class TestQueries:
     def test_list_jobs_filters_and_limits(self, store, sample_jobs):
         for _ in range(3):
             store.submit(sample_jobs[0])
-        store.claim_next()  # claims the oldest; listing is newest-first
+        store.claim_next("proc-0")  # claims the oldest; listing is newest-first
         assert [j.status for j in store.list_jobs()] == ["queued", "queued", "running"]
         assert len(store.list_jobs(status="queued")) == 2
         assert len(store.list_jobs(status="running")) == 1
@@ -778,7 +882,7 @@ class TestQueries:
         }
         store.submit(sample_jobs[0])
         store.submit(sample_jobs[1])
-        store.claim_next()
+        store.claim_next("proc-0")
         assert store.counts() == {
             "queued": 1, "running": 1, "done": 0, "error": 0, "cancelled": 0,
         }
@@ -794,8 +898,8 @@ class TestPersistence:
         path = tmp_path / "jobs.db"
         store = JobStore(path)
         stored = store.submit(sample_jobs[0])
-        store.claim_next()
-        store.mark_done(stored.id, _result().as_dict())
+        store.claim_next("proc-0")
+        store.mark_done(stored.id, _result().as_dict(), worker_id="proc-0")
         queued = store.submit(sample_jobs[1])
         store.close()
 
@@ -809,10 +913,10 @@ class TestPersistence:
         path = tmp_path / "jobs.db"
         store = JobStore(path)
         done = store.submit(sample_jobs[0])
-        store.claim_next()
-        store.mark_done(done.id, _result().as_dict())
+        store.claim_next("proc-0")
+        store.mark_done(done.id, _result().as_dict(), worker_id="proc-0")
         interrupted = store.submit(sample_jobs[1])
-        store.claim_next()  # now `running`; simulate the process dying here
+        store.claim_next("proc-0")  # now `running`; simulate the process dying here
         store.close()
 
         reopened = JobStore(path)

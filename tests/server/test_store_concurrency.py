@@ -62,7 +62,7 @@ def _storm_worker(path: str, worker_id: str, results) -> None:
                 continue
             assert stored.claimed_by == worker_id
             # The owner's heartbeat must land while the claim is live...
-            assert store.heartbeat(stored.id, worker_id) is True
+            assert store.touch_claim(stored.id, worker_id) == (True, False)
             # ... and exactly one finisher lands the terminal mark.
             assert store.mark_done(
                 stored.id,

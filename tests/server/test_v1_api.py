@@ -139,8 +139,8 @@ class TestV1Protocol:
             handle = client.submit(
                 dump_system(tiny_system), [dump_property(_properties()[0])], options=OPTIONS
             )[0]
-            idle_server.store.claim_next()
-            idle_server.store.mark_error(handle.id, "RuntimeError: boom")
+            idle_server.store.claim_next("test:proc-0")
+            idle_server.store.mark_error(handle.id, "RuntimeError: boom", worker_id="test:proc-0")
             with pytest.raises(RemoteJobError, match="boom"):
                 client.wait(handle.id, deadline_seconds=10)
 
@@ -344,7 +344,7 @@ class TestCancellation:
             )[0]
             # Simulate a worker claiming the job, a cancel arriving, then a crash
             # before the worker can finalise it.
-            assert server_a.store.claim_next() is not None
+            assert server_a.store.claim_next("a:proc-0") is not None
             ack = client.cancel(handle.id)
             assert ack["status"] == "cancelling"
             server_a.stop()

@@ -91,6 +91,20 @@ def _wait_for_progress(client: VerifasClient, job_id: str) -> None:
     )
 
 
+def _crash_dispositions(client: VerifasClient, job_id: str):
+    """The dispositions of the job's worker-crash events, once one is logged
+    (the event is appended just after the release's own commit)."""
+    def crashes():
+        return [
+            e["data"]["disposition"]
+            for e in client.events(job_id)["events"]
+            if e["kind"] == "worker-crash"
+        ]
+
+    _wait_until(crashes, message="the worker-crash event")
+    return crashes()
+
+
 class _Stub:
     def __init__(self, alive):
         self._alive = alive
@@ -306,6 +320,38 @@ class TestKillAWorker:
                 view = client.wait(handle.id, deadline_seconds=30)
                 assert view["status"] == "cancelled"
                 assert server.store.get_job(handle.id).status == "cancelled"
+                assert _crash_dispositions(client, handle.id) == ["cancelled"]
+        finally:
+            server.stop()
+
+    def test_crash_disposition_is_what_the_release_did(
+        self, tmp_path, exploding_system, monkeypatch
+    ):
+        """A DELETE landing right after the crashed job's release cancels
+        the requeued job, but the crash event still reports what the
+        release did: `requeued`, not the status a later re-read finds."""
+        server = _make_server(tmp_path, workers=1)
+        release = server.store.release
+
+        def release_then_delete(job_id, worker_id):
+            status = release(job_id, worker_id)
+            server.store.request_cancel(job_id)
+            return status
+
+        monkeypatch.setattr(server.store, "release", release_then_delete)
+        try:
+            with VerifasClient(server.url, poll_initial=0.02) as client:
+                handle = client.submit(
+                    dump_system(exploding_system),
+                    [dump_property(_exploding_property())],
+                    options={"max_states": 500_000},
+                )[0]
+                _wait_for_progress(client, handle.id)
+                os.kill(server.metrics_view()["workers"]["pool"][0]["pid"], signal.SIGKILL)
+
+                view = client.wait(handle.id, deadline_seconds=30)
+                assert view["status"] == "cancelled"
+                assert _crash_dispositions(client, handle.id) == ["requeued"]
         finally:
             server.stop()
 

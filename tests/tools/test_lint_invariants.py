@@ -3,8 +3,9 @@ src/repro), AB001 (no ablation switches on the public surfaces), WK001
 (only the worker pipeline builds verifiers in the server), OR001 (the
 symbolic search and the explicit-state checkers do not import each other),
 HC001 (no urllib.request transport in src/repro), SM001 (the server
-parses and lints submitted systems only through the checked-system memo)
-and RN001 (only the worker agent's close stops a runner)."""
+parses and lints submitted systems only through the checked-system memo),
+RN001 (only the worker agent's close stops a runner) and LC001 (the job
+store's terminal flip and interruption rule live in one helper each)."""
 
 import ast
 import importlib.util
@@ -355,3 +356,55 @@ def test_runner_stop_is_allowed_in_the_agent_close(lint):
 def test_server_never_recycles_a_runner_and_has_no_baseline_entry(lint):
     assert [v.render() for v in lint.collect_violations() if v.rule == "RN001"] == []
     assert not [entry for entry in lint._load_baseline() if "::RN001::" in entry]
+
+
+STORE = "src/repro/server/store.py"
+TTL_FLIP = (
+    '"UPDATE jobs SET status = ?, finished_at = ?, expires_at = CASE WHEN'
+    ' ttl_seconds IS NOT NULL THEN ? + ttl_seconds ELSE NULL END WHERE id = ?"'
+)
+REQUEUE = "\"UPDATE jobs SET status = 'queued', claimed_by = NULL WHERE id = ?\""
+
+
+@pytest.mark.parametrize(
+    "source,function",
+    [
+        # A finaliser writing its own TTL stamp instead of calling _finish_txn.
+        (f"class JobStore:\n    def mark_error(self, conn):\n        conn.execute({TTL_FLIP})\n",
+         "mark_error"),
+        # A release writing its own requeue instead of calling _interrupt_txn.
+        (f"class JobStore:\n    def release(self, conn):\n        conn.execute({REQUEUE})\n",
+         "release"),
+        # The assignment later in the SET clause, in an f-string piece.
+        ("class JobStore:\n    def requeue_stale(self, conn, scope):\n"
+         "        conn.execute(f\"UPDATE jobs SET started_at = NULL, status = 'queued'"
+         " WHERE {scope}\")\n",
+         "requeue_stale"),
+        # A helper of the same name outside JobStore is not the store's.
+        (f"class Other:\n    def _finish_txn(self, conn):\n        conn.execute({TTL_FLIP})\n",
+         "_finish_txn"),
+    ],
+)
+def test_lifecycle_sql_outside_the_helpers_is_flagged(lint, source, function):
+    assert _rules_hit(lint, source, rules=("LC001",), relpath=STORE) == [("LC001", function)]
+
+
+def test_lifecycle_sql_is_allowed_in_the_helpers_and_as_a_predicate(lint):
+    helpers = (
+        "class JobStore:\n"
+        f"    def _finish_txn(self, conn):\n        conn.execute({TTL_FLIP})\n"
+        f"    def _interrupt_txn(self, conn):\n        conn.execute({REQUEUE})\n"
+    )
+    assert _rules_hit(lint, helpers, rules=("LC001",), relpath=STORE) == []
+    reads = (
+        "class JobStore:\n    def claim_next(self, conn):\n"
+        "        conn.execute(\"SELECT id FROM jobs WHERE status = 'queued'\")\n"
+        "        conn.execute(\"UPDATE jobs SET status = 'running' WHERE status = 'queued'\")\n"
+        "        conn.execute(\"SELECT ttl_seconds FROM jobs\")\n"
+    )
+    assert _rules_hit(lint, reads, rules=("LC001",), relpath=STORE) == []
+
+
+def test_store_has_one_lifecycle_and_no_baseline_entry(lint):
+    assert [v.render() for v in lint.collect_violations() if v.rule == "LC001"] == []
+    assert not [entry for entry in lint._load_baseline() if "::LC001::" in entry]

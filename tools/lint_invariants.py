@@ -97,6 +97,17 @@ agent starts a runner only when it has none or the old one died.  A call of
 ``_stop_runner`` anywhere but ``WorkerAgent.close`` is runner recycling
 growing back.  The rule has no baseline entries.
 
+**LC001 -- one job lifecycle in the store** (``src/repro/server``).
+Every terminal flip of a job goes through ``JobStore._finish_txn`` (which
+stamps ``finished_at``, drops the claim and starts the TTL clock) and every
+running job that lost its worker goes through ``JobStore._interrupt_txn``
+(requeue, or ``cancelled`` when a cancel was accepted).  A string constant
+anywhere else in the server holding the TTL stamp (``ttl_seconds IS NOT
+NULL``) or the requeue assignment (``status = 'queued'`` inside an
+``UPDATE``'s ``SET`` clause; the same text as a ``WHERE`` predicate is a
+read) is a second copy of that rule growing back.  The rule has no
+baseline entries.
+
 Violations are identified as ``<relpath>::<rule>::<enclosing function>``
 and checked against ``tools/lint_invariants_baseline.txt``: existing,
 reviewed call sites are grandfathered; anything new fails the build.
@@ -112,6 +123,7 @@ from __future__ import annotations
 import argparse
 import ast
 import os
+import re
 import sys
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
@@ -136,6 +148,7 @@ SCANNED_TREES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     (os.path.join("src", "repro"), ("HC001",)),
     (os.path.join("src", "repro", "server"), ("SM001",)),
     (os.path.join("src", "repro", "server"), ("RN001",)),
+    (os.path.join("src", "repro", "server"), ("LC001",)),
 )
 BASELINE_PATH = os.path.join(REPO_ROOT, "tools", "lint_invariants_baseline.txt")
 
@@ -155,6 +168,15 @@ SPEC_MEMO = "src/repro/server/spec_memo.py"
 #: What RN001 lets only the server's shutdown call: (file, class, method).
 RUNNER_STOP = "_stop_runner"
 RUNNER_STOP_SITE = (WORKER_PIPELINE, "WorkerAgent", "close")
+#: What LC001 lets only the store's lifecycle helpers write, and where they live.
+TTL_STAMP = re.compile(r"ttl_seconds\s+IS\s+NOT\s+NULL", re.IGNORECASE)
+REQUEUE_ASSIGNMENT = re.compile(
+    r"\bSET\b(?:(?!\bWHERE\b).)*\bstatus\s*=\s*'queued'", re.IGNORECASE | re.DOTALL
+)
+LIFECYCLE_SITES = (
+    ("src/repro/server/store.py", "JobStore", "_finish_txn"),
+    ("src/repro/server/store.py", "JobStore", "_interrupt_txn"),
+)
 #: What OR001 forbids each side of the search/reference split to import.
 ORACLE_BOUNDARY = (
     ("src/repro/core/", ("repro.has.runs", "repro.has.instance", "repro.baseline")),
@@ -329,6 +351,10 @@ class _InvariantVisitor(ast.NodeVisitor):
             self._check_mutation(node)
         self.generic_visit(node)
 
+    def visit_Constant(self, node: ast.Constant) -> None:
+        if "LC001" in self.rules and isinstance(node.value, str):
+            self._check_lifecycle_sql(node)
+
     def visit_For(self, node: ast.For) -> None:
         self._check_unordered_iteration(node.iter)
         self.generic_visit(node)
@@ -461,6 +487,21 @@ class _InvariantVisitor(ast.NodeVisitor):
                 f"{name} outside {SPEC_MEMO}: submitted systems are parsed and "
                 "linted once, through the checked-system memo",
             )
+
+    def _check_lifecycle_sql(self, node: ast.Constant) -> None:
+        """Record LC001 when *node* writes the TTL stamp or a requeue
+        outside the store's lifecycle helpers."""
+        site = (self.relpath, self._class_stack[-1], self._function_stack[-1])
+        if site in LIFECYCLE_SITES:
+            return
+        for label, pattern in (("TTL stamp", TTL_STAMP), ("requeue", REQUEUE_ASSIGNMENT)):
+            if pattern.search(node.value):
+                self._record(
+                    "LC001",
+                    node.lineno,
+                    f"{label} outside JobStore._finish_txn/_interrupt_txn: every "
+                    "terminal flip and every interrupted job takes the one lifecycle path",
+                )
 
     def _check_unordered_iteration(self, iterable: ast.AST) -> None:
         if "DF001" not in self.rules:
