@@ -41,7 +41,6 @@ from repro.analysis.analyzer import (
 )
 from repro.analysis.dataflow import (
     DataflowFacts,
-    ServiceFootprint,
     TaskDataflow,
     compute_dataflow_facts,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "Diagnostic",
     "ERROR",
     "INFO",
-    "ServiceFootprint",
     "SpecRejectedError",
     "StaticFacts",
     "TaskDataflow",

@@ -1,7 +1,7 @@
 """Forward dataflow analysis over the task/service graph.
 
-A forward abstract-interpretation pass computing, per task, an
-over-approximate *enablement summary* for the task's local symbolic runs:
+A forward abstract-interpretation pass computing, per task, the facts
+behind lint rules VA302 and VA504:
 
 * an abstract **constant environment**: variable -> constant bindings that
   hold in *every* reachable symbolic state of the task's own verification
@@ -10,10 +10,9 @@ over-approximate *enablement summary* for the task's local symbolic runs:
   (non-root, Definition 26), and propagated through service pre- and
   post-conditions with the same union-find equality congruence the symbolic
   evaluator implements (:func:`repro.analysis.satisfiability.analyse_disjunct`);
-* a **service-enablement lattice**: statically-dead services (never fire in
-  any run), services enabled at most once, and mutually-exclusive service
-  pairs (never enabled in the same state);
-* a **may-write / must-read variable footprint** per internal service.
+* the **dead services** (never fire in any run) and **dead child openings**;
+* the **written-never-read variables**: task variables some service or
+  child output mapping stores to and nothing reads.
 
 Soundness contract (what keeps the diagnostics built on these facts
 consistent with the search, which does not consume them):
@@ -31,8 +30,7 @@ consistent with the search, which does not consume them):
   symbolic ``extend`` of its pre-condition (or, under the propagated-subset
   of the environment, its post-condition) fails on *every* DNF disjunct by
   plain equality reasoning -- it produces zero symbolic moves in the
-  search;
-* the at-most-once and mutual-exclusion facts are informational.
+  search.
 
 Determinism: every fact is computed with sorted / declaration-order
 iteration only -- the summaries feed diagnostics and (indirectly) result
@@ -43,7 +41,7 @@ fingerprints, so iteration-order-dependent output would be a bug.  The
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.analysis.satisfiability import (
     analyse_disjunct,
@@ -51,17 +49,12 @@ from repro.analysis.satisfiability import (
     statically_unsatisfiable_under,
 )
 from repro.has.artifact_system import ArtifactSystem
-from repro.has.conditions import And, Condition, Eq, Neq
+from repro.has.conditions import Condition, Eq, Neq
 from repro.has.conditions import Const as CondConst
 from repro.has.services import Insert, InternalService, Retrieve
 
 #: Sentinel distinguishing "no forced binding" from a forced ``null`` binding.
 _MISSING: Any = object()
-
-#: Pairwise mutual-exclusion tests multiply the two pre-conditions' DNFs;
-#: pairs whose product would exceed this many disjuncts are skipped (the
-#: fact is informational, so under-reporting is always safe).
-_PAIRWISE_DNF_CAP = 64
 
 
 # ---------------------------------------------------------------------------
@@ -110,30 +103,6 @@ def forced_bindings_under(
 
 
 @dataclass(frozen=True)
-class ServiceFootprint:
-    """The variable footprint of one internal service.
-
-    ``must_read`` are the task variables whose current value the service's
-    applicability or effect depends on (pre-condition, post-condition
-    constraints over propagated variables, insertion sources); ``may_write``
-    is the sound over-approximation of the variables whose value may change
-    (everything not propagated -- unconstrained non-propagated variables are
-    havocked by the transition semantics).
-    """
-
-    service: str
-    must_read: Tuple[str, ...]
-    may_write: Tuple[str, ...]
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "service": self.service,
-            "must_read": list(self.must_read),
-            "may_write": list(self.may_write),
-        }
-
-
-@dataclass(frozen=True)
 class TaskDataflow:
     """The dataflow summary of one task's local symbolic runs."""
 
@@ -146,12 +115,6 @@ class TaskDataflow:
     dead_services: Tuple[str, ...]
     #: Children whose opening guard can never fire from this task.
     dead_child_openings: Tuple[str, ...]
-    #: Internal services provably enabled at most once per local run.
-    at_most_once_services: Tuple[str, ...]
-    #: Pairs of internal services never enabled in the same state.
-    mutually_exclusive: Tuple[Tuple[str, str], ...]
-    #: Per-service may-write / must-read footprints.
-    footprints: Tuple[ServiceFootprint, ...]
     #: Task variables some service or child output mapping writes but no
     #: condition, update or mapping ever reads (the VA504 fact).
     written_never_read: Tuple[str, ...]
@@ -162,9 +125,6 @@ class TaskDataflow:
             "constant_env": {name: self.constant_env[name] for name in sorted(self.constant_env)},
             "dead_services": list(self.dead_services),
             "dead_child_openings": list(self.dead_child_openings),
-            "at_most_once_services": list(self.at_most_once_services),
-            "mutually_exclusive": [list(pair) for pair in self.mutually_exclusive],
-            "footprints": [footprint.as_dict() for footprint in self.footprints],
             "written_never_read": list(self.written_never_read),
         }
 
@@ -276,82 +236,21 @@ def _dead_child_openings(
     ]
 
 
-def _at_most_once(
-    system: ArtifactSystem,
-    task_name: str,
-    env: Mapping[str, Any],
-    live: Sequence[InternalService],
-    open_children: Sequence[str],
-) -> List[str]:
-    """Services S provably enabled at most once per local run: S's pre
-    requires ``v = c`` for some variable v that S itself definitely moves to
-    a different constant, every other live writer of v also definitely moves
-    it away from ``c``, and no possibly-open child can write v back."""
-    child_written: Set[str] = set()
-    for child in open_children:
-        child_written |= set(system.closing_service(child).output_mapping().values())
-    result: List[str] = []
-    for service in live:
-        pre_forced = forced_bindings_under(service.pre, env)
-        for name in sorted(pre_forced):
-            value = pre_forced[name]
-            if name in service.propagated or name in child_written or name in env:
-                continue
-            own_after = forced_bindings_under(
-                service.post, _propagated_assumptions(env, service)
-            ).get(name, _MISSING)
-            if own_after is _MISSING or own_after == value:
-                continue
-            blocked = False
-            for other in live:
-                if other.name == service.name or name in other.propagated:
-                    continue
-                other_after = forced_bindings_under(
-                    other.post, _propagated_assumptions(env, other)
-                ).get(name, _MISSING)
-                if other_after is _MISSING or other_after == value:
-                    blocked = True
-                    break
-            if not blocked:
-                result.append(service.name)
-                break
-    return result
-
-
-def _mutually_exclusive(
-    env: Mapping[str, Any], live: Sequence[InternalService]
-) -> List[Tuple[str, str]]:
-    """Pairs of live services whose pre-conditions can never hold in the
-    same state (their conjunction is unsatisfiable under the environment)."""
-    pairs: List[Tuple[str, str]] = []
-    for i, first in enumerate(live):
-        first_disjuncts = len(first.pre.dnf())
-        for second in live[i + 1:]:
-            if first_disjuncts * len(second.pre.dnf()) > _PAIRWISE_DNF_CAP:
-                continue
-            if statically_unsatisfiable_under(And(first.pre, second.pre), env):
-                pairs.append((first.name, second.name))
-    return pairs
-
-
-def _footprints_and_flows(
-    system: ArtifactSystem, task_name: str
-) -> Tuple[List[ServiceFootprint], Set[str], Set[str]]:
-    """Per-service footprints plus the task-wide (reads, explicit-writes)
-    variable sets feeding the write-only-variable fact."""
+def _reads_and_writes(system: ArtifactSystem, task_name: str) -> Tuple[Set[str], Set[str]]:
+    """The task-wide (reads, explicit-writes) variable sets feeding the
+    write-only-variable fact."""
     task = system.task(task_name)
     task_vars = set(task.variable_names)
     reads: Set[str] = set()
     writes: Set[str] = set()
-    footprints: List[ServiceFootprint] = []
     for service in system.internal_services(task_name):
         propagated = set(service.propagated)
-        must_read = (service.pre.variables() & task_vars) | (
-            service.post.variables() & propagated
-        )
+        # A service reads its pre-condition, the post-condition constraints
+        # over propagated variables and its insertion sources.
+        reads |= service.pre.variables() & task_vars
+        reads |= service.post.variables() & propagated
         if isinstance(service.update, Insert):
-            must_read |= set(service.update.variables)
-        may_write = task_vars - propagated
+            reads |= set(service.update.variables)
         # Only variable-vs-constant (dis)equality literals count as explicit
         # *stores*, and only for variables not also bound by a relation atom
         # of the same post: a variable-to-variable equality is a copy (both
@@ -370,14 +269,6 @@ def _footprints_and_flows(
         explicit = (explicit & task_vars) - propagated - atom_bound
         if isinstance(service.update, Retrieve):
             explicit |= set(service.update.variables)
-        footprints.append(
-            ServiceFootprint(
-                service=service.name,
-                must_read=tuple(sorted(must_read)),
-                may_write=tuple(sorted(may_write)),
-            )
-        )
-        reads |= must_read
         writes |= explicit
     # The global pre-condition is deliberately *not* a read: it constrains
     # the initial instance before any service writes, so a variable written
@@ -389,35 +280,17 @@ def _footprints_and_flows(
         reads |= opening.pre.variables() & task_vars
         reads |= set(opening.input_mapping().values())
         writes |= set(system.closing_service(child).output_mapping().values())
-    return footprints, reads, writes
+    return reads, writes
 
 
 def _task_dataflow(system: ArtifactSystem, task_name: str) -> TaskDataflow:
     env = _env_fixpoint(system, task_name)
-    dead = _dead_services(system, task_name, env)
-    dead_set = set(dead)
-    dead_children = _dead_child_openings(system, task_name, env)
-    live = [
-        service
-        for service in system.internal_services(task_name)
-        if service.name not in dead_set
-    ]
-    open_children = [
-        child
-        for child in system.children_of(task_name)
-        if child not in set(dead_children)
-    ]
-    footprints, reads, writes = _footprints_and_flows(system, task_name)
+    reads, writes = _reads_and_writes(system, task_name)
     return TaskDataflow(
         task=task_name,
         constant_env={name: env[name] for name in sorted(env)},
-        dead_services=tuple(sorted(dead_set)),
-        dead_child_openings=tuple(sorted(dead_children)),
-        at_most_once_services=tuple(
-            sorted(_at_most_once(system, task_name, env, live, open_children))
-        ),
-        mutually_exclusive=tuple(_mutually_exclusive(env, live)),
-        footprints=tuple(footprints),
+        dead_services=tuple(sorted(_dead_services(system, task_name, env))),
+        dead_child_openings=tuple(sorted(_dead_child_openings(system, task_name, env))),
         written_never_read=tuple(sorted(writes - reads)),
     )
 
@@ -425,9 +298,8 @@ def _task_dataflow(system: ArtifactSystem, task_name: str) -> TaskDataflow:
 def compute_dataflow_facts(system: ArtifactSystem) -> DataflowFacts:
     """The per-task dataflow summaries of one specification.
 
-    Cheap enough for the verifier to call per ``verify()`` (a handful of DNF
-    conversions per service, iterated to a <= |vars|-round fixpoint) and for
-    the analyzer to call per lint/submit.
+    Cheap enough for the analyzer to call per lint/submit (a handful of DNF
+    conversions per service, iterated to a <= |vars|-round fixpoint).
     """
     return DataflowFacts(
         tasks={name: _task_dataflow(system, name) for name in system.task_names}

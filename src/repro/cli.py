@@ -313,6 +313,9 @@ def _cmd_tenant(args: argparse.Namespace) -> int:
     except sqlite3.Error as error:
         print(f"error: cannot open job store {args.store!r}: {error}", file=sys.stderr)
         return 2
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     try:
         registry = TenantRegistry(store)
         if args.tenant_command == "create":

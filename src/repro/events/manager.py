@@ -30,15 +30,13 @@ import sqlite3
 import sys
 import threading
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, TextIO
+from typing import Any, Dict, Iterator, List, Optional, TextIO
 
-from repro.core.control import ProgressEvent
 from repro.events.types import (
     INFO,
     LEVEL_ORDER,
     Event,
     JobCompleted,
-    SearchEvent,
     SpanRecorded,
 )
 
@@ -78,27 +76,6 @@ class EventManager:
                 handle(event)
             except Exception:
                 pass
-
-    def progress_sink(
-        self, job_id: str, trace_id: Optional[str] = None
-    ) -> Callable[[ProgressEvent], None]:
-        """An ``EventSink`` for ``SearchControl`` that puts the search's
-        :class:`ProgressEvent` stream onto this bus as :class:`SearchEvent`s.
-
-        ``trace_id`` stamps each forwarded event for trace correlation when
-        the job runs under a distributed trace."""
-
-        def forward(event: ProgressEvent) -> None:
-            self.fire(
-                SearchEvent(
-                    job_id=job_id,
-                    data=dict(event.data),
-                    kind=event.kind,
-                    trace_id=trace_id,
-                )
-            )
-
-        return forward
 
 
 class StoreSink:

@@ -168,7 +168,9 @@ class JobFailed(Event):
 
 @dataclass(frozen=True)
 class JobCancelled(Event):
-    """A running job landed terminal ``cancelled`` (partial stats kept)."""
+    """A running job landed terminal ``cancelled``: its worker stopped the
+    search (partial stats kept), or the sweeper finalised a stale claim
+    whose cancel was pending."""
 
     name: ClassVar[str] = "job-cancelled"
     counter: ClassVar[Optional[str]] = "jobs_cancelled"
@@ -234,7 +236,8 @@ class WorkerCrashed(Event):
 
 @dataclass(frozen=True)
 class StaleJobsRequeued(Event):
-    """The sweeper rescued ``data["count"]`` jobs from dead owners."""
+    """The sweeper requeued ``data["count"]`` jobs from dead owners (one
+    with a pending cancel is finalised instead and fires :class:`JobCancelled`)."""
 
     name: ClassVar[str] = "stale-jobs-requeued"
     level: ClassVar[str] = WARNING

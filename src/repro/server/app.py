@@ -57,6 +57,7 @@ from repro.events import (
     CancelRequested,
     EventBroker,
     EventManager,
+    JobCancelled,
     JobCompleted,
     JobSubmitted,
     LogSink,
@@ -136,11 +137,16 @@ class _HttpServer(ThreadingHTTPServer):
 
 
 class VerificationServer:
-    """Long-running verification-as-a-service process (HTTP + workers + store)."""
+    """Long-running verification-as-a-service process (HTTP + workers + store).
+
+    ``store_path`` is the SQLite file of the job store, shared by every
+    thread and by any peer server pointed at it; ``""`` and ``":memory:"``
+    raise ``ValueError`` (see :class:`~repro.server.store.JobStore`).
+    """
 
     def __init__(
         self,
-        store_path: Union[str, "os.PathLike"] = ":memory:",
+        store_path: Union[str, "os.PathLike"],
         host: str = "127.0.0.1",
         port: int = 8080,
         workers: int = 2,
@@ -492,10 +498,15 @@ class VerificationServer:
                 # stopped): a dead worker agent or a SIGKILL'd peer
                 # server.  Every claim has an owner that heartbeats, so a
                 # stale heartbeat is the one sign of a lost worker.
-                stale = self.store.requeue_stale(self.stale_heartbeat_seconds)
-                if stale:
-                    self.events.fire(StaleJobsRequeued(data={"count": stale}))
+                # A stale job with a pending cancel is finalised instead.
+                requeued, cancelled = self.store.requeue_stale(
+                    self.stale_heartbeat_seconds
+                )
+                if requeued:
+                    self.events.fire(StaleJobsRequeued(data={"count": len(requeued)}))
                     self._wakeup.set()
+                for job_id in cancelled:
+                    self.events.fire(JobCancelled(job_id=job_id))
             except sqlite3.ProgrammingError:  # store closed mid-shutdown
                 return
             except Exception:

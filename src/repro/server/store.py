@@ -51,9 +51,8 @@ at the same file:
   and every job an event is appended to, is handed to
   :attr:`JobStore.on_job_update` after the transaction commits.
 
-In-memory stores (``:memory:``) are invisible to other connections, so they
-keep the legacy single-connection design serialized behind an ``RLock`` --
-they exist for tests and throwaway servers only.
+The store always lives in a file: an in-memory database is private to the
+one connection that opened it, so per-thread connections could not share it.
 
 Jobs submitted with ``ttl_seconds`` get an ``expires_at`` stamp when they
 reach a terminal state; :meth:`JobStore.sweep_expired` (driven by the
@@ -382,11 +381,16 @@ class JobStore:
 
     def __init__(
         self,
-        path: Union[str, os.PathLike] = ":memory:",
+        path: Union[str, os.PathLike],
         busy_timeout_seconds: float = 30.0,
         heartbeat_busy_timeout_seconds: float = 5.0,
     ):
         self.path = os.fspath(path)
+        if self.path in ("", ":memory:"):
+            raise ValueError(
+                "the job store needs a file: per-thread connections cannot "
+                f"share an in-memory database (got {self.path!r})"
+            )
         #: How long a writer waits on another process's transaction before
         #: surfacing ``sqlite3.OperationalError: database is locked``.
         self.busy_timeout_seconds = busy_timeout_seconds
@@ -398,12 +402,6 @@ class JobStore:
         #: spurious peer rescue.
         self.heartbeat_busy_timeout_seconds = min(
             heartbeat_busy_timeout_seconds, busy_timeout_seconds
-        )
-        #: In-memory databases are private to one connection: they keep the
-        #: legacy single-connection design behind a lock (tests / dev only).
-        self._memory = self.path in ("", ":memory:") or "mode=memory" in self.path
-        self._serial: Optional[threading.RLock] = (
-            threading.RLock() if self._memory else None
         )
         self._local = threading.local()
         #: Every live per-thread connection, paired with its owning thread
@@ -428,10 +426,8 @@ class JobStore:
         # hence comparable between processes sharing one store file.
         self._wall_anchor = time.time()
         self._mono_anchor = time.monotonic()
-        if self._memory:
-            self._memory_conn = self._new_connection()
-        #: The journal mode actually in effect ("wal" for file stores on
-        #: WAL-capable filesystems, "memory" for in-memory stores).
+        #: The journal mode actually in effect ("wal" on WAL-capable
+        #: filesystems).
         self.journal_mode = self._connection().execute(
             "PRAGMA journal_mode"
         ).fetchone()[0]
@@ -488,27 +484,24 @@ class JobStore:
             check_same_thread=False,
         )
         connection.row_factory = sqlite3.Row
-        if not self._memory:
-            # WAL lets readers proceed while one writer commits; NORMAL sync
-            # is durable across application crashes (WAL is replayed) and
-            # avoids an fsync per transaction.
-            connection.execute("PRAGMA journal_mode=WAL")
-            connection.execute("PRAGMA synchronous=NORMAL")
+        # WAL lets readers proceed while one writer commits; NORMAL sync
+        # is durable across application crashes (WAL is replayed) and
+        # avoids an fsync per transaction.
+        connection.execute("PRAGMA journal_mode=WAL")
+        connection.execute("PRAGMA synchronous=NORMAL")
         connection.execute(
             f"PRAGMA busy_timeout={int(self.busy_timeout_seconds * 1000)}"
         )
         return connection
 
     def _connection(self) -> sqlite3.Connection:
-        """This thread's connection (the single shared one for ``:memory:``).
+        """This thread's connection.
 
         Creating a connection for a new thread also prunes (and closes) the
         connections of threads that have since died -- the HTTP server
         spawns one thread per connection, so without pruning a busy server
         would leak one file descriptor per connection ever accepted.
         """
-        if self._memory:
-            return self._memory_conn
         connection = getattr(self._local, "connection", None)
         if connection is None:
             if self._closed:
@@ -538,14 +531,9 @@ class JobStore:
     def _read(self) -> Iterator[sqlite3.Connection]:
         """A connection for plain reads (no transaction, no Python lock).
 
-        WAL readers see the last committed state without blocking writers;
-        in-memory stores serialize on the store lock instead.
+        WAL readers see the last committed state without blocking writers.
         """
-        if self._serial is not None:
-            with self._serial:
-                yield self._memory_conn
-        else:
-            yield self._connection()
+        yield self._connection()
 
     @contextmanager
     def _write(
@@ -562,38 +550,32 @@ class JobStore:
 
         The job ids the body put on ``self._local.touched`` (the lifecycle
         helpers and event appends do) are handed to :attr:`on_job_update`
-        once the transaction has committed and the store lock is released;
-        a rolled-back transaction notifies nobody.
+        once the transaction has committed; a rolled-back transaction
+        notifies nobody.
         """
         touched: List[str] = []
         self._local.touched = touched
-        if self._serial is not None:
-            self._serial.acquire()
+        connection = self._connection()
+        if busy_timeout_seconds is not None:
+            connection.execute(
+                f"PRAGMA busy_timeout={int(busy_timeout_seconds * 1000)}"
+            )
         try:
-            connection = self._connection()
-            if busy_timeout_seconds is not None:
-                connection.execute(
-                    f"PRAGMA busy_timeout={int(busy_timeout_seconds * 1000)}"
-                )
+            connection.execute("BEGIN IMMEDIATE")
             try:
-                connection.execute("BEGIN IMMEDIATE")
-                try:
-                    yield connection
-                except BaseException:
-                    connection.rollback()
-                    raise
-                connection.commit()
-            finally:
-                if busy_timeout_seconds is not None:
-                    try:
-                        connection.execute(
-                            f"PRAGMA busy_timeout={int(self.busy_timeout_seconds * 1000)}"
-                        )
-                    except sqlite3.ProgrammingError:  # pragma: no cover - closed under us
-                        pass
+                yield connection
+            except BaseException:
+                connection.rollback()
+                raise
+            connection.commit()
         finally:
-            if self._serial is not None:
-                self._serial.release()
+            if busy_timeout_seconds is not None:
+                try:
+                    connection.execute(
+                        f"PRAGMA busy_timeout={int(self.busy_timeout_seconds * 1000)}"
+                    )
+                except sqlite3.ProgrammingError:  # pragma: no cover - closed under us
+                    pass
         listener = self.on_job_update
         if listener is not None:
             for job_id in dict.fromkeys(touched):
@@ -673,11 +655,6 @@ class JobStore:
         """Close every pooled connection; subsequent use raises
         ``sqlite3.ProgrammingError`` (the signal the server's shutdown paths
         already handle)."""
-        if self._memory:
-            self._closed = True
-            with self._serial:
-                self._memory_conn.close()
-            return
         with self._pool_lock:
             # Under the pool lock, so no racing thread can register a fresh
             # connection after the drain (see _connection's re-check).
@@ -1006,14 +983,14 @@ class JobStore:
             )
         return "queued" if requeued else "cancelled" if cancelled else None
 
-    def requeue_stale(self, max_age_seconds: float) -> int:
-        """Repair ``running`` jobs whose heartbeat went stale; returns how
-        many went back to the queue.
+    def requeue_stale(self, max_age_seconds: float) -> Tuple[List[str], List[str]]:
+        """Repair ``running`` jobs whose heartbeat went stale; returns the
+        ids moved, ``(requeued, cancelled)``.
 
         Every claim has an owner that heartbeats, so a claim whose last
         heartbeat is older than *max_age_seconds* belongs to a dead worker
         or server; :meth:`_interrupt_txn` requeues it, or finalises it
-        ``cancelled`` when a cancel is pending (not counted).  Both
+        ``cancelled`` when a cancel is pending.  Both
         timestamps are read *inside* the transaction (a pre-lock cutoff
         could drift from the stamps under contention), each on the clock
         family its comparison needs: the staleness cutoff uses the *shared*
@@ -1025,13 +1002,12 @@ class JobStore:
         """
         with self._write() as conn:
             now = self._now()
-            requeued, _ = self._interrupt_txn(
+            return self._interrupt_txn(
                 conn,
                 now,
                 "heartbeat_at <= ?",
                 (self._shared_now() - max_age_seconds,),
             )
-        return len(requeued)
 
     def recover_interrupted(
         self,

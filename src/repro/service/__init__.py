@@ -14,12 +14,11 @@ cheaply across process boundaries and cache under a content fingerprint.
 """
 
 from repro.service.cache import ResultCache
-from repro.service.engine import BatchReport, JobCallbacks, VerificationService
+from repro.service.engine import BatchReport, VerificationService
 from repro.service.jobs import JobResult, VerificationJob, jobs_from_bundle
 
 __all__ = [
     "BatchReport",
-    "JobCallbacks",
     "JobResult",
     "ResultCache",
     "VerificationJob",

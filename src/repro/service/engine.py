@@ -17,7 +17,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.options import VerifierOptions
 from repro.core.verifier import VerificationResult, Verifier
@@ -42,32 +42,11 @@ def _verify_job_dicts(
     return result.as_dict()
 
 
-@dataclass
-class JobCallbacks:
-    """Incremental job-status hooks fired while a batch runs.
-
-    ``on_started`` fires only for jobs that actually enter the verifier (cache
-    hits and in-batch duplicates skip it, and it may repeat if a process pool
-    dies and the batch restarts in-process); ``on_finished`` fires exactly
-    once per job, with its result and cache provenance.  Long-running callers
-    (the HTTP server, progress bars) use these to surface per-job state
-    without waiting for the whole batch.
-    """
-
-    on_started: Optional[Callable[["VerificationJob"], None]] = None
-    on_finished: Optional[Callable[["VerificationJob", VerificationResult, bool], None]] = None
-
-    def started(self, job: "VerificationJob") -> None:
-        if self.on_started is not None:
-            self.on_started(job)
-
-    def finished(self, job: "VerificationJob", result: VerificationResult, cache_hit: bool) -> None:
-        if self.on_finished is not None:
-            self.on_finished(job, result, cache_hit)
-
-
 class VerificationService:
     """Verifies batches of (system × property) jobs with caching and a worker pool.
+
+    The engine behind ``repro verify`` and ``repro batch``; the server runs
+    its own worker agents (:mod:`repro.server.workers`) instead.
 
     ::
 
@@ -105,7 +84,6 @@ class VerificationService:
         self,
         jobs: Sequence[VerificationJob],
         workers: int = 1,
-        callbacks: Optional[JobCallbacks] = None,
     ) -> List[JobResult]:
         """Run a batch of jobs, returning one :class:`JobResult` per job, in order.
 
@@ -114,11 +92,7 @@ class VerificationService:
         cache hits and skip the Karp–Miller search entirely.  The remaining
         unique jobs run on ``workers`` processes (in-process when
         ``workers <= 1`` or when no process pool can be created).
-
-        ``callbacks`` (see :class:`JobCallbacks`) receives incremental
-        per-job status while the batch runs; in-batch duplicates report last.
         """
-        callbacks = callbacks or JobCallbacks()
         jobs = list(jobs)
         results: Dict[int, JobResult] = {}
 
@@ -134,18 +108,16 @@ class VerificationService:
             cached = self.cache.get(fingerprint)
             if cached is not None:
                 results[index] = JobResult(job, cached, cache_hit=True)
-                callbacks.finished(job, cached, True)
                 continue
             first_occurrence[fingerprint] = index
             to_run.append(job)
 
         # Verify the unique, uncached jobs.
-        for job, result in zip(to_run, self._execute(to_run, workers, callbacks)):
+        for job, result in zip(to_run, self._execute(to_run, workers)):
             self.cache.put(job.fingerprint, result)
             results[first_occurrence[job.fingerprint]] = JobResult(
                 job, result, cache_hit=False
             )
-            callbacks.finished(job, result, False)
 
         # Duplicates within the batch resolve against the first occurrence's
         # result (not the cache, whose entry may already have been evicted).
@@ -153,38 +125,22 @@ class VerificationService:
             job = jobs[index]
             first = results[first_occurrence[job.fingerprint]]
             results[index] = JobResult(job, first.result, cache_hit=True)
-            callbacks.finished(job, first.result, True)
 
         return [results[index] for index in range(len(jobs))]
 
     # ------------------------------------------------------------------ execution
 
     def _execute(
-        self,
-        jobs: Sequence[VerificationJob],
-        workers: int,
-        callbacks: Optional[JobCallbacks] = None,
-    ) -> Iterable[VerificationResult]:
-        callbacks = callbacks or JobCallbacks()
-        if not jobs:
-            return []
+        self, jobs: Sequence[VerificationJob], workers: int
+    ) -> List[VerificationResult]:
         if workers > 1 and len(jobs) > 1:
             try:
-                return self._execute_pool(jobs, workers, callbacks)
+                return self._execute_pool(jobs, workers)
             except (OSError, ImportError, BrokenProcessPool):
                 # No usable process pool in this environment (or the pool died
                 # mid-run); fall through and run the whole batch in-process.
                 pass
-        # A generator, so the caller observes (and reports) each in-process
-        # result as it lands rather than after the whole batch.
-        return self._execute_inprocess(jobs, callbacks)
-
-    def _execute_inprocess(
-        self, jobs: Sequence[VerificationJob], callbacks: JobCallbacks
-    ) -> Iterator[VerificationResult]:
-        for job in jobs:
-            callbacks.started(job)
-            yield self._execute_one(job)
+        return [self._execute_one(job) for job in jobs]
 
     @staticmethod
     def _execute_one(job: VerificationJob) -> VerificationResult:
@@ -194,17 +150,15 @@ class VerificationService:
 
     @staticmethod
     def _execute_pool(
-        jobs: Sequence[VerificationJob], workers: int, callbacks: JobCallbacks
+        jobs: Sequence[VerificationJob], workers: int
     ) -> List[VerificationResult]:
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            futures = []
-            for job in jobs:
-                callbacks.started(job)
-                futures.append(
-                    pool.submit(
-                        _verify_job_dicts, job.system_dict, job.property_dict, job.options_dict
-                    )
+            futures = [
+                pool.submit(
+                    _verify_job_dicts, job.system_dict, job.property_dict, job.options_dict
                 )
+                for job in jobs
+            ]
             return [VerificationResult.from_dict(future.result()) for future in futures]
 
 

@@ -2,9 +2,8 @@
 
 The facts under test back the lint diagnostics: the constant environment
 (must hold in every reachable symbolic state), the dead-service /
-dead-opening sets (must imply zero symbolic moves) and the informational
-summaries (footprints, at-most-once, mutual exclusion, write-only
-variables) surfaced as VA302/VA504.
+dead-opening sets (must imply zero symbolic moves) and the write-only
+variables, surfaced as VA302/VA504.
 """
 
 from __future__ import annotations
@@ -179,44 +178,6 @@ class TestDeadServices:
         )
         facts = compute_dataflow_facts(builder.build())
         assert facts.for_task("Main").dead_services == ("impossible",)
-
-
-class TestEnablementSummaries:
-    def test_at_most_once_for_consuming_service(self):
-        system = _pinned_system()
-        main = compute_dataflow_facts(system).for_task("Main")
-        # 'go' requires status=null and moves it to "done"; no other live
-        # service (and no live child) can restore null.
-        assert "go" in main.at_most_once_services
-
-    def test_mutually_exclusive_pairs(self):
-        pre = Eq(Var("status"), NULL)
-        builder = ArtifactSystemBuilder("mutex", _schema(), global_precondition=pre)
-        root = builder.task("Main")
-        root.variable("status")
-        root.internal_service(
-            "start",
-            pre=Eq(Var("status"), NULL),
-            post=Or(Eq(Var("status"), Const("x")), Eq(Var("status"), Const("y"))),
-        )
-        root.internal_service(
-            "a", pre=Eq(Var("status"), Const("x")), post=Eq(Var("status"), NULL)
-        )
-        root.internal_service(
-            "b", pre=Eq(Var("status"), Const("y")), post=Eq(Var("status"), NULL)
-        )
-        facts = compute_dataflow_facts(builder.build())
-        main = facts.for_task("Main")
-        assert main.dead_services == ()
-        assert ("a", "b") in main.mutually_exclusive
-
-    def test_footprints(self):
-        system = _pinned_system()
-        main = compute_dataflow_facts(system).for_task("Main")
-        by_name = {f.service: f for f in main.footprints}
-        assert by_name["go"].must_read == ("status",)
-        # Everything not propagated may be havocked.
-        assert by_name["go"].may_write == ("item", "status")
 
 
 # ------------------------------------------------- write-only (VA504 facts)

@@ -1,4 +1,4 @@
-"""Property-based soundness audit of the dataflow enablement summary.
+"""Property-based soundness audit of the dataflow summary.
 
 Seeded ``random`` (no wall clock, no hypothesis dependency): generate small
 random specifications, run a *bounded* symbolic search collecting
@@ -9,8 +9,7 @@ over-approximation:
   reported dead-opening;
 * every constant-environment binding is entailed by every reachable
   partial isomorphism type (extending the type with ``var != const``
-  contradicts it);
-* no at-most-once service fires twice on any explored path.
+  contradicts it).
 
 Failures print the seed, so a counterexample reproduces exactly.
 """
@@ -18,7 +17,7 @@ Failures print the seed, so a counterexample reproduces exactly.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Set, Tuple
+from typing import List, Set
 
 import pytest
 
@@ -80,22 +79,15 @@ def _random_system(rng: random.Random):
 def _bounded_search(system, task_name: str):
     """Breadth-first bounded search of one task's local runs.
 
-    Returns ``(fired service names, visited taus, per-path service counts)``.
-    The per-path counts record, for each explored path, how often each
-    internal service fired along it (for the at-most-once audit); paths are
-    cut at the state bound, which can only *under*-count firings -- the
-    sound direction for auditing an over-approximation.
+    Returns ``(fired service names, visited taus)``.
     """
     transitions = SymbolicTransitionSystem(system, task_name)
     fired: Set[str] = set()
     taus = []
     seen: Set[object] = set()
-    max_fires: Dict[str, int] = {}
-    queue: List[Tuple[object, Dict[str, int]]] = []
-    for move in transitions.initial_moves():
-        queue.append((move.psi, {}))
+    queue: List[object] = [move.psi for move in transitions.initial_moves()]
     while queue and len(seen) < _STATE_BOUND:
-        psi, counts = queue.pop(0)
+        psi = queue.pop(0)
         if psi in seen:  # PSI is a frozen dataclass; hash dedups revisits
             continue
         seen.add(psi)
@@ -104,12 +96,8 @@ def _bounded_search(system, task_name: str):
             if move.psi is psi:  # the terminal stutter step
                 continue
             fired.add(move.service)
-            next_counts = dict(counts)
-            next_counts[move.service] = next_counts.get(move.service, 0) + 1
-            if next_counts[move.service] > max_fires.get(move.service, 0):
-                max_fires[move.service] = next_counts[move.service]
-            queue.append((move.psi, next_counts))
-    return fired, taus, max_fires
+            queue.append(move.psi)
+    return fired, taus
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -119,7 +107,7 @@ def test_dataflow_summary_over_approximates_bounded_search(seed):
     facts = compute_dataflow_facts(system)
     for task_name in system.task_names:
         task_facts = facts.for_task(task_name)
-        fired, taus, max_fires = _bounded_search(system, task_name)
+        fired, taus = _bounded_search(system, task_name)
 
         # 1. Dead services must not fire.
         dead_fired = fired & set(task_facts.dead_services)
@@ -144,10 +132,3 @@ def test_dataflow_summary_over_approximates_bounded_search(seed):
                     f"seed={seed} task={task_name}: env binding {name}={value!r} "
                     "not entailed by a reachable state"
                 )
-
-        # 4. At-most-once services never fire twice on one explored path.
-        for service in task_facts.at_most_once_services:
-            assert max_fires.get(service, 0) <= 1, (
-                f"seed={seed} task={task_name}: at-most-once service "
-                f"{service!r} fired {max_fires[service]} times on one path"
-            )

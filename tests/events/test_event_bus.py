@@ -15,7 +15,6 @@ import time
 
 import pytest
 
-from repro.core.control import ProgressEvent
 from repro.events import (
     DEBUG,
     ERROR,
@@ -137,17 +136,6 @@ class TestEventManager:
         manager.remove_sink(sink)
         manager.fire(JobCompleted())
         assert seen == []
-
-    def test_progress_sink_bridges_search_events(self):
-        seen = []
-        manager = EventManager()
-        manager.add_sink(seen.append)
-        forward = manager.progress_sink("job-7")
-        forward(ProgressEvent(kind="phase", data={"phase": "search"}, seq=1))
-        forward(ProgressEvent(kind="progress", data={"states_explored": 50}, seq=2))
-        assert [type(e) for e in seen] == [SearchEvent, SearchEvent]
-        assert seen[0].job_id == "job-7" and seen[0].kind == "phase"
-        assert seen[1].data == {"states_explored": 50}
 
 
 class TestMetricsSink:

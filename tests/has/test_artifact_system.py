@@ -163,7 +163,7 @@ class TestBuilder:
         with pytest.raises(KeyError):
             task.artifact_relation("POOL", ["x", "ghost"])
 
-    def test_insert_and_retrieve_mutually_exclusive(self, items_schema):
+    def test_a_service_cannot_both_insert_and_retrieve(self, items_schema):
         builder = ArtifactSystemBuilder("bad", items_schema)
         task = builder.task("Main")
         task.variable("x")

@@ -330,6 +330,44 @@ class TestSweeperRobustness:
         finally:
             server.stop()
 
+    def test_stale_rescue_cancellations_are_counted(self, tmp_path, tiny_system):
+        """A stale claim with a pending cancel is finalised `cancelled` by
+        the sweeper's rescue, and `/v1/metrics` counts it in
+        `jobs_cancelled` (not in `stale_jobs_requeued`)."""
+        server = VerificationServer(
+            store_path=tmp_path / "jobs.db", port=0, workers=0,
+            sweep_interval=0.05,
+        )
+        server.start()
+        try:
+            with VerifasClient(server.url, poll_initial=0.02) as client:
+                handle = client.submit(
+                    dump_system(tiny_system), [dump_property(_tiny_property())],
+                    options={"timeout_seconds": 60},
+                )[0]
+                # A worker that claimed the job, accepted a cancel and died:
+                # its last heartbeat is an hour old.
+                assert server.store.claim_next("gone:proc-0").id == handle.id
+                assert server.store.request_cancel(handle.id) == ("cancelling", True)
+                with server.store.write_transaction() as conn:
+                    conn.execute(
+                        "UPDATE jobs SET heartbeat_at = heartbeat_at - 3600 WHERE id = ?",
+                        (handle.id,),
+                    )
+
+                def counters():
+                    return client.metrics()["counters"]
+
+                _wait_until(
+                    lambda: counters().get("jobs_cancelled") == 1,
+                    deadline_seconds=10.0,
+                    message="the rescued cancellation to be counted",
+                )
+                assert client.job(handle.id)["status"] == "cancelled"
+                assert counters().get("stale_jobs_requeued", 0) == 0
+        finally:
+            server.stop()
+
 
 # ------------------------------------------------ real `serve` subprocesses
 

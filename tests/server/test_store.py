@@ -6,9 +6,10 @@ import threading
 
 import pytest
 
+from repro.cli import main
 from repro.core.stats import SearchStatistics
 from repro.core.verifier import VerificationOutcome, VerificationResult
-from repro.server import JobStore, recover
+from repro.server import JobStore, VerificationServer, recover
 from repro.service import VerificationJob
 from repro.spec import dump_property, dump_system
 
@@ -201,7 +202,7 @@ class TestWorkerClaims:
         dead worker's agent must not be able to keep it alive forever."""
         stored = store.submit(sample_jobs[0])
         store.claim_next(worker_id="proc-0")
-        assert store.requeue_stale(0.0) == 1               # rescued
+        assert store.requeue_stale(0.0) == ([stored.id], [])  # rescued
         reclaimed = store.claim_next(worker_id="proc-1")
         assert reclaimed.id == stored.id
         stamp = store.get_job(stored.id).heartbeat_at
@@ -225,8 +226,8 @@ class TestWorkerClaims:
     def test_requeue_stale_rescues_dead_worker_jobs(self, store, sample_jobs):
         stored = store.submit(sample_jobs[0])
         store.claim_next(worker_id="proc-0")
-        assert store.requeue_stale(3600.0) == 0  # heartbeat still fresh
-        assert store.requeue_stale(0.0) == 1     # anything counts as stale
+        assert store.requeue_stale(3600.0) == ([], [])  # heartbeat still fresh
+        assert store.requeue_stale(0.0) == ([stored.id], [])  # anything counts as stale
         requeued = store.get_job(stored.id)
         assert requeued.status == "queued"
         assert requeued.claimed_by is None and requeued.heartbeat_at is None
@@ -235,7 +236,7 @@ class TestWorkerClaims:
         stored = store.submit(sample_jobs[0])
         store.claim_next(worker_id="proc-0")
         assert store.request_cancel(stored.id) == ("cancelling", True)
-        assert store.requeue_stale(0.0) == 0  # not requeued: cancelled instead
+        assert store.requeue_stale(0.0) == ([], [stored.id])  # cancelled, not requeued
         assert store.get_job(stored.id).status == "cancelled"
 
     def test_release_requeues_a_running_job(self, store, sample_jobs):
@@ -268,7 +269,7 @@ class TestWorkerClaims:
         healthy worker elsewhere."""
         stored = store.submit(sample_jobs[0])
         store.claim_next(worker_id="proc-0")
-        assert store.requeue_stale(0.0) == 1               # sweeper rescue
+        assert store.requeue_stale(0.0) == ([stored.id], [])  # sweeper rescue
         reclaimed = store.claim_next(worker_id="other:proc-3")
         assert reclaimed.id == stored.id
         # The dead worker's cleanup fires late: ownership predicate rejects it.
@@ -291,7 +292,7 @@ class TestWorkerClaims:
         state (e.g. flip `cancelled` back to `done`)."""
         stored = store.submit(sample_jobs[0])
         store.claim_next(worker_id="proc-0")
-        assert store.requeue_stale(0.0) == 1          # sweeper rescues the job
+        assert store.requeue_stale(0.0) == ([stored.id], [])  # sweeper rescues the job
         store.request_cancel(stored.id)               # user cancels the rescued copy
         assert store.get_job(stored.id).status == "cancelled"
         # The zombie worker's verdict arrives afterwards: rejected.
@@ -312,7 +313,7 @@ class TestWorkerClaims:
         worker id must bounce -- only the live claim may finalise."""
         stored = store.submit(sample_jobs[0])
         store.claim_next(worker_id="proc-0")
-        assert store.requeue_stale(0.0) == 1
+        assert store.requeue_stale(0.0) == ([stored.id], [])
         assert store.claim_next(worker_id="proc-1").id == stored.id
         assert store.mark_done(stored.id, _result().as_dict(), worker_id="proc-0") == (
             False,
@@ -349,7 +350,7 @@ class TestWorkerClaims:
         # bogus follow-up value (-1.0) instead of the first read.
         clock = iter([1e12, -1.0, -1.0, -1.0])
         monkeypatch.setattr(store, "_now", lambda: next(clock))
-        assert store.requeue_stale(0.0) == 0  # cancel-requested: finalised
+        assert store.requeue_stale(0.0) == ([], [stored.id])  # cancel-requested: finalised
         finalised = store.get_job(stored.id)
         assert finalised.status == "cancelled"
         assert finalised.finished_at == 1e12
@@ -556,13 +557,16 @@ class TestConcurrencyLayer:
     def test_file_stores_run_in_wal_mode(self, store):
         assert store.journal_mode == "wal"
 
-    def test_memory_stores_stay_serialized(self):
-        memory = JobStore()
-        try:
-            assert memory.journal_mode == "memory"
-            assert memory._serial is not None
-        finally:
-            memory.close()
+    def test_in_memory_paths_are_rejected(self, capsys):
+        """Per-thread connections cannot share an in-memory database, so
+        the store refuses one instead of keeping a second connection model."""
+        for path in ("", ":memory:"):
+            with pytest.raises(ValueError, match="needs a file"):
+                JobStore(path)
+        with pytest.raises(ValueError, match="needs a file"):
+            VerificationServer(store_path=":memory:")
+        assert main(["tenant", "list", "--store", ":memory:"]) == 2
+        assert "needs a file" in capsys.readouterr().err
 
     def test_dead_threads_connections_are_pruned(self, store):
         """One connection per handler thread must not leak: the HTTP server
@@ -684,7 +688,7 @@ class TestMonotonicClock:
         # A peer store handle with an accurate clock sees the claim as live.
         peer = JobStore(store.path)
         try:
-            assert peer.requeue_stale(50.0) == 0
+            assert peer.requeue_stale(50.0) == ([], [])
             assert peer.get_job(stored.id).status == "running"
         finally:
             peer.close()
@@ -800,7 +804,7 @@ class TestKnownVerdictsNeverQueue:
         running = store.submit(sample_jobs[0])
         twin = store.submit(sample_jobs[0])
         store.claim_next(worker_id="proc-0")
-        assert store.requeue_stale(0.0) == 1  # the rescue requeues the job
+        assert store.requeue_stale(0.0) == ([running.id], [])  # the rescue requeues the job
         landed, twins = store.mark_done(
             running.id, _result().as_dict(), worker_id="proc-0"
         )
@@ -821,7 +825,6 @@ class TestResubmissionThroughTheServer:
         import time
 
         from repro.client import VerifasClient
-        from repro.server import VerificationServer
 
         server = VerificationServer(
             store_path=tmp_path / "jobs.db", port=0, workers=1,

@@ -17,7 +17,6 @@ from repro.has.conditions import Const, Eq, Neq, NULL, Var
 from repro.ltl import LTLFOProperty, parse_ltl
 from repro.service import (
     BatchReport,
-    JobCallbacks,
     JobResult,
     ResultCache,
     VerificationJob,
@@ -272,40 +271,6 @@ class TestVerificationService:
         assert report.outcomes == {"violated": 2}
         data = report.as_dict()
         assert data["total"] == 2 and len(data["results"]) == 2
-
-
-class TestJobCallbacks:
-    def test_callbacks_fire_per_job_with_cache_provenance(self, tiny_system):
-        service = VerificationService(default_options=OPTIONS)
-        props = _properties("Main")[:2]
-        jobs = [VerificationJob.from_objects(tiny_system, p, OPTIONS) for p in props]
-        events = []
-        callbacks = JobCallbacks(
-            on_started=lambda job: events.append(("started", job.property_name)),
-            on_finished=lambda job, result, hit: events.append(
-                ("finished", job.property_name, result.outcome.value, hit)
-            ),
-        )
-        service.run_batch(jobs + [jobs[0]], callbacks=callbacks)
-        assert events == [
-            ("started", "never-shipped"),
-            ("finished", "never-shipped", "violated", False),
-            ("started", "picked-then-shipped"),
-            ("finished", "picked-then-shipped", "satisfied", False),
-            ("finished", "never-shipped", "violated", True),  # in-batch duplicate
-        ]
-
-    def test_cache_hits_skip_on_started(self, tiny_system):
-        service = VerificationService(default_options=OPTIONS)
-        job = VerificationJob.from_objects(tiny_system, _properties("Main")[0], OPTIONS)
-        service.run_batch([job])
-        started, finished = [], []
-        callbacks = JobCallbacks(
-            on_started=lambda j: started.append(j.fingerprint),
-            on_finished=lambda j, r, hit: finished.append(hit),
-        )
-        service.run_batch([job], callbacks=callbacks)
-        assert started == [] and finished == [True]
 
 
 class TestSerializableResults:

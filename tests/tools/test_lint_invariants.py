@@ -4,8 +4,10 @@ src/repro), AB001 (no ablation switches on the public surfaces), WK001
 symbolic search and the explicit-state checkers do not import each other),
 HC001 (no urllib.request transport in src/repro), SM001 (the server
 parses and lints submitted systems only through the checked-system memo),
-RN001 (only the worker agent's close stops a runner) and LC001 (the job
-store's terminal flip and interruption rule live in one helper each)."""
+RN001 (only the worker agent's close stops a runner), LC001 (the job
+store's terminal flip and interruption rule live in one helper each) and
+SQ001 (only the job store's connection factory opens a SQLite
+connection)."""
 
 import ast
 import importlib.util
@@ -408,3 +410,42 @@ def test_lifecycle_sql_is_allowed_in_the_helpers_and_as_a_predicate(lint):
 def test_store_has_one_lifecycle_and_no_baseline_entry(lint):
     assert [v.render() for v in lint.collect_violations() if v.rule == "LC001"] == []
     assert not [entry for entry in lint._load_baseline() if "::LC001::" in entry]
+
+
+@pytest.mark.parametrize(
+    "source,relpath,function",
+    [
+        # A second, shared connection beside the per-thread ones.
+        ("import sqlite3\nclass JobStore:\n    def __init__(self, path):\n"
+         "        self._shared = sqlite3.connect(path)\n", STORE, "__init__"),
+        # A sibling subsystem opening the store file on its own.
+        ("import sqlite3\ndef open_registry(path):\n    return sqlite3.connect(path)\n",
+         "src/repro/tenancy/registry.py", "open_registry"),
+        # A reference passed around, and the from-import.
+        ("import sqlite3\ndef factory():\n    return sqlite3.connect\n",
+         "src/repro/server/app.py", "factory"),
+        ("from sqlite3 import connect\n", "src/repro/cli.py", "<module>"),
+        # A method of the same name outside JobStore is not the store's.
+        ("import sqlite3\nclass Other:\n    def _new_connection(self):\n"
+         "        return sqlite3.connect(':memory:')\n", STORE, "_new_connection"),
+    ],
+)
+def test_sqlite_connect_outside_the_store_factory_is_flagged(lint, source, relpath, function):
+    assert _rules_hit(lint, source, rules=("SQ001",), relpath=relpath) == [("SQ001", function)]
+
+
+def test_sqlite_connect_is_allowed_in_the_store_factory(lint):
+    source = (
+        "import sqlite3\nclass JobStore:\n    def _new_connection(self):\n"
+        "        return sqlite3.connect(self.path, isolation_level=None)\n"
+        "    def _read(self):\n        return sqlite3.Row\n"
+    )
+    assert _rules_hit(lint, source, rules=("SQ001",), relpath=STORE) == []
+    # Scoped to its rule: another rule's tree never reports it.
+    assert _rules_hit(lint, source.replace("_new_connection", "other"), rules=("LC001",),
+                      relpath=STORE) == []
+
+
+def test_package_has_one_connection_model_and_no_baseline_entry(lint):
+    assert [v.render() for v in lint.collect_violations() if v.rule == "SQ001"] == []
+    assert not [entry for entry in lint._load_baseline() if "::SQ001::" in entry]

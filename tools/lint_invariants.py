@@ -108,6 +108,14 @@ NULL``) or the requeue assignment (``status = 'queued'`` inside an
 read) is a second copy of that rule growing back.  The rule has no
 baseline entries.
 
+**SQ001 -- one connection model in the store** (``src/repro``).  The job
+store opens every SQLite connection in ``JobStore._new_connection``: one
+WAL connection per thread on a store file, which is also how peer servers
+share it.  A ``sqlite3.connect`` anywhere else in the package (a call, a
+reference or ``from sqlite3 import connect``) is a second connection model
+growing back, such as a single shared connection behind a lock.  The rule
+has no baseline entries.
+
 Violations are identified as ``<relpath>::<rule>::<enclosing function>``
 and checked against ``tools/lint_invariants_baseline.txt``: existing,
 reviewed call sites are grandfathered; anything new fails the build.
@@ -149,6 +157,7 @@ SCANNED_TREES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     (os.path.join("src", "repro", "server"), ("SM001",)),
     (os.path.join("src", "repro", "server"), ("RN001",)),
     (os.path.join("src", "repro", "server"), ("LC001",)),
+    (os.path.join("src", "repro"), ("SQ001",)),
 )
 BASELINE_PATH = os.path.join(REPO_ROOT, "tools", "lint_invariants_baseline.txt")
 
@@ -177,6 +186,8 @@ LIFECYCLE_SITES = (
     ("src/repro/server/store.py", "JobStore", "_finish_txn"),
     ("src/repro/server/store.py", "JobStore", "_interrupt_txn"),
 )
+#: Where SQ001 lets the package open a SQLite connection: (file, class, method).
+CONNECT_SITE = ("src/repro/server/store.py", "JobStore", "_new_connection")
 #: What OR001 forbids each side of the search/reference split to import.
 ORACLE_BOUNDARY = (
     ("src/repro/core/", ("repro.has.runs", "repro.has.instance", "repro.baseline")),
@@ -317,6 +328,8 @@ class _InvariantVisitor(ast.NodeVisitor):
             self._check_transport([node.module] + names, node.lineno)
             if "sys.setrecursionlimit" in names:
                 self._record_recursion_limit(node.lineno)
+            if "sqlite3.connect" in names:
+                self._record_connect(node.lineno)
         module = self._absolute_module(node)
         self._check_boundary_import(
             [module] + [f"{module}.{alias.name}" for alias in node.names], node.lineno
@@ -333,6 +346,12 @@ class _InvariantVisitor(ast.NodeVisitor):
             and node.value.id == "sys"
         ):
             self._record_recursion_limit(node.lineno)
+        if (
+            node.attr == "connect"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "sqlite3"
+        ):
+            self._record_connect(node.lineno)
         if node.attr == ABLATION_NAME:
             self._record_ablation(node.lineno)
         if isinstance(node.value, ast.Name):
@@ -431,6 +450,16 @@ class _InvariantVisitor(ast.NodeVisitor):
                 lineno,
                 "sys.setrecursionlimit changes a process-wide limit: keep an "
                 "explicit stack instead of recursing",
+            )
+
+    def _record_connect(self, lineno: int) -> None:
+        site = (self.relpath, self._class_stack[-1], self._function_stack[-1])
+        if "SQ001" in self.rules and site != CONNECT_SITE:
+            self._record(
+                "SQ001",
+                lineno,
+                "sqlite3.connect outside JobStore._new_connection: the store "
+                "keeps one connection model, a WAL connection per thread",
             )
 
     def _record_ablation(self, lineno: int) -> None:
