@@ -3,8 +3,10 @@
 The paper measures the cost of computing repeatedly-reachable states (needed
 for full LTL-FO semantics over infinite runs) by re-running the experiments
 with that module turned off, and reports an average overhead of roughly 19% on
-the real set and 14% on the synthetic set.  This benchmark performs the same
-comparison: full verifier vs reachability-only verifier.
+the real set and 14% on the synthetic set.  The main search is the same with
+or without the module, so this benchmark reads the overhead from one full
+run: the phase's time (``stats.repeated_seconds``) against the rest of each
+run's time.
 """
 
 import pytest
@@ -21,21 +23,20 @@ def test_repeated_reachability_overhead(benchmark, runner, real_suite, synthetic
     suite = real_suite if suite_name == "real" else synthetic_suite
 
     def run():
-        with_module = runner.run_suite(suite, {"full": Ablation()})
-        without_module = runner.run_suite(
-            suite, {"no-rr": Ablation(check_repeated_reachability=False)}
-        )
-        return with_module, without_module
+        return runner.run_suite(suite, {"full": Ablation()})
 
-    with_module, without_module = benchmark.pedantic(run, rounds=1, iterations=1)
-    overhead = BenchmarkRunner.overhead(with_module, without_module)
+    records = benchmark.pedantic(run, rounds=1, iterations=1)
+    finished = [record for record in records if not record.failed]
+    total = sum(record.seconds for record in finished)
+    repeated = sum(record.repeated_seconds for record in finished)
+    overhead = BenchmarkRunner.overhead(records)
 
     print_table(
         f"Repeated-reachability overhead ({suite_name} set)",
-        ("Configuration", "Avg(Time)"),
+        ("Configuration", "Total time"),
         [
-            ("full verifier", f"{BenchmarkRunner.table2(with_module)['full']['avg_seconds']:.3f}s"),
-            ("reachability only", f"{BenchmarkRunner.table2(without_module)['no-rr']['avg_seconds']:.3f}s"),
+            ("full verifier", f"{total:.3f}s"),
+            ("repeated-reachability phase", f"{repeated:.3f}s"),
             ("overhead", f"{overhead:.1f}%"),
         ],
     )

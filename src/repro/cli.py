@@ -251,6 +251,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.server import VerificationServer
 
+    token = None
+    if args.token_file is not None:
+        try:
+            with open(args.token_file, encoding="utf-8") as handle:
+                token = handle.read().strip()
+        except OSError as error:
+            print(f"error: cannot read token file: {error}", file=sys.stderr)
+            return 2
     try:
         server = VerificationServer(
             store_path=args.store,
@@ -266,7 +274,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             stale_heartbeat_seconds=args.stale_after,
             event_log_stream=sys.stderr if args.log_events else None,
             trace_enabled=True if args.trace else None,
-            auth_enabled=True if args.auth else None,
+            token=token,
         )
     except sqlite3.Error as error:
         print(f"error: cannot open job store {args.store!r}: {error}", file=sys.stderr)
@@ -298,76 +306,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server.serve_forever()  # blocks; Ctrl-C stops gracefully
     print("shut down (queued jobs stay persisted)")
     return 0
-
-
-def _cmd_tenant(args: argparse.Namespace) -> int:
-    """Tenant lifecycle against the store file (no running server needed:
-    servers sharing the store observe changes within their cache TTL)."""
-    import sqlite3
-
-    from repro.server import JobStore
-    from repro.tenancy import TenantRegistry
-
-    try:
-        store = JobStore(args.store)
-    except sqlite3.Error as error:
-        print(f"error: cannot open job store {args.store!r}: {error}", file=sys.stderr)
-        return 2
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    try:
-        registry = TenantRegistry(store)
-        if args.tenant_command == "create":
-            try:
-                tenant, api_key = registry.create(
-                    args.name,
-                    weight=args.weight,
-                    rate_limit=args.rate_limit,
-                    burst=args.burst,
-                    max_pending=args.max_pending,
-                )
-            except ValueError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-            if args.json:
-                print(json.dumps({**tenant.as_dict(), "api_key": api_key}, indent=2))
-            else:
-                print(f"tenant {tenant.name!r} created (id {tenant.id})")
-                print(f"  api key: {api_key}")
-                print("  (shown once -- only a salted hash is stored)")
-            return 0
-        if args.tenant_command == "list":
-            tenants = registry.list()
-            if args.json:
-                print(json.dumps([t.as_dict() for t in tenants], indent=2))
-                return 0
-            if not tenants:
-                print("no tenants")
-                return 0
-            for tenant in tenants:
-                limits = []
-                if tenant.rate_limit is not None:
-                    limits.append(f"rate {tenant.rate_limit}/s")
-                if tenant.max_pending is not None:
-                    limits.append(f"max-pending {tenant.max_pending}")
-                state = " REVOKED" if tenant.revoked else ""
-                print(
-                    f"  {tenant.name:24s} id {tenant.id}  key vk_{tenant.key_id}.***"
-                    f"  weight {tenant.weight:g}"
-                    + (f"  ({', '.join(limits)})" if limits else "")
-                    + state
-                )
-            return 0
-        if args.tenant_command == "revoke":
-            if registry.revoke(args.name):
-                print(f"tenant {args.name!r} revoked (existing jobs keep running)")
-                return 0
-            print(f"error: no tenant named {args.name!r}", file=sys.stderr)
-            return 2
-        raise AssertionError("unreachable")  # pragma: no cover
-    finally:
-        store.close()
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -507,10 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
              " sweeps) to stderr via the event bus's log sink",
     )
     serve.add_argument(
-        "--auth", action="store_true", dest="auth",
-        help="require tenant API keys (Authorization: Bearer vk_...) on every"
-             " job route; create keys with `repro tenant create --store ...`."
-             "  Off by default: the zero-config anonymous API stays as is",
+        "--token-file", default=None, metavar="PATH", dest="token_file",
+        help="require `Authorization: Bearer <token>` on every job route, the"
+             " token being this file's content (surrounding whitespace"
+             " stripped); probes and /v1/metrics stay open.  Use it when the"
+             " server listens beyond localhost (default: no token)",
     )
     serve.add_argument(
         "--trace", action="store_true", dest="trace",
@@ -522,47 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="suppress per-request access logging")
     _add_option_flags(serve)
     serve.set_defaults(handler=_cmd_serve)
-
-    tenant = subparsers.add_parser(
-        "tenant",
-        help="manage tenants of an auth-enabled server (keys, quotas, weights)",
-    )
-    tenant_sub = tenant.add_subparsers(dest="tenant_command", required=True)
-    tenant_create = tenant_sub.add_parser(
-        "create", help="create a tenant; prints its API key ONCE"
-    )
-    tenant_create.add_argument("name", help="unique tenant name")
-    tenant_create.add_argument("--store", default="repro-jobs.db", metavar="PATH",
-                               help="the server's job store (default: repro-jobs.db)")
-    tenant_create.add_argument(
-        "--weight", type=float, default=1.0, metavar="W",
-        help="fair-share weight: a weight-4 tenant's queued jobs are claimed"
-             " twice as often as a weight-2 one's under contention (default: 1.0)",
-    )
-    tenant_create.add_argument(
-        "--rate-limit", type=float, default=None, metavar="PER_SEC", dest="rate_limit",
-        help="max sustained job submissions per second (default: unlimited)",
-    )
-    tenant_create.add_argument(
-        "--burst", type=float, default=None, metavar="N",
-        help="token-bucket burst size (default: the --rate-limit value)",
-    )
-    tenant_create.add_argument(
-        "--max-pending", type=int, default=None, metavar="N", dest="max_pending",
-        help="max queued+running jobs at once, across all servers on the store"
-             " (default: unlimited)",
-    )
-    tenant_create.add_argument("--json", action="store_true",
-                               help="machine-readable output (includes the api key)")
-    tenant_list = tenant_sub.add_parser("list", help="list tenants (keys redacted)")
-    tenant_list.add_argument("--store", default="repro-jobs.db", metavar="PATH")
-    tenant_list.add_argument("--json", action="store_true")
-    tenant_revoke = tenant_sub.add_parser(
-        "revoke", help="revoke a tenant's API key (requests answer 403)"
-    )
-    tenant_revoke.add_argument("name", metavar="NAME_OR_ID")
-    tenant_revoke.add_argument("--store", default="repro-jobs.db", metavar="PATH")
-    tenant.set_defaults(handler=_cmd_tenant)
 
     trace = subparsers.add_parser(
         "trace",

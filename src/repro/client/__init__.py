@@ -26,9 +26,7 @@ from repro.client.http import (
     RemoteJobError,
     SpecRejectedError,
     VerifasClient,
-    auth_headers,
     build_submit_payload,
-    default_api_key,
 )
 
 __all__ = [
@@ -37,7 +35,5 @@ __all__ = [
     "RemoteJobError",
     "SpecRejectedError",
     "VerifasClient",
-    "auth_headers",
     "build_submit_payload",
-    "default_api_key",
 ]

@@ -1,8 +1,8 @@
 """``VerifasClient``: the synchronous client for the ``/v1`` API.
 
 One transport and one protocol path: the client builds each request, reads
-its response, sleeps out 429s within its throttle budget and runs the
-polling algorithms itself, over :mod:`http.client` and :func:`time.sleep`.
+its response and runs the polling algorithms itself, over
+:mod:`http.client` and :func:`time.sleep`.
 ``iter_events`` long-polls when ``push_events`` is on
 (``REPRO_TEST_PUSH_EVENTS=1`` flips the default: the CI hook that re-runs
 the e2e suites over long-poll delivery) and otherwise polls on the backoff,
@@ -30,11 +30,10 @@ import threading
 import time
 from dataclasses import dataclass
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from urllib.parse import quote, urlencode, urlsplit
 
 from repro.obs import format_traceparent, new_span_id, new_trace_id
-from repro.tenancy import DEFAULT_TEST_API_KEY
 
 #: Lifecycle states after which a job can never change again.
 TERMINAL_STATES = ("done", "error", "cancelled")
@@ -46,46 +45,14 @@ VIEW_BATCH = 100
 IDEMPOTENT_METHODS = ("GET", "DELETE")
 
 
-def default_api_key() -> Optional[str]:
-    """The API key a default-constructed client should send, if any.
-
-    ``REPRO_API_KEY`` wins; under the test hook ``REPRO_TEST_AUTH=1`` the
-    bootstrap test tenant's key (``REPRO_TEST_API_KEY`` override or the
-    well-known default) is used, so the existing suites run unchanged
-    against an auth-enabled server.  ``None`` means anonymous.
-    """
-    key = os.environ.get("REPRO_API_KEY")
-    if key:
-        return key
-    if os.environ.get("REPRO_TEST_AUTH", "") == "1":
-        return os.environ.get("REPRO_TEST_API_KEY", DEFAULT_TEST_API_KEY)
-    return None
-
-
-def _bearer(api_key: Optional[str]) -> Dict[str, str]:
-    return {"Authorization": f"Bearer {api_key}"} if api_key else {}
-
-
-def auth_headers() -> Dict[str, str]:
-    """``{"Authorization": ...}`` for callers sending raw HTTP (tests, curl
-    helpers); empty when no default key applies."""
-    return _bearer(default_api_key())
-
-
 class ClientError(Exception):
-    """Transport-level or HTTP-level failure of one API call.
-
-    ``retry_after`` is set (seconds) on 429 responses that advertised one,
-    after the client's own throttle-retry budget was exhausted.
-    """
+    """Transport-level or HTTP-level failure of one API call."""
 
     def __init__(self, message: str, status: Optional[int] = None,
-                 body: Optional[Dict[str, Any]] = None,
-                 retry_after: Optional[float] = None):
+                 body: Optional[Dict[str, Any]] = None):
         super().__init__(message)
         self.status = status
         self.body = body or {}
-        self.retry_after = retry_after
 
 
 class RemoteJobError(ClientError):
@@ -167,31 +134,13 @@ def build_submit_payload(
     return payload
 
 
-def _retry_after(headers: Mapping[str, str], body: Dict[str, Any]) -> Optional[float]:
-    """The server's retry hint, if any: the JSON body's float is preferred
-    over the ``Retry-After`` header (which HTTP rounds up to whole seconds)."""
-    value = body.get("retry_after")
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return max(0.0, float(value))
-    for name, header in headers.items():
-        if name.lower() == "retry-after":
-            try:
-                return max(0.0, float(header))
-            except ValueError:
-                return None
-    return None
-
-
-def _read_response(
-    where: str, text: bool, status: int, headers: Mapping[str, str], data: bytes
-) -> Tuple[int, Any]:
+def _read_response(where: str, text: bool, status: int, data: bytes) -> Tuple[int, Any]:
     """``(status, body)`` of one response to the request *where*.
 
     A success body is a JSON object (text when the request asked for it);
     anything else raises :class:`ClientError`.  Status 422 raises
     :class:`SpecRejectedError`, any other status >= 400 :class:`ClientError`;
-    both carry the status, the decoded error body and the server's retry
-    hint.
+    both carry the status and the decoded error body.
     """
     if status < 400 and text:
         return status, data.decode("utf-8", errors="replace")
@@ -205,12 +154,7 @@ def _read_response(
         return status, body
     body = body if isinstance(body, dict) else {}
     kind = SpecRejectedError if status == 422 else ClientError
-    raise kind(
-        body.get("error", f"HTTP {status} on {where}"),
-        status=status,
-        body=body,
-        retry_after=_retry_after(headers, body),
-    )
+    raise kind(body.get("error", f"HTTP {status} on {where}"), status=status, body=body)
 
 
 def _closed_by_peer(sock: socket.socket) -> bool:
@@ -277,20 +221,15 @@ class VerifasClient:
         wait_ms: int = 10_000,
         trace_submissions: bool = True,
         api_key: Optional[str] = None,
-        retry_throttled: bool = True,
-        throttle_max_wait: float = 60.0,
     ):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        #: API key sent as ``Authorization: Bearer`` on every request.
-        #: Defaults from the environment (see :func:`default_api_key`);
-        #: ``None`` means anonymous.
-        self.api_key = api_key if api_key is not None else default_api_key()
-        #: Whether 429 responses are retried after their ``Retry-After``.
-        self.retry_throttled = retry_throttled
-        #: Total seconds one call may spend sleeping on 429s before the
-        #: :class:`ClientError` (with ``retry_after`` set) surfaces.
-        self.throttle_max_wait = throttle_max_wait
+        #: The server's access token, sent as ``Authorization: Bearer`` on
+        #: every request; defaults to ``REPRO_API_KEY``, and ``None`` sends
+        #: no header.
+        if api_key is None:
+            api_key = os.environ.get("REPRO_API_KEY") or None
+        self.api_key = api_key
         #: Whether submissions inject a W3C ``traceparent`` header (a fresh
         #: trace per submission).  Costs two uuid4s and one header; against
         #: an untraced server it still stamps the job rows for /events
@@ -331,9 +270,9 @@ class VerifasClient:
         body: Optional[bytes],
         timeout: float,
         headers: Dict[str, str],
-    ) -> Tuple[int, Any, bytes]:
+    ) -> Tuple[int, bytes]:
         """One HTTP exchange on the calling thread's connection:
-        ``(status, headers, data)``."""
+        ``(status, data)``."""
         connections = self._connections
         connection = connections.mine()
         while True:
@@ -351,7 +290,7 @@ class VerifasClient:
                 response = connection.getresponse()
                 # On `Connection: close` http.client has already dropped the
                 # socket; the next request opens a fresh one.
-                return response.status, response.headers, response.read()
+                return response.status, response.read()
             except (OSError, HTTPException) as error:
                 connection.close()
                 # A slow server is not a dropped connection: a timeout is
@@ -373,27 +312,16 @@ class VerifasClient:
         timeout: Optional[float] = None,
         headers: Optional[Dict[str, str]] = None,
     ) -> Tuple[int, Any]:
-        """One API call: ``(status, body)``.  A 429 whose retry hint fits the
-        remaining throttle budget is slept out and sent again."""
+        """One API call: ``(status, body)``."""
         wire_headers = {"Content-Type": "application/json", "Accept": "application/json"}
-        wire_headers.update(_bearer(self.api_key))
+        if self.api_key:
+            wire_headers["Authorization"] = f"Bearer {self.api_key}"
         wire_headers.update(headers or {})
         body = None if payload is None else json.dumps(payload).encode("utf-8")
         timeout = self.timeout if timeout is None else timeout
         text = wire_headers["Accept"].startswith("text/")
-        budget = self.throttle_max_wait if self.retry_throttled else 0.0
-        while True:
-            status, response_headers, data = self._send(method, path, body, timeout, wire_headers)
-            try:
-                return _read_response(f"{method} {path}", text, status, response_headers, data)
-            except ClientError as error:
-                delay = error.retry_after
-                if error.status != 429 or delay is None or delay > budget:
-                    raise
-                # The server said how long until the call can succeed;
-                # honour it rather than surfacing the 429.
-                budget -= delay
-                time.sleep(delay)
+        status, data = self._send(method, path, body, timeout, wire_headers)
+        return _read_response(f"{method} {path}", text, status, data)
 
     def _get(self, path: str, timeout: Optional[float] = None) -> Any:
         return self._request("GET", path, timeout=timeout)[1]

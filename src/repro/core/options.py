@@ -8,7 +8,7 @@ work, never the meaning of the answer: a search out of budget says UNKNOWN.
 :class:`Ablation` holds the switches of the paper's Section 4 experiments,
 all on by default.  Only ``Verifier(..., ablation=...)``,
 :mod:`repro.benchmark.runner` and tests construct one; lint rule AB001 keeps
-it off the public surfaces, since two of its switches change the question.
+it off the public surfaces, since one of its switches changes the question.
 
 Fingerprints: :meth:`VerifierOptions.as_dict` keeps the canonical v1 dict
 that feeds every job fingerprint -- the six v1 switch keys fixed at ``true``
@@ -107,7 +107,3 @@ class Ablation:
     #: Artifact-relation updates; off, they are ignored, so the verifier
     #: checks a different system (the VERIFAS-NoSet column of Table 2).
     use_artifact_relations: bool = True
-    #: The repeated-reachability phase of Section 3.8; off, a property is
-    #: reported violated as soon as an accepting Büchi state is reachable at
-    #: all -- unsound for liveness, kept to measure the phase's overhead.
-    check_repeated_reachability: bool = True

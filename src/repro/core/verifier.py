@@ -219,20 +219,6 @@ class Verifier:
             node for node in result.nodes if product.is_accepting(node.state)
         ]
 
-        if not self.ablation.check_repeated_reachability:
-            # Reachability-only ablation (used to measure the overhead of the
-            # repeated-reachability module): any reachable accepting state is
-            # reported as a violation.
-            if accepting_nodes:
-                node = accepting_nodes[0]
-                return (
-                    VerificationOutcome.VIOLATED,
-                    build_counterexample(result, node.node_id, "reachable"),
-                )
-            if not result.completed:
-                return VerificationOutcome.UNKNOWN, None
-            return VerificationOutcome.SATISFIED, None
-
         analyzer = RepeatedReachabilityAnalyzer(
             product,
             self.options.max_repeated_states,

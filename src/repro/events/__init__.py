@@ -31,11 +31,9 @@ from repro.events.types import (
     RecoveryCompleted,
     SearchEvent,
     SpanRecorded,
-    QuotaExceeded,
     StaleJobsRequeued,
     SweepCompleted,
     SweeperLeaseMiss,
-    TenantThrottled,
     VerificationStarted,
     WorkerCrashed,
 )
@@ -57,7 +55,6 @@ __all__ = [
     "JobSubmitted",
     "LogSink",
     "MetricsSink",
-    "QuotaExceeded",
     "RecoveryCompleted",
     "SearchEvent",
     "SpanRecorded",
@@ -65,7 +62,6 @@ __all__ = [
     "StoreSink",
     "SweepCompleted",
     "SweeperLeaseMiss",
-    "TenantThrottled",
     "TraceSink",
     "VerificationStarted",
     "WorkerCrashed",

@@ -143,12 +143,6 @@ class MetricsSink:
         for counter, amount in event.metric_increments():
             if amount:
                 self._metrics.increment(counter, amount)
-                if event.tenant_id is not None:
-                    # Tenant-attributed events bump a per-tenant shadow of
-                    # the same counter (the "tenants" section of /metrics).
-                    self._metrics.increment_tenant(
-                        event.tenant_id, counter, amount
-                    )
         if isinstance(event, JobCompleted) and "seconds" in event.data:
             self._metrics.job_latency.observe(float(event.data["seconds"]))
 

@@ -57,10 +57,6 @@ class Event:
     #: durable log payload so ``/events`` entries can be joined with the
     #: ``/trace`` span tree.
     trace_id: Optional[str] = None
-    #: Multi-tenant attribution (see :mod:`repro.tenancy`): set when the
-    #: emitting code ran on behalf of an authenticated tenant's job, so a
-    #: metrics sink can keep per-tenant counters next to the global ones.
-    tenant_id: Optional[str] = None
 
     name: ClassVar[str] = "event"
     level: ClassVar[str] = INFO
@@ -182,35 +178,6 @@ class CancelRequested(Event):
 
     name: ClassVar[str] = "cancel-requested"
     counter: ClassVar[Optional[str]] = "cancel_requests"
-
-
-# ------------------------------------------------------------ tenancy events
-
-
-@dataclass(frozen=True)
-class TenantThrottled(Event):
-    """A tenant's submit was rejected by its token-bucket rate limit.
-
-    Not job-scoped (the job was never created); ``data`` carries the tenant
-    id and the ``retry_after`` seconds the 429 response advertised.
-    """
-
-    name: ClassVar[str] = "tenant-throttled"
-    level: ClassVar[str] = WARNING
-    counter: ClassVar[Optional[str]] = "tenant_throttled"
-
-
-@dataclass(frozen=True)
-class QuotaExceeded(Event):
-    """A tenant's submit was rejected by its in-flight (pending) quota.
-
-    ``data`` carries the tenant id, the observed pending count and the
-    configured limit at rejection time.
-    """
-
-    name: ClassVar[str] = "quota-exceeded"
-    level: ClassVar[str] = WARNING
-    counter: ClassVar[Optional[str]] = "quota_exceeded"
 
 
 # ------------------------------------------------------------- worker events

@@ -28,20 +28,13 @@ paths outside ``/v1`` answer 404 -- documented in ``README.md`` and
 from repro.server.app import VerificationServer
 from repro.server.metrics import LatencyTracker, ServerMetrics, WorkerGauges
 from repro.server.recovery import RecoveryReport, recover
-from repro.server.store import (
-    JOB_STATUSES,
-    TERMINAL_STATUSES,
-    JobStore,
-    PendingQuotaExceeded,
-    StoredJob,
-)
+from repro.server.store import JOB_STATUSES, TERMINAL_STATUSES, JobStore, StoredJob
 from repro.server.workers import WorkerAgent, probe_process_support
 
 __all__ = [
     "JOB_STATUSES",
     "JobStore",
     "LatencyTracker",
-    "PendingQuotaExceeded",
     "RecoveryReport",
     "ServerMetrics",
     "StoredJob",

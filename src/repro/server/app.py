@@ -16,9 +16,9 @@ A :class:`VerificationServer` owns
   :class:`~repro.server.handlers.ApiHandler`.
 
 A submitted job whose fingerprint already has a stored verdict completes
-inside the ``POST /v1/jobs`` transaction as a cache hit, after the auth,
-rate-limit, quota and static-analysis gates: it never enters the queue and
-the verifier is not invoked (``verifications_run`` stays flat).  On startup
+inside the ``POST /v1/jobs`` transaction as a cache hit, after the token
+and static-analysis gates: it never enters the queue and the verifier is
+not invoked (``verifications_run`` stays flat).  On startup
 the store is repaired with :func:`repro.server.recovery.recover`:
 interrupted jobs re-queue and completed results survive.
 
@@ -41,6 +41,7 @@ dead-server rescue at a time.
 
 from __future__ import annotations
 
+import hmac
 import os
 import socket
 import sqlite3
@@ -62,13 +63,11 @@ from repro.events import (
     JobSubmitted,
     LogSink,
     MetricsSink,
-    QuotaExceeded,
     SpanRecorded,
     StaleJobsRequeued,
     StoreSink,
     SweepCompleted,
     SweeperLeaseMiss,
-    TenantThrottled,
     TraceSink,
 )
 from repro.obs import Span, Tracer, build_tree, new_trace_id
@@ -76,13 +75,7 @@ from repro.server.handlers import ApiHandler
 from repro.server.metrics import ServerMetrics
 from repro.server.recovery import RecoveryReport, recover
 from repro.server.spec_memo import SpecMemo
-from repro.server.store import (
-    JOB_STATUSES,
-    TERMINAL_STATUSES,
-    JobStore,
-    PendingQuotaExceeded,
-    StoredJob,
-)
+from repro.server.store import JOB_STATUSES, TERMINAL_STATUSES, JobStore, StoredJob
 from repro.server.workers import (
     WorkerAgent,
     children_alive,
@@ -92,14 +85,6 @@ from repro.server.workers import (
 from repro.service.jobs import VerificationJob
 from repro.spec.codec import SCHEMA_VERSION, dump_property, load_property
 from repro.spec.errors import SpecError, SpecVersionError
-from repro.tenancy import (
-    DEFAULT_TEST_API_KEY,
-    AuthFailure,
-    Tenant,
-    TenantRateLimiter,
-    TenantRegistry,
-    ThrottledError,
-)
 
 
 class _HttpServer(ThreadingHTTPServer):
@@ -142,6 +127,10 @@ class VerificationServer:
     ``store_path`` is the SQLite file of the job store, shared by every
     thread and by any peer server pointed at it; ``""`` and ``":memory:"``
     raise ``ValueError`` (see :class:`~repro.server.store.JobStore`).
+
+    ``token`` guards a server bound beyond localhost: when set, every job
+    route requires ``Authorization: Bearer <token>`` (see
+    :meth:`authorized`).  Every client holding it is one trust domain.
     """
 
     def __init__(
@@ -162,9 +151,10 @@ class VerificationServer:
         push_fallback_interval: float = 0.5,
         event_log_stream: Optional[Any] = None,
         trace_enabled: Optional[bool] = None,
-        auth_enabled: Optional[bool] = None,
-        tenant_cache_seconds: float = 1.0,
+        token: Optional[str] = None,
     ):
+        if token is not None and not token:
+            raise ValueError("the access token must not be empty")
         if worker_model not in ("thread", "process"):
             raise ValueError(
                 f"worker_model must be 'thread' or 'process', got {worker_model!r}"
@@ -255,31 +245,8 @@ class VerificationServer:
         #: Submitted systems, parsed and linted once per distinct system
         #: (see :mod:`repro.server.spec_memo`).
         self.spec_memo = SpecMemo(self.metrics)
-        if auth_enabled is None:
-            auth_enabled = os.environ.get("REPRO_TEST_AUTH", "").strip() == "1"
-        #: Whether the multi-tenant front door is on (see
-        #: :mod:`repro.tenancy`).  Default comes from ``REPRO_TEST_AUTH``
-        #: (a test hook, like ``REPRO_TRACE``); operators use ``serve
-        #: --auth``.  Off -- the zero-config default -- every request is
-        #: anonymous and behaviour is exactly the pre-tenancy API.
-        self.auth_enabled = bool(auth_enabled)
-        #: Tenant records + API-key resolution, persisted in this store.
-        #: ``tenant_cache_seconds`` bounds cross-server revocation latency.
-        self.tenants = TenantRegistry(
-            self.store, cache_ttl_seconds=tenant_cache_seconds
-        )
-        #: Per-tenant submit token buckets (in-memory, per server).
-        self.rate_limiter = TenantRateLimiter()
-        if self.auth_enabled and os.environ.get("REPRO_TEST_AUTH", "").strip() == "1":
-            # Test bootstrap: a deterministic tenant every server sharing
-            # the store converges on, so REPRO_TEST_AUTH=1 re-runs of the
-            # e2e suites need no out-of-band key exchange.  `ensure` is
-            # race-safe across processes.
-            self.tenants.ensure(
-                "repro-test",
-                api_key=os.environ.get("REPRO_TEST_API_KEY", DEFAULT_TEST_API_KEY),
-                tenant_id="repro-test",
-            )
+        #: The shared bearer token of the job routes (``None``: open).
+        self._token = token.encode("utf-8") if token is not None else None
         #: The typed event bus: every job / worker / sweeper occurrence is
         #: fired here once, and the sinks fan it out to the durable per-job
         #: log, the /metrics counters, and (optionally) a log stream.
@@ -466,11 +433,10 @@ class VerificationServer:
     def fire_cache_hit(self, stored: StoredJob) -> None:
         """Fire the events of a job the store completed from a stored verdict
         (at submit, or as the twin of a job that just finished)."""
-        job_id, tenant_id = stored.id, stored.tenant_id
         data = {"fingerprint": stored.fingerprint}
-        self.events.fire(CacheServed(job_id=job_id, data=data, tenant_id=tenant_id))
+        self.events.fire(CacheServed(job_id=stored.id, data=data))
         data = {"seconds": 0.0, "cache_hit": True}
-        self.events.fire(JobCompleted(job_id=job_id, data=data, tenant_id=tenant_id))
+        self.events.fire(JobCompleted(job_id=stored.id, data=data))
 
     # ------------------------------------------------------------------ sweeper
 
@@ -519,44 +485,28 @@ class VerificationServer:
 
     # -------------------------------------------------------------------- views
 
-    def authenticate(self, authorization: Optional[str]) -> Optional[Tenant]:
-        """Resolve an ``Authorization`` header to a tenant (the front door).
+    def authorized(self, authorization: Optional[str]) -> bool:
+        """Whether an ``Authorization`` header opens the job routes.
 
-        With auth disabled this always returns ``None`` (anonymous) without
-        looking at the header.  With auth enabled, a missing, non-Bearer,
-        malformed or unknown key raises :class:`~repro.tenancy.AuthFailure`
-        with status 401; a valid key of a revoked tenant raises it with 403.
-        The handler maps the failure to the matching JSON error response.
+        Always true without a token.  With one, the header must be
+        ``Bearer <token>`` (the scheme in any case); the token is compared
+        in constant time.  A refusal counts in ``auth_failures``.
         """
-        if not self.auth_enabled:
-            return None
-        try:
-            if not authorization:
-                raise AuthFailure(
-                    401, "missing Authorization header (expected 'Bearer <api-key>')"
-                )
-            scheme, _, key = authorization.partition(" ")
-            key = key.strip()
-            if scheme.lower() != "bearer" or not key:
-                raise AuthFailure(
-                    401, "malformed Authorization header (expected 'Bearer <api-key>')"
-                )
-            tenant = self.tenants.resolve(key)
-            if tenant is None:
-                raise AuthFailure(401, "unknown API key")
-            if tenant.revoked:
-                raise AuthFailure(403, "API key has been revoked")
-        except AuthFailure:
-            self.metrics.increment("auth_failures")
-            raise
-        return tenant
+        if self._token is None:
+            return True
+        scheme, _, presented = (authorization or "").partition(" ")
+        if scheme.lower() == "bearer" and hmac.compare_digest(
+            presented.strip().encode("utf-8"), self._token
+        ):
+            return True
+        self.metrics.increment("auth_failures")
+        return False
 
     def submit_payload(
         self,
         payload: Any,
         trace_id: Optional[str] = None,
         parent_span: Optional[str] = None,
-        tenant: Optional[Tenant] = None,
     ) -> Dict[str, Any]:
         """Validate a ``POST /v1/jobs`` payload and enqueue one job per property.
 
@@ -576,14 +526,6 @@ class VerificationServer:
         span's context; every property of one POST shares it).  With
         tracing on and no incoming context, a fresh root trace is minted so
         programmatic submissions trace too.
-
-        ``tenant`` is the authenticated submitter (``None`` = anonymous):
-        its jobs are tenant-stamped for fair-share claiming and scoped
-        listing, and its rate limit / in-flight quota are enforced here
-        (:class:`ThrottledError` -> 429).  An optional integer ``priority``
-        field (-100..100, default 0) orders jobs *within* the submitter's
-        backlog; cross-tenant ordering is weight-based, so priority is not
-        a queue-jumping lever against other tenants.
         """
         if not isinstance(payload, Mapping):
             raise SpecError(
@@ -674,11 +616,6 @@ class VerificationServer:
                 raise SpecError("'deadline_ms' must be an integer")
             if deadline_ms <= 0:
                 raise SpecError("'deadline_ms' must be positive")
-        priority = payload.get("priority", 0)
-        if isinstance(priority, bool) or not isinstance(priority, int):
-            raise SpecError("'priority' must be an integer")
-        if not -100 <= priority <= 100:
-            raise SpecError("'priority' must be between -100 and 100")
 
         jobs = [
             VerificationJob(
@@ -692,90 +629,22 @@ class VerificationServer:
         ]
         if trace_id is None and self.tracer.enabled:
             trace_id = new_trace_id()
-        tenant_id = tenant.id if tenant is not None else None
-        if tenant is not None:
-            # Tenant policy gates, before any job row is written.  The rate
-            # limiter charges one token per job in the payload; the pending
-            # quota is preflighted for the whole batch here (and enforced
-            # atomically per job below, against racing submitters).
-            retry_after = self.rate_limiter.check(tenant, tokens=float(len(jobs)))
-            if retry_after > 0:
-                self.events.fire(
-                    TenantThrottled(
-                        tenant_id=tenant_id,
-                        data={"tenant": tenant_id, "retry_after": retry_after},
-                    )
-                )
-                raise ThrottledError(
-                    f"tenant {tenant.name!r} is over its submit rate limit"
-                    f" ({tenant.rate_limit}/s); retry in {retry_after:.2f}s",
-                    retry_after=retry_after,
-                    reason="rate_limit",
-                )
-            if tenant.max_pending is not None:
-                pending = self.store.pending_count(tenant_id)
-                if pending + len(jobs) > tenant.max_pending:
-                    self.events.fire(
-                        QuotaExceeded(
-                            tenant_id=tenant_id,
-                            data={
-                                "tenant": tenant_id,
-                                "pending": pending,
-                                "limit": tenant.max_pending,
-                            },
-                        )
-                    )
-                    raise ThrottledError(
-                        f"tenant {tenant.name!r} has {pending} jobs in flight;"
-                        f" accepting {len(jobs)} more would exceed its quota"
-                        f" of {tenant.max_pending}",
-                        retry_after=1.0,
-                        reason="quota",
-                    )
         accepted = []
         for job, warnings in zip(jobs, job_warnings):
-            try:
-                stored = self.store.submit(
-                    job,
-                    label=label,
-                    ttl_seconds=ttl_seconds,
-                    deadline_ms=deadline_ms,
-                    trace_id=trace_id,
-                    parent_span=parent_span,
-                    tenant_id=tenant_id,
-                    priority=priority,
-                    pending_limit=(
-                        tenant.max_pending if tenant is not None else None
-                    ),
-                    warnings=warnings or None,
-                )
-            except PendingQuotaExceeded as error:
-                # A racing submitter consumed the preflighted headroom
-                # mid-batch; earlier jobs of this POST stay accepted.
-                self.events.fire(
-                    QuotaExceeded(
-                        tenant_id=tenant_id,
-                        data={
-                            "tenant": tenant_id,
-                            "pending": error.pending,
-                            "limit": error.limit,
-                        },
-                    )
-                )
-                if any(entry["status"] == "queued" for entry in accepted):
-                    self._wakeup.set()
-                raise ThrottledError(
-                    str(error),
-                    retry_after=1.0,
-                    reason="quota",
-                    accepted=accepted,
-                ) from error
+            stored = self.store.submit(
+                job,
+                label=label,
+                ttl_seconds=ttl_seconds,
+                deadline_ms=deadline_ms,
+                trace_id=trace_id,
+                parent_span=parent_span,
+                warnings=warnings or None,
+            )
             self.events.fire(
                 JobSubmitted(
                     job_id=stored.id,
                     data={"fingerprint": stored.fingerprint, "status": stored.status},
                     trace_id=trace_id,
-                    tenant_id=tenant_id,
                 )
             )
             if stored.status == "done":
@@ -798,32 +667,13 @@ class VerificationServer:
             self._wakeup.set()
         return {"jobs": accepted}
 
-    def _visible_job(
-        self, job_id: str, tenant_id: Optional[str]
-    ) -> Optional[StoredJob]:
-        """The job, if *tenant_id* may see it.
-
-        Tenant scoping deliberately conflates "no such job" with "someone
-        else's job": both come back ``None`` (the handler's 404), so a
-        tenant probing ids learns nothing about other tenants' workloads.
-        ``tenant_id=None`` is the unscoped (anonymous / auth-off) view.
-        """
-        stored = self.store.get_job(job_id)
-        if stored is None:
-            return None
-        if tenant_id is not None and stored.tenant_id != tenant_id:
-            return None
-        return stored
-
-    def job_view(
-        self, job_id: str, tenant_id: Optional[str] = None
-    ) -> Optional[Dict[str, Any]]:
+    def job_view(self, job_id: str) -> Optional[Dict[str, Any]]:
         """The ``GET /v1/jobs/<id>`` body: status, plus the result when done.
 
         Cancelled jobs surface their partial ``UNKNOWN`` result (stored on
         the job row) through the same ``result`` key.
         """
-        stored = self._visible_job(job_id, tenant_id)
+        stored = self.store.get_job(job_id)
         if stored is None:
             return None
         result = None
@@ -831,9 +681,7 @@ class VerificationServer:
             result = self.store.get_result(stored.fingerprint)
         return stored.as_dict(result=result)
 
-    def cancel_job(
-        self, job_id: str, tenant_id: Optional[str] = None
-    ) -> Optional[Dict[str, Any]]:
+    def cancel_job(self, job_id: str) -> Optional[Dict[str, Any]]:
         """The ``DELETE /v1/jobs/<id>`` body: cooperative cancellation.
 
         Queued jobs become ``cancelled`` immediately; running jobs get their
@@ -844,9 +692,6 @@ class VerificationServer:
         DELETEs) are reported unchanged -- the store appends the ``cancel``
         event and bumps nothing twice.
         """
-        if tenant_id is not None and self._visible_job(job_id, tenant_id) is None:
-            # Cross-tenant DELETE: indistinguishable from an unknown id.
-            return None
         outcome = self.store.request_cancel(job_id)
         if outcome is None:
             return None
@@ -878,24 +723,25 @@ class VerificationServer:
         job_id: str,
         cursor: int = 0,
         limit: int = 500,
-        tenant_id: Optional[str] = None,
     ) -> Optional[Dict[str, Any]]:
         """The ``GET /v1/jobs/<id>/events`` body: incremental event polling.
 
         Clients pass back the returned ``cursor`` to receive only newer
-        events; ``terminal`` tells them when to stop polling.
+        events; ``terminal`` tells them when to stop polling.  The status
+        is read before the events: a job's events commit no later than its
+        terminal flip, so a terminal page misses none of them.
         """
-        stored = self._visible_job(job_id, tenant_id)
-        if stored is None:
+        status = self.store.job_status(job_id)
+        if status is None:
             return None
         events = self.store.events_after(job_id, cursor=cursor, limit=limit)
         next_cursor = events[-1]["seq"] if events else cursor
         return {
             "id": job_id,
-            "status": stored.status,
+            "status": status,
             "events": events,
             "cursor": next_cursor,
-            "terminal": stored.status in TERMINAL_STATUSES,
+            "terminal": status in TERMINAL_STATUSES,
         }
 
     def events_view_wait(
@@ -904,7 +750,6 @@ class VerificationServer:
         cursor: int = 0,
         limit: int = 500,
         wait_ms: int = 0,
-        tenant_id: Optional[str] = None,
     ) -> Optional[Dict[str, Any]]:
         """:meth:`events_view`, but blocking up to *wait_ms* for news.
 
@@ -918,7 +763,7 @@ class VerificationServer:
         plain polling with the dead time pushed server-side.
         """
         wait_ms = max(0, min(int(wait_ms), self.long_poll_max_ms))
-        view = self.events_view(job_id, cursor=cursor, limit=limit, tenant_id=tenant_id)
+        view = self.events_view(job_id, cursor=cursor, limit=limit)
         if view is None or view["events"] or view["terminal"] or wait_ms == 0:
             return view
         deadline = time.monotonic() + wait_ms / 1000.0
@@ -927,9 +772,7 @@ class VerificationServer:
         # returns at once instead of sleeping out the interval.
         with self.broker.subscription(job_id) as subscription:
             while True:
-                view = self.events_view(
-                    job_id, cursor=cursor, limit=limit, tenant_id=tenant_id
-                )
+                view = self.events_view(job_id, cursor=cursor, limit=limit)
                 if view is None or view["events"] or view["terminal"]:
                     return view
                 remaining = deadline - time.monotonic()
@@ -942,15 +785,13 @@ class VerificationServer:
         status: Optional[str] = None,
         limit: int = 100,
         ids: Optional[List[str]] = None,
-        tenant_id: Optional[str] = None,
     ) -> Dict[str, Any]:
         """The ``GET /v1/jobs`` body.
 
         With ``ids`` (repeated ``?id=`` query params) this is the *batch
         status view*: one round-trip returns the listed jobs -- including
         each done job's result, so a waiting client needs no follow-up GET
-        per job -- with unknown ids simply absent (and another tenant's ids
-        deliberately indistinguishable from unknown ones).  Without ``ids``
+        per job -- with unknown ids simply absent.  Without ``ids``
         it is the recency listing, as before.  An unknown ``status`` raises
         ``ValueError`` (-> 400) on *both* paths -- the batch path used to
         ignore it silently.
@@ -962,8 +803,6 @@ class VerificationServer:
         if ids is not None:
             views = []
             for stored in self.store.get_jobs(ids):
-                if tenant_id is not None and stored.tenant_id != tenant_id:
-                    continue
                 if status is not None and stored.status != status:
                     continue
                 result = None
@@ -974,9 +813,9 @@ class VerificationServer:
         return {
             "jobs": [
                 stored.as_dict()
-                for stored in self.store.list_jobs(status, limit, tenant_id=tenant_id)
+                for stored in self.store.list_jobs(status, limit)
             ],
-            "counts": self.store.counts(tenant_id=tenant_id),
+            "counts": self.store.counts(),
         }
 
     def metrics_view(self) -> Dict[str, Any]:
@@ -988,7 +827,7 @@ class VerificationServer:
         hits = self.metrics.counter("cache_hits")
         misses = self.metrics.counter("cache_misses")
         counts = self.store.counts()
-        view = {
+        return {
             **self.metrics.snapshot(),
             "queue": {
                 "depth": counts["queued"],
@@ -1010,44 +849,8 @@ class VerificationServer:
             "workers": self.workers_view(),
             "store_path": self.store.path,
         }
-        tenants = self.tenants_metrics_view()
-        if tenants:
-            view["tenants"] = tenants
-        if self.auth_enabled:
-            view["auth_enabled"] = True
-        return view
 
-    def tenants_metrics_view(self) -> Dict[str, Any]:
-        """The per-tenant section of ``/v1/metrics``.
-
-        One entry per tenant that owns jobs (store-wide state) or tripped a
-        counter on *this* server; anonymous traffic is excluded -- the
-        global counters already describe it.  Empty (and the ``tenants``
-        key absent) on an auth-off server with no tenant-stamped jobs, so
-        pre-tenancy consumers see an unchanged document.
-        """
-        job_counts = self.store.tenant_job_counts()
-        job_counts.pop("", None)  # anonymous: covered by the global view
-        counters = self.metrics.tenant_counters()
-        tenant_ids = set(job_counts) | set(counters)
-        if not tenant_ids:
-            return {}
-        names = {tenant.id: tenant.name for tenant in self.tenants.list()}
-        section: Dict[str, Any] = {}
-        for tenant_id in sorted(tenant_ids):
-            entry: Dict[str, Any] = {}
-            if tenant_id in names:
-                entry["name"] = names[tenant_id]
-            if tenant_id in job_counts:
-                entry["jobs"] = job_counts[tenant_id]
-            if tenant_id in counters:
-                entry["counters"] = counters[tenant_id]
-            section[tenant_id] = entry
-        return section
-
-    def trace_view(
-        self, job_id: str, tenant_id: Optional[str] = None
-    ) -> Optional[Dict[str, Any]]:
+    def trace_view(self, job_id: str) -> Optional[Dict[str, Any]]:
         """The ``GET /v1/jobs/<id>/trace`` body: the job's full span tree.
 
         The trace is keyed by the *trace id* on the job row, so it includes
@@ -1056,7 +859,7 @@ class VerificationServer:
         shared-store deployment -- not just this process's.  An untraced
         job returns an empty span list (200, not 404: the job exists).
         """
-        stored = self._visible_job(job_id, tenant_id)
+        stored = self.store.get_job(job_id)
         if stored is None:
             return None
         self.metrics.increment("trace_requests")

@@ -39,13 +39,10 @@ The API is JSON in, JSON out, versioned under ``/v1``:
 accepted jobs join the caller's distributed trace (malformed headers start a
 fresh trace, per spec -- never an error).
 
-When the server runs with authentication on (``serve --auth``), every job
-route requires ``Authorization: Bearer vk_...`` -- missing/unknown keys are
-401, revoked ones 403, and each response is scoped to the calling tenant
-(another tenant's job ids answer 404, never 403, to avoid leaking their
-existence).  Submits over the tenant's rate limit or in-flight quota answer
-429 with a ``Retry-After`` header.  ``/v1/healthz``, ``/v1/readyz`` and
-``/v1/metrics`` stay unauthenticated for probes and scrapers.
+When the server holds an access token (``serve --token-file``), every job
+route requires ``Authorization: Bearer <token>``: a missing, malformed or
+wrong one answers 401 with ``WWW-Authenticate: Bearer``.  ``/v1/healthz``,
+``/v1/readyz`` and ``/v1/metrics`` stay open for probes and scrapers.
 
 Paths outside ``/v1`` (including the retired unversioned ``/jobs``,
 ``/metrics``, ``/healthz``, ...) answer 404.
@@ -74,7 +71,6 @@ from repro.has.artifact_system import SpecificationError
 from repro.obs import parse_traceparent
 from repro.server.metrics import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from repro.spec.errors import SpecError
-from repro.tenancy import AuthFailure, ThrottledError
 
 #: The current (only) API version prefix.
 API_PREFIX = "/v1"
@@ -89,10 +85,6 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 #: Cap on ``GET /v1/jobs?limit=``: larger asks are clamped here, negative
 #: ones are a 400.  Paginate by status/ids instead of raising the cap.
 MAX_LIST_LIMIT = 1000
-
-#: Sentinel distinguishing "request already answered with 401/403" from a
-#: successful anonymous (``None``) authentication.
-_AUTH_FAILED = object()
 
 
 class ApiHandler(BaseHTTPRequestHandler):
@@ -134,9 +126,9 @@ class ApiHandler(BaseHTTPRequestHandler):
         path, _, query = self.path.partition("?")
         route = self._route(path)
         try:
-            # Probes and metrics stay unauthenticated even with the front
-            # door on: orchestrators and scrapers hold no tenant keys, and
-            # the views expose operational aggregates, not job contents.
+            # Probes and metrics stay open even with a token: orchestrators
+            # and scrapers hold none, and the views expose operational
+            # aggregates, not job contents.
             if route == "/healthz":
                 return self._send(200, self.app.health_view())
             if route == "/readyz":
@@ -144,30 +136,26 @@ class ApiHandler(BaseHTTPRequestHandler):
                 return self._send(200 if ready else 503, view)
             if route == "/metrics":
                 return self._metrics(parse_qs(query))
-            tenant = self._authenticate()
-            if tenant is _AUTH_FAILED:
+            if not self._authorized():
                 return
-            tenant_id = tenant.id if tenant is not None else None
             if route == "/jobs":
-                return self._list_jobs(parse_qs(query), tenant_id)
+                return self._list_jobs(parse_qs(query))
             match = _EVENTS_PATH.match(route)
             if match:
                 # Clients percent-escape ids as single path segments; undo it
                 # so an escaped id resolves to the job it names.
-                return self._job_events(
-                    unquote(match.group(1)), parse_qs(query), tenant_id
-                )
+                return self._job_events(unquote(match.group(1)), parse_qs(query))
             match = _TRACE_PATH.match(route)
             if match:
                 job_id = unquote(match.group(1))
-                view = self.app.trace_view(job_id, tenant_id=tenant_id)
+                view = self.app.trace_view(job_id)
                 if view is None:
                     return self._send(404, {"error": f"no job with id {job_id!r}"})
                 return self._send(200, view)
             match = _JOB_PATH.match(route)
             if match:
                 job_id = unquote(match.group(1))
-                view = self.app.job_view(job_id, tenant_id=tenant_id)
+                view = self.app.job_view(job_id)
                 if view is None:
                     return self._send(404, {"error": f"no job with id {job_id!r}"})
                 return self._send(200, view)
@@ -188,8 +176,7 @@ class ApiHandler(BaseHTTPRequestHandler):
             # misparse it as the next request line.
             self.close_connection = True
             return self._send(404, {"error": f"unknown path {path!r}"})
-        tenant = self._authenticate(body_unread=True)
-        if tenant is _AUTH_FAILED:
+        if not self._authorized(body_unread=True):
             return
         # A missing or malformed traceparent header is never an error: it
         # simply starts a fresh trace at this server (the W3C behaviour).
@@ -210,27 +197,11 @@ class ApiHandler(BaseHTTPRequestHandler):
             try:
                 payload = self._read_json_body()
                 response = self.app.submit_payload(
-                    payload,
-                    trace_id=trace_id,
-                    parent_span=parent_span,
-                    tenant=tenant,
+                    payload, trace_id=trace_id, parent_span=parent_span
                 )
             except _BadRequest as error:
                 span.set_error(str(error))
                 return self._send(400, {"error": str(error)})
-            except ThrottledError as error:
-                span.set_error(f"throttled: {error.reason}")
-                body = {
-                    "error": str(error),
-                    "retry_after": error.retry_after,
-                    "reason": error.reason,
-                }
-                if error.accepted:
-                    # Part of the batch made it in before the limit tripped;
-                    # the client must not blindly resubmit those jobs.
-                    body["jobs"] = error.accepted
-                header = self.app.rate_limiter.retry_after_header(error.retry_after)
-                return self._send(429, body, extra_headers={"Retry-After": header})
             except SpecRejectedError as error:
                 # Must precede the generic ladder below: SpecRejectedError
                 # subclasses ValueError.  422 (not 400): the payload is
@@ -272,13 +243,11 @@ class ApiHandler(BaseHTTPRequestHandler):
         match = _JOB_PATH.match(route)
         if not match:
             return self._send(404, {"error": f"unknown path {path!r}"})
-        tenant = self._authenticate()
-        if tenant is _AUTH_FAILED:
+        if not self._authorized():
             return
-        tenant_id = tenant.id if tenant is not None else None
         job_id = unquote(match.group(1))
         try:
-            view = self.app.cancel_job(job_id, tenant_id=tenant_id)
+            view = self.app.cancel_job(job_id)
             if view is None:
                 return self._send(404, {"error": f"no job with id {job_id!r}"})
             self._send(202, view)
@@ -289,25 +258,25 @@ class ApiHandler(BaseHTTPRequestHandler):
 
     # ----------------------------------------------------------------- helpers
 
-    def _authenticate(self, body_unread: bool = False):
-        """Resolve the ``Authorization`` header to a tenant (or ``None``).
+    def _authorized(self, body_unread: bool = False) -> bool:
+        """Whether the request may reach a job route (see
+        :meth:`VerificationServer.authorized`).
 
-        With auth off this is always ``None`` (anonymous).  On failure the
-        401/403 response is sent here and the :data:`_AUTH_FAILED` sentinel
-        returned; callers must bail out without further writes.  *body_unread*
-        marks requests whose body has not been consumed yet (POST): their
-        connection must close, or keep-alive would misparse the body.
+        On a refusal the 401 is sent here and callers must bail out.
+        *body_unread* marks requests whose body has not been consumed yet
+        (POST): their connection must close, or keep-alive would misparse
+        the body.
         """
-        try:
-            return self.app.authenticate(self.headers.get("Authorization"))
-        except AuthFailure as error:
-            if body_unread:
-                self.close_connection = True
-            extra = (
-                {"WWW-Authenticate": "Bearer"} if error.status == 401 else None
-            )
-            self._send(error.status, {"error": str(error)}, extra_headers=extra)
-            return _AUTH_FAILED
+        if self.app.authorized(self.headers.get("Authorization")):
+            return True
+        if body_unread:
+            self.close_connection = True
+        self._send(
+            401,
+            {"error": "missing or wrong access token (expected 'Bearer <token>')"},
+            extra_headers={"WWW-Authenticate": "Bearer"},
+        )
+        return False
 
     def _metrics(self, params: Dict[str, list]) -> None:
         """``GET /metrics`` with content negotiation.
@@ -327,9 +296,7 @@ class ApiHandler(BaseHTTPRequestHandler):
             return self._send_text(200, render_prometheus(view), PROMETHEUS_CONTENT_TYPE)
         self._send(200, view)
 
-    def _list_jobs(
-        self, params: Dict[str, list], tenant_id: Optional[str] = None
-    ) -> None:
+    def _list_jobs(self, params: Dict[str, list]) -> None:
         status = params.get("status", [None])[0]
         limit = self._int_param(params, "limit", 100)
         if limit is None:
@@ -341,19 +308,12 @@ class ApiHandler(BaseHTTPRequestHandler):
         try:
             self._send(
                 200,
-                self.app.jobs_view(
-                    status=status, limit=limit, ids=ids, tenant_id=tenant_id
-                ),
+                self.app.jobs_view(status=status, limit=limit, ids=ids),
             )
         except ValueError as error:
             self._send(400, {"error": str(error)})
 
-    def _job_events(
-        self,
-        job_id: str,
-        params: Dict[str, list],
-        tenant_id: Optional[str] = None,
-    ) -> None:
+    def _job_events(self, job_id: str, params: Dict[str, list]) -> None:
         cursor = self._int_param(params, "cursor", 0)
         if cursor is None:
             return
@@ -365,29 +325,19 @@ class ApiHandler(BaseHTTPRequestHandler):
             return
         accept = self.headers.get("Accept", "") or ""
         if "text/event-stream" in accept:
-            return self._stream_events(job_id, cursor, limit, wait_ms, tenant_id)
+            return self._stream_events(job_id, cursor, limit, wait_ms)
         if wait_ms > 0:
             self.app.metrics.increment("long_poll_requests")
             view = self.app.events_view_wait(
-                job_id, cursor=cursor, limit=limit, wait_ms=wait_ms,
-                tenant_id=tenant_id,
+                job_id, cursor=cursor, limit=limit, wait_ms=wait_ms
             )
         else:
-            view = self.app.events_view(
-                job_id, cursor=cursor, limit=limit, tenant_id=tenant_id
-            )
+            view = self.app.events_view(job_id, cursor=cursor, limit=limit)
         if view is None:
             return self._send(404, {"error": f"no job with id {job_id!r}"})
         self._send(200, view)
 
-    def _stream_events(
-        self,
-        job_id: str,
-        cursor: int,
-        limit: int,
-        wait_ms: int,
-        tenant_id: Optional[str] = None,
-    ) -> None:
+    def _stream_events(self, job_id: str, cursor: int, limit: int, wait_ms: int) -> None:
         """Server-Sent Events over the job's event log.
 
         One response streams every event from *cursor* on as
@@ -412,7 +362,7 @@ class ApiHandler(BaseHTTPRequestHandler):
                     cursor = int(last_event_id)
                 except ValueError:
                     pass
-        if app._visible_job(job_id, tenant_id) is None:
+        if app.store.job_status(job_id) is None:
             return self._send(404, {"error": f"no job with id {job_id!r}"})
         budget_ms = wait_ms if wait_ms > 0 else app.long_poll_max_ms
         deadline = time.monotonic() + min(budget_ms, app.long_poll_max_ms) / 1000.0
@@ -427,9 +377,7 @@ class ApiHandler(BaseHTTPRequestHandler):
         try:
             with app.broker.subscription(job_id) as subscription:
                 while True:
-                    view = app.events_view(
-                        job_id, cursor=cursor, limit=limit, tenant_id=tenant_id
-                    )
+                    view = app.events_view(job_id, cursor=cursor, limit=limit)
                     if view is None:
                         return  # job swept mid-stream: end of stream
                     for event in view["events"]:

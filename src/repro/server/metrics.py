@@ -148,12 +148,8 @@ class ServerMetrics:
             # Observability: spans the TraceSink persisted, /trace reads.
             "spans_recorded": 0,
             "trace_requests": 0,
-            # Multi-tenant front door (see repro.tenancy): requests rejected
-            # by authentication, the token-bucket rate limit, and the
-            # in-flight pending quota.
+            # Job-route requests refused for a missing or wrong access token.
             "auth_failures": 0,
-            "tenant_throttled": 0,
-            "quota_exceeded": 0,
             # Submissions rejected by the static analysis gate (HTTP 422);
             # per-code shadows appear as specs_rejected_va1xx on first use.
             "specs_rejected": 0,
@@ -162,10 +158,6 @@ class ServerMetrics:
             "spec_memo_hits": 0,
             "spec_memo_misses": 0,
         }
-        #: Per-tenant shadows of the counters above, keyed by tenant id --
-        #: populated only for tenant-attributed events/rejections, so an
-        #: anonymous server pays nothing for the feature.
-        self._tenant_counters: Dict[str, Dict[str, int]] = {}
         self.job_latency = LatencyTracker()
         self.worker_gauges = WorkerGauges()
         #: Wall-clock start stamp, for display only.  Uptime arithmetic uses
@@ -187,19 +179,6 @@ class ServerMetrics:
     def counters(self) -> Dict[str, int]:
         with self._lock:
             return dict(self._counters)
-
-    def increment_tenant(self, tenant_id: str, name: str, amount: int = 1) -> None:
-        """Bump the per-tenant shadow of counter *name* (see ``/v1/metrics``)."""
-        with self._lock:
-            per_tenant = self._tenant_counters.setdefault(tenant_id, {})
-            per_tenant[name] = per_tenant.get(name, 0) + amount
-
-    def tenant_counters(self) -> Dict[str, Dict[str, int]]:
-        with self._lock:
-            return {
-                tenant_id: dict(values)
-                for tenant_id, values in self._tenant_counters.items()
-            }
 
     def uptime_seconds(self) -> float:
         """Seconds since construction, immune to wall-clock steps."""
@@ -318,37 +297,6 @@ def render_prometheus(view: Mapping[str, Any]) -> str:
             for gauge in pool:
                 label = f'{{worker_id="{_escape_label(gauge.get("worker_id"))}"}}'
                 lines.append(f"{metric}{label} {_number(gauge.get(field_name, 0))}")
-
-    tenants = view.get("tenants") or {}
-    if tenants:
-        lines.append("# HELP repro_tenant_jobs Jobs per tenant and status (store-wide).")
-        lines.append("# TYPE repro_tenant_jobs gauge")
-        for tenant_id in sorted(tenants):
-            for status, value in sorted((tenants[tenant_id].get("jobs") or {}).items()):
-                lines.append(
-                    f'repro_tenant_jobs{{tenant_id="{_escape_label(tenant_id)}",'
-                    f'status="{_escape_label(status)}"}} {_number(value)}'
-                )
-        counter_names = sorted(
-            {
-                name
-                for section in tenants.values()
-                for name in (section.get("counters") or {})
-            }
-        )
-        for name in counter_names:
-            metric = f"repro_tenant_{name}_total"
-            lines.append(
-                f"# HELP {metric} Per-tenant {name.replace('_', ' ')} (this server)."
-            )
-            lines.append(f"# TYPE {metric} counter")
-            for tenant_id in sorted(tenants):
-                value = (tenants[tenant_id].get("counters") or {}).get(name)
-                if value is not None:
-                    lines.append(
-                        f'{metric}{{tenant_id="{_escape_label(tenant_id)}"}}'
-                        f" {_number(value)}"
-                    )
 
     lines.append("# HELP repro_up Scrape success indicator.")
     lines.append("# TYPE repro_up gauge")

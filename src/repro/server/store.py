@@ -75,6 +75,11 @@ fingerprint's ``queued`` twins in its own.  A job completed this way is
 same transaction, so a poller that sees it terminal finds the event too.
 A ``queued`` row an older store left behind with a stored result is simply
 verified again (deterministically, to the same verdict).
+
+Store files written before the server became one trust domain still open
+as they are: their ``jobs.tenant_id`` and ``jobs.priority`` columns, their
+``tenants`` and ``claim_shares`` tables and their ``jobs_by_tenant`` index
+stay on disk unread, and new stores no longer create them.
 """
 
 from __future__ import annotations
@@ -90,7 +95,6 @@ from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
-    ContextManager,
     Dict,
     Iterator,
     List,
@@ -108,22 +112,6 @@ JOB_STATUSES = ("queued", "running", "done", "error", "cancelled")
 #: States a job can never leave (sweeping and cancellation only apply here).
 TERMINAL_STATUSES = ("done", "error", "cancelled")
 
-
-class PendingQuotaExceeded(Exception):
-    """A tenant's in-flight (queued + running) job quota is full.
-
-    Raised by :meth:`JobStore.submit` when called with a ``pending_limit``;
-    the check runs inside the submit transaction, so the quota holds exactly
-    even under concurrent submissions across server processes.  The HTTP
-    layer maps it to ``429 Too Many Requests``.
-    """
-
-    def __init__(self, pending: int, limit: int):
-        super().__init__(
-            f"tenant has {pending} jobs in flight (limit {limit})"
-        )
-        self.pending = pending
-        self.limit = limit
 
 _JOBS_DDL = """
 CREATE TABLE IF NOT EXISTS jobs (
@@ -148,8 +136,6 @@ CREATE TABLE IF NOT EXISTS jobs (
     partial_json     TEXT,
     trace_id         TEXT,
     parent_span      TEXT,
-    tenant_id        TEXT,
-    priority         INTEGER NOT NULL DEFAULT 0,
     warnings_json    TEXT,
     system_json      TEXT NOT NULL,
     property_json    TEXT NOT NULL,
@@ -203,35 +189,6 @@ _SCHEMA_STATEMENTS = (
     """,
     "CREATE INDEX IF NOT EXISTS spans_by_job ON spans (job_id)"
     " WHERE job_id IS NOT NULL",
-    "CREATE INDEX IF NOT EXISTS jobs_by_tenant ON jobs (tenant_id, status)",
-    # The multi-tenant front door (see repro.tenancy): one row per tenant,
-    # API keys stored as salted SHA-256 digests (the plaintext ``key_id``
-    # prefix is the lookup handle; the secret half never touches disk).
-    """
-    CREATE TABLE IF NOT EXISTS tenants (
-        id          TEXT PRIMARY KEY,
-        name        TEXT NOT NULL UNIQUE,
-        key_id      TEXT NOT NULL UNIQUE,
-        key_hash    TEXT NOT NULL,
-        key_salt    TEXT NOT NULL,
-        weight      REAL NOT NULL DEFAULT 1.0,
-        rate_limit  REAL,
-        burst       REAL,
-        max_pending INTEGER,
-        revoked     INTEGER NOT NULL DEFAULT 0,
-        created_at  REAL NOT NULL
-    )
-    """,
-    # Stride-scheduling state for weighted fair-share claiming: each
-    # tenant's virtual time advances by 1/weight per claim, and claim_next
-    # always serves the backlogged tenant with the smallest vtime.  The
-    # anonymous (unauthenticated) stream shares the '' row.
-    """
-    CREATE TABLE IF NOT EXISTS claim_shares (
-        tenant_key TEXT PRIMARY KEY,
-        vtime      REAL NOT NULL DEFAULT 0
-    )
-    """,
 )
 
 #: The one ownership predicate (parameters: job id, worker id): the job is
@@ -276,11 +233,6 @@ class StoredJob:
     #: job belongs to and the submitting span it should parent under.
     trace_id: Optional[str] = None
     parent_span: Optional[str] = None
-    #: Multi-tenant front door (see :mod:`repro.tenancy`): the owning tenant
-    #: (``None`` for anonymous submissions) and the intra-tenant priority
-    #: (higher first; fairness *between* tenants is weight-based instead).
-    tenant_id: Optional[str] = None
-    priority: int = 0
     #: Warning-severity diagnostics from the submit-time static analysis
     #: pass (see :mod:`repro.analysis`); error-severity ones reject the
     #: whole submission with 422 before any row is written.
@@ -321,10 +273,6 @@ class StoredJob:
             data["error"] = self.error
         if self.trace_id is not None:
             data["trace_id"] = self.trace_id
-        if self.tenant_id is not None:
-            data["tenant_id"] = self.tenant_id
-        if self.priority:
-            data["priority"] = self.priority
         if self.warnings:
             data["warnings"] = self.warnings
         if result is not None:
@@ -362,8 +310,6 @@ class StoredJob:
             options_dict=json.loads(row["options_json"]),
             trace_id=row["trace_id"],
             parent_span=row["parent_span"],
-            tenant_id=row["tenant_id"],
-            priority=row["priority"],
             warnings=(
                 json.loads(row["warnings_json"]) if row["warnings_json"] else None
             ),
@@ -584,22 +530,6 @@ class JobStore:
                 except Exception:
                     pass
 
-    def read_connection(self) -> ContextManager[sqlite3.Connection]:
-        """Public form of :meth:`_read` for sibling subsystems.
-
-        :class:`repro.tenancy.TenantRegistry` keeps its tables in this store
-        file and must share the store's connection pool and locking rules
-        rather than invent its own; this (and :meth:`write_transaction`) is
-        the supported way in.
-        """
-        return self._read()
-
-    def write_transaction(
-        self, busy_timeout_seconds: Optional[float] = None
-    ) -> ContextManager[sqlite3.Connection]:
-        """Public form of :meth:`_write` (one ``BEGIN IMMEDIATE`` transaction)."""
-        return self._write(busy_timeout_seconds)
-
     def _migrate(self, connection: sqlite3.Connection) -> None:
         """Rebuild a PR 2 ``jobs`` table in place (new columns, new CHECK).
 
@@ -625,15 +555,14 @@ class JobStore:
             }
             if "cancel_requested" in columns:
                 # A PR 3+ store only lacks columns added since (worker
-                # claims in PR 5, trace correlation in PR 7, tenancy in
-                # PR 8), which need no CHECK change: plain ALTERs suffice.
+                # claims in PR 5, trace correlation in PR 7, submit-time
+                # warnings later),
+                # which need no CHECK change: plain ALTERs suffice.
                 for name, kind in (
                     ("claimed_by", "TEXT"),
                     ("heartbeat_at", "REAL"),
                     ("trace_id", "TEXT"),
                     ("parent_span", "TEXT"),
-                    ("tenant_id", "TEXT"),
-                    ("priority", "INTEGER NOT NULL DEFAULT 0"),
                     ("warnings_json", "TEXT"),
                 ):
                     if name not in columns:
@@ -676,9 +605,6 @@ class JobStore:
         deadline_ms: Optional[int] = None,
         trace_id: Optional[str] = None,
         parent_span: Optional[str] = None,
-        tenant_id: Optional[str] = None,
-        priority: int = 0,
-        pending_limit: Optional[int] = None,
         warnings: Optional[List[Dict[str, Any]]] = None,
     ) -> StoredJob:
         """Persist *job* and return its stored form (with id).
@@ -687,7 +613,9 @@ class JobStore:
         fingerprint has a stored verdict (``started_at = finished_at =
         submitted_at``; see the module docstring).  The row's
         ``system_json`` is :attr:`VerificationJob.system_json`, the canonical
-        text the fingerprint hashes.
+        text the fingerprint hashes.  A queued job's stored form is built
+        from the values just inserted, equal to what :meth:`get_job` reads
+        back, so the submit path decodes no row.
 
         ``ttl_seconds`` schedules the job row (and, transitively, any result
         no other job references) for deletion that long after it reaches a
@@ -697,59 +625,40 @@ class JobStore:
         it -- this process or a peer sharing the store -- parents its worker
         spans there, so one coherent trace spans the deployment.
 
-        ``tenant_id`` records the owning tenant (``None`` = anonymous) and
-        feeds weighted fair-share claiming; ``priority`` orders jobs within
-        one tenant's backlog (higher first).  ``pending_limit`` enforces the
-        tenant's in-flight quota atomically inside the submit transaction:
-        when the tenant already has that many queued + running jobs the
-        INSERT never happens and :class:`PendingQuotaExceeded` is raised.
-
         Job ids are 12 random hex digits; on the (astronomically rare but
         not impossible) collision with an existing row, the INSERT is simply
         retried with a fresh id rather than surfacing an ``IntegrityError``
         to the submitter.
         """
         now = self._now()
+        label = label if label is not None else job.label
+        # The values the REAL column hands back.
+        ttl_seconds = float(ttl_seconds) if ttl_seconds is not None else None
         for attempt in range(16):
             job_id = uuid.uuid4().hex[:12]
             try:
                 with self._write() as conn:
-                    pending = conn.execute(
-                        "SELECT COUNT(*) FROM jobs"
-                        " WHERE status IN ('queued', 'running') AND tenant_id IS ?",
-                        (tenant_id,),
-                    ).fetchone()[0]
-                    if pending_limit is not None and pending >= pending_limit:
-                        raise PendingQuotaExceeded(pending, pending_limit)
                     cached = conn.execute(
                         "SELECT result_json FROM results WHERE fingerprint = ?",
                         (job.fingerprint,),
                     ).fetchone()
-                    if cached is None and pending == 0:
-                        # Idle tenant rejoining the queue: lift its virtual
-                        # time to the smallest vtime among currently
-                        # backlogged tenants, so sitting out never banks
-                        # credit it could later spend as a claim burst.
-                        self._lift_vtime_txn(conn, tenant_id)
                     conn.execute(
                         "INSERT INTO jobs (id, fingerprint, system_name, property_name,"
                         " label, status, cache_hit, ttl_seconds, deadline_ms,"
-                        " submitted_at, trace_id, parent_span, tenant_id, priority,"
+                        " submitted_at, trace_id, parent_span,"
                         " warnings_json, system_json, property_json, options_json)"
-                        " VALUES (?, ?, ?, ?, ?, 'queued', 0, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                        " VALUES (?, ?, ?, ?, ?, 'queued', 0, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                         (
                             job_id,
                             job.fingerprint,
                             job.system_name,
                             job.property_name,
-                            label if label is not None else job.label,
+                            label,
                             ttl_seconds,
                             deadline_ms,
                             now,
                             trace_id,
                             parent_span,
-                            tenant_id,
-                            int(priority),
                             json.dumps(warnings) if warnings else None,
                             job.system_json,
                             json.dumps(job.property_dict),
@@ -760,47 +669,45 @@ class JobStore:
                         return self._complete_txn(
                             conn, [job_id], json.loads(cached["result_json"]), now
                         )[0]
-                    row = conn.execute(
-                        "SELECT * FROM jobs WHERE id = ?", (job_id,)
-                    ).fetchone()
-                return StoredJob._from_row(row)
             except sqlite3.IntegrityError:
                 if attempt == 15:  # pragma: no cover - 16 collisions in a row
                     raise
+                continue
+            return StoredJob(
+                id=job_id,
+                fingerprint=job.fingerprint,
+                system_name=job.system_name,
+                property_name=job.property_name,
+                label=label,
+                status="queued",
+                error=None,
+                cache_hit=False,
+                cancel_requested=False,
+                claimed_by=None,
+                heartbeat_at=None,
+                ttl_seconds=ttl_seconds,
+                deadline_ms=deadline_ms,
+                expires_at=None,
+                submitted_at=now,
+                started_at=None,
+                finished_at=None,
+                partial_result=None,
+                system_dict=job.system_dict,
+                property_dict=job.property_dict,
+                options_dict=job.options_dict,
+                trace_id=trace_id,
+                parent_span=parent_span,
+                warnings=warnings or None,
+            )
         raise AssertionError("unreachable")  # pragma: no cover
 
-    @staticmethod
-    def _lift_vtime_txn(
-        conn: sqlite3.Connection, tenant_id: Optional[str]
-    ) -> None:
-        """Raise *tenant_id*'s stride vtime to the backlogged minimum.
-
-        Part of the submit transaction.  ``MAX(vtime, excluded.vtime)``
-        makes the lift monotonic: a tenant ahead of the pack keeps its own
-        (higher) vtime and still waits its turn.
-        """
-        floor_row = conn.execute(
-            "SELECT MIN(COALESCE(s.vtime, 0.0)) FROM ("
-            " SELECT DISTINCT COALESCE(tenant_id, '') AS tkey FROM jobs"
-            " WHERE status IN ('queued', 'running')) b"
-            " LEFT JOIN claim_shares s ON s.tenant_key = b.tkey"
-        ).fetchone()
-        floor = floor_row[0] if floor_row is not None else None
-        if floor is None or floor <= 0:
-            return
-        conn.execute(
-            "INSERT INTO claim_shares (tenant_key, vtime) VALUES (?, ?)"
-            " ON CONFLICT(tenant_key)"
-            " DO UPDATE SET vtime = MAX(vtime, excluded.vtime)",
-            (tenant_id if tenant_id is not None else "", floor),
-        )
-
     def claim_next(self, worker_id: str) -> Optional[StoredJob]:
-        """Atomically pop the next claimable ``queued`` job, marking it ``running``.
+        """Atomically pop the oldest claimable ``queued`` job, marking it ``running``.
 
         One ``BEGIN IMMEDIATE`` transaction, so each queued job is handed to
         exactly one worker even when several server *processes* claim from
-        the same store file concurrently.
+        the same store file concurrently.  Jobs are claimed first in, first
+        out (``ORDER BY submitted_at, rowid``).
 
         A queued job whose fingerprint is already ``running`` on another
         worker is not claimable yet: claiming it would verify the same
@@ -813,29 +720,10 @@ class JobStore:
         claim gets a first heartbeat; the worker keeps it fresh with
         :meth:`touch_claim`, so :meth:`requeue_stale` can tell a dead
         worker's claim by its stale heartbeat.
-
-        Selection is weighted fair share (stride scheduling) across tenants:
-        the claimable job whose tenant has the smallest virtual time wins,
-        and the winner's tenant is charged ``1/weight`` of virtual time --
-        so over any busy interval tenants receive claims proportional to
-        their configured weights instead of arrival order.  Unauthenticated
-        jobs share one anonymous stream (weight 1.0).  Within a tenant,
-        higher ``priority`` goes first, then FIFO; with a single (or no)
-        tenant the order degenerates to exactly the old
-        ``ORDER BY submitted_at, rowid``.
         """
-        peek_sql = (
-            "SELECT 1 FROM jobs WHERE status = 'queued' AND fingerprint NOT IN"
-            " (SELECT fingerprint FROM jobs WHERE status = 'running') LIMIT 1"
-        )
-        candidate_sql = (
-            "SELECT j.id AS id, COALESCE(j.tenant_id, '') AS tenant_key,"
-            " COALESCE(s.vtime, 0.0) AS vtime"
-            " FROM jobs j"
-            " LEFT JOIN claim_shares s ON s.tenant_key = COALESCE(j.tenant_id, '')"
-            " WHERE j.status = 'queued' AND j.fingerprint NOT IN"
+        claimable = (
+            "FROM jobs WHERE status = 'queued' AND fingerprint NOT IN"
             " (SELECT fingerprint FROM jobs WHERE status = 'running')"
-            " ORDER BY vtime, j.priority DESC, j.submitted_at, j.rowid LIMIT 1"
         )
         # Cheap lock-free peek first: idle workers poll this at ~10 Hz per
         # slot across every server, and an empty queue must not cost the
@@ -843,26 +731,14 @@ class JobStore:
         # acquisitions.  The candidate is re-selected inside the write
         # transaction, so a racing claimer is still excluded.
         with self._read() as conn:
-            if conn.execute(peek_sql).fetchone() is None:
+            if conn.execute(f"SELECT 1 {claimable} LIMIT 1").fetchone() is None:
                 return None
         with self._write() as conn:
-            row = conn.execute(candidate_sql).fetchone()
+            row = conn.execute(
+                f"SELECT id {claimable} ORDER BY submitted_at, rowid LIMIT 1"
+            ).fetchone()
             if row is None:
                 return None
-            weight_row = conn.execute(
-                "SELECT weight FROM tenants WHERE id = ?", (row["tenant_key"],)
-            ).fetchone()
-            weight = weight_row["weight"] if weight_row is not None else 1.0
-            if not weight or weight <= 0:  # registry validates; belt and braces
-                weight = 1.0
-            # Charge the claim inside the same transaction that takes the
-            # job, so concurrent claimers (threads and peer server
-            # processes) each advance the stride clock exactly once.
-            conn.execute(
-                "INSERT INTO claim_shares (tenant_key, vtime) VALUES (?, ?)"
-                " ON CONFLICT(tenant_key) DO UPDATE SET vtime = excluded.vtime",
-                (row["tenant_key"], row["vtime"] + 1.0 / weight),
-            )
             conn.execute(
                 "UPDATE jobs SET status = 'running', started_at = ?,"
                 " claimed_by = ?, heartbeat_at = ? WHERE id = ?",
@@ -1301,84 +1177,42 @@ class JobStore:
                 ordered.append(by_id[job_id])
         return ordered
 
-    def list_jobs(
-        self,
-        status: Optional[str] = None,
-        limit: int = 100,
-        tenant_id: Optional[str] = None,
-    ) -> List[StoredJob]:
-        """Most recently submitted jobs first, optionally filtered by status.
+    def job_status(self, job_id: str) -> Optional[str]:
+        """The job's lifecycle status, or ``None`` for an unknown id: one
+        column read, for callers that need nothing else of the row."""
+        with self._read() as conn:
+            row = conn.execute(
+                "SELECT status FROM jobs WHERE id = ?", (job_id,)
+            ).fetchone()
+        return row["status"] if row is not None else None
 
-        ``tenant_id`` restricts the listing to one tenant's jobs -- the
-        scoping behind authenticated ``GET /v1/jobs`` (``None`` means no
-        tenant filter, i.e. the anonymous/admin view of everything).
-        """
+    def list_jobs(
+        self, status: Optional[str] = None, limit: int = 100
+    ) -> List[StoredJob]:
+        """Most recently submitted jobs first, optionally filtered by status."""
         if status is not None and status not in JOB_STATUSES:
             raise ValueError(f"unknown job status {status!r}; expected one of {JOB_STATUSES}")
         query = "SELECT * FROM jobs"
-        conditions: List[str] = []
         parameters: List[Any] = []
         if status is not None:
-            conditions.append("status = ?")
+            query += " WHERE status = ?"
             parameters.append(status)
-        if tenant_id is not None:
-            conditions.append("tenant_id IS ?")
-            parameters.append(tenant_id)
-        if conditions:
-            query += " WHERE " + " AND ".join(conditions)
         query += " ORDER BY submitted_at DESC, rowid DESC LIMIT ?"
         parameters.append(max(0, limit))
         with self._read() as conn:
             rows = conn.execute(query, parameters).fetchall()
         return [StoredJob._from_row(row) for row in rows]
 
-    def counts(self, tenant_id: Optional[str] = None) -> Dict[str, int]:
-        """Jobs per status (every status present, zero when empty);
-        ``tenant_id`` scopes the tally to one tenant's jobs."""
-        query = "SELECT status, COUNT(*) AS n FROM jobs"
-        parameters: List[Any] = []
-        if tenant_id is not None:
-            query += " WHERE tenant_id IS ?"
-            parameters.append(tenant_id)
-        query += " GROUP BY status"
+    def counts(self) -> Dict[str, int]:
+        """Jobs per status (every status present, zero when empty)."""
         with self._read() as conn:
-            rows = conn.execute(query, parameters).fetchall()
+            rows = conn.execute(
+                "SELECT status, COUNT(*) AS n FROM jobs GROUP BY status"
+            ).fetchall()
         counts = {status: 0 for status in JOB_STATUSES}
         for row in rows:
             counts[row["status"]] = row["n"]
         return counts
-
-    def pending_count(self, tenant_id: Optional[str]) -> int:
-        """Queued + running jobs owned by *tenant_id* (``None`` = anonymous).
-
-        The read-only preflight for batch submissions; the authoritative
-        quota check is :meth:`submit`'s in-transaction ``pending_limit``.
-        """
-        with self._read() as conn:
-            return conn.execute(
-                "SELECT COUNT(*) FROM jobs"
-                " WHERE status IN ('queued', 'running') AND tenant_id IS ?",
-                (tenant_id,),
-            ).fetchone()[0]
-
-    def tenant_job_counts(self) -> Dict[str, Dict[str, int]]:
-        """Jobs per (tenant, status) for tenants that own at least one job.
-
-        Keys are tenant ids, with ``''`` standing for anonymous submissions;
-        feeds the per-tenant section of ``GET /v1/metrics``.
-        """
-        with self._read() as conn:
-            rows = conn.execute(
-                "SELECT COALESCE(tenant_id, '') AS tkey, status, COUNT(*) AS n"
-                " FROM jobs GROUP BY tkey, status"
-            ).fetchall()
-        result: Dict[str, Dict[str, int]] = {}
-        for row in rows:
-            per_status = result.setdefault(
-                row["tkey"], {status: 0 for status in JOB_STATUSES}
-            )
-            per_status[row["status"]] = row["n"]
-        return result
 
     # ------------------------------------------------------------------ results
 

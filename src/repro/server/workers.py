@@ -369,9 +369,7 @@ class WorkerAgent(threading.Thread):
                 # above only reached the store; fold it into the event now.
                 if server.store.is_cancel_requested(stored.id):
                     self._cancel_event.set()
-                server.events.fire(
-                    VerificationStarted(job_id=stored.id, tenant_id=stored.tenant_id)
-                )
+                server.events.fire(VerificationStarted(job_id=stored.id))
                 task = {
                     "system": stored.system_dict,
                     "property": stored.property_dict,
@@ -501,11 +499,7 @@ class WorkerAgent(threading.Thread):
                         stored.id, message[1], worker_id=self.worker_id
                     ):
                         server.events.fire(
-                            JobFailed(
-                                job_id=stored.id,
-                                data={"error": message[1]},
-                                tenant_id=stored.tenant_id,
-                            )
+                            JobFailed(job_id=stored.id, data={"error": message[1]})
                         )
                     return "error"
             elif not self.runner.is_alive():
@@ -558,9 +552,7 @@ class WorkerAgent(threading.Thread):
             if server.store.mark_cancelled(
                 stored.id, result.as_dict(), worker_id=self.worker_id
             ):
-                server.events.fire(
-                    JobCancelled(job_id=stored.id, tenant_id=stored.tenant_id)
-                )
+                server.events.fire(JobCancelled(job_id=stored.id))
             return
         landed, twins = server.store.mark_done(
             stored.id,
@@ -573,7 +565,6 @@ class WorkerAgent(threading.Thread):
                 JobCompleted(
                     job_id=stored.id,
                     data={"seconds": time.monotonic() - started, "cache_hit": False},
-                    tenant_id=stored.tenant_id,
                 )
             )
         for twin in twins:

@@ -1,7 +1,7 @@
 """Unit tests of repro.client plus the ``batch --remote`` CLI path.
 
 The protocol tests need no server: the ``scripted`` fixture stubs
-``VerifasClient._send`` with scripted ``(status, headers, body)`` replies,
+``VerifasClient._send`` with scripted ``(status, body)`` replies,
 records every request it is handed and records ``time.sleep`` delays
 instead of sleeping them.
 """
@@ -52,7 +52,7 @@ def scripted(monkeypatch):
     """``make(replies, **client_kwargs) -> (client, sent, sleeps)``.
 
     The client answers its n-th request with the n-th of *replies*, a
-    ``(status, headers, body)`` triple whose *body* is bytes or a value to
+    ``(status, body)`` pair whose *body* is bytes or a value to
     JSON-encode; *sent* lists the requests and *sleeps* the delays the
     client would have slept.
     """
@@ -60,15 +60,15 @@ def scripted(monkeypatch):
     monkeypatch.setattr(time, "sleep", sleeps.append)
 
     def make(replies, **kwargs):
-        kwargs.setdefault("api_key", "vk_test.secret")
+        kwargs.setdefault("api_key", "s3cret-token")
         client = VerifasClient("http://example.invalid", **kwargs)
         replies = iter(replies)
         sent = []
 
         def send(*request):
             sent.append(Sent(*request))
-            status, headers, body = next(replies)
-            return status, headers, body if isinstance(body, bytes) else json.dumps(body).encode()
+            status, body = next(replies)
+            return status, body if isinstance(body, bytes) else json.dumps(body).encode()
 
         monkeypatch.setattr(client, "_send", send)
         return client, sent, sleeps
@@ -78,7 +78,7 @@ def scripted(monkeypatch):
 
 def _ok(body):
     """An endless script answering every request with 200 and *body*."""
-    return itertools.repeat((200, {}, body))
+    return itertools.repeat((200, body))
 
 
 class TestBackoff:
@@ -92,7 +92,7 @@ class TestBackoff:
     def test_wait_sleeps_on_the_capped_backoff_until_terminal(self, scripted):
         views = [{"status": "queued"}] * 3 + [{"status": "done", "id": "j"}]
         client, sent, sleeps = scripted(
-            [(200, {}, view) for view in views], poll_initial=0.1, poll_max=0.3, poll_backoff=2.0
+            [(200, view) for view in views], poll_initial=0.1, poll_max=0.3, poll_backoff=2.0
         )
         assert client.wait("j", 60) == {"status": "done", "id": "j"}
         assert sleeps == [0.1, 0.2, 0.3] and len(sent) == 4
@@ -133,19 +133,19 @@ class TestErrorMapping:
         assert VerifasClient("http://host:1/").base_url == "http://host:1"
 
     def test_success_body_is_decoded(self, scripted):
-        client, _, _ = scripted([(200, {}, b'{"ok": true}')])
+        client, _, _ = scripted([(200, b'{"ok": true}')])
         assert client.healthz() == {"ok": True}
 
     @pytest.mark.parametrize("data", [b"<html>oops</html>", b"", b"[1, 2]", b"\xff"])
     def test_success_body_that_is_not_a_json_object_is_a_client_error(self, scripted, data):
-        client, _, _ = scripted([(200, {}, data)])
+        client, _, _ = scripted([(200, data)])
         with pytest.raises(ClientError) as excinfo:
             client.jobs()
         assert excinfo.value.status == 200
         assert str(excinfo.value) == "malformed JSON body in HTTP 200 on GET /v1/jobs?limit=100"
 
     def test_text_is_returned_when_the_request_asked_for_it(self, scripted):
-        client, sent, _ = scripted([(200, {}, b"repro_up 1\n")])
+        client, sent, _ = scripted([(200, b"repro_up 1\n")])
         assert client.metrics_prometheus() == "repro_up 1\n"
         assert sent[0].headers["Accept"] == "text/plain"
 
@@ -157,39 +157,27 @@ class TestErrorMapping:
             (404, b"not json", ClientError, "HTTP 404 on GET /v1/jobs?limit=100"),
             (422, b'{"error": "rejected", "diagnostics": [{"code": "VA101"}]}',
              SpecRejectedError, "rejected"),
+            (429, b'{"error": "slow down", "retry_after": 0.5}', ClientError, "slow down"),
+            (503, b'{"error": "server is shutting down"}', ClientError,
+             "server is shutting down"),
         ],
     )
     def test_error_statuses_map_to_client_errors(self, scripted, status, data, kind, message):
-        client, _, _ = scripted([(status, {}, data)])
+        """Every error status is raised at once: none is slept out or sent
+        again."""
+        client, sent, sleeps = scripted([(status, data)])
         with pytest.raises(ClientError) as excinfo:
             client.jobs()
         assert type(excinfo.value) is kind
         assert excinfo.value.status == status and str(excinfo.value) == message
-        assert excinfo.value.retry_after is None
+        assert len(sent) == 1 and sleeps == []
         if kind is SpecRejectedError:
             assert excinfo.value.diagnostics == [{"code": "VA101"}]
 
-    @pytest.mark.parametrize(
-        "headers, body, expected",
-        [
-            ({"Retry-After": "2"}, {"retry_after": 0.25}, 0.25),  # body float wins
-            ({"retry-after": "3"}, {}, 3.0),  # header only, any case
-            ({}, {}, None),  # neither
-            ({"Retry-After": "soon"}, {"retry_after": True}, None),  # junk
-        ],
-    )
-    def test_retry_after_on_429(self, scripted, headers, body, expected):
-        client, _, sleeps = scripted([(429, headers, body)], retry_throttled=False)
-        with pytest.raises(ClientError) as excinfo:
-            client.healthz()
-        assert excinfo.value.status == 429
-        assert excinfo.value.retry_after == expected
-        assert sleeps == []
-
     def test_submit_reads_handles_from_a_202_only(self, scripted):
         client, _, _ = scripted([
-            (202, {}, {"jobs": [{"id": "j/1", "fingerprint": "fp"}]}),
-            (200, {}, {"jobs": []}),
+            (202, {"jobs": [{"id": "j/1", "fingerprint": "fp"}]}),
+            (200, {"jobs": []}),
         ])
         [handle] = client.submit_payload({})
         assert handle.url == "/v1/jobs/j%2F1"
@@ -257,8 +245,8 @@ class TestRequests:
 
     def test_views_of_every_chunk_are_merged(self, scripted):
         client, _, _ = scripted([
-            (200, {}, {"jobs": [{"id": f"j{i}", "status": "done"} for i in range(100)]}),
-            (200, {}, {"jobs": [{"id": "j100", "status": "queued"}]}),
+            (200, {"jobs": [{"id": f"j{i}", "status": "done"} for i in range(100)]}),
+            (200, {"jobs": [{"id": "j100", "status": "queued"}]}),
         ])
         views = client.job_views([f"j{i}" for i in range(101)])
         assert len(views) == 101 and views["j100"]["status"] == "queued"
@@ -272,7 +260,7 @@ class TestRequests:
         assert sent[1].timeout == 30.0  # the client's default
 
     def test_submit_mints_a_traceparent_unless_given_or_disabled(self, scripted):
-        client, sent, _ = scripted(itertools.repeat((202, {}, {"jobs": []})))
+        client, sent, _ = scripted(itertools.repeat((202, {"jobs": []})))
         client.submit_payload({"x": 1})
         assert re.fullmatch(r"00-[0-9a-f]{32}-[0-9a-f]{16}-01", sent[0].headers["traceparent"])
         client.submit_payload({}, traceparent="00-" + "1" * 32 + "-" + "2" * 16 + "-01")
@@ -282,21 +270,37 @@ class TestRequests:
         assert "traceparent" not in sent[2].headers
 
     def test_request_carries_auth_json_and_the_default_timeout(self, scripted):
-        client, sent, _ = scripted([(202, {}, {"jobs": []})])
+        client, sent, _ = scripted([(202, {"jobs": []})])
         assert client.submit_payload({"a": 1}) == []
         request = sent[0]
         assert (request.method, request.path) == ("POST", "/v1/jobs")
         assert request.body == b'{"a": 1}' and request.timeout == 30.0
-        assert request.headers["Authorization"] == "Bearer vk_test.secret"
+        assert request.headers["Authorization"] == "Bearer s3cret-token"
         assert request.headers["Content-Type"] == "application/json"
         assert request.headers["Accept"] == "application/json"
 
-    def test_anonymous_client_sends_no_authorization(self, scripted, monkeypatch):
-        monkeypatch.delenv("REPRO_API_KEY", raising=False)
-        monkeypatch.delenv("REPRO_TEST_AUTH", raising=False)
+    @pytest.mark.parametrize("environment", [None, ""])
+    def test_anonymous_client_sends_no_authorization(self, scripted, monkeypatch, environment):
+        if environment is None:
+            monkeypatch.delenv("REPRO_API_KEY", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_API_KEY", environment)
         client, sent, _ = scripted(_ok({}), api_key=None)
         client.healthz()
+        assert client.api_key is None
         assert "Authorization" not in sent[0].headers and sent[0].body is None
+
+    def test_token_defaults_from_the_environment(self, scripted, monkeypatch):
+        monkeypatch.setenv("REPRO_API_KEY", "from-env")
+        client, sent, _ = scripted(_ok({}), api_key=None)
+        client.job("j")
+        assert sent[0].headers["Authorization"] == "Bearer from-env"
+
+    def test_explicit_token_wins_over_the_environment(self, scripted, monkeypatch):
+        monkeypatch.setenv("REPRO_API_KEY", "from-env")
+        client, sent, _ = scripted(_ok({}), api_key="explicit")
+        client.cancel("j")
+        assert sent[0].headers["Authorization"] == "Bearer explicit"
 
     @pytest.mark.parametrize(
         "call, status, body, method, path",
@@ -325,7 +329,7 @@ class TestRequests:
     ):
         """``_request`` runs once per API call (request counters that
         override it rely on this) and sends exactly one request."""
-        client, sent, _ = scripted([(status, {}, body)])
+        client, sent, _ = scripted([(status, body)])
         calls = []
         request = client._request
 
@@ -339,49 +343,9 @@ class TestRequests:
         assert [(r.method, r.path) for r in sent] == [(method, path)]
 
 
-def _throttled(retry_after):
-    return 429, {}, {"error": "slow down", "retry_after": retry_after}
-
-
-class TestThrottleBudget:
-    def test_429s_are_slept_out_within_the_budget(self, scripted):
-        client, sent, sleeps = scripted([_throttled(0.5), _throttled(0.25), (200, {}, {})])
-        assert client.healthz() == {}
-        assert sleeps == [0.5, 0.25] and len(sent) == 3
-
-    def test_budget_exhaustion_surfaces_the_429_with_retry_after(self, scripted):
-        client, sent, sleeps = scripted([_throttled(0.75), _throttled(0.5)],
-                                        throttle_max_wait=1.0)
-        with pytest.raises(ClientError) as excinfo:
-            client.healthz()
-        assert excinfo.value.status == 429 and excinfo.value.retry_after == 0.5
-        assert sleeps == [0.75] and len(sent) == 2
-
-    def test_retry_throttled_off_never_sleeps(self, scripted):
-        client, _, sleeps = scripted([_throttled(0.01)], retry_throttled=False)
-        with pytest.raises(ClientError) as excinfo:
-            client.healthz()
-        assert excinfo.value.retry_after == 0.01 and sleeps == []
-
-    def test_429_without_a_hint_is_not_retried(self, scripted):
-        client, sent, _ = scripted([(429, {}, {})])
-        with pytest.raises(ClientError):
-            client.healthz()
-        assert len(sent) == 1
-
-    def test_throttled_submit_is_sent_again_and_returns_its_handles(self, scripted):
-        client, sent, sleeps = scripted([
-            _throttled(0.3),
-            (202, {}, {"jobs": [{"id": "j", "fingerprint": "f"}]}),
-        ])
-        [handle] = client.submit_payload({"a": 1})
-        assert handle.id == "j" and sleeps == [0.3]
-        assert [(r.method, r.body) for r in sent] == [("POST", b'{"a": 1}')] * 2
-
-
 def _page(first, count, terminal):
-    return 200, {}, {"events": [{"seq": seq} for seq in range(first, first + count)],
-                     "terminal": terminal}
+    return 200, {"events": [{"seq": seq} for seq in range(first, first + count)],
+                 "terminal": terminal}
 
 
 class TestEventsTerminalPage:
@@ -437,7 +401,7 @@ class TestBatchWait:
             {"a": "error"},
         ]
         client, sent, sleeps = scripted(
-            [(200, {}, {"jobs": [{"id": i, "status": s} for i, s in statuses.items()]})
+            [(200, {"jobs": [{"id": i, "status": s} for i, s in statuses.items()]})
              for statuses in rounds],
             poll_initial=0.1, poll_max=1.0, poll_backoff=2.0,
         )

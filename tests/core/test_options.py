@@ -124,5 +124,4 @@ def test_ablation_defaults_to_every_optimisation_on():
         "data_structure_support",
         "static_analysis",
         "use_artifact_relations",
-        "check_repeated_reachability",
     }

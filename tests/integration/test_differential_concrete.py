@@ -15,8 +15,10 @@ On the tiny system the oracle's search finishes, and it has a lasso exactly
 when the verifier reports *violated*.  Every lasso a test gets is checked
 independently of the search: the Büchi automaton of the negated property
 accepts its letters, and the direct LTL evaluator finds the property false
-on it.  The last two classes pin the concrete semantics itself: a child
-returns only values it can produce, and a retrieval needs a stored tuple.
+on it.  The last classes pin the concrete semantics itself: a child
+returns only values it can produce, a retrieved tuple is one inserted
+before (so a loop that only retrieves ends), and a retrieval needs a stored
+tuple.
 """
 
 import pytest
@@ -176,6 +178,42 @@ class TestChildReturnsWhatItProduces:
             if snapshot.service == "close_Child"
         ]
         assert closings and all(snapshot.valuation["y"] == "ok" for snapshot in closings)
+
+
+class TestRetrievalsAreBoundedByInserts:
+    """The oracle's side of the coverage-graph cycle repro: ``ret`` only
+    retrieves from ``S``, and only ``ins1`` and ``ins2`` insert, once each,
+    so ``ret`` fires at most twice on any run.  The oracle's search is
+    complete and finds no lasso; the verifier's verdicts on these
+    properties are not asserted here."""
+
+    @pytest.fixture
+    def system(self, items_schema):
+        builder = ArtifactSystemBuilder("cycle-repro", items_schema)
+        task = builder.task("Main")
+        task.variable("status")
+        task.variable("x")
+        task.artifact_relation("S", ["x"])
+        task.internal_service(
+            "ins1", pre=Eq(Var("status"), NULL), post=Eq(Var("status"), Const("b")),
+            insert=("S", ["x"]),
+        )
+        task.internal_service(
+            "ins2", pre=Eq(Var("status"), Const("b")), post=Eq(Var("status"), Const("a")),
+            insert=("S", ["x"]),
+        )
+        task.internal_service(
+            "ret", pre=Eq(Var("status"), Const("a")), post=Eq(Var("status"), Const("a")),
+            retrieve=("S", ["x"]),
+        )
+        return builder.build()
+
+    @pytest.mark.parametrize("formula", ["F G !ret", "G (ret -> X G (ret -> X G !ret))"])
+    def test_the_oracle_finds_no_run_that_retrieves_forever(self, system, items_schema, formula):
+        database = Database(items_schema, {"ITEMS": [("i1", 3, "tools")]})
+        ltl_property = LTLFOProperty("Main", parse_ltl(formula))
+        result = _check(system, database, ltl_property, max_states=20_000)
+        assert result.complete and result.lasso is None
 
 
 class TestRetrievalNeedsAStoredTuple:

@@ -16,7 +16,7 @@ import urllib.request
 
 import pytest
 
-from repro.client import VerifasClient, auth_headers
+from repro.client import VerifasClient
 from repro.core.options import VerifierOptions
 from repro.core.stats import SearchStatistics
 from repro.has.conditions import Const, Eq, Neq, NULL, Var
@@ -37,7 +37,7 @@ def _request(url: str, method: str = "GET", payload=None):
     data = json.dumps(payload).encode("utf-8") if payload is not None else None
     request = urllib.request.Request(
         url, data=data, method=method,
-        headers={"Content-Type": "application/json", **auth_headers()},
+        headers={"Content-Type": "application/json"},
     )
     try:
         with urllib.request.urlopen(request, timeout=30) as response:
@@ -314,7 +314,6 @@ class TestApiErrors:
     def test_malformed_json_body(self, server):
         request = urllib.request.Request(
             f"{server.url}/v1/jobs", data=b"{not json", method="POST",
-            headers=auth_headers(),
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)

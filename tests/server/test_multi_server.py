@@ -349,7 +349,7 @@ class TestSweeperRobustness:
                 # its last heartbeat is an hour old.
                 assert server.store.claim_next("gone:proc-0").id == handle.id
                 assert server.store.request_cancel(handle.id) == ("cancelling", True)
-                with server.store.write_transaction() as conn:
+                with server.store._write() as conn:
                     conn.execute(
                         "UPDATE jobs SET heartbeat_at = heartbeat_at - 3600 WHERE id = ?",
                         (handle.id,),

@@ -8,7 +8,7 @@ import urllib.request
 
 import pytest
 
-from repro.client import VerifasClient, auth_headers
+from repro.client import VerifasClient
 from repro.has.conditions import Const, Eq, Var
 from repro.ltl import LTLFOProperty, parse_ltl
 from repro.server import VerificationServer
@@ -44,7 +44,7 @@ def client(server):
 
 def _raw_get(url: str, headers=None):
     """(status, content_type, body-text) without the client's JSON parsing."""
-    request = urllib.request.Request(url, headers={**auth_headers(), **(headers or {})})
+    request = urllib.request.Request(url, headers=headers or {})
     try:
         with urllib.request.urlopen(request, timeout=30) as response:
             return (response.status, response.headers.get("Content-Type", ""),

@@ -21,7 +21,7 @@ import urllib.request
 
 import pytest
 
-from repro.client import ClientError, VerifasClient, auth_headers
+from repro.client import ClientError, VerifasClient
 from repro.has.conditions import Const, Eq, Var
 from repro.ltl import LTLFOProperty, parse_ltl
 from repro.server import VerificationServer
@@ -293,7 +293,7 @@ class TestTwoServersSharedStore:
 def _read_sse(url, job_id, timeout=30.0, cursor=None, last_event_id=None):
     """Open the SSE stream and return its parsed frames (reads to EOF)."""
     query = f"?wait_ms=5000" + (f"&cursor={cursor}" if cursor is not None else "")
-    headers = {"Accept": "text/event-stream", **auth_headers()}
+    headers = {"Accept": "text/event-stream"}
     if last_event_id is not None:
         headers["Last-Event-ID"] = str(last_event_id)
     request = urllib.request.Request(f"{url}/v1/jobs/{job_id}/events{query}", headers=headers)
@@ -354,7 +354,7 @@ class TestServerSentEvents:
     def test_unknown_job_is_a_404_not_a_stream(self, idle_server):
         request = urllib.request.Request(
             f"{idle_server.url}/v1/jobs/no-such-job/events",
-            headers={"Accept": "text/event-stream", **auth_headers()},
+            headers={"Accept": "text/event-stream"},
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
@@ -412,11 +412,65 @@ class TestEventCursorEdges:
 
             request = urllib.request.Request(
                 f"{idle_server.url}/v1/jobs/{quote(hostile, safe='')}/events?wait_ms=10000",
-                headers={"Accept": "text/event-stream", **auth_headers()},
+                headers={"Accept": "text/event-stream"},
             )
             with pytest.raises(urllib.error.HTTPError) as sse_excinfo:
                 urllib.request.urlopen(request, timeout=10)
             assert sse_excinfo.value.code == 404
+
+
+class TestEventsViewReadsTheStatusOnly:
+    """An events page needs the job's status and its events, nothing else
+    of the row: neither a view nor a long-poll wake decodes the job."""
+
+    @pytest.fixture
+    def no_row_decode(self, idle_server, monkeypatch):
+        def get_job(job_id):
+            raise AssertionError("the events view decoded the job row")
+
+        monkeypatch.setattr(idle_server.store, "get_job", get_job)
+
+    def test_view_and_long_poll_read_no_row(self, idle_server, tiny_system, no_row_decode):
+        handle = _submit_one(idle_server, tiny_system)
+        _append_events(idle_server.store, handle.id, 2)
+        view = idle_server.events_view(handle.id)
+        assert view["status"] == "queued" and len(view["events"]) == 2
+        assert view["terminal"] is False
+        waited = idle_server.events_view_wait(handle.id, cursor=2, wait_ms=100)
+        assert waited["events"] == [] and waited["cursor"] == 2
+        _finish(idle_server.store, handle.id)
+        view = idle_server.events_view(handle.id, cursor=2)
+        assert view["status"] == "done" and view["terminal"] is True
+
+    def test_the_status_is_read_before_the_events(self, idle_server, tiny_system, monkeypatch):
+        handle = _submit_one(idle_server, tiny_system)
+        store, reads = idle_server.store, []
+        job_status, events_after = store.job_status, store.events_after
+
+        def record_status(job_id):
+            reads.append("status")
+            return job_status(job_id)
+
+        def record_events(job_id, **kwargs):
+            reads.append("events")
+            return events_after(job_id, **kwargs)
+
+        monkeypatch.setattr(store, "job_status", record_status)
+        monkeypatch.setattr(store, "events_after", record_events)
+        idle_server.events_view(handle.id)
+        assert reads == ["status", "events"]
+
+    def test_unknown_job_reads_no_events(self, idle_server, monkeypatch):
+        def events_after(job_id, **kwargs):
+            raise AssertionError("events read for an unknown job")
+
+        monkeypatch.setattr(idle_server.store, "events_after", events_after)
+        assert idle_server.events_view("ffffffffffff") is None
+        assert idle_server.events_view_wait("ffffffffffff", wait_ms=10_000) is None
+        with VerifasClient(idle_server.url) as client:
+            with pytest.raises(ClientError) as excinfo:
+                client.events("ffffffffffff")
+        assert excinfo.value.status == 404
 
 
 # ------------------------------------------------------- batch status view

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import json
+import sqlite3
 import threading
 
 import pytest
 
 from repro.cli import main
+from repro.client import VerifasClient
 from repro.core.stats import SearchStatistics
 from repro.core.verifier import VerificationOutcome, VerificationResult
-from repro.server import JobStore, VerificationServer, recover
+from repro.server import JobStore, StoredJob, VerificationServer, recover
 from repro.service import VerificationJob
 from repro.spec import dump_property, dump_system
 
@@ -486,7 +489,7 @@ def _legacy_running_row(store, job_id):
     """Claim *job_id*, then strip the claim's owner and heartbeat: the
     ``running`` row without a claim that an older store file can hold."""
     assert store.claim_next("legacy").id == job_id
-    with store.write_transaction() as conn:
+    with store._write() as conn:
         conn.execute(
             "UPDATE jobs SET claimed_by = NULL, heartbeat_at = NULL WHERE id = ?",
             (job_id,),
@@ -565,7 +568,7 @@ class TestConcurrencyLayer:
                 JobStore(path)
         with pytest.raises(ValueError, match="needs a file"):
             VerificationServer(store_path=":memory:")
-        assert main(["tenant", "list", "--store", ":memory:"]) == 2
+        assert main(["serve", "--store", ":memory:", "--port", "0"]) == 2
         assert "needs a file" in capsys.readouterr().err
 
     def test_dead_threads_connections_are_pruned(self, store):
@@ -929,3 +932,300 @@ class TestPersistence:
         assert reopened.get_job(interrupted.id).status == "queued"
         assert "re-queued" in report.summary()
         reopened.close()
+
+
+class TestSubmitReturnsTheStoredRow:
+    """``submit`` builds its return value from the values it inserted: it
+    equals what ``get_job`` reads back, field for field and in the JSON
+    view, without decoding the row it just wrote."""
+
+    WARNINGS = [
+        {"code": "VA501", "name": "unused-variable", "severity": "warning",
+         "message": "variable 'x' is never read", "where": "task 'Main'"},
+    ]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"label": "smoke"},
+            {"ttl_seconds": 3600},
+            {"ttl_seconds": 1.5, "deadline_ms": 5000},
+            {"trace_id": "ab" * 16, "parent_span": "cd" * 8},
+            {"warnings": WARNINGS},
+            {"warnings": []},
+            {"label": "all", "ttl_seconds": 60, "deadline_ms": 1, "trace_id": "ef" * 16,
+             "parent_span": "01" * 8, "warnings": WARNINGS},
+        ],
+        ids=["bare", "label", "int-ttl", "float-ttl-deadline", "trace", "warnings",
+             "no-warnings", "everything"],
+    )
+    def test_submitted_job_equals_the_row_read_back(self, store, sample_jobs, kwargs):
+        submitted = store.submit(sample_jobs[0], **kwargs)
+        fetched = store.get_job(submitted.id)
+        assert submitted == fetched
+        assert submitted.system_dict == fetched.system_dict
+        assert submitted.warnings == fetched.warnings
+        assert json.dumps(submitted.as_dict()) == json.dumps(fetched.as_dict())
+
+    def test_label_defaults_to_the_jobs_own(self, store, sample_jobs):
+        job = VerificationJob(
+            system_dict=sample_jobs[0].system_dict,
+            property_dict=sample_jobs[0].property_dict,
+            options_dict=sample_jobs[0].options_dict,
+            label="from-the-job",
+        )
+        submitted = store.submit(job)
+        assert submitted.label == "from-the-job" == store.get_job(submitted.id).label
+
+    def test_a_queued_submit_decodes_no_row(self, store, sample_jobs, monkeypatch):
+        def decode(row):
+            raise AssertionError("submit decoded a row")
+
+        monkeypatch.setattr(StoredJob, "_from_row", staticmethod(decode))
+        submitted = store.submit(sample_jobs[0], label="x")
+        assert submitted.status == "queued"
+
+    def test_a_cache_hit_submit_equals_the_row_read_back(self, store, sample_jobs):
+        store.put_result(sample_jobs[0].fingerprint, _result().as_dict())
+        submitted = store.submit(sample_jobs[0], ttl_seconds=10, warnings=self.WARNINGS)
+        assert submitted.status == "done" and submitted.cache_hit
+        assert submitted == store.get_job(submitted.id)
+
+
+class TestJobStatus:
+    def test_status_follows_the_lifecycle(self, store, sample_jobs):
+        stored = store.submit(sample_jobs[0])
+        assert store.job_status(stored.id) == "queued"
+        store.claim_next("proc-0")
+        assert store.job_status(stored.id) == "running"
+        store.mark_done(stored.id, _result().as_dict(), worker_id="proc-0")
+        assert store.job_status(stored.id) == "done"
+
+    def test_unknown_id_has_no_status(self, store):
+        assert store.job_status("ffffffffffff") is None
+
+
+#: The store schema before the server became one trust domain, as an older
+#: server wrote it: tenant columns on ``jobs``, the ``tenants`` and
+#: ``claim_shares`` tables and the ``jobs_by_tenant`` index.
+_PARENT_SCHEMA = """
+CREATE TABLE jobs (
+    id               TEXT PRIMARY KEY,
+    fingerprint      TEXT NOT NULL,
+    system_name      TEXT NOT NULL,
+    property_name    TEXT NOT NULL,
+    label            TEXT,
+    status           TEXT NOT NULL
+                     CHECK (status IN ('queued', 'running', 'done', 'error', 'cancelled')),
+    error            TEXT,
+    cache_hit        INTEGER NOT NULL DEFAULT 0,
+    cancel_requested INTEGER NOT NULL DEFAULT 0,
+    claimed_by       TEXT,
+    heartbeat_at     REAL,
+    ttl_seconds      REAL,
+    deadline_ms      INTEGER,
+    expires_at       REAL,
+    submitted_at     REAL NOT NULL,
+    started_at       REAL,
+    finished_at      REAL,
+    partial_json     TEXT,
+    trace_id         TEXT,
+    parent_span      TEXT,
+    tenant_id        TEXT,
+    priority         INTEGER NOT NULL DEFAULT 0,
+    warnings_json    TEXT,
+    system_json      TEXT NOT NULL,
+    property_json    TEXT NOT NULL,
+    options_json     TEXT NOT NULL
+);
+CREATE INDEX jobs_by_status ON jobs (status, submitted_at);
+CREATE INDEX jobs_by_fingerprint ON jobs (fingerprint);
+CREATE INDEX jobs_by_expiry ON jobs (expires_at) WHERE expires_at IS NOT NULL;
+CREATE TABLE results (
+    fingerprint TEXT PRIMARY KEY,
+    result_json TEXT NOT NULL,
+    created_at  REAL NOT NULL
+);
+CREATE TABLE events (
+    job_id     TEXT NOT NULL,
+    seq        INTEGER NOT NULL,
+    created_at REAL NOT NULL,
+    kind       TEXT NOT NULL,
+    payload    TEXT NOT NULL,
+    PRIMARY KEY (job_id, seq)
+);
+CREATE TABLE leases (
+    name       TEXT PRIMARY KEY,
+    owner      TEXT NOT NULL,
+    expires_at REAL NOT NULL
+);
+CREATE TABLE spans (
+    trace_id   TEXT NOT NULL,
+    span_id    TEXT NOT NULL,
+    parent_id  TEXT,
+    job_id     TEXT,
+    name       TEXT NOT NULL,
+    start_time REAL NOT NULL,
+    duration   REAL NOT NULL,
+    status     TEXT NOT NULL DEFAULT 'ok',
+    attrs      TEXT NOT NULL DEFAULT '{}',
+    PRIMARY KEY (trace_id, span_id)
+);
+CREATE INDEX spans_by_job ON spans (job_id) WHERE job_id IS NOT NULL;
+CREATE INDEX jobs_by_tenant ON jobs (tenant_id, status);
+CREATE TABLE tenants (
+    id          TEXT PRIMARY KEY,
+    name        TEXT NOT NULL UNIQUE,
+    key_id      TEXT NOT NULL UNIQUE,
+    key_hash    TEXT NOT NULL,
+    key_salt    TEXT NOT NULL,
+    weight      REAL NOT NULL DEFAULT 1.0,
+    rate_limit  REAL,
+    burst       REAL,
+    max_pending INTEGER,
+    revoked     INTEGER NOT NULL DEFAULT 0,
+    created_at  REAL NOT NULL
+);
+CREATE TABLE claim_shares (
+    tenant_key TEXT PRIMARY KEY,
+    vtime      REAL NOT NULL DEFAULT 0
+);
+"""
+
+#: Queued jobs of the older store, oldest first: (id, tenant, priority,
+#: submitted_at).  Weighted fair share served the tenant with the smaller
+#: vtime first, and a tenant's higher priority first; FIFO ignores both.
+_PARENT_JOBS = [
+    ("anon-oldest", None, 0, 50.0),
+    ("acme-middle", "acme", 0, 75.0),
+    ("acme-newest", "acme", 5, 100.0),
+]
+
+
+def _parent_store(path, jobs):
+    """A store file written with the older schema, holding *jobs* (one per
+    entry of :data:`_PARENT_JOBS`) queued under a registered tenant."""
+    connection = sqlite3.connect(path)
+    with connection:
+        connection.executescript(_PARENT_SCHEMA)
+        connection.execute(
+            "INSERT INTO tenants (id, name, key_id, key_hash, key_salt, weight,"
+            " created_at) VALUES ('acme', 'acme', 'k1', 'h', 's', 4.0, 1.0)"
+        )
+        connection.executemany(
+            "INSERT INTO claim_shares (tenant_key, vtime) VALUES (?, ?)",
+            [("", 10.0), ("acme", 0.0)],
+        )
+        for job, (job_id, tenant, priority, submitted_at) in zip(jobs, _PARENT_JOBS):
+            connection.execute(
+                "INSERT INTO jobs (id, fingerprint, system_name, property_name, label,"
+                " status, submitted_at, tenant_id, priority, system_json,"
+                " property_json, options_json)"
+                " VALUES (?, ?, ?, ?, NULL, 'queued', ?, ?, ?, ?, ?, ?)",
+                (
+                    job_id, job.fingerprint, job.system_name, job.property_name,
+                    submitted_at, tenant, priority, job.system_json,
+                    json.dumps(job.property_dict), json.dumps(job.options_dict),
+                ),
+            )
+    connection.close()
+
+
+def _schema_names(path):
+    connection = sqlite3.connect(path)
+    try:
+        names = {row[0] for row in connection.execute("SELECT name FROM sqlite_master")}
+        columns = {row[1] for row in connection.execute("PRAGMA table_info(jobs)")}
+    finally:
+        connection.close()
+    return names, columns
+
+
+class TestParentSchemaStore:
+    """A store file written before the tenancy layer was retired opens as it
+    is: its tenant columns and tables stay unread, and its jobs are claimed
+    first in, first out."""
+
+    @pytest.fixture
+    def parent_path(self, tmp_path, tiny_system):
+        path = tmp_path / "parent.db"
+        _parent_store(path, _distinct_jobs(tiny_system, len(_PARENT_JOBS)))
+        return path
+
+    def test_jobs_are_claimed_in_fifo_order(self, parent_path):
+        store = JobStore(parent_path)
+        try:
+            claimed = [store.claim_next("proc-0").id for _ in _PARENT_JOBS]
+            assert claimed == [job_id for job_id, *_ in _PARENT_JOBS]
+            assert store.claim_next("proc-0") is None
+        finally:
+            store.close()
+
+    def test_a_job_is_viewed_and_completed(self, parent_path):
+        server = VerificationServer(store_path=parent_path, port=0, workers=0)
+        try:
+            view = server.job_view("acme-newest")
+            assert view["status"] == "queued"
+            assert "tenant_id" not in view and "priority" not in view
+            for _ in _PARENT_JOBS:
+                claimed = server.store.claim_next("proc-0")
+            assert claimed.id == "acme-newest"
+            landed, _ = server.store.mark_done(
+                claimed.id, _result().as_dict(), worker_id="proc-0"
+            )
+            assert landed
+            view = server.job_view("acme-newest")
+            assert view["status"] == "done" and view["result"]["outcome"] == "satisfied"
+            assert server.events_view("acme-newest")["terminal"] is True
+        finally:
+            server.stop()
+
+    def test_new_submissions_queue_behind_the_old_jobs(self, parent_path, tiny_system):
+        store = JobStore(parent_path)
+        try:
+            [fresh] = [
+                store.submit(job) for job in _distinct_jobs(tiny_system, 4)[3:]
+            ]
+            assert fresh == store.get_job(fresh.id)
+            claimed = [store.claim_next("proc-0").id for _ in range(4)]
+            assert claimed == [job_id for job_id, *_ in _PARENT_JOBS] + [fresh.id]
+            assert store.counts()["running"] == 4
+            assert [job.id for job in store.list_jobs(status="running", limit=1)] == [fresh.id]
+        finally:
+            store.close()
+
+    def test_the_legacy_tables_stay_on_disk_untouched(self, parent_path):
+        JobStore(parent_path).close()
+        names, columns = _schema_names(parent_path)
+        assert {"tenants", "claim_shares", "jobs_by_tenant"} <= names
+        assert {"tenant_id", "priority"} <= columns
+        connection = sqlite3.connect(parent_path)
+        try:
+            assert connection.execute("SELECT COUNT(*) FROM tenants").fetchone()[0] == 1
+            assert connection.execute(
+                "SELECT tenant_key, vtime FROM claim_shares ORDER BY tenant_key"
+            ).fetchall() == [("", 10.0), ("acme", 0.0)]
+        finally:
+            connection.close()
+
+    def test_a_new_store_has_no_tenant_schema(self, tmp_path):
+        path = tmp_path / "new.db"
+        JobStore(path).close()
+        names, columns = _schema_names(path)
+        assert not {"tenants", "claim_shares", "jobs_by_tenant"} & names
+        assert not {"tenant_id", "priority"} & columns
+
+    def test_a_server_verifies_the_old_jobs(self, parent_path, worker_model):
+        server = VerificationServer(
+            store_path=parent_path, port=0, workers=1, worker_model=worker_model,
+        )
+        server.start()
+        try:
+            with VerifasClient(server.url, poll_initial=0.02) as client:
+                views = client.wait_all([job_id for job_id, *_ in _PARENT_JOBS], 120)
+            assert {view["status"] for view in views.values()} == {"done"}
+            started = sorted(views.values(), key=lambda view: view["started_at"])
+            assert [view["id"] for view in started] == [job_id for job_id, *_ in _PARENT_JOBS]
+        finally:
+            server.stop()

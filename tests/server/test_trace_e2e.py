@@ -20,7 +20,7 @@ import urllib.request
 
 import pytest
 
-from repro.client import VerifasClient, auth_headers
+from repro.client import VerifasClient
 from repro.has.conditions import Const, Eq, Neq, Var
 from repro.ltl import LTLFOProperty, parse_ltl
 from repro.obs import format_traceparent, new_span_id, new_trace_id, render_trace
@@ -163,7 +163,7 @@ class TestTraceparentEdgeCases:
             "properties": [dump_property(_property())],
             "options": OPTIONS,
         }
-        headers = {"Content-Type": "application/json", **auth_headers()}
+        headers = {"Content-Type": "application/json"}
         if traceparent is not None:
             headers["traceparent"] = traceparent
         request = urllib.request.Request(

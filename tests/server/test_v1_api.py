@@ -18,7 +18,7 @@ import urllib.request
 
 import pytest
 
-from repro.client import ClientError, RemoteJobError, VerifasClient, auth_headers
+from repro.client import ClientError, RemoteJobError, VerifasClient
 from repro.has.conditions import Const, Eq, Neq, Var
 from repro.ltl import LTLFOProperty, parse_ltl
 from repro.server import JobStore, VerificationServer
@@ -51,7 +51,7 @@ def _raw(url: str, method: str = "GET", payload=None):
     data = json.dumps(payload).encode("utf-8") if payload is not None else None
     request = urllib.request.Request(
         url, data=data, method=method,
-        headers={"Content-Type": "application/json", **auth_headers()},
+        headers={"Content-Type": "application/json"},
     )
     with urllib.request.urlopen(request, timeout=30) as response:
         return response.status, dict(response.headers), json.load(response)

@@ -381,33 +381,34 @@ class TestRunnerLifetime:
             server.stop()
 
 
-class TestTenantAttribution:
-    def test_worker_events_count_toward_the_job_tenant(self, tmp_path, tiny_system):
-        """The agent's verification-started and job-failed events carry the
-        job's tenant, so its /v1/metrics counters match the global ones."""
-        server = _make_server(tmp_path, workers=1, auth_enabled=True)
+class TestRunnerErrors:
+    def test_a_job_failing_in_the_runner_lands_error_and_is_counted(
+        self, tmp_path, tiny_system
+    ):
+        """A formula that only fails to parse in the runner: the agent marks
+        the job ``error`` with the runner's message and fires its
+        verification-started and job-failed events."""
+        server = _make_server(tmp_path, workers=1)
         try:
-            _, key = server.tenants.create("alice", tenant_id="alice")
-            with VerifasClient(server.url, api_key=key, poll_initial=0.02) as client:
+            with VerifasClient(server.url, poll_initial=0.02) as client:
                 handle = client.submit(
                     dump_system(tiny_system), [dump_property(_properties()[0])],
                     options={"timeout_seconds": 60},
                 )[0]
                 assert client.wait(handle.id, deadline_seconds=60)["status"] == "done"
-                # A formula that only fails to parse in the runner: stored
-                # directly, past the submit-time spec gate.
+                # Stored directly, past the submit-time spec gate.
                 failing = server.store.submit(
                     VerificationJob(
                         system_dict=dump_system(tiny_system),
                         property_dict={**dump_property(_properties()[1]), "formula": "G ("},
                         options_dict={"timeout_seconds": 60},
-                    ),
-                    tenant_id="alice",
+                    )
                 )
                 server._wakeup.set()
                 view = client.wait(failing.id, deadline_seconds=60, raise_on_error=False)
-                assert view["status"] == "error"
-                counters = server.metrics_view()["tenants"]["alice"]["counters"]
+                assert view["status"] == "error" and view["error"]
+                assert view["claimed_by"] is None and view["finished_at"] is not None
+                counters = server.metrics_view()["counters"]
                 assert counters["verifications_run"] == 2
                 assert counters["jobs_completed"] == 1
                 assert counters["jobs_failed"] == 1

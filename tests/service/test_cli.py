@@ -222,72 +222,3 @@ class TestExportSpecCommand:
         exit_code = main(["export-spec", "nope", "-o", str(tmp_path / "x.json")])
         assert exit_code == 2
         assert "unknown workflow" in capsys.readouterr().err
-
-
-class TestTenantCommand:
-    def test_create_prints_key_once_and_list_redacts(self, tmp_path, capsys):
-        store = str(tmp_path / "jobs.db")
-        assert main(["tenant", "create", "acme", "--store", store,
-                     "--weight", "2", "--rate-limit", "5",
-                     "--max-pending", "10"]) == 0
-        out = capsys.readouterr().out
-        assert "api key: vk_" in out and "shown once" in out
-        api_key = next(
-            line.split("api key:")[1].strip()
-            for line in out.splitlines() if "api key:" in line
-        )
-        assert main(["tenant", "list", "--store", store]) == 0
-        listing = capsys.readouterr().out
-        assert "acme" in listing and "weight 2" in listing
-        assert api_key not in listing  # only the key_id handle appears
-        # The key actually resolves against the same store.
-        from repro.server import JobStore
-        from repro.tenancy import TenantRegistry
-
-        job_store = JobStore(store)
-        try:
-            resolved = TenantRegistry(job_store).resolve(api_key)
-            assert resolved is not None and resolved.name == "acme"
-            assert resolved.rate_limit == 5.0 and resolved.max_pending == 10
-        finally:
-            job_store.close()
-
-    def test_create_json_includes_key_and_policy(self, tmp_path, capsys):
-        store = str(tmp_path / "jobs.db")
-        assert main(["tenant", "create", "acme", "--store", store,
-                     "--burst", "3", "--rate-limit", "1.5", "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["api_key"].startswith("vk_")
-        assert data["rate_limit"] == 1.5 and data["burst"] == 3.0
-
-    def test_duplicate_name_exits_2(self, tmp_path, capsys):
-        store = str(tmp_path / "jobs.db")
-        assert main(["tenant", "create", "acme", "--store", store]) == 0
-        capsys.readouterr()
-        assert main(["tenant", "create", "acme", "--store", store]) == 2
-        assert "already in use" in capsys.readouterr().err
-
-    def test_revoke_then_list_marks_revoked(self, tmp_path, capsys):
-        store = str(tmp_path / "jobs.db")
-        main(["tenant", "create", "acme", "--store", store])
-        capsys.readouterr()
-        assert main(["tenant", "revoke", "acme", "--store", store]) == 0
-        main(["tenant", "list", "--store", store])
-        assert "REVOKED" in capsys.readouterr().out
-
-    def test_revoke_unknown_exits_2(self, tmp_path, capsys):
-        store = str(tmp_path / "jobs.db")
-        assert main(["tenant", "revoke", "ghost", "--store", store]) == 2
-        assert "no tenant" in capsys.readouterr().err
-
-    def test_empty_list(self, tmp_path, capsys):
-        assert main(["tenant", "list", "--store", str(tmp_path / "jobs.db")]) == 0
-        assert "no tenants" in capsys.readouterr().out
-
-    def test_serve_auth_flag_parses(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["serve", "--auth"])
-        assert args.auth is True
-        args = build_parser().parse_args(["serve"])
-        assert args.auth is False

@@ -419,8 +419,8 @@ def test_store_has_one_lifecycle_and_no_baseline_entry(lint):
         ("import sqlite3\nclass JobStore:\n    def __init__(self, path):\n"
          "        self._shared = sqlite3.connect(path)\n", STORE, "__init__"),
         # A sibling subsystem opening the store file on its own.
-        ("import sqlite3\ndef open_registry(path):\n    return sqlite3.connect(path)\n",
-         "src/repro/tenancy/registry.py", "open_registry"),
+        ("import sqlite3\ndef open_memo(path):\n    return sqlite3.connect(path)\n",
+         "src/repro/server/spec_memo.py", "open_memo"),
         # A reference passed around, and the from-import.
         ("import sqlite3\ndef factory():\n    return sqlite3.connect\n",
          "src/repro/server/app.py", "factory"),

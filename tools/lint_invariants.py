@@ -4,7 +4,7 @@
 Each scanned tree declares which rules apply to it (``SCANNED_TREES``).
 
 **RT001 -- no bare ``time.time()`` in lease/heartbeat/TTL code**
-(``src/repro/server``, ``src/repro/tenancy``).  The job store runs on a
+(``src/repro/server``).  The job store runs on a
 monotonic-anchored clock (``JobStore._now``) so an NTP step can neither
 mass-expire TTL'd jobs nor immortalise stale leases.  A bare
 ``time.time()`` in these trees reintroduces wall-clock arithmetic; new
@@ -12,10 +12,9 @@ call sites must justify themselves (display-only stamps, the anchors
 themselves) by being added to the baseline file in a reviewed commit.
 
 **TX001 -- no store mutation outside a ``BEGIN IMMEDIATE`` helper**
-(``src/repro/server``, ``src/repro/tenancy``).  Every
+(``src/repro/server``).  Every
 INSERT/UPDATE/DELETE against the store must run inside
-``with self._write(...)`` / ``with store.write_transaction(...)`` (one
-atomic transaction per mutating method) or in a helper that receives the
+``with self._write(...)`` (one atomic transaction per mutating method) or in a helper that receives the
 open transaction's connection as a ``conn``/``connection`` parameter.
 A naked ``cursor.execute("UPDATE ...")`` autocommits per-statement and
 silently breaks crash atomicity and the multi-process claim protocol.
@@ -45,11 +44,11 @@ entries.
 **AB001 -- no ablation switches on the public surfaces**
 (``src/repro/{server,service,client,spec}``, ``src/repro/cli.py``).
 ``repro.core.options.Ablation`` turns off optimisations for the paper's
-Section 4 experiments, and two of its switches change the question the
+Section 4 experiments, and one of its switches changes the question the
 verifier answers.  The API, the CLI, the service and the spec layer accept
 the three budgets of ``VerifierOptions`` only; importing ``Ablation`` (or
-reaching it as an attribute) there would let a client ask for an unsound
-answer again.  The rule has no baseline entries.
+reaching it as an attribute) there would let a client ask about a
+different system than the one it sent.  The rule has no baseline entries.
 
 **WK001 -- one execution path in the server** (``src/repro/server``).
 Both worker models run searches through one pipeline: the worker agent
@@ -139,7 +138,6 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: (tree or single file, rules enforced there)
 SCANNED_TREES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     (os.path.join("src", "repro", "server"), ("RT001", "TX001")),
-    (os.path.join("src", "repro", "tenancy"), ("RT001", "TX001")),
     (os.path.join("src", "repro", "core"), ("RT002",)),
     (os.path.join("src", "repro", "analysis", "dataflow.py"), ("DF001",)),
     (os.path.join("src", "repro"), ("RC001",)),
@@ -162,7 +160,7 @@ SCANNED_TREES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
 BASELINE_PATH = os.path.join(REPO_ROOT, "tools", "lint_invariants_baseline.txt")
 
 MUTATING_PREFIXES = ("INSERT", "UPDATE", "DELETE", "REPLACE")
-WRITE_HELPER_NAMES = ("_write", "write_transaction")
+WRITE_HELPER_NAMES = ("_write",)
 CONNECTION_PARAMS = ("conn", "connection")
 #: The per-request-connection transport HC001 keeps out of the package.
 CLOSING_TRANSPORT = "urllib.request"
@@ -228,7 +226,7 @@ def _first_sql_literal(node: ast.AST) -> Optional[str]:
 
 
 def _is_write_helper_call(node: ast.AST) -> bool:
-    """``self._write(...)``, ``store.write_transaction(...)`` etc."""
+    """``self._write(...)``, ``store._write(...)`` etc."""
     if not isinstance(node, ast.Call):
         return False
     callee = node.func
@@ -565,8 +563,8 @@ class _InvariantVisitor(ast.NodeVisitor):
             "TX001",
             node.lineno,
             f"store mutation ({sql.split(None, 1)[0].upper()}) outside a "
-            "BEGIN IMMEDIATE helper: wrap in `with ..._write()` / "
-            "`write_transaction()` or take the open `conn` as a parameter",
+            "BEGIN IMMEDIATE helper: wrap in `with ..._write()` "
+            "or take the open `conn` as a parameter",
         )
 
     def _record(self, rule: str, lineno: int, message: str) -> None:
