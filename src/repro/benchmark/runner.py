@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.baseline.spinlike import SpinLikeVerifier
 from repro.benchmark.cyclomatic import cyclomatic_complexity
 from repro.benchmark.properties import LTL_TEMPLATES, LTLTemplate, generate_properties
 from repro.core.options import Ablation, VerifierOptions
-from repro.core.verifier import VerificationOutcome, Verifier
+from repro.core.verifier import Verifier
 from repro.has.artifact_system import ArtifactSystem
 
 

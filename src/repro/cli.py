@@ -46,7 +46,7 @@ from typing import List, Optional, Sequence
 
 from repro.core.options import VerifierOptions
 from repro.service import BatchReport, VerificationService, jobs_from_bundle
-from repro.spec import SpecBundle, SpecError, load_spec, save_spec
+from repro.spec import SpecError, load_spec, save_spec
 
 
 def _add_option_flags(parser: argparse.ArgumentParser) -> None:

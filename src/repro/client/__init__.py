@@ -1,11 +1,11 @@
 """The Python client library for the ``/v1`` verification API.
 
-Pure stdlib: submit jobs, stream progress events (long-polling with
-``push_events=True``), poll with exponential backoff as the fallback,
-cancel.  Used by ``python -m repro batch --remote`` and the test suite, so
-neither has to hand-roll HTTP calls.  :mod:`repro.client.http` holds the
-whole client: one ``http.client`` transport with one keep-alive connection
-per calling thread.
+Pure stdlib: submit jobs, follow progress events (``iter_events``
+long-polls; ``events`` reads one page at once, for callers behind a proxy
+that cuts long requests), cancel.  Used by ``python -m repro batch
+--remote`` and the test suite, so neither has to hand-roll HTTP calls.
+:mod:`repro.client.http` holds the whole client: one ``http.client``
+transport with one keep-alive connection per calling thread.
 
 ::
 

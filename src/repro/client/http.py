@@ -3,10 +3,8 @@
 One transport and one protocol path: the client builds each request, reads
 its response and runs the polling algorithms itself, over
 :mod:`http.client` and :func:`time.sleep`.
-``iter_events`` long-polls when ``push_events`` is on
-(``REPRO_TEST_PUSH_EVENTS=1`` flips the default: the CI hook that re-runs
-the e2e suites over long-poll delivery) and otherwise polls on the backoff,
-the fallback that works against any server.
+``iter_events`` long-polls; ``events`` without ``wait_ms`` reads one page at
+once, for a caller that cannot hold a request open.
 
 Each calling thread keeps one persistent HTTP/1.1 connection, so a job's
 submit, its event long-polls and its views reach one server handler thread
@@ -217,7 +215,7 @@ class VerifasClient:
         poll_initial: float = 0.05,
         poll_max: float = 2.0,
         poll_backoff: float = 1.6,
-        push_events: Optional[bool] = None,
+        push_events: bool = True,
         wait_ms: int = 10_000,
         trace_submissions: bool = True,
         api_key: Optional[str] = None,
@@ -239,13 +237,8 @@ class VerifasClient:
         self.poll_initial = poll_initial
         self.poll_max = poll_max
         self.poll_backoff = poll_backoff
-        if push_events is None:
-            # The documented test/ops hook: flips every default-constructed
-            # client (test suites, the CLI) to long-poll delivery so the
-            # same e2e suites exercise the push path end to end.
-            push_events = os.environ.get("REPRO_TEST_PUSH_EVENTS", "") == "1"
-        #: Whether ``iter_events`` long-polls by default.
-        self.push_events = push_events
+        # ``push_events`` is accepted and has no effect: ``iter_events``
+        # always long-polls.
         #: Long-poll window per request (the server clamps to its own cap).
         self.wait_ms = max(1, int(wait_ms))
         self._connections = _Connections(self.base_url)
@@ -515,44 +508,26 @@ class VerifasClient:
         job_id: str,
         deadline_seconds: float = 300.0,
         poll_limit: int = 500,
-        push: Optional[bool] = None,
     ) -> Iterator[Dict[str, Any]]:
         """Yield the job's progress events (oldest first) until it is terminal.
 
-        In push mode (*push*, default :attr:`push_events`) each page request
-        long-polls, so nothing sleeps and a job emitting N events costs
-        about ``ceil(N / poll_limit) + 1`` requests.  In poll mode pages are
-        fetched on the backoff, restarted whenever new events arrive.
-
-        Either way the stream ends as soon as a ``terminal`` page shorter
-        than *poll_limit* is drained: it cannot have truncated the log, so
-        no extra round-trip confirms it.  A full terminal page fetches
-        again for the rest.
+        Each page request long-polls, so nothing sleeps and a job emitting
+        N events costs about ``ceil(N / poll_limit) + 1`` requests.  The
+        stream ends as soon as a ``terminal`` page shorter than
+        *poll_limit* is drained: it cannot have truncated the log, so no
+        extra round-trip confirms it.  A full terminal page fetches again
+        for the rest.
         """
-        push = self.push_events if push is None else push
         deadline = time.monotonic() + deadline_seconds
         cursor = 0
-        backoff = self._backoff()
         while True:
-            wait_ms: Optional[int] = None
-            if push:
-                remaining_ms = int((deadline - time.monotonic()) * 1000)
-                if remaining_ms <= 0:
-                    raise TimeoutError(f"job {job_id} still emitting after {deadline_seconds}s")
-                wait_ms = min(self.wait_ms, max(1, remaining_ms))
-            page = self.events(job_id, cursor, poll_limit, wait_ms)
+            remaining_ms = int((deadline - time.monotonic()) * 1000)
+            if remaining_ms <= 0:
+                raise TimeoutError(f"job {job_id} still emitting after {deadline_seconds}s")
+            page = self.events(job_id, cursor, poll_limit, min(self.wait_ms, remaining_ms))
             events = page.get("events", [])
             for event in events:
                 cursor = max(cursor, int(event.get("seq", cursor)))
                 yield event
             if page.get("terminal") and len(events) < poll_limit:
                 return
-            if events:
-                backoff = self._backoff()
-                continue
-            if push:
-                continue  # the server already blocked for wait_ms
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(f"job {job_id} still emitting after {deadline_seconds}s")
-            time.sleep(min(next(backoff), remaining))

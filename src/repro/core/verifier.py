@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.core.control import STOP_CANCELLED, STOP_DEADLINE, SearchControl

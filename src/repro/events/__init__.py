@@ -4,7 +4,7 @@ One stream of typed :class:`~repro.events.types.Event` objects flows through
 a process-wide :class:`~repro.events.manager.EventManager`; pluggable sinks
 turn it into the durable per-job log, ``/metrics`` counters and log lines,
 and an :class:`~repro.events.manager.EventBroker` converts store commits
-into in-process wakeups for long-poll/SSE delivery.
+into in-process wakeups for long-poll delivery.
 """
 
 from repro.events.manager import (

@@ -4,8 +4,8 @@
 Sinks subscribe to the whole stream and each pick out what they care about:
 
 * :class:`StoreSink` appends ``durable`` job-scoped events to the store's
-  per-job event log -- the source of truth that polling, long-poll and SSE
-  all read from, and the only delivery channel that crosses servers;
+  per-job event log -- the source of truth that polling and long-poll
+  both read from, and the only delivery channel that crosses servers;
 * :class:`MetricsSink` turns events into ``/metrics`` counter increments;
 * :class:`LogSink` renders events as log lines on a stream.
 
@@ -13,7 +13,7 @@ Sinks are independent: one sink raising never stops the others (mirroring
 ``SearchControl.emit``, which must never let an observer kill a search).
 
 :class:`EventBroker` is the in-process push half of delivery.  Long-poll
-and SSE handlers subscribe to a job id and block on
+handlers subscribe to a job id and block on
 :meth:`_Subscription.wait`; the store's post-commit update hook calls
 :meth:`EventBroker.notify`.  Wakeups carry no payload -- waiters re-read
 the durable log -- so a missed or spurious wakeup can delay delivery by at
@@ -211,7 +211,7 @@ class _Subscription:
 
 
 class EventBroker:
-    """In-process wakeup hub keyed by job id, for long-poll/SSE waiters."""
+    """In-process wakeup hub keyed by job id, for long-poll waiters."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()

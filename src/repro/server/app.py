@@ -86,6 +86,24 @@ from repro.service.jobs import VerificationJob
 from repro.spec.codec import SCHEMA_VERSION, dump_property, load_property
 from repro.spec.errors import SpecError, SpecVersionError
 
+#: The top-level keys of a ``POST /v1/jobs`` payload; any other is a 400.
+#: ``generator`` is the stamp :meth:`~repro.spec.SpecBundle.to_dict` writes, so an
+#: exported bundle posts as-is.
+PAYLOAD_KEYS = frozenset({
+    "schema_version", "generator", "system", "property", "properties",
+    "options", "label", "ttl_seconds", "deadline_ms",
+})
+
+#: Cap on one long-poll wait: ``?wait_ms=`` is clamped to it.
+LONG_POLL_MAX_MS = 30_000
+
+#: Seconds a long-poll waiter sleeps between store re-reads when no
+#: in-process wakeup arrives.  This bounds the delivery latency of events
+#: written by *other* servers sharing the store file (their commits never
+#: reach this process's broker): long-poll degrades to cursor polling at
+#: this cadence.
+PUSH_FALLBACK_INTERVAL = 0.5
+
 
 class _HttpServer(ThreadingHTTPServer):
     daemon_threads = True
@@ -147,8 +165,6 @@ class VerificationServer:
         heartbeat_interval: float = 1.0,
         stale_heartbeat_seconds: float = 15.0,
         server_id: Optional[str] = None,
-        long_poll_max_ms: int = 30_000,
-        push_fallback_interval: float = 0.5,
         event_log_stream: Optional[Any] = None,
         trace_enabled: Optional[bool] = None,
         token: Optional[str] = None,
@@ -231,15 +247,6 @@ class VerificationServer:
         self.sweep_interval = sweep_interval
         #: Explored-state interval between persisted ``progress`` events.
         self.progress_interval = progress_interval
-        #: Cap on a single long-poll / SSE wait (``?wait_ms=`` is clamped to
-        #: this); also the default SSE streaming budget per request.
-        self.long_poll_max_ms = max(0, int(long_poll_max_ms))
-        #: How long a long-poll/SSE waiter sleeps between store re-reads when
-        #: no in-process wakeup arrives.  This bounds the delivery latency of
-        #: events written by *other* servers sharing the store file (their
-        #: commits never reach this process's broker): push degrades to
-        #: cursor polling at this cadence, never below it.
-        self.push_fallback_interval = max(0.05, push_fallback_interval)
         self.store = JobStore(store_path)
         self.metrics = ServerMetrics(server_id=server_id)
         #: Submitted systems, parsed and linted once per distinct system
@@ -251,7 +258,7 @@ class VerificationServer:
         #: fired here once, and the sinks fan it out to the durable per-job
         #: log, the /metrics counters, and (optionally) a log stream.
         self.events = EventManager()
-        #: In-process wakeup hub for long-poll/SSE subscribers, fed by the
+        #: In-process wakeup hub for long-poll subscribers, fed by the
         #: store's post-commit update hook (so *any* committed write that an
         #: event poller could observe -- appends, terminal flips, cancels --
         #: wakes the waiters, whichever code path wrote it).
@@ -515,8 +522,9 @@ class VerificationServer:
         ``property`` or a list of ``properties``, and optional ``options``,
         ``label``, ``ttl_seconds`` (expire the job record that long after it
         finishes) and ``deadline_ms`` (bound the search's wall-clock run
-        time).  Inputs are canonicalised through the spec codecs, so
-        fingerprints match jobs built anywhere else (CLI, Python API).
+        time); any other top-level key is refused (see :data:`PAYLOAD_KEYS`).
+        Inputs are canonicalised through the spec codecs, so fingerprints
+        match jobs built anywhere else (CLI, Python API).
         The system-side parse, rendering and lint come from
         :attr:`spec_memo`, so a resubmitted system skips them; the
         property-side checks run on every POST.
@@ -534,6 +542,13 @@ class VerificationServer:
         version = payload.get("schema_version", 1)
         if not isinstance(version, int) or version < 1 or version > SCHEMA_VERSION:
             raise SpecVersionError(version, SCHEMA_VERSION)
+        # A misspelt key (`ttl_second`) would otherwise be dropped and the
+        # job queued without the setting its submitter asked for.  Checked
+        # after the version, so a newer document's new keys report the
+        # version mismatch instead.
+        unknown = sorted(set(payload) - PAYLOAD_KEYS)
+        if unknown:
+            raise SpecError(f"unknown job payload key(s): {', '.join(map(repr, unknown))}")
         system_data = payload.get("system")
         if system_data is None:
             raise SpecError("job payload has no 'system' section")
@@ -723,62 +738,45 @@ class VerificationServer:
         job_id: str,
         cursor: int = 0,
         limit: int = 500,
-    ) -> Optional[Dict[str, Any]]:
-        """The ``GET /v1/jobs/<id>/events`` body: incremental event polling.
-
-        Clients pass back the returned ``cursor`` to receive only newer
-        events; ``terminal`` tells them when to stop polling.  The status
-        is read before the events: a job's events commit no later than its
-        terminal flip, so a terminal page misses none of them.
-        """
-        status = self.store.job_status(job_id)
-        if status is None:
-            return None
-        events = self.store.events_after(job_id, cursor=cursor, limit=limit)
-        next_cursor = events[-1]["seq"] if events else cursor
-        return {
-            "id": job_id,
-            "status": status,
-            "events": events,
-            "cursor": next_cursor,
-            "terminal": status in TERMINAL_STATUSES,
-        }
-
-    def events_view_wait(
-        self,
-        job_id: str,
-        cursor: int = 0,
-        limit: int = 500,
         wait_ms: int = 0,
     ) -> Optional[Dict[str, Any]]:
-        """:meth:`events_view`, but blocking up to *wait_ms* for news.
+        """The ``GET /v1/jobs/<id>/events`` body: the job's events after
+        *cursor*, or ``None`` for an unknown job.
 
-        Returns immediately when the page already has events, the job is
-        terminal (nothing more will ever arrive), or the job is unknown.
-        Otherwise the handler thread subscribes to the in-process broker and
-        sleeps until a store commit touches the job -- re-reading the cursor
-        at least every :attr:`push_fallback_interval` regardless, which is
-        what bounds delivery of events written by *other* servers sharing
-        the store.  A deadline hit returns the (empty) page: long-polling is
-        plain polling with the dead time pushed server-side.
+        Clients pass back the returned ``cursor`` to receive only newer
+        events; ``terminal`` tells them when to stop.  The status is read
+        before the events: a job's events commit no later than its terminal
+        flip, so a terminal page misses none of them.
+
+        With *wait_ms* (clamped to :data:`LONG_POLL_MAX_MS`) the call
+        long-polls: an empty page of a live job waits until a store commit
+        touches the job (an in-process broker wakeup), re-reading at least
+        every :data:`PUSH_FALLBACK_INTERVAL` regardless, which is what bounds
+        delivery of events written by *other* servers sharing the store.  A
+        deadline hit returns the empty page.
         """
-        wait_ms = max(0, min(int(wait_ms), self.long_poll_max_ms))
-        view = self.events_view(job_id, cursor=cursor, limit=limit)
-        if view is None or view["events"] or view["terminal"] or wait_ms == 0:
-            return view
+        wait_ms = max(0, min(int(wait_ms), LONG_POLL_MAX_MS))
         deadline = time.monotonic() + wait_ms / 1000.0
-        # Subscribe BEFORE re-reading: a write landing between the read and
-        # the wait bumps the subscription's generation, so the next wait()
+        # Subscribe BEFORE reading: a write landing between the read and the
+        # wait bumps the subscription's generation, so the next wait()
         # returns at once instead of sleeping out the interval.
         with self.broker.subscription(job_id) as subscription:
             while True:
-                view = self.events_view(job_id, cursor=cursor, limit=limit)
-                if view is None or view["events"] or view["terminal"]:
-                    return view
+                status = self.store.job_status(job_id)
+                if status is None:
+                    return None
+                events = self.store.events_after(job_id, cursor=cursor, limit=limit)
+                terminal = status in TERMINAL_STATUSES
                 remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return view
-                subscription.wait(min(remaining, self.push_fallback_interval))
+                if events or terminal or remaining <= 0:
+                    return {
+                        "id": job_id,
+                        "status": status,
+                        "events": events,
+                        "cursor": events[-1]["seq"] if events else cursor,
+                        "terminal": terminal,
+                    }
+                subscription.wait(min(remaining, PUSH_FALLBACK_INTERVAL))
 
     def jobs_view(
         self,

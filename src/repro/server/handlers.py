@@ -13,13 +13,10 @@ The API is JSON in, JSON out, versioned under ``/v1``:
                                   any counterexample) once ``done``, or the
                                   partial result once ``cancelled``
 ``GET /v1/jobs/<id>/events``      incremental progress events
-                                  (``?cursor=N&limit=M``); with ``?wait_ms=``
-                                  the request *long-polls* -- it blocks until
-                                  new events arrive, the job turns terminal,
-                                  or the wait expires; with
-                                  ``Accept: text/event-stream`` it streams
-                                  Server-Sent Events (``Last-Event-ID``
-                                  resumes a broken stream)
+                                  (``?cursor=N&limit=M``, ``M >= 1``); with
+                                  ``?wait_ms=`` the request *long-polls* --
+                                  it blocks until new events arrive, the job
+                                  turns terminal, or the wait expires
 ``GET /v1/jobs/<id>/trace``       the job's distributed-trace span tree
                                   (client submit -> HTTP handler -> queue wait
                                   -> worker -> search phases)
@@ -61,7 +58,6 @@ from __future__ import annotations
 import json
 import re
 import sqlite3
-import time
 from http.server import BaseHTTPRequestHandler
 from typing import Any, Dict, Optional
 from urllib.parse import parse_qs, unquote
@@ -323,98 +319,16 @@ class ApiHandler(BaseHTTPRequestHandler):
         wait_ms = self._int_param(params, "wait_ms", 0)
         if wait_ms is None:
             return
-        accept = self.headers.get("Accept", "") or ""
-        if "text/event-stream" in accept:
-            return self._stream_events(job_id, cursor, limit, wait_ms)
+        if limit < 1:
+            # An empty page can never advance the cursor: a long-poll would
+            # park for nothing and a poller would never make progress.
+            return self._send(400, {"error": "limit must be positive"})
         if wait_ms > 0:
             self.app.metrics.increment("long_poll_requests")
-            view = self.app.events_view_wait(
-                job_id, cursor=cursor, limit=limit, wait_ms=wait_ms
-            )
-        else:
-            view = self.app.events_view(job_id, cursor=cursor, limit=limit)
+        view = self.app.events_view(job_id, cursor=cursor, limit=limit, wait_ms=wait_ms)
         if view is None:
             return self._send(404, {"error": f"no job with id {job_id!r}"})
         self._send(200, view)
-
-    def _stream_events(self, job_id: str, cursor: int, limit: int, wait_ms: int) -> None:
-        """Server-Sent Events over the job's event log.
-
-        One response streams every event from *cursor* on as
-        ``id:``/``event:``/``data:`` frames, pushing new ones as they land
-        (in-process broker wakeups, store-cursor fallback for peers'
-        writes), and ends with an ``event: terminal`` frame once the job is
-        terminal and drained.  The stream also ends -- without a terminal
-        frame -- when the per-request budget (``wait_ms``, default/cap
-        :attr:`~repro.server.app.VerificationServer.long_poll_max_ms`)
-        expires with the job still running; clients reconnect with
-        ``Last-Event-ID`` (or ``?cursor=``) and lose nothing, because the
-        durable log replays.  Unknown jobs still 404 as JSON -- the check
-        runs before any stream bytes are committed.
-        """
-        app = self.app
-        app.metrics.increment("sse_requests")
-        if cursor == 0:
-            # EventSource reconnects resend the position as a header.
-            last_event_id = self.headers.get("Last-Event-ID")
-            if last_event_id:
-                try:
-                    cursor = int(last_event_id)
-                except ValueError:
-                    pass
-        if app.store.job_status(job_id) is None:
-            return self._send(404, {"error": f"no job with id {job_id!r}"})
-        budget_ms = wait_ms if wait_ms > 0 else app.long_poll_max_ms
-        deadline = time.monotonic() + min(budget_ms, app.long_poll_max_ms) / 1000.0
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream")
-        self.send_header("Cache-Control", "no-cache")
-        # No Content-Length: the stream is EOF-delimited, so this connection
-        # cannot be reused.
-        self.close_connection = True
-        self.send_header("Connection", "close")
-        self.end_headers()
-        try:
-            with app.broker.subscription(job_id) as subscription:
-                while True:
-                    view = app.events_view(job_id, cursor=cursor, limit=limit)
-                    if view is None:
-                        return  # job swept mid-stream: end of stream
-                    for event in view["events"]:
-                        cursor = max(cursor, int(event["seq"]))
-                        self._write_sse_frame(str(event["seq"]), event["kind"], event)
-                    if view["terminal"] and len(view["events"]) < limit:
-                        self._write_sse_frame(
-                            None,
-                            "terminal",
-                            {
-                                "id": job_id,
-                                "status": view["status"],
-                                "cursor": cursor,
-                                "terminal": True,
-                            },
-                        )
-                        return
-                    if view["events"]:
-                        continue  # full page: drain before sleeping
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return
-                    subscription.wait(min(remaining, app.push_fallback_interval))
-        except (BrokenPipeError, ConnectionError, OSError):
-            return  # client went away mid-stream
-        except sqlite3.ProgrammingError:
-            return  # store closed mid-shutdown; headers are already out
-
-    def _write_sse_frame(
-        self, event_id: Optional[str], kind: str, payload: Any
-    ) -> None:
-        frame = ""
-        if event_id is not None:
-            frame += f"id: {event_id}\n"
-        frame += f"event: {kind}\ndata: {json.dumps(payload)}\n\n"
-        self.wfile.write(frame.encode("utf-8"))
-        self.wfile.flush()
 
     def _int_param(self, params: Dict[str, list], name: str, default: int) -> Optional[int]:
         """Parse an integer query parameter, sending a 400 on failure."""

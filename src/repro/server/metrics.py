@@ -140,11 +140,10 @@ class ServerMetrics:
             "requests": 0,
             "connections": 0,
             # Event-bus delivery: every typed event fired through the
-            # EventManager, and how many /v1/jobs/<id>/events requests used
-            # push-style delivery (long-poll via ?wait_ms=, SSE streams).
+            # EventManager, and how many /v1/jobs/<id>/events requests
+            # long-polled (?wait_ms=).
             "events_emitted": 0,
             "long_poll_requests": 0,
-            "sse_requests": 0,
             # Observability: spans the TraceSink persisted, /trace reads.
             "spans_recorded": 0,
             "trace_requests": 0,

@@ -358,7 +358,7 @@ class JobStore:
         #: Post-commit hook called with a job id after any write that could
         #: make new data visible to an event poller of that job (an event
         #: append or a status flip).  The server wires this to its
-        #: ``EventBroker.notify`` so long-poll/SSE waiters wake immediately
+        #: ``EventBroker.notify`` so long-poll waiters wake immediately
         #: instead of sleeping out their fallback interval.  Fired strictly
         #: *after* the transaction commits -- a woken waiter re-reads the
         #: store and must see the data -- and never from inside one, so the

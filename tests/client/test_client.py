@@ -351,39 +351,41 @@ def _page(first, count, terminal):
 class TestEventsTerminalPage:
     def test_short_terminal_page_ends_with_no_extra_request(self, scripted):
         client, sent, _ = scripted([_page(1, 3, True)])
-        events = list(client.iter_events("j", 60, poll_limit=3 + 1, push=True))
+        events = list(client.iter_events("j", 60, poll_limit=3 + 1))
         assert [event["seq"] for event in events] == [1, 2, 3] and len(sent) == 1
 
     def test_full_terminal_page_fetches_again_from_the_cursor(self, scripted):
         client, sent, _ = scripted([_page(1, 2, True), _page(3, 0, True)])
-        events = list(client.iter_events("j", 60, poll_limit=2, push=True))
+        events = list(client.iter_events("j", 60, poll_limit=2))
         assert [event["seq"] for event in events] == [1, 2] and len(sent) == 2
         assert "cursor=2&limit=2&wait_ms=" in sent[1].path
 
-    def test_poll_mode_backs_off_on_empty_pages_and_resets_on_progress(self, scripted):
-        client, sent, sleeps = scripted(
-            [_page(1, 0, False), _page(1, 0, False), _page(1, 1, False),
-             _page(2, 0, False), _page(2, 0, True)],
-            poll_initial=0.1, poll_max=1.0, poll_backoff=2.0,
-        )
-        assert len(list(client.iter_events("j", 60, poll_limit=10, push=False))) == 1
-        assert sleeps == [0.1, 0.2, 0.1]
-        assert all("wait_ms" not in request.path for request in sent)
+    def test_a_plain_page_sends_no_wait_and_never_sleeps(self, scripted):
+        """``events`` without *wait_ms* is one page read at once: the path a
+        caller behind a proxy that cuts long requests pages with."""
+        client, sent, sleeps = scripted([_page(3, 2, False)])
+        page = client.events("j", 2, 10)
+        assert [event["seq"] for event in page["events"]] == [3, 4]
+        assert [request.path for request in sent] == ["/v1/jobs/j/events?cursor=2&limit=10"]
+        assert sleeps == []
 
-    def test_push_mode_never_sleeps_on_an_empty_page(self, scripted):
+    @pytest.mark.parametrize("push_events", [None, True, False], ids=["default", "on", "off"])
+    def test_iter_events_never_sleeps_on_an_empty_page(self, scripted, push_events):
+        """Every client long-polls; ``push_events`` is accepted and has no
+        effect."""
+        kwargs = {} if push_events is None else {"push_events": push_events}
         client, sent, sleeps = scripted([_page(1, 0, False), _page(1, 0, False),
-                                         _page(1, 1, True)])
-        assert len(list(client.iter_events("j", 60, poll_limit=10, push=True))) == 1
+                                         _page(1, 1, True)], **kwargs)
+        assert len(list(client.iter_events("j", 60, poll_limit=10))) == 1
         assert sleeps == [] and all("wait_ms=" in request.path for request in sent)
 
-    @pytest.mark.parametrize("push, requests", [(True, 0), (False, 1)], ids=["push", "poll"])
-    def test_a_spent_deadline_raises_timeout(self, scripted, push, requests):
-        """Push mode checks the deadline before it long-polls; poll mode
-        fetches one page and gives up instead of sleeping past it."""
+    def test_a_spent_deadline_raises_timeout(self, scripted):
+        """The deadline is checked before each long-poll, so a spent one
+        sends nothing."""
         client, sent, sleeps = scripted(_ok({"events": [], "terminal": False}))
         with pytest.raises(TimeoutError, match="still emitting"):
-            list(client.iter_events("j", 0, push=push))
-        assert len(sent) == requests and sleeps == []
+            list(client.iter_events("j", 0))
+        assert len(sent) == 0 and sleeps == []
 
 
 class TestBatchWait:
@@ -595,11 +597,8 @@ class TestLiveJobs:
             options={"timeout_seconds": 60},
         )
 
-    @pytest.mark.parametrize("push", [True, False], ids=["push", "poll"])
-    def test_iter_events_ends_with_done(self, server, tiny_system, push):
-        with VerifasClient(
-            server.url, push_events=push, poll_initial=0.02, poll_max=0.2, wait_ms=5_000
-        ) as client:
+    def test_iter_events_ends_with_done(self, server, tiny_system):
+        with VerifasClient(server.url, wait_ms=5_000) as client:
             [handle] = self._submit(client, tiny_system, _properties()[1:])
             events = list(client.iter_events(handle.id, deadline_seconds=60))
         kinds = [event["kind"] for event in events]

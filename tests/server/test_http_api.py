@@ -24,7 +24,7 @@ from repro.ltl import LTLFOProperty, parse_ltl
 from repro.ltl.parser import MAX_FORMULA_DEPTH
 from repro.server import VerificationServer
 from repro.server.handlers import ApiHandler
-from repro.spec import dump_property, dump_system
+from repro.spec import SpecBundle, dump_property, dump_system
 
 OPTIONS = {"timeout_seconds": 30}
 
@@ -379,6 +379,35 @@ class TestApiErrors:
         status, body = _request(f"{server.url}/v1/jobs", "POST", payload)
         assert status == 400 and "unknown verifier option" in body["error"]
         assert "timeout" in body["error"]
+
+    def test_unknown_top_level_keys_are_rejected(self, server, tiny_system):
+        """A misspelt key is refused by name, not dropped: `ttl_second`
+        would otherwise queue a job without its TTL."""
+        payload = _payload(tiny_system, _properties()[:1])
+        payload["ttl_second"] = 5
+        payload["priority"] = 7
+        status, body = _request(f"{server.url}/v1/jobs", "POST", payload)
+        assert status == 400
+        assert "'priority'" in body["error"] and "'ttl_second'" in body["error"]
+        assert _request(f"{server.url}/v1/jobs")[1]["jobs"] == []
+
+    def test_a_newer_schema_reports_its_version_before_its_keys(self, server, tiny_system):
+        """A key added by a later schema version is not the problem to name:
+        the version is."""
+        payload = _payload(tiny_system, _properties()[:1])
+        payload["schema_version"] = 2
+        payload["added_in_v2"] = True
+        status, body = _request(f"{server.url}/v1/jobs", "POST", payload)
+        assert status == 400
+        assert "schema_version=2" in body["error"] and "added_in_v2" not in body["error"]
+        assert _request(f"{server.url}/v1/jobs")[1]["jobs"] == []
+
+    def test_an_exported_bundle_posts_as_is(self, server, tiny_system):
+        """`SpecBundle.to_dict()` stamps a `generator` key; the payload
+        gate lets it through."""
+        bundle = SpecBundle(system=tiny_system, properties=_properties()[:1]).to_dict()
+        assert "generator" in bundle
+        assert len(_submit(server.url, bundle)) == 1
 
     def test_ill_typed_option_values_are_rejected(self, server, tiny_system):
         """Values are checked at submit time, not left to fail in a worker

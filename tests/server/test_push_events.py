@@ -1,10 +1,10 @@
-"""Push delivery of progress events: long-poll, SSE, and the request-count
-acceptance bound.
+"""Long-poll delivery of progress events and the request-count bound.
 
-The headline guarantee: a job whose log holds N events is fully observed
-over long-poll with at most ``ceil(N / limit) + 1`` HTTP requests -- one per
-full page plus at most one closing probe -- and never more requests than the
-plain-polling baseline.  The same bound must hold when the observing server
+Long-poll is the client's one way to follow a job; a plain ``events`` page
+(no ``wait_ms``) is what a caller behind a proxy that cuts long requests
+reads.  The headline guarantee: a job whose log holds N events is fully
+observed over long-poll with at most ``ceil(N / limit) + 1`` HTTP requests
+-- one per full page plus at most one closing probe.  The same bound must hold when the observing server
 is NOT the one that wrote the events (two servers sharing one store file),
 where delivery degrades to the store-cursor fallback instead of in-process
 wakeups.
@@ -16,7 +16,6 @@ import json
 import math
 import threading
 import time
-import urllib.error
 import urllib.request
 
 import pytest
@@ -24,7 +23,7 @@ import pytest
 from repro.client import ClientError, VerifasClient
 from repro.has.conditions import Const, Eq, Var
 from repro.ltl import LTLFOProperty, parse_ltl
-from repro.server import VerificationServer
+from repro.server import VerificationServer, app as server_app
 from repro.spec import dump_property, dump_system
 
 OPTIONS = {"timeout_seconds": 60}
@@ -38,24 +37,30 @@ def _property(name="eventually-picked"):
 
 
 class CountingClient(VerifasClient):
-    """A client that counts every HTTP request it issues."""
+    """A client that counts (and records the paths of) the HTTP requests it
+    issues."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.request_count = 0
+        self.paths = []
 
     def _request(self, method, path, payload=None, timeout=None, headers=None):
         self.request_count += 1
+        self.paths.append(path)
         return super()._request(method, path, payload, timeout=timeout, headers=headers)
 
 
 @pytest.fixture
-def idle_server(tmp_path):
+def fast_fallback(monkeypatch):
+    """Long-poll waiters re-read the store every 50 ms."""
+    monkeypatch.setattr(server_app, "PUSH_FALLBACK_INTERVAL", 0.05)
+
+
+@pytest.fixture
+def idle_server(tmp_path, fast_fallback):
     """A worker-less server: jobs stay queued until the test drives them."""
-    server = VerificationServer(
-        store_path=tmp_path / "jobs.db", port=0, workers=0,
-        push_fallback_interval=0.05,
-    )
+    server = VerificationServer(store_path=tmp_path / "jobs.db", port=0, workers=0)
     server.start()
     yield server
     server.stop()
@@ -108,6 +113,19 @@ class TestRequestCountBound:
             assert [e["seq"] for e in events] == list(range(1, n_events + 1))
             assert client.request_count <= math.ceil(n_events / limit) + 1
 
+    def test_default_client_long_polls_within_the_bound(self, idle_server, tiny_system):
+        """A client built with the URL alone long-polls: every page request
+        carries `wait_ms=`, and the drain meets the same request bound."""
+        handle = _submit_one(idle_server, tiny_system)
+        _append_events(idle_server.store, handle.id, 100)
+        _finish(idle_server.store, handle.id)
+
+        with CountingClient(idle_server.url) as client:
+            assert len(list(client.iter_events(handle.id, poll_limit=30))) == 100
+            assert client.request_count <= math.ceil(100 / 30) + 1
+            assert client.paths and all("wait_ms=" in path for path in client.paths)
+        assert idle_server.metrics.counter("long_poll_requests") == client.request_count
+
     def test_terminal_short_page_needs_no_closing_probe(
         self, idle_server, tiny_system
     ):
@@ -132,39 +150,26 @@ class TestRequestCountBound:
             assert len(list(client.iter_events(handle.id, poll_limit=20))) == 20
             assert client.request_count == 2
 
-    def test_push_beats_polling_on_a_slow_emitter(self, idle_server, tiny_system):
-        """Live emission: long-poll parks on the server between events, while
-        the polling baseline burns empty pages -- push issues fewer requests
-        and still sees every event."""
+    def test_long_poll_follows_a_slow_emitter(self, idle_server, tiny_system):
+        """Live emission: long-poll parks on the server between events, so
+        it sees every event with at most one wakeup per event plus the
+        close, and never an empty page in between."""
         n_events = 8
+        handle = _submit_one(idle_server, tiny_system, name="slow-emitter")
 
-        def run(client_cls, push):
-            # One fingerprint per run: the first run's verdict would
-            # otherwise complete the second job at submit.
-            handle = _submit_one(idle_server, tiny_system, name=f"slow-emitter-{push}")
+        def emit():
+            for index in range(n_events):
+                time.sleep(0.06)
+                _append_events(idle_server.store, handle.id, 1, start=index)
+            _finish(idle_server.store, handle.id)
 
-            def emit():
-                for index in range(n_events):
-                    time.sleep(0.06)
-                    _append_events(idle_server.store, handle.id, 1, start=index)
-                _finish(idle_server.store, handle.id)
-
-            emitter = threading.Thread(target=emit)
-            emitter.start()
-            with client_cls(
-                idle_server.url, push_events=push, wait_ms=5_000,
-                poll_initial=0.005, poll_max=0.02,
-            ) as client:
-                events = list(client.iter_events(handle.id, deadline_seconds=30))
-            emitter.join()
-            return events, client.request_count
-
-        push_events, push_requests = run(CountingClient, push=True)
-        poll_events, poll_requests = run(CountingClient, push=False)
-        assert len(push_events) == len(poll_events) == n_events
-        assert push_requests <= poll_requests
-        # Push never needs more than one wakeup per event plus the close.
-        assert push_requests <= n_events + 1
+        emitter = threading.Thread(target=emit)
+        emitter.start()
+        with CountingClient(idle_server.url, wait_ms=5_000) as client:
+            events = list(client.iter_events(handle.id, deadline_seconds=30))
+        emitter.join()
+        assert len(events) == n_events
+        assert client.request_count <= n_events + 1
 
     def test_idle_long_poll_parks_in_one_request(self, idle_server, tiny_system):
         """A long-poll on a quiet job is ONE held request, not a poll storm."""
@@ -195,14 +200,12 @@ class TestRequestCountBound:
         assert elapsed < 5.0  # woke on the append, not the 10s deadline
 
 
-    def test_stale_rescue_wakes_a_long_poll(self, tmp_path, tiny_system):
+    def test_stale_rescue_wakes_a_long_poll(self, tmp_path, tiny_system, monkeypatch):
         """A stale claim with a pending cancel lands `cancelled` in the
         sweeper's rescue; its long-poll wakes on that flip, not on the
         fallback re-read (10 s here)."""
-        server = VerificationServer(
-            store_path=tmp_path / "jobs.db", port=0, workers=0,
-            push_fallback_interval=10,
-        )
+        monkeypatch.setattr(server_app, "PUSH_FALLBACK_INTERVAL", 10)
+        server = VerificationServer(store_path=tmp_path / "jobs.db", port=0, workers=0)
         server.start()
         try:
             handle = _submit_one(server, tiny_system)
@@ -211,7 +214,7 @@ class TestRequestCountBound:
             views = []
             waiter = threading.Thread(
                 target=lambda: views.append(
-                    server.events_view_wait(handle.id, cursor=1, wait_ms=5_000)
+                    server.events_view(handle.id, cursor=1, wait_ms=5_000)
                 )
             )
             waiter.start()
@@ -227,20 +230,14 @@ class TestRequestCountBound:
 
 
 class TestTwoServersSharedStore:
-    def test_push_bound_holds_across_servers(self, tmp_path, tiny_system):
+    def test_push_bound_holds_across_servers(self, tmp_path, tiny_system, fast_fallback):
         """Events written via server A are observed via server B under the
         same request bound: B's broker never hears about A's commits, so
         delivery rides the store-cursor fallback re-read."""
         store_path = tmp_path / "shared.db"
-        a = VerificationServer(
-            store_path=store_path, port=0, workers=0, server_id="a",
-            push_fallback_interval=0.05,
-        )
+        a = VerificationServer(store_path=store_path, port=0, workers=0, server_id="a")
         a.start()
-        b = VerificationServer(
-            store_path=store_path, port=0, workers=0, server_id="b",
-            push_fallback_interval=0.05,
-        )
+        b = VerificationServer(store_path=store_path, port=0, workers=0, server_id="b")
         b.start()
         try:
             handle = _submit_one(a, tiny_system)
@@ -257,17 +254,14 @@ class TestTwoServersSharedStore:
             b.stop()
 
     def test_cross_server_live_append_arrives_within_fallback(
-        self, tmp_path, tiny_system
+        self, tmp_path, tiny_system, fast_fallback
     ):
         """A long-poll held by B sees an event A writes within (roughly) one
         fallback interval, without any cross-process signalling."""
         store_path = tmp_path / "shared.db"
         a = VerificationServer(store_path=store_path, port=0, workers=0, server_id="a")
         a.start()
-        b = VerificationServer(
-            store_path=store_path, port=0, workers=0, server_id="b",
-            push_fallback_interval=0.05,
-        )
+        b = VerificationServer(store_path=store_path, port=0, workers=0, server_id="b")
         b.start()
         try:
             handle = _submit_one(a, tiny_system)
@@ -287,80 +281,6 @@ class TestTwoServersSharedStore:
             b.stop()
 
 
-# ----------------------------------------------------------------------- SSE
-
-
-def _read_sse(url, job_id, timeout=30.0, cursor=None, last_event_id=None):
-    """Open the SSE stream and return its parsed frames (reads to EOF)."""
-    query = f"?wait_ms=5000" + (f"&cursor={cursor}" if cursor is not None else "")
-    headers = {"Accept": "text/event-stream"}
-    if last_event_id is not None:
-        headers["Last-Event-ID"] = str(last_event_id)
-    request = urllib.request.Request(f"{url}/v1/jobs/{job_id}/events{query}", headers=headers)
-    with urllib.request.urlopen(request, timeout=timeout) as response:
-        assert response.headers["Content-Type"].startswith("text/event-stream")
-        raw = response.read().decode("utf-8")
-    frames = []
-    for block in raw.split("\n\n"):
-        if not block.strip():
-            continue
-        frame = {}
-        for line in block.splitlines():
-            key, _, value = line.partition(":")
-            frame[key] = value.strip()
-        frame["data"] = json.loads(frame["data"])
-        frames.append(frame)
-    return frames
-
-
-class TestServerSentEvents:
-    def test_stream_replays_log_and_closes_on_terminal(
-        self, idle_server, tiny_system
-    ):
-        handle = _submit_one(idle_server, tiny_system)
-        _append_events(idle_server.store, handle.id, 3)
-        _finish(idle_server.store, handle.id)
-
-        frames = _read_sse(idle_server.url, handle.id)
-        assert [f["event"] for f in frames] == ["progress"] * 3 + ["terminal"]
-        assert [f["id"] for f in frames[:3]] == ["1", "2", "3"]
-        assert frames[-1]["data"]["status"] == "done"
-        assert frames[-1]["data"]["terminal"] is True
-        assert idle_server.metrics.counter("sse_requests") == 1
-
-    def test_stream_follows_live_appends(self, idle_server, tiny_system):
-        handle = _submit_one(idle_server, tiny_system)
-
-        def emit():
-            for index in range(4):
-                time.sleep(0.05)
-                _append_events(idle_server.store, handle.id, 1, start=index)
-            _finish(idle_server.store, handle.id)
-
-        emitter = threading.Thread(target=emit)
-        emitter.start()
-        frames = _read_sse(idle_server.url, handle.id)
-        emitter.join()
-        assert [f["event"] for f in frames] == ["progress"] * 4 + ["terminal"]
-
-    def test_last_event_id_resumes_mid_stream(self, idle_server, tiny_system):
-        handle = _submit_one(idle_server, tiny_system)
-        _append_events(idle_server.store, handle.id, 5)
-        _finish(idle_server.store, handle.id)
-
-        frames = _read_sse(idle_server.url, handle.id, last_event_id=3)
-        assert [f["id"] for f in frames[:-1]] == ["4", "5"]
-
-    def test_unknown_job_is_a_404_not_a_stream(self, idle_server):
-        request = urllib.request.Request(
-            f"{idle_server.url}/v1/jobs/no-such-job/events",
-            headers={"Accept": "text/event-stream"},
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 404
-
-
 # ------------------------------------------------------------- edge cases
 
 
@@ -378,6 +298,39 @@ class TestEventCursorEdges:
         assert time.monotonic() - started < 5.0  # terminal: no parking
         assert page["events"] == [] and page["terminal"] is True
         assert page["cursor"] == 999  # the cursor never moves backwards
+
+    @pytest.mark.parametrize("limit", [0, -5])
+    @pytest.mark.parametrize("wait_ms", [None, 1_500])
+    def test_limit_below_one_is_a_quick_400(self, idle_server, tiny_system, limit, wait_ms):
+        """A page of at most zero events never advances the cursor: refused
+        at once rather than parked for the whole wait."""
+        handle = _submit_one(idle_server, tiny_system)
+        _append_events(idle_server.store, handle.id, 1)
+        with VerifasClient(idle_server.url) as client:
+            started = time.monotonic()
+            with pytest.raises(ClientError) as excinfo:
+                client.events(handle.id, limit=limit, wait_ms=wait_ms)
+            assert time.monotonic() - started < 1.0
+            assert excinfo.value.status == 400
+            assert "limit" in excinfo.value.body["error"]
+            assert len(client.events(handle.id, limit=1, wait_ms=wait_ms)["events"]) == 1
+
+    def test_event_stream_accept_gets_a_json_long_poll(self, idle_server, tiny_system):
+        """`Accept: text/event-stream` selects nothing special: the answer
+        is the JSON page, and `wait_ms` still parks the request."""
+        handle = _submit_one(idle_server, tiny_system)
+        request = urllib.request.Request(
+            f"{idle_server.url}/v1/jobs/{handle.id}/events?wait_ms=300",
+            headers={"Accept": "text/event-stream"},
+        )
+        started = time.monotonic()
+        with urllib.request.urlopen(request, timeout=10) as response:
+            assert response.status == 200
+            assert response.headers["Content-Type"] == "application/json"
+            page = json.load(response)
+        assert time.monotonic() - started >= 0.25
+        assert page["events"] == [] and page["terminal"] is False
+        assert idle_server.metrics.counter("long_poll_requests") == 1
 
     def test_job_swept_mid_iteration_surfaces_as_404(self, idle_server, tiny_system):
         handle = _submit_one(idle_server, tiny_system, ttl_seconds=0.01)
@@ -408,16 +361,6 @@ class TestEventCursorEdges:
             assert excinfo.value.status == 404
             assert time.monotonic() - started < 5.0  # unknown job: no parking
 
-            from urllib.parse import quote
-
-            request = urllib.request.Request(
-                f"{idle_server.url}/v1/jobs/{quote(hostile, safe='')}/events?wait_ms=10000",
-                headers={"Accept": "text/event-stream"},
-            )
-            with pytest.raises(urllib.error.HTTPError) as sse_excinfo:
-                urllib.request.urlopen(request, timeout=10)
-            assert sse_excinfo.value.code == 404
-
 
 class TestEventsViewReadsTheStatusOnly:
     """An events page needs the job's status and its events, nothing else
@@ -436,7 +379,7 @@ class TestEventsViewReadsTheStatusOnly:
         view = idle_server.events_view(handle.id)
         assert view["status"] == "queued" and len(view["events"]) == 2
         assert view["terminal"] is False
-        waited = idle_server.events_view_wait(handle.id, cursor=2, wait_ms=100)
+        waited = idle_server.events_view(handle.id, cursor=2, wait_ms=100)
         assert waited["events"] == [] and waited["cursor"] == 2
         _finish(idle_server.store, handle.id)
         view = idle_server.events_view(handle.id, cursor=2)
@@ -466,7 +409,7 @@ class TestEventsViewReadsTheStatusOnly:
 
         monkeypatch.setattr(idle_server.store, "events_after", events_after)
         assert idle_server.events_view("ffffffffffff") is None
-        assert idle_server.events_view_wait("ffffffffffff", wait_ms=10_000) is None
+        assert idle_server.events_view("ffffffffffff", wait_ms=10_000) is None
         with VerifasClient(idle_server.url) as client:
             with pytest.raises(ClientError) as excinfo:
                 client.events("ffffffffffff")
